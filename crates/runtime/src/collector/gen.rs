@@ -1,18 +1,20 @@
 //! The generational backend: a nursery, minor/major cycles, and a
 //! remembered set fed by the VM's write-barrier store sites.
 //!
-//! Young objects (everything allocated since the last cycle) are
-//! tracked per address; when their accumulated bytes cross
+//! Young objects (everything allocated since the last cycle) carry a
+//! young bit on their span; when their accumulated bytes cross
 //! [`RuntimeConfig::nursery_size`], a **minor** cycle runs: only nursery
 //! objects are marked and swept ([`Heap::sweep_young`]), old objects in
 //! the same spans are untouched, and every survivor is promoted
 //! wholesale (the nursery empties). Because the VM's roots cannot see
 //! old→young pointers cheaply, the barrier records mutated *old* objects
-//! in a remembered set whose size is charged as minor-mark root-scan
-//! cost; promotion clears it (no old→young edges can survive a cycle
-//! that promotes the whole nursery). When the full-heap GOGC goal is
-//! crossed instead, a **major** cycle runs with exactly the
-//! [`GoMarkSweep`](super::GoMarkSweep) cost model and sweep.
+//! in a remembered set (kept a set, not a fourth span word: it is small,
+//! bounded by the stores of one cycle, and a word per 64 slots would be
+//! paid by every span of either backend) whose size is charged as
+//! minor-mark root-scan cost; promotion clears it (no old→young edges
+//! can survive a cycle that promotes the whole nursery). When the
+//! full-heap GOGC goal is crossed instead, a **major** cycle runs with
+//! exactly the [`GoMarkSweep`](super::GoMarkSweep) cost model and sweep.
 //!
 //! `tcfree` interacts with the nursery directly: an explicit free evicts
 //! the address ([`Collector::on_free`]), so explicitly freed bytes never
@@ -23,18 +25,19 @@
 use std::collections::HashSet;
 
 use crate::clock::Clock;
-use crate::heap::{Heap, ObjAddr};
+use crate::heap::{Heap, HeapInvariant, HeapInvariantError, ObjAddr};
 use crate::rng::SimRng;
 use crate::runtime::RuntimeConfig;
 
-use super::{full_mark_cost, Collector, CollectorKind, CycleKind, CycleOutcome, GcTrigger};
+use super::{mark_cost, Collector, CollectorKind, CycleKind, CycleOutcome, GcTrigger};
 
 /// Generational mark-sweep.
 #[derive(Debug)]
 pub struct Generational {
-    /// Addresses allocated since the last cycle.
-    young: HashSet<ObjAddr>,
-    /// Bytes those addresses account for (the minor trigger's input).
+    /// Objects carrying a young bit: allocated since the last cycle and
+    /// not freed (the minor window's pacing input).
+    young_objects: u64,
+    /// Bytes those objects account for (the minor trigger's input).
     young_bytes: u64,
     /// Old objects mutated since the last cycle (minor-mark roots).
     remembered: HashSet<ObjAddr>,
@@ -51,7 +54,7 @@ impl Generational {
     /// the first minor at `nursery_size` allocated bytes.
     pub fn new(cfg: &RuntimeConfig) -> Self {
         Generational {
-            young: HashSet::new(),
+            young_objects: 0,
             young_bytes: 0,
             remembered: HashSet::new(),
             gc_running: false,
@@ -70,12 +73,6 @@ impl Generational {
     pub fn remembered_len(&self) -> usize {
         self.remembered.len()
     }
-
-    fn promote_all(&mut self) {
-        self.young.clear();
-        self.young_bytes = 0;
-        self.remembered.clear();
-    }
 }
 
 impl Collector for Generational {
@@ -91,8 +88,9 @@ impl Collector for Generational {
         self.gc_running && self.assist_left == 0
     }
 
-    fn on_object_alloc(&mut self, addr: ObjAddr, bytes: u64) {
-        self.young.insert(addr);
+    fn on_object_alloc(&mut self, heap: &mut Heap, addr: ObjAddr, bytes: u64) {
+        heap.set_young(addr);
+        self.young_objects += 1;
         self.young_bytes += bytes;
     }
 
@@ -121,8 +119,7 @@ impl Collector for Generational {
             self.pending = CycleKind::Minor;
             // Minor windows are short: the nursery is small and the
             // cycle must run before it overflows badly.
-            self.assist_left =
-                (self.young.len() as u64 / cfg.gc_assist_divisor.max(1)).clamp(4, 32);
+            self.assist_left = (self.young_objects / cfg.gc_assist_divisor.max(1)).clamp(4, 32);
             return Some(GcTrigger {
                 goal: cfg.nursery_size,
                 window: self.assist_left,
@@ -132,21 +129,22 @@ impl Collector for Generational {
         None
     }
 
-    fn record_store(&mut self, cfg: &RuntimeConfig, _heap: &Heap, addr: ObjAddr) -> u64 {
+    fn record_store(&mut self, cfg: &RuntimeConfig, heap: &Heap, addr: ObjAddr) -> u64 {
         if !cfg.gc_enabled {
             return 0;
         }
         // Stores into young objects need no barrier: the nursery is
         // traced in full at every cycle.
-        if self.young.contains(&addr) {
+        if heap.is_young(addr) {
             return 0;
         }
         self.remembered.insert(addr);
         cfg.costs.write_barrier
     }
 
-    fn on_free(&mut self, addr: ObjAddr, bytes: u64) {
-        if self.young.remove(&addr) {
+    fn on_free(&mut self, heap: &mut Heap, addr: ObjAddr, bytes: u64) {
+        if heap.clear_young(addr) {
+            self.young_objects -= 1;
             self.young_bytes = self.young_bytes.saturating_sub(bytes);
         }
         self.remembered.remove(&addr);
@@ -158,13 +156,12 @@ impl Collector for Generational {
         heap: &mut Heap,
         clock: &mut Clock,
         rng: &mut SimRng,
-        marked: &HashSet<ObjAddr>,
     ) -> CycleOutcome {
         let kind = self.pending;
         let sweep = match kind {
             CycleKind::Major => {
-                clock.charge_jittered(full_mark_cost(cfg, heap, marked), rng);
-                let sweep = heap.sweep(marked);
+                clock.charge_jittered(mark_cost(cfg, heap, cfg.costs.gc_cycle_base, false), rng);
+                let sweep = heap.sweep();
                 clock.charge(cfg.costs.gc_sweep_span * sweep.spans_swept as u64);
                 let heap_marked = heap.heap_live();
                 self.next_gc = (heap_marked + heap_marked * cfg.gogc / 100).max(cfg.min_heap);
@@ -172,27 +169,20 @@ impl Collector for Generational {
             }
             CycleKind::Minor => {
                 // Minor mark: the cheaper stop, nursery survivors, and a
-                // root-scan charge per remembered old object. Summed over
-                // sets — commutative, so iteration order never reaches
-                // the clock.
-                let mut cost = cfg.costs.gc_minor_base;
-                for addr in marked {
-                    if self.young.contains(addr) && heap.is_allocated(*addr) {
-                        let bytes = heap.span(addr.span).slot_size;
-                        cost += cfg.costs.gc_mark_object
-                            + cfg.costs.gc_scan_per_64b * bytes.div_ceil(64);
-                    }
-                }
-                cost += cfg.costs.gc_mark_object * self.remembered.len() as u64;
+                // root-scan charge per remembered old object.
+                let cost = mark_cost(cfg, heap, cfg.costs.gc_minor_base, true)
+                    + cfg.costs.gc_mark_object * self.remembered.len() as u64;
                 clock.charge_jittered(cost, rng);
-                let sweep = heap.sweep_young(marked, &self.young);
+                let sweep = heap.sweep_young();
                 clock.charge(cfg.costs.gc_sweep_span * sweep.spans_swept as u64);
                 sweep
             }
         };
         // Wholesale promotion: survivors become old, the remembered set
         // is vacuously satisfied again.
-        self.promote_all();
+        heap.promote_all();
+        (self.young_objects, self.young_bytes) = (0, 0);
+        self.remembered.clear();
         self.gc_running = false;
         self.assist_left = 0;
         self.pending = CycleKind::Major;
@@ -200,6 +190,17 @@ impl Collector for Generational {
             sweep,
             kind,
             next_goal: self.next_gc,
+        }
+    }
+
+    fn check_invariants(&self, heap: &Heap) -> Result<(), HeapInvariantError> {
+        let stray = |a: &&ObjAddr| !heap.is_allocated(**a) || heap.is_young(**a);
+        match self.remembered.iter().find(stray) {
+            Some(addr) => Err(HeapInvariantError {
+                invariant: HeapInvariant::RememberedNotOld,
+                span: Some(addr.span),
+            }),
+            None => Ok(()),
         }
     }
 
@@ -234,7 +235,7 @@ mod tests {
         let mut live = 0;
         let trigger = loop {
             let (addr, _) = heap.alloc_small(class_for(512), 0, Category::Other);
-            gc.on_object_alloc(addr, 512);
+            gc.on_object_alloc(&mut heap, addr, 512);
             live += 1;
             if let Some(t) = gc.pace(&cfg, &heap, live) {
                 break t;
@@ -255,21 +256,21 @@ mod tests {
         let mut gc = Generational::new(&cfg);
         // An "old" object: allocated, then a cycle promotes it.
         let (old, _) = heap.alloc_small(class_for(64), 0, Category::Other);
-        gc.on_object_alloc(old, 64);
+        gc.on_object_alloc(&mut heap, old, 64);
         gc.force_window(0);
         gc.pending = CycleKind::Minor;
-        let keep: HashSet<ObjAddr> = [old].into_iter().collect();
-        gc.collect(&cfg, &mut heap, &mut clock, &mut rng, &keep);
+        heap.mark(old);
+        gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
         assert_eq!(gc.young_bytes(), 0, "promotion empties the nursery");
         // Now a young unmarked object dies in a minor while the old,
         // also-unmarked one survives (floating, awaiting a major).
         let (young, _) = heap.alloc_small(class_for(64), 0, Category::Other);
-        gc.on_object_alloc(young, 64);
+        gc.on_object_alloc(&mut heap, young, 64);
         gc.force_window(0);
         gc.pending = CycleKind::Minor;
-        let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng, &HashSet::new());
+        let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
         assert_eq!(out.kind, CycleKind::Minor);
-        let freed: Vec<_> = out.sweep.freed.iter().map(|(a, _, _)| *a).collect();
+        let freed: Vec<_> = out.sweep.freed.iter().map(|f| f.addr).collect();
         assert_eq!(freed, vec![young]);
         assert!(heap.is_allocated(old), "old survives the minor unmarked");
     }
@@ -280,9 +281,9 @@ mod tests {
         let mut heap = Heap::new(1);
         let mut gc = Generational::new(&cfg);
         let (a, _) = heap.alloc_small(class_for(512), 0, Category::Slice);
-        gc.on_object_alloc(a, 512);
+        gc.on_object_alloc(&mut heap, a, 512);
         assert_eq!(gc.young_bytes(), 512);
-        gc.on_free(a, 512);
+        gc.on_free(&mut heap, a, 512);
         assert_eq!(gc.young_bytes(), 0, "freed bytes leave the trigger");
     }
 
@@ -292,7 +293,7 @@ mod tests {
         let mut heap = Heap::new(1);
         let mut gc = Generational::new(&cfg);
         let (young, _) = heap.alloc_small(class_for(64), 0, Category::Other);
-        gc.on_object_alloc(young, 64);
+        gc.on_object_alloc(&mut heap, young, 64);
         assert_eq!(gc.record_store(&cfg, &heap, young), 0, "young: no barrier");
         assert_eq!(gc.remembered_len(), 0);
         let (old, _) = heap.alloc_small(class_for(64), 0, Category::Other);
@@ -310,10 +311,10 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(0);
         let mut gc = Generational::new(&cfg);
         let (a, _) = heap.alloc_small(class_for(1024), 0, Category::Other);
-        gc.on_object_alloc(a, 1024);
+        gc.on_object_alloc(&mut heap, a, 1024);
         gc.force_window(0);
-        let keep: HashSet<ObjAddr> = [a].into_iter().collect();
-        let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng, &keep);
+        heap.mark(a);
+        let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
         assert_eq!(out.kind, CycleKind::Major);
         assert_eq!(out.next_goal, cfg.min_heap, "small heap: floor wins");
         assert_eq!(gc.young_bytes(), 0);

@@ -10,14 +10,12 @@
 //! golden fingerprints, so treat any change here as a pacing-semantics
 //! change, not a refactor.
 
-use std::collections::HashSet;
-
 use crate::clock::Clock;
 use crate::heap::{Heap, ObjAddr};
 use crate::rng::SimRng;
 use crate::runtime::RuntimeConfig;
 
-use super::{full_mark_cost, Collector, CollectorKind, CycleKind, CycleOutcome, GcTrigger};
+use super::{mark_cost, Collector, CollectorKind, CycleKind, CycleOutcome, GcTrigger};
 
 /// The default backend: Go's mark-sweep.
 #[derive(Debug)]
@@ -51,7 +49,7 @@ impl Collector for GoMarkSweep {
         self.gc_running && self.assist_left == 0
     }
 
-    fn on_object_alloc(&mut self, _addr: ObjAddr, _bytes: u64) {}
+    fn on_object_alloc(&mut self, _heap: &mut Heap, _addr: ObjAddr, _bytes: u64) {}
 
     fn pace(&mut self, cfg: &RuntimeConfig, heap: &Heap, live_objects: u64) -> Option<GcTrigger> {
         if !cfg.gc_enabled {
@@ -83,7 +81,7 @@ impl Collector for GoMarkSweep {
         0
     }
 
-    fn on_free(&mut self, _addr: ObjAddr, _bytes: u64) {}
+    fn on_free(&mut self, _heap: &mut Heap, _addr: ObjAddr, _bytes: u64) {}
 
     fn collect(
         &mut self,
@@ -91,12 +89,11 @@ impl Collector for GoMarkSweep {
         heap: &mut Heap,
         clock: &mut Clock,
         rng: &mut SimRng,
-        marked: &HashSet<ObjAddr>,
     ) -> CycleOutcome {
         // Mark cost: proportional to survivors and their bytes.
-        clock.charge_jittered(full_mark_cost(cfg, heap, marked), rng);
+        clock.charge_jittered(mark_cost(cfg, heap, cfg.costs.gc_cycle_base, false), rng);
 
-        let sweep = heap.sweep(marked);
+        let sweep = heap.sweep();
         clock.charge(cfg.costs.gc_sweep_span * sweep.spans_swept as u64);
 
         let heap_marked = heap.heap_live();
@@ -144,7 +141,7 @@ mod tests {
         assert_eq!(t.goal, 1024);
         assert_eq!(t.kind, CycleKind::Major);
         assert!(gc.gc_running());
-        let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng, &HashSet::new());
+        let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
         assert_eq!(out.kind, CycleKind::Major);
         assert!(!gc.gc_running());
         // Everything died: the goal falls back to the floor.

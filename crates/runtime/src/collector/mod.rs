@@ -25,21 +25,21 @@
 //! Determinism rules every backend must obey: charge the clock only
 //! through the [`crate::clock::CostModel`] passed in the config, draw
 //! from the RNG only via `charge_jittered`, and make every decision a
-//! pure function of (config, heap state, own state) — never of hash-map
-//! iteration order (summing per-object mark costs over a set is fine:
-//! addition commutes). Tracing must stay invisible: a collector never
-//! records events itself — it returns the cycle facts and the runtime
-//! records them — so traced and untraced runs stay bit-identical.
+//! pure function of (config, heap state, own state). Mark costs are
+//! sums over the span mark words ([`Heap::marked_per_span`]), so the
+//! order the VM visited objects in cannot reach the clock. Tracing must
+//! stay invisible: a collector never records events itself — it returns
+//! the cycle facts and the runtime records them — so traced and untraced
+//! runs stay bit-identical.
 
 mod gen;
 mod go;
 
-use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
 
 use crate::clock::Clock;
-use crate::heap::{Heap, ObjAddr, SweepOutcome};
+use crate::heap::{Heap, HeapInvariantError, ObjAddr, SweepOutcome};
 use crate::rng::SimRng;
 use crate::runtime::RuntimeConfig;
 
@@ -172,9 +172,10 @@ pub trait Collector: fmt::Debug {
     /// next safepoint.
     fn gc_pending(&self) -> bool;
 
-    /// Registers a freshly allocated object (nursery bookkeeping). Must
-    /// not touch the clock, metrics, or RNG.
-    fn on_object_alloc(&mut self, addr: ObjAddr, bytes: u64);
+    /// Registers a freshly allocated object (nursery bookkeeping: the
+    /// backend owns the spans' young words and sets them through
+    /// `heap`). Must not touch the clock, metrics, or RNG.
+    fn on_object_alloc(&mut self, heap: &mut Heap, addr: ObjAddr, bytes: u64);
 
     /// The pacing decision after an allocation: counts down an open
     /// window, or opens one and returns the trigger. Must not touch the
@@ -189,39 +190,46 @@ pub trait Collector: fmt::Debug {
 
     /// A `tcfree` deallocated `addr` (nursery eviction). Must not touch
     /// the clock, metrics, or RNG.
-    fn on_free(&mut self, addr: ObjAddr, bytes: u64);
+    fn on_free(&mut self, heap: &mut Heap, addr: ObjAddr, bytes: u64);
 
     /// Runs the cycle: charge the mark cost, sweep, charge the sweep
-    /// cost, derive the next goal, close the window. `marked` is the
-    /// reachable set the VM computed from its roots.
+    /// cost, derive the next goal, close the window. The reachable set
+    /// is the span mark bits the VM set from its roots
+    /// ([`Heap::mark`]); the sweep clears them.
     fn collect(
         &mut self,
         cfg: &RuntimeConfig,
         heap: &mut Heap,
         clock: &mut Clock,
         rng: &mut SimRng,
-        marked: &HashSet<ObjAddr>,
     ) -> CycleOutcome;
+
+    /// Checks the backend's own bookkeeping against the heap; the
+    /// runtime asks wherever it checks [`Heap::check_invariants`].
+    ///
+    /// # Errors
+    ///
+    /// The first broken invariant.
+    fn check_invariants(&self, _heap: &Heap) -> Result<(), HeapInvariantError> {
+        Ok(())
+    }
 
     /// Test hook: force the concurrent-mark window open for `assists`
     /// allocations.
     fn force_window(&mut self, assists: u64);
 }
 
-/// The full-heap mark cost shared by [`GoMarkSweep`] cycles and the
-/// generational backend's major cycles: a per-cycle base plus a
-/// per-survivor charge proportional to object count and scanned bytes.
-/// Summed over a set — addition commutes, so hash iteration order cannot
-/// leak into the clock.
-pub(crate) fn full_mark_cost(cfg: &RuntimeConfig, heap: &Heap, marked: &HashSet<ObjAddr>) -> u64 {
-    let mut cost = cfg.costs.gc_cycle_base;
-    for addr in marked {
-        if heap.is_allocated(*addr) {
-            let bytes = heap.span(addr.span).slot_size;
-            cost += cfg.costs.gc_mark_object + cfg.costs.gc_scan_per_64b * bytes.div_ceil(64);
-        }
-    }
-    cost
+/// The mark cost of a cycle: `base` plus a per-survivor charge
+/// proportional to object count and scanned bytes, over every marked
+/// object (major cycles, both backends) or the marked young ones (minor).
+pub(crate) fn mark_cost(cfg: &RuntimeConfig, heap: &Heap, base: u64, young_only: bool) -> u64 {
+    let per_span = heap
+        .marked_per_span(young_only)
+        .map(|(objects, slot_size)| {
+            objects
+                * (cfg.costs.gc_mark_object + cfg.costs.gc_scan_per_64b * slot_size.div_ceil(64))
+        });
+    base + per_span.sum::<u64>()
 }
 
 #[cfg(test)]

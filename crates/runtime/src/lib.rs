@@ -40,7 +40,10 @@ pub mod trace;
 
 pub use clock::{Clock, CostModel};
 pub use collector::{Collector, CollectorKind, CycleKind, CycleOutcome, GcTrigger};
-pub use heap::{AllocEvents, Heap, Mspan, ObjAddr, SmallFree, SpanId, SweepOutcome};
+pub use heap::{
+    AllocEvents, Heap, HeapInvariant, HeapInvariantError, Mspan, ObjAddr, OwnerTag, SmallFree,
+    SpanId, SweepOutcome, Swept,
+};
 pub use histogram::{percentile_sorted, Histogram};
 pub use metrics::{BailReason, Category, FreeSource, Metrics};
 pub use profile::{Profile, SiteDrag, StackId, StackStat, StackTable, DRAG_BUCKETS, ROOT_STACK};

@@ -3,19 +3,19 @@
 //!
 //! The VM drives it: `alloc` on every heap allocation, `tcfree` for
 //! inserted frees, and — whenever [`Runtime::gc_pending`] turns true at a
-//! statement boundary — a mark pass followed by [`Runtime::collect`].
+//! statement boundary — a mark pass ([`Runtime::mark`] per reachable
+//! object) followed by [`Runtime::collect`].
 //!
 //! Concurrency effects are simulated with seeded randomness: scheduler
 //! migrations flush the current thread's mcache (making `tcfree` bail with
 //! `OwnershipChanged`), and each GC cycle opens a "concurrent mark" window
 //! over the next allocations during which `tcfree` bails with `GcRunning`.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::clock::{Clock, CostModel};
 use crate::collector::{Collector, CollectorKind, CycleKind};
-use crate::heap::{footprint, Heap, ObjAddr, SweepOutcome};
+use crate::heap::{footprint, Heap, ObjAddr, OwnerTag, SweepOutcome};
 use crate::metrics::{BailReason, Category, FreeSource, Metrics};
 use crate::profile::ROOT_STACK;
 use crate::rng::SimRng;
@@ -303,6 +303,11 @@ impl Runtime {
         self.clock.charge(ticks);
     }
 
+    /// Read access to the heap (span state for tests and tooling).
+    pub fn heap(&self) -> &Heap {
+        &self.heap
+    }
+
     /// Current live heap bytes.
     #[inline]
     pub fn heap_live(&self) -> u64 {
@@ -328,13 +333,14 @@ impl Runtime {
     /// Allocates `size` bytes of category `cat`. Returns the address; the
     /// VM stores the payload under it.
     pub fn alloc(&mut self, size: u64, cat: Category) -> ObjAddr {
-        self.alloc_at(size, cat, None)
+        self.alloc_at(size, cat, None).0
     }
 
     /// [`Runtime::alloc`] with an allocation-site id attached to the trace
-    /// event (the VM passes the allocating expression's id). When tracing
-    /// is off this is identical to `alloc`.
-    pub fn alloc_at(&mut self, size: u64, cat: Category, site: Option<u32>) -> ObjAddr {
+    /// event (the VM passes the allocating expression's id), returning the
+    /// allocation's [`OwnerTag`] beside the address: together they are a
+    /// handle [`Runtime::owner`] can later tell live from stale.
+    pub fn alloc_at(&mut self, size: u64, cat: Category, site: Option<u32>) -> (ObjAddr, OwnerTag) {
         // Simulated scheduler migration.
         if self.cfg.migrate_prob > 0.0 && self.rng.gen_bool(self.cfg.migrate_prob) {
             self.heap.flush_mcache(self.current_thread);
@@ -373,7 +379,7 @@ impl Runtime {
         self.metrics.alloced_objects += 1;
         self.metrics.heap_allocs[cat.index()] += 1;
         self.live_objects += 1;
-        self.collector.on_object_alloc(addr, bytes);
+        self.collector.on_object_alloc(&mut self.heap, addr, bytes);
         // maxheap is the page-level footprint (like RSS), not live bytes:
         // small-object frees only make slots reusable, while large-object
         // frees return whole pages — exactly the distinction fig. 10's
@@ -409,7 +415,22 @@ impl Runtime {
                 });
             }
         }
-        addr
+        let tag = self.heap.owner(addr).expect("just allocated");
+        (addr, tag)
+    }
+
+    /// The stamp of the allocation occupying `addr` (`None` once it was
+    /// freed or swept; a different tag once the slot was reallocated).
+    #[inline]
+    pub fn owner(&self, addr: ObjAddr) -> Option<OwnerTag> {
+        self.heap.owner(addr)
+    }
+
+    /// Marks `addr` reachable for the coming [`Runtime::collect`];
+    /// `true` when this call marked it ([`Heap::mark`]).
+    #[inline]
+    pub fn mark(&mut self, addr: ObjAddr) -> bool {
+        self.heap.mark(addr)
     }
 
     /// Write-barrier entry point: the VM calls this at every
@@ -507,7 +528,7 @@ impl Runtime {
             }
             return FreeOutcome::Poisoned;
         }
-        let cat = span.cats[addr.slot as usize].unwrap_or(Category::Other);
+        let cat = span.cat(addr.slot);
         let (bytes, step) = if is_large {
             let b = self.heap.free_large_step1(addr);
             self.clock.charge(self.cfg.costs.tcfree_large);
@@ -523,7 +544,7 @@ impl Runtime {
             (f.bytes, step)
         };
         self.live_objects = self.live_objects.saturating_sub(1);
-        self.collector.on_free(addr, bytes);
+        self.collector.on_free(&mut self.heap, addr, bytes);
         self.metrics.freed_bytes += bytes;
         self.metrics.freed_bytes_by_source[source.index()] += bytes;
         self.metrics.freed_objects_by_source[source.index()] += 1;
@@ -558,9 +579,10 @@ impl Runtime {
         FreeOutcome::Bailed(reason)
     }
 
-    /// Runs a collection: `marked` is the set of reachable addresses the
-    /// VM computed. Returns the sweep result so the VM can drop payloads.
-    pub fn collect(&mut self, marked: &HashSet<ObjAddr>) -> SweepOutcome {
+    /// Runs a collection over the objects the VM [`Runtime::mark`]ed
+    /// since the last one. Returns the sweep result so the VM's shadow
+    /// heap hears which allocations died.
+    pub fn collect(&mut self) -> SweepOutcome {
         let before = self.clock.now();
         // Snapshot the heap at the safepoint, before the sweep runs, so
         // the cycle's garbage and any fig. 9 dangling spans are visible.
@@ -574,16 +596,13 @@ impl Runtime {
         // The cycle itself — mark cost, sweep, next goal — is collector
         // policy; the mechanism below (metrics, live-object accounting,
         // trace events) is collector-agnostic.
-        let cycle = self.collector.collect(
-            &self.cfg,
-            &mut self.heap,
-            &mut self.clock,
-            &mut self.rng,
-            marked,
-        );
+        let cycle =
+            self.collector
+                .collect(&self.cfg, &mut self.heap, &mut self.clock, &mut self.rng);
         let out = cycle.sweep;
-        for (_, cat, _) in &out.freed {
-            self.metrics.heap_gced[cat.index()] += 1;
+        self.debug_check_heap();
+        for f in &out.freed {
+            self.metrics.heap_gced[f.cat.index()] += 1;
             self.live_objects = self.live_objects.saturating_sub(1);
         }
 
@@ -604,18 +623,18 @@ impl Runtime {
             let at = self.clock.now();
             let mut swept = [0u64; 3];
             let mut swept_bytes = 0;
-            for &(addr, cat, bytes) in &out.freed {
-                swept[cat.index()] += 1;
-                swept_bytes += bytes;
-                t.forget_site(addr);
+            for f in &out.freed {
+                swept[f.cat.index()] += 1;
+                swept_bytes += f.bytes;
+                t.forget_site(f.addr);
                 // Per-object detail so the profile builder can attribute
                 // swept garbage back to its allocating stack; the fold
                 // counts only the GcEnd totals below.
                 t.record(TraceEvent::Sweep {
                     at,
-                    addr,
-                    cat,
-                    bytes,
+                    addr: f.addr,
+                    cat: f.cat,
+                    bytes: f.bytes,
                 });
             }
             t.record(TraceEvent::GcEnd {
@@ -635,6 +654,7 @@ impl Runtime {
     /// End-of-run accounting: objects still alive would eventually be
     /// collected, so they count toward the GC columns of table 8.
     pub fn finalize(&mut self) {
+        self.debug_check_heap();
         self.metrics.maxheap = self.metrics.maxheap.max(footprint(&self.heap));
         let mut leftover = [0u64; 3];
         for (_, cat, _) in self.heap.live_objects() {
@@ -651,6 +671,17 @@ impl Runtime {
                 leftover,
                 footprint,
             });
+        }
+    }
+
+    /// Debug builds check the span-state invariants after every cycle
+    /// and at end of run, so every `cargo test` exercises them.
+    fn debug_check_heap(&self) {
+        if cfg!(debug_assertions) {
+            let checked = self.heap.check_invariants();
+            if let Err(e) = checked.and_then(|()| self.collector.check_invariants(&self.heap)) {
+                panic!("{e}");
+            }
         }
     }
 
@@ -796,9 +827,9 @@ mod tests {
             assert!(addrs.len() < 100, "pacing never triggered");
         }
         // Keep half alive.
-        let marked: HashSet<ObjAddr> = addrs.iter().step_by(2).copied().collect();
-        let out = rt.collect(&marked);
-        assert_eq!(out.freed.len(), addrs.len() - marked.len());
+        let marked = addrs.iter().step_by(2).filter(|&&a| rt.mark(a)).count();
+        let out = rt.collect();
+        assert_eq!(out.freed.len(), addrs.len() - marked);
         assert_eq!(rt.metrics().gcs, 1);
         assert!(rt.metrics().gc_ticks > 0);
         assert!(!rt.gc_running());
@@ -937,7 +968,7 @@ mod tests {
             assert!(addrs.len() < 100, "minor pacing never triggered");
         }
         // Nothing marked: the whole nursery dies.
-        let out = rt.collect(&HashSet::new());
+        let out = rt.collect();
         assert_eq!(out.freed.len(), addrs.len());
         assert_eq!(rt.metrics().gcs, 1);
         assert_eq!(rt.metrics().gcs_minor, 1);
@@ -959,18 +990,20 @@ mod tests {
         while !rt.gc_pending() {
             first_gen.push(rt.alloc(512, Category::Other));
         }
-        let keep: HashSet<ObjAddr> = first_gen.iter().copied().collect();
-        rt.collect(&keep);
+        for &a in &first_gen {
+            rt.mark(a);
+        }
+        rt.collect();
         // Second generation dies unmarked; the promoted one survives a
         // minor even though it is also unmarked (floating until a major).
         while !rt.gc_pending() {
             rt.alloc(512, Category::Other);
         }
-        let out = rt.collect(&HashSet::new());
+        let out = rt.collect();
         assert_eq!(rt.metrics().gcs_minor, 2);
         for addr in &first_gen {
             assert!(
-                !out.freed.iter().any(|(a, _, _)| a == addr),
+                !out.freed.iter().any(|f| f.addr == *addr),
                 "old object swept by a minor cycle"
             );
         }
@@ -1003,8 +1036,8 @@ mod tests {
         while !rt.gc_pending() {
             rt.alloc(512, Category::Other);
         }
-        let keep: HashSet<ObjAddr> = [a].into_iter().collect();
-        rt.collect(&keep);
+        rt.mark(a);
+        rt.collect();
         let before = rt.now();
         rt.record_store(a);
         assert_eq!(

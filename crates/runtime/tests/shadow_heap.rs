@@ -4,8 +4,6 @@
 //! (`on_alloc` after `Runtime::alloc`, `on_free` after a `Freed`
 //! outcome, `on_sweep` for GC-reclaimed addresses).
 
-use std::collections::HashSet;
-
 use minigo_runtime::{
     Category, FreeCheck, FreeOutcome, Runtime, RuntimeConfig, ShadowHeap, ViolationKind,
     MAX_SMALL_SIZE,
@@ -62,7 +60,7 @@ fn large_object_two_step_reuse_is_classified() {
 
     // Step 2: the sweep retires the dangling span struct to the idle
     // list. Nothing was GC-freed, so the shadow heap sees no sweep event.
-    let swept = rt.collect(&HashSet::new());
+    let swept = rt.collect();
     assert!(swept.freed.is_empty(), "dangling span holds no live object");
 
     // The idle span struct is reused by the next large allocation: same
@@ -128,8 +126,8 @@ fn buggy_sequence_is_flagged_and_swept_identities_are_not() {
     // A GC-reclaimed object: unreachable, swept, forgotten.
     let g = rt.alloc(128, Category::Other);
     sh.on_alloc(10, g);
-    let swept = rt.collect(&HashSet::new());
-    assert!(swept.freed.iter().any(|(addr, _, _)| *addr == g));
+    let swept = rt.collect();
+    assert!(swept.freed.iter().any(|f| f.addr == g));
     sh.on_sweep(10);
     sh.check_access(10, "pointer deref read", 1);
     assert!(

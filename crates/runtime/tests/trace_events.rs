@@ -82,14 +82,11 @@ fn gogc_10_tiny_heap_paces_every_cycle_consistently() {
         rt.tick(1);
         if rt.gc_pending() {
             // Keep every fourth object alive across the sweep.
-            let marked: HashSet<_> = addrs
-                .iter()
-                .copied()
-                .skip(i as usize % 4)
-                .step_by(4)
-                .collect();
-            let swept = rt.collect(&marked);
-            let dead: HashSet<_> = swept.freed.iter().map(|&(a, _, _)| a).collect();
+            for &a in addrs.iter().skip(i as usize % 4).step_by(4) {
+                rt.mark(a);
+            }
+            let swept = rt.collect();
+            let dead: HashSet<_> = swept.freed.iter().map(|f| f.addr).collect();
             addrs.retain(|a| !dead.contains(a));
         }
     }
@@ -205,9 +202,9 @@ fn concurrent_mark_window_bails_frees_until_it_closes() {
         rt.gc_pending(),
         "window must close exactly after its assist budget"
     );
-    let swept = rt.collect(&HashSet::new());
+    let swept = rt.collect();
     assert!(!rt.gc_running(), "collect closes the cycle");
-    assert!(swept.freed.iter().any(|&(addr, _, _)| addr == a));
+    assert!(swept.freed.iter().any(|f| f.addr == a));
     rt.finalize();
     let m = rt.metrics().clone();
     let trace = rt.take_trace().expect("traced run");

@@ -13,17 +13,17 @@
 //! which marks only frame slots and deferred-call arguments.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
-use minigo_runtime::{Category, FreeOutcome, FreeSource, ObjAddr, Runtime, ShadowHeap};
+use minigo_runtime::{Category, FreeOutcome, FreeSource, Runtime, ShadowHeap};
 use minigo_syntax::Builtin;
 
 use super::ir::{BFunc, Const, Instr, Module};
 use crate::error::ExecError;
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::interp::{binop_rt, check_poison, free_op_name, mark_value, value_eq};
+use crate::fxhash::FxHashMap;
+use crate::interp::{binop_rt, check_poison, free_op_name, value_eq};
 use crate::interp::{Result, RunOutcome, SiteProfile, VmConfig};
+use crate::mark::{collect_garbage, RootSink};
 use crate::value::{Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
 
 /// Runs a lowered module's `main`.
@@ -139,6 +139,9 @@ enum BSlot {
     Boxed(Rc<RefCell<Value>>, Option<ObjId>),
 }
 
+// A handle without a niche would grow every frame slot.
+const _: () = assert!(std::mem::size_of::<BSlot>() == 32);
+
 enum BDeferKind {
     Func(usize),
     Builtin(Builtin),
@@ -161,9 +164,6 @@ struct BVm {
     /// are `Rc`-shared within the run, as with the old `Value` pool.
     consts: Vec<Value>,
     rt: Runtime,
-    objects: FxHashMap<ObjId, ObjAddr>,
-    addr_map: FxHashMap<ObjAddr, ObjId>,
-    next_obj: u64,
     frames: Vec<BFrame>,
     /// Retired frame-slot vectors, reused across calls so a call does
     /// not malloc (values were dropped when the owning frame popped).
@@ -271,9 +271,6 @@ impl BVm {
             cfg,
             consts: module.consts.iter().map(Const::to_value).collect(),
             rt,
-            objects: FxHashMap::default(),
-            addr_map: FxHashMap::default(),
-            next_obj: 0,
             frames: Vec::new(),
             slot_pool: Vec::new(),
             stack_pool: Vec::new(),
@@ -344,40 +341,33 @@ impl BVm {
             entry.0 += 1;
             entry.1 += size;
         }
-        let addr = self.rt.alloc_at(size, cat, site.map(|s| s.0));
-        if let Some(old) = self.addr_map.insert(addr, ObjId(self.next_obj)) {
-            self.objects.remove(&old);
-        }
-        let id = ObjId(self.next_obj);
-        self.next_obj += 1;
-        self.objects.insert(id, addr);
+        let (addr, tag) = self.rt.alloc_at(size, cat, site.map(|s| s.0));
+        let id = ObjId { tag, addr };
         if let Some(sh) = &mut self.shadow {
-            sh.on_alloc(id.0, addr);
+            sh.on_alloc(id.number(), addr);
         }
         id
     }
 
     fn free_obj(&mut self, obj: ObjId, source: FreeSource, batched: bool) -> (FreeOutcome, bool) {
         if let Some(sh) = &mut self.shadow {
-            sh.check_free(obj.0, free_op_name(source), self.steps);
+            sh.check_free(obj.number(), free_op_name(source), self.steps);
         }
-        let Some(&addr) = self.objects.get(&obj) else {
+        if !obj.is_live(&self.rt) {
             return (
                 FreeOutcome::Bailed(minigo_runtime::BailReason::AlreadyFree),
                 false,
             );
-        };
+        }
         let out = if batched {
-            self.rt.tcfree_continue(addr, source)
+            self.rt.tcfree_continue(obj.addr, source)
         } else {
-            self.rt.tcfree(addr, source)
+            self.rt.tcfree(obj.addr, source)
         };
         match out {
             FreeOutcome::Freed { .. } => {
-                self.objects.remove(&obj);
-                self.addr_map.remove(&addr);
                 if let Some(sh) = &mut self.shadow {
-                    sh.on_free(obj.0, addr);
+                    sh.on_free(obj.number(), obj.addr);
                 }
                 (out, false)
             }
@@ -402,52 +392,31 @@ impl BVm {
     }
 
     fn collect_garbage(&mut self) {
-        let mut marked: HashSet<ObjAddr> = HashSet::new();
-        let mut seen: FxHashSet<usize> = FxHashSet::default();
-        for frame in &self.frames {
-            for slot in &frame.slots {
-                match slot {
-                    BSlot::Empty => {}
-                    BSlot::Plain(v) => {
-                        mark_value(v, &self.objects, &mut marked, &mut seen);
-                    }
-                    BSlot::Boxed(cell, obj) => {
-                        if let Some(obj) = obj {
-                            if let Some(&addr) = self.objects.get(obj) {
-                                marked.insert(addr);
-                            }
-                        }
-                        if seen.insert(Rc::as_ptr(cell) as usize) {
-                            mark_value(&cell.borrow(), &self.objects, &mut marked, &mut seen);
-                        }
+        let (frames, held) = (&self.frames, &self.held);
+        collect_garbage(&mut self.rt, &mut self.shadow, |sink: &mut dyn RootSink| {
+            for frame in frames {
+                for slot in &frame.slots {
+                    match slot {
+                        BSlot::Empty => {}
+                        BSlot::Plain(v) => sink.value(v),
+                        BSlot::Boxed(cell, obj) => sink.boxed(cell, *obj),
                     }
                 }
-            }
-            for d in &frame.defers {
-                for v in &d.args {
-                    mark_value(v, &self.objects, &mut marked, &mut seen);
+                for v in frame.defers.iter().flat_map(|d| &d.args) {
+                    sink.value(v);
                 }
             }
-        }
-        for v in &self.held {
-            mark_value(v, &self.objects, &mut marked, &mut seen);
-        }
-        let swept = self.rt.collect(&marked);
-        for (addr, _, _) in &swept.freed {
-            if let Some(obj) = self.addr_map.remove(addr) {
-                self.objects.remove(&obj);
-                if let Some(sh) = &mut self.shadow {
-                    sh.on_sweep(obj.0);
-                }
+            for v in held {
+                sink.value(v);
             }
-        }
+        });
     }
 
     // ---- shadow-heap sanitizer hooks (mirror the tree-walk's) ----
 
     fn shadow_access(&mut self, obj: Option<ObjId>, op: &'static str) {
         if let (Some(sh), Some(obj)) = (self.shadow.as_mut(), obj) {
-            sh.check_access(obj.0, op, self.steps);
+            sh.check_access(obj.number(), op, self.steps);
         }
     }
 
@@ -463,10 +432,8 @@ impl BVm {
 
     #[inline]
     fn barrier_store(&mut self, obj: Option<ObjId>) {
-        if let Some(obj) = obj {
-            if let Some(&addr) = self.objects.get(&obj) {
-                self.rt.record_store(addr);
-            }
+        if let Some(obj) = obj.filter(|o| o.is_live(&self.rt)) {
+            self.rt.record_store(obj.addr);
         }
     }
 

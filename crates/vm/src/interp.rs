@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use minigo_escape::{AllocPlace, Analysis, Mode};
 use minigo_runtime::{
-    Category, FreeOutcome, FreeSource, ObjAddr, Runtime, RuntimeConfig, ShadowHeap, ShadowViolation,
+    Category, FreeOutcome, FreeSource, Runtime, RuntimeConfig, ShadowHeap, ShadowViolation,
 };
 use minigo_syntax::{
     BinOp, Block, Builtin, Expr, ExprKind, Func, FuncId, Program, Resolution, Stmt, StmtKind, Type,
@@ -20,6 +20,7 @@ use minigo_syntax::{
 };
 
 use crate::error::ExecError;
+use crate::mark::{collect_garbage, RootSink};
 use crate::value::{Cell, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
 
 /// Result alias for execution.
@@ -298,10 +299,6 @@ struct Vm<'p> {
     analysis: &'p Analysis,
     cfg: VmConfig,
     rt: Runtime,
-    /// Heap-accounted objects: id → allocator address.
-    objects: HashMap<ObjId, ObjAddr>,
-    addr_map: HashMap<ObjAddr, ObjId>,
-    next_obj: u64,
     frames: Vec<Frame>,
     /// Address-taken variables per function (these get boxed slots).
     addr_taken: HashMap<FuncId, HashSet<VarId>>,
@@ -352,9 +349,6 @@ impl<'p> Vm<'p> {
             analysis,
             cfg,
             rt,
-            objects: HashMap::new(),
-            addr_map: HashMap::new(),
-            next_obj: 0,
             frames: Vec::new(),
             addr_taken,
             site_profile: HashMap::new(),
@@ -421,16 +415,12 @@ impl<'p> Vm<'p> {
             entry.0 += 1;
             entry.1 += size;
         }
-        let addr = self.rt.alloc_at(size, cat, site.map(|s| s.0));
-        // The allocator may hand back a previously swept address.
-        if let Some(old) = self.addr_map.insert(addr, ObjId(self.next_obj)) {
-            self.objects.remove(&old);
-        }
-        let id = ObjId(self.next_obj);
-        self.next_obj += 1;
-        self.objects.insert(id, addr);
+        // The allocator may hand back a previously freed address; the
+        // fresh tag is what tells this object from the old occupant.
+        let (addr, tag) = self.rt.alloc_at(size, cat, site.map(|s| s.0));
+        let id = ObjId { tag, addr };
         if let Some(sh) = &mut self.shadow {
-            sh.on_alloc(id.0, addr);
+            sh.on_alloc(id.number(), addr);
         }
         id
     }
@@ -439,26 +429,24 @@ impl<'p> Vm<'p> {
     /// whether the payload should be poisoned.
     fn free_obj(&mut self, obj: ObjId, source: FreeSource) -> (FreeOutcome, bool) {
         if let Some(sh) = &mut self.shadow {
-            sh.check_free(obj.0, free_op_name(source), self.steps);
+            sh.check_free(obj.number(), free_op_name(source), self.steps);
         }
-        let Some(&addr) = self.objects.get(&obj) else {
+        if !obj.is_live(&self.rt) {
             // Already freed or swept: tolerated double free.
             return (
                 FreeOutcome::Bailed(minigo_runtime::BailReason::AlreadyFree),
                 false,
             );
-        };
+        }
         let out = if self.in_free_batch {
-            self.rt.tcfree_continue(addr, source)
+            self.rt.tcfree_continue(obj.addr, source)
         } else {
-            self.rt.tcfree(addr, source)
+            self.rt.tcfree(obj.addr, source)
         };
         match out {
             FreeOutcome::Freed { .. } => {
-                self.objects.remove(&obj);
-                self.addr_map.remove(&addr);
                 if let Some(sh) = &mut self.shadow {
-                    sh.on_free(obj.0, addr);
+                    sh.on_free(obj.number(), obj.addr);
                 }
                 (out, false)
             }
@@ -478,7 +466,7 @@ impl<'p> Vm<'p> {
     /// (`obj` is `None`).
     fn shadow_access(&mut self, obj: Option<ObjId>, op: &'static str) {
         if let (Some(sh), Some(obj)) = (self.shadow.as_mut(), obj) {
-            sh.check_access(obj.0, op, self.steps);
+            sh.check_access(obj.number(), op, self.steps);
         }
     }
 
@@ -501,10 +489,8 @@ impl<'p> Vm<'p> {
     /// `None`) need no barrier. Unlike the shadow hooks this always
     /// fires — barriers are part of the simulation, not an observer.
     fn barrier_store(&mut self, obj: Option<ObjId>) {
-        if let Some(obj) = obj {
-            if let Some(&addr) = self.objects.get(&obj) {
-                self.rt.record_store(addr);
-            }
+        if let Some(obj) = obj.filter(|o| o.is_live(&self.rt)) {
+            self.rt.record_store(obj.addr);
         }
     }
 
@@ -531,44 +517,23 @@ impl<'p> Vm<'p> {
     }
 
     fn collect_garbage(&mut self) {
-        let mut marked: HashSet<ObjAddr> = HashSet::new();
-        let mut seen: HashSet<usize> = HashSet::new();
-        for frame in &self.frames {
-            for slot in frame.slots.values() {
-                match slot {
-                    Slot::Plain(v) => {
-                        mark_value(v, &self.objects, &mut marked, &mut seen);
-                    }
-                    Slot::Boxed(cell, obj) => {
-                        if let Some(obj) = obj {
-                            if let Some(&addr) = self.objects.get(obj) {
-                                marked.insert(addr);
-                            }
-                        }
-                        if seen.insert(Rc::as_ptr(cell) as usize) {
-                            mark_value(&cell.borrow(), &self.objects, &mut marked, &mut seen);
-                        }
+        let (frames, held) = (&self.frames, &self.held);
+        collect_garbage(&mut self.rt, &mut self.shadow, |sink: &mut dyn RootSink| {
+            for frame in frames {
+                for slot in frame.slots.values() {
+                    match slot {
+                        Slot::Plain(v) => sink.value(v),
+                        Slot::Boxed(cell, obj) => sink.boxed(cell, *obj),
                     }
                 }
-            }
-            for d in &frame.defers {
-                for v in &d.args {
-                    mark_value(v, &self.objects, &mut marked, &mut seen);
+                for v in frame.defers.iter().flat_map(|d| &d.args) {
+                    sink.value(v);
                 }
             }
-        }
-        for v in &self.held {
-            mark_value(v, &self.objects, &mut marked, &mut seen);
-        }
-        let swept = self.rt.collect(&marked);
-        for (addr, _, _) in &swept.freed {
-            if let Some(obj) = self.addr_map.remove(addr) {
-                self.objects.remove(&obj);
-                if let Some(sh) = &mut self.shadow {
-                    sh.on_sweep(obj.0);
-                }
+            for v in held {
+                sink.value(v);
             }
-        }
+        });
     }
 
     // ---- calls ----
@@ -1529,7 +1494,6 @@ impl<'p> Vm<'p> {
                 } else {
                     // Plain Go: the old buckets become garbage for GC; we
                     // simply drop the strong reference.
-                    // (The object stays in `objects` until swept.)
                     let _ = old;
                 }
             }
@@ -1786,68 +1750,6 @@ pub(crate) fn value_eq(a: &Value, b: &Value) -> Result<bool> {
         }
         _ => false,
     })
-}
-
-/// Marks every heap object reachable from `v`. Generic over the table
-/// hashers so both engines can pass their own (the bytecode engine's
-/// tables use [`crate::fxhash::FxHasher`]).
-pub(crate) fn mark_value<S, S2>(
-    v: &Value,
-    objects: &HashMap<ObjId, ObjAddr, S>,
-    marked: &mut HashSet<ObjAddr>,
-    seen: &mut HashSet<usize, S2>,
-) where
-    S: std::hash::BuildHasher,
-    S2: std::hash::BuildHasher,
-{
-    match v {
-        Value::Struct(fields) => {
-            for f in fields.iter() {
-                mark_value(f, objects, marked, seen);
-            }
-        }
-        Value::Ptr(p) => {
-            if let Some(obj) = p.obj {
-                if let Some(&addr) = objects.get(&obj) {
-                    marked.insert(addr);
-                }
-            }
-            if seen.insert(Rc::as_ptr(&p.cell) as usize) {
-                mark_value(&p.cell.borrow(), objects, marked, seen);
-            }
-        }
-        Value::Slice(s) => {
-            if let Some(obj) = s.obj {
-                if let Some(&addr) = objects.get(&obj) {
-                    marked.insert(addr);
-                }
-            }
-            if seen.insert(Rc::as_ptr(&s.cells) as usize) {
-                for c in s.cells.borrow().iter() {
-                    mark_value(c, objects, marked, seen);
-                }
-            }
-        }
-        Value::Map(m) => {
-            if let Some(obj) = m.obj {
-                if let Some(&addr) = objects.get(&obj) {
-                    marked.insert(addr);
-                }
-            }
-            if seen.insert(Rc::as_ptr(&m.data) as usize) {
-                let data = m.data.borrow();
-                if let Some(obj) = data.buckets_obj {
-                    if let Some(&addr) = objects.get(&obj) {
-                        marked.insert(addr);
-                    }
-                }
-                for (_, v) in &data.entries {
-                    mark_value(v, objects, marked, seen);
-                }
-            }
-        }
-        _ => {}
-    }
 }
 
 pub(crate) fn collect_addr_taken_block(block: &Block, res: &Resolution, out: &mut HashSet<VarId>) {

@@ -28,6 +28,7 @@ pub mod bytecode;
 pub mod error;
 pub mod fxhash;
 pub mod interp;
+mod mark;
 pub mod value;
 
 pub use bytecode::{lower, optimize, run_module, BSession, Const, Module, OptStats};

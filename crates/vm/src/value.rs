@@ -31,9 +31,33 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// Identifies a heap-accounted object in the VM's object table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ObjId(pub u64);
+use minigo_runtime::{ObjAddr, OwnerTag, Runtime};
+
+/// A handle to a heap-accounted object: the allocator address plus the
+/// stamp the allocation left on the slot. There is no object table —
+/// the handle is live exactly while the heap still reports `tag` as the
+/// slot's owner (`Runtime::owner`), which an explicit free, a sweep, or
+/// reuse of the slot all end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ObjId {
+    /// The allocation stamp (its niche keeps `Option<ObjId>` at 16 bytes).
+    pub tag: OwnerTag,
+    /// Where the allocator put the object.
+    pub addr: ObjAddr,
+}
+
+impl ObjId {
+    /// The allocation serial the sanitizer prints as `object #N`.
+    pub fn number(self) -> u64 {
+        self.tag.serial()
+    }
+
+    /// Whether the object is still allocated under this handle.
+    #[inline]
+    pub fn is_live(self, rt: &Runtime) -> bool {
+        rt.owner(self.addr) == Some(self.tag)
+    }
+}
 
 /// A shared, mutable storage cell (a variable's box or an object's
 /// payload slot).
@@ -338,6 +362,8 @@ mod tests {
     fn value_stays_compact() {
         assert_eq!(std::mem::size_of::<Value>(), 24);
         assert_eq!(std::mem::size_of::<Option<Value>>(), 24);
+        // Frame slots hold a cell pointer beside an optional handle.
+        assert_eq!(std::mem::size_of::<Option<ObjId>>(), 16);
     }
 
     #[test]
