@@ -585,8 +585,13 @@ mod tests {
             ..cfg
         }
         .schedule(7);
-        assert_eq!(burst[101] - burst[100], 1_000);
-        assert_eq!(burst[151] - burst[150], 250);
+        // Request i's gap to its successor uses i's mean, so the first
+        // compressed gap follows request n/3 = 100 and the last follows
+        // request 2n/3 - 1 = 199.
+        assert_eq!(burst[100] - burst[99], 1_000);
+        assert_eq!(burst[101] - burst[100], 250);
+        assert_eq!(burst[200] - burst[199], 250);
+        assert_eq!(burst[201] - burst[200], 1_000);
     }
 
     #[test]

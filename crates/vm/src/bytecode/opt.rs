@@ -384,7 +384,7 @@ fn fold_pass(f: &mut BFunc, pool: &mut PoolInterner, stats: &mut OptStats) -> u6
     total
 }
 
-/// Folds `a op b` exactly as [`binop_rt`](crate::interp) would evaluate
+/// Folds `a op b` exactly as [`binop`](crate::interp) would evaluate
 /// it, or `None` when the operation could fail (division by a constant
 /// zero), charges data-dependent ticks the fold can't express, or
 /// involves non-scalar operands. Returns the result and any extra ticks

@@ -20,6 +20,7 @@ use minigo_syntax::{
 };
 
 use crate::error::ExecError;
+use crate::fxhash::FxHashMap;
 use crate::mark::{collect_garbage, RootSink};
 use crate::value::{Cell, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
 
@@ -288,7 +289,7 @@ struct Deferred {
 
 struct Frame {
     func: FuncId,
-    slots: HashMap<VarId, Slot>,
+    slots: FxHashMap<VarId, Slot>,
     defers: Vec<Deferred>,
 }
 
@@ -303,7 +304,7 @@ struct Vm<'p> {
     /// Address-taken variables per function (these get boxed slots).
     addr_taken: HashMap<FuncId, HashSet<VarId>>,
     /// Per-site allocation profile: expr id -> (count, bytes).
-    site_profile: HashMap<minigo_syntax::ExprId, (u64, u64)>,
+    site_profile: FxHashMap<minigo_syntax::ExprId, (u64, u64)>,
     /// Interned call stacks, present when tracing: every function
     /// entry/exit stamps the current stack id into the runtime so traced
     /// events carry full call-stack attribution. Interning follows the
@@ -351,7 +352,7 @@ impl<'p> Vm<'p> {
             rt,
             frames: Vec::new(),
             addr_taken,
-            site_profile: HashMap::new(),
+            site_profile: FxHashMap::default(),
             stacks,
             cur_stack: minigo_runtime::ROOT_STACK,
             in_free_batch: false,
@@ -543,7 +544,7 @@ impl<'p> Vm<'p> {
             return Err(ExecError::StackOverflow);
         }
         let func = &self.program.funcs[fid.index()];
-        let mut slots = HashMap::new();
+        let mut slots = FxHashMap::default();
         let taken = &self.addr_taken[&fid];
         for (&pvar, arg) in self.res.params_of(fid).iter().zip(args) {
             slots.insert(pvar, make_slot(arg, taken.contains(&pvar)));
@@ -751,7 +752,7 @@ impl<'p> Vm<'p> {
                 if let Some(op) = op {
                     let old = self.eval(&lhs[0])?;
                     let rv = self.eval(&rhs[0])?;
-                    let new = self.binop(*op, old, rv)?;
+                    let new = binop(&mut self.rt, *op, &old, &rv)?;
                     self.store(&lhs[0], new)?;
                     return Ok(Flow::Normal);
                 }
@@ -1061,7 +1062,7 @@ impl<'p> Vm<'p> {
                     let l = self.eval(lhs)?;
                     let r = self.eval(rhs)?;
                     self.rt.tick(1);
-                    self.binop(*op, l, r)
+                    binop(&mut self.rt, *op, &l, &r)
                 }
             },
             ExprKind::Field { base, name } => {
@@ -1390,7 +1391,7 @@ impl<'p> Vm<'p> {
         Ok(Value::map(MapVal {
             data: Rc::new(RefCell::new(MapData {
                 entries: Vec::new(),
-                index: crate::fxhash::FxHashMap::default(),
+                index: FxHashMap::default(),
                 buckets_obj: None,
                 bucket_cap: 8,
                 default,
@@ -1501,10 +1502,6 @@ impl<'p> Vm<'p> {
         let _ = is_new;
         m.data.borrow_mut().insert(key, value);
         Ok(())
-    }
-
-    fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value> {
-        binop_rt(&mut self.rt, op, l, r)
     }
 
     // ---- lvalue stores ----
@@ -1662,48 +1659,55 @@ fn make_slot(value: Value, boxed: bool) -> Slot {
     }
 }
 
-/// Applies a binary operator, charging string-concatenation ticks on the
-/// given runtime. Shared by both execution engines.
-#[inline]
-pub(crate) fn binop_rt(rt: &mut Runtime, op: BinOp, l: Value, r: Value) -> Result<Value> {
+/// Applies a binary operator to borrowed operands, charging
+/// string-concatenation ticks on the given runtime. The one operator
+/// table, shared by both execution engines. `Int × Int` is tested first
+/// and is all that inlines into a caller; everything else (strings,
+/// equality over non-ints, poison, type errors) sits behind one call.
+#[inline(always)]
+pub(crate) fn binop(rt: &mut Runtime, op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+    use BinOp::*;
+    if let (Value::Int(a), Value::Int(b)) = (l, r) {
+        let (a, b) = (*a, *b);
+        return Ok(match op {
+            Add => Value::Int(a.wrapping_add(b)),
+            Sub => Value::Int(a.wrapping_sub(b)),
+            Mul => Value::Int(a.wrapping_mul(b)),
+            Div | Rem if b == 0 => return Err(ExecError::DivByZero),
+            Div => Value::Int(a.wrapping_div(b)),
+            Rem => Value::Int(a.wrapping_rem(b)),
+            Lt => Value::Bool(a < b),
+            Le => Value::Bool(a <= b),
+            Gt => Value::Bool(a > b),
+            Ge => Value::Bool(a >= b),
+            Eq => Value::Bool(a == b),
+            Ne => Value::Bool(a != b),
+            And | Or => return binop_other(rt, op, l, r),
+        });
+    }
+    binop_other(rt, op, l, r)
+}
+
+/// The rows of [`binop`] with a non-`Int` operand.
+#[inline(never)]
+fn binop_other(rt: &mut Runtime, op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use BinOp::*;
     if matches!(l, Value::Poison) || matches!(r, Value::Poison) {
         return Err(ExecError::PoisonedRead);
     }
-    match (op, &l, &r) {
-        (Add, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
+    match (op, l, r) {
         (Add, Value::Str(a), Value::Str(b)) => {
             let mut s = a.to_string();
             s.push_str(b);
             rt.tick(1 + (s.len() as u64) / 16);
             Ok(Value::Str(Rc::from(s.as_str())))
         }
-        (Sub, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
-        (Mul, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
-        (Div, Value::Int(a), Value::Int(b)) => {
-            if *b == 0 {
-                Err(ExecError::DivByZero)
-            } else {
-                Ok(Value::Int(a.wrapping_div(*b)))
-            }
-        }
-        (Rem, Value::Int(a), Value::Int(b)) => {
-            if *b == 0 {
-                Err(ExecError::DivByZero)
-            } else {
-                Ok(Value::Int(a.wrapping_rem(*b)))
-            }
-        }
-        (Lt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a < b)),
-        (Le, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a <= b)),
-        (Gt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a > b)),
-        (Ge, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a >= b)),
         (Lt, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a < b)),
         (Le, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a <= b)),
         (Gt, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a > b)),
         (Ge, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a >= b)),
-        (Eq, _, _) => Ok(Value::Bool(value_eq(&l, &r)?)),
-        (Ne, _, _) => Ok(Value::Bool(!value_eq(&l, &r)?)),
+        (Eq, _, _) => Ok(Value::Bool(value_eq(l, r)?)),
+        (Ne, _, _) => Ok(Value::Bool(!value_eq(l, r)?)),
         _ => Err(ExecError::Internal(format!(
             "bad operands for {op}: {} and {}",
             l.display(),

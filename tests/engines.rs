@@ -9,6 +9,8 @@ use gofree::{
     compile, execute, CompileOptions, Compiled, OptLevel, Report, RunConfig, Setting, VmEngine,
 };
 use gofree_workloads::{corpus, fuzzgen, micro, Scale};
+use minigo_runtime::{CollectorKind, PoisonMode, RuntimeConfig};
+use minigo_vm::{BSession, Session, VmConfig};
 
 /// Runs one compiled program on the tree-walk and on the bytecode
 /// engine at both opt levels, asserting every observable field of the
@@ -277,4 +279,352 @@ fn engines_agree_on_sample_programs() {
         checked += 1;
     }
     assert!(checked > 0, "no sample programs found");
+}
+
+/// The operand-shape corpus: every handler that reads an operand (the
+/// fused families and the stack forms they fall back to) driven with
+/// each shape an operand can have. `(label, how main ends, source)`;
+/// programs ending in an error stop at the first one, so each error
+/// site is a program of its own.
+const OPERAND_SHAPES: &[(&str, &str, &str)] = &[
+    (
+        "plain ints through every family",
+        "Ok",
+        "func pair(a int, b int) int { return a*10 + b }
+func main() {
+    a := 7
+    b := 3
+    t := 0
+    s := make([]int, 8)
+    m := make(map[int]int)
+    for i := 0; i < len(s); i += 1 { s[i] = i * a }
+    t = a + b
+    t = t - 1
+    t = s[2] + 1
+    n := 0
+    n = len(s)
+    s[0] = t
+    s[b] = n
+    m[a] = b
+    m[1] = a
+    ok := a > b
+    if ok { t = t * 2 }
+    if a < b { t = 0 }
+    if a < 100 { t += 1 }
+    if s[1] < s[2] { t += s[1] + s[2] }
+    if s[1] < 50 { t += s[3] % a }
+    s[b+1] = s[b+2] - a
+    s[1] += s[2]
+    print(a+b, a-1, t, s[b], s[0], m[a], m[1], len(s), s[b]*a, s[1]/2, pair(a, b))
+    print(s[b+1], m[a+0], s)
+}
+",
+    ),
+    (
+        "boxed ints: the borrow ends before the store",
+        "Ok",
+        "func bump(p *int) { *p = *p + 1 }
+func main() {
+    x := 1
+    y := 2
+    i := 0
+    ok := true
+    s := make([]int, 4)
+    px := &x
+    py := &y
+    pi := &i
+    pok := &ok
+    ps := &s
+    x = x + 1
+    x = x + y
+    x += 1
+    y = len(s)
+    bump(px)
+    bump(py)
+    for i < len(s) { s[i] = x + i
+        i += 1 }
+    i = 1
+    s[0] = s[i] + y
+    if x < y { x = y }
+    if x < 3 { x = 3 }
+    if ok { x = x * y }
+    ok = x < y
+    if ok { x = 0 }
+    print(x, y, i, s[i], s[0], x+y, x+1, s[i]+x, len(s), *pi, *pok, len(*ps))
+}
+",
+    ),
+    (
+        "strings: concatenation ticks and ordering",
+        "Ok",
+        "func main() {
+    a := \"alpha\"
+    b := \"beta, a rather longer string than alpha\"
+    t := \"\"
+    s := make([]string, 2)
+    m := make(map[string]int)
+    t = a + b
+    t = t + \"!\"
+    s[0] = a
+    s[1] = b + t
+    m[a] = len(t)
+    m[\"k\"] = len(a)
+    if a < b { t = t + a }
+    if a < \"b\" { t = t + \"x\" }
+    if s[0] < s[1] { t = s[0] + s[1] }
+    if s[0] == a { t = t + s[0] }
+    print(t, a+b, a+\"z\", s[0]+\"y\", s[1]+a, a < b, a >= b, a == b, a != \"alpha\", m[a], m[\"k\"], len(t))
+}
+",
+    ),
+    (
+        "nil bases that are fine: len and ranges over nil",
+        "Ok",
+        "func main() {
+    var s []int
+    var m map[int]int
+    n := 5
+    n = len(s)
+    for i := 0; i < len(s); i += 1 { n += 1 }
+    print(n, len(s), len(m), s == nil, m == nil)
+}
+",
+    ),
+    (
+        "div by zero, slot / slot",
+        "integer divide by zero",
+        "func main() { a := 7\n z := 0\n t := 1\n print(t)\n t = a / z\n print(t) }\n",
+    ),
+    (
+        "rem by zero, slot % const",
+        "integer divide by zero",
+        "func main() { a := 7\n print(a)\n print(a % 0) }\n",
+    ),
+    (
+        "div by zero, boxed slot / boxed slot to a jump",
+        "integer divide by zero",
+        "func main() { a := 7\n z := 0\n pa := &a\n pz := &z\n if a / z < 1 { print(*pa, *pz) } }\n",
+    ),
+    (
+        "div by zero on the stack",
+        "integer divide by zero",
+        "func main() { n := 2\n s := make([]int, n)\n s[0] = 9\n print(s[0] / s[1]) }\n",
+    ),
+    (
+        "rem by zero, stack % const to a store",
+        "integer divide by zero",
+        "func main() { n := 2\n t := 0\n s := make([]int, n)\n t = s[0] % 0\n print(t) }\n",
+    ),
+    (
+        "negative index, slot base and slot index",
+        "index out of range [-1] with length 4",
+        "func main() { n := 4\n s := make([]int, n)\n i := 0 - 1\n t := 0\n t = s[i]\n print(t) }\n",
+    ),
+    (
+        "past-the-end store, slot base and slot index",
+        "index out of range [4] with length 4",
+        "func main() { n := 4\n s := make([]int, n)\n i := len(s)\n s[i] = 1\n print(s) }\n",
+    ),
+    (
+        "past-the-end const index on a reslice",
+        "index out of range [2] with length 2",
+        "func main() { n := 4\n s := make([]int, n)\n r := s[1:3]\n print(r[1])\n print(r[2]) }\n",
+    ),
+    (
+        "past-the-end const store",
+        "index out of range [9] with length 4",
+        "func main() { n := 4\n s := make([]int, n)\n s[9] = 1\n print(s) }\n",
+    ),
+    (
+        "negative computed index on the stack, boxed base",
+        "index out of range [-3] with length 4",
+        "func main() { n := 4\n s := make([]int, n)\n ps := &s\n i := 1\n s[i-4] = len(*ps)\n print(s) }\n",
+    ),
+    (
+        "past-the-end computed load on the stack",
+        "index out of range [104] with length 4",
+        "func main() { n := 4\n s := make([]int, n)\n i := 4\n print(s[i+100]) }\n",
+    ),
+    (
+        "nil slice load: base before index",
+        "nil pointer dereference",
+        "func main() { var s []int\n i := 0 - 1\n t := 0\n t = s[i]\n print(t) }\n",
+    ),
+    (
+        "nil slice const store",
+        "nil pointer dereference",
+        "func main() { var s []int\n s[0] = 1\n print(s) }\n",
+    ),
+    (
+        "nil map store",
+        "nil pointer dereference",
+        "func main() { var m map[int]int\n k := 3\n m[k] = 1\n print(len(m)) }\n",
+    ),
+    (
+        "nil map load on the stack",
+        "nil pointer dereference",
+        "func main() { var m map[int]int\n k := 3\n print(m[k+1]) }\n",
+    ),
+    (
+        "poisoned slice element, slot index",
+        "read of poisoned memory",
+        "func main() { n := 64\n s := make([]int, n)\n i := 3\n s[i] = 3\n t := len(s)\n tcfree(s)\n t = s[i]\n print(t) }\n",
+    ),
+    (
+        "poisoned slice element under a binary operator",
+        "read of poisoned memory",
+        "func main() { n := 64\n s := make([]int, n)\n a := 1\n tcfree(s)\n print(len(s))\n print(s[0] + a) }\n",
+    ),
+    (
+        "poisoned map, const key",
+        "read of poisoned memory",
+        "func main() { m := make(map[int]int)\n for i := 0; i < 40; i += 1 { m[i] = i }\n tcfree(m)\n print(m[1]) }\n",
+    ),
+    (
+        "poisoned map store",
+        "read of poisoned memory",
+        "func main() { m := make(map[int]int)\n k := 2\n for i := 0; i < 40; i += 1 { m[i] = i }\n tcfree(m)\n m[k] = 1\n print(len(m)) }\n",
+    ),
+    (
+        "poisoned boxed slot as an operand",
+        "read of poisoned memory",
+        "func mk() *int { x := 5\n p := &x\n t := 0\n t = x + 1\n tcfree(p)\n t = x + 1\n print(t)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned boxed slot under a bare branch",
+        "read of poisoned memory",
+        "func mk() *bool { ok := true\n p := &ok\n tcfree(p)\n if ok { print(1) }\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+];
+
+/// `main` run to its end or to its error on one engine configuration
+/// (`None` = tree-walk): how it ended (`Ok` or the error rendering), the
+/// virtual time at that moment, and every other observable — output so
+/// far, steps, metrics. Sessions rather than `execute`, because a failed
+/// `execute` returns the error alone and the clock at failure is part
+/// of the contract.
+fn observe(compiled: &Compiled, byte: Option<OptLevel>, cfg: VmConfig) -> (String, u64, String) {
+    let (res, out) = match byte {
+        None => {
+            let mut s = Session::new(
+                &compiled.program,
+                &compiled.resolution,
+                &compiled.types,
+                &compiled.analysis,
+                cfg,
+            )
+            .expect("valid config");
+            (s.call("main", Vec::new()), s.finish())
+        }
+        Some(opt) => {
+            let module = match opt {
+                OptLevel::Off => &compiled.lowered,
+                OptLevel::Full => &compiled.optimized,
+            };
+            let mut s = BSession::new(module, cfg).expect("valid config");
+            (s.call("main", Vec::new()), s.finish())
+        }
+    };
+    let end = match res {
+        Ok(_) => "Ok".to_string(),
+        Err(e) => e.to_string(),
+    };
+    let rest = format!(
+        "output {:?}\nsteps {}\n{:?}",
+        out.output, out.steps, out.metrics
+    );
+    (end, out.time, rest)
+}
+
+#[test]
+fn engines_agree_on_every_operand_shape() {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut fusions = 0;
+    for &(label, ends, src) in OPERAND_SHAPES {
+        // Plain Go: the only frees are the ones the program spells out.
+        let compiled = compile(src, &CompileOptions::go())
+            .unwrap_or_else(|e| panic!("{label}: {}", e.render(src)));
+        fusions += compiled.opt_stats.fusions;
+        for f in &compiled.optimized.funcs {
+            for instr in &f.code {
+                let name = format!("{instr:?}");
+                let end = name.find(|c: char| !c.is_alphanumeric());
+                seen.insert(name[..end.unwrap_or(name.len())].to_string());
+            }
+        }
+        for collector in [CollectorKind::Go, CollectorKind::Generational] {
+            let cfg = VmConfig {
+                runtime: RuntimeConfig {
+                    collector,
+                    poison: PoisonMode::Zero,
+                    migrate_prob: 0.0,
+                    jitter: 0.0,
+                    ..RuntimeConfig::default()
+                },
+                grow_map_free_old: false,
+                ..VmConfig::default()
+            };
+            let tree = observe(&compiled, None, cfg.clone());
+            assert!(
+                tree.0.contains(ends),
+                "{label} ({collector:?}): expected to end with {ends:?}, got {:?}",
+                tree.0
+            );
+            let off = observe(&compiled, Some(OptLevel::Off), cfg.clone());
+            assert_eq!(tree, off, "{label} ({collector:?}, opt off)");
+            // A fused handler charges its constituents' ticks up front,
+            // so when it fails part-way the optimized stream's clock
+            // leads by the constituents not reached: at most 3 (the
+            // five-instruction loop header failing on its first load).
+            let full = observe(&compiled, Some(OptLevel::Full), cfg.clone());
+            assert_eq!(
+                (&tree.0, &tree.2),
+                (&full.0, &full.2),
+                "{label} ({collector:?}, opt full)"
+            );
+            let lead = if ends == "Ok" { 0 } else { 3 };
+            assert!(
+                (tree.1..=tree.1 + lead).contains(&full.1),
+                "{label} ({collector:?}, opt full): time {} vs tree-walk {}",
+                full.1,
+                tree.1
+            );
+        }
+    }
+    // Every fused family (and the inline-cache forms) was lowered at
+    // least once, so no operand-reading handler goes unexercised.
+    assert!(fusions > 0, "the optimizer fused nothing");
+    for family in [
+        "LoadLoadBin",
+        "LoadConstBin",
+        "LoadLoadBinStore",
+        "LoadConstBinStore",
+        "LoadLoadBinJump",
+        "LoadConstBinJump",
+        "LoadJumpIfFalse",
+        "BinJumpIfFalse",
+        "LoadLoadIndexGet",
+        "LoadConstIndexGet",
+        "LoadLoadIndexSet",
+        "LoadConstIndexSet",
+        "LoadLen",
+        "LoadLenStore",
+        "LoadLoadLenBinJump",
+        "BinSlot",
+        "BinConst",
+        "BinConstStore",
+        "BinConstJump",
+        "LoadLoad",
+        "IndexGetIC",
+        "IndexSetIC",
+        "Bin",
+        "BinRaw",
+    ] {
+        assert!(
+            seen.contains(family),
+            "no program in the corpus lowers to {family}; saw {seen:?}"
+        );
+    }
 }
