@@ -5,7 +5,7 @@
 //! 3. the tcfree bail-out environment — migration probability sweep;
 //! 4. GrowMapAndFreeOld (§4.6.2) on/off.
 
-use gofree::{compile, execute, CompileOptions, FreeTargets, Mode, RunConfig, Setting};
+use gofree::{compile, execute, run_session, CompileOptions, FreeTargets, RunConfig, Setting};
 use gofree_bench::{pct, HarnessOptions};
 
 fn free_ratio(src: &str, copts: &CompileOptions, cfg: &RunConfig) -> (f64, u64, u64) {
@@ -148,25 +148,11 @@ fn main() {
     // Re-run the instrumented program but with the runtime optimization
     // off, modeling a GoFree build without §4.6.2.
     let vm_cfg = minigo_vm::VmConfig {
-        runtime: minigo_runtime::RuntimeConfig {
-            gc_enabled: true,
-            min_heap: base.min_heap,
-            seed: base.seed,
-            migrate_prob: base.migrate_prob,
-            jitter: base.jitter,
-            ..minigo_runtime::RuntimeConfig::default()
-        },
         grow_map_free_old: false,
-        ..minigo_vm::VmConfig::default()
+        ..base.vm_config(&compiled, Setting::GoFree)
     };
-    let without = minigo_vm::run(
-        &compiled.program,
-        &compiled.resolution,
-        &compiled.types,
-        &compiled.analysis,
-        vm_cfg,
-    )
-    .expect("runs");
+    let run = run_session(&compiled, vm_cfg, base.engine, base.opt, |s| s.call_main());
+    let without = run.expect("runs").1;
     println!(
         "with:    free ratio {:>5}  GCs {}",
         pct(with.metrics.free_ratio()),
@@ -178,5 +164,4 @@ fn main() {
         without.metrics.gcs
     );
     opts.emit_observability(&with, &compiled.phase_times);
-    let _ = Mode::GoFree;
 }

@@ -2,33 +2,18 @@
 //! one call overhead. The paper predicts limited gains ("few objects are
 //! freed in a single scope") — this binary quantifies it.
 
-use gofree::{compile, CompileOptions};
+use gofree::{compile, run_session, CompileOptions, Report, RunConfig, Setting};
 use gofree_bench::HarnessOptions;
-use minigo_runtime::RuntimeConfig;
 use minigo_vm::VmConfig;
 
-fn run_with_batching(src: &str, batch: bool, cfg: &gofree::RunConfig) -> minigo_vm::RunOutcome {
+fn run_with_batching(src: &str, batch: bool, cfg: &RunConfig) -> Report {
     let compiled = compile(src, &CompileOptions::default()).expect("compiles");
     let vm_cfg = VmConfig {
-        runtime: RuntimeConfig {
-            gc_enabled: true,
-            min_heap: cfg.min_heap,
-            seed: cfg.seed,
-            migrate_prob: cfg.migrate_prob,
-            jitter: 0.0,
-            ..RuntimeConfig::default()
-        },
         batch_frees: batch,
-        ..VmConfig::default()
+        ..cfg.vm_config(&compiled, Setting::GoFree)
     };
-    minigo_vm::run(
-        &compiled.program,
-        &compiled.resolution,
-        &compiled.types,
-        &compiled.analysis,
-        vm_cfg,
-    )
-    .expect("runs")
+    let run = run_session(&compiled, vm_cfg, cfg.engine, cfg.opt, |s| s.call_main());
+    run.expect("runs").1
 }
 
 /// A scope that frees several objects at once — the best case for
@@ -63,7 +48,11 @@ func main() {{
 fn main() {
     let opts = HarnessOptions::from_args();
     let n = if opts.quick { 100 } else { 2000 };
-    let base = opts.run_config();
+    // No clock jitter: the delta between two runs is the batching alone.
+    let base = RunConfig {
+        jitter: 0.0,
+        ..opts.run_config()
+    };
     println!(
         "tcfree batching (§5): {} burst scopes, 4 frees per scope\n",
         n

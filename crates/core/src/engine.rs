@@ -3,7 +3,7 @@
 
 use minigo_escape::Mode;
 use minigo_runtime::{PoisonMode, RuntimeConfig};
-use minigo_vm::{run, ExecError, RunOutcome, VmConfig};
+use minigo_vm::{Bytecode, Dispatch, ExecError, RunOutcome, Session, TreeWalk, VmConfig};
 
 use crate::pipeline::{compile, CompileOptions, Compiled};
 
@@ -218,6 +218,33 @@ impl RunConfig {
             ..RunConfig::default()
         }
     }
+
+    /// The VM configuration these knobs select for running `compiled`
+    /// under `setting` — the one place a `RunConfig` becomes a
+    /// [`RuntimeConfig`]. Callers that study a VM-level toggle
+    /// (`batch_frees`, `grow_map_free_old`) override it on the result.
+    pub fn vm_config(&self, compiled: &Compiled, setting: Setting) -> VmConfig {
+        VmConfig {
+            runtime: RuntimeConfig {
+                gc_enabled: setting.gc_enabled(),
+                gogc: self.gogc,
+                min_heap: self.min_heap,
+                migrate_prob: self.migrate_prob,
+                seed: self.seed,
+                jitter: self.jitter,
+                poison: self.poison,
+                trace: self.trace,
+                trace_cap: self.trace_cap,
+                collector: self.collector,
+                nursery_size: self.nursery_size,
+                ..RuntimeConfig::default()
+            },
+            step_limit: self.step_limit,
+            grow_map_free_old: compiled.analysis.options.mode == Mode::GoFree,
+            sanitize: self.sanitize,
+            ..VmConfig::default()
+        }
+    }
 }
 
 /// The default worker count: `GOFREE_JOBS` when set to a positive
@@ -243,6 +270,50 @@ pub fn run_seed(base: u64, index: u64) -> u64 {
 /// A single run's report (table 5's metrics).
 pub type Report = RunOutcome;
 
+/// The one engine switch: opens a session for `compiled` on the engine
+/// and instruction stream selected, lets `drive` use it, finishes it, and
+/// stamps the compile-time facts on the report ([`Report::opt`] when the
+/// optimized stream ran; how much reclamation `--audit deny` gave up;
+/// the liveness placement counters) so every engine reports them alike.
+///
+/// # Errors
+///
+/// [`ExecError::InvalidConfig`] for a runtime configuration that fails
+/// validation; otherwise whatever `drive` returns.
+pub fn run_session<T>(
+    compiled: &Compiled,
+    vm_cfg: VmConfig,
+    engine: VmEngine,
+    opt: OptLevel,
+    drive: impl FnOnce(&mut Session<dyn Dispatch + '_>) -> Result<T, ExecError>,
+) -> Result<(T, Report), ExecError> {
+    fn go<T>(
+        engine: impl Dispatch,
+        cfg: VmConfig,
+        drive: impl FnOnce(&mut Session<dyn Dispatch + '_>) -> Result<T, ExecError>,
+    ) -> Result<(T, Report), ExecError> {
+        let mut session = Session::new(engine, cfg)?;
+        let out = drive(&mut session)?;
+        Ok((out, session.finish()))
+    }
+    let (out, mut report) = match (engine, opt) {
+        (VmEngine::TreeWalk, _) => {
+            let c = compiled;
+            let tree = TreeWalk::new(&c.program, &c.resolution, &c.types, &c.analysis);
+            go(tree, vm_cfg, drive)?
+        }
+        (VmEngine::Bytecode, OptLevel::Off) => go(Bytecode::new(&compiled.lowered), vm_cfg, drive)?,
+        (VmEngine::Bytecode, OptLevel::Full) => {
+            let (out, mut report) = go(Bytecode::new(&compiled.optimized), vm_cfg, drive)?;
+            report.opt = Some(compiled.opt_stats.clone());
+            (out, report)
+        }
+    };
+    report.metrics.frees_suppressed = compiled.frees_suppressed;
+    report.placement = compiled.placement;
+    Ok((out, report))
+}
+
 /// Executes a compiled program.
 ///
 /// # Errors
@@ -253,47 +324,8 @@ pub fn execute(
     setting: Setting,
     cfg: &RunConfig,
 ) -> Result<Report, ExecError> {
-    let runtime = RuntimeConfig {
-        gc_enabled: setting.gc_enabled(),
-        gogc: cfg.gogc,
-        min_heap: cfg.min_heap,
-        migrate_prob: cfg.migrate_prob,
-        seed: cfg.seed,
-        jitter: cfg.jitter,
-        poison: cfg.poison,
-        trace: cfg.trace,
-        trace_cap: cfg.trace_cap,
-        collector: cfg.collector,
-        nursery_size: cfg.nursery_size,
-        ..RuntimeConfig::default()
-    };
-    let vm_cfg = VmConfig {
-        runtime,
-        step_limit: cfg.step_limit,
-        grow_map_free_old: compiled.analysis.options.mode == Mode::GoFree,
-        sanitize: cfg.sanitize,
-        ..VmConfig::default()
-    };
-    let mut report = match (cfg.engine, cfg.opt) {
-        (VmEngine::TreeWalk, _) => run(
-            &compiled.program,
-            &compiled.resolution,
-            &compiled.types,
-            &compiled.analysis,
-            vm_cfg,
-        )?,
-        (VmEngine::Bytecode, OptLevel::Off) => minigo_vm::run_module(&compiled.lowered, vm_cfg)?,
-        (VmEngine::Bytecode, OptLevel::Full) => {
-            let mut r = minigo_vm::run_module(&compiled.optimized, vm_cfg)?;
-            r.opt = Some(compiled.opt_stats.clone());
-            r
-        }
-    };
-    // Compile-time facts, copied into every run's report so audited
-    // builds report how much reclamation `--audit deny` gave up and
-    // liveness builds report their placement counters.
-    report.metrics.frees_suppressed = compiled.frees_suppressed;
-    report.placement = compiled.placement;
+    let vm_cfg = cfg.vm_config(compiled, setting);
+    let ((), report) = run_session(compiled, vm_cfg, cfg.engine, cfg.opt, |s| s.call_main())?;
     Ok(report)
 }
 

@@ -31,8 +31,8 @@ pub mod stats;
 pub mod trace;
 
 pub use engine::{
-    compile_and_run, default_jobs, execute, run_distribution, run_matrix, run_seed, OptLevel,
-    Report, RunConfig, Setting, VmEngine,
+    compile_and_run, default_jobs, execute, run_distribution, run_matrix, run_seed, run_session,
+    OptLevel, Report, RunConfig, Setting, VmEngine,
 };
 pub use experiment::{
     distribution, fig10_point, table7_row, table8_row, table9_row, Distribution, Fig10Point,

@@ -24,15 +24,15 @@
 //!   per-request spans for `chrome://tracing`).
 //!
 //! Everything is bit-identical across the two VM engines, both opt
-//! levels, and `--jobs`, because both engines drive requests through
-//! their ordinary call protocol (`tests/service.rs` pins this down).
+//! levels, and `--jobs`, because every engine drives requests through
+//! its ordinary call protocol (`tests/service.rs` pins this down).
 
 use std::str::FromStr;
 
-use minigo_runtime::{percentile_sorted, CycleKind, Histogram, RuntimeConfig, SimRng};
-use minigo_vm::{BSession, ExecError, Session, Value, VmConfig};
+use minigo_runtime::{percentile_sorted, CycleKind, Histogram, SimRng};
+use minigo_vm::{Dispatch, ExecError, Session, Value};
 
-use crate::engine::{OptLevel, Report, RunConfig, Setting, VmEngine};
+use crate::engine::{run_session, Report, RunConfig, Setting};
 use crate::pipeline::Compiled;
 
 /// Virtual ticks per simulated second. The chrome-trace exporter writes
@@ -254,118 +254,6 @@ pub struct ServiceReport {
     pub report: Report,
 }
 
-/// One persistent VM session on either engine; mirrors the engine
-/// dispatch of [`execute`](crate::execute) so service runs see exactly
-/// the configuration batch runs do.
-enum EngineSession<'c> {
-    Tree(Session<'c>),
-    Byte(BSession<'c>),
-}
-
-impl<'c> EngineSession<'c> {
-    fn new(compiled: &'c Compiled, setting: Setting, cfg: &RunConfig) -> Result<Self, ExecError> {
-        let runtime = RuntimeConfig {
-            gc_enabled: setting.gc_enabled(),
-            gogc: cfg.gogc,
-            min_heap: cfg.min_heap,
-            migrate_prob: cfg.migrate_prob,
-            seed: cfg.seed,
-            jitter: cfg.jitter,
-            poison: cfg.poison,
-            trace: cfg.trace,
-            trace_cap: cfg.trace_cap,
-            collector: cfg.collector,
-            nursery_size: cfg.nursery_size,
-            ..RuntimeConfig::default()
-        };
-        let vm_cfg = VmConfig {
-            runtime,
-            step_limit: cfg.step_limit,
-            grow_map_free_old: compiled.analysis.options.mode == minigo_escape::Mode::GoFree,
-            sanitize: cfg.sanitize,
-            ..VmConfig::default()
-        };
-        Ok(match (cfg.engine, cfg.opt) {
-            (VmEngine::TreeWalk, _) => EngineSession::Tree(Session::new(
-                &compiled.program,
-                &compiled.resolution,
-                &compiled.types,
-                &compiled.analysis,
-                vm_cfg,
-            )?),
-            (VmEngine::Bytecode, OptLevel::Off) => {
-                EngineSession::Byte(BSession::new(&compiled.lowered, vm_cfg)?)
-            }
-            (VmEngine::Bytecode, OptLevel::Full) => {
-                EngineSession::Byte(BSession::new(&compiled.optimized, vm_cfg)?)
-            }
-        })
-    }
-
-    fn call(&mut self, name: &str, args: Vec<Value>) -> Result<Vec<Value>, ExecError> {
-        match self {
-            EngineSession::Tree(s) => s.call(name, args),
-            EngineSession::Byte(s) => s.call(name, args),
-        }
-    }
-
-    fn hold(&mut self, values: Vec<Value>) {
-        match self {
-            EngineSession::Tree(s) => s.hold(values),
-            EngineSession::Byte(s) => s.hold(values),
-        }
-    }
-
-    fn now(&self) -> u64 {
-        match self {
-            EngineSession::Tree(s) => s.now(),
-            EngineSession::Byte(s) => s.now(),
-        }
-    }
-
-    fn idle_until(&mut self, t: u64) {
-        match self {
-            EngineSession::Tree(s) => s.idle_until(t),
-            EngineSession::Byte(s) => s.idle_until(t),
-        }
-    }
-
-    fn heap_live(&self) -> u64 {
-        match self {
-            EngineSession::Tree(s) => s.heap_live(),
-            EngineSession::Byte(s) => s.heap_live(),
-        }
-    }
-
-    fn footprint(&self) -> u64 {
-        match self {
-            EngineSession::Tree(s) => s.footprint(),
-            EngineSession::Byte(s) => s.footprint(),
-        }
-    }
-
-    fn pauses(&self) -> &[minigo_runtime::Pause] {
-        match self {
-            EngineSession::Tree(s) => s.pauses(),
-            EngineSession::Byte(s) => s.pauses(),
-        }
-    }
-
-    fn note_request(&mut self, id: u64, arrival: u64, start: u64) {
-        match self {
-            EngineSession::Tree(s) => s.note_request(id, arrival, start),
-            EngineSession::Byte(s) => s.note_request(id, arrival, start),
-        }
-    }
-
-    fn finish(self) -> Report {
-        match self {
-            EngineSession::Tree(s) => s.finish(),
-            EngineSession::Byte(s) => s.finish(),
-        }
-    }
-}
-
 /// Drives `svc.requests` open-loop requests through a compiled service
 /// program.
 ///
@@ -386,8 +274,18 @@ pub fn run_service(
     svc: &ServiceConfig,
 ) -> Result<ServiceReport, ExecError> {
     let arrivals = svc.schedule(cfg.seed);
-    let mut sess = EngineSession::new(compiled, setting, cfg)?;
+    let vm_cfg = cfg.vm_config(compiled, setting);
+    let (stats, report) = run_session(compiled, vm_cfg, cfg.engine, cfg.opt, |sess| {
+        drive_requests(sess, &arrivals)
+    })?;
+    Ok(ServiceReport { stats, report })
+}
 
+/// The open loop itself, on whichever engine's session it is handed.
+fn drive_requests(
+    sess: &mut Session<dyn Dispatch + '_>,
+    arrivals: &[u64],
+) -> Result<ServiceStats, ExecError> {
     let state = sess.call("setup", Vec::new())?;
     sess.hold(state.clone());
 
@@ -450,14 +348,7 @@ pub fn run_service(
     queues.sort_unstable();
     stats.latency_q = Quantiles::from_sorted(&latencies);
     stats.queue_q = Quantiles::from_sorted(&queues);
-
-    let mut report = sess.finish();
-    if (cfg.engine, cfg.opt) == (VmEngine::Bytecode, OptLevel::Full) {
-        report.opt = Some(compiled.opt_stats.clone());
-    }
-    report.metrics.frees_suppressed = compiled.frees_suppressed;
-    report.placement = compiled.placement;
-    Ok(ServiceReport { stats, report })
+    Ok(stats)
 }
 
 /// Renders the human-readable service summary (the `--service` CLI

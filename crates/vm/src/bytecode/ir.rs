@@ -34,8 +34,6 @@ use crate::value::Value;
 pub struct Module {
     /// Functions, indexed by `FuncId::index()`.
     pub funcs: Vec<BFunc>,
-    /// Index of `main` in `funcs`.
-    pub main: usize,
     /// The constant pool. Holds literals and statically computed zero
     /// values; the engine materializes them into per-run [`Value`]s that
     /// are cloned onto the operand stack.

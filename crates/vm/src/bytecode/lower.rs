@@ -33,13 +33,8 @@ pub fn lower(program: &Program, res: &Resolution, types: &TypeInfo, analysis: &A
         .iter()
         .map(|f| lower_func(f, res, types, analysis, &mut consts))
         .collect();
-    let main = program
-        .func("main")
-        .map(|f| f.id.index())
-        .unwrap_or(usize::MAX);
     Module {
         funcs,
-        main,
         consts: consts.pool,
         ic_slots: 0,
     }
@@ -146,9 +141,8 @@ fn lower_func(
     }
 }
 
-/// Computes a type's zero value, mirroring the tree-walk's
-/// `Vm::zero_value`.
-fn zero_value(ty: &Type, types: &TypeInfo) -> Const {
+/// Computes a type's zero value.
+pub(crate) fn zero_value(ty: &Type, types: &TypeInfo) -> Const {
     match ty {
         Type::Int => Const::Int(0),
         Type::Bool => Const::Bool(false),
@@ -488,24 +482,11 @@ impl<'a> FnLowerer<'a> {
             return;
         };
         let boxed = self.addr_taken.contains(&var);
-        let heap = boxed
-            && self
-                .analysis
-                .funcs
-                .get(&self.fid)
-                .and_then(|fg| fg.var_locs.get(&var).copied())
-                .map(|loc| self.analysis.funcs[&self.fid].graph.loc(loc).heap_alloc)
-                .unwrap_or(false);
-        let size = self
-            .types
-            .var(var)
-            .map(|t| self.types.inline_size(t))
-            .unwrap_or(8);
         self.emit(Instr::Declare {
             slot: self.slot(var),
             boxed,
-            heap,
-            size,
+            heap: boxed && boxed_on_heap(self.analysis, self.fid, var),
+            size: var_size(self.types, var),
         });
     }
 
@@ -610,7 +591,7 @@ impl<'a> FnLowerer<'a> {
             },
             ExprKind::Field { base, name } => {
                 self.lower_expr(base);
-                match self.field_target(base, name) {
+                match field_target(self.types, base, name) {
                     Ok((idx, through_ptr)) => {
                         self.emit(Instr::GetField {
                             idx: idx as u32,
@@ -807,7 +788,7 @@ impl<'a> FnLowerer<'a> {
             }
             ExprKind::Field { base, name } => {
                 self.lower_expr(base);
-                match self.field_target(base, name) {
+                match field_target(self.types, base, name) {
                     Ok((idx, true)) => {
                         self.emit(Instr::FieldSetPtr { idx: idx as u32 });
                     }
@@ -831,24 +812,41 @@ impl<'a> FnLowerer<'a> {
             }
         }
     }
+}
 
-    /// Resolves a field access statically: the field's index and whether
-    /// the base is accessed through a pointer. Errors reproduce the
-    /// tree-walk's `struct_name_of`/`field_index` messages.
-    fn field_target(&self, base: &Expr, field: &str) -> Result<(usize, bool), String> {
-        let (sname, through_ptr) = match self.types.expr(base.id) {
-            Some(Type::Named(n)) => (n.clone(), false),
-            Some(Type::Ptr(inner)) => match &**inner {
-                Type::Named(n) => (n.clone(), true),
-                _ => return Err("pointer to non-struct".into()),
-            },
-            other => return Err(format!("no struct type for base: {other:?}")),
-        };
-        let idx = self
-            .types
-            .fields_of(&sname)
-            .and_then(|fs| fs.iter().position(|(f, _)| f == field))
-            .ok_or_else(|| format!("no field {field} on {sname}"))?;
-        Ok((idx, through_ptr))
-    }
+/// Resolves a field access statically: the field's index and whether
+/// the base is accessed through a pointer.
+pub(crate) fn field_target(
+    types: &TypeInfo,
+    base: &Expr,
+    field: &str,
+) -> Result<(usize, bool), String> {
+    let (sname, through_ptr) = match types.expr(base.id) {
+        Some(Type::Named(n)) => (n, false),
+        Some(Type::Ptr(inner)) => match &**inner {
+            Type::Named(n) => (n, true),
+            _ => return Err("pointer to non-struct".into()),
+        },
+        other => return Err(format!("no struct type for base: {other:?}")),
+    };
+    let idx = types
+        .fields_of(sname)
+        .and_then(|fs| fs.iter().position(|(f, _)| f == field))
+        .ok_or_else(|| format!("no field {field} on {sname}"))?;
+    Ok((idx, through_ptr))
+}
+
+/// Whether the escape analysis put the box of address-taken variable
+/// `var` (declared in function `fid`) on the heap.
+pub(crate) fn boxed_on_heap(analysis: &Analysis, fid: FuncId, var: VarId) -> bool {
+    let Some(fg) = analysis.funcs.get(&fid) else {
+        return false;
+    };
+    let loc = fg.var_locs.get(&var);
+    loc.is_some_and(|&loc| fg.graph.loc(loc).heap_alloc)
+}
+
+/// The bytes a variable's box is accounted at.
+pub(crate) fn var_size(types: &TypeInfo, var: VarId) -> u64 {
+    types.var(var).map(|t| types.inline_size(t)).unwrap_or(8)
 }

@@ -3,17 +3,20 @@
 //! The AST is lowered once ([`lower`]) into a slot-indexed [`Module`] —
 //! flat instruction vectors with explicit jump targets, dense frame
 //! slots, and a shared constant pool — then executed by a loop-dispatch
-//! VM ([`run_module`]). Observable behaviour (program output, free
-//! counts, heap/GC metrics, virtual time) is identical to the
-//! tree-walking interpreter in [`crate::interp`]; the differential tests
-//! in the workspace enforce this across the whole workload corpus.
+//! engine ([`Bytecode`], or [`run_module`] for a one-shot `main`). The
+//! engine is control flow and operand plumbing only: every heap
+//! operation is a [`crate::machine::Machine`] call, the same one the
+//! tree-walk in [`crate::interp`] makes, so observable behaviour
+//! (program output, free counts, heap/GC metrics, virtual time) is
+//! identical across engines; the differential tests in the workspace
+//! check this across the whole workload corpus.
 
 mod exec;
 mod ir;
-mod lower;
+pub(crate) mod lower;
 mod opt;
 
-pub use exec::{run_module, BSession};
+pub use exec::{run_module, Bytecode};
 pub use ir::{BFunc, Const, Instr, Module};
 pub use lower::lower;
 pub use opt::{optimize, OptStats};
@@ -21,7 +24,7 @@ pub use opt::{optimize, OptStats};
 use minigo_escape::Analysis;
 use minigo_syntax::{Program, Resolution, TypeInfo};
 
-use crate::interp::{Result, RunOutcome, VmConfig};
+use crate::machine::{Result, RunOutcome, VmConfig};
 
 /// Lowers `program` and runs its `main` on the bytecode engine.
 ///

@@ -778,7 +778,6 @@ mod tests {
                 slot_names: vec!["a".into(), "b".into(), "c".into(), "d".into()],
                 code,
             }],
-            main: 0,
             consts,
             ic_slots: 0,
         }

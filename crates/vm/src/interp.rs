@@ -1,143 +1,34 @@
-//! The tree-walking interpreter.
+//! The tree-walking dispatcher.
 //!
-//! Executes an (optionally instrumented) MiniGo program against the
-//! simulated runtime: allocation sites honor the escape analysis'
-//! stack-or-heap decisions, inserted `tcfree` statements call into the
+//! Walks an (optionally instrumented) MiniGo AST directly. Like every
+//! engine it owns control flow only — frames, evaluation order, each
+//! node's own tick — and performs every heap operation through the
+//! [`Machine`]: allocation sites honor the escape analysis'
+//! stack-or-heap decisions, inserted `tcfree` statements reach the
 //! runtime's free primitives, and GC runs at statement boundaries
-//! (safepoints) when the pacer requests it, marking from the VM's frames.
+//! (safepoints), marking from the frames reported here. It is the
+//! simplest engine and the differential reference for the bytecode one.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use minigo_escape::{AllocPlace, Analysis, Mode};
-use minigo_runtime::{
-    Category, FreeOutcome, FreeSource, Runtime, RuntimeConfig, ShadowHeap, ShadowViolation,
-};
+use minigo_escape::{AllocPlace, Analysis};
 use minigo_syntax::{
-    BinOp, Block, Builtin, Expr, ExprKind, Func, FuncId, Program, Resolution, Stmt, StmtKind, Type,
+    BinOp, Block, Builtin, Expr, ExprKind, FuncId, Program, Resolution, Stmt, StmtKind, Type,
     TypeInfo, UnOp, VarId,
 };
 
+use crate::bytecode::lower::{boxed_on_heap, field_target, var_size, zero_value};
 use crate::error::ExecError;
 use crate::fxhash::FxHashMap;
-use crate::mark::{collect_garbage, RootSink};
-use crate::value::{Cell, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
+use crate::machine::{
+    cap_of, check_index_base, check_poison, expected_bool, int_of, itoa, len_of, reslice, value_eq,
+    with_field, Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
+};
+use crate::mark::RootSink;
+use crate::value::{Cell, ObjId, PtrVal, Value};
 
-/// Result alias for execution.
-pub type Result<T> = std::result::Result<T, ExecError>;
-
-/// VM configuration.
-#[derive(Debug, Clone)]
-pub struct VmConfig {
-    /// Runtime (allocator/GC/tcfree) configuration.
-    pub runtime: RuntimeConfig,
-    /// Abort after this many statements (runaway guard).
-    pub step_limit: u64,
-    /// Maximum call depth.
-    pub max_frames: usize,
-    /// Whether GoFree's runtime-side map-growth freeing is active
-    /// (§4.6.2's GrowMapAndFreeOld). True when running GoFree-compiled
-    /// programs.
-    pub grow_map_free_old: bool,
-    /// Batch adjacent `tcfree` statements (§5, "Possibility of Batching"):
-    /// consecutive frees share one call overhead. Off by default, as in
-    /// the paper.
-    pub batch_frees: bool,
-    /// Run the shadow-heap sanitizer: check every load, store, and free
-    /// against an out-of-band shadow of the heap and report
-    /// use-after-free / use-after-revert / untolerated-double-free
-    /// violations in [`RunOutcome::violations`]. Has no effect on the
-    /// simulation itself (no ticks, no metrics, no RNG).
-    pub sanitize: bool,
-}
-
-impl Default for VmConfig {
-    fn default() -> Self {
-        VmConfig {
-            runtime: RuntimeConfig::default(),
-            step_limit: 500_000_000,
-            max_frames: 4096,
-            grow_map_free_old: true,
-            batch_frees: false,
-            sanitize: false,
-        }
-    }
-}
-
-impl VmConfig {
-    /// Configuration matching an analysis mode: plain-Go programs do not
-    /// get the map-growth runtime optimization.
-    pub fn for_mode(mode: Mode) -> Self {
-        VmConfig {
-            grow_map_free_old: mode == Mode::GoFree,
-            ..VmConfig::default()
-        }
-    }
-}
-
-/// The result of a completed run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Everything `print` produced.
-    pub output: String,
-    /// Virtual wall-clock time (table 5 `time`).
-    pub time: u64,
-    /// Runtime metrics (table 5, 8, 9 inputs).
-    pub metrics: minigo_runtime::Metrics,
-    /// Statements executed.
-    pub steps: u64,
-    /// Per-allocation-site profile, sorted by bytes descending (the
-    /// paper's profiling-tool view of where heap memory comes from).
-    pub site_profile: Vec<SiteProfile>,
-    /// Shadow-heap sanitizer findings (empty unless
-    /// [`VmConfig::sanitize`] was on). Carried out-of-band: `output`,
-    /// `time`, `metrics`, and `steps` are bit-identical with the
-    /// sanitizer on or off.
-    pub violations: Vec<ShadowViolation>,
-    /// The typed runtime event stream (present only when
-    /// [`minigo_runtime::RuntimeConfig::trace`] was on). Carried
-    /// out-of-band like `violations`: every other report field is
-    /// bit-identical with tracing on or off, and the stream itself is
-    /// bit-identical across the two VM engines.
-    pub trace: Option<minigo_runtime::Trace>,
-    /// Which collection backend ran
-    /// ([`minigo_runtime::RuntimeConfig::collector`]).
-    pub collector: minigo_runtime::CollectorKind,
-    /// Inline-cache hits, when the bytecode engine ran an optimized
-    /// module (always 0 on the tree-walk and on unoptimized streams).
-    /// Carried out-of-band like `violations`: the caches cannot change
-    /// any other field.
-    pub ic_hits: u64,
-    /// Inline-cache misses (see `ic_hits`).
-    pub ic_misses: u64,
-    /// Optimizer-tier rewrite statistics for the module this run
-    /// executed. The VM itself leaves this `None`; the driver that
-    /// selected an optimized stream fills it in (so it is `None` on the
-    /// tree-walk and at `--opt off`).
-    pub opt: Option<crate::bytecode::OptStats>,
-    /// Liveness free-placement counters for the compiled program this
-    /// run executed. Like `opt`, the VM leaves this `None`; the driver
-    /// copies it from the compile so both engines report identically
-    /// (it is `None` in `--free-placement scope` and plain-Go runs).
-    pub placement: Option<minigo_escape::PlacementStats>,
-}
-
-/// The id type used for profile attribution (an expression id).
-pub type SiteId = minigo_syntax::ExprId;
-
-/// Heap allocation statistics for one allocation expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteProfile {
-    /// The allocation expression (make/new/&T{}/append).
-    pub site: minigo_syntax::ExprId,
-    /// Objects allocated at this site.
-    pub count: u64,
-    /// Bytes allocated at this site.
-    pub bytes: u64,
-}
-
-/// Runs `program`'s `main` function.
+/// Runs `program`'s `main` function on the tree-walk.
 ///
 /// # Errors
 ///
@@ -150,119 +41,9 @@ pub fn run(
     analysis: &Analysis,
     cfg: VmConfig,
 ) -> Result<RunOutcome> {
-    cfg.runtime.validate().map_err(ExecError::InvalidConfig)?;
-    let main = program.func("main").ok_or(ExecError::NoMain)?;
-    let mut vm = Vm::new(program, res, types, analysis, cfg);
-    vm.call_function(main.id, Vec::new())?;
-    Ok(vm.finish())
-}
-
-/// A persistent tree-walk execution session: one runtime, one heap, one
-/// virtual clock, driven through repeated function calls instead of a
-/// single `main`. The service harness uses it to execute request
-/// handlers against state that survives between calls — GC pacing,
-/// tcfree bail-outs, and heap growth accumulate across requests exactly
-/// as they would inside one long-running program.
-///
-/// Values returned by one call may be passed back into later calls; to
-/// keep them (and everything reachable from them) alive across the GC
-/// cycles in between, root them with [`Session::hold`].
-pub struct Session<'p> {
-    vm: Vm<'p>,
-}
-
-impl<'p> Session<'p> {
-    /// Creates a session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::InvalidConfig`] when the runtime
-    /// configuration fails validation.
-    pub fn new(
-        program: &'p Program,
-        res: &'p Resolution,
-        types: &'p TypeInfo,
-        analysis: &'p Analysis,
-        cfg: VmConfig,
-    ) -> Result<Self> {
-        cfg.runtime.validate().map_err(ExecError::InvalidConfig)?;
-        Ok(Session {
-            vm: Vm::new(program, res, types, analysis, cfg),
-        })
-    }
-
-    /// Calls a top-level function by name and returns its results. The
-    /// call costs exactly what the same call would cost inside a
-    /// program: both engines drive it through their ordinary call
-    /// protocol, so session runs stay bit-identical across engines.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::NoFunc`] for an unknown name; otherwise whatever the
-    /// call itself raises.
-    pub fn call(&mut self, name: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        let func = self
-            .vm
-            .program
-            .func(name)
-            .ok_or_else(|| ExecError::NoFunc(name.to_string()))?;
-        self.vm.call_function(func.id, args)
-    }
-
-    /// Roots `values` for the rest of the session: they (and everything
-    /// reachable from them) survive every GC cycle until [`Session::finish`].
-    pub fn hold(&mut self, values: Vec<Value>) {
-        self.vm.held.extend(values);
-    }
-
-    /// Elapsed virtual time.
-    pub fn now(&self) -> u64 {
-        self.vm.rt.now()
-    }
-
-    /// Advances the virtual clock to absolute time `t` (idle waiting; see
-    /// [`Runtime::idle_until`](minigo_runtime::Runtime::idle_until)).
-    pub fn idle_until(&mut self, t: u64) {
-        self.vm.rt.idle_until(t);
-    }
-
-    /// Current live heap bytes.
-    pub fn heap_live(&self) -> u64 {
-        self.vm.rt.heap_live()
-    }
-
-    /// Current page-level heap footprint in bytes.
-    pub fn footprint(&self) -> u64 {
-        self.vm.rt.footprint()
-    }
-
-    /// Every completed GC cycle's stop record so far.
-    pub fn pauses(&self) -> &[minigo_runtime::Pause] {
-        self.vm.rt.pauses()
-    }
-
-    /// Records a completed-request trace span (no-op without tracing).
-    pub fn note_request(&mut self, id: u64, arrival: u64, start: u64) {
-        self.vm.rt.trace_request(id, arrival, start);
-    }
-
-    /// Ends the session: finalizes the runtime (leftover objects count
-    /// toward the GC columns, held state included) and assembles the
-    /// same [`RunOutcome`] a one-shot [`run`] would produce.
-    pub fn finish(self) -> RunOutcome {
-        self.vm.finish()
-    }
-}
-
-/// The runtime entry point a [`FreeSource`] corresponds to (table 4) —
-/// used to label sanitizer findings.
-pub(crate) fn free_op_name(source: FreeSource) -> &'static str {
-    match source {
-        FreeSource::SliceLifetime => "FreeSlice",
-        FreeSource::MapLifetime => "FreeMap",
-        FreeSource::MapGrowOld => "GrowMapAndFreeOld",
-        FreeSource::Object => "Tcfree",
-    }
+    let mut session = Session::new(TreeWalk::new(program, res, types, analysis), cfg)?;
+    session.call_main()?;
+    Ok(session.finish())
 }
 
 enum Flow {
@@ -293,338 +74,125 @@ struct Frame {
     defers: Vec<Deferred>,
 }
 
-struct Vm<'p> {
+/// The tree-walk engine: a checked program and its frame stack.
+pub struct TreeWalk<'p> {
     program: &'p Program,
     res: &'p Resolution,
     types: &'p TypeInfo,
     analysis: &'p Analysis,
-    cfg: VmConfig,
-    rt: Runtime,
-    frames: Vec<Frame>,
     /// Address-taken variables per function (these get boxed slots).
     addr_taken: HashMap<FuncId, HashSet<VarId>>,
-    /// Per-site allocation profile: expr id -> (count, bytes).
-    site_profile: FxHashMap<minigo_syntax::ExprId, (u64, u64)>,
-    /// Interned call stacks, present when tracing: every function
-    /// entry/exit stamps the current stack id into the runtime so traced
-    /// events carry full call-stack attribution. Interning follows the
-    /// call sequence, which both engines execute identically, so stack
-    /// ids are bit-identical across engines.
-    stacks: Option<minigo_runtime::StackTable>,
-    /// The interned id of the current call stack (root when not tracing).
-    cur_stack: u32,
-    /// Set while executing the 2nd..nth statement of a `tcfree` run with
-    /// batching enabled: the call overhead was already charged.
-    in_free_batch: bool,
-    /// The shadow-heap sanitizer, present when `cfg.sanitize` is on.
-    shadow: Option<ShadowHeap>,
-    /// Session-held GC roots: values a [`Session`] keeps alive across
-    /// calls (service state returned by `setup` and passed back into
-    /// every `handle`). Always empty in one-shot [`run`] executions.
-    held: Vec<Value>,
-    output: String,
-    steps: u64,
+    frames: Vec<Frame>,
 }
 
-impl<'p> Vm<'p> {
-    fn new(
+impl<'p> TreeWalk<'p> {
+    /// An engine over `program` as the front end and the escape analysis
+    /// left it.
+    pub fn new(
         program: &'p Program,
         res: &'p Resolution,
         types: &'p TypeInfo,
         analysis: &'p Analysis,
-        cfg: VmConfig,
     ) -> Self {
-        let rt = Runtime::new(cfg.runtime.clone());
-        let shadow = cfg.sanitize.then(ShadowHeap::new);
-        let stacks = cfg.runtime.trace.then(minigo_runtime::StackTable::new);
         let mut addr_taken = HashMap::new();
         for func in &program.funcs {
             let mut set = HashSet::new();
             collect_addr_taken_block(&func.body, res, &mut set);
             addr_taken.insert(func.id, set);
         }
-        Vm {
+        TreeWalk {
             program,
             res,
             types,
             analysis,
-            cfg,
-            rt,
-            frames: Vec::new(),
             addr_taken,
-            site_profile: FxHashMap::default(),
-            stacks,
-            cur_stack: minigo_runtime::ROOT_STACK,
-            in_free_batch: false,
-            shadow,
-            held: Vec::new(),
-            output: String::new(),
-            steps: 0,
+            frames: Vec::new(),
         }
     }
+}
 
-    /// End-of-run accounting shared by [`run`] and [`Session::finish`]:
-    /// finalizes the runtime and assembles the report.
-    fn finish(mut self) -> RunOutcome {
-        self.rt.finalize();
-        let mut site_profile: Vec<SiteProfile> = self
-            .site_profile
-            .iter()
-            .map(|(&site, &(count, bytes))| SiteProfile { site, count, bytes })
-            .collect();
-        site_profile.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.site.cmp(&b.site)));
-        let violations = match self.shadow.as_mut() {
-            Some(sh) => sh.take_violations(),
-            None => Vec::new(),
-        };
-        let mut trace = self.rt.take_trace();
-        if let (Some(tr), Some(st)) = (trace.as_mut(), self.stacks.take()) {
-            // The runtime only sees interned ids; the table that resolves
-            // them lives in the VM and rides along in the trace.
-            tr.stacks = st;
-        }
-        RunOutcome {
-            output: std::mem::take(&mut self.output),
-            time: self.rt.now(),
-            metrics: self.rt.metrics().clone(),
-            steps: self.steps,
-            site_profile,
-            violations,
-            trace,
-            collector: self.rt.collector_kind(),
-            ic_hits: 0,
-            ic_misses: 0,
-            opt: None,
-            placement: None,
-        }
+impl Dispatch for TreeWalk<'_> {
+    fn call(&mut self, m: &mut Machine, name: &str, args: Vec<Value>) -> Result<Vec<Value>> {
+        let func = self
+            .program
+            .func(name)
+            .ok_or_else(|| ExecError::NoFunc(name.to_string()))?;
+        Vm { tw: self, m }.call_function(func.id, args)
     }
 
-    // ---- object accounting ----
-
-    fn new_obj(&mut self, size: u64, cat: Category) -> ObjId {
-        self.new_obj_at(size, cat, None)
-    }
-
-    fn new_obj_at(
-        &mut self,
-        size: u64,
-        cat: Category,
-        site: Option<minigo_syntax::ExprId>,
-    ) -> ObjId {
-        if let Some(site) = site {
-            let entry = self.site_profile.entry(site).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += size;
-        }
-        // The allocator may hand back a previously freed address; the
-        // fresh tag is what tells this object from the old occupant.
-        let (addr, tag) = self.rt.alloc_at(size, cat, site.map(|s| s.0));
-        let id = ObjId { tag, addr };
-        if let Some(sh) = &mut self.shadow {
-            sh.on_alloc(id.number(), addr);
-        }
-        id
-    }
-
-    /// Attempts a `tcfree` on an accounted object. Returns the outcome and
-    /// whether the payload should be poisoned.
-    fn free_obj(&mut self, obj: ObjId, source: FreeSource) -> (FreeOutcome, bool) {
-        if let Some(sh) = &mut self.shadow {
-            sh.check_free(obj.number(), free_op_name(source), self.steps);
-        }
-        if !obj.is_live(&self.rt) {
-            // Already freed or swept: tolerated double free.
-            return (
-                FreeOutcome::Bailed(minigo_runtime::BailReason::AlreadyFree),
-                false,
-            );
-        }
-        let out = if self.in_free_batch {
-            self.rt.tcfree_continue(obj.addr, source)
-        } else {
-            self.rt.tcfree(obj.addr, source)
-        };
-        match out {
-            FreeOutcome::Freed { .. } => {
-                if let Some(sh) = &mut self.shadow {
-                    sh.on_free(obj.number(), obj.addr);
-                }
-                (out, false)
-            }
-            FreeOutcome::Poisoned => (out, true),
-            FreeOutcome::Bailed(_) => (out, false),
-        }
-    }
-
-    fn place_of(&self, expr: &Expr) -> AllocPlace {
-        self.analysis.place_of(expr.id)
-    }
-
-    // ---- shadow-heap sanitizer hooks ----
-
-    /// Checks a load or store through `obj` against the shadow heap.
-    /// No-op when the sanitizer is off or the value is stack-allocated
-    /// (`obj` is `None`).
-    fn shadow_access(&mut self, obj: Option<ObjId>, op: &'static str) {
-        if let (Some(sh), Some(obj)) = (self.shadow.as_mut(), obj) {
-            sh.check_access(obj.number(), op, self.steps);
-        }
-    }
-
-    /// Checks a map operation against the shadow heap: both the hmap
-    /// header object and the current bucket array are consulted.
-    fn shadow_access_map(&mut self, m: &MapVal, op: &'static str) {
-        if self.shadow.is_some() {
-            let buckets = m.data.borrow().buckets_obj;
-            self.shadow_access(m.obj, op);
-            self.shadow_access(buckets, op);
-        }
-    }
-
-    // ---- write barrier ----
-
-    /// Write-barrier hook at the same heap store sites the shadow
-    /// sanitizer checks: tells the collector the object's payload was
-    /// mutated (the generational remembered set's input; a total no-op
-    /// under the default mark-sweep backend). Stack values (`obj` =
-    /// `None`) need no barrier. Unlike the shadow hooks this always
-    /// fires — barriers are part of the simulation, not an observer.
-    fn barrier_store(&mut self, obj: Option<ObjId>) {
-        if let Some(obj) = obj.filter(|o| o.is_live(&self.rt)) {
-            self.rt.record_store(obj.addr);
-        }
-    }
-
-    /// [`Vm::barrier_store`] for a map store: both the hmap header and
-    /// the current bucket array count as mutated.
-    fn barrier_store_map(&mut self, m: &MapVal) {
-        let buckets = m.data.borrow().buckets_obj;
-        self.barrier_store(m.obj);
-        self.barrier_store(buckets);
-    }
-
-    // ---- GC ----
-
-    fn safepoint(&mut self) -> Result<()> {
-        self.steps += 1;
-        if self.steps > self.cfg.step_limit {
-            return Err(ExecError::StepLimit);
-        }
-        self.rt.tick(1);
-        if self.rt.gc_pending() {
-            self.collect_garbage();
-        }
-        Ok(())
-    }
-
-    fn collect_garbage(&mut self) {
-        let (frames, held) = (&self.frames, &self.held);
-        collect_garbage(&mut self.rt, &mut self.shadow, |sink: &mut dyn RootSink| {
-            for frame in frames {
-                for slot in frame.slots.values() {
-                    match slot {
-                        Slot::Plain(v) => sink.value(v),
-                        Slot::Boxed(cell, obj) => sink.boxed(cell, *obj),
-                    }
-                }
-                for v in frame.defers.iter().flat_map(|d| &d.args) {
-                    sink.value(v);
+    fn roots(&self, sink: &mut dyn RootSink) {
+        for frame in &self.frames {
+            for slot in frame.slots.values() {
+                match slot {
+                    Slot::Plain(v) => sink.value(v),
+                    Slot::Boxed(cell, obj) => sink.boxed(cell, *obj),
                 }
             }
-            for v in held {
+            for v in frame.defers.iter().flat_map(|d| &d.args) {
                 sink.value(v);
             }
-        });
+        }
     }
+}
 
+/// One call in flight: the engine's frames and the machine they run on.
+struct Vm<'a, 'p> {
+    tw: &'a mut TreeWalk<'p>,
+    m: &'a mut Machine,
+}
+
+impl Vm<'_, '_> {
     // ---- calls ----
 
     fn call_function(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Vec<Value>> {
-        if self.frames.len() >= self.cfg.max_frames {
-            return Err(ExecError::StackOverflow);
-        }
-        let func = &self.program.funcs[fid.index()];
+        self.m.check_depth(self.tw.frames.len())?;
+        let func = &self.tw.program.funcs[fid.index()];
+        let (res, types) = (self.tw.res, self.tw.types);
         let mut slots = FxHashMap::default();
-        let taken = &self.addr_taken[&fid];
-        for (&pvar, arg) in self.res.params_of(fid).iter().zip(args) {
+        let taken = &self.tw.addr_taken[&fid];
+        for (&pvar, arg) in res.params_of(fid).iter().zip(args) {
             slots.insert(pvar, make_slot(arg, taken.contains(&pvar)));
         }
-        for &rvar in self.res.results_of(fid) {
-            let ty = self
-                .types
+        for &rvar in res.results_of(fid) {
+            let ty = types
                 .var(rvar)
                 .ok_or_else(|| ExecError::Internal("untyped result".into()))?;
-            let zero = self.zero_value(ty);
+            let zero = zero_value(ty, types).to_value();
             slots.insert(rvar, make_slot(zero, taken.contains(&rvar)));
         }
-        self.frames.push(Frame {
+        self.tw.frames.push(Frame {
             func: fid,
             slots,
             defers: Vec::new(),
         });
-        let parent_stack = self.enter_stack(&func.name);
+        let parent_stack = self.m.enter_stack(&func.name);
 
-        let body = &func.body;
-        let flow = self.exec_block(body);
+        let flow = self.exec_block(&func.body);
         // Run defers LIFO regardless of how the body exited; on panic the
         // defers still run before unwinding continues.
         let defer_result = self.run_defers();
-        let flow = match (flow, defer_result) {
-            (Err(e), _) => Err(e),
-            (_, Err(e)) => Err(e),
-            (Ok(f), Ok(())) => Ok(f),
-        };
-        match flow {
-            Err(e) => {
-                self.leave_stack(parent_stack);
-                self.frames.pop();
-                Err(e)
-            }
-            Ok(_) => {
-                let mut results = Vec::new();
-                for &rvar in self.res.results_of(fid) {
-                    results.push(self.read_var(rvar)?);
-                }
-                self.leave_stack(parent_stack);
-                self.frames.pop();
-                Ok(results)
-            }
-        }
-    }
-
-    /// Tracing only: interns the stack extended with `name`, stamps it
-    /// into the runtime, and returns the previous stack id for
-    /// [`Vm::leave_stack`]. A no-op returning the root id when tracing is
-    /// off.
-    fn enter_stack(&mut self, name: &str) -> u32 {
-        let parent = self.cur_stack;
-        if let Some(st) = &mut self.stacks {
-            self.cur_stack = st.push(parent, name);
-            self.rt.set_stack(self.cur_stack);
-        }
-        parent
-    }
-
-    /// Tracing only: restores the caller's stack id on function exit.
-    fn leave_stack(&mut self, parent: u32) {
-        if self.stacks.is_some() {
-            self.cur_stack = parent;
-            self.rt.set_stack(parent);
-        }
+        // Read the results, then pop, then propagate: no failure may
+        // leave the frame behind (a root set and a `max_frames` unit for
+        // the rest of a session).
+        let results = flow.and(defer_result).and_then(|_| {
+            let vars = res.results_of(fid).iter();
+            vars.map(|&rvar| self.read_var(rvar)).collect()
+        });
+        self.m.leave_stack(parent_stack);
+        self.tw.frames.pop();
+        results
     }
 
     fn run_defers(&mut self) -> Result<()> {
         loop {
-            let Some(d) = self.frames.last_mut().and_then(|f| f.defers.pop()) else {
+            let Some(d) = self.tw.frames.last_mut().and_then(|f| f.defers.pop()) else {
                 return Ok(());
             };
             match d.kind {
                 DeferKind::Func(fid) => {
                     self.call_function(fid, d.args)?;
                 }
-                DeferKind::Builtin(Builtin::Print) => {
-                    self.do_print(&d.args);
-                }
+                DeferKind::Builtin(Builtin::Print) => self.m.print(&d.args),
                 DeferKind::Builtin(_) => {}
             }
         }
@@ -634,32 +202,17 @@ impl<'p> Vm<'p> {
     /// charging heap accounting when the analysis decided its storage
     /// escapes.
     fn declare_var(&mut self, var: VarId, value: Value) {
-        let fid = self.frames.last().expect("in a frame").func;
-        let boxed = self.addr_taken[&fid].contains(&var);
-        let slot = if boxed {
-            let heap = self
-                .analysis
-                .funcs
-                .get(&fid)
-                .and_then(|fg| fg.var_locs.get(&var).copied())
-                .map(|loc| self.analysis.funcs[&fid].graph.loc(loc).heap_alloc)
-                .unwrap_or(false);
-            let obj = if heap {
-                let size = self
-                    .types
-                    .var(var)
-                    .map(|t| self.types.inline_size(t))
-                    .unwrap_or(8);
-                Some(self.new_obj(size, Category::Other))
-            } else {
-                self.rt.stack_alloc(Category::Other);
-                None
-            };
-            Slot::Boxed(Rc::new(RefCell::new(value)), obj)
+        let fid = self.tw.frames.last().expect("in a frame").func;
+        let slot = if self.tw.addr_taken[&fid].contains(&var) {
+            let heap = boxed_on_heap(self.tw.analysis, fid, var);
+            let size = var_size(self.tw.types, var);
+            let PtrVal { cell, obj } = self.m.alloc_box(value, heap, size, None);
+            Slot::Boxed(cell, obj)
         } else {
             Slot::Plain(value)
         };
-        self.frames
+        self.tw
+            .frames
             .last_mut()
             .expect("in a frame")
             .slots
@@ -667,7 +220,7 @@ impl<'p> Vm<'p> {
     }
 
     fn read_var(&self, var: VarId) -> Result<Value> {
-        for frame in self.frames.iter().rev() {
+        for frame in self.tw.frames.iter().rev() {
             if let Some(slot) = frame.slots.get(&var) {
                 let v = match slot {
                     Slot::Plain(v) => v.clone(),
@@ -678,12 +231,12 @@ impl<'p> Vm<'p> {
         }
         Err(ExecError::Internal(format!(
             "variable {} not found in any frame",
-            self.res.var(var).name
+            self.tw.res.var(var).name
         )))
     }
 
     fn write_var(&mut self, var: VarId, value: Value) -> Result<()> {
-        for frame in self.frames.iter_mut().rev() {
+        for frame in self.tw.frames.iter_mut().rev() {
             if let Some(slot) = frame.slots.get_mut(&var) {
                 match slot {
                     Slot::Plain(v) => *v = value,
@@ -695,18 +248,20 @@ impl<'p> Vm<'p> {
         Err(ExecError::Internal("write to undeclared variable".into()))
     }
 
+    fn on_heap(&self, e: &Expr) -> bool {
+        self.tw.analysis.place_of(e.id) == AllocPlace::Heap
+    }
+
     // ---- statements ----
 
     fn exec_block(&mut self, block: &Block) -> Result<Flow> {
         let mut prev_was_free = false;
         for stmt in &block.stmts {
-            self.safepoint()?;
+            self.m.safepoint(&*self.tw)?;
             let is_free = matches!(stmt.kind, StmtKind::Free { .. });
-            self.in_free_batch = self.cfg.batch_frees && is_free && prev_was_free;
-            let flow = self.exec_stmt(stmt);
-            self.in_free_batch = false;
+            let flow = self.exec_stmt(stmt, is_free && prev_was_free)?;
             prev_was_free = is_free;
-            match flow? {
+            match flow {
                 Flow::Normal => {}
                 other => return Ok(other),
             }
@@ -714,11 +269,13 @@ impl<'p> Vm<'p> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt) -> Result<Flow> {
+    /// Executes one statement; `follows_free` marks a `tcfree` directly
+    /// after another in the same block (§5 batching).
+    fn exec_stmt(&mut self, stmt: &Stmt, follows_free: bool) -> Result<Flow> {
         match &stmt.kind {
             StmtKind::VarDecl { names, ty, init } => {
                 let values = if init.is_empty() {
-                    vec![self.zero_value(ty); names.len()]
+                    vec![zero_value(ty, self.tw.types).to_value(); names.len()]
                 } else if init.len() == 1 && names.len() > 1 {
                     self.eval_multi(&init[0], names.len())?
                 } else {
@@ -726,6 +283,7 @@ impl<'p> Vm<'p> {
                 };
                 for (i, v) in values.into_iter().enumerate() {
                     let var = self
+                        .tw
                         .res
                         .decl_of(stmt.id, i)
                         .ok_or_else(|| ExecError::Internal("unresolved decl".into()))?;
@@ -741,6 +299,7 @@ impl<'p> Vm<'p> {
                 };
                 for (i, v) in values.into_iter().enumerate() {
                     let var = self
+                        .tw
                         .res
                         .decl_of(stmt.id, i)
                         .ok_or_else(|| ExecError::Internal("unresolved decl".into()))?;
@@ -752,7 +311,7 @@ impl<'p> Vm<'p> {
                 if let Some(op) = op {
                     let old = self.eval(&lhs[0])?;
                     let rv = self.eval(&rhs[0])?;
-                    let new = binop(&mut self.rt, *op, &old, &rv)?;
+                    let new = self.m.binop(*op, &old, &rv)?;
                     self.store(&lhs[0], new)?;
                     return Ok(Flow::Normal);
                 }
@@ -770,7 +329,7 @@ impl<'p> Vm<'p> {
                 if self.eval_bool(cond)? {
                     self.exec_block(then)
                 } else if let Some(els) = els {
-                    self.exec_stmt(els)
+                    self.exec_stmt(els, false)
                 } else {
                     Ok(Flow::Normal)
                 }
@@ -782,7 +341,7 @@ impl<'p> Vm<'p> {
                 body,
             } => {
                 if let Some(init) = init {
-                    self.exec_stmt(init)?;
+                    self.exec_stmt(init, false)?;
                 }
                 loop {
                     if let Some(cond) = cond {
@@ -796,15 +355,15 @@ impl<'p> Vm<'p> {
                         Flow::Normal | Flow::Continue => {}
                     }
                     if let Some(post) = post {
-                        self.exec_stmt(post)?;
+                        self.exec_stmt(post, false)?;
                     }
-                    self.safepoint()?;
+                    self.m.safepoint(&*self.tw)?;
                 }
                 Ok(Flow::Normal)
             }
             StmtKind::Return { exprs } => {
-                let fid = self.frames.last().expect("in a frame").func;
-                let results = self.res.results_of(fid).to_vec();
+                let fid = self.tw.frames.last().expect("in a frame").func;
+                let results = self.tw.res.results_of(fid).to_vec();
                 if !exprs.is_empty() {
                     let values = if exprs.len() == 1 && results.len() > 1 {
                         self.eval_multi(&exprs[0], results.len())?
@@ -826,6 +385,7 @@ impl<'p> Vm<'p> {
                 let (kind, args) = match &call.kind {
                     ExprKind::Call { callee, args } => {
                         let fid = self
+                            .tw
                             .res
                             .func_by_name(callee)
                             .ok_or_else(|| ExecError::Internal("unknown callee".into()))?;
@@ -838,7 +398,8 @@ impl<'p> Vm<'p> {
                     .iter()
                     .map(|a| self.eval(a))
                     .collect::<Result<Vec<_>>>()?;
-                self.frames
+                self.tw
+                    .frames
                     .last_mut()
                     .expect("in a frame")
                     .defers
@@ -876,62 +437,10 @@ impl<'p> Vm<'p> {
             StmtKind::Continue => Ok(Flow::Continue),
             StmtKind::Free { target, .. } => {
                 let v = self.eval(target)?;
-                self.exec_tcfree(v)?;
+                self.m.exec_tcfree(v, follows_free);
                 Ok(Flow::Normal)
             }
         }
-    }
-
-    /// Executes a `tcfree` statement: dispatches to TcfreeSlice /
-    /// TcfreeMap / Tcfree on the runtime value (table 4).
-    fn exec_tcfree(&mut self, v: Value) -> Result<()> {
-        match v {
-            Value::Slice(s) => {
-                if let Some(obj) = s.obj {
-                    let (_, poison) = self.free_obj(obj, FreeSource::SliceLifetime);
-                    if poison {
-                        let mut cells = s.cells.borrow_mut();
-                        for c in cells.iter_mut() {
-                            *c = Value::Poison;
-                        }
-                    }
-                }
-            }
-            Value::Map(m) => {
-                let buckets = m.data.borrow().buckets_obj;
-                let mut poisoned = false;
-                if let Some(b) = buckets {
-                    let (out, poison) = self.free_obj(b, FreeSource::MapLifetime);
-                    poisoned |= poison;
-                    if matches!(out, FreeOutcome::Freed { .. }) {
-                        m.data.borrow_mut().buckets_obj = None;
-                    }
-                }
-                if let Some(h) = m.obj {
-                    let (_, poison) = self.free_obj(h, FreeSource::MapLifetime);
-                    poisoned |= poison;
-                }
-                if poisoned {
-                    let mut data = m.data.borrow_mut();
-                    data.poisoned = true;
-                    for (_, v) in data.entries.iter_mut() {
-                        *v = Value::Poison;
-                    }
-                }
-            }
-            Value::Ptr(p) => {
-                if let Some(obj) = p.obj {
-                    let (_, poison) = self.free_obj(obj, FreeSource::Object);
-                    if poison {
-                        *p.cell.borrow_mut() = Value::Poison;
-                    }
-                }
-            }
-            // tcfree ignores nil and non-reference values (§4.3: calls on
-            // stack objects are safe no-ops).
-            _ => {}
-        }
-        Ok(())
     }
 
     // ---- expressions ----
@@ -939,21 +448,12 @@ impl<'p> Vm<'p> {
     fn eval_bool(&mut self, e: &Expr) -> Result<bool> {
         match self.eval(e)? {
             Value::Bool(b) => Ok(b),
-            other => Err(ExecError::Internal(format!(
-                "expected bool, got {}",
-                other.display()
-            ))),
+            other => Err(expected_bool(&other)),
         }
     }
 
     fn eval_int(&mut self, e: &Expr) -> Result<i64> {
-        match self.eval(e)? {
-            Value::Int(v) => Ok(v),
-            other => Err(ExecError::Internal(format!(
-                "expected int, got {}",
-                other.display()
-            ))),
-        }
+        int_of(&self.eval(e)?)
     }
 
     /// Evaluates an expression that may yield multiple values (a call in
@@ -962,6 +462,7 @@ impl<'p> Vm<'p> {
     fn eval_multi(&mut self, e: &Expr, want: usize) -> Result<Vec<Value>> {
         if let ExprKind::Call { callee, args } = &e.kind {
             let fid = self
+                .tw
                 .res
                 .func_by_name(callee)
                 .ok_or_else(|| ExecError::Internal("unknown callee".into()))?;
@@ -973,9 +474,9 @@ impl<'p> Vm<'p> {
             // here, after the arguments (the bytecode `Call` instruction's
             // `value_pos` extra).
             if want == 1 {
-                self.rt.tick(1);
+                self.m.tick(1);
             }
-            self.rt.tick(2);
+            self.m.tick(2);
             let out = self.call_function(fid, argv)?;
             if want != usize::MAX && out.len() != want {
                 return Err(ExecError::Internal("result arity mismatch".into()));
@@ -993,24 +494,25 @@ impl<'p> Vm<'p> {
     fn eval(&mut self, e: &Expr) -> Result<Value> {
         match &e.kind {
             ExprKind::IntLit(v) => {
-                self.rt.tick(1);
+                self.m.tick(1);
                 Ok(Value::Int(*v))
             }
             ExprKind::BoolLit(b) => {
-                self.rt.tick(1);
+                self.m.tick(1);
                 Ok(Value::Bool(*b))
             }
             ExprKind::StrLit(s) => {
-                self.rt.tick(1);
+                self.m.tick(1);
                 Ok(Value::Str(Rc::from(s.as_str())))
             }
             ExprKind::Nil => {
-                self.rt.tick(1);
+                self.m.tick(1);
                 Ok(Value::Nil)
             }
             ExprKind::Ident(_) => {
-                self.rt.tick(1);
+                self.m.tick(1);
                 let var = self
+                    .tw
                     .res
                     .def_of(e.id)
                     .ok_or_else(|| ExecError::Internal("unresolved ident".into()))?;
@@ -1019,40 +521,33 @@ impl<'p> Vm<'p> {
             ExprKind::Unary { op, operand } => match op {
                 UnOp::Neg => {
                     let v = self.eval_int(operand)?;
-                    self.rt.tick(1);
+                    self.m.tick(1);
                     Ok(Value::Int(v.wrapping_neg()))
                 }
                 UnOp::Not => {
                     let v = self.eval_bool(operand)?;
-                    self.rt.tick(1);
+                    self.m.tick(1);
                     Ok(Value::Bool(!v))
                 }
                 UnOp::Addr => self.addr_of(operand),
                 UnOp::Deref => {
                     let v = self.eval(operand)?;
-                    self.rt.tick(1);
-                    match v {
-                        Value::Ptr(p) => {
-                            self.shadow_access(p.obj, "pointer deref read");
-                            check_poison(p.cell.borrow().clone())
-                        }
-                        Value::Nil => Err(ExecError::NilDeref),
-                        _ => Err(ExecError::Internal("deref of non-pointer".into())),
-                    }
+                    self.m.tick(1);
+                    self.m.deref(&v)
                 }
             },
             ExprKind::Binary { op, lhs, rhs } => match op {
                 // Short-circuit operators charge up front (the lowering
                 // emits their tick before the left operand).
                 BinOp::And => {
-                    self.rt.tick(1);
+                    self.m.tick(1);
                     if !self.eval_bool(lhs)? {
                         return Ok(Value::Bool(false));
                     }
                     Ok(Value::Bool(self.eval_bool(rhs)?))
                 }
                 BinOp::Or => {
-                    self.rt.tick(1);
+                    self.m.tick(1);
                     if self.eval_bool(lhs)? {
                         return Ok(Value::Bool(true));
                     }
@@ -1061,94 +556,36 @@ impl<'p> Vm<'p> {
                 _ => {
                     let l = self.eval(lhs)?;
                     let r = self.eval(rhs)?;
-                    self.rt.tick(1);
-                    binop(&mut self.rt, *op, &l, &r)
+                    self.m.tick(1);
+                    self.m.binop(*op, &l, &r)
                 }
             },
             ExprKind::Field { base, name } => {
                 let bv = self.eval(base)?;
-                self.rt.tick(1);
-                if let Value::Ptr(p) = &bv {
-                    self.shadow_access(p.obj, "field read");
-                }
-                let (sv, sname) = self.auto_deref_struct(bv, base)?;
-                let idx = self.field_index(&sname, name)?;
-                check_poison(sv[idx].clone())
+                let (idx, through_ptr) =
+                    field_target(self.tw.types, base, name).map_err(ExecError::Internal)?;
+                self.m.tick(1);
+                self.m.get_field(&bv, idx, through_ptr)
             }
             ExprKind::Index { base, index } => {
                 let bv = self.eval(base)?;
-                match bv {
-                    Value::Slice(s) => {
-                        let i = self.eval_int(index)?;
-                        self.rt.tick(1);
-                        if i < 0 || i as usize >= s.len {
-                            return Err(ExecError::OutOfBounds {
-                                index: i,
-                                len: s.len,
-                            });
-                        }
-                        self.shadow_access(s.obj, "slice index read");
-                        check_poison(s.cells.borrow()[s.offset + i as usize].clone())
-                    }
-                    Value::Map(m) => {
-                        let kv = self.eval(index)?;
-                        self.rt.tick(1);
-                        let key = kv
-                            .as_key()
-                            .ok_or_else(|| ExecError::Internal("bad map key".into()))?;
-                        self.rt.tick(2);
-                        self.shadow_access_map(&m, "map lookup");
-                        let data = m.data.borrow();
-                        if data.poisoned {
-                            return Err(ExecError::PoisonedRead);
-                        }
-                        match data.get(&key) {
-                            Some(v) => check_poison(v.clone()),
-                            None => Ok(data.default.clone()),
-                        }
-                    }
-                    Value::Nil => Err(ExecError::NilDeref),
-                    _ => Err(ExecError::Internal("index of non-indexable".into())),
-                }
+                check_index_base(&bv)?;
+                let iv = self.eval(index)?;
+                self.m.tick(1);
+                self.m.index_get(&bv, &iv, None)
             }
             ExprKind::SliceExpr { base, lo, hi } => {
                 let bv = self.eval(base)?;
-                let lo_v = match lo {
+                let lo = match lo {
                     Some(e) => self.eval_int(e)?,
                     None => 0,
                 };
-                let hi_raw = match hi {
+                let hi = match hi {
                     Some(e) => Some(self.eval_int(e)?),
                     None => None,
                 };
-                self.rt.tick(1);
-                match bv {
-                    Value::Slice(s) => {
-                        let hi_v = hi_raw.unwrap_or(s.len as i64);
-                        // Go allows the high bound up to cap(s).
-                        if lo_v < 0 || hi_v < lo_v || hi_v as usize > s.cap() {
-                            return Err(ExecError::OutOfBounds {
-                                index: hi_v,
-                                len: s.cap(),
-                            });
-                        }
-                        Ok(Value::slice(SliceVal {
-                            cells: s.cells.clone(),
-                            obj: s.obj,
-                            offset: s.offset + lo_v as usize,
-                            len: (hi_v - lo_v) as usize,
-                            elem_size: s.elem_size,
-                        }))
-                    }
-                    Value::Nil => {
-                        if lo_v == 0 && hi_raw.unwrap_or(0) == 0 {
-                            Ok(Value::Nil)
-                        } else {
-                            Err(ExecError::NilDeref)
-                        }
-                    }
-                    _ => Err(ExecError::Internal("reslice of non-slice".into())),
-                }
+                self.m.tick(1);
+                reslice(&bv, lo, hi)
             }
             ExprKind::Call { .. } => {
                 let mut out = self.eval_multi(e, 1)?;
@@ -1159,13 +596,12 @@ impl<'p> Vm<'p> {
                 ty_args,
                 args,
             } => self.builtin(e, *kind, ty_args, args),
-            ExprKind::StructLit { name, fields } => {
+            ExprKind::StructLit { fields, .. } => {
                 let mut values = Vec::with_capacity(fields.len());
                 for f in fields {
                     values.push(self.eval(f)?);
                 }
-                self.rt.tick(1);
-                let _ = name;
+                self.m.tick(1);
                 Ok(Value::struct_of(values))
             }
         }
@@ -1174,12 +610,13 @@ impl<'p> Vm<'p> {
     fn addr_of(&mut self, operand: &Expr) -> Result<Value> {
         match &operand.kind {
             ExprKind::Ident(_) => {
-                self.rt.tick(1);
+                self.m.tick(1);
                 let var = self
+                    .tw
                     .res
                     .def_of(operand.id)
                     .ok_or_else(|| ExecError::Internal("unresolved ident".into()))?;
-                for frame in self.frames.iter().rev() {
+                for frame in self.tw.frames.iter().rev() {
                     if let Some(slot) = frame.slots.get(&var) {
                         return match slot {
                             Slot::Boxed(cell, obj) => Ok(Value::ptr(PtrVal {
@@ -1188,7 +625,7 @@ impl<'p> Vm<'p> {
                             })),
                             Slot::Plain(_) => Err(ExecError::Internal(format!(
                                 "address taken of unboxed variable {}",
-                                self.res.var(var).name
+                                self.tw.res.var(var).name
                             ))),
                         };
                     }
@@ -1197,23 +634,17 @@ impl<'p> Vm<'p> {
             }
             ExprKind::StructLit { .. } => {
                 let v = self.eval(operand)?;
-                self.rt.tick(1);
-                let place = self.place_of(operand);
-                let obj = if place == AllocPlace::Heap {
-                    let size = self
-                        .types
-                        .expr(operand.id)
-                        .map(|t| self.types.inline_size(t))
-                        .unwrap_or(8);
-                    Some(self.new_obj_at(size, Category::Other, Some(operand.id)))
-                } else {
-                    self.rt.stack_alloc(Category::Other);
-                    None
-                };
-                Ok(Value::ptr(PtrVal {
-                    cell: Rc::new(RefCell::new(v)),
-                    obj,
-                }))
+                self.m.tick(1);
+                let types = self.tw.types;
+                let size = types.expr(operand.id).map(|t| types.inline_size(t));
+                let heap = self.on_heap(operand);
+                let site = Some(operand.id);
+                Ok(Value::ptr(self.m.alloc_box(
+                    v,
+                    heap,
+                    size.unwrap_or(8),
+                    site,
+                )))
             }
             ExprKind::Unary {
                 op: UnOp::Deref,
@@ -1221,7 +652,7 @@ impl<'p> Vm<'p> {
             } => {
                 // `&*p` evaluates to `p`; the `&` node still ticks (the
                 // lowering emits its tick ahead of the inner expression).
-                self.rt.tick(1);
+                self.m.tick(1);
                 self.eval(inner)
             }
             other => Err(ExecError::Unsupported(format!(
@@ -1237,95 +668,65 @@ impl<'p> Vm<'p> {
         ty_args: &[Type],
         args: &[Expr],
     ) -> Result<Value> {
+        let types = self.tw.types;
         match kind {
-            Builtin::Make => {
-                let ty = &ty_args[0];
-                match ty {
-                    Type::Slice(elem) => {
-                        let len = self.eval_int(&args[0])?.max(0) as usize;
-                        let cap = if args.len() > 1 {
-                            (self.eval_int(&args[1])?.max(0) as usize).max(len)
-                        } else {
-                            len
-                        };
-                        self.rt.tick(1);
-                        let elem_size = self.types.inline_size(elem);
-                        let zero = self.zero_value(elem);
-                        self.make_slice(e, len, cap, elem_size, zero)
-                    }
-                    Type::Map(_, v) => {
-                        self.rt.tick(1);
-                        let default = self.zero_value(v);
-                        let entry_size = 16 + self.types.inline_size(v);
-                        self.make_map(e, default, entry_size)
-                    }
-                    _ => Err(ExecError::Internal("make of bad type".into())),
+            Builtin::Make => match &ty_args[0] {
+                Type::Slice(elem) => {
+                    let len = self.eval_int(&args[0])?;
+                    let cap = match args.get(1) {
+                        Some(a) => Some(self.eval_int(a)?),
+                        None => None,
+                    };
+                    self.m.tick(1);
+                    let zero = zero_value(elem, types).to_value();
+                    let (elem_size, heap) = (types.inline_size(elem), self.on_heap(e));
+                    Ok(self.m.make_slice(len, cap, elem_size, zero, heap, e.id))
                 }
-            }
+                Type::Map(_, v) => {
+                    self.m.tick(1);
+                    let default = zero_value(v, types).to_value();
+                    let (entry_size, heap) = (16 + types.inline_size(v), self.on_heap(e));
+                    Ok(self.m.make_map(default, entry_size, heap, e.id))
+                }
+                _ => Err(ExecError::Internal("make of bad type".into())),
+            },
             Builtin::New => {
-                self.rt.tick(1);
+                self.m.tick(1);
                 let ty = &ty_args[0];
-                let zero = self.zero_value(ty);
-                let place = self.place_of(e);
-                let obj = if place == AllocPlace::Heap {
-                    let size = self.types.inline_size(ty);
-                    Some(self.new_obj_at(size, Category::Other, Some(e.id)))
-                } else {
-                    self.rt.stack_alloc(Category::Other);
-                    None
-                };
-                Ok(Value::ptr(PtrVal {
-                    cell: Rc::new(RefCell::new(zero)),
-                    obj,
-                }))
+                let zero = zero_value(ty, types).to_value();
+                let (size, heap) = (types.inline_size(ty), self.on_heap(e));
+                Ok(Value::ptr(self.m.alloc_box(zero, heap, size, Some(e.id))))
             }
             Builtin::Append => {
                 let sv = self.eval(&args[0])?;
                 let item = self.eval(&args[1])?;
-                self.rt.tick(1);
-                let elem_size = match self.types.expr(args[0].id) {
-                    Some(Type::Slice(elem)) => self.types.inline_size(elem),
+                self.m.tick(1);
+                let elem_size = match types.expr(args[0].id) {
+                    Some(Type::Slice(elem)) => types.inline_size(elem),
                     _ => 8,
                 };
-                self.append(sv, item, elem_size, e.id)
+                self.m.append(sv, item, elem_size, e.id)
             }
             Builtin::Len => {
                 let v = self.eval(&args[0])?;
-                self.rt.tick(1);
-                match v {
-                    Value::Slice(s) => Ok(Value::Int(s.len as i64)),
-                    Value::Map(m) => Ok(Value::Int(m.data.borrow().len() as i64)),
-                    Value::Str(s) => Ok(Value::Int(s.len() as i64)),
-                    Value::Nil => Ok(Value::Int(0)),
-                    _ => Err(ExecError::Internal("len of bad value".into())),
-                }
+                self.m.tick(1);
+                len_of(&v)
             }
             Builtin::Cap => {
                 let v = self.eval(&args[0])?;
-                self.rt.tick(1);
-                match v {
-                    Value::Slice(s) => Ok(Value::Int(s.cap() as i64)),
-                    Value::Nil => Ok(Value::Int(0)),
-                    _ => Err(ExecError::Internal("cap of bad value".into())),
-                }
+                self.m.tick(1);
+                cap_of(&v)
             }
             Builtin::Delete => {
                 let mv = self.eval(&args[0])?;
                 let kv = self.eval(&args[1])?;
-                self.rt.tick(1);
-                if let Value::Map(m) = mv {
-                    let key = kv
-                        .as_key()
-                        .ok_or_else(|| ExecError::Internal("bad map key".into()))?;
-                    self.rt.tick(2);
-                    self.shadow_access_map(&m, "map delete");
-                    m.data.borrow_mut().remove(&key);
-                }
+                self.m.tick(1);
+                self.m.map_delete(&mv, &kv)?;
                 Ok(Value::Int(0))
             }
             Builtin::Panic => {
                 let v = self.eval(&args[0])?;
-                self.rt.tick(1);
+                self.m.tick(1);
                 Err(ExecError::Panic(v.display()))
             }
             Builtin::Print => {
@@ -1333,175 +734,16 @@ impl<'p> Vm<'p> {
                     .iter()
                     .map(|a| self.eval(a))
                     .collect::<Result<Vec<_>>>()?;
-                self.rt.tick(1);
-                self.do_print(&values);
+                self.m.tick(1);
+                self.m.print(&values);
                 Ok(Value::Int(0))
             }
             Builtin::Itoa => {
                 let v = self.eval_int(&args[0])?;
-                self.rt.tick(1);
-                Ok(Value::Str(Rc::from(v.to_string().as_str())))
+                self.m.tick(1);
+                Ok(itoa(v))
             }
         }
-    }
-
-    fn do_print(&mut self, values: &[Value]) {
-        let line: Vec<String> = values.iter().map(Value::display).collect();
-        self.output.push_str(&line.join(" "));
-        self.output.push('\n');
-    }
-
-    fn make_slice(
-        &mut self,
-        site: &Expr,
-        len: usize,
-        cap: usize,
-        elem_size: u64,
-        zero: Value,
-    ) -> Result<Value> {
-        let cap = cap.max(1);
-        let place = self.place_of(site);
-        let obj = if place == AllocPlace::Heap {
-            Some(self.new_obj_at(
-                (cap as u64 * elem_size).max(8),
-                Category::Slice,
-                Some(site.id),
-            ))
-        } else {
-            self.rt.stack_alloc(Category::Slice);
-            None
-        };
-        Ok(Value::slice(SliceVal {
-            cells: Rc::new(RefCell::new(vec![zero; cap])),
-            obj,
-            offset: 0,
-            len,
-            elem_size,
-        }))
-    }
-
-    fn make_map(&mut self, site: &Expr, default: Value, entry_size: u64) -> Result<Value> {
-        let place = self.place_of(site);
-        let obj = if place == AllocPlace::Heap {
-            Some(self.new_obj_at(minigo_escape::MAP_BASE_BYTES, Category::Map, Some(site.id)))
-        } else {
-            self.rt.stack_alloc(Category::Map);
-            None
-        };
-        Ok(Value::map(MapVal {
-            data: Rc::new(RefCell::new(MapData {
-                entries: Vec::new(),
-                index: FxHashMap::default(),
-                buckets_obj: None,
-                bucket_cap: 8,
-                default,
-                entry_size,
-                origin: Some(site.id),
-                poisoned: false,
-            })),
-            obj,
-        }))
-    }
-
-    fn append(
-        &mut self,
-        sv: Value,
-        item: Value,
-        elem_size: u64,
-        site: minigo_syntax::ExprId,
-    ) -> Result<Value> {
-        self.rt.tick(2);
-        match sv {
-            Value::Nil => {
-                // Appending to a nil slice allocates a fresh heap array
-                // (runtime-managed, §4.6.1).
-                let cap = 8;
-                let obj = self.new_obj_at(cap as u64 * elem_size, Category::Slice, Some(site));
-                let mut cells = vec![item];
-                cells.resize(cap, Value::Int(0));
-                Ok(Value::slice(SliceVal {
-                    cells: Rc::new(RefCell::new(cells)),
-                    obj: Some(obj),
-                    offset: 0,
-                    len: 1,
-                    elem_size,
-                }))
-            }
-            Value::Slice(mut s) => {
-                self.shadow_access(s.obj, "append");
-                if s.len < s.cap() {
-                    let at = s.offset + s.len;
-                    s.cells.borrow_mut()[at] = item;
-                    Rc::make_mut(&mut s).len += 1;
-                    Ok(Value::Slice(s))
-                } else {
-                    // Grow: a fresh heap array; the old one is left to GC
-                    // (other slices may still reference it).
-                    let new_cap = (s.cap() * 2).max(8);
-                    let obj =
-                        self.new_obj_at(new_cap as u64 * elem_size, Category::Slice, Some(site));
-                    let mut cells: Vec<Value> =
-                        s.cells.borrow()[s.offset..s.offset + s.len].to_vec();
-                    cells.push(item);
-                    cells.resize(new_cap, Value::Int(0));
-                    Ok(Value::slice(SliceVal {
-                        cells: Rc::new(RefCell::new(cells)),
-                        obj: Some(obj),
-                        offset: 0,
-                        len: s.len + 1,
-                        elem_size,
-                    }))
-                }
-            }
-            _ => Err(ExecError::Internal("append to non-slice".into())),
-        }
-    }
-
-    fn map_insert(&mut self, m: &MapVal, key: Key, value: Value) -> Result<()> {
-        self.rt.tick(3);
-        self.shadow_access_map(m, "map insert");
-        self.barrier_store_map(m);
-        let (is_new, needs_growth) = {
-            let data = m.data.borrow();
-            if data.poisoned {
-                return Err(ExecError::PoisonedRead);
-            }
-            let is_new = data.get(&key).is_none();
-            (is_new, is_new && data.len() + 1 > data.bucket_cap)
-        };
-        if needs_growth {
-            // §4.6.2: the map grows; the old bucket array is exclusively
-            // owned and (under GoFree) explicitly freed.
-            let (old, new_cap, entry_size, origin) = {
-                let mut data = m.data.borrow_mut();
-                let new_cap = data.bucket_cap * 2;
-                data.bucket_cap = new_cap;
-                (
-                    data.buckets_obj.take(),
-                    new_cap,
-                    data.entry_size,
-                    data.origin,
-                )
-            };
-            let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
-            m.data.borrow_mut().buckets_obj = Some(new_obj);
-            if let Some(old) = old {
-                if self.cfg.grow_map_free_old {
-                    let (_, poison) = self.free_obj(old, FreeSource::MapGrowOld);
-                    if poison {
-                        // Poisoning old buckets corrupts nothing the map
-                        // still uses: entries were evacuated. Nothing to do.
-                    }
-                } else {
-                    // Plain Go: the old buckets become garbage for GC; we
-                    // simply drop the strong reference.
-                    let _ = old;
-                }
-            }
-        }
-        let _ = is_new;
-        m.data.borrow_mut().insert(key, value);
-        Ok(())
     }
 
     // ---- lvalue stores ----
@@ -1510,6 +752,7 @@ impl<'p> Vm<'p> {
         match &lv.kind {
             ExprKind::Ident(_) => {
                 let var = self
+                    .tw
                     .res
                     .def_of(lv.id)
                     .ok_or_else(|| ExecError::Internal("unresolved ident".into()))?;
@@ -1518,242 +761,39 @@ impl<'p> Vm<'p> {
             ExprKind::Unary {
                 op: UnOp::Deref,
                 operand,
-            } => match self.eval(operand)? {
-                Value::Ptr(p) => {
-                    self.shadow_access(p.obj, "pointer deref write");
-                    self.barrier_store(p.obj);
-                    *p.cell.borrow_mut() = value;
-                    Ok(())
-                }
-                Value::Nil => Err(ExecError::NilDeref),
-                _ => Err(ExecError::Internal("store through non-pointer".into())),
-            },
+            } => {
+                let p = self.eval(operand)?;
+                self.m.deref_set(&p, value)
+            }
             ExprKind::Field { base, name } => {
                 let bv = self.eval(base)?;
-                match bv {
-                    Value::Ptr(p) => {
-                        // Through-pointer store: mutate in place.
-                        self.shadow_access(p.obj, "field write");
-                        self.barrier_store(p.obj);
-                        let sname = self.struct_name_of(base, true)?;
-                        let idx = self.field_index(&sname, name)?;
-                        let mut target = p.cell.borrow_mut();
-                        match &mut *target {
-                            Value::Struct(fields) => {
-                                Rc::make_mut(fields)[idx] = value;
-                                Ok(())
-                            }
-                            Value::Poison => Err(ExecError::PoisonedRead),
-                            _ => Err(ExecError::Internal("field store on non-struct".into())),
-                        }
-                    }
-                    Value::Struct(mut fields) => {
-                        // Value semantics: copy, modify, write back.
-                        let sname = self.struct_name_of(base, false)?;
-                        let idx = self.field_index(&sname, name)?;
-                        Rc::make_mut(&mut fields)[idx] = value;
-                        self.store(base, Value::Struct(fields))
-                    }
-                    Value::Nil => Err(ExecError::NilDeref),
-                    Value::Poison => Err(ExecError::PoisonedRead),
-                    _ => Err(ExecError::Internal("field store on non-struct".into())),
+                let (idx, through_ptr) =
+                    field_target(self.tw.types, base, name).map_err(ExecError::Internal)?;
+                if through_ptr {
+                    self.m.field_set_ptr(&bv, idx, value)
+                } else {
+                    // Value semantics: copy, modify, write back.
+                    let updated = with_field(bv, idx, value)?;
+                    self.store(base, updated)
                 }
             }
             ExprKind::Index { base, index } => {
                 let bv = self.eval(base)?;
-                match bv {
-                    Value::Slice(s) => {
-                        let i = self.eval_int(index)?;
-                        if i < 0 || i as usize >= s.len {
-                            return Err(ExecError::OutOfBounds {
-                                index: i,
-                                len: s.len,
-                            });
-                        }
-                        self.shadow_access(s.obj, "slice index write");
-                        self.barrier_store(s.obj);
-                        s.cells.borrow_mut()[s.offset + i as usize] = value;
-                        Ok(())
-                    }
-                    Value::Map(m) => {
-                        let kv = self.eval(index)?;
-                        let key = kv
-                            .as_key()
-                            .ok_or_else(|| ExecError::Internal("bad map key".into()))?;
-                        self.map_insert(&m, key, value)
-                    }
-                    Value::Nil => Err(ExecError::NilDeref),
-                    _ => Err(ExecError::Internal("store into non-indexable".into())),
-                }
+                check_index_base(&bv)?;
+                let iv = self.eval(index)?;
+                self.m.index_set(&bv, &iv, value, None)
             }
             _ => Err(ExecError::Internal("bad lvalue".into())),
-        }
-    }
-
-    // ---- helpers ----
-
-    fn auto_deref_struct(&self, v: Value, base: &Expr) -> Result<(Rc<Vec<Value>>, String)> {
-        match v {
-            Value::Struct(fields) => {
-                let name = self.struct_name_of(base, false)?;
-                Ok((fields, name))
-            }
-            Value::Ptr(p) => {
-                let name = self.struct_name_of(base, true)?;
-                let inner = p.cell.borrow().clone();
-                match inner {
-                    Value::Struct(fields) => Ok((fields, name)),
-                    Value::Poison => Err(ExecError::PoisonedRead),
-                    _ => Err(ExecError::Internal("field of non-struct".into())),
-                }
-            }
-            Value::Nil => Err(ExecError::NilDeref),
-            Value::Poison => Err(ExecError::PoisonedRead),
-            _ => Err(ExecError::Internal("field of non-struct".into())),
-        }
-    }
-
-    fn struct_name_of(&self, base: &Expr, through_ptr: bool) -> Result<String> {
-        match self.types.expr(base.id) {
-            Some(Type::Named(n)) if !through_ptr => Ok(n.clone()),
-            Some(Type::Ptr(inner)) if through_ptr => match &**inner {
-                Type::Named(n) => Ok(n.clone()),
-                _ => Err(ExecError::Internal("pointer to non-struct".into())),
-            },
-            other => Err(ExecError::Internal(format!(
-                "no struct type for base: {other:?}"
-            ))),
-        }
-    }
-
-    fn field_index(&self, sname: &str, field: &str) -> Result<usize> {
-        self.types
-            .fields_of(sname)
-            .and_then(|fs| fs.iter().position(|(f, _)| f == field))
-            .ok_or_else(|| ExecError::Internal(format!("no field {field} on {sname}")))
-    }
-
-    fn zero_value(&self, ty: &Type) -> Value {
-        match ty {
-            Type::Int => Value::Int(0),
-            Type::Bool => Value::Bool(false),
-            Type::Str => Value::Str(Rc::from("")),
-            Type::Ptr(_) | Type::Slice(_) | Type::Map(_, _) => Value::Nil,
-            Type::Named(name) => {
-                let fields = self
-                    .types
-                    .fields_of(name)
-                    .map(|fs| fs.to_vec())
-                    .unwrap_or_default();
-                Value::struct_of(fields.iter().map(|(_, t)| self.zero_value(t)).collect())
-            }
         }
     }
 }
 
 fn make_slot(value: Value, boxed: bool) -> Slot {
     if boxed {
-        Slot::Boxed(Rc::new(RefCell::new(value)), None)
+        Slot::Boxed(Rc::new(std::cell::RefCell::new(value)), None)
     } else {
         Slot::Plain(value)
     }
-}
-
-/// Applies a binary operator to borrowed operands, charging
-/// string-concatenation ticks on the given runtime. The one operator
-/// table, shared by both execution engines. `Int × Int` is tested first
-/// and is all that inlines into a caller; everything else (strings,
-/// equality over non-ints, poison, type errors) sits behind one call.
-#[inline(always)]
-pub(crate) fn binop(rt: &mut Runtime, op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    use BinOp::*;
-    if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        let (a, b) = (*a, *b);
-        return Ok(match op {
-            Add => Value::Int(a.wrapping_add(b)),
-            Sub => Value::Int(a.wrapping_sub(b)),
-            Mul => Value::Int(a.wrapping_mul(b)),
-            Div | Rem if b == 0 => return Err(ExecError::DivByZero),
-            Div => Value::Int(a.wrapping_div(b)),
-            Rem => Value::Int(a.wrapping_rem(b)),
-            Lt => Value::Bool(a < b),
-            Le => Value::Bool(a <= b),
-            Gt => Value::Bool(a > b),
-            Ge => Value::Bool(a >= b),
-            Eq => Value::Bool(a == b),
-            Ne => Value::Bool(a != b),
-            And | Or => return binop_other(rt, op, l, r),
-        });
-    }
-    binop_other(rt, op, l, r)
-}
-
-/// The rows of [`binop`] with a non-`Int` operand.
-#[inline(never)]
-fn binop_other(rt: &mut Runtime, op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    use BinOp::*;
-    if matches!(l, Value::Poison) || matches!(r, Value::Poison) {
-        return Err(ExecError::PoisonedRead);
-    }
-    match (op, l, r) {
-        (Add, Value::Str(a), Value::Str(b)) => {
-            let mut s = a.to_string();
-            s.push_str(b);
-            rt.tick(1 + (s.len() as u64) / 16);
-            Ok(Value::Str(Rc::from(s.as_str())))
-        }
-        (Lt, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a < b)),
-        (Le, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a <= b)),
-        (Gt, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a > b)),
-        (Ge, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a >= b)),
-        (Eq, _, _) => Ok(Value::Bool(value_eq(l, r)?)),
-        (Ne, _, _) => Ok(Value::Bool(!value_eq(l, r)?)),
-        _ => Err(ExecError::Internal(format!(
-            "bad operands for {op}: {} and {}",
-            l.display(),
-            r.display()
-        ))),
-    }
-}
-
-#[inline]
-pub(crate) fn check_poison(v: Value) -> Result<Value> {
-    if matches!(v, Value::Poison) {
-        Err(ExecError::PoisonedRead)
-    } else {
-        Ok(v)
-    }
-}
-
-#[inline]
-pub(crate) fn value_eq(a: &Value, b: &Value) -> Result<bool> {
-    Ok(match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        (Value::Str(x), Value::Str(y)) => x == y,
-        (Value::Nil, Value::Nil) => true,
-        (Value::Nil, Value::Ptr(_) | Value::Slice(_) | Value::Map(_))
-        | (Value::Ptr(_) | Value::Slice(_) | Value::Map(_), Value::Nil) => false,
-        (Value::Ptr(x), Value::Ptr(y)) => Rc::ptr_eq(&x.cell, &y.cell),
-        (Value::Map(x), Value::Map(y)) => Rc::ptr_eq(&x.data, &y.data),
-        (Value::Struct(xs), Value::Struct(ys)) => {
-            if xs.len() != ys.len() {
-                return Ok(false);
-            }
-            for (x, y) in xs.iter().zip(ys.iter()) {
-                if !value_eq(x, y)? {
-                    return Ok(false);
-                }
-            }
-            true
-        }
-        (Value::Slice(_), Value::Slice(_)) => {
-            return Err(ExecError::Internal(
-                "slices are only comparable to nil".into(),
-            ));
-        }
-        _ => false,
-    })
 }
 
 pub(crate) fn collect_addr_taken_block(block: &Block, res: &Resolution, out: &mut HashSet<VarId>) {
@@ -1863,15 +903,11 @@ fn collect_addr_taken_expr(e: &Expr, res: &Resolution, out: &mut HashSet<VarId>)
     }
 }
 
-// The `Func` import is used in signatures via Program lookups.
-#[allow(unused)]
-fn _assert_types(_: &Func) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use minigo_escape::{analyze, instrument, AnalyzeOptions};
-    use minigo_runtime::PoisonMode;
+    use minigo_runtime::{Category, FreeSource, PoisonMode, RuntimeConfig};
     use minigo_syntax::frontend;
 
     fn run_src_with(src: &str, opts: AnalyzeOptions, cfg: VmConfig) -> Result<RunOutcome> {

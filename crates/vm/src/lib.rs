@@ -6,6 +6,15 @@
 //! statements call the runtime's explicit-deallocation primitives, and GC
 //! runs at statement-boundary safepoints, marking from the VM's frames.
 //!
+//! One [`Machine`] holds the runtime and defines every heap operation —
+//! with its tick charge and its sanitizer, write-barrier and trace hooks
+//! — exactly once. Two engines implement [`Dispatch`] over it and own
+//! control flow only: the [`TreeWalk`] over the AST (the differential
+//! reference) and the [`Bytecode`] loop over a lowered [`Module`] (the
+//! default). A [`Session`] pairs one engine with one machine and calls
+//! functions by name; [`run`] and [`run_module`] are sessions that call
+//! `main` once.
+//!
 //! ```
 //! use minigo_escape::{analyze, instrument, AnalyzeOptions};
 //! use minigo_syntax::frontend;
@@ -28,10 +37,13 @@ pub mod bytecode;
 pub mod error;
 pub mod fxhash;
 pub mod interp;
+pub mod machine;
 mod mark;
 pub mod value;
 
-pub use bytecode::{lower, optimize, run_module, BSession, Const, Module, OptStats};
+pub use bytecode::{lower, optimize, run_module, Bytecode, Const, Module, OptStats};
 pub use error::ExecError;
-pub use interp::{run, RunOutcome, Session, SiteProfile, VmConfig};
+pub use interp::{run, TreeWalk};
+pub use machine::{Dispatch, Machine, RunOutcome, Session, SiteProfile, VmConfig};
+pub use mark::RootSink;
 pub use value::{Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};

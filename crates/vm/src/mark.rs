@@ -1,7 +1,7 @@
-//! The mark phase both engines share: they feed their roots (frame
-//! slots, deferred-call arguments, session-held values) into one
-//! [`Marker`], which sets mark bits on the runtime's spans and traces
-//! payloads.
+//! The mark phase: the machine feeds its roots (an engine's frame
+//! slots and deferred-call arguments, then the session-held values) into
+//! one [`Marker`], which sets mark bits on the runtime's spans and
+//! traces payloads.
 //!
 //! A heap-backed payload is visited once because [`Runtime::mark`]
 //! answers "newly marked" only once per cycle — the mark bit *is* the
@@ -19,7 +19,7 @@ use crate::fxhash::FxHashSet;
 use crate::value::{Cell, ObjId, Value};
 
 /// Where an engine reports its GC roots.
-pub(crate) trait RootSink {
+pub trait RootSink {
     /// A value held directly (plain slot, defer argument, held value).
     fn value(&mut self, v: &Value);
     /// A boxed frame slot: the cell and the heap object backing it.
@@ -105,7 +105,8 @@ impl RootSink for Marker<'_> {
 
 /// One GC cycle: mark from `roots`, collect, and tell the shadow heap
 /// which allocations the sweep ended. `roots` reports every root to the
-/// sink it is given (it may be asked more than once).
+/// sink it is given (it may be asked more than once). Called by
+/// `Machine::collect_garbage` only.
 pub(crate) fn collect_garbage(
     rt: &mut Runtime,
     shadow: &mut Option<ShadowHeap>,
@@ -136,7 +137,7 @@ mod tests {
     use minigo_syntax::frontend;
 
     use super::*;
-    use crate::interp::VmConfig;
+    use crate::machine::{Dispatch, Session, VmConfig};
 
     thread_local! {
         /// Cycles cross-checked on this thread.
@@ -374,23 +375,17 @@ mod tests {
         let module = crate::bytecode::lower(&program, &res, &types, &analysis);
         for collector in [CollectorKind::Go, CollectorKind::Generational] {
             let before = CYCLES_CHECKED.with(Counter::get);
-            let (tree, byte) = (
-                crate::interp::Session::new(&program, &res, &types, &analysis, tight(collector)),
-                crate::bytecode::BSession::new(&module, tight(collector)),
-            );
-            // The sessions share no trait: drive each the same way.
-            macro_rules! drive {
-                ($session:expr) => {{
-                    let mut s = $session.expect("session");
-                    let held = s.call("setup", Vec::new()).expect("setup");
-                    s.hold(held.clone());
-                    s.call("churn", vec![Value::Int(400)]).expect("churn");
-                    let got = s.call("get", held).expect("get");
-                    assert!(matches!(got[..], [Value::Int(64)]), "{got:?}");
-                }};
+            fn drive(engine: impl Dispatch, cfg: VmConfig) {
+                let mut s = Session::new(engine, cfg).expect("session");
+                let held = s.call("setup", Vec::new()).expect("setup");
+                s.hold(held.clone());
+                s.call("churn", vec![Value::Int(400)]).expect("churn");
+                let got = s.call("get", held).expect("get");
+                assert!(matches!(got[..], [Value::Int(64)]), "{got:?}");
             }
-            drive!(tree);
-            drive!(byte);
+            let tree = crate::interp::TreeWalk::new(&program, &res, &types, &analysis);
+            drive(tree, tight(collector));
+            drive(crate::bytecode::Bytecode::new(&module), tight(collector));
             assert!(CYCLES_CHECKED.with(Counter::get) - before >= 10);
         }
     }

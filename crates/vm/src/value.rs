@@ -169,7 +169,7 @@ pub struct MapData {
     pub entry_size: u64,
     /// The `make(map...)` expression that created this map (profile
     /// attribution for growth allocations).
-    pub origin: Option<crate::interp::SiteId>,
+    pub origin: Option<crate::machine::SiteId>,
     /// Set when the §6.8 mock poisoned this map's storage.
     pub poisoned: bool,
 }

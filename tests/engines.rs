@@ -6,11 +6,12 @@
 //! virtual time) on every workload, in both Go and GoFree modes.
 
 use gofree::{
-    compile, execute, CompileOptions, Compiled, OptLevel, Report, RunConfig, Setting, VmEngine,
+    compile, execute, run_session, CompileOptions, Compiled, OptLevel, Report, RunConfig, Setting,
+    VmEngine,
 };
 use gofree_workloads::{corpus, fuzzgen, micro, Scale};
 use minigo_runtime::{CollectorKind, PoisonMode, RuntimeConfig};
-use minigo_vm::{BSession, Session, VmConfig};
+use minigo_vm::{Dispatch, RunOutcome, Session, Value, VmConfig};
 
 /// Runs one compiled program on the tree-walk and on the bytecode
 /// engine at both opt levels, asserting every observable field of the
@@ -499,34 +500,29 @@ func main() { q := mk()\n print(*q) }\n",
     ),
 ];
 
-/// `main` run to its end or to its error on one engine configuration
-/// (`None` = tree-walk): how it ended (`Ok` or the error rendering), the
-/// virtual time at that moment, and every other observable — output so
-/// far, steps, metrics. Sessions rather than `execute`, because a failed
-/// `execute` returns the error alone and the clock at failure is part
-/// of the contract.
-fn observe(compiled: &Compiled, byte: Option<OptLevel>, cfg: VmConfig) -> (String, u64, String) {
-    let (res, out) = match byte {
-        None => {
-            let mut s = Session::new(
-                &compiled.program,
-                &compiled.resolution,
-                &compiled.types,
-                &compiled.analysis,
-                cfg,
-            )
-            .expect("valid config");
-            (s.call("main", Vec::new()), s.finish())
-        }
-        Some(opt) => {
-            let module = match opt {
-                OptLevel::Off => &compiled.lowered,
-                OptLevel::Full => &compiled.optimized,
-            };
-            let mut s = BSession::new(module, cfg).expect("valid config");
-            (s.call("main", Vec::new()), s.finish())
-        }
+/// Opens a session on one engine configuration (`None` = tree-walk),
+/// lets `drive` use it, and finishes it whatever `drive` saw. Sessions
+/// rather than `execute`, because a failed `execute` returns the error
+/// alone and what a failure leaves behind — the clock, the session
+/// itself — is part of the contract.
+fn on_engine<T>(
+    compiled: &Compiled,
+    byte: Option<OptLevel>,
+    cfg: VmConfig,
+    drive: impl FnOnce(&mut Session<dyn Dispatch + '_>) -> T,
+) -> (T, RunOutcome) {
+    let (engine, opt) = match byte {
+        None => (VmEngine::TreeWalk, OptLevel::Off),
+        Some(opt) => (VmEngine::Bytecode, opt),
     };
+    run_session(compiled, cfg, engine, opt, |s| Ok(drive(s))).expect("valid config")
+}
+
+/// `main` run to its end or to its error: how it ended (`Ok` or the
+/// error rendering), the virtual time at that moment, and every other
+/// observable — output so far, steps, metrics.
+fn observe(compiled: &Compiled, byte: Option<OptLevel>, cfg: VmConfig) -> (String, u64, String) {
+    let (res, out) = on_engine(compiled, byte, cfg, |s| s.call("main", Vec::new()));
     let end = match res {
         Ok(_) => "Ok".to_string(),
         Err(e) => e.to_string(),
@@ -626,5 +622,179 @@ fn engines_agree_on_every_operand_shape() {
             seen.contains(family),
             "no program in the corpus lowers to {family}; saw {seen:?}"
         );
+    }
+}
+
+/// A service whose `handle` recurses three frames deep, each frame
+/// holding a heap slice, a heap map and a pending `defer`, and then —
+/// by `mode` — returns, panics, indexes out of range, or spins until the
+/// step budget is gone.
+const FAILING_SERVICE: &str = "type Acc struct { total int
+    log []int }
+func setup() *Acc { return &Acc{0, nil} }
+func record(a *Acc, v int) { a.total += v
+    a.log = append(a.log, v) }
+func deep(a *Acc, n int, mode int) int {
+    buf := make([]int, 16+n)
+    m := make(map[int]int)
+    defer record(a, n)
+    buf[0] = n + 1
+    m[n] = n
+    if n > 0 { return deep(a, n-1, mode) + buf[0] }
+    if mode == 1 { panic(\"boom\") }
+    if mode == 2 { return buf[len(buf)+3] }
+    if mode == 3 { for { buf[0] += 1 } }
+    return buf[0] + m[0]
+}
+func handle(a *Acc, req int, mode int) int { return deep(a, 2, mode) + a.total + len(a.log) + req }
+func idle() { }
+";
+
+/// One event per line with its timestamp removed: what happened, on
+/// which interned call stack, in which order.
+fn events_sans_clock(out: &RunOutcome) -> String {
+    let trace = out.trace.as_ref().expect("traced run");
+    let lines = trace.events.iter().map(|ev| {
+        let line = format!("{ev:?}");
+        let at = line.find("at: ").expect("every event is stamped");
+        let rest = line[at + 4..].trim_start_matches(|c: char| c.is_ascii_digit());
+        format!("{}{}\n", &line[..at], rest.trim_start_matches(", "))
+    });
+    lines.collect()
+}
+
+#[test]
+fn a_failed_call_leaves_any_session_usable() {
+    // GoFree, so the frames that unwind hold objects with frees pending.
+    let compiled = compile(FAILING_SERVICE, &CompileOptions::default())
+        .unwrap_or_else(|e| panic!("{}", e.render(FAILING_SERVICE)));
+    for (mode, fails_with) in [
+        (1, "panic: boom"),
+        (2, "index out of range"),
+        (3, "step limit"),
+    ] {
+        for collector in [CollectorKind::Go, CollectorKind::Generational] {
+            let cfg = VmConfig {
+                runtime: RuntimeConfig {
+                    collector,
+                    gogc: 10,
+                    min_heap: 4096,
+                    nursery_size: 2048,
+                    migrate_prob: 0.0,
+                    jitter: 0.0,
+                    trace: true,
+                    ..RuntimeConfig::default()
+                },
+                // handle + three `deep`s + the innermost `record`: a frame
+                // a failure left behind overflows the very next request.
+                max_frames: 5,
+                step_limit: if mode == 3 { 3_000 } else { 500_000 },
+                ..VmConfig::for_mode(gofree::Mode::GoFree)
+            };
+            // The calls made and, per call, how it ended and when.
+            let drive = |s: &mut Session<dyn Dispatch + '_>| -> Vec<(String, u64)> {
+                let state = s.call("setup", Vec::new()).expect("setup");
+                s.hold(state.clone());
+                let mut log = Vec::new();
+                let mut request = |s: &mut Session<dyn Dispatch + '_>, req: i64, mode: i64| {
+                    let mut args = state.clone();
+                    args.extend([Value::Int(req), Value::Int(mode)]);
+                    let end = match s.call("handle", args) {
+                        Ok(v) => format!("Ok {}", v[0].display()),
+                        Err(e) => e.to_string(),
+                    };
+                    log.push((end, s.now()));
+                };
+                for req in 0..40 {
+                    request(s, req, 0);
+                }
+                request(s, 40, mode);
+                if mode == 3 {
+                    // The step budget is the session's, not the call's:
+                    // once spent, only a call that reaches no statement
+                    // can succeed — and it must, on an unwound stack.
+                    request(s, 41, 0);
+                    for _ in 0..2 {
+                        s.call("idle", Vec::new())
+                            .expect("no frame was left behind");
+                    }
+                } else {
+                    request(s, 41, 0);
+                    request(s, 42, 0);
+                }
+                log
+            };
+            let (tree_log, tree) = on_engine(&compiled, None, cfg.clone(), drive);
+            let label = format!("mode {mode} ({collector:?})");
+            assert!(
+                tree_log[..40].iter().all(|(end, _)| end.starts_with("Ok")),
+                "{label}: {tree_log:?}"
+            );
+            assert!(tree_log[40].0.contains(fails_with), "{label}: {tree_log:?}");
+            let after = &tree_log[41..];
+            if mode == 3 {
+                assert!(after[0].0.contains("step limit"), "{label}: {after:?}");
+            } else {
+                assert!(
+                    after.len() == 2 && after.iter().all(|(end, _)| end.starts_with("Ok")),
+                    "{label}: {after:?}"
+                );
+            }
+            assert!(
+                tree.metrics.gcs >= 3,
+                "{label}: the heap is tight enough to collect"
+            );
+            let tree_trace = tree.trace.as_ref().expect("traced run");
+            tree_trace
+                .reconcile(&tree.metrics)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+
+            for opt in [OptLevel::Off, OptLevel::Full] {
+                let (log, out) = on_engine(&compiled, Some(opt), cfg.clone(), drive);
+                let label = format!("{label}, opt {opt}");
+                assert_eq!(tree.output, out.output, "{label}: output");
+                assert_eq!(tree.steps, out.steps, "{label}: steps");
+                assert_eq!(
+                    format!("{:?}", tree.metrics),
+                    format!("{:?}", out.metrics),
+                    "{label}: metrics"
+                );
+                let trace = out.trace.as_ref().expect("traced run");
+                let stacks = |t: &gofree::Trace| -> Vec<String> {
+                    (0..t.stacks.len() as u32)
+                        .map(|id| t.stacks.folded(id))
+                        .collect()
+                };
+                assert_eq!(
+                    stacks(tree_trace),
+                    stacks(trace),
+                    "{label}: interned stacks"
+                );
+                assert_eq!(
+                    events_sans_clock(&tree),
+                    events_sans_clock(&out),
+                    "{label}: events and their stack ids"
+                );
+                // A fused handler that fails part-way has charged up to 3
+                // ticks its unfused constituents had not reached; baseline
+                // streams agree with the tree-walk to the tick.
+                let lead = if opt == OptLevel::Full { 3 } else { 0 };
+                let mut failures = 0;
+                for (i, ((t_end, t_now), (end, now))) in tree_log.iter().zip(&log).enumerate() {
+                    assert_eq!(t_end, end, "{label}: call {i}");
+                    failures += u64::from(!end.starts_with("Ok"));
+                    assert!(
+                        (*t_now..=t_now + lead * failures).contains(now),
+                        "{label}: call {i} ended at {now}, tree-walk at {t_now}"
+                    );
+                }
+                assert!(
+                    (tree.time..=tree.time + lead * failures).contains(&out.time),
+                    "{label}: time {} vs tree-walk {}",
+                    out.time,
+                    tree.time
+                );
+            }
+        }
     }
 }
