@@ -536,7 +536,7 @@ impl<'m> Bytecode<'m> {
                     };
                     let len = int_of(&pop(stack))?;
                     let zero = self.consts[*zero as usize].clone();
-                    stack.push(m.make_slice(len, cap, *elem_size, zero, *heap, *site));
+                    stack.push(m.make_slice(len, cap, *elem_size, zero, *heap, *site)?);
                 }
                 Instr::MakeMap {
                     entry_size,

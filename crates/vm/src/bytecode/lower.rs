@@ -13,7 +13,7 @@
 //! field accesses carry their index, and zero values live in the
 //! constant pool.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use minigo_escape::{AllocPlace, Analysis};
 use minigo_syntax::{
@@ -22,6 +22,7 @@ use minigo_syntax::{
 };
 
 use super::ir::{BFunc, Const, Instr, Module};
+use crate::fxhash::FxHashSet;
 use crate::interp::collect_addr_taken_block;
 
 /// Lowers a checked (and, in GoFree mode, instrumented) program to
@@ -85,7 +86,7 @@ fn lower_func(
     analysis: &Analysis,
     consts: &mut ConstPool,
 ) -> BFunc {
-    let mut addr_taken = HashSet::new();
+    let mut addr_taken = FxHashSet::default();
     collect_addr_taken_block(&func.body, res, &mut addr_taken);
 
     // Dense slot assignment: every variable the resolver attributed to
@@ -160,7 +161,7 @@ struct FnLowerer<'a> {
     res: &'a Resolution,
     types: &'a TypeInfo,
     analysis: &'a Analysis,
-    addr_taken: HashSet<VarId>,
+    addr_taken: FxHashSet<VarId>,
     slot_of: HashMap<VarId, u32>,
     consts: &'a mut ConstPool,
     code: Vec<Instr>,

@@ -15,6 +15,11 @@ pub enum ExecError {
         /// The slice length.
         len: usize,
     },
+    /// `make` or `append` needed a backing array whose accounted size
+    /// overflows or that the host cannot allocate — Go's `makeslice: len
+    /// out of range`. Carries the bound that was out of range:
+    /// `makeslice: len`, `makeslice: cap` or `growslice: len`.
+    SliceRange(&'static str),
     /// Dereference of a nil pointer / use of a nil map.
     NilDeref,
     /// Integer division or remainder by zero.
@@ -49,6 +54,7 @@ impl fmt::Display for ExecError {
             ExecError::OutOfBounds { index, len } => {
                 write!(f, "index out of range [{index}] with length {len}")
             }
+            ExecError::SliceRange(bound) => write!(f, "{bound} out of range"),
             ExecError::NilDeref => write!(f, "invalid memory address or nil pointer dereference"),
             ExecError::DivByZero => write!(f, "integer divide by zero"),
             ExecError::PoisonedRead => {
@@ -77,6 +83,10 @@ mod tests {
         assert!(ExecError::OutOfBounds { index: 5, len: 3 }
             .to_string()
             .contains("[5]"));
+        assert_eq!(
+            ExecError::SliceRange("makeslice: cap").to_string(),
+            "makeslice: cap out of range"
+        );
         assert!(ExecError::PoisonedRead.to_string().contains("poisoned"));
         assert!(
             ExecError::InvalidConfig(minigo_runtime::ConfigError::ZeroGogc)

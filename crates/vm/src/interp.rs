@@ -9,7 +9,6 @@
 //! (safepoints), marking from the frames reported here. It is the
 //! simplest engine and the differential reference for the bytecode one.
 
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use minigo_escape::{AllocPlace, Analysis};
@@ -20,7 +19,7 @@ use minigo_syntax::{
 
 use crate::bytecode::lower::{boxed_on_heap, field_target, var_size, zero_value};
 use crate::error::ExecError;
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::machine::{
     cap_of, check_index_base, check_poison, expected_bool, int_of, itoa, len_of, reslice, value_eq,
     with_field, Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
@@ -81,7 +80,7 @@ pub struct TreeWalk<'p> {
     types: &'p TypeInfo,
     analysis: &'p Analysis,
     /// Address-taken variables per function (these get boxed slots).
-    addr_taken: HashMap<FuncId, HashSet<VarId>>,
+    addr_taken: FxHashMap<FuncId, FxHashSet<VarId>>,
     frames: Vec<Frame>,
 }
 
@@ -94,9 +93,9 @@ impl<'p> TreeWalk<'p> {
         types: &'p TypeInfo,
         analysis: &'p Analysis,
     ) -> Self {
-        let mut addr_taken = HashMap::new();
+        let mut addr_taken = FxHashMap::default();
         for func in &program.funcs {
-            let mut set = HashSet::new();
+            let mut set = FxHashSet::default();
             collect_addr_taken_block(&func.body, res, &mut set);
             addr_taken.insert(func.id, set);
         }
@@ -680,7 +679,7 @@ impl Vm<'_, '_> {
                     self.m.tick(1);
                     let zero = zero_value(elem, types).to_value();
                     let (elem_size, heap) = (types.inline_size(elem), self.on_heap(e));
-                    Ok(self.m.make_slice(len, cap, elem_size, zero, heap, e.id))
+                    self.m.make_slice(len, cap, elem_size, zero, heap, e.id)
                 }
                 Type::Map(_, v) => {
                     self.m.tick(1);
@@ -796,13 +795,17 @@ fn make_slot(value: Value, boxed: bool) -> Slot {
     }
 }
 
-pub(crate) fn collect_addr_taken_block(block: &Block, res: &Resolution, out: &mut HashSet<VarId>) {
+pub(crate) fn collect_addr_taken_block(
+    block: &Block,
+    res: &Resolution,
+    out: &mut FxHashSet<VarId>,
+) {
     for stmt in &block.stmts {
         collect_addr_taken_stmt(stmt, res, out);
     }
 }
 
-fn collect_addr_taken_stmt(stmt: &Stmt, res: &Resolution, out: &mut HashSet<VarId>) {
+fn collect_addr_taken_stmt(stmt: &Stmt, res: &Resolution, out: &mut FxHashSet<VarId>) {
     let mut visit_expr = |e: &Expr| collect_addr_taken_expr(e, res, out);
     match &stmt.kind {
         StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
@@ -861,7 +864,7 @@ fn collect_addr_taken_stmt(stmt: &Stmt, res: &Resolution, out: &mut HashSet<VarI
     }
 }
 
-fn collect_addr_taken_expr(e: &Expr, res: &Resolution, out: &mut HashSet<VarId>) {
+fn collect_addr_taken_expr(e: &Expr, res: &Resolution, out: &mut FxHashSet<VarId>) {
     match &e.kind {
         ExprKind::Unary {
             op: UnOp::Addr,

@@ -46,4 +46,4 @@ pub use error::ExecError;
 pub use interp::{run, TreeWalk};
 pub use machine::{Dispatch, Machine, RunOutcome, Session, SiteProfile, VmConfig};
 pub use mark::RootSink;
-pub use value::{Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
+pub use value::{Cells, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};

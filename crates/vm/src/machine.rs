@@ -34,7 +34,7 @@ use minigo_syntax::{BinOp, ExprId};
 use crate::error::ExecError;
 use crate::fxhash::FxHashMap;
 use crate::mark::{collect_garbage, RootSink};
-use crate::value::{Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
+use crate::value::{Cells, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
 
 /// Result alias for execution.
 pub type Result<T> = std::result::Result<T, ExecError>;
@@ -579,6 +579,13 @@ impl Machine {
 
     /// `make([]T, len[, cap])`, every element `zero`. Negative sizes
     /// clamp to zero and the backing array to at least one element.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::SliceRange`] — naming `cap` when an explicit capacity
+    /// above `len` was asked for, else `len` — when the accounted size
+    /// overflows or the host refuses the storage; nothing has been
+    /// allocated or accounted then.
     pub(crate) fn make_slice(
         &mut self,
         len: i64,
@@ -587,17 +594,25 @@ impl Machine {
         zero: Value,
         heap: bool,
         site: ExprId,
-    ) -> Value {
+    ) -> Result<Value> {
         let len = len.max(0) as usize;
         let cap = cap.map_or(len, |c| (c.max(0) as usize).max(len)).max(1);
-        let size = (cap as u64 * elem_size).max(8);
-        Value::slice(SliceVal {
-            obj: self.backing(heap, size, Category::Slice, Some(site)),
-            cells: Rc::new(RefCell::new(vec![zero; cap])),
+        let too_large = || {
+            ExecError::SliceRange(if cap > len.max(1) {
+                "makeslice: cap"
+            } else {
+                "makeslice: len"
+            })
+        };
+        let size = (cap as u64).checked_mul(elem_size).ok_or_else(too_large)?;
+        let cells = Cells::filled(zero, cap).map_err(|_| too_large())?;
+        Ok(Value::slice(SliceVal {
+            obj: self.backing(heap, size.max(8), Category::Slice, Some(site)),
+            cells: Rc::new(RefCell::new(cells)),
             offset: 0,
             len,
             elem_size,
-        })
+        }))
     }
 
     /// `make(map[K]V)`: the hmap with its first eight buckets inline.
@@ -625,6 +640,12 @@ impl Machine {
     }
 
     /// `append(sv, item)`.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::SliceRange`] when the grown array's accounted size
+    /// overflows or the host refuses the storage (see
+    /// [`Machine::make_slice`]).
     pub(crate) fn append(
         &mut self,
         sv: Value,
@@ -633,35 +654,36 @@ impl Machine {
         site: ExprId,
     ) -> Result<Value> {
         self.rt.tick(2);
-        let (kept, new_cap) = match sv {
+        let (kept, lo, hi, new_cap) = match sv {
             // Appending to a nil slice allocates a fresh heap array
             // (runtime-managed, §4.6.1).
-            Value::Nil => (Vec::new(), 8),
+            Value::Nil => (Rc::default(), 0, 0, 8),
             Value::Slice(mut s) => {
                 self.shadow_access(s.obj, "append");
                 if s.len < s.cap() {
                     let at = s.offset + s.len;
-                    s.cells.borrow_mut()[at] = item;
+                    s.cells.borrow_mut().set(at, item);
                     Rc::make_mut(&mut s).len += 1;
                     return Ok(Value::Slice(s));
                 }
                 // Grow: a fresh heap array; the old one is left to GC
                 // (other slices may still reference it).
-                let kept = s.cells.borrow()[s.offset..s.offset + s.len].to_vec();
-                (kept, (s.cap() * 2).max(8))
+                let new_cap = (s.cap() * 2).max(8);
+                (s.cells.clone(), s.offset, s.offset + s.len, new_cap)
             }
             _ => return Err(ExecError::Internal("append to non-slice".into())),
         };
-        let obj = self.new_obj_at(new_cap as u64 * elem_size, Category::Slice, Some(site));
-        let len = kept.len() + 1;
-        let mut cells = kept;
-        cells.push(item);
-        cells.resize(new_cap, Value::Int(0));
+        let too_large = || ExecError::SliceRange("growslice: len");
+        let size = (new_cap as u64)
+            .checked_mul(elem_size)
+            .ok_or_else(too_large)?;
+        let cells = kept.borrow().grown(lo, hi, item, new_cap);
+        let cells = cells.map_err(|_| too_large())?;
         Ok(Value::slice(SliceVal {
             cells: Rc::new(RefCell::new(cells)),
-            obj: Some(obj),
+            obj: Some(self.new_obj_at(size, Category::Slice, Some(site))),
             offset: 0,
-            len,
+            len: hi - lo + 1,
             elem_size,
         }))
     }
@@ -741,8 +763,7 @@ impl Machine {
                     });
                 }
                 self.shadow_access(s.obj, "slice index read");
-                let v = s.cells.borrow()[s.offset + i as usize].clone();
-                check_poison(v)
+                check_poison(s.cells.borrow().get(s.offset + i as usize))
             }
             Value::Map(map) => {
                 let key = key_of(idx)?;
@@ -804,7 +825,7 @@ impl Machine {
                 }
                 self.shadow_access(s.obj, "slice index write");
                 self.barrier_store(s.obj);
-                s.cells.borrow_mut()[s.offset + i as usize] = v;
+                s.cells.borrow_mut().set(s.offset + i as usize, v);
                 Ok(())
             }
             Value::Map(map) => self.map_insert(map, key_of(idx)?, v, ic),
@@ -1206,7 +1227,9 @@ mod tests {
     fn fixture(m: &mut Machine) -> Fixture {
         let site = ExprId(7);
         let f = Fixture {
-            slice: m.make_slice(2, Some(4), 8, Value::Int(0), true, site),
+            slice: m
+                .make_slice(2, Some(4), 8, Value::Int(0), true, site)
+                .expect("four ints"),
             map: m.make_map(Value::Int(0), 24, true, site),
             ptr: Value::ptr(m.alloc_box(
                 Value::struct_of(vec![Value::Int(1), Value::Int(2)]),
@@ -1324,5 +1347,36 @@ mod tests {
                 (label, ViolationKind::UseAfterFree)
             );
         }
+    }
+
+    #[test]
+    fn a_backing_array_out_of_range_is_an_error_before_anything_is_accounted() {
+        let mut m = machine();
+        let site = ExprId(7);
+        let allocated = |m: &Machine| -> u64 { m.rt.metrics().heap_allocs.iter().sum() };
+        // 2^61 elements of 8 bytes overflow the accounted size; 2^40 do
+        // not, and the host refuses them.
+        for (len, cap, bound) in [
+            (1 << 61, None, "makeslice: len"),
+            (1 << 40, None, "makeslice: len"),
+            (3, Some(1 << 61), "makeslice: cap"),
+            (3, Some(1 << 40), "makeslice: cap"),
+            (1 << 40, Some(1 << 40), "makeslice: len"),
+        ] {
+            for zero in [Value::Int(0), Value::Nil] {
+                let before = m.rt.now();
+                let got = m.make_slice(len, cap, 8, zero, true, site);
+                assert_eq!(got.err(), Some(ExecError::SliceRange(bound)));
+                assert_eq!((m.rt.now(), allocated(&m)), (before, 0));
+            }
+        }
+        // A huge element is the other way to overflow: the array itself
+        // (eight of them) is nothing to the host.
+        let grown = m.append(Value::Nil, Value::Int(1), u64::MAX / 4, site);
+        assert_eq!(grown.err(), Some(ExecError::SliceRange("growslice: len")));
+        assert_eq!(allocated(&m), 0);
+        let s = m.make_slice(3, Some(5), 8, Value::Int(0), true, site);
+        assert_eq!(s.expect("five ints").display(), "[0 0 0]");
+        assert_eq!(allocated(&m), 1);
     }
 }

@@ -81,7 +81,7 @@ impl RootSink for Marker<'_> {
             }
             Value::Ptr(p) => self.boxed(&p.cell, p.obj),
             Value::Slice(s) if self.first_visit(s.obj, Rc::as_ptr(&s.cells)) => {
-                for c in s.cells.borrow().iter() {
+                for c in s.cells.borrow().traced() {
                     self.value(c);
                 }
             }
@@ -170,7 +170,11 @@ mod tests {
                 Value::Slice(s) => {
                     self.mark(s.obj);
                     if self.seen.insert(Rc::as_ptr(&s.cells) as *const () as usize) {
-                        s.cells.borrow().iter().for_each(|c| self.value(c));
+                        // Every element through `get`, never `traced()`: a
+                        // representation that hid a reference would leave
+                        // the span bits short of this model's set.
+                        let cells = s.cells.borrow();
+                        (0..cells.len()).for_each(|i| self.value(&cells.get(i)));
                     }
                 }
                 Value::Map(m) => {
@@ -331,6 +335,33 @@ mod tests {
              func main() { a, b := two(64)\n print(churn(400), len(a), b[5]) }\n",
         );
         assert_eq!(out, ("79800 10 9\n".into(), 0));
+    }
+
+    #[test]
+    fn pointers_held_only_through_a_reslice_of_a_grown_array() {
+        // The array the nodes sit in started as `append(nil, &N{..})`
+        // and doubled twice; `main` holds three of its elements' worth.
+        let out = run_everywhere(&format!(
+            "{NODE}func build(n int) []*N {{ var s []*N\n\
+             for i := 0; i < n; i += 1 {{ s = append(s, &N{{nil, i}}) }}\n return s[2:5] }}\n\
+             func main() {{ t := build(20)\n print(churn(400), len(t), t[0].v, t[2].v, cap(t)) }}\n"
+        ));
+        assert_eq!(out, ("79800 3 2 4 30\n".into(), 20));
+    }
+
+    #[test]
+    fn int_slice_held_only_by_a_struct_in_a_slice_of_structs() {
+        // Each `vals` array holds ints and nothing else, and the only
+        // way to it is through a `Row` value stored in another array.
+        let out = run_everywhere(
+            "type Row struct { vals []int\n id int }\n\
+             func build(n int) []Row { rows := make([]Row, n)\n\
+             for i := 0; i < n; i += 1 { v := make([]int, 30+i)\n v[1] = i * 3\n rows[i] = Row{v, i} }\n\
+             return rows }\n\
+             func main() { rows := build(6)\n\
+             print(churn(400), rows[4].vals[1], len(rows[5].vals), rows[2].id) }\n",
+        );
+        assert_eq!(out, ("79800 12 35 2\n".into(), 0));
     }
 
     #[test]

@@ -26,8 +26,25 @@
 //!    actually shared — exactly the copy Go semantics would have made
 //!    eagerly. Maps and pointer cells are reference types, so sharing
 //!    the payload *is* their semantics and they are never `make_mut`.
+//!
+//! # Backing arrays: ints stored as ints
+//!
+//! The tiering above is about the operand stack. A slice's backing array
+//! is tiered the same way by [`Cells`], which has two representations:
+//! `Ints(Vec<i64>)` — 8 bytes an element, zero-filled by one `memset`,
+//! nothing for the marker to trace and no drop glue — for an array that
+//! has only ever held ints, and `Any(Vec<Value>)` for everything else.
+//! The representation is chosen from what the code can observe, never
+//! from a static type: the zero value `make` fills with, the item
+//! `append` grows a nil slice by. The moment something that is not an
+//! `Int` is stored into an `Ints` array (the §6.8 mock `tcfree`'s
+//! `Poison` fill is the one case a typed program reaches) the array
+//! *generalises in place*, inside the `RefCell` every alias shares, so
+//! correctness never rests on the typechecker. No caller outside this
+//! module matches on the variant; they go through [`Cells`]' methods.
 
 use std::cell::RefCell;
+use std::collections::TryReserveError;
 use std::fmt;
 use std::rc::Rc;
 
@@ -104,7 +121,7 @@ pub struct PtrVal {
 #[derive(Debug, Clone)]
 pub struct SliceVal {
     /// The backing array.
-    pub cells: Rc<RefCell<Vec<Value>>>,
+    pub cells: Rc<RefCell<Cells>>,
     /// Heap object backing the array, if heap-allocated.
     pub obj: Option<ObjId>,
     /// Start offset into the backing array.
@@ -119,6 +136,164 @@ impl SliceVal {
     /// Capacity: from the offset to the end of the backing array.
     pub fn cap(&self) -> usize {
         self.cells.borrow().len().saturating_sub(self.offset)
+    }
+}
+
+/// A slice's backing array, in one of two representations (see the
+/// module docs). Which one an array is in is observable only through
+/// host time and memory: every method answers as a `Vec<Value>` would.
+#[derive(Debug, Clone)]
+pub enum Cells {
+    /// Only ints have ever been stored.
+    Ints(Vec<i64>),
+    /// Anything else.
+    Any(Vec<Value>),
+}
+
+/// The empty array, which `append` grows a nil slice from.
+impl Default for Cells {
+    fn default() -> Self {
+        Cells::Ints(Vec::new())
+    }
+}
+
+/// An `Ints` array's elements as an `Any` array holds them. The caller
+/// replaces the array inside the `RefCell` every alias shares, so they
+/// all read the generalised contents.
+#[cold]
+fn generalised(ints: &[i64]) -> Vec<Value> {
+    ints.iter().map(|&i| Value::Int(i)).collect()
+}
+
+/// A vector of `n` copies of `v`, or the host's refusal to back it.
+fn try_filled<T: Clone>(v: T, n: usize) -> Result<Vec<T>, TryReserveError> {
+    let mut cells = Vec::new();
+    cells.try_reserve_exact(n)?;
+    cells.resize(n, v);
+    Ok(cells)
+}
+
+/// A vector of `cap` elements: `kept`, then `item`, then `pad`.
+fn try_grown<T: Clone>(
+    kept: impl Iterator<Item = T>,
+    item: T,
+    pad: T,
+    cap: usize,
+) -> Result<Vec<T>, TryReserveError> {
+    let mut cells = Vec::new();
+    cells.try_reserve_exact(cap)?;
+    cells.extend(kept);
+    cells.push(item);
+    cells.resize(cap, pad);
+    Ok(cells)
+}
+
+impl Cells {
+    /// An array of `n` copies of `zero`: `Ints` when `zero` is an int.
+    ///
+    /// # Errors
+    ///
+    /// The host allocator's refusal, before anything is written.
+    pub fn filled(zero: Value, n: usize) -> Result<Cells, TryReserveError> {
+        Ok(match zero {
+            Value::Int(i) => Cells::Ints(try_filled(i, n)?),
+            zero => Cells::Any(try_filled(zero, n)?),
+        })
+    }
+
+    /// Number of elements (the array's capacity in Go's terms).
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            Cells::Ints(c) => c.len(),
+            Cells::Any(c) => c.len(),
+        }
+    }
+
+    /// Whether the array has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Element `i`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range, like indexing a `Vec`.
+    #[inline]
+    pub fn get(&self, i: usize) -> Value {
+        match self {
+            Cells::Ints(c) => Value::Int(c[i]),
+            Cells::Any(c) => c[i].clone(),
+        }
+    }
+
+    /// Stores `v` at `i`, generalising an `Ints` array when `v` is not
+    /// an int.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range, like indexing a `Vec`.
+    #[inline]
+    pub fn set(&mut self, i: usize, v: Value) {
+        match (&mut *self, v) {
+            (Cells::Ints(c), Value::Int(v)) => c[i] = v,
+            (Cells::Any(c), v) => c[i] = v,
+            (Cells::Ints(c), v) => {
+                let mut any = generalised(c);
+                any[i] = v;
+                *self = Cells::Any(any);
+            }
+        }
+    }
+
+    /// Overwrites every element with `v`.
+    pub fn fill(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (Cells::Ints(c), Value::Int(v)) => c.fill(v),
+            (Cells::Any(c), v) => c.fill(v),
+            (Cells::Ints(c), v) => *self = Cells::Any(vec![v; c.len()]),
+        }
+    }
+
+    /// `append`'s copy-and-grow: a fresh array of `cap` elements holding
+    /// `self[lo..hi]`, then `item`, then zero padding. Ints stay ints
+    /// while `item` is one.
+    ///
+    /// # Errors
+    ///
+    /// The host allocator's refusal, before anything is copied.
+    ///
+    /// # Panics
+    ///
+    /// When `lo..hi` is out of range or `cap` cannot hold it and `item`.
+    pub fn grown(
+        &self,
+        lo: usize,
+        hi: usize,
+        item: Value,
+        cap: usize,
+    ) -> Result<Cells, TryReserveError> {
+        assert!(hi - lo < cap, "grown: no room for the item");
+        Ok(match (self, item) {
+            (Cells::Ints(c), Value::Int(item)) => {
+                Cells::Ints(try_grown(c[lo..hi].iter().copied(), item, 0, cap)?)
+            }
+            (kept, item) => {
+                let kept = (lo..hi).map(|i| kept.get(i));
+                Cells::Any(try_grown(kept, item, Value::Int(0), cap)?)
+            }
+        })
+    }
+
+    /// The elements a marker has to visit: none for an `Ints` array,
+    /// which cannot hold a reference.
+    #[inline]
+    pub fn traced(&self) -> &[Value] {
+        match self {
+            Cells::Ints(_) => &[],
+            Cells::Any(c) => c,
+        }
     }
 }
 
@@ -234,9 +409,8 @@ impl Value {
             Value::Ptr(_) => "<ptr>".to_string(),
             Value::Slice(s) => {
                 let cells = s.cells.borrow();
-                let inner: Vec<String> = cells[s.offset..s.offset + s.len]
-                    .iter()
-                    .map(Value::display)
+                let inner: Vec<String> = (s.offset..s.offset + s.len)
+                    .map(|i| cells.get(i).display())
                     .collect();
                 format!("[{}]", inner.join(" "))
             }
@@ -336,11 +510,11 @@ mod tests {
         assert_eq!(Value::Int(3).display(), "3");
         assert_eq!(Value::Nil.display(), "nil");
         let s = Value::slice(SliceVal {
-            cells: Rc::new(RefCell::new(vec![
+            cells: Rc::new(RefCell::new(Cells::Any(vec![
                 Value::Int(1),
                 Value::Int(2),
                 Value::Int(0),
-            ])),
+            ]))),
             obj: None,
             offset: 0,
             len: 2,

@@ -477,6 +477,42 @@ func main() {
         "func main() { n := 64\n s := make([]int, n)\n a := 1\n tcfree(s)\n print(len(s))\n print(s[0] + a) }\n",
     ),
     (
+        "poisoned int slice read through a reslice taken before the free",
+        "read of poisoned memory",
+        "func main() { n := 64\n s := make([]int, n)\n s[2] = 5\n r := s[2:5]\n print(r[0])\n tcfree(s)\n print(len(r))\n print(r[0]) }\n",
+    ),
+    (
+        "int slice: a store after the free, then the poisoned neighbour",
+        "read of poisoned memory",
+        "func main() { n := 64\n s := make([]int, n)\n r := s[0:4]\n tcfree(s)\n r[1] = 7\n print(s[1])\n print(r[2]) }\n",
+    ),
+    (
+        "append from nil: pointers, then ints built the same way",
+        "Ok",
+        "type P struct { v int }
+func main() {
+    var ps []*P
+    var is []int
+    for i := 0; i < 20; i += 1 { ps = append(ps, &P{i})
+        is = append(is, i*2) }
+    head := is[0:3]
+    if len(ps) != 20 || ps[19].v != 19 || ps[3].v != 3 { panic(\"pointers\") }
+    if len(is) != 20 || is[19] != 38 || cap(is) != 32 || head[2] != 4 { panic(\"ints\") }
+    print(is, head, ps[7].v)
+}
+",
+    ),
+    (
+        "make: a length the host cannot back",
+        "makeslice: len out of range",
+        "func main() { t := 1\n print(t)\n s := make([]int, 1024*1024*1024*1024)\n print(len(s)) }\n",
+    ),
+    (
+        "make: a capacity whose size overflows",
+        "makeslice: cap out of range",
+        "func main() { n := 3\n print(n)\n s := make([]int, n, 1024*1024*1024*1024*1024*1024)\n print(len(s)) }\n",
+    ),
+    (
         "poisoned map, const key",
         "read of poisoned memory",
         "func main() { m := make(map[int]int)\n for i := 0; i < 40; i += 1 { m[i] = i }\n tcfree(m)\n print(m[1]) }\n",
@@ -627,8 +663,8 @@ fn engines_agree_on_every_operand_shape() {
 
 /// A service whose `handle` recurses three frames deep, each frame
 /// holding a heap slice, a heap map and a pending `defer`, and then —
-/// by `mode` — returns, panics, indexes out of range, or spins until the
-/// step budget is gone.
+/// by `mode` — returns, panics, indexes out of range, spins until the
+/// step budget is gone, or asks `make` for more than the host has.
 const FAILING_SERVICE: &str = "type Acc struct { total int
     log []int }
 func setup() *Acc { return &Acc{0, nil} }
@@ -644,6 +680,7 @@ func deep(a *Acc, n int, mode int) int {
     if mode == 1 { panic(\"boom\") }
     if mode == 2 { return buf[len(buf)+3] }
     if mode == 3 { for { buf[0] += 1 } }
+    if mode == 4 { return len(make([]int, 1024*1024*1024*1024)) }
     return buf[0] + m[0]
 }
 func handle(a *Acc, req int, mode int) int { return deep(a, 2, mode) + a.total + len(a.log) + req }
@@ -672,6 +709,7 @@ fn a_failed_call_leaves_any_session_usable() {
         (1, "panic: boom"),
         (2, "index out of range"),
         (3, "step limit"),
+        (4, "makeslice: len out of range"),
     ] {
         for collector in [CollectorKind::Go, CollectorKind::Generational] {
             let cfg = VmConfig {
