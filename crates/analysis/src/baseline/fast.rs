@@ -86,14 +86,11 @@ pub fn analyze_func(
             incomplete: HashMap::new(),
         },
     };
-    for (i, info) in res.vars().iter().enumerate() {
-        if info.func == func.id {
-            let v = VarId(i as u32);
-            a.out.parent.insert(v, v);
-            // Unknown callers: parameter points-to sets are incomplete.
-            if info.kind == minigo_syntax::VarKind::Param {
-                a.out.incomplete.insert(v, true);
-            }
+    for &v in res.vars_of(func.id) {
+        a.out.parent.insert(v, v);
+        // Unknown callers: parameter points-to sets are incomplete.
+        if res.var(v).kind == minigo_syntax::VarKind::Param {
+            a.out.incomplete.insert(v, true);
         }
     }
     // Results escape.

@@ -110,11 +110,8 @@ pub fn build_func_graph(
     b.return_dummy = ret;
 
     // Locations for every variable of this function.
-    for (i, info) in res.vars().iter().enumerate() {
-        if info.func != func.id {
-            continue;
-        }
-        let vid = VarId(i as u32);
+    for &vid in res.vars_of(func.id) {
+        let info = res.var(vid);
         let ty = types.var(vid);
         let pointerful = ty.map(|t| types.contains_pointers(t)).unwrap_or(true);
         let loc = b.g.add_location(

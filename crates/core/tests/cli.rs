@@ -3,10 +3,10 @@
 use std::io::Write as _;
 use std::process::Command;
 
-fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
+fn write_temp(name: &str, content: impl AsRef<[u8]>) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!("minigo-cli-{name}-{}.mgo", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("create temp file");
-    f.write_all(content.as_bytes()).expect("write");
+    f.write_all(content.as_ref()).expect("write");
     path
 }
 
@@ -106,5 +106,69 @@ fn explain_reports_decisions_with_reasons() {
     assert!(text.contains("temp") && text.contains("FREED"), "{text}");
     assert!(text.contains("defer/panic"), "{text}");
     assert!(text.contains("outlived by"), "{text}");
+    let _ = std::fs::remove_file(path);
+}
+
+/// Whatever goes wrong — unreadable source, a run-time error, a resource
+/// limit — `minigo` exits 1 with one `minigo: ...` line on stderr: never
+/// 0, never an abort (134) or a panic (101).
+#[test]
+fn every_failure_exits_1_with_one_line() {
+    let fails = |label: &str, args: &[&str], want: &str| {
+        let out = minigo(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{label}: {err}");
+        assert_eq!(err.lines().count(), 1, "{label}: {err}");
+        assert!(
+            err.starts_with("minigo: ") && err.contains(want),
+            "{label}: {err}"
+        );
+    };
+
+    // 300 bytes off a fixed LCG: not UTF-8 (and not MiniGo).
+    let mut x = 0x2545_f491_4f6c_dd1d_u64;
+    let noise: Vec<u8> = std::iter::repeat_with(|| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 56) as u8
+    })
+    .take(300)
+    .collect();
+    assert!(std::str::from_utf8(&noise).is_err());
+    let path = write_temp("noise", &noise);
+    for cmd in ["run", "analyze", "build"] {
+        fails(cmd, &[cmd, path.to_str().unwrap()], "valid UTF-8");
+    }
+    let _ = std::fs::remove_file(path);
+
+    for (name, src, want) in [
+        ("spin", "func main() { for {} }\n", "step limit exceeded"),
+        (
+            "len",
+            "func main() { s := make([]int, 1024*1024*1024*1024)\n print(len(s)) }\n",
+            "makeslice: len out of range",
+        ),
+        (
+            "cap",
+            "func main() { s := make([]int, 3, 1024*1024*1024*1024*1024*1024)\n print(len(s)) }\n",
+            "makeslice: cap out of range",
+        ),
+        (
+            "div",
+            "func main() { a := 7\n z := 0\n print(a / z) }\n",
+            "integer divide by zero",
+        ),
+    ] {
+        let path = write_temp(name, src);
+        fails(name, &["run", path.to_str().unwrap()], want);
+        let _ = std::fs::remove_file(path);
+    }
+
+    let path = write_temp("good", PROGRAM);
+    assert_eq!(
+        minigo(&["run", path.to_str().unwrap()]).status.code(),
+        Some(0)
+    );
     let _ = std::fs::remove_file(path);
 }

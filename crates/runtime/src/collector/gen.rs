@@ -129,6 +129,10 @@ impl Collector for Generational {
         None
     }
 
+    fn has_barrier(&self) -> bool {
+        true
+    }
+
     fn record_store(&mut self, cfg: &RuntimeConfig, heap: &Heap, addr: ObjAddr) -> u64 {
         if !cfg.gc_enabled {
             return 0;

@@ -74,6 +74,10 @@ impl Collector for GoMarkSweep {
         })
     }
 
+    fn has_barrier(&self) -> bool {
+        false
+    }
+
     fn record_store(&mut self, _cfg: &RuntimeConfig, _heap: &Heap, _addr: ObjAddr) -> u64 {
         // No write barrier: Go's sweep examines the whole heap, so store
         // sites cost nothing — and the identity gate requires exactly

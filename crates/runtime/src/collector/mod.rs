@@ -182,6 +182,11 @@ pub trait Collector: fmt::Debug {
     /// clock or RNG.
     fn pace(&mut self, cfg: &RuntimeConfig, heap: &Heap, live_objects: u64) -> Option<GcTrigger>;
 
+    /// Whether [`Collector::record_store`] can ever do anything. Constant
+    /// for a backend's lifetime; the runtime asks once and skips the hook
+    /// (and the VM its liveness lookup) for a backend without a barrier.
+    fn has_barrier(&self) -> bool;
+
     /// Write-barrier hook: the VM stored into the heap object at `addr`.
     /// Returns the ticks to charge (0 = free; [`GoMarkSweep`] has no
     /// barrier and always returns 0, keeping the default backend

@@ -231,6 +231,11 @@ pub struct Runtime {
     /// cost model application, and the sweep policy. A separate field so
     /// the borrow checker lets it borrow `heap`/`clock`/`rng` disjointly.
     collector: Box<dyn Collector>,
+    /// `collector.gc_pending()`, refreshed after `pace`, `collect` and
+    /// `force_window`: the per-statement safepoint reads a field.
+    gc_pending: bool,
+    /// `collector.has_barrier()`, asked once.
+    has_barrier: bool,
     live_objects: u64,
     /// The event recorder, present when [`RuntimeConfig::trace`] is on.
     /// Boxed so the untraced hot path only carries a pointer-sized
@@ -253,6 +258,8 @@ impl Runtime {
         let tracer = cfg.trace.then(|| Box::new(Tracer::with_cap(cfg.trace_cap)));
         let collector = cfg.collector.build(&cfg);
         Runtime {
+            gc_pending: collector.gc_pending(),
+            has_barrier: collector.has_barrier(),
             cfg,
             heap,
             clock,
@@ -317,7 +324,8 @@ impl Runtime {
     /// Whether a collection should run at the next safepoint.
     #[inline]
     pub fn gc_pending(&self) -> bool {
-        self.collector.gc_pending()
+        debug_assert_eq!(self.gc_pending, self.collector.gc_pending());
+        self.gc_pending
     }
 
     /// Whether the concurrent mark window is open (tcfree bails).
@@ -401,10 +409,11 @@ impl Runtime {
         }
 
         // GC pacing: the collector decides; the runtime records.
-        if let Some(trigger) = self
+        let trigger = self
             .collector
-            .pace(&self.cfg, &self.heap, self.live_objects)
-        {
+            .pace(&self.cfg, &self.heap, self.live_objects);
+        self.gc_pending = self.collector.gc_pending();
+        if let Some(trigger) = trigger {
             if let Some(t) = &mut self.tracer {
                 t.record(TraceEvent::GcStart {
                     at: self.clock.now(),
@@ -431,6 +440,14 @@ impl Runtime {
     #[inline]
     pub fn mark(&mut self, addr: ObjAddr) -> bool {
         self.heap.mark(addr)
+    }
+
+    /// Whether the backend has a write barrier at all (constant for the
+    /// run): without one [`Runtime::record_store`] does nothing, and a
+    /// caller may skip preparing its argument.
+    #[inline]
+    pub fn has_barrier(&self) -> bool {
+        self.has_barrier
     }
 
     /// Write-barrier entry point: the VM calls this at every
@@ -599,6 +616,7 @@ impl Runtime {
         let cycle =
             self.collector
                 .collect(&self.cfg, &mut self.heap, &mut self.clock, &mut self.rng);
+        self.gc_pending = self.collector.gc_pending();
         let out = cycle.sweep;
         self.debug_check_heap();
         for f in &out.freed {
@@ -738,6 +756,7 @@ impl Runtime {
     #[doc(hidden)]
     pub fn force_gc_window(&mut self, assists: u64) {
         self.collector.force_window(assists);
+        self.gc_pending = self.collector.gc_pending();
     }
 }
 

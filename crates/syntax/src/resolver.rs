@@ -62,6 +62,7 @@ pub struct Resolution {
     decl_def: HashMap<(StmtId, usize), VarId>,
     params: HashMap<FuncId, Vec<VarId>>,
     results: HashMap<FuncId, Vec<VarId>>,
+    by_func: HashMap<FuncId, Vec<VarId>>,
     funcs_by_name: HashMap<String, FuncId>,
     block_depth: HashMap<BlockId, i32>,
 }
@@ -96,6 +97,11 @@ impl Resolution {
     /// The result variables of a function, in order.
     pub fn results_of(&self, func: FuncId) -> &[VarId] {
         self.results.get(&func).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// A function's variables (parameters, results, locals) in id order.
+    pub fn vars_of(&self, func: FuncId) -> &[VarId] {
+        self.by_func.get(&func).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Finds a function id by name.
@@ -179,6 +185,7 @@ impl Resolver {
             loop_depth: self.loop_depth,
             declared_ty: ty,
         });
+        self.res.by_func.entry(self.func).or_default().push(id);
         if !name.is_empty() {
             self.scopes
                 .last_mut()

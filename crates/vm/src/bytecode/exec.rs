@@ -24,7 +24,7 @@ use crate::machine::{
     Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
 };
 use crate::mark::RootSink;
-use crate::value::{ObjId, PtrVal, Value};
+use crate::value::{ObjId, PtrVal, SliceVal, Value};
 
 /// Runs a lowered module's `main`.
 ///
@@ -155,6 +155,114 @@ fn operand<'a>(frames: &'a [BFrame], f: &BFunc, s: u32) -> Result<Operand<'a>> {
     Ok(v)
 }
 
+// ---- the int lane ----
+//
+// The handlers that dominate the measured instruction mix try these
+// first: when every slot, constant and stack top involved is a plain
+// `Value::Int` they compute on `i64`s and write an `i64` back (or set
+// `pc`) — no `Operand`, no `Result<Value>`, no slot drop. A `None` from
+// any of them (a boxed, empty, poisoned or non-int operand, `/ 0`, `% 0`,
+// `&&`, `||`) has changed nothing, and the handler's generic body runs:
+// every error and every non-int row stays the generic path's.
+
+#[inline(always)]
+fn as_int(v: &Value) -> Option<i64> {
+    match v {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    }
+}
+
+/// The top frame's slot `s`, when it is a plain int.
+#[inline(always)]
+fn int_slot(frames: &[BFrame], s: u32) -> Option<i64> {
+    match &frames.last()?.slots[s as usize] {
+        BSlot::Plain(v) => as_int(v),
+        _ => None,
+    }
+}
+
+/// Plain slot `base` as a slice header beside plain slot `idx` as an int.
+#[inline(always)]
+fn slice_and_int(frames: &[BFrame], base: u32, idx: u32) -> Option<(&SliceVal, i64)> {
+    match &frames.last()?.slots[base as usize] {
+        BSlot::Plain(Value::Slice(s)) => Some((s, int_slot(frames, idx)?)),
+        _ => None,
+    }
+}
+
+/// Overwrites the int in the top frame's plain slot `s` with `v`.
+#[inline(always)]
+fn set_int_slot(frames: &mut [BFrame], s: u32, v: Option<i64>) -> Option<()> {
+    match &mut frames.last_mut()?.slots[s as usize] {
+        BSlot::Plain(Value::Int(i)) => *i = v?,
+        _ => return None,
+    }
+    Some(())
+}
+
+/// `a op b` for the operators with an int result ([`Machine::binop`]'s
+/// first rows); division by zero is left to the generic body to report.
+#[inline(always)]
+fn arith(op: BinOp, a: i64, b: i64) -> Option<i64> {
+    Some(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div if b != 0 => a.wrapping_div(b),
+        BinOp::Rem if b != 0 => a.wrapping_rem(b),
+        _ => return None,
+    })
+}
+
+/// `a op b` for the comparisons.
+#[inline(always)]
+fn cmp(op: BinOp, a: i64, b: i64) -> Option<bool> {
+    Some(match op {
+        BinOp::Lt => a < b,
+        BinOp::Le => a <= b,
+        BinOp::Gt => a > b,
+        BinOp::Ge => a >= b,
+        BinOp::Eq => a == b,
+        BinOp::Ne => a != b,
+        _ => return None,
+    })
+}
+
+/// Branches as `JumpIfFalse` would on `a op b`, a comparison.
+#[inline(always)]
+fn int_branch(op: BinOp, ints: Option<(i64, i64)>, pc: &mut usize, t: usize) -> Option<()> {
+    let (a, b) = ints?;
+    if !cmp(op, a, b)? {
+        *pc = t;
+    }
+    Some(())
+}
+
+/// Pushes `a op b`, as a push form leaves it on the stack.
+#[inline(always)]
+fn push_int_bin(stack: &mut Vec<Value>, op: BinOp, ints: Option<(i64, i64)>) -> Option<()> {
+    let (a, b) = ints?;
+    stack.push(match arith(op, a, b) {
+        Some(v) => Value::Int(v),
+        None => Value::Bool(cmp(op, a, b)?),
+    });
+    Some(())
+}
+
+/// `*l = *l op r` in place, when `l` is an int.
+#[inline(always)]
+fn int_bin_assign(l: &mut Value, op: BinOp, r: Option<i64>) -> Option<()> {
+    let (Value::Int(a), r) = (&mut *l, r?) else {
+        return None;
+    };
+    match arith(op, *a, r) {
+        Some(v) => *a = v,
+        None => *l = Value::Bool(cmp(op, *a, r)?),
+    }
+    Some(())
+}
+
 #[inline]
 fn pop(stack: &mut Vec<Value>) -> Value {
     stack.pop().expect("operand stack underflow")
@@ -167,6 +275,17 @@ fn top2(stack: &[Value]) -> (&Value, &Value) {
         [.., l, r] => (l, r),
         _ => panic!("operand stack underflow"),
     }
+}
+
+/// `[.., l, r]` to `[.., l op r]` in place, when both are ints.
+#[inline(always)]
+fn int_bin_top2(stack: &mut Vec<Value>, op: BinOp) -> Option<()> {
+    let [.., l, r] = &mut stack[..] else {
+        return None;
+    };
+    int_bin_assign(l, op, as_int(r))?;
+    stack.pop();
+    Some(())
 }
 
 /// Overwrites the top two operands with `v` (a binary result).
@@ -429,11 +548,17 @@ impl<'m> Bytecode<'m> {
                 },
                 Instr::Bin(op) => {
                     m.tick(1);
+                    if int_bin_top2(stack, *op).is_some() {
+                        continue;
+                    }
                     let (l, r) = top2(stack);
                     let v = m.binop(*op, l, r)?;
                     replace_top2(stack, v);
                 }
                 Instr::BinRaw(op) => {
+                    if int_bin_top2(stack, *op).is_some() {
+                        continue;
+                    }
                     let (l, r) = top2(stack);
                     let v = m.binop(*op, l, r)?;
                     replace_top2(stack, v);
@@ -623,11 +748,17 @@ impl<'m> Bytecode<'m> {
                 }
                 Instr::LoadLoadBin { a, b, op, ticks } => {
                     m.tick(u64::from(*ticks));
-                    stack.push(self.bin_slots(m, f, *a, *b, *op)?);
+                    let ints = int_slot(&self.frames, *a).zip(int_slot(&self.frames, *b));
+                    if push_int_bin(stack, *op, ints).is_none() {
+                        stack.push(self.bin_slots(m, f, *a, *b, *op)?);
+                    }
                 }
                 Instr::LoadConstBin { a, c, op, ticks } => {
                     m.tick(u64::from(*ticks));
-                    stack.push(self.bin_slot_const(m, f, *a, *c, *op)?);
+                    let ints = int_slot(&self.frames, *a).zip(as_int(&self.consts[*c as usize]));
+                    if push_int_bin(stack, *op, ints).is_none() {
+                        stack.push(self.bin_slot_const(m, f, *a, *c, *op)?);
+                    }
                 }
                 Instr::LoadLoadBinStore {
                     a,
@@ -637,6 +768,11 @@ impl<'m> Bytecode<'m> {
                     ticks,
                 } => {
                     m.tick(u64::from(*ticks));
+                    let ints = int_slot(&self.frames, *a).zip(int_slot(&self.frames, *b));
+                    let v = ints.and_then(|(a, b)| arith(*op, a, b));
+                    if set_int_slot(&mut self.frames, *dst, v).is_some() {
+                        continue;
+                    }
                     let v = self.bin_slots(m, f, *a, *b, *op)?;
                     self.store_slot(*dst, v)?;
                 }
@@ -648,16 +784,29 @@ impl<'m> Bytecode<'m> {
                     ticks,
                 } => {
                     m.tick(u64::from(*ticks));
+                    let ints = int_slot(&self.frames, *a).zip(as_int(&self.consts[*c as usize]));
+                    let v = ints.and_then(|(a, c)| arith(*op, a, c));
+                    if set_int_slot(&mut self.frames, *dst, v).is_some() {
+                        continue;
+                    }
                     let v = self.bin_slot_const(m, f, *a, *c, *op)?;
                     self.store_slot(*dst, v)?;
                 }
                 Instr::LoadLoadBinJump { a, b, op, t, ticks } => {
                     m.tick(u64::from(*ticks));
+                    let ints = int_slot(&self.frames, *a).zip(int_slot(&self.frames, *b));
+                    if int_branch(*op, ints, &mut pc, *t).is_some() {
+                        continue;
+                    }
                     let v = self.bin_slots(m, f, *a, *b, *op)?;
                     branch_if_false(&v, &mut pc, *t)?;
                 }
                 Instr::LoadConstBinJump { a, c, op, t, ticks } => {
                     m.tick(u64::from(*ticks));
+                    let ints = int_slot(&self.frames, *a).zip(as_int(&self.consts[*c as usize]));
+                    if int_branch(*op, ints, &mut pc, *t).is_some() {
+                        continue;
+                    }
                     let v = self.bin_slot_const(m, f, *a, *c, *op)?;
                     branch_if_false(&v, &mut pc, *t)?;
                 }
@@ -668,6 +817,10 @@ impl<'m> Bytecode<'m> {
                 Instr::BinJumpIfFalse { op, t, ticks } => {
                     m.tick(u64::from(*ticks));
                     let (l, r) = top2(stack);
+                    if int_branch(*op, as_int(l).zip(as_int(r)), &mut pc, *t).is_some() {
+                        stack.truncate(stack.len() - 2);
+                        continue;
+                    }
                     let v = m.binop(*op, l, r)?;
                     stack.truncate(stack.len() - 2);
                     branch_if_false(&v, &mut pc, *t)?;
@@ -679,6 +832,10 @@ impl<'m> Bytecode<'m> {
                     ticks,
                 } => {
                     m.tick(u64::from(*ticks));
+                    if let Some((s, i)) = slice_and_int(&self.frames, *base, *idx) {
+                        stack.push(m.slice_get(s, i)?);
+                        continue;
+                    }
                     let b = operand(&self.frames, f, *base)?;
                     check_index_base(&b)?;
                     let i = operand(&self.frames, f, *idx)?;
@@ -698,6 +855,10 @@ impl<'m> Bytecode<'m> {
                     ticks,
                 } => {
                     m.tick(u64::from(*ticks));
+                    if let Some((s, i)) = slice_and_int(&self.frames, *base, *idx) {
+                        m.slice_set(s, i, pop(stack))?;
+                        continue;
+                    }
                     let b = operand(&self.frames, f, *base)?;
                     check_index_base(&b)?;
                     let i = operand(&self.frames, f, *idx)?;
@@ -721,6 +882,10 @@ impl<'m> Bytecode<'m> {
                 }
                 Instr::LoadLoadLenBinJump { a, s, op, t, ticks } => {
                     m.tick(u64::from(*ticks));
+                    let ints = slice_and_int(&self.frames, *s, *a).map(|(s, a)| (a, s.len as i64));
+                    if int_branch(*op, ints, &mut pc, *t).is_some() {
+                        continue;
+                    }
                     let l = operand(&self.frames, f, *a)?;
                     let r = len_of(&*operand(&self.frames, f, *s)?)?;
                     let v = m.binop(*op, &l, &r)?;
@@ -728,13 +893,19 @@ impl<'m> Bytecode<'m> {
                 }
                 Instr::BinSlot { s, op, ticks } => {
                     m.tick(u64::from(*ticks));
-                    let r = operand(&self.frames, f, *s)?;
                     let l = stack.last_mut().expect("operand stack underflow");
+                    if int_bin_assign(l, *op, int_slot(&self.frames, *s)).is_some() {
+                        continue;
+                    }
+                    let r = operand(&self.frames, f, *s)?;
                     *l = m.binop(*op, l, &r)?;
                 }
                 Instr::BinConst { c, op, ticks } => {
                     m.tick(u64::from(*ticks));
                     let l = stack.last_mut().expect("operand stack underflow");
+                    if int_bin_assign(l, *op, as_int(&self.consts[*c as usize])).is_some() {
+                        continue;
+                    }
                     *l = m.binop(*op, l, &self.consts[*c as usize])?;
                 }
                 Instr::BinConstStore { c, op, dst, ticks } => {
@@ -746,6 +917,10 @@ impl<'m> Bytecode<'m> {
                 Instr::BinConstJump { c, op, t, ticks } => {
                     m.tick(u64::from(*ticks));
                     let l = pop(stack);
+                    let ints = as_int(&l).zip(as_int(&self.consts[*c as usize]));
+                    if int_branch(*op, ints, &mut pc, *t).is_some() {
+                        continue;
+                    }
                     let v = m.binop(*op, &l, &self.consts[*c as usize])?;
                     branch_if_false(&v, &mut pc, *t)?;
                 }
@@ -930,6 +1105,64 @@ mod tests {
         }
         let out = s.call("good", Vec::new()).expect("session still usable");
         assert!(matches!(out[..], [Value::Int(64)]), "got {out:?}");
+        assert!(s.engine.frames.is_empty());
+    }
+
+    /// The int lane of a `...BinStore` form writes through the
+    /// destination's `i64`, so it must decline whenever the destination
+    /// holds anything else: the store is then the generic body's, with
+    /// its result or error. No typed program stores an int over a string
+    /// or into an undeclared slot, hence the hand-written module.
+    #[test]
+    fn the_int_lane_declines_a_destination_that_is_not_a_plain_int() {
+        let add_into = |dst| Instr::LoadConstBinStore {
+            a: 0,
+            c: 1,
+            op: BinOp::Add,
+            dst,
+            ticks: 3,
+        };
+        let declare = |boxed| Instr::Declare {
+            slot: 1,
+            boxed,
+            heap: false,
+            size: 8,
+        };
+        let over_str = vec![
+            Instr::Const(2),
+            declare(false),
+            add_into(1),
+            Instr::LoadSlot(1),
+            Instr::StoreSlot(0),
+            Instr::Ret,
+        ];
+        let into_box = vec![
+            Instr::Const(2),
+            declare(true),
+            add_into(1),
+            Instr::AddrOfSlot(1),
+            Instr::Deref,
+            Instr::StoreSlot(0),
+            Instr::Ret,
+        ];
+        let module = Module {
+            funcs: vec![
+                func("over_str", 2, over_str),
+                func("into_box", 2, into_box),
+                func("into_empty", 2, vec![add_into(1), Instr::Ret]),
+            ],
+            consts: vec![Const::Int(5), Const::Int(64), Const::Str("s".into())],
+            ic_slots: 0,
+        };
+        let mut s = Session::new(Bytecode::new(&module), VmConfig::default()).expect("valid");
+        for name in ["over_str", "into_box"] {
+            let out = s.call(name, Vec::new()).expect(name);
+            assert!(matches!(out[..], [Value::Int(69)]), "{name}: got {out:?}");
+        }
+        assert_eq!(
+            s.call("into_empty", Vec::new()).err(),
+            Some(ExecError::Internal("write to undeclared variable".into()))
+        );
         assert!(s.engine.frames.is_empty());
     }
 }

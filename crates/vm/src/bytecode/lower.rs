@@ -94,11 +94,9 @@ fn lower_func(
     // the resolver numbers them at function entry).
     let mut slot_of = HashMap::new();
     let mut slot_names = Vec::new();
-    for (i, info) in res.vars().iter().enumerate() {
-        if info.func == func.id {
-            slot_of.insert(VarId(i as u32), slot_names.len() as u32);
-            slot_names.push(info.name.clone());
-        }
+    for &v in res.vars_of(func.id) {
+        slot_of.insert(v, slot_names.len() as u32);
+        slot_names.push(res.var(v).name.clone());
     }
 
     let mut lo = FnLowerer {

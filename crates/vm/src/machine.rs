@@ -547,6 +547,9 @@ impl Machine {
     /// fires — barriers are part of the simulation, not an observer.
     #[inline]
     fn barrier_store(&mut self, obj: Option<ObjId>) {
+        if !self.rt.has_barrier() {
+            return;
+        }
         if let Some(obj) = obj.filter(|o| o.is_live(&self.rt)) {
             self.rt.record_store(obj.addr);
         }
@@ -743,6 +746,27 @@ impl Machine {
 
     // ---- loads and stores ----
 
+    /// `s[i]`: the one place a slice element is read (bounds, shadow
+    /// check, poison), for [`Machine::index_get`] and for an engine that
+    /// already holds the header and the index apart.
+    #[inline(always)]
+    pub(crate) fn slice_get(&mut self, s: &SliceVal, i: i64) -> Result<Value> {
+        let at = cell_at(s, i)?;
+        self.shadow_access(s.obj, "slice index read");
+        check_poison(s.cells.borrow().get(at))
+    }
+
+    /// `s[i] = v`: the one place a slice element is written (bounds,
+    /// shadow check, write barrier).
+    #[inline(always)]
+    pub(crate) fn slice_set(&mut self, s: &SliceVal, i: i64, v: Value) -> Result<()> {
+        let at = cell_at(s, i)?;
+        self.shadow_access(s.obj, "slice index write");
+        self.barrier_store(s.obj);
+        s.cells.borrow_mut().set(at, v);
+        Ok(())
+    }
+
     /// `base[idx]`. The caller has charged the node's own tick; a map
     /// lookup charges its data-dependent ticks here, identically on an
     /// inline-cache hit and miss.
@@ -754,17 +778,7 @@ impl Machine {
         ic: Option<u32>,
     ) -> Result<Value> {
         match base {
-            Value::Slice(s) => {
-                let i = int_of(idx)?;
-                if i < 0 || i as usize >= s.len {
-                    return Err(ExecError::OutOfBounds {
-                        index: i,
-                        len: s.len,
-                    });
-                }
-                self.shadow_access(s.obj, "slice index read");
-                check_poison(s.cells.borrow().get(s.offset + i as usize))
-            }
+            Value::Slice(s) => self.slice_get(s, int_of(idx)?),
             Value::Map(map) => {
                 let key = key_of(idx)?;
                 self.rt.tick(2);
@@ -815,19 +829,7 @@ impl Machine {
         ic: Option<u32>,
     ) -> Result<()> {
         match base {
-            Value::Slice(s) => {
-                let i = int_of(idx)?;
-                if i < 0 || i as usize >= s.len {
-                    return Err(ExecError::OutOfBounds {
-                        index: i,
-                        len: s.len,
-                    });
-                }
-                self.shadow_access(s.obj, "slice index write");
-                self.barrier_store(s.obj);
-                s.cells.borrow_mut().set(s.offset + i as usize, v);
-                Ok(())
-            }
+            Value::Slice(s) => self.slice_set(s, int_of(idx)?, v),
             Value::Map(map) => self.map_insert(map, key_of(idx)?, v, ic),
             Value::Nil => Err(ExecError::NilDeref),
             _ => Err(ExecError::Internal("store into non-indexable".into())),
@@ -1072,6 +1074,18 @@ pub(crate) fn int_of(v: &Value) -> Result<i64> {
             other.display()
         ))),
     }
+}
+
+/// Where element `i` of `s` sits in its backing array: the bounds check.
+#[inline(always)]
+fn cell_at(s: &SliceVal, i: i64) -> Result<usize> {
+    if i < 0 || i as usize >= s.len {
+        return Err(ExecError::OutOfBounds {
+            index: i,
+            len: s.len,
+        });
+    }
+    Ok(s.offset + i as usize)
 }
 
 fn key_of(v: &Value) -> Result<Key> {

@@ -529,6 +529,157 @@ func main() {
 func main() { q := mk()\n print(*q) }\n",
     ),
     (
+        "div by zero, slot / slot stored back to the left operand",
+        "integer divide by zero",
+        "func main() { x := 7\n z := 0\n print(x)\n x = x / z\n print(x) }\n",
+    ),
+    (
+        "rem by zero, slot % const stored back",
+        "integer divide by zero",
+        "func main() { x := 7\n print(x)\n x = x % 0\n print(x) }\n",
+    ),
+    (
+        "div by zero, the quotient is the element stored",
+        "integer divide by zero",
+        "func main() { n := 4\n s := make([]int, n)\n a := 9\n z := 0\n i := 1\n s[i] = a / z\n print(s) }\n",
+    ),
+    (
+        "div by zero in a loop header",
+        "integer divide by zero",
+        "func main() { n := 8\n z := 0\n t := 0\n for i := 0; i < n / z; i += 1 { t += i }\n print(t) }\n",
+    ),
+    (
+        "rem by zero, stack % slot and stack % const",
+        "integer divide by zero",
+        "func main() { n := 2\n z := 0\n s := make([]int, n)\n s[0] = 5\n print(s[0] % 3)\n print(s[0] % z) }\n",
+    ),
+    (
+        "MinInt64 / -1 and MinInt64 % -1 wrap, in every form",
+        "Ok",
+        "func main() {
+    min := 0 - 9223372036854775807 - 1
+    max := 9223372036854775807
+    neg := 0 - 1
+    s := make([]int, 2)
+    s[0] = min
+    s[1] = neg
+    q := 0
+    q = min / neg
+    r := 1
+    r = min % neg
+    x := min
+    x = x / -1
+    y := min
+    y = y % -1
+    if min / neg < 0 { q += 0 }
+    if s[0] / s[1] == min { r += 0 }
+    for i := 0; i < s[0] % s[1] + 1; i += 1 { y += 1 }
+    print(q, r, x, y, min / neg, min % neg, min / -1, min % -1, s[0] / s[1], s[0] % s[1])
+    print(max + 1, min - 1, max * 2, min * neg, max + 1 == min, s[0] / neg, s[0] % -1)
+}
+",
+    ),
+    (
+        "strings, structs and pointers through the fused forms ints take",
+        "Ok",
+        "type P struct { a int
+    b string }
+func main() {
+    a := \"left\"
+    b := \"right\"
+    t := \"\"
+    ok := false
+    t = a + b
+    t = t + \"!\"
+    ok = a < b
+    print(ok, t)
+    ok = a == \"left\"
+    if a < b { print(1) }
+    if a == b { print(2) }
+    if a != \"left\" { print(3) }
+    p := P{1, \"x\"}
+    q := P{1, \"x\"}
+    r := P{2, \"x\"}
+    same := p == q
+    ok = p == r
+    if p == q { print(4) }
+    if p != r { print(5) }
+    pp := &p
+    pq := &q
+    alias := pp
+    eq := pp == alias
+    ok = pp == pq
+    if pp == alias { print(6) }
+    if pp != pq { print(7) }
+    if pp != nil { print(8) }
+    ss := make([]string, 2)
+    ss[0] = a
+    ss[1] = b
+    if ss[0] + ss[1] == t { print(9) }
+    print(same, ok, eq, a + b, a < b, p == q, pp == pq, ss[0] < ss[1], ss[0] == a)
+}
+",
+    ),
+    (
+        "a comparison whose bool is stored, then printed and branched on",
+        "Ok",
+        "func main() {
+    n := 5
+    s := make([]int, n)
+    i := 2
+    ok := i < n
+    small := i < 1
+    eq := false
+    eq = i == n
+    ok = ok == small
+    le := false
+    le = s[i] <= i
+    ge := s[i] + 1 >= len(s)
+    for j := 0; j < len(s); j += 1 { ok = j < i
+        s[j] = j - i }
+    if eq == ok { i = 9 }
+    print(ok, small, eq, le, ge, i < n, i >= n, s[1] != i, s)
+}
+",
+    ),
+    (
+        "negative store index, slot base and slot index",
+        "index out of range [-2] with length 4",
+        "func main() { n := 4\n s := make([]int, n)\n i := 0 - 2\n s[i] = 1\n print(s) }\n",
+    ),
+    (
+        "past-the-end load, slot base and slot index, in a loop",
+        "index out of range [4] with length 4",
+        "func main() { n := 4\n s := make([]int, n)\n t := 0\n for i := 0; i <= len(s); i += 1 { t = s[i]\n print(t) } }\n",
+    ),
+    (
+        "past-the-end load through a reslice, slot index",
+        "index out of range [2] with length 2",
+        "func main() { n := 4\n s := make([]int, n)\n r := s[2:4]\n i := 2\n t := 0\n t = r[i]\n print(t) }\n",
+    ),
+    (
+        "poisoned int slice: the loop header reads len, the body the element",
+        "read of poisoned memory",
+        "func main() { n := 64\n s := make([]int, n)\n t := 0\n tcfree(s)\n for i := 0; i < len(s); i += 1 { print(i)\n t = s[i] }\n print(t) }\n",
+    ),
+    (
+        "poisoned int slice element stored over, then read back",
+        "Ok",
+        "func main() { n := 64\n s := make([]int, n)\n i := 5\n tcfree(s)\n s[i] = 8\n t := 0\n t = s[i]\n print(t, s[i] + 1, len(s)) }\n",
+    ),
+    (
+        "poisoned boxed int under a compare-and-jump",
+        "read of poisoned memory",
+        "func mk() *int { x := 5\n p := &x\n if x < 9 { print(x) }\n tcfree(p)\n if x < 9 { print(x) }\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned boxed int as the destination and source of x = x + 1",
+        "read of poisoned memory",
+        "func mk() *int { x := 5\n p := &x\n x = x + 1\n print(x)\n tcfree(p)\n x = x + 1\n print(x)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
         "poisoned boxed slot under a bare branch",
         "read of poisoned memory",
         "func mk() *bool { ok := true\n p := &ok\n tcfree(p)\n if ok { print(1) }\n return p }
