@@ -33,9 +33,9 @@
 //! default) is the paper's mark-sweep, `gen` adds a generational nursery
 //! with minor/major cycles. `--opt {off,full}` selects the bytecode
 //! instruction stream: `full` (the default) runs the optimizer tier
-//! (peephole/const-fold, jump threading, inline caches,
-//! superinstructions), `off` runs the baseline lowering; observables
-//! are bit-identical either way. `--gctrace` prints a Go
+//! (peephole/const-fold, jump threading, superinstructions), `off` runs
+//! the baseline lowering; observables are bit-identical either way.
+//! `--gctrace` prints a Go
 //! `GODEBUG=gctrace=1`-style pacing line per GC cycle to stderr, tagged
 //! with the backend and cycle kind, plus a final minor/major summary. `--report-json PATH` writes the run report as JSON
 //! with stable field names. `--trace-cap N` bounds the in-memory event

@@ -100,7 +100,7 @@ pub enum OptLevel {
     /// Run the baseline lowered stream, bypassing the optimizer tier.
     Off,
     /// Run the optimized stream (peephole/const-fold, jump threading,
-    /// inline caches, superinstructions) — the default.
+    /// superinstructions) — the default.
     #[default]
     Full,
 }

@@ -99,8 +99,8 @@ pub struct Compiled {
     /// `--opt off` debugging path.
     pub lowered: minigo_vm::Module,
     /// The optimizer tier's rewrite of `lowered` (peephole/const-fold,
-    /// jump threading, inline caches, superinstructions) — what the
-    /// bytecode engine runs by default. Observationally identical to
+    /// jump threading, superinstructions) — what the bytecode engine
+    /// runs by default. Observationally identical to
     /// `lowered`; only host wall-clock differs.
     pub optimized: minigo_vm::Module,
     /// Per-pass rewrite counters from producing `optimized`.

@@ -30,7 +30,9 @@ use minigo_runtime::Metrics;
 /// harness: a top-level `"service"` object (`null` for batch runs) with
 /// request counts, exact latency/queue quantiles, log₂ latency and
 /// minor/major GC-pause histogram buckets, and the heap high-water
-/// marks. Every v4 field is unchanged.
+/// marks. Every v4 field is unchanged. The map inline caches are gone:
+/// `"ic_hits"`, `"ic_misses"` and `"opt"."ic_sites"` keep their place in
+/// the schema and always read 0.
 pub const REPORT_SCHEMA: &str = "gofree-report/5";
 
 fn u64_array(values: &[u64]) -> String {
@@ -155,7 +157,7 @@ pub fn service_report_json(
         Some(o) => format!(
             "{{\"instrs_before\":{},\"instrs_after\":{},\"consts_folded\":{},\
              \"branches_folded\":{},\"pushpops_elided\":{},\"ticks_merged\":{},\
-             \"jumps_threaded\":{},\"ic_sites\":{},\"fusions\":{}}}",
+             \"jumps_threaded\":{},\"ic_sites\":0,\"fusions\":{}}}",
             o.instrs_before,
             o.instrs_after,
             o.consts_folded,
@@ -163,7 +165,6 @@ pub fn service_report_json(
             o.pushpops_elided,
             o.ticks_merged,
             o.jumps_threaded,
-            o.ic_sites,
             o.fusions,
         ),
         None => "null".to_string(),

@@ -22,9 +22,8 @@
 //! minor cycles, which is precisely the cross-backend effect
 //! `results/collectors.txt` measures.
 
-use std::collections::HashSet;
-
 use crate::clock::Clock;
+use crate::fxhash::FxHashSet;
 use crate::heap::{Heap, HeapInvariant, HeapInvariantError, ObjAddr};
 use crate::rng::SimRng;
 use crate::runtime::RuntimeConfig;
@@ -40,7 +39,7 @@ pub struct Generational {
     /// Bytes those objects account for (the minor trigger's input).
     young_bytes: u64,
     /// Old objects mutated since the last cycle (minor-mark roots).
-    remembered: HashSet<ObjAddr>,
+    remembered: FxHashSet<ObjAddr>,
     gc_running: bool,
     assist_left: u64,
     /// The major (full-heap) GOGC goal.
@@ -56,7 +55,7 @@ impl Generational {
         Generational {
             young_objects: 0,
             young_bytes: 0,
-            remembered: HashSet::new(),
+            remembered: FxHashSet::default(),
             gc_running: false,
             assist_left: 0,
             next_gc: cfg.min_heap,

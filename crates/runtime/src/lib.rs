@@ -28,6 +28,7 @@
 
 pub mod clock;
 pub mod collector;
+pub mod fxhash;
 pub mod heap;
 pub mod histogram;
 pub mod metrics;

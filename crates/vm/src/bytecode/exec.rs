@@ -616,23 +616,12 @@ impl<'m> Bytecode<'m> {
                 Instr::IndexGet => {
                     m.tick(1);
                     let (base, idx) = top2(stack);
-                    let v = m.index_get(base, idx, None)?;
-                    replace_top2(stack, v);
-                }
-                Instr::IndexGetIC(ic) => {
-                    m.tick(1);
-                    let (base, idx) = top2(stack);
-                    let v = m.index_get(base, idx, Some(*ic))?;
+                    let v = m.index_get(base, idx)?;
                     replace_top2(stack, v);
                 }
                 Instr::IndexSet => {
                     let (v, base, idx) = store_operands(stack);
-                    m.index_set(base, idx, v, None)?;
-                    stack.truncate(stack.len() - 3);
-                }
-                Instr::IndexSetIC(ic) => {
-                    let (v, base, idx) = store_operands(stack);
-                    m.index_set(base, idx, v, Some(*ic))?;
+                    m.index_set(base, idx, v)?;
                     stack.truncate(stack.len() - 3);
                 }
                 Instr::ReSlice { has_hi } => {
@@ -825,12 +814,7 @@ impl<'m> Bytecode<'m> {
                     stack.truncate(stack.len() - 2);
                     branch_if_false(&v, &mut pc, *t)?;
                 }
-                Instr::LoadLoadIndexGet {
-                    base,
-                    idx,
-                    ic,
-                    ticks,
-                } => {
+                Instr::LoadLoadIndexGet { base, idx, ticks } => {
                     m.tick(u64::from(*ticks));
                     if let Some((s, i)) = slice_and_int(&self.frames, *base, *idx) {
                         stack.push(m.slice_get(s, i)?);
@@ -839,21 +823,16 @@ impl<'m> Bytecode<'m> {
                     let b = operand(&self.frames, f, *base)?;
                     check_index_base(&b)?;
                     let i = operand(&self.frames, f, *idx)?;
-                    stack.push(m.index_get(&b, &i, Some(*ic))?);
+                    stack.push(m.index_get(&b, &i)?);
                 }
-                Instr::LoadConstIndexGet { base, c, ic, ticks } => {
+                Instr::LoadConstIndexGet { base, c, ticks } => {
                     m.tick(u64::from(*ticks));
                     let b = operand(&self.frames, f, *base)?;
                     check_index_base(&b)?;
                     let i = &self.consts[*c as usize];
-                    stack.push(m.index_get(&b, i, Some(*ic))?);
+                    stack.push(m.index_get(&b, i)?);
                 }
-                Instr::LoadLoadIndexSet {
-                    base,
-                    idx,
-                    ic,
-                    ticks,
-                } => {
+                Instr::LoadLoadIndexSet { base, idx, ticks } => {
                     m.tick(u64::from(*ticks));
                     if let Some((s, i)) = slice_and_int(&self.frames, *base, *idx) {
                         m.slice_set(s, i, pop(stack))?;
@@ -862,14 +841,14 @@ impl<'m> Bytecode<'m> {
                     let b = operand(&self.frames, f, *base)?;
                     check_index_base(&b)?;
                     let i = operand(&self.frames, f, *idx)?;
-                    m.index_set(&b, &i, pop(stack), Some(*ic))?;
+                    m.index_set(&b, &i, pop(stack))?;
                 }
-                Instr::LoadConstIndexSet { base, c, ic, ticks } => {
+                Instr::LoadConstIndexSet { base, c, ticks } => {
                     m.tick(u64::from(*ticks));
                     let b = operand(&self.frames, f, *base)?;
                     check_index_base(&b)?;
                     let i = &self.consts[*c as usize];
-                    m.index_set(&b, i, pop(stack), Some(*ic))?;
+                    m.index_set(&b, i, pop(stack))?;
                 }
                 Instr::LoadLen { s, ticks } => {
                     m.tick(u64::from(*ticks));
@@ -1005,10 +984,6 @@ impl Dispatch for Bytecode<'_> {
             }
         }
     }
-
-    fn ic_slots(&self) -> u32 {
-        self.module.ic_slots
-    }
 }
 
 #[cfg(test)]
@@ -1077,7 +1052,6 @@ mod tests {
         let module = Module {
             funcs: vec![bad, good],
             consts: vec![Const::Int(0), Const::Int(64)],
-            ic_slots: 0,
         };
         let cfg = VmConfig {
             runtime: RuntimeConfig {
@@ -1152,7 +1126,6 @@ mod tests {
                 func("into_empty", 2, vec![add_into(1), Instr::Ret]),
             ],
             consts: vec![Const::Int(5), Const::Int(64), Const::Str("s".into())],
-            ic_slots: 0,
         };
         let mut s = Session::new(Bytecode::new(&module), VmConfig::default()).expect("valid");
         for name in ["over_str", "into_box"] {

@@ -38,12 +38,6 @@ pub struct Module {
     /// values; the engine materializes them into per-run [`Value`]s that
     /// are cloned onto the operand stack.
     pub consts: Vec<Const>,
-    /// Number of inline-cache slots referenced by the instruction
-    /// stream. Zero straight out of lowering; the optimizer tier
-    /// ([`super::optimize`]) assigns a slot to every cache-carrying
-    /// instruction it installs, and the engine sizes its per-run cache
-    /// vector from this.
-    pub ic_slots: u32,
 }
 
 impl Module {
@@ -477,50 +471,42 @@ pub enum Instr {
         ticks: u32,
     },
     /// `[] -> [v]` — fused `LoadSlot base; CheckIndexBase; LoadSlot
-    /// idx; IndexGet`, with an inline-cache slot for map bases.
+    /// idx; IndexGet`.
     LoadLoadIndexGet {
         /// Slot holding the slice/map base.
         base: u32,
         /// Slot holding the index/key.
         idx: u32,
-        /// Inline-cache slot.
-        ic: u32,
         /// Coalesced tick charge.
         ticks: u32,
     },
     /// `[] -> [v]` — fused `LoadSlot base; CheckIndexBase; Const c;
-    /// IndexGet`, with an inline-cache slot for map bases.
+    /// IndexGet`.
     LoadConstIndexGet {
         /// Slot holding the slice/map base.
         base: u32,
         /// Constant-pool index of the index/key.
         c: u32,
-        /// Inline-cache slot.
-        ic: u32,
         /// Coalesced tick charge.
         ticks: u32,
     },
     /// `[v] -> []` — fused `LoadSlot base; CheckIndexBase; LoadSlot
-    /// idx; IndexSet`, with an inline-cache slot for map bases.
+    /// idx; IndexSet`.
     LoadLoadIndexSet {
         /// Slot holding the slice/map base.
         base: u32,
         /// Slot holding the index/key.
         idx: u32,
-        /// Inline-cache slot.
-        ic: u32,
         /// Coalesced tick charge.
         ticks: u32,
     },
     /// `[v] -> []` — fused `LoadSlot base; CheckIndexBase; Const c;
-    /// IndexSet`, with an inline-cache slot for map bases.
+    /// IndexSet`.
     LoadConstIndexSet {
         /// Slot holding the slice/map base.
         base: u32,
         /// Constant-pool index of the index/key.
         c: u32,
-        /// Inline-cache slot.
-        ic: u32,
         /// Coalesced tick charge.
         ticks: u32,
     },
@@ -610,15 +596,6 @@ pub enum Instr {
         /// Coalesced tick charge.
         ticks: u32,
     },
-    /// `[base, idx] -> [v]` — [`Instr::IndexGet`] with a monomorphic
-    /// inline cache: the cache slot remembers the last map identity and
-    /// entry index, skipping the hash lookup when the same key hits the
-    /// same map (validated against the entry, so a stale cache can only
-    /// miss, never misread).
-    IndexGetIC(u32),
-    /// `[v, base, idx] -> []` — [`Instr::IndexSet`] with a monomorphic
-    /// inline cache (fast path: in-place update of an existing entry).
-    IndexSetIC(u32),
 }
 
 impl Instr {

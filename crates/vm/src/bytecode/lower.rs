@@ -37,7 +37,6 @@ pub fn lower(program: &Program, res: &Resolution, types: &TypeInfo, analysis: &A
     Module {
         funcs,
         consts: consts.pool,
-        ic_slots: 0,
     }
 }
 

@@ -1,5 +1,5 @@
 //! The bytecode optimizer tier: peephole/constant folding, jump
-//! threading, inline-cache installation, and superinstruction fusion.
+//! threading, and superinstruction fusion.
 //!
 //! [`optimize`] rewrites a lowered [`Module`] into a faster but
 //! observably identical one. "Observably identical" is a hard contract
@@ -26,10 +26,7 @@
 //!    pool entries, dead push/pop pairs, constant branches, adjacent
 //!    tick merging.
 //! 2. **Thread**: collapse jump-to-jump chains and jumps-to-return.
-//! 3. **Install ICs**: every `IndexGet`/`IndexSet` gets a monomorphic
-//!    inline-cache slot (the cache accelerates map access; slice bases
-//!    never touch it).
-//! 4. **Fuse**: superinstructions for the hot shapes the lowering
+//! 3. **Fuse**: superinstructions for the hot shapes the lowering
 //!    emits (`load load bin [store|branch]`, `load const bin ...`,
 //!    slice-index-then-load, `load branch`), longest match first.
 //!
@@ -64,8 +61,6 @@ pub struct OptStats {
     pub ticks_merged: u64,
     /// Jump-to-jump chains and jumps-to-return collapsed (thread pass).
     pub jumps_threaded: u64,
-    /// Inline-cache slots installed on index instructions (IC pass).
-    pub ic_sites: u64,
     /// Superinstructions fused (fuse pass).
     pub fusions: u64,
 }
@@ -78,7 +73,6 @@ impl OptStats {
             + self.pushpops_elided
             + self.ticks_merged
             + self.jumps_threaded
-            + self.ic_sites
             + self.fusions
     }
 }
@@ -94,7 +88,6 @@ pub fn optimize(m: &Module) -> (Module, OptStats) {
         ..OptStats::default()
     };
     let mut pool = PoolInterner::new(&mut out.consts);
-    let mut next_ic = 0u32;
     for f in &mut out.funcs {
         // Fold to a fixpoint so nested constant expressions collapse
         // fully (`1 + 2 + 3` needs two rounds); bounded for safety.
@@ -104,10 +97,8 @@ pub fn optimize(m: &Module) -> (Module, OptStats) {
             }
         }
         thread_jumps(f, &mut stats);
-        install_ics(f, &mut next_ic, &mut stats);
         fuse_pass(f, &mut stats);
     }
-    out.ic_slots = next_ic;
     stats.instrs_after = out.instr_count() as u64;
     (out, stats)
 }
@@ -474,29 +465,7 @@ fn thread_jumps(f: &mut BFunc, stats: &mut OptStats) {
     }
 }
 
-// ---- pass 3: inline-cache installation ----
-
-/// Gives every index instruction a monomorphic inline-cache slot. Runs
-/// before fusion so fused index superinstructions inherit the slot.
-fn install_ics(f: &mut BFunc, next_ic: &mut u32, stats: &mut OptStats) {
-    for instr in &mut f.code {
-        match instr {
-            Instr::IndexGet => {
-                *instr = Instr::IndexGetIC(*next_ic);
-                *next_ic += 1;
-                stats.ic_sites += 1;
-            }
-            Instr::IndexSet => {
-                *instr = Instr::IndexSetIC(*next_ic);
-                *next_ic += 1;
-                stats.ic_sites += 1;
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---- pass 4: superinstruction fusion ----
+// ---- pass 3: superinstruction fusion ----
 
 /// Fuses the hot instruction shapes, longest match first. Every fused
 /// instruction's `ticks` operand is the sum of its constituents' static
@@ -656,7 +625,7 @@ fn fuse_pass(f: &mut BFunc, stats: &mut OptStats) {
             }
         }
         // Index shapes: [LoadSlot base, CheckIndexBase, LoadSlot|const,
-        // IndexGetIC|IndexSetIC].
+        // IndexGet|IndexSet].
         if interior_free(4) {
             if let Instr::CheckIndexBase = code[i + 1] {
                 let idx = match &code[i + 2] {
@@ -665,28 +634,24 @@ fn fuse_pass(f: &mut BFunc, stats: &mut OptStats) {
                 };
                 if let Some((idx, tidx)) = idx {
                     let instr = match (&code[i + 3], idx) {
-                        (Instr::IndexGetIC(ic), Ok(s)) => Some(Instr::LoadLoadIndexGet {
+                        (Instr::IndexGet, Ok(s)) => Some(Instr::LoadLoadIndexGet {
                             base: a,
                             idx: s,
-                            ic: *ic,
                             ticks: 1 + tidx + 1,
                         }),
-                        (Instr::IndexGetIC(ic), Err(c)) => Some(Instr::LoadConstIndexGet {
+                        (Instr::IndexGet, Err(c)) => Some(Instr::LoadConstIndexGet {
                             base: a,
                             c,
-                            ic: *ic,
                             ticks: 1 + tidx + 1,
                         }),
-                        (Instr::IndexSetIC(ic), Ok(s)) => Some(Instr::LoadLoadIndexSet {
+                        (Instr::IndexSet, Ok(s)) => Some(Instr::LoadLoadIndexSet {
                             base: a,
                             idx: s,
-                            ic: *ic,
                             ticks: 1 + tidx,
                         }),
-                        (Instr::IndexSetIC(ic), Err(c)) => Some(Instr::LoadConstIndexSet {
+                        (Instr::IndexSet, Err(c)) => Some(Instr::LoadConstIndexSet {
                             base: a,
                             c,
-                            ic: *ic,
                             ticks: 1 + tidx,
                         }),
                         _ => None,
@@ -779,7 +744,6 @@ mod tests {
                 code,
             }],
             consts,
-            ic_slots: 0,
         }
     }
 
@@ -890,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn installs_ics_and_fuses_index_reads() {
+    fn fuses_index_reads() {
         let m = module(
             vec![
                 Instr::LoadSlot(0),
@@ -903,14 +867,12 @@ mod tests {
             Vec::new(),
         );
         let (opt, stats) = optimize(&m);
-        assert_eq!(stats.ic_sites, 1);
-        assert_eq!(opt.ic_slots, 1);
+        assert_eq!(stats.fusions, 1);
         assert!(matches!(
             opt.funcs[0].code[0],
             Instr::LoadLoadIndexGet {
                 base: 0,
                 idx: 1,
-                ic: 0,
                 ticks: 3,
             }
         ));

@@ -571,7 +571,7 @@ impl Vm<'_, '_> {
                 check_index_base(&bv)?;
                 let iv = self.eval(index)?;
                 self.m.tick(1);
-                self.m.index_get(&bv, &iv, None)
+                self.m.index_get(&bv, &iv)
             }
             ExprKind::SliceExpr { base, lo, hi } => {
                 let bv = self.eval(base)?;
@@ -780,7 +780,7 @@ impl Vm<'_, '_> {
                 let bv = self.eval(base)?;
                 check_index_base(&bv)?;
                 let iv = self.eval(index)?;
-                self.m.index_set(&bv, &iv, value, None)
+                self.m.index_set(&bv, &iv, value)
             }
             _ => Err(ExecError::Internal("bad lvalue".into())),
         }

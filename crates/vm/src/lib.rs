@@ -35,7 +35,7 @@
 
 pub mod bytecode;
 pub mod error;
-pub mod fxhash;
+pub use minigo_runtime::fxhash;
 pub mod interp;
 pub mod machine;
 mod mark;

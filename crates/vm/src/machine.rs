@@ -4,10 +4,10 @@
 //! `TcfreeMap` / `GrowMapAndFreeOld` (table 4, §4.6) plus the allocator
 //! and the collector they talk to — and it exists here once. A
 //! [`Machine`] owns the simulated [`Runtime`], the shadow-heap sanitizer,
-//! the site profile, the inline caches, the session-held roots, the
-//! interned call stacks and the program's output; its methods are the
-//! heap operations, each carrying its data-dependent tick charge and its
-//! sanitizer / write-barrier / trace hooks.
+//! the site profile, the session-held roots, the interned call stacks
+//! and the program's output; its methods are the heap operations, each
+//! carrying its data-dependent tick charge and its sanitizer /
+//! write-barrier / trace hooks.
 //!
 //! An engine ([`Dispatch`]) owns only control flow: frames, operands, the
 //! order things are evaluated in. `rt` is private to this module, so an
@@ -116,12 +116,11 @@ pub struct RunOutcome {
     /// Which collection backend ran
     /// ([`minigo_runtime::RuntimeConfig::collector`]).
     pub collector: minigo_runtime::CollectorKind,
-    /// Inline-cache hits, when the bytecode engine ran an optimized
-    /// module (always 0 on the tree-walk and on unoptimized streams).
-    /// Carried out-of-band like `violations`: the caches cannot change
-    /// any other field.
+    /// Always 0: the map inline caches it counted hits of are gone. Kept
+    /// so the report schema (`"ic_hits"`) and its readers keep their
+    /// shape.
     pub ic_hits: u64,
-    /// Inline-cache misses (see `ic_hits`).
+    /// Always 0 (see `ic_hits`).
     pub ic_misses: u64,
     /// Optimizer-tier rewrite statistics for the module this run
     /// executed. The VM itself leaves this `None`; the driver that
@@ -165,11 +164,6 @@ pub trait Dispatch {
     /// Reports every frame slot and deferred-call argument to `sink`.
     /// Operand temporaries are not roots.
     fn roots(&self, sink: &mut dyn RootSink);
-
-    /// Inline-cache slots the program's instruction stream refers to.
-    fn ic_slots(&self) -> u32 {
-        0
-    }
 }
 
 /// A persistent execution session: one engine, one [`Machine`] — one
@@ -198,7 +192,7 @@ impl<D: Dispatch> Session<D> {
     pub fn new(engine: D, cfg: VmConfig) -> Result<Self> {
         cfg.runtime.validate().map_err(ExecError::InvalidConfig)?;
         Ok(Session {
-            m: Machine::new(cfg, engine.ic_slots()),
+            m: Machine::new(cfg),
             engine,
         })
     }
@@ -285,15 +279,6 @@ pub struct Machine {
     shadow: Option<ShadowHeap>,
     /// Per-site allocation profile: expr id -> (count, bytes).
     site_profile: FxHashMap<ExprId, (u64, u64)>,
-    /// Monomorphic inline caches, one per [`Dispatch::ic_slots`] entry
-    /// (none for the tree-walk, which passes `ic: None`). A cache can
-    /// only *miss* when stale (the tag is the map storage's address and
-    /// the cached entry's key is re-checked on every hit), so it
-    /// accelerates lookups without being able to change any observable
-    /// result.
-    ics: Vec<IcEntry>,
-    ic_hits: u64,
-    ic_misses: u64,
     steps: u64,
     /// Session-held GC roots: values a [`Session`] keeps alive across
     /// calls (service state returned by `setup` and passed back into
@@ -309,30 +294,14 @@ pub struct Machine {
     output: String,
 }
 
-/// One inline-cache entry: the identity of the last map storage seen at
-/// this site plus the entry index its key resolved to.
-#[derive(Clone, Copy)]
-struct IcEntry {
-    tag: usize,
-    idx: usize,
-}
-
-const IC_EMPTY: IcEntry = IcEntry {
-    tag: 0,
-    idx: usize::MAX,
-};
-
 impl Machine {
-    fn new(cfg: VmConfig, ic_slots: u32) -> Self {
+    fn new(cfg: VmConfig) -> Self {
         Machine {
             rt: Runtime::new(cfg.runtime.clone()),
             shadow: cfg.sanitize.then(ShadowHeap::new),
             stacks: cfg.runtime.trace.then(StackTable::new),
             cfg,
             site_profile: FxHashMap::default(),
-            ics: vec![IC_EMPTY; ic_slots as usize],
-            ic_hits: 0,
-            ic_misses: 0,
             steps: 0,
             held: Vec::new(),
             cur_stack: ROOT_STACK,
@@ -368,8 +337,8 @@ impl Machine {
                 .unwrap_or_default(),
             trace,
             collector: self.rt.collector_kind(),
-            ic_hits: self.ic_hits,
-            ic_misses: self.ic_misses,
+            ic_hits: 0,
+            ic_misses: 0,
             opt: None,
             placement: None,
         }
@@ -629,16 +598,7 @@ impl Machine {
         let size = minigo_escape::MAP_BASE_BYTES;
         Value::map(MapVal {
             obj: self.backing(heap, size, Category::Map, Some(site)),
-            data: Rc::new(RefCell::new(MapData {
-                entries: Vec::new(),
-                index: FxHashMap::default(),
-                buckets_obj: None,
-                bucket_cap: 8,
-                default,
-                entry_size,
-                origin: Some(site),
-                poisoned: false,
-            })),
+            data: Rc::new(RefCell::new(MapData::new(default, entry_size, Some(site)))),
         })
     }
 
@@ -725,9 +685,7 @@ impl Machine {
                 if poisoned {
                     let mut data = m.data.borrow_mut();
                     data.poisoned = true;
-                    for (_, v) in data.entries.iter_mut() {
-                        *v = Value::Poison;
-                    }
+                    data.fill(Value::Poison);
                 }
             }
             Value::Ptr(p) => {
@@ -768,15 +726,9 @@ impl Machine {
     }
 
     /// `base[idx]`. The caller has charged the node's own tick; a map
-    /// lookup charges its data-dependent ticks here, identically on an
-    /// inline-cache hit and miss.
+    /// lookup charges its data-dependent ticks here.
     #[inline]
-    pub(crate) fn index_get(
-        &mut self,
-        base: &Value,
-        idx: &Value,
-        ic: Option<u32>,
-    ) -> Result<Value> {
+    pub(crate) fn index_get(&mut self, base: &Value, idx: &Value) -> Result<Value> {
         match base {
             Value::Slice(s) => self.slice_get(s, int_of(idx)?),
             Value::Map(map) => {
@@ -787,30 +739,8 @@ impl Machine {
                 if data.poisoned {
                     return Err(ExecError::PoisonedRead);
                 }
-                if let Some(slot) = ic {
-                    let tag = Rc::as_ptr(&map.data) as usize;
-                    let e = self.ics[slot as usize];
-                    if e.tag == tag && data.entries.get(e.idx).is_some_and(|(k, _)| *k == key) {
-                        // Hit: the cached entry index resolves this key
-                        // without hashing. A stale tag or moved entry
-                        // fails the check and falls through to a miss.
-                        self.ic_hits += 1;
-                        return check_poison(data.entries[e.idx].1.clone());
-                    }
-                    self.ic_misses += 1;
-                    return match data.index.get(&key) {
-                        Some(&i) => {
-                            self.ics[slot as usize] = IcEntry { tag, idx: i };
-                            check_poison(data.entries[i].1.clone())
-                        }
-                        None => {
-                            self.ics[slot as usize] = IC_EMPTY;
-                            Ok(data.default.clone())
-                        }
-                    };
-                }
                 match data.get(&key) {
-                    Some(v) => check_poison(v.clone()),
+                    Some(v) => check_poison(v),
                     None => Ok(data.default.clone()),
                 }
             }
@@ -821,88 +751,62 @@ impl Machine {
 
     /// `base[idx] = v`.
     #[inline]
-    pub(crate) fn index_set(
-        &mut self,
-        base: &Value,
-        idx: &Value,
-        v: Value,
-        ic: Option<u32>,
-    ) -> Result<()> {
+    pub(crate) fn index_set(&mut self, base: &Value, idx: &Value, v: Value) -> Result<()> {
         match base {
             Value::Slice(s) => self.slice_set(s, int_of(idx)?, v),
-            Value::Map(map) => self.map_insert(map, key_of(idx)?, v, ic),
+            Value::Map(map) => self.map_insert(map, key_of(idx)?, v),
             Value::Nil => Err(ExecError::NilDeref),
             _ => Err(ExecError::Internal("store into non-indexable".into())),
         }
     }
 
+    /// `m[key] = value`: one lookup, then an update in place or an append
+    /// (after growing the buckets when the append would overflow them).
     #[inline]
-    fn map_insert(&mut self, m: &MapVal, key: Key, value: Value, ic: Option<u32>) -> Result<()> {
+    fn map_insert(&mut self, m: &MapVal, key: Key, value: Value) -> Result<()> {
         self.rt.tick(3);
         self.shadow_access_map(m, "map insert");
         self.barrier_store_map(m);
-        let Some(slot) = ic else {
-            return self.map_insert_slow(m, key, value);
-        };
-        let tag = Rc::as_ptr(&m.data) as usize;
-        let e = self.ics[slot as usize];
-        {
-            let mut data = m.data.borrow_mut();
-            if data.poisoned {
-                return Err(ExecError::PoisonedRead);
-            }
-            if e.tag == tag && data.entries.get(e.idx).is_some_and(|(k, _)| *k == key) {
-                // Hit: updating an existing entry in place — no growth
-                // check needed, exactly what the slow path's `insert`
-                // would do for a present key.
-                self.ic_hits += 1;
-                data.entries[e.idx].1 = value;
-                return Ok(());
-            }
+        let mut data = m.data.borrow_mut();
+        if data.poisoned {
+            return Err(ExecError::PoisonedRead);
         }
-        self.ic_misses += 1;
-        self.map_insert_slow(m, key.clone(), value)?;
-        let idx = m.data.borrow().index.get(&key).copied();
-        self.ics[slot as usize] = IcEntry {
-            tag,
-            idx: idx.unwrap_or(usize::MAX),
-        };
+        if let Some(i) = data.find(&key) {
+            data.set_at(i, value);
+            return Ok(());
+        }
+        if data.len() + 1 > data.bucket_cap {
+            // Growth allocates, so the borrow must not be held across it.
+            drop(data);
+            self.grow_map(m);
+            data = m.data.borrow_mut();
+        }
+        data.push(key, value);
         Ok(())
     }
 
-    /// The growth-checking insert; ticks/shadow/barrier are the caller's.
-    fn map_insert_slow(&mut self, m: &MapVal, key: Key, value: Value) -> Result<()> {
-        let needs_growth = {
-            let data = m.data.borrow();
-            if data.poisoned {
-                return Err(ExecError::PoisonedRead);
-            }
-            data.get(&key).is_none() && data.len() + 1 > data.bucket_cap
+    /// §4.6.2: the map grows; the old bucket array is exclusively owned
+    /// and (under GoFree) explicitly freed.
+    #[cold]
+    fn grow_map(&mut self, m: &MapVal) {
+        let (old, new_cap, entry_size, origin) = {
+            let mut data = m.data.borrow_mut();
+            data.bucket_cap *= 2;
+            (
+                data.buckets_obj.take(),
+                data.bucket_cap,
+                data.entry_size,
+                data.origin,
+            )
         };
-        if needs_growth {
-            // §4.6.2: the map grows; the old bucket array is exclusively
-            // owned and (under GoFree) explicitly freed.
-            let (old, new_cap, entry_size, origin) = {
-                let mut data = m.data.borrow_mut();
-                data.bucket_cap *= 2;
-                (
-                    data.buckets_obj.take(),
-                    data.bucket_cap,
-                    data.entry_size,
-                    data.origin,
-                )
-            };
-            let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
-            m.data.borrow_mut().buckets_obj = Some(new_obj);
-            if let Some(old) = old.filter(|_| self.cfg.grow_map_free_old) {
-                // Poisoning old buckets would corrupt nothing the map
-                // still uses: entries were evacuated. Under plain Go the
-                // old buckets are simply garbage for the collector.
-                self.free_obj(old, FreeSource::MapGrowOld, false);
-            }
+        let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
+        m.data.borrow_mut().buckets_obj = Some(new_obj);
+        if let Some(old) = old.filter(|_| self.cfg.grow_map_free_old) {
+            // Poisoning old buckets would corrupt nothing the map still
+            // uses: entries were evacuated. Under plain Go the old buckets
+            // are simply garbage for the collector.
+            self.free_obj(old, FreeSource::MapGrowOld, false);
         }
-        m.data.borrow_mut().insert(key, value);
-        Ok(())
     }
 
     /// `delete(m, k)`; a no-op on a nil map.
@@ -911,7 +815,11 @@ impl Machine {
             let key = key_of(k)?;
             self.rt.tick(2);
             self.shadow_access_map(m, "map delete");
-            m.data.borrow_mut().remove(&key);
+            let mut data = m.data.borrow_mut();
+            if data.poisoned {
+                return Err(ExecError::PoisonedRead);
+            }
+            data.remove(&key);
         }
         Ok(())
     }
@@ -1252,7 +1160,7 @@ mod tests {
                 Some(site),
             )),
         };
-        m.index_set(&f.map, &Value::Int(5), Value::Int(50), None)
+        m.index_set(&f.map, &Value::Int(5), Value::Int(50))
             .expect("insert");
         f
     }
@@ -1265,16 +1173,16 @@ mod tests {
     /// twice.
     const OPS: &[(&str, u64, u64, Op)] = &[
         ("slice index read", 0, 0, |m, f| {
-            m.index_get(&f.slice, &Value::Int(1), None).map(drop)
+            m.index_get(&f.slice, &Value::Int(1)).map(drop)
         }),
         ("slice index write", 0, 1, |m, f| {
-            m.index_set(&f.slice, &Value::Int(1), Value::Int(9), None)
+            m.index_set(&f.slice, &Value::Int(1), Value::Int(9))
         }),
         ("map lookup", 2, 0, |m, f| {
-            m.index_get(&f.map, &Value::Int(5), None).map(drop)
+            m.index_get(&f.map, &Value::Int(5)).map(drop)
         }),
         ("map insert", 3, 1, |m, f| {
-            m.index_set(&f.map, &Value::Int(6), Value::Int(60), None)
+            m.index_set(&f.map, &Value::Int(6), Value::Int(60))
         }),
         ("map delete", 2, 0, |m, f| {
             m.map_delete(&f.map, &Value::Int(5))
@@ -1306,7 +1214,7 @@ mod tests {
             sanitize: true,
             ..VmConfig::default()
         };
-        Machine::new(cfg, 0)
+        Machine::new(cfg)
     }
 
     fn target<'a>(f: &'a Fixture, label: &str) -> &'a Value {

@@ -88,7 +88,7 @@ impl RootSink for Marker<'_> {
             Value::Map(m) if self.first_visit(m.obj, Rc::as_ptr(&m.data)) => {
                 let data = m.data.borrow();
                 self.mark(data.buckets_obj);
-                for (_, v) in &data.entries {
+                for v in data.traced() {
                     self.value(v);
                 }
             }
@@ -182,7 +182,8 @@ mod tests {
                     if self.seen.insert(Rc::as_ptr(&m.data) as usize) {
                         let data = m.data.borrow();
                         self.mark(data.buckets_obj);
-                        data.entries.iter().for_each(|(_, v)| self.value(v));
+                        // Every entry, never `traced()` (as for slices).
+                        data.entries().for_each(|(_, v)| self.value(&v));
                     }
                 }
                 _ => {}
@@ -326,6 +327,18 @@ mod tests {
              func main() { b := mk()\n print(churn(400), b.m[0][0].m[0][0].v, len(b.m)) }\n",
         );
         assert_eq!(out, ("79800 5 1\n".into(), 1));
+    }
+
+    #[test]
+    fn pointers_held_only_as_map_values() {
+        // Twenty boxes, each reachable only as a value of an int-keyed
+        // map that grew past 8, 16 and 32 buckets while they were stored.
+        let out = run_everywhere(&format!(
+            "{NODE}func build(n int) map[int]*N {{ m := make(map[int]*N)\n\
+             for i := 0; i < n; i += 1 {{ m[i] = &N{{nil, i * 3}} }}\n return m }}\n\
+             func main() {{ m := build(40)\n print(churn(400), m[4].v, m[39].v, len(m)) }}\n"
+        ));
+        assert_eq!(out, ("79800 12 117 40\n".into(), 40));
     }
 
     #[test]

@@ -42,13 +42,27 @@
 //! *generalises in place*, inside the `RefCell` every alias shares, so
 //! correctness never rests on the typechecker. No caller outside this
 //! module matches on the variant; they go through [`Cells`]' methods.
+//!
+//! # Map storage: keys `0..n` need no hash table
+//!
+//! [`MapData`] keeps its entries in insertion order as two columns: the
+//! values are a [`Cells`], and the keys one of two tiers. While every key
+//! ever inserted is an int they are a `Vec<i64>`, with no index at all as
+//! long as key `i` sits at position `i` (a lookup is a bounds check); the
+//! first key out of place (negative, skipping ahead, or a deletion that
+//! shifts the entries after it) builds an `i64` index, and the first
+//! non-int key moves the map to `Key`s with a `Key` index. Each step is
+//! taken in place, once, and never undone; a lookup never takes one.
 
 use std::cell::RefCell;
 use std::collections::TryReserveError;
 use std::fmt;
+use std::hash::Hash;
 use std::rc::Rc;
 
 use minigo_runtime::{ObjAddr, OwnerTag, Runtime};
+
+use crate::fxhash::FxHashMap;
 
 /// A handle to a heap-accounted object: the allocator address plus the
 /// stamp the allocation left on the slot. There is no object table —
@@ -247,6 +261,31 @@ impl Cells {
         }
     }
 
+    /// Appends `v`, generalising an `Ints` array when `v` is not an int.
+    pub fn push(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (Cells::Ints(c), Value::Int(v)) => c.push(v),
+            (Cells::Any(c), v) => c.push(v),
+            (Cells::Ints(c), v) => {
+                let mut any = generalised(c);
+                any.push(v);
+                *self = Cells::Any(any);
+            }
+        }
+    }
+
+    /// Removes element `i`, shifting the ones after it down.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range, like `Vec::remove`.
+    pub fn remove(&mut self, i: usize) {
+        match self {
+            Cells::Ints(c) => drop(c.remove(i)),
+            Cells::Any(c) => drop(c.remove(i)),
+        }
+    }
+
     /// Overwrites every element with `v`.
     pub fn fill(&mut self, v: Value) {
         match (&mut *self, v) {
@@ -327,13 +366,64 @@ impl fmt::Display for Key {
     }
 }
 
-/// The runtime-managed body of a map.
+/// A map's keys in insertion order, in one of two tiers (see the module
+/// docs), each with the index from key to position it needs.
+#[derive(Debug)]
+enum Keys {
+    /// Only ints have ever been inserted. No index while key `i` sits at
+    /// position `i`.
+    Ints(Vec<i64>, Option<FxHashMap<i64, usize>>),
+    /// Anything else.
+    Any(Vec<Key>, FxHashMap<Key, usize>),
+}
+
+/// Each key mapped to its position.
+fn positions<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> FxHashMap<K, usize> {
+    keys.enumerate().map(|(i, k)| (k, i)).collect()
+}
+
+/// Removes position `i` from an indexed tier, renumbering the ones after.
+fn remove_indexed<K: Hash + Eq>(keys: &mut Vec<K>, index: &mut FxHashMap<K, usize>, i: usize) {
+    index.remove(&keys.remove(i));
+    for (j, k) in keys.iter().enumerate().skip(i) {
+        *index.get_mut(k).expect("every key is indexed") = j;
+    }
+}
+
+impl Keys {
+    /// The first int key out of place: index the ints.
+    #[cold]
+    fn index_ints(&mut self) {
+        if let Keys::Ints(ints, index @ None) = self {
+            *index = Some(positions(ints.iter().copied()));
+        }
+    }
+
+    /// The first key that is not an int: every key becomes a [`Key`].
+    #[cold]
+    fn make_any(&mut self) {
+        if let Keys::Ints(ints, _) = self {
+            let keys: Vec<Key> = ints.iter().map(|&k| Key::Int(k)).collect();
+            let index = positions(keys.iter().cloned());
+            *self = Keys::Any(keys, index);
+        }
+    }
+
+    /// The key at position `i`.
+    fn at(&self, i: usize) -> Key {
+        match self {
+            Keys::Ints(keys, _) => Key::Int(keys[i]),
+            Keys::Any(keys, _) => keys[i].clone(),
+        }
+    }
+}
+
+/// The runtime-managed body of a map: entries in insertion order (for
+/// deterministic runs) as a key column and a value column.
 #[derive(Debug)]
 pub struct MapData {
-    /// Entries (insertion-ordered for deterministic runs).
-    pub entries: Vec<(Key, Value)>,
-    /// Fast lookup index.
-    pub index: crate::fxhash::FxHashMap<Key, usize>,
+    keys: Keys,
+    vals: Cells,
     /// Current bucket array, if it has been grown off the hmap.
     pub buckets_obj: Option<ObjId>,
     /// Bucket capacity (entries before the next growth).
@@ -350,47 +440,121 @@ pub struct MapData {
 }
 
 impl MapData {
+    /// An empty map: the hmap with room for eight entries before its
+    /// first growth.
+    pub fn new(default: Value, entry_size: u64, origin: Option<crate::machine::SiteId>) -> Self {
+        MapData {
+            keys: Keys::Ints(Vec::new(), None),
+            vals: Cells::default(),
+            buckets_obj: None,
+            bucket_cap: 8,
+            default,
+            entry_size,
+            origin,
+            poisoned: false,
+        }
+    }
+
     /// Number of live entries.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.vals.len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Looks up a key.
-    pub fn get(&self, key: &Key) -> Option<&Value> {
-        self.index.get(key).map(|&i| &self.entries[i].1)
-    }
-
-    /// Inserts or updates a key. Returns true when the entry is new.
-    pub fn insert(&mut self, key: Key, value: Value) -> bool {
-        match self.index.get(&key) {
-            Some(&i) => {
-                self.entries[i].1 = value;
-                false
+    /// The position of `key`'s entry, if present.
+    #[inline]
+    pub fn find(&self, key: &Key) -> Option<usize> {
+        match (&self.keys, key) {
+            (Keys::Ints(keys, None), &Key::Int(k)) => {
+                usize::try_from(k).ok().filter(|&i| i < keys.len())
             }
-            None => {
-                self.index.insert(key.clone(), self.entries.len());
-                self.entries.push((key, value));
-                true
-            }
+            (Keys::Ints(_, Some(index)), Key::Int(k)) => index.get(k).copied(),
+            (Keys::Ints(..), _) => None,
+            (Keys::Any(_, index), key) => index.get(key).copied(),
         }
     }
 
-    /// Removes a key if present.
+    /// The value stored under `key`, if present.
+    #[inline]
+    pub fn get(&self, key: &Key) -> Option<Value> {
+        self.find(key).map(|i| self.vals.get(i))
+    }
+
+    /// Overwrites the value at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range.
+    #[inline]
+    pub fn set_at(&mut self, i: usize, v: Value) {
+        self.vals.set(i, v);
+    }
+
+    /// Appends an entry for `key`, which must not be present.
+    pub fn push(&mut self, key: Key, v: Value) {
+        debug_assert!(self.find(&key).is_none(), "push of a present key");
+        let at = self.len();
+        match (&mut self.keys, key) {
+            (Keys::Ints(keys, None), Key::Int(k)) if usize::try_from(k) == Ok(at) => keys.push(k),
+            (Keys::Ints(keys, Some(index)), Key::Int(k)) => {
+                index.insert(k, at);
+                keys.push(k);
+            }
+            (Keys::Any(keys, index), key) => {
+                index.insert(key.clone(), at);
+                keys.push(key);
+            }
+            (Keys::Ints(_, None), key @ Key::Int(_)) => {
+                self.keys.index_ints();
+                return self.push(key, v);
+            }
+            (Keys::Ints(..), key) => {
+                self.keys.make_any();
+                return self.push(key, v);
+            }
+        }
+        self.vals.push(v);
+    }
+
+    /// Removes `key`'s entry if present; the entries after it move up
+    /// one position. Returns whether there was one.
     pub fn remove(&mut self, key: &Key) -> bool {
-        let Some(i) = self.index.remove(key) else {
+        let Some(i) = self.find(key) else {
             return false;
         };
-        self.entries.remove(i);
-        // Reindex the tail.
-        for (j, (k, _)) in self.entries.iter().enumerate().skip(i) {
-            self.index.insert(k.clone(), j);
+        if i + 1 < self.len() && matches!(self.keys, Keys::Ints(_, None)) {
+            // The keys after `i` are about to leave their positions.
+            self.keys.index_ints();
+        }
+        self.vals.remove(i);
+        match &mut self.keys {
+            Keys::Ints(keys, None) => drop(keys.pop()),
+            Keys::Ints(keys, Some(index)) => remove_indexed(keys, index, i),
+            Keys::Any(keys, index) => remove_indexed(keys, index, i),
         }
         true
+    }
+
+    /// Overwrites every value with `v` (the §6.8 mock's poison fill).
+    pub fn fill(&mut self, v: Value) {
+        self.vals.fill(v);
+    }
+
+    /// The entries in insertion order.
+    pub fn entries(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
+        (0..self.len()).map(|i| (self.keys.at(i), self.vals.get(i)))
+    }
+
+    /// The values a marker has to visit: none while every value is an
+    /// int (keys are scalars and never hold a reference).
+    #[inline]
+    pub fn traced(&self) -> &[Value] {
+        self.vals.traced()
     }
 }
 
@@ -417,8 +581,7 @@ impl Value {
             Value::Map(m) => {
                 let data = m.data.borrow();
                 let inner: Vec<String> = data
-                    .entries
-                    .iter()
+                    .entries()
                     .map(|(k, v)| format!("{k}:{}", v.display()))
                     .collect();
                 format!("map[{}]", inner.join(" "))
@@ -464,19 +627,11 @@ mod tests {
 
     #[test]
     fn map_data_insert_get_remove() {
-        let mut m = MapData {
-            entries: Vec::new(),
-            index: crate::fxhash::FxHashMap::default(),
-            buckets_obj: None,
-            bucket_cap: 8,
-            default: Value::Int(0),
-            entry_size: 32,
-            origin: None,
-            poisoned: false,
-        };
-        assert!(m.insert(Key::Int(1), Value::Int(10)));
-        assert!(!m.insert(Key::Int(1), Value::Int(11)), "update not insert");
-        assert!(m.insert(Key::Str("a".into()), Value::Int(2)));
+        let mut m = MapData::new(Value::Int(0), 32, None);
+        m.push(Key::Int(1), Value::Int(10));
+        let at = m.find(&Key::Int(1)).expect("present");
+        m.set_at(at, Value::Int(11));
+        m.push(Key::Str("a".into()), Value::Int(2));
         assert_eq!(m.len(), 2);
         assert!(matches!(m.get(&Key::Int(1)), Some(Value::Int(11))));
         assert!(m.remove(&Key::Int(1)));
@@ -487,22 +642,51 @@ mod tests {
 
     #[test]
     fn map_reindexes_after_remove() {
-        let mut m = MapData {
-            entries: Vec::new(),
-            index: crate::fxhash::FxHashMap::default(),
-            buckets_obj: None,
-            bucket_cap: 8,
-            default: Value::Int(0),
-            entry_size: 32,
-            origin: None,
-            poisoned: false,
-        };
+        let mut m = MapData::new(Value::Int(0), 32, None);
         for i in 0..5 {
-            m.insert(Key::Int(i), Value::Int(i * 10));
+            m.push(Key::Int(i), Value::Int(i * 10));
         }
+        assert!(matches!(m.keys, Keys::Ints(_, None)), "keys 0..5 in place");
         m.remove(&Key::Int(2));
         assert!(matches!(m.get(&Key::Int(4)), Some(Value::Int(40))));
         assert!(matches!(m.get(&Key::Int(3)), Some(Value::Int(30))));
+        assert_eq!(m.find(&Key::Int(2)), None);
+        assert!(
+            matches!(m.keys, Keys::Ints(_, Some(_))),
+            "3 left position 3"
+        );
+    }
+
+    #[test]
+    fn keys_zero_to_n_need_no_index_and_a_lookup_never_generalises() {
+        let mut m = MapData::new(Value::Int(0), 16, None);
+        for i in 0..100 {
+            m.push(Key::Int(i), Value::Int(i * 2));
+        }
+        for k in [
+            Key::Int(-1),
+            Key::Int(100),
+            Key::Int(i64::MIN),
+            Key::Bool(true),
+            Key::Str("0".into()),
+        ] {
+            assert_eq!(m.find(&k), None);
+        }
+        assert!(
+            matches!(m.keys, Keys::Ints(_, None)),
+            "probes build nothing"
+        );
+        assert!(matches!(m.vals, Cells::Ints(_)));
+        assert_eq!(m.find(&Key::Int(57)), Some(57));
+        // Deleting the last entry keeps every key in place.
+        assert!(m.remove(&Key::Int(99)));
+        assert!(matches!(m.keys, Keys::Ints(_, None)));
+        // A string key moves every key to the general tier, in order.
+        m.push(Key::Str("s".into()), Value::Int(7));
+        assert!(matches!(m.keys, Keys::Any(..)));
+        assert_eq!(m.find(&Key::Int(98)), Some(98));
+        assert_eq!(m.find(&Key::Str("s".into())), Some(99));
+        assert!(matches!(m.get(&Key::Int(3)), Some(Value::Int(6))));
     }
 
     #[test]

@@ -240,7 +240,6 @@ fn program(x: i64, y: i64, boxed: bool, body: Vec<Instr>, branch: bool) -> Modul
             K::Bool(false),
             K::Bool(true),
         ],
-        ic_slots: 0,
     }
 }
 

@@ -523,6 +523,126 @@ func main() {
         "func main() { m := make(map[int]int)\n k := 2\n for i := 0; i < 40; i += 1 { m[i] = i }\n tcfree(m)\n m[k] = 1\n print(len(m)) }\n",
     ),
     (
+        // Nine entries: the grown bucket array is a heap object even
+        // where the map itself stays on the stack, so the free poisons.
+        "poisoned map delete",
+        "read of poisoned memory",
+        "func main() { m := make(map[int]int)\n for i := 0; i < 9; i += 1 { m[i] = i }\n tcfree(m)\n delete(m, 1)\n print(len(m)) }\n",
+    ),
+    (
+        "int map: a dense fill, then lookups at n, -1 and a missing key",
+        "Ok",
+        "func main() {
+    n := 20
+    m := make(map[int]int)
+    for i := 0; i < n; i += 1 { m[i] = i * 3 }
+    k := 0 - 1
+    t := 0
+    t = m[n]
+    print(t, m[k], m[7], m[n-1], m[100], m[0], len(m))
+}
+",
+    ),
+    (
+        "int map: an out-of-order key into a dense map",
+        "Ok",
+        "func main() {
+    m := make(map[int]int)
+    for i := 0; i < 5; i += 1 { m[i] = i }
+    m[9] = 90
+    m[5] = 50
+    m[2] = 20
+    m[0 - 9223372036854775807 - 1] = 1
+    m[9223372036854775807] = 2
+    print(m[9], m[5], m[2], m[6], m[0 - 9223372036854775807 - 1], len(m))
+    print(m)
+}
+",
+    ),
+    (
+        "int map: delete a middle entry, then the last, then re-insert",
+        "Ok",
+        "func main() {
+    m := make(map[int]int)
+    for i := 0; i < 6; i += 1 { m[i] = i + 10 }
+    delete(m, 2)
+    print(m, len(m), m[2], m[3], m[5])
+    delete(m, 5)
+    delete(m, 7)
+    print(m, len(m))
+    m[5] = 55
+    m[2] = 22
+    print(m, len(m), m[2], m[5])
+    d := make(map[int]int)
+    for i := 0; i < 4; i += 1 { d[i] = i }
+    delete(d, 3)
+    d[3] = 33
+    d[4] = 44
+    delete(d, 0)
+    print(d, d[0], d[4], len(d))
+    var nm map[int]int
+    delete(nm, 1)
+    print(len(nm))
+}
+",
+    ),
+    (
+        "int map: m[k] += 1 on a missing key",
+        "Ok",
+        "func main() {
+    m := make(map[int]int)
+    k := 3
+    m[k] += 1
+    m[k] += 1
+    m[0] += 5
+    m[1] = m[1] + 7
+    print(m, m[k], len(m))
+}
+",
+    ),
+    (
+        "int map: growth across 8, 16 and 32 buckets, dense and sparse",
+        "Ok",
+        "func main() {
+    d := make(map[int]int)
+    s := make(map[int]int)
+    t := 0
+    for i := 0; i < 40; i += 1 {
+        d[i] = i * 2
+        s[i * 7 - 20] = i
+        if len(d) == 8 || len(d) == 9 || len(d) == 16 || len(d) == 17 || len(d) == 33 { t += d[i] + s[i * 7 - 20] }
+    }
+    print(t, len(d), len(s), d[39], s[253], s[0 - 20], s[1])
+}
+",
+    ),
+    (
+        "string, bool and pointer-valued maps",
+        "Ok",
+        "type P struct { v int }
+func main() {
+    ms := make(map[string]int)
+    mb := make(map[bool]int)
+    mp := make(map[int]*P)
+    mv := make(map[int]string)
+    ms[\"b\"] = 2
+    ms[\"a\"] = 1
+    ms[\"b\"] += 10
+    mb[true] = 1
+    mb[false] = 2
+    mb[true] += 5
+    delete(ms, \"b\")
+    ms[\"c\"] = 3
+    for i := 0; i < 10; i += 1 { mp[i] = &P{i}
+        mv[i] = \"x\" }
+    mv[3] = \"three\"
+    delete(mv, 0)
+    print(ms, mb, ms[\"a\"], ms[\"b\"], mb[true], mb[false], len(ms), len(mb))
+    print(mp[4].v, mp[9].v, mv[3], mv[0], len(mv), mv)
+}
+",
+    ),
+    (
         "poisoned boxed slot as an operand",
         "read of poisoned memory",
         "func mk() *int { x := 5\n p := &x\n t := 0\n t = x + 1\n tcfree(p)\n t = x + 1\n print(t)\n return p }
@@ -776,7 +896,7 @@ fn engines_agree_on_every_operand_shape() {
             );
         }
     }
-    // Every fused family (and the inline-cache forms) was lowered at
+    // Every fused family (and the stack index forms) was lowered at
     // least once, so no operand-reading handler goes unexercised.
     assert!(fusions > 0, "the optimizer fused nothing");
     for family in [
@@ -800,8 +920,8 @@ fn engines_agree_on_every_operand_shape() {
         "BinConstStore",
         "BinConstJump",
         "LoadLoad",
-        "IndexGetIC",
-        "IndexSetIC",
+        "IndexGet",
+        "IndexSet",
         "Bin",
         "BinRaw",
     ] {
