@@ -5,11 +5,10 @@
 //! the escape properties, extract the function's extended parameter tag,
 //! and record the allocation and freeing decisions.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use minigo_syntax::{
-    ExprId, FreeKind, FuncId, Program, Resolution, Type, TypeInfo, VarId, VarKind,
+    ExprId, FreeKind, FuncId, IdMap, Program, Resolution, Type, TypeInfo, VarId, VarKind,
 };
 
 use crate::build::{build_func_graph, BuildOptions, FuncGraph};
@@ -115,13 +114,13 @@ pub struct Analysis {
     /// Options the analysis ran with.
     pub options: AnalyzeOptions,
     /// Solved per-function graphs.
-    pub funcs: HashMap<FuncId, FuncGraph>,
+    pub funcs: IdMap<FuncId, FuncGraph>,
     /// Extracted extended parameter tags.
-    pub summaries: HashMap<FuncId, FuncSummary>,
+    pub summaries: IdMap<FuncId, FuncSummary>,
     /// Stack-or-heap decision per allocation expression.
-    pub alloc_decisions: HashMap<ExprId, AllocPlace>,
+    pub alloc_decisions: IdMap<ExprId, AllocPlace>,
     /// Variables to free per function, with the `tcfree` variant to use.
-    pub free_vars: HashMap<FuncId, Vec<(VarId, FreeKind)>>,
+    pub free_vars: IdMap<FuncId, Vec<(VarId, FreeKind)>>,
     /// Counters.
     pub stats: AnalysisStats,
 }
@@ -131,7 +130,7 @@ impl Analysis {
     /// unknown sites (runtime-managed growth).
     pub fn place_of(&self, expr: ExprId) -> AllocPlace {
         self.alloc_decisions
-            .get(&expr)
+            .get(expr)
             .copied()
             .unwrap_or(AllocPlace::Heap)
     }
@@ -152,8 +151,8 @@ pub fn analyze(
         ..SolveConfig::default()
     };
 
-    let mut summaries: HashMap<FuncId, FuncSummary> = HashMap::new();
-    let mut funcs: HashMap<FuncId, FuncGraph> = HashMap::new();
+    let mut summaries = IdMap::default();
+    let mut funcs = IdMap::default();
     let mut stats = AnalysisStats::default();
 
     for &fid in cg.bottom_up() {
@@ -173,9 +172,9 @@ pub fn analyze(
     stats.solve_nanos = start.elapsed().as_nanos();
     let select_start = Instant::now();
 
-    let mut alloc_decisions = HashMap::new();
-    let mut free_vars: HashMap<FuncId, Vec<(VarId, FreeKind)>> = HashMap::new();
-    for (fid, fg) in &funcs {
+    let mut alloc_decisions = IdMap::default();
+    let mut free_vars = IdMap::default();
+    for (fid, fg) in funcs.iter() {
         for (expr, site) in &fg.alloc_sites {
             let place = if fg.graph.loc(site.loc).heap_alloc {
                 AllocPlace::Heap
@@ -187,7 +186,7 @@ pub fn analyze(
         if opts.mode == Mode::GoFree {
             let list = select_free_vars(res, types, fg, opts);
             stats.to_free += list.len();
-            free_vars.insert(*fid, list);
+            free_vars.insert(fid, list);
         }
     }
     stats.select_nanos = select_start.elapsed().as_nanos();
@@ -338,7 +337,7 @@ mod tests {
     ) -> Vec<(String, FreeKind)> {
         let fid = p.func(func).unwrap().id;
         a.free_vars
-            .get(&fid)
+            .get(fid)
             .map(|v| {
                 v.iter()
                     .map(|(vid, k)| (r.var(*vid).name.clone(), *k))
@@ -371,10 +370,10 @@ mod tests {
     fn go_mode_inserts_no_frees() {
         let src = "func f(n int) { s := make([]int, n)\n s[0] = 1 }\n";
         let (_, _, _, a) = run(src, AnalyzeOptions::go());
-        assert!(a.free_vars.is_empty());
+        assert_eq!(a.free_vars.values().count(), 0);
         assert_eq!(a.stats.to_free, 0);
         // But allocation decisions still exist.
-        assert_eq!(a.alloc_decisions.len(), 1);
+        assert_eq!(a.alloc_decisions.values().count(), 1);
     }
 
     #[test]
@@ -447,7 +446,7 @@ func caller() {
         let src = "func id(s []int) []int { return s }\nfunc main() { }\n";
         let (p, _, _, a) = run(src, AnalyzeOptions::default());
         let fid = p.func("id").unwrap().id;
-        let tag = &a.summaries[&fid];
+        let tag = &a.summaries[fid];
         assert!(tag.known);
         assert!(tag
             .edges_to_result(0)
@@ -464,7 +463,7 @@ func caller() {
         let src = "func leak(p *int, sink *[]*int) { *sink = append(*sink, p) }\nfunc main() { }\n";
         let (p, _, _, a) = run(src, AnalyzeOptions::default());
         let fid = p.func("leak").unwrap().id;
-        let tag = &a.summaries[&fid];
+        let tag = &a.summaries[fid];
         assert!(
             tag.heap_edges().any(|e| e.param == 0),
             "p escapes into the sink: {:?}",

@@ -3,8 +3,9 @@
 //! variable liveness pass, both independent of the primary escape-graph
 //! analysis (see DESIGN.md §8 for the independence argument).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
+use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::{
     Block, Builtin, Expr, ExprId, ExprKind, Func, Resolution, Stmt, StmtKind, Type, TypeInfo, UnOp,
     VarId,
@@ -98,7 +99,7 @@ pub(crate) struct SiteSnapshot {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FuncFlow {
     /// Per-free-site snapshots, keyed by the `Free` statement id.
-    pub sites: HashMap<minigo_syntax::StmtId, SiteSnapshot>,
+    pub sites: FxHashMap<minigo_syntax::StmtId, SiteSnapshot>,
     /// The final containment relation.
     pub contains: Contains,
     /// Joined may-point-to sets of each result value over all exits.
@@ -191,11 +192,11 @@ const MAX_LOOP_ITERS: usize = 64;
 pub(crate) struct FlowAnalyzer<'a> {
     pub res: &'a Resolution,
     pub types: &'a TypeInfo,
-    pub summaries: &'a HashMap<String, FnSummary>,
+    pub summaries: &'a FxHashMap<String, FnSummary>,
     pub func: &'a Func,
     pub contains: Contains,
     /// Snapshot per Free site (last visit wins: the fixpoint state).
-    pub sites: HashMap<minigo_syntax::StmtId, (ObjSet, FlowState)>,
+    pub sites: FxHashMap<minigo_syntax::StmtId, (ObjSet, FlowState)>,
     /// Result pts joined over all exits.
     pub result_pts: Vec<ObjSet>,
     pub freed_params: Vec<bool>,
@@ -209,7 +210,7 @@ impl<'a> FlowAnalyzer<'a> {
     pub fn new(
         res: &'a Resolution,
         types: &'a TypeInfo,
-        summaries: &'a HashMap<String, FnSummary>,
+        summaries: &'a FxHashMap<String, FnSummary>,
         func: &'a Func,
     ) -> Self {
         FlowAnalyzer {
@@ -218,7 +219,7 @@ impl<'a> FlowAnalyzer<'a> {
             summaries,
             func,
             contains: Contains::new(),
-            sites: HashMap::new(),
+            sites: FxHashMap::default(),
             result_pts: vec![ObjSet::new(); func.results.len()],
             freed_params: vec![false; func.params.len()],
             breaks: Vec::new(),
@@ -904,9 +905,9 @@ impl LiveSet {
 pub(crate) struct Liveness<'a> {
     res: &'a Resolution,
     func: &'a Func,
-    summaries: &'a HashMap<String, FnSummary>,
+    summaries: &'a FxHashMap<String, FnSummary>,
     /// live-after sets per Free statement.
-    pub live_after: HashMap<minigo_syntax::StmtId, LiveSet>,
+    pub live_after: FxHashMap<minigo_syntax::StmtId, LiveSet>,
     breaks: Vec<Vec<LiveSet>>,
     continues: Vec<Vec<LiveSet>>,
 }
@@ -915,13 +916,13 @@ impl<'a> Liveness<'a> {
     pub fn new(
         res: &'a Resolution,
         func: &'a Func,
-        summaries: &'a HashMap<String, FnSummary>,
+        summaries: &'a FxHashMap<String, FnSummary>,
     ) -> Self {
         Liveness {
             res,
             func,
             summaries,
-            live_after: HashMap::new(),
+            live_after: FxHashMap::default(),
             breaks: Vec::new(),
             continues: Vec::new(),
         }
@@ -1163,14 +1164,14 @@ impl<'a> Liveness<'a> {
 pub(crate) fn analyze_func(
     res: &Resolution,
     types: &TypeInfo,
-    summaries: &HashMap<String, FnSummary>,
+    summaries: &FxHashMap<String, FnSummary>,
     func: &Func,
 ) -> FuncFlow {
     let mut fwd = FlowAnalyzer::new(res, types, summaries, func);
     fwd.run();
     let mut live = Liveness::new(res, func, summaries);
     live.run();
-    let mut sites = HashMap::new();
+    let mut sites = FxHashMap::default();
     for (stmt, (targets, state)) in fwd.sites.drain() {
         let ls = live.live_after.get(&stmt).cloned().unwrap_or_default();
         sites.insert(
@@ -1198,7 +1199,7 @@ pub(crate) fn analyze_func(
 pub(crate) fn param_uses(
     res: &Resolution,
     func: &Func,
-    summaries: &HashMap<String, FnSummary>,
+    summaries: &FxHashMap<String, FnSummary>,
 ) -> Vec<bool> {
     let params: Vec<VarId> = res.params_of(func.id).to_vec();
     let mut used = vec![false; params.len()];
@@ -1206,7 +1207,7 @@ pub(crate) fn param_uses(
         e: &Expr,
         res: &Resolution,
         params: &[VarId],
-        summaries: &HashMap<String, FnSummary>,
+        summaries: &FxHashMap<String, FnSummary>,
         used: &mut [bool],
     ) {
         match &e.kind {
@@ -1261,7 +1262,7 @@ pub(crate) fn param_uses(
         s: &Stmt,
         res: &Resolution,
         params: &[VarId],
-        summaries: &HashMap<String, FnSummary>,
+        summaries: &FxHashMap<String, FnSummary>,
         used: &mut [bool],
     ) {
         match &s.kind {
@@ -1328,7 +1329,7 @@ pub(crate) fn param_uses(
         b: &Block,
         res: &Resolution,
         params: &[VarId],
-        summaries: &HashMap<String, FnSummary>,
+        summaries: &FxHashMap<String, FnSummary>,
         used: &mut [bool],
     ) {
         for s in &b.stmts {
@@ -1344,7 +1345,7 @@ pub(crate) fn summarize(
     func: &Func,
     res: &Resolution,
     flow: &FuncFlow,
-    summaries: &HashMap<String, FnSummary>,
+    summaries: &FxHashMap<String, FnSummary>,
 ) -> FnSummary {
     let nparams = func.params.len();
     let roots: ObjSet = std::iter::once(AbsObj::Unknown)

@@ -25,8 +25,7 @@
 
 mod flow;
 
-use std::collections::{HashMap, HashSet};
-
+use minigo_syntax::fxhash::{FxHashMap, FxHashSet};
 use minigo_syntax::{
     Block, Expr, ExprKind, FreeKind, Func, Program, Resolution, Span, Stmt, StmtId, StmtKind,
     TypeInfo,
@@ -189,9 +188,9 @@ fn render_target(e: &Expr) -> String {
 /// propagate into the proofs (the independence argument, DESIGN.md §8).
 pub fn audit(program: &Program, res: &Resolution, types: &TypeInfo) -> AuditReport {
     // Bottom-up callee summaries; recursion cycles stay conservative.
-    let mut summaries: HashMap<String, FnSummary> = HashMap::new();
-    let mut flows: HashMap<String, FuncFlow> = HashMap::new();
-    let mut visiting: HashSet<String> = HashSet::new();
+    let mut summaries: FxHashMap<String, FnSummary> = FxHashMap::default();
+    let mut flows: FxHashMap<String, FuncFlow> = FxHashMap::default();
+    let mut visiting: FxHashSet<String> = FxHashSet::default();
     for func in &program.funcs {
         summarize_func(
             program,
@@ -219,9 +218,9 @@ fn summarize_func(
     res: &Resolution,
     types: &TypeInfo,
     func: &Func,
-    summaries: &mut HashMap<String, FnSummary>,
-    flows: &mut HashMap<String, FuncFlow>,
-    visiting: &mut HashSet<String>,
+    summaries: &mut FxHashMap<String, FnSummary>,
+    flows: &mut FxHashMap<String, FuncFlow>,
+    visiting: &mut FxHashSet<String>,
 ) {
     if summaries.contains_key(&func.name) || visiting.contains(&func.name) {
         return;
@@ -491,7 +490,7 @@ fn judge(stmt: StmtId, fl: &FuncFlow) -> AuditVerdict {
 /// `program`, returning the stripped program and the number of sites
 /// removed. Used by the pipeline under [`AuditMode::Deny`].
 pub fn strip_unproven(program: &Program, report: &AuditReport) -> (Program, u64) {
-    let unproven: HashSet<StmtId> = report.unproven().map(|s| s.stmt).collect();
+    let unproven: FxHashSet<StmtId> = report.unproven().map(|s| s.stmt).collect();
     if unproven.is_empty() {
         return (program.clone(), 0);
     }
@@ -503,7 +502,7 @@ pub fn strip_unproven(program: &Program, report: &AuditReport) -> (Program, u64)
     (stripped, removed)
 }
 
-fn strip_block(block: &mut Block, unproven: &HashSet<StmtId>, removed: &mut u64) {
+fn strip_block(block: &mut Block, unproven: &FxHashSet<StmtId>, removed: &mut u64) {
     block.stmts.retain(|s| {
         let drop = matches!(s.kind, StmtKind::Free { .. }) && unproven.contains(&s.id);
         if drop {
@@ -516,7 +515,7 @@ fn strip_block(block: &mut Block, unproven: &HashSet<StmtId>, removed: &mut u64)
     }
 }
 
-fn strip_stmt(stmt: &mut Stmt, unproven: &HashSet<StmtId>, removed: &mut u64) {
+fn strip_stmt(stmt: &mut Stmt, unproven: &FxHashSet<StmtId>, removed: &mut u64) {
     match &mut stmt.kind {
         StmtKind::If { then, els, .. } => {
             strip_block(then, unproven, removed);

@@ -8,8 +8,9 @@
 //! iterated to a fixpoint; a single statement can generate O(N) set
 //! inclusions, giving the cubic bound the paper cites.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::{
     Block, Builtin, Expr, ExprId, ExprKind, Func, Program, Resolution, Stmt, StmtKind, TypeInfo,
     UnOp, VarId,
@@ -42,7 +43,7 @@ enum Constraint {
 /// Result of the connection-graph analysis on one function.
 #[derive(Debug, Clone)]
 pub struct ConnResult {
-    pts: HashMap<Node, BTreeSet<Node>>,
+    pts: FxHashMap<Node, BTreeSet<Node>>,
     /// Number of fixpoint iterations (complexity experiments read this).
     pub iterations: usize,
 }
@@ -82,7 +83,7 @@ pub fn analyze_func(
     // Returned values flow to the unknown world.
     // (Collected during the walk via Store into Unknown.)
 
-    let mut pts: HashMap<Node, BTreeSet<Node>> = HashMap::new();
+    let mut pts: FxHashMap<Node, BTreeSet<Node>> = FxHashMap::default();
     // Unknown points to unknown: loads through it stay unknown.
     pts.entry(Node::Unknown).or_default().insert(Node::Unknown);
 

@@ -10,8 +10,9 @@
 //! the class as escaping. An object is stack-allocated iff the reference it
 //! is immediately bound to at its allocation does not escape.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::{
     Block, Expr, ExprId, ExprKind, Func, Program, Resolution, Stmt, StmtKind, TypeInfo, UnOp, VarId,
 };
@@ -28,10 +29,10 @@ pub enum Pointee {
 /// Result of the fast analysis on one function.
 #[derive(Debug, Clone)]
 pub struct FastResult {
-    parent: HashMap<VarId, VarId>,
-    pointees: HashMap<VarId, BTreeSet<Pointee>>,
-    escaped: HashMap<VarId, bool>,
-    incomplete: HashMap<VarId, bool>,
+    parent: FxHashMap<VarId, VarId>,
+    pointees: FxHashMap<VarId, BTreeSet<Pointee>>,
+    escaped: FxHashMap<VarId, bool>,
+    incomplete: FxHashMap<VarId, bool>,
 }
 
 impl FastResult {
@@ -80,10 +81,10 @@ pub fn analyze_func(
     let mut a = Fast {
         res,
         out: FastResult {
-            parent: HashMap::new(),
-            pointees: HashMap::new(),
-            escaped: HashMap::new(),
-            incomplete: HashMap::new(),
+            parent: FxHashMap::default(),
+            pointees: FxHashMap::default(),
+            escaped: FxHashMap::default(),
+            incomplete: FxHashMap::default(),
         },
     };
     for &v in res.vars_of(func.id) {

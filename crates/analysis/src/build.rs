@@ -12,11 +12,10 @@
 //! differ only in which constraints the solver applies and in what the
 //! decision/instrumentation layers do with the solution.
 
-use std::collections::HashMap;
-
+use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::{
-    Builtin, Expr, ExprId, ExprKind, Func, FuncId, Program, Resolution, StmtKind, Type, TypeInfo,
-    UnOp, VarId,
+    Builtin, Expr, ExprId, ExprKind, Func, FuncId, IdMap, Program, Resolution, StmtKind, Type,
+    TypeInfo, UnOp, VarId,
 };
 
 use crate::graph::{AllocKind, ContentOrigin, EscapeGraph, LocId, LocKind, HEAP_LOC};
@@ -59,10 +58,11 @@ pub struct FuncGraph {
     pub graph: EscapeGraph,
     /// The per-function `return` dummy location.
     pub return_dummy: LocId,
-    /// Variable → location.
-    pub var_locs: HashMap<VarId, LocId>,
-    /// Allocation expression → site info.
-    pub alloc_sites: HashMap<ExprId, AllocSite>,
+    /// Variable → location. Hashed rather than an [`IdMap`]: the keys
+    /// are one function's variables, a sliver of the program's id space.
+    pub var_locs: FxHashMap<VarId, LocId>,
+    /// Allocation expression → site info (hashed, like `var_locs`).
+    pub alloc_sites: FxHashMap<ExprId, AllocSite>,
     /// Callee-side content tags, one per result (§4.4), used when this
     /// function's summary is extracted.
     pub result_tags: Vec<LocId>,
@@ -82,7 +82,7 @@ pub fn build_func_graph(
     res: &Resolution,
     types: &TypeInfo,
     func: &Func,
-    summaries: &HashMap<FuncId, FuncSummary>,
+    summaries: &IdMap<FuncId, FuncSummary>,
     opts: &BuildOptions,
 ) -> FuncGraph {
     let mut b = Builder {
@@ -93,8 +93,8 @@ pub fn build_func_graph(
         opts,
         g: EscapeGraph::new(),
         return_dummy: HEAP_LOC, // replaced below
-        var_locs: HashMap::new(),
-        alloc_sites: HashMap::new(),
+        var_locs: FxHashMap::default(),
+        alloc_sites: FxHashMap::default(),
         result_tags: Vec::new(),
         decl_depth: 1,
         loop_depth: 0,
@@ -168,12 +168,12 @@ struct Builder<'a> {
     program: &'a Program,
     res: &'a Resolution,
     types: &'a TypeInfo,
-    summaries: &'a HashMap<FuncId, FuncSummary>,
+    summaries: &'a IdMap<FuncId, FuncSummary>,
     opts: &'a BuildOptions,
     g: EscapeGraph,
     return_dummy: LocId,
-    var_locs: HashMap<VarId, LocId>,
-    alloc_sites: HashMap<ExprId, AllocSite>,
+    var_locs: FxHashMap<VarId, LocId>,
+    alloc_sites: FxHashMap<ExprId, AllocSite>,
     result_tags: Vec<LocId>,
     decl_depth: i32,
     loop_depth: i32,
@@ -757,7 +757,8 @@ impl<'a> Builder<'a> {
             .expect("resolver checked callees");
         let callee_func = &self.program.funcs[fid.index()];
         let default = FuncSummary::default_tag(callee_func.params.len(), callee_func.results.len());
-        let tag = self.summaries.get(&fid).unwrap_or(&default).clone();
+        let summaries = self.summaries;
+        let tag = summaries.get(fid).unwrap_or(&default);
 
         // Evaluate arguments into temps.
         let mut arg_temps = Vec::with_capacity(args.len());
@@ -838,7 +839,7 @@ mod tests {
             &r,
             &t,
             &p.funcs[0],
-            &HashMap::new(),
+            &IdMap::default(),
             &BuildOptions::default(),
         );
         (p, r, t, fg)

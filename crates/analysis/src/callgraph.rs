@@ -6,30 +6,29 @@
 //! functions inside a non-trivial SCC (mutual recursion) and self-recursive
 //! functions fall back to the default tag for their in-SCC calls.
 
-use std::collections::HashMap;
-
-use minigo_syntax::{Block, Expr, ExprKind, FuncId, Program, Stmt, StmtKind};
+use minigo_syntax::fxhash::FxHashMap;
+use minigo_syntax::{Block, Expr, ExprKind, FuncId, IdMap, Program, Stmt, StmtKind};
 
 /// The program's direct-call graph.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
     /// callees[f] = functions f calls (deduplicated).
-    callees: HashMap<FuncId, Vec<FuncId>>,
+    callees: IdMap<FuncId, Vec<FuncId>>,
     /// Bottom-up processing order: callees before callers.
     order: Vec<FuncId>,
     /// SCC index per function; functions in the same SCC are mutually
     /// recursive.
-    scc: HashMap<FuncId, usize>,
+    scc: IdMap<FuncId, usize>,
     /// SCC sizes (for recursion detection).
     scc_size: Vec<usize>,
     /// Self-recursive functions (call themselves directly).
-    self_recursive: HashMap<FuncId, bool>,
+    self_recursive: IdMap<FuncId, bool>,
 }
 
 impl CallGraph {
     /// Builds the call graph for `program`.
     pub fn build(program: &Program) -> Self {
-        let by_name: HashMap<&str, FuncId> = program
+        let by_name: FxHashMap<&str, FuncId> = program
             .funcs
             .iter()
             .map(|f| (f.name.as_str(), f.id))
@@ -65,7 +64,7 @@ impl CallGraph {
 
     /// The functions `f` calls directly.
     pub fn callees_of(&self, f: FuncId) -> &[FuncId] {
-        self.callees.get(&f).map(Vec::as_slice).unwrap_or(&[])
+        self.callees.get(f).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Whether `caller` and `callee` are mutually recursive (same SCC) or
@@ -75,7 +74,7 @@ impl CallGraph {
         if caller == callee {
             return true;
         }
-        match (self.scc.get(&caller), self.scc.get(&callee)) {
+        match (self.scc.get(caller), self.scc.get(callee)) {
             (Some(a), Some(b)) => a == b,
             _ => true,
         }
@@ -83,10 +82,10 @@ impl CallGraph {
 
     /// Whether `f` participates in recursion at all.
     pub fn is_recursive(&self, f: FuncId) -> bool {
-        self.self_recursive.get(&f).copied().unwrap_or(false)
+        self.self_recursive.get(f).copied().unwrap_or(false)
             || self
                 .scc
-                .get(&f)
+                .get(f)
                 .map(|&s| self.scc_size[s] > 1)
                 .unwrap_or(false)
     }
@@ -131,11 +130,7 @@ impl CallGraph {
                     stack.push(v);
                     state[v].on_stack = true;
                 }
-                let callees = self
-                    .callees
-                    .get(&program.funcs[v].id)
-                    .cloned()
-                    .unwrap_or_default();
+                let callees = self.callees_of(program.funcs[v].id);
                 if cursor < callees.len() {
                     dfs.last_mut().expect("nonempty").1 += 1;
                     let w = callees[cursor].index();

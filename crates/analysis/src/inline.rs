@@ -13,10 +13,9 @@
 //! `minigo_syntax::frontend` on the printed output's AST — callers use
 //! [`inline_program`] and then treat the result as a brand-new program).
 
-use std::collections::HashMap;
-
+use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::{
-    Block, BlockId, Expr, ExprId, ExprKind, Func, FuncId, Program, Stmt, StmtId, StmtKind,
+    Block, BlockId, Expr, ExprId, ExprKind, Func, FuncId, IdMap, Program, Stmt, StmtId, StmtKind,
     SwitchCase,
 };
 
@@ -59,7 +58,7 @@ pub struct InlineStats {
 /// ```
 pub fn inline_program(program: &Program, opts: &InlineOptions) -> (Program, InlineStats) {
     let cg = CallGraph::build(program);
-    let eligible: HashMap<FuncId, &Func> = program
+    let eligible: IdMap<FuncId, &Func> = program
         .funcs
         .iter()
         .filter(|f| is_eligible(f, &cg, opts))
@@ -172,8 +171,8 @@ fn count_returns(block: &Block) -> usize {
 }
 
 struct Inliner<'p> {
-    eligible: &'p HashMap<FuncId, &'p Func>,
-    by_name: HashMap<String, FuncId>,
+    eligible: &'p IdMap<FuncId, &'p Func>,
+    by_name: FxHashMap<String, FuncId>,
     next_expr: u32,
     next_stmt: u32,
     next_block: u32,
@@ -265,7 +264,7 @@ impl<'p> Inliner<'p> {
             return None;
         };
         let fid = self.by_name.get(callee).copied()?;
-        let Some(func) = self.eligible.get(&fid) else {
+        let Some(func) = self.eligible.get(fid) else {
             self.stats.skipped_calls += 1;
             return None;
         };

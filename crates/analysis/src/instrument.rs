@@ -13,11 +13,10 @@
 //! * mid-function returns skip the frees entirely — "it is still safe to
 //!   leave the deallocation to GC".
 
-use std::collections::{HashMap, HashSet};
-
+use minigo_syntax::fxhash::{FxHashMap, FxHashSet};
 use minigo_syntax::{
-    Block, Expr, ExprId, ExprKind, FreeKind, Program, Resolution, Span, Stmt, StmtId, StmtKind,
-    TypeInfo, VarId,
+    Block, Expr, ExprId, ExprKind, FreeKind, IdMap, Program, Resolution, Span, Stmt, StmtId,
+    StmtKind, TypeInfo, VarId,
 };
 
 use crate::analyze::Analysis;
@@ -50,85 +49,77 @@ pub fn instrument_with_plan(
 fn instrument_inner(
     program: &Program,
     res: &mut Resolution,
-    mut types: Option<&mut TypeInfo>,
+    types: Option<&mut TypeInfo>,
     analysis: &Analysis,
     plan: Option<&PlacementPlan>,
 ) -> Program {
-    let mut next_expr = program.expr_count;
-    let mut next_stmt = program.stmt_count;
-    let mut out = program.clone();
-    for func in &mut out.funcs {
-        let frees = analysis
-            .free_vars
-            .get(&func.id)
-            .cloned()
-            .unwrap_or_default();
+    // Statement ids are unique program-wide, so one table per insertion
+    // kind serves every function.
+    let mut by_decl: IdMap<StmtId, Vec<(VarId, FreeKind)>> = IdMap::default();
+    let mut after_any: IdMap<StmtId, Vec<(VarId, FreeKind)>> = IdMap::default();
+    let mut partial_after: IdMap<StmtId, Vec<PartialFree>> = IdMap::default();
+    for func in &program.funcs {
         let advances = plan
-            .and_then(|pl| pl.advance.get(&func.id))
-            .cloned()
-            .unwrap_or_default();
-        let partials = plan
-            .and_then(|pl| pl.partials.get(&func.id))
-            .cloned()
-            .unwrap_or_default();
-        if frees.is_empty() && partials.is_empty() {
-            continue;
-        }
+            .and_then(|pl| pl.advance.get(func.id))
+            .map_or(&[][..], Vec::as_slice);
         // Advanced variables leave the scope-exit path entirely.
-        let advanced: HashSet<VarId> = advances.iter().map(|(v, _, _)| *v).collect();
-        // Map: declaring statement -> frees it triggers.
-        let mut by_decl: HashMap<StmtId, Vec<(VarId, FreeKind)>> = HashMap::new();
-        for (vid, kind) in frees {
+        let advanced: FxHashSet<VarId> = advances.iter().map(|(v, _, _)| *v).collect();
+        for &(vid, kind) in analysis.free_vars.get(func.id).into_iter().flatten() {
             if advanced.contains(&vid) {
                 continue;
             }
             if let Some(stmt) = res.decl_stmt_of(vid) {
-                by_decl.entry(stmt).or_default().push((vid, kind));
+                by_decl.or_default(stmt).push((vid, kind));
             }
         }
-        let mut after_any: HashMap<StmtId, Vec<(VarId, FreeKind)>> = HashMap::new();
-        for (vid, kind, sid) in advances {
-            after_any.entry(sid).or_default().push((vid, kind));
+        for &(vid, kind, sid) in advances {
+            after_any.or_default(sid).push((vid, kind));
         }
-        let mut partial_after: HashMap<StmtId, Vec<PartialFree>> = HashMap::new();
-        for pf in partials {
-            partial_after.entry(pf.after).or_default().push(pf);
+        for pf in plan
+            .and_then(|pl| pl.partials.get(func.id))
+            .into_iter()
+            .flatten()
+        {
+            partial_after.or_default(pf.after).push(pf.clone());
         }
-        let mut ctx = Inserter {
-            res,
-            types: types.as_deref_mut(),
-            by_decl,
-            after_any,
-            partial_after,
-            next_expr: &mut next_expr,
-            next_stmt: &mut next_stmt,
-        };
+    }
+    let mut out = program.clone();
+    let mut ctx = Inserter {
+        res,
+        types,
+        by_decl,
+        after_any,
+        partial_after,
+        next_expr: program.expr_count,
+        next_stmt: program.stmt_count,
+    };
+    for func in &mut out.funcs {
         ctx.rewrite_block(&mut func.body);
     }
-    out.expr_count = next_expr;
-    out.stmt_count = next_stmt;
+    out.expr_count = ctx.next_expr;
+    out.stmt_count = ctx.next_stmt;
     out
 }
 
 struct Inserter<'a> {
     res: &'a mut Resolution,
     types: Option<&'a mut TypeInfo>,
-    by_decl: HashMap<StmtId, Vec<(VarId, FreeKind)>>,
+    by_decl: IdMap<StmtId, Vec<(VarId, FreeKind)>>,
     /// Liveness-advanced whole-variable frees, keyed by the statement
     /// they follow.
-    after_any: HashMap<StmtId, Vec<(VarId, FreeKind)>>,
+    after_any: IdMap<StmtId, Vec<(VarId, FreeKind)>>,
     /// Planned partial frees, keyed by the statement they follow.
-    partial_after: HashMap<StmtId, Vec<PartialFree>>,
-    next_expr: &'a mut u32,
-    next_stmt: &'a mut u32,
+    partial_after: IdMap<StmtId, Vec<PartialFree>>,
+    next_expr: u32,
+    next_stmt: u32,
 }
 
 impl<'a> Inserter<'a> {
     fn make_free(&mut self, var: VarId, kind: FreeKind) -> Stmt {
-        let expr_id = ExprId(*self.next_expr);
-        *self.next_expr += 1;
-        let stmt_id = StmtId(*self.next_stmt);
-        *self.next_stmt += 1;
+        let expr_id = ExprId(self.next_expr);
+        self.next_expr += 1;
+        let stmt_id = StmtId(self.next_stmt);
+        self.next_stmt += 1;
         self.res.record_use(expr_id, var);
         let name = self.res.var(var).name.clone();
         Stmt {
@@ -146,12 +137,12 @@ impl<'a> Inserter<'a> {
     }
 
     fn make_partial(&mut self, pf: &PartialFree) -> Stmt {
-        let base_id = ExprId(*self.next_expr);
-        *self.next_expr += 1;
-        let field_id = ExprId(*self.next_expr);
-        *self.next_expr += 1;
-        let stmt_id = StmtId(*self.next_stmt);
-        *self.next_stmt += 1;
+        let base_id = ExprId(self.next_expr);
+        self.next_expr += 1;
+        let field_id = ExprId(self.next_expr);
+        self.next_expr += 1;
+        let stmt_id = StmtId(self.next_stmt);
+        self.next_stmt += 1;
         self.res.record_use(base_id, pf.base);
         let name = self.res.var(pf.base).name.clone();
         if let Some(types) = self.types.as_deref_mut() {
@@ -186,13 +177,13 @@ impl<'a> Inserter<'a> {
     fn rewrite_block(&mut self, block: &mut Block) {
         // First recurse into nested statements and collect insertions.
         let mut end_frees: Vec<(VarId, FreeKind)> = Vec::new();
-        let mut after: HashMap<StmtId, Vec<(VarId, FreeKind)>> = HashMap::new();
-        let mut partial: HashMap<StmtId, Vec<PartialFree>> = HashMap::new();
+        let mut after: FxHashMap<StmtId, Vec<(VarId, FreeKind)>> = FxHashMap::default();
+        let mut partial: FxHashMap<StmtId, Vec<PartialFree>> = FxHashMap::default();
         for stmt in &mut block.stmts {
             self.rewrite_stmt(stmt);
             match &stmt.kind {
                 StmtKind::VarDecl { .. } | StmtKind::ShortDecl { .. } => {
-                    if let Some(list) = self.by_decl.remove(&stmt.id) {
+                    if let Some(list) = self.by_decl.remove(stmt.id) {
                         end_frees.extend(list);
                     }
                 }
@@ -201,7 +192,7 @@ impl<'a> Inserter<'a> {
                 } => {
                     // Frees for for-init variables go right after the loop:
                     // that is where the implicit loop scope ends.
-                    if let Some(list) = self.by_decl.remove(&init.id) {
+                    if let Some(list) = self.by_decl.remove(init.id) {
                         after.entry(stmt.id).or_default().extend(list);
                     }
                 }
@@ -209,10 +200,10 @@ impl<'a> Inserter<'a> {
             }
             // Liveness-advanced frees and partial frees follow whichever
             // statement the plan names, in whatever block it lives.
-            if let Some(list) = self.after_any.remove(&stmt.id) {
+            if let Some(list) = self.after_any.remove(stmt.id) {
                 after.entry(stmt.id).or_default().extend(list);
             }
-            if let Some(list) = self.partial_after.remove(&stmt.id) {
+            if let Some(list) = self.partial_after.remove(stmt.id) {
                 partial.entry(stmt.id).or_default().extend(list);
             }
         }

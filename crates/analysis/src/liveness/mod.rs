@@ -23,11 +23,12 @@
 //! independent auditor (`--audit deny` strips anything unproven), so a
 //! planner bug degrades placement, never safety.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::{
-    Block, Expr, ExprKind, FreeKind, Func, FuncId, Program, Resolution, Stmt, StmtId, StmtKind,
-    Type, TypeInfo, VarId, VarKind,
+    Block, Expr, ExprKind, FreeKind, Func, FuncId, IdMap, Program, Resolution, Stmt, StmtId,
+    StmtKind, Type, TypeInfo, VarId, VarKind,
 };
 
 use crate::analyze::Analysis;
@@ -105,9 +106,9 @@ pub struct PartialFree {
 pub struct PlacementPlan {
     /// Per function: whole-variable frees to insert after a specific
     /// statement instead of at scope exit.
-    pub advance: HashMap<FuncId, Vec<(VarId, FreeKind, StmtId)>>,
+    pub advance: IdMap<FuncId, Vec<(VarId, FreeKind, StmtId)>>,
     /// Per function: partial frees for abandoned struct locals.
-    pub partials: HashMap<FuncId, Vec<PartialFree>>,
+    pub partials: IdMap<FuncId, Vec<PartialFree>>,
     /// Planned counts (suppressed is filled in by the pipeline after the
     /// audit pass).
     pub stats: PlacementStats,
@@ -124,11 +125,6 @@ pub fn plan_placement(
 ) -> PlacementPlan {
     let cg = CallGraph::build(program);
     let sums = use_summaries(program, res, &cg);
-    let by_name: HashMap<&str, FuncId> = program
-        .funcs
-        .iter()
-        .map(|f| (f.name.as_str(), f.id))
-        .collect();
     let mut plan = PlacementPlan {
         stats: PlacementStats {
             mode: FreePlacement::LastUse,
@@ -137,16 +133,15 @@ pub fn plan_placement(
         ..Default::default()
     };
     for func in &program.funcs {
-        let Some(fg) = analysis.funcs.get(&func.id) else {
+        let Some(fg) = analysis.funcs.get(func.id) else {
             continue;
         };
         let frees = analysis
             .free_vars
-            .get(&func.id)
-            .cloned()
-            .unwrap_or_default();
-        let advances = plan_advances(func, res, fg, &frees, &by_name, &sums);
-        let mut partials = partial::plan_partials(func, res, types, fg, &frees);
+            .get(func.id)
+            .map_or(&[][..], Vec::as_slice);
+        let advances = plan_advances(func, res, fg, frees, &sums);
+        let mut partials = partial::plan_partials(func, res, types, fg, frees);
         // Never park a free behind a terminator: it would not execute.
         let terms = terminator_stmts(&func.body);
         partials.retain(|p| !terms.contains(&p.after));
@@ -168,15 +163,15 @@ fn plan_advances(
     res: &Resolution,
     fg: &crate::build::FuncGraph,
     frees: &[(VarId, FreeKind)],
-    by_name: &HashMap<&str, FuncId>,
-    sums: &HashMap<FuncId, UseSummary>,
+    sums: &IdMap<FuncId, UseSummary>,
 ) -> Vec<(VarId, FreeKind, StmtId)> {
     let mut out = Vec::new();
     if frees.is_empty() {
         return out;
     }
-    // Solved points-to sets for every variable in the function.
-    let pts: HashMap<VarId, BTreeSet<crate::graph::LocId>> = fg
+    // Solved points-to sets for every variable in the function (hashed:
+    // one function's variables, keyed by a program-wide id).
+    let pts: FxHashMap<VarId, BTreeSet<crate::graph::LocId>> = fg
         .var_locs
         .iter()
         .map(|(v, loc)| (*v, points_to(&fg.graph, *loc).into_iter().collect()))
@@ -211,7 +206,7 @@ fn plan_advances(
         let decl_idx = stmts.iter().position(|s| s.id == decl).unwrap();
         let mut last = decl_idx;
         for (i, stmt) in stmts.iter().enumerate().skip(decl_idx + 1) {
-            if stmt_uses_group(stmt, res, &group, by_name, sums) {
+            if stmt_uses_group(stmt, res, &group, sums) {
                 last = i;
             }
         }
@@ -248,48 +243,41 @@ fn stmt_uses_group(
     stmt: &Stmt,
     res: &Resolution,
     group: &[VarId],
-    by_name: &HashMap<&str, FuncId>,
-    sums: &HashMap<FuncId, UseSummary>,
+    sums: &IdMap<FuncId, UseSummary>,
 ) -> bool {
     fn expr_uses(
         e: &Expr,
         res: &Resolution,
         group: &[VarId],
-        by_name: &HashMap<&str, FuncId>,
-        sums: &HashMap<FuncId, UseSummary>,
+        sums: &IdMap<FuncId, UseSummary>,
     ) -> bool {
         match &e.kind {
             ExprKind::Ident(_) => res
                 .def_of(e.id)
                 .map(|v| group.contains(&v))
                 .unwrap_or(false),
-            ExprKind::Unary { operand, .. } => expr_uses(operand, res, group, by_name, sums),
+            ExprKind::Unary { operand, .. } => expr_uses(operand, res, group, sums),
             ExprKind::Binary { lhs, rhs, .. } => {
-                expr_uses(lhs, res, group, by_name, sums)
-                    || expr_uses(rhs, res, group, by_name, sums)
+                expr_uses(lhs, res, group, sums) || expr_uses(rhs, res, group, sums)
             }
-            ExprKind::Field { base, .. } => expr_uses(base, res, group, by_name, sums),
+            ExprKind::Field { base, .. } => expr_uses(base, res, group, sums),
             ExprKind::Index { base, index } => {
-                expr_uses(base, res, group, by_name, sums)
-                    || expr_uses(index, res, group, by_name, sums)
+                expr_uses(base, res, group, sums) || expr_uses(index, res, group, sums)
             }
             ExprKind::SliceExpr { base, lo, hi } => {
-                expr_uses(base, res, group, by_name, sums)
+                expr_uses(base, res, group, sums)
                     || [lo, hi]
                         .into_iter()
                         .flatten()
-                        .any(|b| expr_uses(b, res, group, by_name, sums))
+                        .any(|b| expr_uses(b, res, group, sums))
             }
             ExprKind::Call { callee, args } => args.iter().enumerate().any(|(i, a)| {
-                !summary::arg_is_dead(a, i, callee, by_name, sums)
-                    && expr_uses(a, res, group, by_name, sums)
+                !summary::arg_is_dead(a, i, callee, res, sums) && expr_uses(a, res, group, sums)
             }),
-            ExprKind::Builtin { args, .. } => {
-                args.iter().any(|a| expr_uses(a, res, group, by_name, sums))
+            ExprKind::Builtin { args, .. } => args.iter().any(|a| expr_uses(a, res, group, sums)),
+            ExprKind::StructLit { fields, .. } => {
+                fields.iter().any(|f| expr_uses(f, res, group, sums))
             }
-            ExprKind::StructLit { fields, .. } => fields
-                .iter()
-                .any(|f| expr_uses(f, res, group, by_name, sums)),
             ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::StrLit(_) | ExprKind::Nil => {
                 false
             }
@@ -299,27 +287,24 @@ fn stmt_uses_group(
         b: &Block,
         res: &Resolution,
         group: &[VarId],
-        by_name: &HashMap<&str, FuncId>,
-        sums: &HashMap<FuncId, UseSummary>,
+        sums: &IdMap<FuncId, UseSummary>,
     ) -> bool {
-        b.stmts
-            .iter()
-            .any(|s| stmt_uses_group(s, res, group, by_name, sums))
+        b.stmts.iter().any(|s| stmt_uses_group(s, res, group, sums))
     }
     match &stmt.kind {
         StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
-            init.iter().any(|e| expr_uses(e, res, group, by_name, sums))
+            init.iter().any(|e| expr_uses(e, res, group, sums))
         }
         StmtKind::Assign { lhs, rhs, .. } => lhs
             .iter()
             .chain(rhs)
-            .any(|e| expr_uses(e, res, group, by_name, sums)),
+            .any(|e| expr_uses(e, res, group, sums)),
         StmtKind::If { cond, then, els } => {
-            expr_uses(cond, res, group, by_name, sums)
-                || block_uses(then, res, group, by_name, sums)
+            expr_uses(cond, res, group, sums)
+                || block_uses(then, res, group, sums)
                 || els
                     .as_ref()
-                    .is_some_and(|e| stmt_uses_group(e, res, group, by_name, sums))
+                    .is_some_and(|e| stmt_uses_group(e, res, group, sums))
         }
         StmtKind::For {
             init,
@@ -328,38 +313,34 @@ fn stmt_uses_group(
             body,
         } => {
             init.as_ref()
-                .is_some_and(|i| stmt_uses_group(i, res, group, by_name, sums))
+                .is_some_and(|i| stmt_uses_group(i, res, group, sums))
                 || cond
                     .as_ref()
-                    .is_some_and(|c| expr_uses(c, res, group, by_name, sums))
+                    .is_some_and(|c| expr_uses(c, res, group, sums))
                 || post
                     .as_ref()
-                    .is_some_and(|p| stmt_uses_group(p, res, group, by_name, sums))
-                || block_uses(body, res, group, by_name, sums)
+                    .is_some_and(|p| stmt_uses_group(p, res, group, sums))
+                || block_uses(body, res, group, sums)
         }
-        StmtKind::Return { exprs } => exprs
-            .iter()
-            .any(|e| expr_uses(e, res, group, by_name, sums)),
-        StmtKind::Expr { expr } => expr_uses(expr, res, group, by_name, sums),
-        StmtKind::BlockStmt { block } => block_uses(block, res, group, by_name, sums),
-        StmtKind::Defer { call } => expr_uses(call, res, group, by_name, sums),
+        StmtKind::Return { exprs } => exprs.iter().any(|e| expr_uses(e, res, group, sums)),
+        StmtKind::Expr { expr } => expr_uses(expr, res, group, sums),
+        StmtKind::BlockStmt { block } => block_uses(block, res, group, sums),
+        StmtKind::Defer { call } => expr_uses(call, res, group, sums),
         StmtKind::Switch {
             subject,
             cases,
             default,
         } => {
-            expr_uses(subject, res, group, by_name, sums)
+            expr_uses(subject, res, group, sums)
                 || cases.iter().any(|c| {
-                    c.values
-                        .iter()
-                        .any(|v| expr_uses(v, res, group, by_name, sums))
-                        || block_uses(&c.body, res, group, by_name, sums)
+                    c.values.iter().any(|v| expr_uses(v, res, group, sums))
+                        || block_uses(&c.body, res, group, sums)
                 })
                 || default
                     .as_ref()
-                    .is_some_and(|d| block_uses(d, res, group, by_name, sums))
+                    .is_some_and(|d| block_uses(d, res, group, sums))
         }
-        StmtKind::Free { target, .. } => expr_uses(target, res, group, by_name, sums),
+        StmtKind::Free { target, .. } => expr_uses(target, res, group, sums),
         StmtKind::Break | StmtKind::Continue => false,
     }
 }
@@ -516,7 +497,7 @@ mod tests {
             "func f(n int) { s := make([]int, n)\n s[0] = 1\n t := make([]int, n)\n t[0] = 2\n print(t[0]) }\n",
         );
         let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
-        let adv = plan.advance.get(&f.id).expect("advances planned");
+        let adv = plan.advance.get(f.id).expect("advances planned");
         let s = var_named(&r, f.id, "s");
         assert!(adv.iter().any(|(v, _, _)| *v == s), "s advances: {plan:?}");
         // t is used by the trailing print: no advancement.
@@ -531,7 +512,7 @@ mod tests {
         );
         let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
         // u reads the array at the end: neither s nor u may advance.
-        assert!(!plan.advance.contains_key(&f.id), "{plan:?}");
+        assert!(plan.advance.get(f.id).is_none(), "{plan:?}");
     }
 
     #[test]
@@ -540,7 +521,7 @@ mod tests {
             "func g(s []int, n int) int { return n }\nfunc f(n int) { s := make([]int, n)\n s[0] = 1\n x := g(s, 2)\n print(x)\n print(n) }\nfunc main() { f(3) }\n",
         );
         let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
-        let adv = plan.advance.get(&f.id).expect("advance past dead arg");
+        let adv = plan.advance.get(f.id).expect("advance past dead arg");
         let s = var_named(&r, f.id, "s");
         let (_, _, after) = adv.iter().find(|(v, _, _)| *v == s).expect("s advances");
         // The free lands after `s[0] = 1`, before the g(s, 2) call.
@@ -564,7 +545,7 @@ mod tests {
             "type T struct { a []int\n b map[int]int }\nfunc f(n int) { x := &T{make([]int, n), make(map[int]int)}\n x.a[0] = 1\n print(x.a[0])\n x.b[1] = 2\n print(x.b[1])\n print(n) }\nfunc main() { f(2) }\n",
         );
         let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
-        let partials = plan.partials.get(&f.id).expect("partials planned");
+        let partials = plan.partials.get(f.id).expect("partials planned");
         let a = partials.iter().find(|pf| pf.field == "a").expect("field a");
         let b = partials.iter().find(|pf| pf.field == "b").expect("field b");
         let body = &f.body.stmts;
@@ -583,7 +564,7 @@ mod tests {
         let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
         // x.a passed to a call: the reference escapes our syntactic
         // aliasing argument, no partial free.
-        assert!(!plan.partials.contains_key(&f.id), "{plan:?}");
+        assert!(plan.partials.get(f.id).is_none(), "{plan:?}");
     }
 
     #[test]
@@ -592,7 +573,7 @@ mod tests {
             "type T struct { a []int\n n int }\nfunc f(n int) { x := T{make([]int, n), 3}\n x.a[0] = 1\n print(x.a[0])\n print(n)\n print(n) }\nfunc main() { f(2) }\n",
         );
         let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
-        let partials = plan.partials.get(&f.id);
+        let partials = plan.partials.get(f.id);
         if let Some(partials) = partials {
             let a = &partials[0];
             let body = &f.body.stmts;

@@ -29,8 +29,7 @@
 //! the *whole struct's* last use (and only emitted when every
 //! pointerful field qualifies).
 
-use std::collections::HashMap;
-
+use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::{
     Block, Builtin, Expr, ExprKind, FreeKind, Func, Resolution, Stmt, StmtId, StmtKind, Type,
     TypeInfo, UnOp, VarId,
@@ -128,7 +127,7 @@ pub(crate) fn plan_partials(
             decl_found: false,
             attribution: None,
             whole_last: None,
-            field_last: HashMap::new(),
+            field_last: FxHashMap::default(),
         };
         scan.find_and_scan(&func.body);
         if scan.bail || !scan.decl_found {
@@ -181,7 +180,7 @@ struct Scan<'a> {
     /// declaring block (mention attribution point).
     attribution: Option<StmtId>,
     whole_last: Option<StmtId>,
-    field_last: HashMap<String, StmtId>,
+    field_last: FxHashMap<String, StmtId>,
 }
 
 impl<'a> Scan<'a> {

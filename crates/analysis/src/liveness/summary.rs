@@ -12,9 +12,9 @@
 //! which is what makes the refinement context-sensitive rather than a
 //! per-function bit.
 
-use std::collections::HashMap;
-
-use minigo_syntax::{Block, Expr, ExprKind, FuncId, Program, Resolution, Stmt, StmtKind, VarId};
+use minigo_syntax::{
+    Block, Expr, ExprKind, FuncId, IdMap, Program, Resolution, Stmt, StmtKind, VarId,
+};
 
 use crate::callgraph::CallGraph;
 
@@ -43,13 +43,8 @@ pub fn use_summaries(
     program: &Program,
     res: &Resolution,
     cg: &CallGraph,
-) -> HashMap<FuncId, UseSummary> {
-    let by_name: HashMap<&str, FuncId> = program
-        .funcs
-        .iter()
-        .map(|f| (f.name.as_str(), f.id))
-        .collect();
-    let mut out: HashMap<FuncId, UseSummary> = HashMap::new();
+) -> IdMap<FuncId, UseSummary> {
+    let mut out = IdMap::default();
     for &fid in cg.bottom_up() {
         let func = &program.funcs[fid.index()];
         let params = res.params_of(fid);
@@ -59,7 +54,6 @@ pub fn use_summaries(
         // occurrence, which is the conservative answer.
         let mut walker = UseWalker {
             res,
-            by_name: &by_name,
             summaries: &out,
             params,
             used: &mut used,
@@ -77,14 +71,13 @@ pub(crate) fn arg_is_dead(
     arg: &Expr,
     idx: usize,
     callee: &str,
-    by_name: &HashMap<&str, FuncId>,
-    summaries: &HashMap<FuncId, UseSummary>,
+    res: &Resolution,
+    summaries: &IdMap<FuncId, UseSummary>,
 ) -> bool {
     if !matches!(arg.kind, ExprKind::Ident(_)) {
         return false;
     }
-    by_name
-        .get(callee)
+    res.func_by_name(callee)
         .and_then(|fid| summaries.get(fid))
         .map(|s| !s.used(idx))
         .unwrap_or(false)
@@ -92,8 +85,7 @@ pub(crate) fn arg_is_dead(
 
 struct UseWalker<'a> {
     res: &'a Resolution,
-    by_name: &'a HashMap<&'a str, FuncId>,
-    summaries: &'a HashMap<FuncId, UseSummary>,
+    summaries: &'a IdMap<FuncId, UseSummary>,
     params: &'a [VarId],
     used: &'a mut [bool],
 }
@@ -128,7 +120,7 @@ impl<'a> UseWalker<'a> {
             }
             ExprKind::Call { callee, args } => {
                 for (i, a) in args.iter().enumerate() {
-                    if arg_is_dead(a, i, callee, self.by_name, self.summaries) {
+                    if arg_is_dead(a, i, callee, self.res, self.summaries) {
                         continue;
                     }
                     self.expr(a);
@@ -216,16 +208,16 @@ mod tests {
     use super::*;
     use minigo_syntax::frontend;
 
-    fn summaries_for(src: &str) -> (Program, Resolution, HashMap<FuncId, UseSummary>) {
+    fn summaries_for(src: &str) -> (Program, Resolution, IdMap<FuncId, UseSummary>) {
         let (p, r, _t) = frontend(src).expect("frontend");
         let cg = CallGraph::build(&p);
         let s = use_summaries(&p, &r, &cg);
         (p, r, s)
     }
 
-    fn summary<'a>(p: &Program, s: &'a HashMap<FuncId, UseSummary>, name: &str) -> &'a UseSummary {
+    fn summary<'a>(p: &Program, s: &'a IdMap<FuncId, UseSummary>, name: &str) -> &'a UseSummary {
         let f = p.funcs.iter().find(|f| f.name == name).unwrap();
-        s.get(&f.id).unwrap()
+        &s[f.id]
     }
 
     #[test]

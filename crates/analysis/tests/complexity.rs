@@ -3,10 +3,8 @@
 //! the *work counters* (walks and relaxations), which are deterministic,
 //! rather than wall time.
 
-use std::collections::HashMap;
-
 use minigo_escape::{analyze, build_func_graph, solve, AnalyzeOptions, BuildOptions, SolveConfig};
-use minigo_syntax::frontend;
+use minigo_syntax::{frontend, IdMap};
 
 /// A straight-line pointer-heavy function with `k` statements.
 fn chain_program(k: usize) -> String {
@@ -33,7 +31,7 @@ fn solve_counters(k: usize) -> (usize, usize, usize, usize) {
         &res,
         &types,
         &func,
-        &HashMap::new(),
+        &IdMap::default(),
         &BuildOptions::default(),
     );
     let n = fg.graph.len();
@@ -105,7 +103,7 @@ fn dense_alias_cliques_converge() {
         &res,
         &types,
         &func,
-        &HashMap::new(),
+        &IdMap::default(),
         &BuildOptions::default(),
     );
     let stats = solve(&mut fg.graph, &SolveConfig::default());

@@ -87,7 +87,7 @@ fn main() {
     let fig1 = "func fig1(c int, d int) *int { pc := &c\n pd := &d\n ppd := &pd\n *ppd = pc\n pd2 := *ppd\n return pd2 }\nfunc main() { x := 0\n x = x }\n";
     let compiled = compile(fig1, &Setting::GoFree.compile_options()).expect("fig1");
     let f = compiled.program.func("fig1").unwrap().id;
-    let fg = &compiled.analysis.funcs[&f];
+    let fg = &compiled.analysis.funcs[f];
     let pd2 = fg
         .graph
         .ids()

@@ -2,11 +2,9 @@
 //! three escape analyses — Fast Escape Analysis (O(N)), the Go escape
 //! graph (O(N²)), and the connection graph (O(N³)).
 
-use std::collections::HashMap;
-
 use minigo_escape::baseline::{conn, fast};
 use minigo_escape::{build_func_graph, points_to, solve, BuildOptions, LocKind, SolveConfig};
-use minigo_syntax::{frontend, VarId};
+use minigo_syntax::{frontend, IdMap, VarId};
 
 /// The paper's fig. 1 program (MiniGo syntax).
 const FIG1: &str = r#"
@@ -77,7 +75,7 @@ fn main() {
         &res,
         &types,
         &func,
-        &HashMap::new(),
+        &IdMap::default(),
         &BuildOptions::default(),
     );
     solve(&mut fg.graph, &SolveConfig::default());

@@ -412,7 +412,7 @@ fn run_cli(args: &[String]) -> Result<(), String> {
             let fg = compiled
                 .analysis
                 .funcs
-                .get(&fid)
+                .get(fid)
                 .ok_or("function not analyzed")?;
             print!("{}", fg.graph.to_dot(name));
             Ok(())
@@ -649,13 +649,13 @@ fn explain(compiled: &gofree::Compiled, only: Option<&str>) {
                 continue;
             }
         }
-        let Some(fg) = compiled.analysis.funcs.get(&func.id) else {
+        let Some(fg) = compiled.analysis.funcs.get(func.id) else {
             continue;
         };
         let selected: std::collections::HashSet<minigo_syntax::VarId> = compiled
             .analysis
             .free_vars
-            .get(&func.id)
+            .get(func.id)
             .map(|v| v.iter().map(|(vid, _)| *vid).collect())
             .unwrap_or_default();
         let mut printed_header = false;
@@ -735,7 +735,7 @@ fn print_analysis(compiled: &gofree::Compiled, only: Option<&str>) {
                 continue;
             }
         }
-        let Some(fg) = compiled.analysis.funcs.get(&func.id) else {
+        let Some(fg) = compiled.analysis.funcs.get(func.id) else {
             continue;
         };
         println!("func {}:", func.name);
@@ -754,7 +754,7 @@ fn print_analysis(compiled: &gofree::Compiled, only: Option<&str>) {
                 l.to_free()
             );
         }
-        if let Some(frees) = compiled.analysis.free_vars.get(&func.id) {
+        if let Some(frees) = compiled.analysis.free_vars.get(func.id) {
             for (vid, kind) in frees {
                 println!("  -> {} {}", kind, compiled.resolution.var(*vid).name);
             }

@@ -28,7 +28,6 @@
 
 pub mod clock;
 pub mod collector;
-pub mod fxhash;
 pub mod heap;
 pub mod histogram;
 pub mod metrics;
@@ -38,6 +37,8 @@ pub mod runtime;
 pub mod shadow;
 pub mod sizeclass;
 pub mod trace;
+
+pub use minigo_syntax::fxhash;
 
 pub use clock::{Clock, CostModel};
 pub use collector::{Collector, CollectorKind, CycleKind, CycleOutcome, GcTrigger};

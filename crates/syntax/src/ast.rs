@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::idmap::Id;
 use crate::span::Span;
 use crate::types::Type;
 
@@ -29,6 +30,16 @@ macro_rules! id_type {
                 write!(f, "{}{}", stringify!($name), self.0)
             }
         }
+
+        impl Id for $name {
+            fn index(self) -> usize {
+                self.0 as usize
+            }
+
+            fn from_index(i: usize) -> Self {
+                $name(i as u32)
+            }
+        }
     };
 }
 
@@ -47,6 +58,10 @@ id_type!(
 id_type!(
     /// Identifies a function declaration.
     FuncId
+);
+id_type!(
+    /// Identifies a resolved variable (parameter, named result, or local).
+    VarId
 );
 
 /// A complete MiniGo source file: struct types plus functions.

@@ -21,13 +21,15 @@
 //! ```
 //!
 //! Every expression, statement, and block carries a stable id; the resolver
-//! and type checker return side tables keyed by those ids, which the escape
-//! analysis in `minigo-escape` consumes.
+//! and type checker return side tables keyed by those ids ([`IdMap`]s),
+//! which the escape analysis in `minigo-escape` consumes.
 
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod diag;
+pub mod fxhash;
+pub mod idmap;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
@@ -39,13 +41,14 @@ pub mod types;
 
 pub use ast::{
     BinOp, Block, BlockId, Builtin, Expr, ExprId, ExprKind, FreeKind, Func, FuncId, Param, Program,
-    Stmt, StmtId, StmtKind, StructDef, SwitchCase, UnOp,
+    Stmt, StmtId, StmtKind, StructDef, SwitchCase, UnOp, VarId,
 };
 pub use diag::{Diagnostic, Result};
+pub use idmap::{Id, IdMap};
 pub use lexer::lex;
 pub use parser::{parse, parse_expr};
 pub use printer::print_program;
-pub use resolver::{resolve, Resolution, VarId, VarInfo, VarKind};
+pub use resolver::{resolve, Resolution, VarInfo, VarKind};
 pub use span::Span;
 pub use typecheck::{typecheck, TypeInfo};
 pub use types::Type;

@@ -1300,7 +1300,7 @@ mod tests {
                 walk(e, &mut ids);
             }
         }
-        let unique: std::collections::HashSet<_> = ids.iter().collect();
+        let unique: crate::fxhash::FxHashSet<_> = ids.iter().collect();
         assert_eq!(unique.len(), ids.len());
         assert!(p.expr_count as usize >= ids.len());
     }

@@ -5,22 +5,11 @@
 //! loop depth (`LoopDepth`, definition 4.3), and indexes functions by name.
 //! The escape analysis consumes these side tables directly.
 
-use std::collections::HashMap;
-
 use crate::ast::*;
 use crate::diag::{Diagnostic, Result};
+use crate::fxhash::FxHashMap;
+use crate::idmap::IdMap;
 use crate::types::Type;
-
-/// Identifies a resolved variable (parameter, named result, or local).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct VarId(pub u32);
-
-impl VarId {
-    /// The id as a plain index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// What kind of binding a variable is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +47,16 @@ pub struct VarInfo {
 #[derive(Debug, Clone, Default)]
 pub struct Resolution {
     vars: Vec<VarInfo>,
-    use_def: HashMap<ExprId, VarId>,
-    decl_def: HashMap<(StmtId, usize), VarId>,
-    params: HashMap<FuncId, Vec<VarId>>,
-    results: HashMap<FuncId, Vec<VarId>>,
-    by_func: HashMap<FuncId, Vec<VarId>>,
-    funcs_by_name: HashMap<String, FuncId>,
-    block_depth: HashMap<BlockId, i32>,
+    use_def: IdMap<ExprId, VarId>,
+    /// A declaration's first variable and its name count: the resolver
+    /// numbers one statement's names consecutively.
+    decl_def: IdMap<StmtId, (VarId, usize)>,
+    decl_stmt: IdMap<VarId, StmtId>,
+    params: IdMap<FuncId, Vec<VarId>>,
+    results: IdMap<FuncId, Vec<VarId>>,
+    by_func: IdMap<FuncId, Vec<VarId>>,
+    funcs_by_name: FxHashMap<String, FuncId>,
+    block_depth: IdMap<BlockId, i32>,
 }
 
 impl Resolution {
@@ -81,27 +73,28 @@ impl Resolution {
     /// The variable a use-site identifier refers to, if the expression is a
     /// resolved identifier.
     pub fn def_of(&self, expr: ExprId) -> Option<VarId> {
-        self.use_def.get(&expr).copied()
+        self.use_def.get(expr).copied()
     }
 
     /// The variable declared by name index `idx` of a declaration statement.
     pub fn decl_of(&self, stmt: StmtId, idx: usize) -> Option<VarId> {
-        self.decl_def.get(&(stmt, idx)).copied()
+        let &(first, count) = self.decl_def.get(stmt)?;
+        (idx < count).then(|| VarId(first.0 + idx as u32))
     }
 
     /// The parameter variables of a function, in order.
     pub fn params_of(&self, func: FuncId) -> &[VarId] {
-        self.params.get(&func).map(Vec::as_slice).unwrap_or(&[])
+        self.params.get(func).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The result variables of a function, in order.
     pub fn results_of(&self, func: FuncId) -> &[VarId] {
-        self.results.get(&func).map(Vec::as_slice).unwrap_or(&[])
+        self.results.get(func).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// A function's variables (parameters, results, locals) in id order.
     pub fn vars_of(&self, func: FuncId) -> &[VarId] {
-        self.by_func.get(&func).map(Vec::as_slice).unwrap_or(&[])
+        self.by_func.get(func).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Finds a function id by name.
@@ -111,15 +104,13 @@ impl Resolution {
 
     /// Scope depth of a block (function body = 1).
     pub fn depth_of_block(&self, block: BlockId) -> i32 {
-        self.block_depth.get(&block).copied().unwrap_or(0)
+        self.block_depth.get(block).copied().unwrap_or(0)
     }
 
     /// The statement that declares `var`, if it was declared by a `var` or
     /// `:=` statement (parameters and results have none).
     pub fn decl_stmt_of(&self, var: VarId) -> Option<StmtId> {
-        self.decl_def
-            .iter()
-            .find_map(|(&(stmt, _), &v)| (v == var).then_some(stmt))
+        self.decl_stmt.get(var).copied()
     }
 
     /// Registers a use of `var` at a synthesized identifier expression.
@@ -163,21 +154,21 @@ pub fn resolve(program: &Program) -> Result<Resolution> {
     Ok(r.res)
 }
 
-struct Resolver {
+struct Resolver<'p> {
     res: Resolution,
     /// Stack of lexical scopes mapping names to variables.
-    scopes: Vec<HashMap<String, VarId>>,
+    scopes: Vec<FxHashMap<&'p str, VarId>>,
     func: FuncId,
     depth: i32,
     loop_depth: i32,
     body_block: BlockId,
 }
 
-impl Resolver {
-    fn declare(&mut self, name: &str, kind: VarKind, block: BlockId, ty: Option<Type>) -> VarId {
+impl<'p> Resolver<'p> {
+    fn new_var(&mut self, name: String, kind: VarKind, block: BlockId, ty: Option<Type>) -> VarId {
         let id = VarId(self.res.vars.len() as u32);
         self.res.vars.push(VarInfo {
-            name: name.to_string(),
+            name,
             kind,
             func: self.func,
             block,
@@ -185,14 +176,32 @@ impl Resolver {
             loop_depth: self.loop_depth,
             declared_ty: ty,
         });
-        self.res.by_func.entry(self.func).or_default().push(id);
+        self.res.by_func.or_default(self.func).push(id);
+        id
+    }
+
+    /// A new variable that uses can name: it enters the innermost scope.
+    fn declare(&mut self, name: &'p str, kind: VarKind, block: BlockId, ty: Option<Type>) -> VarId {
+        let id = self.new_var(name.to_string(), kind, block, ty);
         if !name.is_empty() {
             self.scopes
                 .last_mut()
                 .expect("scope stack is never empty while resolving")
-                .insert(name.to_string(), id);
+                .insert(name, id);
         }
         id
+    }
+
+    /// Declares the names of a `var` / `:=` statement, filling the
+    /// statement → variables and variable → statement tables.
+    fn declare_names(&mut self, stmt: StmtId, names: &'p [String], ty: Option<&Type>) {
+        let first = VarId(self.res.vars.len() as u32);
+        for name in names {
+            let block = self.enclosing_block();
+            let id = self.declare(name, VarKind::Local, block, ty.cloned());
+            self.res.decl_stmt.insert(id, stmt);
+        }
+        self.res.decl_def.insert(stmt, (first, names.len()));
     }
 
     fn lookup(&self, name: &str) -> Option<VarId> {
@@ -202,12 +211,12 @@ impl Resolver {
             .find_map(|scope| scope.get(name).copied())
     }
 
-    fn func_decl(&mut self, func: &Func) -> Result<()> {
+    fn func_decl(&mut self, func: &'p Func) -> Result<()> {
         self.func = func.id;
         self.depth = 1;
         self.loop_depth = 0;
         self.body_block = func.body.id;
-        self.scopes.push(HashMap::new());
+        self.scopes.push(FxHashMap::default());
         self.res.block_depth.insert(func.body.id, 1);
 
         let mut params = Vec::new();
@@ -218,13 +227,14 @@ impl Resolver {
 
         let mut results = Vec::new();
         for (i, p) in func.results.iter().enumerate() {
-            let name = if p.name.is_empty() {
-                // Unnamed results still need identities for the analysis.
-                format!("$ret{i}")
+            let ty = Some(p.ty.clone());
+            results.push(if p.name.is_empty() {
+                // Unnamed results still need identities for the analysis;
+                // no identifier contains `$`, so no use can name one.
+                self.new_var(format!("$ret{i}"), VarKind::Result, func.body.id, ty)
             } else {
-                p.name.clone()
-            };
-            results.push(self.declare(&name, VarKind::Result, func.body.id, Some(p.ty.clone())));
+                self.declare(&p.name, VarKind::Result, func.body.id, ty)
+            });
         }
         self.res.results.insert(func.id, results);
 
@@ -237,10 +247,10 @@ impl Resolver {
         Ok(())
     }
 
-    fn block(&mut self, block: &Block) -> Result<()> {
+    fn block(&mut self, block: &'p Block) -> Result<()> {
         self.depth += 1;
         self.res.block_depth.insert(block.id, self.depth);
-        self.scopes.push(HashMap::new());
+        self.scopes.push(FxHashMap::default());
         for stmt in &block.stmts {
             self.stmt(stmt)?;
         }
@@ -255,7 +265,7 @@ impl Resolver {
         self.body_block
     }
 
-    fn stmt(&mut self, stmt: &Stmt) -> Result<()> {
+    fn stmt(&mut self, stmt: &'p Stmt) -> Result<()> {
         match &stmt.kind {
             StmtKind::VarDecl { names, ty, init } => {
                 for e in init {
@@ -267,11 +277,7 @@ impl Resolver {
                         stmt.span,
                     ));
                 }
-                for (i, name) in names.iter().enumerate() {
-                    let block = self.enclosing_block();
-                    let id = self.declare(name, VarKind::Local, block, Some(ty.clone()));
-                    self.res.decl_def.insert((stmt.id, i), id);
-                }
+                self.declare_names(stmt.id, names, Some(ty));
                 Ok(())
             }
             StmtKind::ShortDecl { names, init } => {
@@ -284,11 +290,7 @@ impl Resolver {
                         stmt.span,
                     ));
                 }
-                for (i, name) in names.iter().enumerate() {
-                    let block = self.enclosing_block();
-                    let id = self.declare(name, VarKind::Local, block, None);
-                    self.res.decl_def.insert((stmt.id, i), id);
-                }
+                self.declare_names(stmt.id, names, None);
                 Ok(())
             }
             StmtKind::Assign { lhs, rhs, .. } => {
@@ -317,7 +319,7 @@ impl Resolver {
                 // The init clause lives in an implicit scope wrapping the
                 // body, as in Go.
                 self.depth += 1;
-                self.scopes.push(HashMap::new());
+                self.scopes.push(FxHashMap::default());
                 let saved_block = self.body_block;
                 self.body_block = body.id;
                 if let Some(init) = init {
@@ -368,7 +370,7 @@ impl Resolver {
         }
     }
 
-    fn with_block(&mut self, block: &Block) -> Result<()> {
+    fn with_block(&mut self, block: &'p Block) -> Result<()> {
         let saved = self.body_block;
         self.body_block = block.id;
         let out = self.block(block);
@@ -464,6 +466,10 @@ mod tests {
         assert_eq!(find_var(&r, "a").kind, VarKind::Param);
         assert_eq!(find_var(&r, "out").kind, VarKind::Result);
         assert_eq!(find_var(&r, "b").kind, VarKind::Local);
+        // Parameters and results have no declaring statement.
+        assert_eq!(r.decl_stmt_of(VarId(0)), None);
+        assert_eq!(r.decl_stmt_of(VarId(1)), None);
+        assert!(r.decl_stmt_of(VarId(2)).is_some());
     }
 
     #[test]
@@ -551,6 +557,13 @@ mod tests {
         assert!(r.decl_of(stmt_id, 0).is_some());
         assert!(r.decl_of(stmt_id, 1).is_some());
         assert_ne!(r.decl_of(stmt_id, 0), r.decl_of(stmt_id, 1));
+        assert_eq!(r.decl_of(stmt_id, 2), None);
+        for i in 0..2 {
+            assert_eq!(
+                r.decl_stmt_of(r.decl_of(stmt_id, i).unwrap()),
+                Some(stmt_id)
+            );
+        }
     }
 
     #[test]

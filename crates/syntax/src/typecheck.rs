@@ -6,27 +6,28 @@
 //! rejects anything whose semantics the VM or the escape analysis would have
 //! to guess at.
 
-use std::collections::HashMap;
-
 use crate::ast::*;
 use crate::diag::{Diagnostic, Result};
-use crate::resolver::{Resolution, VarId};
+use crate::fxhash::FxHashMap;
+use crate::idmap::IdMap;
+use crate::resolver::Resolution;
 use crate::types::Type;
 
 /// Types computed for a program.
 #[derive(Debug, Clone, Default)]
 pub struct TypeInfo {
-    expr_ty: HashMap<ExprId, Type>,
-    call_results: HashMap<ExprId, Vec<Type>>,
-    var_ty: HashMap<VarId, Type>,
-    struct_fields: HashMap<String, Vec<(String, Type)>>,
+    expr_ty: IdMap<ExprId, Type>,
+    /// Hashed: calls are a small fraction of the expression ids.
+    call_results: FxHashMap<ExprId, Vec<Type>>,
+    var_ty: IdMap<VarId, Type>,
+    struct_fields: FxHashMap<String, Vec<(String, Type)>>,
 }
 
 impl TypeInfo {
     /// The type of an expression. Multi-value calls record their first
     /// result here (and the full list in [`TypeInfo::call_result_types`]).
     pub fn expr(&self, id: ExprId) -> Option<&Type> {
-        self.expr_ty.get(&id)
+        self.expr_ty.get(id)
     }
 
     /// All result types of a call expression.
@@ -36,7 +37,7 @@ impl TypeInfo {
 
     /// The type of a variable.
     pub fn var(&self, id: VarId) -> Option<&Type> {
-        self.var_ty.get(&id)
+        self.var_ty.get(id)
     }
 
     /// Field list of a struct type.
@@ -276,7 +277,7 @@ impl<'p> Checker<'p> {
                 if exprs.len() == 1 && results.len() > 1 {
                     let tys = self.multi_call_types(&exprs[0], results.len(), stmt.span)?;
                     for (rid, got) in results.iter().zip(&tys) {
-                        let want = self.info.var_ty[rid].clone();
+                        let want = self.info.var_ty[*rid].clone();
                         self.require_assignable(&want, got, stmt.span)?;
                     }
                     return Ok(());
@@ -292,7 +293,7 @@ impl<'p> Checker<'p> {
                     ));
                 }
                 for (rid, e) in results.iter().zip(exprs) {
-                    let want = self.info.var_ty[rid].clone();
+                    let want = self.info.var_ty[*rid].clone();
                     let got = self.expr(e, Some(&want))?;
                     self.require_assignable(&want, &got, e.span)?;
                 }
@@ -577,7 +578,7 @@ impl<'p> Checker<'p> {
                     .res
                     .def_of(expr.id)
                     .ok_or_else(|| Diagnostic::new("unresolved identifier", expr.span))?;
-                self.info.var_ty.get(&vid).cloned().ok_or_else(|| {
+                self.info.var_ty.get(vid).cloned().ok_or_else(|| {
                     Diagnostic::new("variable used before its type is known", expr.span)
                 })
             }

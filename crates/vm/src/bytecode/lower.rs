@@ -13,8 +13,6 @@
 //! field accesses carry their index, and zero values live in the
 //! constant pool.
 
-use std::collections::HashMap;
-
 use minigo_escape::{AllocPlace, Analysis};
 use minigo_syntax::{
     BinOp, Block, Builtin, Expr, ExprKind, Func, FuncId, Program, Resolution, Stmt, StmtKind, Type,
@@ -22,7 +20,7 @@ use minigo_syntax::{
 };
 
 use super::ir::{BFunc, Const, Instr, Module};
-use crate::fxhash::FxHashSet;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::interp::collect_addr_taken_block;
 
 /// Lowers a checked (and, in GoFree mode, instrumented) program to
@@ -43,7 +41,7 @@ pub fn lower(program: &Program, res: &Resolution, types: &TypeInfo, analysis: &A
 #[derive(Default)]
 struct ConstPool {
     pool: Vec<Const>,
-    scalars: HashMap<ScalarKey, u32>,
+    scalars: FxHashMap<ScalarKey, u32>,
 }
 
 #[derive(PartialEq, Eq, Hash)]
@@ -91,7 +89,7 @@ fn lower_func(
     // Dense slot assignment: every variable the resolver attributed to
     // this function, in VarId order (parameters and results first, since
     // the resolver numbers them at function entry).
-    let mut slot_of = HashMap::new();
+    let mut slot_of = FxHashMap::default();
     let mut slot_names = Vec::new();
     for &v in res.vars_of(func.id) {
         slot_of.insert(v, slot_names.len() as u32);
@@ -159,7 +157,7 @@ struct FnLowerer<'a> {
     types: &'a TypeInfo,
     analysis: &'a Analysis,
     addr_taken: FxHashSet<VarId>,
-    slot_of: HashMap<VarId, u32>,
+    slot_of: FxHashMap<VarId, u32>,
     consts: &'a mut ConstPool,
     code: Vec<Instr>,
     /// The back-patch table: every forward jump is emitted with a
@@ -837,7 +835,7 @@ pub(crate) fn field_target(
 /// Whether the escape analysis put the box of address-taken variable
 /// `var` (declared in function `fid`) on the heap.
 pub(crate) fn boxed_on_heap(analysis: &Analysis, fid: FuncId, var: VarId) -> bool {
-    let Some(fg) = analysis.funcs.get(&fid) else {
+    let Some(fg) = analysis.funcs.get(fid) else {
         return false;
     };
     let loc = fg.var_locs.get(&var);

@@ -36,11 +36,10 @@
 //! window start stay valid, since entering the window's replacement
 //! executes exactly the constituent sequence).
 
-use std::collections::HashMap;
-
 use minigo_syntax::BinOp;
 
 use super::ir::{BFunc, Const, Instr, Module};
+use crate::fxhash::FxHashMap;
 
 /// Per-pass rewrite counters for one [`optimize`] run, surfaced through
 /// the compile pipeline next to its phase timings and exported in the
@@ -110,7 +109,7 @@ pub fn optimize(m: &Module) -> (Module, OptStats) {
 /// pool per rewrite.
 struct PoolInterner<'a> {
     pool: &'a mut Vec<Const>,
-    scalars: HashMap<ScalarKey, u32>,
+    scalars: FxHashMap<ScalarKey, u32>,
 }
 
 #[derive(PartialEq, Eq, Hash)]

@@ -13,8 +13,8 @@ use std::rc::Rc;
 
 use minigo_escape::{AllocPlace, Analysis};
 use minigo_syntax::{
-    BinOp, Block, Builtin, Expr, ExprKind, FuncId, Program, Resolution, Stmt, StmtKind, Type,
-    TypeInfo, UnOp, VarId,
+    BinOp, Block, Builtin, Expr, ExprKind, FuncId, IdMap, Program, Resolution, Stmt, StmtKind,
+    Type, TypeInfo, UnOp, VarId,
 };
 
 use crate::bytecode::lower::{boxed_on_heap, field_target, var_size, zero_value};
@@ -80,7 +80,7 @@ pub struct TreeWalk<'p> {
     types: &'p TypeInfo,
     analysis: &'p Analysis,
     /// Address-taken variables per function (these get boxed slots).
-    addr_taken: FxHashMap<FuncId, FxHashSet<VarId>>,
+    addr_taken: IdMap<FuncId, FxHashSet<VarId>>,
     frames: Vec<Frame>,
 }
 
@@ -93,11 +93,9 @@ impl<'p> TreeWalk<'p> {
         types: &'p TypeInfo,
         analysis: &'p Analysis,
     ) -> Self {
-        let mut addr_taken = FxHashMap::default();
+        let mut addr_taken = IdMap::default();
         for func in &program.funcs {
-            let mut set = FxHashSet::default();
-            collect_addr_taken_block(&func.body, res, &mut set);
-            addr_taken.insert(func.id, set);
+            collect_addr_taken_block(&func.body, res, addr_taken.or_default(func.id));
         }
         TreeWalk {
             program,
@@ -148,7 +146,7 @@ impl Vm<'_, '_> {
         let func = &self.tw.program.funcs[fid.index()];
         let (res, types) = (self.tw.res, self.tw.types);
         let mut slots = FxHashMap::default();
-        let taken = &self.tw.addr_taken[&fid];
+        let taken = &self.tw.addr_taken[fid];
         for (&pvar, arg) in res.params_of(fid).iter().zip(args) {
             slots.insert(pvar, make_slot(arg, taken.contains(&pvar)));
         }
@@ -202,7 +200,7 @@ impl Vm<'_, '_> {
     /// escapes.
     fn declare_var(&mut self, var: VarId, value: Value) {
         let fid = self.tw.frames.last().expect("in a frame").func;
-        let slot = if self.tw.addr_taken[&fid].contains(&var) {
+        let slot = if self.tw.addr_taken[fid].contains(&var) {
             let heap = boxed_on_heap(self.tw.analysis, fid, var);
             let size = var_size(self.tw.types, var);
             let PtrVal { cell, obj } = self.m.alloc_box(value, heap, size, None);

@@ -6,13 +6,11 @@
 //! cargo run --example escape_tour
 //! ```
 
-use std::collections::HashMap;
-
 use minigo_escape::{
     analyze, build_func_graph, instrument, points_to, solve, AnalyzeOptions, BuildOptions,
     SolveConfig,
 };
-use minigo_syntax::{frontend, print_program};
+use minigo_syntax::{frontend, print_program, IdMap};
 
 fn banner(title: &str) {
     println!("\n{}", "=".repeat(66));
@@ -77,7 +75,7 @@ func main() {
         &res,
         &types,
         &func,
-        &HashMap::new(),
+        &IdMap::default(),
         &BuildOptions::default(),
     );
     solve(&mut fg.graph, &SolveConfig::default());
