@@ -5,8 +5,9 @@
 //! 3. the tcfree bail-out environment — migration probability sweep;
 //! 4. GrowMapAndFreeOld (§4.6.2) on/off.
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{compile, execute, run_session, CompileOptions, FreeTargets, RunConfig, Setting};
-use gofree_bench::{pct, HarnessOptions};
 
 fn free_ratio(src: &str, copts: &CompileOptions, cfg: &RunConfig) -> (f64, u64, u64) {
     let compiled = compile(src, copts).expect("compiles");
@@ -55,9 +56,9 @@ func main() {{
     )
 }
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let base = opts.run_config();
+    let copts = opts.compile_options(Setting::GoFree);
     println!("Ablations\n");
     let n = if opts.quick { 40 } else { 600 };
     let pipeline = pipeline_source(n);
@@ -66,12 +67,12 @@ fn main() {
     println!("   (cross-call pipeline: callee-allocated, caller-freed buffers)");
     println!("{:<10} {:>8} {:>10}", "project", "with", "without");
     {
-        let with = free_ratio(&pipeline, &CompileOptions::default(), &base).0;
+        let with = free_ratio(&pipeline, &copts, &base).0;
         let without = free_ratio(
             &pipeline,
             &CompileOptions {
                 content_tags: false,
-                ..CompileOptions::default()
+                ..copts.clone()
             },
             &base,
         )
@@ -83,12 +84,12 @@ fn main() {
         );
     }
     for w in gofree_workloads::all(opts.scale()) {
-        let with = free_ratio(&w.source, &CompileOptions::default(), &base).0;
+        let with = free_ratio(&w.source, &copts, &base).0;
         let without = free_ratio(
             &w.source,
             &CompileOptions {
                 content_tags: false,
-                ..CompileOptions::default()
+                ..copts.clone()
             },
             &base,
         )
@@ -99,12 +100,12 @@ fn main() {
     println!("\n2) Free targets (§6.5): slices+maps (paper) vs all pointers");
     println!("{:<10} {:>12} {:>8}", "project", "slices+maps", "all");
     {
-        let paper = free_ratio(&pipeline, &CompileOptions::default(), &base).0;
+        let paper = free_ratio(&pipeline, &copts, &base).0;
         let all = free_ratio(
             &pipeline,
             &CompileOptions {
                 free_targets: FreeTargets::All,
-                ..CompileOptions::default()
+                ..copts.clone()
             },
             &base,
         )
@@ -113,12 +114,12 @@ fn main() {
         assert!(all > paper, "widening targets frees the Item objects too");
     }
     for w in gofree_workloads::all(opts.scale()) {
-        let paper = free_ratio(&w.source, &CompileOptions::default(), &base).0;
+        let paper = free_ratio(&w.source, &copts, &base).0;
         let all = free_ratio(
             &w.source,
             &CompileOptions {
                 free_targets: FreeTargets::All,
-                ..CompileOptions::default()
+                ..copts.clone()
             },
             &base,
         )
@@ -137,13 +138,13 @@ fn main() {
             migrate_prob: p,
             ..opts.run_config()
         };
-        let (fr, attempts, bails) = free_ratio(&w.source, &CompileOptions::default(), &cfg);
+        let (fr, attempts, bails) = free_ratio(&w.source, &copts, &cfg);
         println!("{p:<12} {attempts:>9} {bails:>8} {:>10}", pct(fr));
     }
 
     println!("\n4) GrowMapAndFreeOld (§4.6.2): GoFree vs GoFree-without-grow-free (slayout)");
     let w = gofree_workloads::by_name("slayout", opts.scale()).expect("slayout");
-    let compiled = compile(&w.source, &CompileOptions::default()).expect("compiles");
+    let compiled = compile(&w.source, &copts).expect("compiles");
     let with = execute(&compiled, Setting::GoFree, &base).expect("runs");
     // Re-run the instrumented program but with the runtime optimization
     // off, modeling a GoFree build without §4.6.2.
@@ -163,5 +164,5 @@ fn main() {
         pct(without.metrics.free_ratio()),
         without.metrics.gcs
     );
-    opts.emit_observability(&with, &compiled.phase_times);
+    Ok(Some(Observed::new(with, compiled.phase_times)))
 }

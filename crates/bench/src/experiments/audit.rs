@@ -6,14 +6,14 @@
 //!
 //! Regenerates `results/audit.txt` (`--quick` and `--engine` apply).
 
+use crate::{eval_run_config, pct, Options};
+use gofree::cli::Observed;
 use gofree::{
     compile, execute, AuditMode, CompileOptions, RunConfig, Setting, ViolationKind, VmEngine,
 };
-use gofree_bench::{eval_run_config, pct, HarnessOptions};
 use gofree_workloads::{corpus, fuzzgen};
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let fuzz_seeds = if opts.quick { 20 } else { 60 };
 
     let mut programs: Vec<(String, String, bool)> = gofree_workloads::all(opts.scale())
@@ -33,7 +33,7 @@ fn main() {
         programs.len(),
         nworkloads,
         fuzz_seeds,
-        opts.engine
+        opts.common.config.engine
     );
     println!(
         "{:<12} {:>6} {:>7} {:>6}",
@@ -42,7 +42,7 @@ fn main() {
 
     let audit_opts = CompileOptions {
         audit: AuditMode::Warn,
-        ..CompileOptions::default()
+        ..opts.compile_options(Setting::GoFree)
     };
     let mut wl_sites = 0usize;
     let mut wl_proved = 0usize;
@@ -138,7 +138,7 @@ fn main() {
         bug,
         &CompileOptions {
             audit: AuditMode::Deny,
-            ..CompileOptions::default()
+            ..opts.compile_options(Setting::GoFree)
         },
     )
     .expect("bug compiles under deny");
@@ -155,5 +155,5 @@ fn main() {
     );
     assert_eq!(violations, 0, "sanitizer must be clean on proved programs");
     println!("\nAll audit invariants hold.");
-    opts.observe_workload("json");
+    Ok(None)
 }

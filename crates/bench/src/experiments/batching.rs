@@ -1,13 +1,14 @@
 //! The §5 "Possibility of Batching" measurement: adjacent tcfrees share
 //! one call overhead. The paper predicts limited gains ("few objects are
-//! freed in a single scope") — this binary quantifies it.
+//! freed in a single scope") — this experiment quantifies it.
 
+use crate::Options;
+use gofree::cli::Observed;
 use gofree::{compile, run_session, CompileOptions, Report, RunConfig, Setting};
-use gofree_bench::HarnessOptions;
 use minigo_vm::VmConfig;
 
-fn run_with_batching(src: &str, batch: bool, cfg: &RunConfig) -> Report {
-    let compiled = compile(src, &CompileOptions::default()).expect("compiles");
+fn run_with_batching(src: &str, copts: &CompileOptions, batch: bool, cfg: &RunConfig) -> Report {
+    let compiled = compile(src, copts).expect("compiles");
     let vm_cfg = VmConfig {
         batch_frees: batch,
         ..cfg.vm_config(&compiled, Setting::GoFree)
@@ -45,8 +46,7 @@ func main() {{
     )
 }
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let n = if opts.quick { 100 } else { 2000 };
     // No clock jitter: the delta between two runs is the batching alone.
     let base = RunConfig {
@@ -61,11 +61,12 @@ fn main() {
         "{:<22} {:>12} {:>10} {:>10}",
         "workload", "time", "frees", "delta"
     );
+    let copts = opts.compile_options(Setting::GoFree);
     let mut rows = Vec::new();
     let srcs = [("burst (best case)", multi_free_source(n))];
     for (label, src) in &srcs {
-        let plain = run_with_batching(src, false, &base);
-        let batched = run_with_batching(src, true, &base);
+        let plain = run_with_batching(src, &copts, false, &base);
+        let batched = run_with_batching(src, &copts, true, &base);
         assert_eq!(plain.output, batched.output);
         let delta = 1.0 - batched.time as f64 / plain.time as f64;
         println!(
@@ -78,8 +79,8 @@ fn main() {
         rows.push(delta);
     }
     for w in gofree_workloads::all(opts.scale()) {
-        let plain = run_with_batching(&w.source, false, &base);
-        let batched = run_with_batching(&w.source, true, &base);
+        let plain = run_with_batching(&w.source, &copts, false, &base);
+        let batched = run_with_batching(&w.source, &copts, true, &base);
         assert_eq!(plain.output, batched.output);
         let delta = 1.0 - batched.time as f64 / plain.time as f64;
         println!(
@@ -98,7 +99,7 @@ fn main() {
         rows.iter().all(|&d| d < 0.05),
         "batching gains must be limited: {rows:?}"
     );
-    // Batching is a VM-level toggle with no pipeline Report, so the
-    // observability artifacts come from a designated workload run.
-    opts.observe_workload("json");
+    // Batching is a VM-level toggle with no pipeline Report: `bench`
+    // observes a designated workload run instead.
+    Ok(None)
 }

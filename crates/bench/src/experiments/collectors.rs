@@ -10,11 +10,11 @@
 //! GoFree/Go cycle gap widens and the generational backend amplifies
 //! the paper's headline effect rather than washing it out.
 
+use crate::{fmt_p, pct, run_three_settings, Options};
+use gofree::cli::Observed;
 use gofree::{table7_row, table8_row, table9_row, CollectorKind, RunConfig, Setting};
-use gofree_bench::{fmt_p, pct, run_three_settings, HarnessOptions};
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     println!(
         "Collector study: tables 7-9 and heap curves per backend ({} runs per setting)",
         opts.runs
@@ -39,7 +39,7 @@ fn main() {
         let mut t9 = Vec::new();
         let mut deltas = Vec::new();
         for w in gofree_workloads::all(opts.scale()) {
-            let (go, gofree, gcoff) = run_three_settings(&w.source, opts.runs, &base);
+            let (go, gofree, gcoff) = run_three_settings(opts, &w.source, opts.runs, &base);
             let row = table7_row(w.name, &go, &gofree, &gcoff);
             println!(
                 "{:<10} | {:>6} {:>7} | {:>7} | {:>6} {:>7} | {:>6} | {:>7}",
@@ -54,7 +54,7 @@ fn main() {
             );
             t8.push(table8_row(w.name, &gofree[0]));
             t9.push(table9_row(w.name, &gofree[0]));
-            deltas.push(delta_row(w.name, opts.scale(), &base));
+            deltas.push(delta_row(opts, w.name, &base));
             t7.push(row);
             observed = gofree.into_iter().next();
         }
@@ -143,9 +143,7 @@ fn main() {
          (tests/collector_identity.rs); under gen, tcfree drains the nursery so \
          GoFree skips minor cycles Go still pays for."
     );
-    if let Some(r) = &observed {
-        opts.emit_observability(r, &[]);
-    }
+    Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }
 
 /// One setting's single-run observables under a backend, taken from a
@@ -165,11 +163,11 @@ struct DeltaRow {
     gofree: CellStats,
 }
 
-fn delta_row(project: &'static str, scale: gofree_workloads::Scale, base: &RunConfig) -> DeltaRow {
+fn delta_row(opts: &Options, project: &'static str, base: &RunConfig) -> DeltaRow {
     let cell = |setting: Setting| {
-        let w = gofree_workloads::by_name(project, scale).expect("workload exists");
+        let w = gofree_workloads::by_name(project, opts.scale()).expect("workload exists");
         let compiled =
-            gofree::compile(&w.source, &setting.compile_options()).expect("workload compiles");
+            gofree::compile(&w.source, &opts.compile_options(setting)).expect("workload compiles");
         let cfg = RunConfig {
             trace: true,
             jobs: 1,

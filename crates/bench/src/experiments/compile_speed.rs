@@ -10,8 +10,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use gofree::{compile, welch_t_test, CompileOptions};
-use gofree_bench::HarnessOptions;
+use crate::Options;
+use gofree::cli::Observed;
+use gofree::{compile, welch_t_test, CompileOptions, Setting};
 use gofree_workloads::corpus;
 use minigo_escape::baseline::{conn, fast};
 use minigo_escape::{analyze, build_func_graph, solve, AnalyzeOptions, BuildOptions, SolveConfig};
@@ -69,8 +70,7 @@ fn time_interleaved(
     (ta, tb)
 }
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let reps = opts.runs;
     let nfuncs = if opts.quick { 60 } else { 320 };
     let src = corpus::generate(nfuncs);
@@ -80,8 +80,8 @@ fn main() {
 
     let (go_times, gofree_times) = time_interleaved(
         &src,
-        &CompileOptions::go(),
-        &CompileOptions::default(),
+        &opts.compile_options(Setting::Go),
+        &opts.compile_options(Setting::GoFree),
         reps,
     );
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -224,4 +224,5 @@ fn main() {
             (1.0 - r_dirty as f64 / r_full.max(1) as f64) * 100.0,
         );
     }
+    Ok(None)
 }

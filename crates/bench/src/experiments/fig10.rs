@@ -3,12 +3,12 @@
 //! while the mean freed object grows, shifting the benefit from GC-count
 //! reduction toward heap-size reduction (§6.3).
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{fig10_point, Setting};
-use gofree_bench::{pct, HarnessOptions};
 use gofree_workloads::micro;
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let budget = if opts.quick { 128 } else { 2048 };
     let base = opts.run_config();
     println!("Fig. 10: microbenchmark, object-size sweep (total allocation held ~constant)\n");
@@ -21,8 +21,9 @@ fn main() {
     let mut last_traced = None;
     for &c in micro::C_VALUES {
         let src = micro::source(c, budget);
-        let go = gofree::compile(&src, &Setting::Go.compile_options()).expect("compiles");
-        let gofree = gofree::compile(&src, &Setting::GoFree.compile_options()).expect("compiles");
+        let go = gofree::compile(&src, &opts.compile_options(Setting::Go)).expect("compiles");
+        let gofree =
+            gofree::compile(&src, &opts.compile_options(Setting::GoFree)).expect("compiles");
         let go_r = gofree::execute(&go, Setting::Go, &base).expect("runs");
         let gf_r = gofree::execute(&gofree, Setting::GoFree, &base).expect("runs");
         assert_eq!(go_r.output, gf_r.output, "same behaviour at c={c}");
@@ -56,8 +57,6 @@ fn main() {
     if first.gc_ratio <= last.gc_ratio {
         println!("GC-count benefit shrinks with c: OK");
     }
-    // `--trace PATH`: export the last sweep point's GoFree event stream.
-    if let Some((report, phases)) = last_traced {
-        opts.emit_observability(&report, &phases);
-    }
+    // The designated run is the last sweep point's GoFree run.
+    Ok(last_traced.map(|(report, phases)| Observed::new(report, phases)))
 }

@@ -1,17 +1,17 @@
 //! Regenerates fig. 11: the run-time distribution across N runs under the
 //! three settings (GoFree, Go, Go-GCOff), shown as a text histogram.
 
+use crate::{run_three_settings, Options};
+use gofree::cli::Observed;
 use gofree::{distribution, Histogram, Setting};
-use gofree_bench::{run_three_settings, HarnessOptions};
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let w = gofree_workloads::by_name("json", opts.scale()).expect("json workload");
     println!(
         "Fig. 11: run-time distribution, {} runs per setting (workload: json analogue)\n",
         opts.runs
     );
-    let (go, gofree, gcoff) = run_three_settings(&w.source, opts.runs, &opts.run_config());
+    let (go, gofree, gcoff) = run_three_settings(opts, &w.source, opts.runs, &opts.run_config());
     let dists = [
         distribution(Setting::GoFree.to_string(), &gofree),
         distribution(Setting::Go.to_string(), &go),
@@ -51,7 +51,8 @@ fn main() {
              scale (expected at --quick; run at full scale for the paper's shape)."
         );
     }
-    // `--trace PATH`: export run 0's GoFree event stream (compile phases
-    // are not collected here; the runtime track carries everything).
-    opts.emit_observability(&gofree[0], &[]);
+    // The designated run is GoFree's run 0 (compile phases are not
+    // collected here; the runtime track carries everything).
+    let run0 = gofree.into_iter().next().expect("at least one run");
+    Ok(Some(Observed::new(run0, Vec::new())))
 }

@@ -4,12 +4,12 @@
 //!
 //! `--runs N` controls the number of seeds (default 99).
 
-use gofree::{compile, execute, CompileOptions, PoisonMode, RunConfig, Setting};
-use gofree_bench::HarnessOptions;
+use crate::Options;
+use gofree::cli::Observed;
+use gofree::{compile, execute, PoisonMode, RunConfig, Setting};
 use gofree_workloads::fuzzgen;
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let seeds = opts.runs * 5;
     println!("Differential fuzz: {seeds} generated programs x 3 configurations");
     let mut failures = 0;
@@ -18,8 +18,10 @@ fn main() {
         let src = fuzzgen::generate(seed);
         let cfg = RunConfig::deterministic(seed);
         let result = (|| -> Result<u64, String> {
-            let go = compile(&src, &CompileOptions::go()).map_err(|e| e.render(&src))?;
-            let gofree = compile(&src, &CompileOptions::default()).map_err(|e| e.render(&src))?;
+            let go =
+                compile(&src, &opts.compile_options(Setting::Go)).map_err(|e| e.render(&src))?;
+            let gofree = compile(&src, &opts.compile_options(Setting::GoFree))
+                .map_err(|e| e.render(&src))?;
             let go_out = execute(&go, Setting::Go, &cfg).map_err(|e| e.to_string())?;
             let gf_out = execute(&gofree, Setting::GoFree, &cfg).map_err(|e| e.to_string())?;
             if go_out.output != gf_out.output {
@@ -58,8 +60,8 @@ fn main() {
         "{seeds} seeds, {failures} failures; GoFree freed {total_frees} bytes across the campaign"
     );
     if failures > 0 {
-        std::process::exit(1);
+        return Err(format!("{failures} of {seeds} generated programs diverged"));
     }
     println!("All generated programs behave identically under every configuration.");
-    opts.observe_workload("json");
+    Ok(None)
 }

@@ -4,11 +4,11 @@
 //! GoFree's effect shrinks toward the allocator level. (The paper fixes
 //! GOGC at the default 100; this extends table 7 along that axis.)
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{compile, execute, RunConfig, Setting};
-use gofree_bench::{pct, HarnessOptions};
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let w = gofree_workloads::by_name("json", opts.scale()).expect("json workload");
     println!("GOGC sweep (json analogue)\n");
     println!(
@@ -22,8 +22,8 @@ fn main() {
             gogc,
             ..opts.run_config()
         };
-        let go = compile(&w.source, &Setting::Go.compile_options()).expect("compiles");
-        let gf = compile(&w.source, &Setting::GoFree.compile_options()).expect("compiles");
+        let go = compile(&w.source, &opts.compile_options(Setting::Go)).expect("compiles");
+        let gf = compile(&w.source, &opts.compile_options(Setting::GoFree)).expect("compiles");
         let go_r = execute(&go, Setting::Go, &cfg).expect("runs");
         let gf_r = execute(&gf, Setting::GoFree, &cfg).expect("runs");
         observed = Some(gf_r.clone());
@@ -46,7 +46,5 @@ fn main() {
     }
     println!("\nExpected shape: tighter pacing (low GOGC) = more GCs avoided = bigger");
     println!("time benefit; generous pacing dilutes GoFree's effect.");
-    if let Some(r) = &observed {
-        opts.emit_observability(r, &[]);
-    }
+    Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

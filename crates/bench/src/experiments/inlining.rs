@@ -2,8 +2,9 @@
 //! (objects escaping small callees by return become stack-allocatable),
 //! while GoFree's content tags already free them without inlining.
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{compile, execute, CompileOptions, Mode, Setting};
-use gofree_bench::{pct, HarnessOptions};
 
 /// A factory-heavy program: every temporary comes from a small callee.
 fn factory_source(n: u64) -> String {
@@ -34,8 +35,7 @@ func main() {{
     )
 }
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let n = if opts.quick { 50 } else { 800 };
     let src = factory_source(n);
     let base = opts.run_config();
@@ -53,17 +53,16 @@ fn main() {
         ("GoFree", Mode::GoFree, false),
         ("GoFree + inline", Mode::GoFree, true),
     ] {
-        let copts = CompileOptions {
-            mode,
-            inline,
-            ..CompileOptions::default()
-        };
-        let compiled = compile(&src, &copts).expect("compiles");
         let setting = if mode == Mode::GoFree {
             Setting::GoFree
         } else {
             Setting::Go
         };
+        let copts = CompileOptions {
+            inline,
+            ..opts.compile_options(setting)
+        };
+        let compiled = compile(&src, &copts).expect("compiles");
         let r = execute(&compiled, setting, &base).expect("runs");
         let stack: u64 = r.metrics.stack_allocs.iter().sum();
         let heap: u64 = r.metrics.heap_allocs.iter().sum();
@@ -94,7 +93,5 @@ fn main() {
     println!("factory results either way — its inter-procedural analysis \"provides");
     println!("enough information to analyze the caller as precisely as the");
     println!("intra-procedural analysis does\" (§4.6.4).");
-    if let Some(r) = &observed {
-        opts.emit_observability(r, &[]);
-    }
+    Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

@@ -11,19 +11,24 @@
 //! Every lastuse compile audits under `warn`, so the printed proof rate
 //! covers the advanced and partial sites; a `suppressed` count > 0 would
 //! mean the independent auditor refused a planned placement.
+//!
+//! `--free-placement` does not apply here: comparing the two placements
+//! is the point, so every compile names its placement explicitly.
 
 use std::collections::HashMap;
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{AuditMode, CompileOptions, FreePlacement, Profile, RunConfig, Setting};
-use gofree_bench::{pct, HarnessOptions};
 
-fn compile_placed(src: &str, placement: FreePlacement) -> gofree::Compiled {
-    let opts = CompileOptions {
+/// Compiles `src` under GoFree with `placement`, audited under `warn`.
+fn compile_placed(opts: &Options, src: &str, placement: FreePlacement) -> gofree::Compiled {
+    let copts = CompileOptions {
         audit: AuditMode::Warn,
         free_placement: placement,
-        ..Setting::GoFree.compile_options()
+        ..opts.compile_options(Setting::GoFree)
     };
-    gofree::compile(src, &opts).expect("workload compiles")
+    gofree::compile(src, &copts).expect("workload compiles")
 }
 
 /// Per-site mean alloc→tcfree drag, keyed by trace site id.
@@ -120,8 +125,7 @@ fn drag_subjects(scale: gofree_workloads::Scale) -> Vec<(&'static str, String)> 
     ]
 }
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let cfg = RunConfig {
         trace: true,
         ..opts.run_config()
@@ -156,8 +160,8 @@ fn main() {
         subjects.push((name.to_string(), src));
     }
     for (wname, wsource) in &subjects {
-        let scope = compile_placed(wsource, FreePlacement::Scope);
-        let lastuse = compile_placed(wsource, FreePlacement::LastUse);
+        let scope = compile_placed(opts, wsource, FreePlacement::Scope);
+        let lastuse = compile_placed(opts, wsource, FreePlacement::LastUse);
         let (sr, sp) = run_traced(&scope, &cfg);
         let (lr, lp) = run_traced(&lastuse, &cfg);
         assert_eq!(sr.output, lr.output, "{wname}: placement changed output");
@@ -253,8 +257,8 @@ fn main() {
     ];
     println!("-- partial-free demonstrations --");
     for (name, src) in demos {
-        let scope = compile_placed(src, FreePlacement::Scope);
-        let lastuse = compile_placed(src, FreePlacement::LastUse);
+        let scope = compile_placed(opts, src, FreePlacement::Scope);
+        let lastuse = compile_placed(opts, src, FreePlacement::LastUse);
         let p = lastuse.placement.expect("stats");
         let san = RunConfig {
             sanitize: true,
@@ -284,7 +288,5 @@ fn main() {
     }
     println!("\nEvery placement above was proved by the free-safety auditor;");
     println!("sanitized demo runs reported zero shadow-heap violations.");
-    if let Some((report, phases)) = &last_gofree {
-        opts.emit_observability(report, phases);
-    }
+    Ok(last_gofree.map(|(report, phases)| Observed::new(report, phases)))
 }

@@ -8,15 +8,17 @@
 //! "Garbage" is every byte a stack handed to the collector: gc-swept
 //! bytes plus bytes still live at finalization. Under GoFree the same
 //! stacks should show those bytes migrating to the `tcfreed` column.
+//! Each workload's closing line compiles once more under `lastuse`,
+//! whatever `--free-placement` says, to show the drag it recovers.
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{Profile, RunConfig, Setting, StackStat};
-use gofree_bench::{pct, HarnessOptions};
 
 /// Rows shown per setting, the paper-table convention.
 const TOP: usize = 10;
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let cfg = RunConfig {
         trace: true,
         ..opts.run_config()
@@ -29,7 +31,7 @@ fn main() {
         let mut scope_profile = None;
         for (i, setting) in [Setting::Go, Setting::GoFree].into_iter().enumerate() {
             let compiled =
-                gofree::compile(&w.source, &setting.compile_options()).expect("compiles");
+                gofree::compile(&w.source, &opts.compile_options(setting)).expect("compiles");
             let report = gofree::execute(&compiled, setting, &cfg).expect("runs");
             let trace = report.trace.as_ref().expect("traced run carries a trace");
             let profile = Profile::build(trace);
@@ -86,10 +88,11 @@ fn main() {
         );
         // The remaining alloc→tcfree gap is placement drag; compile once
         // more under lastuse to show how much of it liveness-driven
-        // placement recovers (the `liveness` binary studies this fully).
+        // placement recovers whatever `--free-placement` says (the
+        // `liveness` experiment studies this fully).
         let lastuse_opts = gofree::CompileOptions {
             free_placement: gofree::FreePlacement::LastUse,
-            ..Setting::GoFree.compile_options()
+            ..opts.compile_options(Setting::GoFree)
         };
         let lu = gofree::compile(&w.source, &lastuse_opts).expect("compiles");
         let lu_report = gofree::execute(&lu, Setting::GoFree, &cfg).expect("runs");
@@ -115,7 +118,5 @@ fn main() {
         );
     }
     println!("Every profile above reconciled field-exactly with the run's Metrics.");
-    if let Some((report, phases)) = &last_gofree {
-        opts.emit_observability(report, phases);
-    }
+    Ok(last_gofree.map(|(report, phases)| Observed::new(report, phases)))
 }

@@ -4,17 +4,18 @@
 //! read observes the corruption and the run fails — so all runs passing
 //! means the inserted frees are sound.
 
+use crate::Options;
+use gofree::cli::Observed;
 use gofree::{compile, execute, PoisonMode, RunConfig, Setting};
-use gofree_bench::HarnessOptions;
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     println!("Robustness (§6.8): mock tcfree corrupts instead of freeing\n");
     let mut checked = 0;
     let mut failed = 0;
     let mut observed = None;
     for w in gofree_workloads::all(opts.scale()) {
-        let compiled = compile(&w.source, &Setting::GoFree.compile_options()).expect("compiles");
+        let compiled =
+            compile(&w.source, &opts.compile_options(Setting::GoFree)).expect("compiles");
         let clean = execute(&compiled, Setting::GoFree, &opts.run_config()).expect("clean run");
         for (label, poison) in [("zero", PoisonMode::Zero), ("flip", PoisonMode::Flip)] {
             let cfg = RunConfig {
@@ -49,9 +50,7 @@ fn main() {
         }
     );
     if failed > 0 {
-        std::process::exit(1);
+        return Err(format!("{failed} poisoned run(s) failed"));
     }
-    if let Some(r) = &observed {
-        opts.emit_observability(r, &[]);
-    }
+    Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

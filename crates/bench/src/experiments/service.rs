@@ -6,11 +6,11 @@
 //! throughput tables: compiler-inserted freeing shrinks the GC work that
 //! turns into p999 queueing under the burst phase change.
 
+use crate::Options;
+use gofree::cli::Observed;
 use gofree::{
-    compile, run_service, service_gctrace_lines, service_report_json, Arrival, CollectorKind,
-    RunConfig, ServiceConfig, ServiceReport, Setting,
+    compile, run_service, Arrival, CollectorKind, RunConfig, ServiceConfig, ServiceReport, Setting,
 };
-use gofree_bench::HarnessOptions;
 use gofree_workloads::service::scenarios;
 use gofree_workloads::Scale;
 
@@ -25,8 +25,7 @@ fn rps_for(name: &str) -> u64 {
     }
 }
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let requests = match opts.scale() {
         Scale::Test => 2_000,
         Scale::Full => 100_000,
@@ -122,17 +121,11 @@ fn main() {
          pause are no worse; GCOff has zero pauses but the largest heap.)"
     );
 
-    // Observability artifacts come from the designated run: the first
-    // GoFree cell (go collector, first scenario).
-    if let Some((r, phases)) = observed {
-        if opts.gctrace {
-            eprint!("{}", service_gctrace_lines(&r.stats));
-        }
-        if let Some(path) = &opts.report_json {
-            std::fs::write(path, service_report_json(&r.report, Some(&r.stats)))
-                .expect("report json written");
-            eprintln!("[report-json] wrote {path}");
-        }
-        opts.write_trace(&r.report, &phases);
-    }
+    // The designated run is the first GoFree cell (go collector, first
+    // scenario).
+    Ok(observed.map(|(r, phases)| Observed {
+        reports: vec![r.report],
+        phases,
+        service: Some(r.stats),
+    }))
 }

@@ -2,17 +2,17 @@
 //! and prints the paper-vs-measured verdicts. Useful as a smoke test of
 //! the whole artifact (`--runs`/`--quick` apply).
 
+use crate::{pct, run_three_settings, Options};
+use gofree::cli::Observed;
 use gofree::{compile, execute, table7_row, table9_row, AuditMode, CompileOptions, Setting};
-use gofree_bench::{pct, run_three_settings, HarnessOptions};
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let runs = opts.runs.min(15);
     let base = opts.run_config();
     println!(
         "GoFree reproduction summary ({runs} runs per setting, scale: {:?}, engine: {})\n",
         opts.scale(),
-        opts.engine
+        opts.common.config.engine
     );
 
     let mut time = Vec::new();
@@ -23,7 +23,7 @@ fn main() {
         "project", "time", "GCs", "free"
     );
     for w in gofree_workloads::all(opts.scale()) {
-        let (go, gofree, gcoff) = run_three_settings(&w.source, runs, &base);
+        let (go, gofree, gcoff) = run_three_settings(opts, &w.source, runs, &base);
         let row = table7_row(w.name, &go, &gofree, &gcoff);
         let t9 = table9_row(w.name, &gofree[0]);
         println!(
@@ -67,7 +67,7 @@ fn main() {
     // refused to prove. A healthy artifact suppresses nothing.
     let deny = CompileOptions {
         audit: AuditMode::Deny,
-        ..CompileOptions::default()
+        ..opts.compile_options(Setting::GoFree)
     };
     let mut audited_sites = 0usize;
     let mut suppressed = 0u64;
@@ -85,7 +85,7 @@ fn main() {
 
     // Table 3's precision ladder.
     let fig1 = "func fig1(c int, d int) *int { pc := &c\n pd := &d\n ppd := &pd\n *ppd = pc\n pd2 := *ppd\n return pd2 }\nfunc main() { x := 0\n x = x }\n";
-    let compiled = compile(fig1, &Setting::GoFree.compile_options()).expect("fig1");
+    let compiled = compile(fig1, &opts.compile_options(Setting::GoFree)).expect("fig1");
     let f = compiled.program.func("fig1").unwrap().id;
     let fg = &compiled.analysis.funcs[f];
     let pd2 = fg
@@ -97,12 +97,5 @@ fn main() {
     println!("\ntable 3: Go graph's PointsTo(pd2) flagged Incomplete -> never freed  OK");
     println!("robustness: run `--bin robustness` / `--bin fuzz` for the soundness suite");
     println!("\nAll headline invariants hold.");
-
-    // `--trace PATH`: export one traced GoFree run of the json workload.
-    if opts.trace.is_some() {
-        let w = gofree_workloads::by_name("json", opts.scale()).expect("json workload");
-        let c = compile(&w.source, &Setting::GoFree.compile_options()).expect("compiles");
-        let r = execute(&c, Setting::GoFree, &base).expect("workload runs");
-        opts.emit_observability(&r, &c.phase_times);
-    }
+    Ok(None)
 }

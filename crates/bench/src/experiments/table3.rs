@@ -2,6 +2,8 @@
 //! three escape analyses — Fast Escape Analysis (O(N)), the Go escape
 //! graph (O(N²)), and the connection graph (O(N³)).
 
+use crate::Options;
+use gofree::cli::Observed;
 use minigo_escape::baseline::{conn, fast};
 use minigo_escape::{build_func_graph, points_to, solve, BuildOptions, LocKind, SolveConfig};
 use minigo_syntax::{frontend, IdMap, VarId};
@@ -26,7 +28,7 @@ func fig1(c int, d int) *int {
 }
 "#;
 
-fn main() {
+pub fn run(_: &Options) -> Result<Option<Observed>, String> {
     let (program, res, types) = frontend(FIG1).expect("fig. 1 compiles");
     let func = program.func("fig1").expect("fig1").clone();
     let var_named = |name: &str| -> VarId {
@@ -136,4 +138,5 @@ fn main() {
     );
     assert!(fg.graph.loc(loc).incomplete, "GoFree flags pd2 incomplete");
     println!("\nAll table 3 invariants hold.");
+    Ok(None)
 }

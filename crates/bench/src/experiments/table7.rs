@@ -3,11 +3,11 @@
 //! ratios with standard deviations and Welch p-values, over N seeded runs
 //! per setting (the paper uses 99).
 
+use crate::{fmt_p, pct, run_three_settings, Options};
+use gofree::cli::Observed;
 use gofree::table7_row;
-use gofree_bench::{fmt_p, pct, run_three_settings, HarnessOptions};
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let base = opts.run_config();
     println!(
         "Table 7: effect of GoFree's optimizations ({} runs per setting, ratios are GoFree/Go; <100% means GoFree is better)\n",
@@ -33,7 +33,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut observed = None;
     for w in gofree_workloads::all(opts.scale()) {
-        let (go, gofree, gcoff) = run_three_settings(&w.source, opts.runs, &base);
+        let (go, gofree, gcoff) = run_three_settings(opts, &w.source, opts.runs, &base);
         let row = table7_row(w.name, &go, &gofree, &gcoff);
         println!(
             "{:<10} | {:>6} {:>5.0}% {:>7} | {:>7} | {:>6} {:>5.0}% {:>7} | {:>6} | {:>7} {:>5.0}% {:>7}",
@@ -74,7 +74,5 @@ fn main() {
     );
     println!("\nPaper's averages: time 98%, GC time 87%, GCs 93%, free 14%, maxheap 96%.");
     println!("Expected shape: GoFree never loses; json/scheck/slayout benefit most; badger/hugo are flat.");
-    if let Some(r) = &observed {
-        opts.emit_observability(r, &[]);
-    }
+    Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

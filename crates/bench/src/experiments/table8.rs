@@ -2,11 +2,11 @@
 //! and other data, plus the `tcfree/(tcfree+GC)` reclamation shares that
 //! justify GoFree's deallocation-target selection (§6.5).
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{execute, table8_row, Setting};
-use gofree_bench::{pct, HarnessOptions};
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let base = opts.run_config();
     println!("Table 8: stack/heap allocation decisions (one GoFree run per project)\n");
     println!(
@@ -29,7 +29,7 @@ fn main() {
     let mut observed = None;
     for w in gofree_workloads::all(opts.scale()) {
         let compiled =
-            gofree::compile(&w.source, &Setting::GoFree.compile_options()).expect("compiles");
+            gofree::compile(&w.source, &opts.compile_options(Setting::GoFree)).expect("compiles");
         let report = execute(&compiled, Setting::GoFree, &base).expect("runs");
         let row = table8_row(w.name, &report);
         println!(
@@ -69,7 +69,5 @@ fn main() {
         "\nPaper: slices avg share 10%, maps avg share 34%; \"others\" are overwhelmingly stack-allocated,"
     );
     println!("which is why GoFree restricts freeing to slices and maps.");
-    if let Some(r) = &observed {
-        opts.emit_observability(r, &[]);
-    }
+    Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

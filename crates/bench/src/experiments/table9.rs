@@ -1,11 +1,11 @@
 //! Regenerates table 9: the contribution breakdown of reclaimed space —
 //! FreeSlice() vs FreeMap() vs GrowMapAndFreeOld() (§6.6).
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{execute, table9_row, Setting};
-use gofree_bench::{pct, HarnessOptions};
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let base = opts.run_config();
     println!("Table 9: contribution breakdown of reclaimed space (rows sum to 100%)\n");
     println!(
@@ -16,7 +16,7 @@ fn main() {
     let mut observed = None;
     for w in gofree_workloads::all(opts.scale()) {
         let compiled =
-            gofree::compile(&w.source, &Setting::GoFree.compile_options()).expect("compiles");
+            gofree::compile(&w.source, &opts.compile_options(Setting::GoFree)).expect("compiles");
         let report = execute(&compiled, Setting::GoFree, &base).expect("runs");
         let row = table9_row(w.name, &report);
         println!(
@@ -31,7 +31,5 @@ fn main() {
     println!("{}", "-".repeat(58));
     println!("\nPaper's shape: Go/hugo slice-dominated (56/14/30);");
     println!("badger/json pure growth (0/0/100); scheck split (2/50/48); slayout growth (1/0/99).");
-    if let Some(r) = &observed {
-        opts.emit_observability(r, &[]);
-    }
+    Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

@@ -12,8 +12,9 @@
 //! [`gofree::Trace::reconcile`] — the trace layer cannot drift from the
 //! published numbers without this experiment failing.
 
+use crate::{pct, Options};
+use gofree::cli::Observed;
 use gofree::{RunConfig, Setting, Trace};
-use gofree_bench::{pct, HarnessOptions};
 use gofree_workloads::micro;
 
 /// Buckets in the live-heap curve sparkline.
@@ -77,8 +78,7 @@ fn run_checked(
     report
 }
 
-fn main() {
-    let opts = HarnessOptions::from_args();
+pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let cfg = RunConfig {
         trace: true,
         ..opts.run_config()
@@ -95,8 +95,8 @@ fn main() {
     let mut last_gofree = None;
     for &c in micro::C_VALUES {
         let src = micro::source(c, budget);
-        let go = gofree::compile(&src, &Setting::Go.compile_options()).expect("compiles");
-        let gf = gofree::compile(&src, &Setting::GoFree.compile_options()).expect("compiles");
+        let go = gofree::compile(&src, &opts.compile_options(Setting::Go)).expect("compiles");
+        let gf = gofree::compile(&src, &opts.compile_options(Setting::GoFree)).expect("compiles");
         let go_r = run_checked(&go, Setting::Go, &cfg, "fig10/go");
         let gf_r = run_checked(&gf, Setting::GoFree, &cfg, "fig10/gofree");
         let (go_t, gf_t) = (go_r.trace.as_ref().unwrap(), gf_r.trace.as_ref().unwrap());
@@ -123,7 +123,7 @@ fn main() {
     for w in gofree_workloads::all(opts.scale()) {
         for setting in [Setting::Go, Setting::GoFree] {
             let compiled =
-                gofree::compile(&w.source, &setting.compile_options()).expect("compiles");
+                gofree::compile(&w.source, &opts.compile_options(setting)).expect("compiles");
             let r = run_checked(&compiled, setting, &cfg, w.name);
             let t = r.trace.as_ref().unwrap();
             println!(
@@ -140,7 +140,5 @@ fn main() {
     println!("\nAll trace-derived figures matched Metrics exactly (gc_count, maxheap,");
     println!("and the full fold/reconcile) for every run above, on both settings.");
 
-    if let Some((report, phases)) = last_gofree {
-        opts.emit_observability(&report, &phases);
-    }
+    Ok(last_gofree.map(|(report, phases)| Observed::new(report, phases)))
 }

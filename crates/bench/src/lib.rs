@@ -1,302 +1,150 @@
 //! # gofree-bench
 //!
 //! The benchmark harness regenerating every table and figure in the
-//! GoFree paper's evaluation (§6). Each experiment is a binary:
+//! GoFree paper's evaluation (§6) and the extension studies. It is one
+//! executable over a registry: `bench <experiment> [options]` runs one
+//! row of [`experiments::ALL`], `bench --list` names the rows and
+//! `bench --help` prints each row's description.
 //!
-//! | target | regenerates |
-//! |---|---|
-//! | `table3` | points-to sets across the three analyses (§4.2) |
-//! | `table7` | real-world performance ratios with p-values (§6.4) |
-//! | `table8` | stack/heap decisions + tcfree shares (§6.5) |
-//! | `table9` | contribution breakdown (§6.6) |
-//! | `fig10` | map microbenchmark size sweep (§6.3) |
-//! | `fig11` | run-time distributions across 99 runs (§6.4) |
-//! | `compile_speed` | compilation-speed comparison (§6.7) |
-//! | `robustness` | mock-tcfree memory-corruption check (§6.8) |
-//! | `ablation` | design-choice ablations from DESIGN.md |
-//! | `audit` | free-safety audit + sanitizer sweep (DESIGN.md §8) |
-//! | `collectors` | tables 7–9 + heap curves per collection backend (DESIGN.md §11) |
-//!
-//! Criterion benches under `benches/` time the analyses and the runtime
-//! primitives themselves.
+//! `--quick` selects the test scale and 9 runs per setting (99 at full
+//! scale) unless `--runs` says otherwise; every other option is shared
+//! with `minigo` and parsed by [`gofree::cli::CommonOptions`]. The
+//! observability artifacts (`--trace`, `--profile`, `--gctrace`,
+//! `--report-json`) are written from the experiment's designated run; an
+//! experiment without one observes the `json` workload under GoFree.
 
-use gofree::{Compiled, RunConfig, Setting};
+pub mod experiments;
 
-/// Common command-line options for the experiment binaries.
-#[derive(Debug, Clone)]
-pub struct HarnessOptions {
-    /// Runs per setting (the paper uses 99).
-    pub runs: u64,
-    /// Use the quick test scale instead of the full evaluation scale.
+use gofree::cli::{write_artifacts, CommonOptions, Observed};
+use gofree::{CompileOptions, Compiled, RunConfig, Setting};
+use gofree_workloads::Scale;
+
+/// One row of the registry.
+pub struct Experiment {
+    /// The name `bench` is called with.
+    pub name: &'static str,
+    /// What the experiment regenerates, in one line.
+    pub about: &'static str,
+    /// Prints the experiment to stdout and returns its designated run,
+    /// when it has one.
+    pub run: fn(&Options) -> Result<Option<Observed>, String>,
+}
+
+/// What an experiment runs with.
+#[derive(Debug)]
+pub struct Options {
+    /// `--quick`: the test scale instead of the full evaluation scale.
     pub quick: bool,
-    /// Which VM engine executes the workloads. Results are identical
-    /// either way (differential-tested); the engines only differ in host
-    /// wall-clock speed.
-    pub engine: gofree::VmEngine,
-    /// Which bytecode instruction stream runs (`full` = the optimizer
-    /// tier, the default; `off` = the baseline lowering). Like
-    /// `engine`, results are identical either way.
-    pub opt: gofree::OptLevel,
-    /// Worker threads fanning (workload × setting × run-index) cells
-    /// across cores. Reported numbers are identical for any value
-    /// (tests/parallel.rs); only host wall-clock changes.
-    pub jobs: usize,
-    /// Which collection backend paces and runs GC cycles: `go` (the
-    /// paper's mark-sweep, the default) or `gen` (the generational
-    /// nursery). Unlike `engine`/`jobs` this changes the reported
-    /// numbers — that difference is the point of the collector study.
-    pub collector: gofree::CollectorKind,
-    /// When set, runs record the runtime event trace and the binary
-    /// exports run 0's stream as Chrome `trace_event` JSON to this path
-    /// (see [`HarnessOptions::write_trace`]). Tracing never changes the
-    /// reported numbers — it only observes.
-    pub trace: Option<String>,
-    /// When set, the binary writes the call-stack-attributed allocation
-    /// profile of its designated run to this path (plus `PATH.folded`
-    /// for `flamegraph.pl`), reconciled exactly against the run's
-    /// metrics first. Observational only, like `trace`.
-    pub profile: Option<String>,
-    /// Print a `GODEBUG=gctrace=1`-style pacing line per GC cycle of the
-    /// designated run to stderr.
-    pub gctrace: bool,
-    /// When set, the binary writes its designated run's report as JSON
-    /// (stable field names, `gofree-report/1` schema) to this path.
-    pub report_json: Option<String>,
-    /// Where GoFree-compiled workloads place their inserted frees:
-    /// `scope` (§4.5 scope exit, the default) or `lastuse`
-    /// (liveness-driven advancement plus partial frees). The `liveness`
-    /// binary compares both regardless of this setting.
-    pub free_placement: gofree::FreePlacement,
+    /// Runs per setting: `--runs N`, else 99 (9 under `--quick`).
+    pub runs: u64,
+    /// The options shared with `minigo`; `common.config` is the
+    /// evaluation run configuration.
+    pub common: CommonOptions,
 }
 
-impl Default for HarnessOptions {
-    fn default() -> Self {
-        HarnessOptions {
-            runs: 99,
-            quick: false,
-            engine: gofree::VmEngine::default(),
-            opt: gofree::OptLevel::default(),
-            jobs: gofree::default_jobs(),
-            collector: gofree::CollectorKind::default(),
-            trace: None,
-            profile: None,
-            gctrace: false,
-            report_json: None,
-            free_placement: gofree::FreePlacement::Scope,
-        }
-    }
-}
-
-impl HarnessOptions {
-    /// Parses `--runs N` and `--quick` from `std::env::args`.
-    pub fn from_args() -> Self {
-        let mut opts = HarnessOptions::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--runs" | "-r" => {
-                    if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.runs = n;
-                    }
-                }
-                "--quick" | "-q" => {
-                    opts.quick = true;
-                    if opts.runs == 99 {
-                        opts.runs = 9;
-                    }
-                }
-                "--engine" | "-e" => {
-                    if let Some(e) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.engine = e;
-                    }
-                }
-                "--jobs" | "-j" => {
-                    if let Some(n) = args.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1) {
-                        opts.jobs = n;
-                    }
-                }
-                "--collector" => {
-                    if let Some(c) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.collector = c;
-                    }
-                }
-                "--opt" => {
-                    if let Some(o) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.opt = o;
-                    }
-                }
-                "--trace" | "-t" => {
-                    if let Some(path) = args.next() {
-                        opts.trace = Some(path);
-                    }
-                }
-                "--profile" | "-p" => {
-                    if let Some(path) = args.next() {
-                        opts.profile = Some(path);
-                    }
-                }
-                "--gctrace" => opts.gctrace = true,
-                "--free-placement" => {
-                    if let Some(p) = args
-                        .next()
-                        .as_deref()
-                        .and_then(gofree::FreePlacement::parse)
-                    {
-                        opts.free_placement = p;
-                    }
-                }
-                "--report-json" => {
-                    if let Some(path) = args.next() {
-                        opts.report_json = Some(path);
-                    }
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --runs N (default 99), --quick, \
-                         --engine tree-walk|bytecode (default bytecode), \
-                         --opt off|full (default full), \
-                         --jobs N (default GOFREE_JOBS or 1), \
-                         --collector go|gen (default go), \
-                         --trace PATH (export a run's event trace as Chrome JSON), \
-                         --profile PATH (stack-attributed allocation profile + PATH.folded), \
-                         --gctrace (per-GC-cycle pacing log on stderr), \
-                         --free-placement scope|lastuse (default scope), \
-                         --report-json PATH (run report as JSON)"
-                    );
-                    std::process::exit(0);
-                }
-                other => eprintln!("ignoring unknown option {other}"),
-            }
-        }
-        opts
-    }
-
+impl Options {
     /// The workload scale matching `quick`.
-    pub fn scale(&self) -> gofree_workloads::Scale {
+    pub fn scale(&self) -> Scale {
         if self.quick {
-            gofree_workloads::Scale::Test
+            Scale::Test
         } else {
-            gofree_workloads::Scale::Full
+            Scale::Full
         }
     }
 
-    /// The evaluation [`RunConfig`] carrying this harness's engine and
-    /// worker-count selections.
+    /// The evaluation [`RunConfig`] with this run's options written in.
     pub fn run_config(&self) -> RunConfig {
-        RunConfig {
-            engine: self.engine,
-            opt: self.opt,
-            jobs: self.jobs,
-            collector: self.collector,
-            trace: self.observing(),
-            ..eval_run_config()
-        }
+        self.common.config.clone()
     }
 
-    /// True when any observability flag needs the runtime event trace.
-    pub fn observing(&self) -> bool {
-        self.trace.is_some() || self.profile.is_some() || self.gctrace
-    }
-
-    /// The compiler options for `setting`, carrying this harness's
-    /// `--free-placement` selection (plain-Go settings ignore it).
-    pub fn compile_options(&self, setting: Setting) -> gofree::CompileOptions {
-        gofree::CompileOptions {
-            free_placement: self.free_placement,
+    /// The compiler options for `setting`, carrying `--free-placement`
+    /// (plain-Go settings have no frees to place).
+    pub fn compile_options(&self, setting: Setting) -> CompileOptions {
+        CompileOptions {
+            free_placement: self.common.free_placement,
             ..setting.compile_options()
         }
     }
+}
 
-    /// Exports a traced report's event stream to the `--trace` path as
-    /// Chrome `trace_event` JSON (no-op without `--trace`). Reconciles
-    /// the folded trace against the report's metrics first, so a trace
-    /// that disagrees with the published numbers can never be exported.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the report carries no trace (the harness misconfigured
-    /// [`RunConfig::trace`]), if reconciliation fails, or if the file
-    /// cannot be written.
-    pub fn write_trace(&self, report: &gofree::Report, phases: &[gofree::PhaseTime]) {
-        let Some(path) = &self.trace else { return };
-        let trace = report.trace.as_ref().expect("traced run carries a trace");
-        trace
-            .reconcile(&report.metrics)
-            .expect("trace reconciles with metrics");
-        let json = gofree::chrome_trace_json(trace, phases);
-        std::fs::write(path, json).expect("trace file written");
-        eprintln!("[trace] wrote {} events to {path}", trace.events.len());
-    }
-
-    /// Emits every requested observability artifact for a binary's
-    /// designated run: the Chrome trace (`--trace`), the stack-attributed
-    /// allocation profile and its folded-stack companion (`--profile`),
-    /// the per-cycle pacing log (`--gctrace`), and the JSON report
-    /// (`--report-json`). A no-op for artifacts not asked for, so every
-    /// experiment binary can call it unconditionally after its run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an observability flag is set but the report carries no
-    /// trace, if trace or profile reconciliation fails, or if an output
-    /// file cannot be written.
-    pub fn emit_observability(&self, report: &gofree::Report, phases: &[gofree::PhaseTime]) {
-        self.write_trace(report, phases);
-        if let Some(path) = &self.profile {
-            let trace = report.trace.as_ref().expect("profiled run carries a trace");
-            let profile = gofree::Profile::build(trace);
-            profile
-                .reconcile(&report.metrics)
-                .expect("profile reconciles with metrics");
-            // Bench binaries have no source text in hand, so drag sites
-            // keep their numeric labels (`minigo --profile` resolves
-            // them to line:col).
-            let labels = std::collections::HashMap::new();
-            let text = gofree::profile_report(&profile, trace, &labels);
-            std::fs::write(path, text).expect("profile file written");
-            let folded =
-                gofree::folded_stacks(&profile, &trace.stacks, gofree::FoldedMetric::AllocBytes);
-            let folded_path = format!("{path}.folded");
-            std::fs::write(&folded_path, folded).expect("folded profile written");
-            eprintln!(
-                "[profile] {} stacks reconciled; wrote {path} and {folded_path}",
-                trace.stacks.len()
-            );
-        }
-        if self.gctrace {
-            let trace = report.trace.as_ref().expect("traced run carries a trace");
-            for line in gofree::gctrace_lines(trace) {
-                eprintln!("{line}");
+/// Runs `bench` on `args` (without the program name).
+///
+/// # Errors
+///
+/// An unknown option or experiment, a missing or malformed option value,
+/// an experiment that reports a failure, or an artifact that cannot be
+/// written.
+pub fn main_with(args: &[String]) -> Result<(), String> {
+    let mut name = None;
+    let mut quick = false;
+    let mut common = CommonOptions::new(eval_run_config());
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--list" => {
+                for e in experiments::ALL {
+                    println!("{}", e.name);
+                }
+                return Ok(());
+            }
+            "--help" | "-h" => {
+                eprintln!("{}", usage());
+                for e in experiments::ALL {
+                    eprintln!("  {:<14} {}", e.name, e.about);
+                }
+                return Ok(());
+            }
+            "--quick" => quick = true,
+            other if !other.starts_with('-') => {
+                if name.replace(other).is_some() {
+                    return Err(format!("unexpected argument {other}"));
+                }
+            }
+            other => {
+                if !common.accept(other, &mut it)? {
+                    return Err(format!("unknown option {other}"));
+                }
             }
         }
-        if let Some(path) = &self.report_json {
-            std::fs::write(path, gofree::report_json(report)).expect("report JSON written");
-            eprintln!("[report] wrote {path}");
-        }
     }
+    let name = name.ok_or_else(usage)?;
+    let experiment = experiments::ALL
+        .iter()
+        .find(|e| e.name == name)
+        .ok_or_else(|| format!("unknown experiment `{name}` (`bench --list` names them)"))?;
+    let opts = Options {
+        quick,
+        runs: common.runs.unwrap_or(if quick { 9 } else { 99 }),
+        common,
+    };
+    let observed = (experiment.run)(&opts)?;
+    if opts.common.any_artifact() {
+        let observed = match observed {
+            Some(o) => o,
+            None => observe_json(&opts)?,
+        };
+        write_artifacts(&opts.common, &observed, None)?;
+    }
+    Ok(())
+}
 
-    /// Designated observability run for binaries whose measurement loop
-    /// yields no reusable [`gofree::Report`] (VM-level toggles,
-    /// fingerprint-only sweeps): compile the named workload at the
-    /// harness scale, run it once under GoFree with the harness
-    /// configuration, and emit the requested artifacts. A no-op when no
-    /// observability flag is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload is unknown, fails to compile or run, or
-    /// [`HarnessOptions::emit_observability`] fails.
-    pub fn observe_workload(&self, name: &str) {
-        if !self.observing() && self.report_json.is_none() {
-            return;
-        }
-        let w = gofree_workloads::by_name(name, self.scale()).expect("workload exists");
-        let compiled = gofree::compile(&w.source, &self.compile_options(Setting::GoFree))
-            .expect("workload compiles");
-        let report =
-            gofree::execute(&compiled, Setting::GoFree, &self.run_config()).expect("workload runs");
-        self.emit_observability(&report, &compiled.phase_times);
-    }
+fn usage() -> String {
+    "usage: bench <experiment> [--quick] [--runs N] [--jobs N] \
+     [--engine tree-walk|bytecode] [--opt off|full] [--collector go|gen] \
+     [--free-placement scope|lastuse] [--trace PATH] [--profile PATH] [--gctrace] \
+     [--report-json PATH]; `bench --list` names the experiments"
+        .to_string()
+}
+
+/// The designated run of an experiment whose measurements yield no
+/// reusable report: the `json` workload, once, under GoFree.
+fn observe_json(opts: &Options) -> Result<Observed, String> {
+    let w = gofree_workloads::by_name("json", opts.scale()).expect("json workload exists");
+    let compiled = gofree::compile(&w.source, &opts.compile_options(Setting::GoFree))
+        .map_err(|e| e.render(&w.source))?;
+    let report = gofree::execute(&compiled, Setting::GoFree, &opts.run_config())
+        .map_err(|e| e.to_string())?;
+    Ok(Observed::new(report, compiled.phase_times))
 }
 
 /// The run configuration the evaluation uses (tighter GC trigger than the
@@ -322,36 +170,18 @@ pub fn fmt_p(p: f64) -> String {
     }
 }
 
-/// Runs all three settings of one workload and returns
-/// (go, gofree, gcoff) report vectors.
+/// Runs all three settings of one workload, compiled with `opts`, and
+/// returns (go, gofree, gcoff) report vectors.
 ///
 /// # Panics
 ///
 /// Panics if compilation or any run fails — experiment inputs are fixed
 /// and must work.
 pub fn run_three_settings(
+    opts: &Options,
     source: &str,
     runs: u64,
     base: &RunConfig,
-) -> (
-    Vec<gofree::Report>,
-    Vec<gofree::Report>,
-    Vec<gofree::Report>,
-) {
-    run_three_settings_placed(source, runs, base, gofree::FreePlacement::Scope)
-}
-
-/// [`run_three_settings`] with an explicit free-placement mode for the
-/// GoFree setting (the plain-Go settings have no frees to place).
-///
-/// # Panics
-///
-/// Panics if compilation or any run fails.
-pub fn run_three_settings_placed(
-    source: &str,
-    runs: u64,
-    base: &RunConfig,
-    placement: gofree::FreePlacement,
 ) -> (
     Vec<gofree::Report>,
     Vec<gofree::Report>,
@@ -360,11 +190,8 @@ pub fn run_three_settings_placed(
     let compiled: Vec<(Compiled, Setting)> = Setting::all()
         .into_iter()
         .map(|setting| {
-            let opts = gofree::CompileOptions {
-                free_placement: placement,
-                ..setting.compile_options()
-            };
-            let c = gofree::compile(source, &opts).expect("workload compiles");
+            let c =
+                gofree::compile(source, &opts.compile_options(setting)).expect("workload compiles");
             (c, setting)
         })
         .collect();
@@ -392,8 +219,13 @@ mod tests {
 
     #[test]
     fn run_three_settings_produces_consistent_outputs() {
-        let w = gofree_workloads::by_name("json", gofree_workloads::Scale::Test).unwrap();
-        let (go, gofree, gcoff) = run_three_settings(&w.source, 3, &eval_run_config());
+        let opts = Options {
+            quick: true,
+            runs: 3,
+            common: CommonOptions::new(eval_run_config()),
+        };
+        let w = gofree_workloads::by_name("json", opts.scale()).unwrap();
+        let (go, gofree, gcoff) = run_three_settings(&opts, &w.source, 3, &opts.run_config());
         assert_eq!(go.len(), 3);
         assert_eq!(go[0].output, gofree[0].output);
         assert_eq!(go[0].output, gcoff[0].output);

@@ -50,7 +50,8 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use gofree::{compile, execute, AuditMode, CompileOptions, FreePlacement, RunConfig, Setting};
+use gofree::cli::{number, positive, value, write_artifacts, CommonOptions, Observed};
+use gofree::{compile, execute, AuditMode, CompileOptions, RunConfig, ServiceConfig, Setting};
 use minigo_syntax::{Block, Expr, ExprId, ExprKind, Span, Stmt, StmtKind};
 
 fn main() -> ExitCode {
@@ -64,154 +65,54 @@ fn main() -> ExitCode {
     }
 }
 
+/// `minigo`'s own options; the ones it shares with `bench` are `common`,
+/// and `--seed`, `--sanitize` and `--trace-cap` write into its
+/// [`RunConfig`] too.
 struct Cli {
     go_mode: bool,
     gcoff: bool,
-    seed: u64,
-    jobs: usize,
-    runs: u64,
     audit: AuditMode,
-    free_placement: FreePlacement,
-    collector: gofree::CollectorKind,
-    engine: gofree::VmEngine,
-    opt: gofree::OptLevel,
-    sanitize: bool,
     explain: bool,
-    trace: Option<String>,
-    profile: Option<String>,
-    gctrace: bool,
-    report_json: Option<String>,
-    trace_cap: Option<usize>,
     func: Option<String>,
     service: bool,
-    requests: usize,
-    rps: u64,
-    arrival: gofree::Arrival,
+    svc: ServiceConfig,
     file: Option<String>,
+    common: CommonOptions,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         go_mode: false,
         gcoff: false,
-        seed: 0,
-        jobs: gofree::default_jobs(),
-        runs: 1,
         audit: AuditMode::Off,
-        free_placement: FreePlacement::Scope,
-        collector: gofree::CollectorKind::default(),
-        engine: gofree::VmEngine::default(),
-        opt: gofree::OptLevel::default(),
-        sanitize: false,
         explain: false,
-        trace: None,
-        profile: None,
-        gctrace: false,
-        report_json: None,
-        trace_cap: None,
         func: None,
         service: false,
-        requests: gofree::ServiceConfig::default().requests,
-        rps: gofree::ServiceConfig::default().rps,
-        arrival: gofree::Arrival::Fixed,
+        svc: ServiceConfig::default(),
         file: None,
+        common: CommonOptions::new(RunConfig::default()),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let cfg = &mut cli.common.config;
         match arg.as_str() {
             "--go" => cli.go_mode = true,
             "--gofree" => cli.go_mode = false,
             "--gcoff" => cli.gcoff = true,
-            "--seed" => {
-                cli.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a number")?;
-            }
-            "--jobs" => {
-                cli.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("--jobs needs a positive number")?;
-            }
-            "--runs" => {
-                cli.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("--runs needs a positive number")?;
-            }
-            "--audit" => {
-                cli.audit = it
-                    .next()
-                    .ok_or("--audit needs off, warn, or deny")?
-                    .parse()?;
-            }
-            "--free-placement" => {
-                cli.free_placement = FreePlacement::parse(
-                    it.next().ok_or("--free-placement needs scope or lastuse")?,
-                )
-                .ok_or("--free-placement needs scope or lastuse")?;
-            }
-            "--collector" => {
-                cli.collector = it.next().ok_or("--collector needs go or gen")?.parse()?;
-            }
-            "--engine" => {
-                cli.engine = it
-                    .next()
-                    .ok_or("--engine needs tree-walk or bytecode")?
-                    .parse()?;
-            }
-            "--opt" => {
-                cli.opt = it.next().ok_or("--opt needs off or full")?.parse()?;
-            }
-            "--sanitize" => cli.sanitize = true,
+            "--seed" => cfg.seed = number(&mut it, "--seed needs a number")?,
+            "--audit" => cli.audit = value(&mut it, "--audit needs off, warn, or deny")?.parse()?,
+            "--sanitize" => cfg.sanitize = true,
             "--explain" => cli.explain = true,
-            "--trace" => {
-                cli.trace = Some(it.next().ok_or("--trace needs an output path")?.clone());
-            }
-            "--profile" => {
-                cli.profile = Some(it.next().ok_or("--profile needs an output path")?.clone());
-            }
-            "--gctrace" => cli.gctrace = true,
-            "--report-json" => {
-                cli.report_json = Some(
-                    it.next()
-                        .ok_or("--report-json needs an output path")?
-                        .clone(),
-                );
-            }
-            "--trace-cap" => {
-                cli.trace_cap = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--trace-cap needs a number")?,
-                );
-            }
-            "--func" => {
-                cli.func = Some(it.next().ok_or("--func needs a name")?.clone());
-            }
+            "--trace-cap" => cfg.trace_cap = Some(number(&mut it, "--trace-cap needs a number")?),
+            "--func" => cli.func = Some(value(&mut it, "--func needs a name")?.to_string()),
             "--service" => cli.service = true,
             "--requests" => {
-                cli.requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("--requests needs a positive number")?;
+                cli.svc.requests = positive(&mut it, "--requests needs a positive number")?;
             }
-            "--rps" => {
-                cli.rps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("--rps needs a positive number")?;
-            }
+            "--rps" => cli.svc.rps = positive(&mut it, "--rps needs a positive number")?,
             "--arrival" => {
-                cli.arrival = it
-                    .next()
-                    .ok_or("--arrival needs fixed, poisson, or burst")?
-                    .parse()?;
+                cli.svc.arrival =
+                    value(&mut it, "--arrival needs fixed, poisson, or burst")?.parse()?;
             }
             other if !other.starts_with('-') => {
                 if cli.file.is_some() {
@@ -219,7 +120,11 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 }
                 cli.file = Some(other.to_string());
             }
-            other => return Err(format!("unknown option {other}")),
+            other => {
+                if !cli.common.accept(other, &mut it)? {
+                    return Err(format!("unknown option {other}"));
+                }
+            }
         }
     }
     Ok(cli)
@@ -230,145 +135,56 @@ fn run_cli(args: &[String]) -> Result<(), String> {
         return Err(usage());
     };
     let cli = parse_cli(rest)?;
-    let read = |cli: &Cli| -> Result<String, String> {
-        let file = cli.file.as_ref().ok_or("missing input file")?;
-        std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))
-    };
-    let options = |cli: &Cli| {
-        let base = if cli.go_mode {
-            CompileOptions::go()
-        } else {
-            CompileOptions::default()
-        };
-        CompileOptions {
-            audit: cli.audit,
-            free_placement: cli.free_placement,
-            ..base
+    let cmd = cmd.as_str();
+    match cmd {
+        "run" | "build" | "analyze" | "dot" | "explain" | "profile" => {}
+        "help" | "--help" | "-h" => {
+            eprintln!("{}", usage());
+            return Ok(());
         }
+        other => return Err(format!("unknown command `{other}`\n{}", usage())),
+    }
+    let file = cli.file.as_ref().ok_or("missing input file")?;
+    let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+    let base = if cli.go_mode {
+        CompileOptions::go()
+    } else {
+        CompileOptions::default()
     };
+    let options = CompileOptions {
+        audit: cli.audit,
+        free_placement: cli.common.free_placement,
+        ..base
+    };
+    let compiled = compile(&src, &options).map_err(|e| e.render(&src))?;
+    if let "run" | "build" = cmd {
+        if cli.explain {
+            explain_sites(&compiled, &src);
+        }
+        report_audit(&compiled, &src);
+        report_placement(&compiled);
+    }
 
-    match cmd.as_str() {
+    match cmd {
         "run" => {
-            let src = read(&cli)?;
-            let compiled = compile(&src, &options(&cli)).map_err(|e| e.render(&src))?;
-            if cli.explain {
-                explain_sites(&compiled, &src);
-            }
-            report_audit(&compiled, &src);
-            report_placement(&compiled);
             let setting = match (cli.go_mode, cli.gcoff) {
                 (_, true) => Setting::GoGcOff,
                 (true, false) => Setting::Go,
                 (false, false) => Setting::GoFree,
             };
-            let cfg = RunConfig {
-                seed: cli.seed,
-                jobs: cli.jobs,
-                collector: cli.collector,
-                engine: cli.engine,
-                opt: cli.opt,
-                sanitize: cli.sanitize,
-                trace: cli.trace.is_some() || cli.profile.is_some() || cli.gctrace,
-                trace_cap: cli.trace_cap,
-                ..RunConfig::default()
+            let observed = if cli.service {
+                run_service_mode(&cli, &compiled, setting)?
+            } else {
+                run_batch_mode(&cli, &compiled, setting)?
             };
-            if cli.service {
-                return run_service_mode(&cli, &compiled, setting, &cfg, &src);
-            }
-            // `--runs N` executes a seeded distribution (fanned across
-            // `--jobs`/GOFREE_JOBS workers); the report of run 0 is
-            // printed either way, so output is runs/jobs-invariant.
-            let reports = gofree::run_distribution(&compiled, setting, &cfg, cli.runs)
-                .map_err(|e| e.to_string())?;
-            let report = &reports[0];
-            print!("{}", report.output);
-            eprintln!(
-                "[{setting}] time={} GCs={} alloced={}B freed={}B ({:.0}%) maxheap={}B",
-                report.time,
-                report.metrics.gcs,
-                report.metrics.alloced_bytes,
-                report.metrics.freed_bytes,
-                report.metrics.free_ratio() * 100.0,
-                report.metrics.maxheap,
-            );
-            if cli.runs > 1 {
-                let times: Vec<u64> = reports.iter().map(|r| r.time).collect();
-                eprintln!(
-                    "[{setting}] {} runs (jobs={}): time min={} max={}",
-                    cli.runs,
-                    cli.jobs,
-                    times.iter().min().unwrap(),
-                    times.iter().max().unwrap(),
-                );
-            }
-            if cfg.trace {
-                let trace = report
-                    .trace
-                    .as_ref()
-                    .ok_or("internal error: traced run produced no trace")?;
-                trace
-                    .reconcile(&report.metrics)
-                    .map_err(|e| format!("[trace] {e}"))?;
-                let spans = collect_spans(&compiled.program);
-                let labels: HashMap<u32, String> = spans
-                    .iter()
-                    .map(|(id, (span, what))| {
-                        let (line, col) = span.line_col(&src);
-                        (id.0, format!("{line}:{col} {what}"))
-                    })
-                    .collect();
-                if let Some(path) = &cli.trace {
-                    let json = gofree::chrome_trace_json(trace, &compiled.phase_times);
-                    std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-                    eprint!("{}", gofree::timeline_table(trace, &labels));
-                    eprintln!(
-                        "[trace] {} events reconciled with metrics; wrote {path}",
-                        trace.events.len()
-                    );
-                }
-                if let Some(path) = &cli.profile {
-                    let profile = gofree::Profile::build(trace);
-                    profile
-                        .reconcile(&report.metrics)
-                        .map_err(|e| format!("[profile] {e}"))?;
-                    let text = gofree::profile_report(&profile, trace, &labels);
-                    std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-                    let folded = gofree::folded_stacks(
-                        &profile,
-                        &trace.stacks,
-                        gofree::FoldedMetric::AllocBytes,
-                    );
-                    let folded_path = format!("{path}.folded");
-                    std::fs::write(&folded_path, folded)
-                        .map_err(|e| format!("{folded_path}: {e}"))?;
-                    eprintln!(
-                        "[profile] {} stacks reconciled with metrics; wrote {path} and {folded_path}",
-                        trace.stacks.len()
-                    );
-                }
-                if cli.gctrace {
-                    for line in gofree::gctrace_lines(trace) {
-                        eprintln!("{line}");
-                    }
-                    eprintln!(
-                        "[gctrace] collector={} cycles={} (minor={} major={})",
-                        trace.collector.name(),
-                        report.metrics.gcs,
-                        report.metrics.gcs_minor,
-                        report.metrics.gcs_major,
-                    );
-                }
-            }
-            if let Some(path) = &cli.report_json {
-                let json = if cli.runs > 1 {
-                    gofree::reports_json(&reports)
-                } else {
-                    gofree::report_json(report)
-                };
-                std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-                eprintln!("[report] wrote {path}");
-            }
-            if cli.sanitize {
+            let labels = cli
+                .common
+                .config
+                .trace
+                .then(|| site_labels(&compiled.program, &src));
+            write_artifacts(&cli.common, &observed, labels.as_ref())?;
+            if cli.common.config.sanitize {
+                let reports = &observed.reports;
                 let total: usize = reports.iter().map(|r| r.violations.len()).sum();
                 if total > 0 {
                     for v in reports.iter().flat_map(|r| &r.violations) {
@@ -381,29 +197,11 @@ fn run_cli(args: &[String]) -> Result<(), String> {
                 }
                 eprintln!("[sanitize] clean: no violations");
             }
-            Ok(())
         }
-        "build" => {
-            let src = read(&cli)?;
-            let compiled = compile(&src, &options(&cli)).map_err(|e| e.render(&src))?;
-            if cli.explain {
-                explain_sites(&compiled, &src);
-            }
-            report_audit(&compiled, &src);
-            report_placement(&compiled);
-            print!("{}", compiled.instrumented_source());
-            Ok(())
-        }
-        "analyze" => {
-            let src = read(&cli)?;
-            let compiled = compile(&src, &options(&cli)).map_err(|e| e.render(&src))?;
-            print_analysis(&compiled, cli.func.as_deref());
-            Ok(())
-        }
+        "build" => print!("{}", compiled.instrumented_source()),
+        "analyze" => print_analysis(&compiled, cli.func.as_deref()),
         "dot" => {
-            let src = read(&cli)?;
             let name = cli.func.as_deref().ok_or("dot requires --func NAME")?;
-            let compiled = compile(&src, &options(&cli)).map_err(|e| e.render(&src))?;
             let fid = compiled
                 .program
                 .func(name)
@@ -415,19 +213,12 @@ fn run_cli(args: &[String]) -> Result<(), String> {
                 .get(fid)
                 .ok_or("function not analyzed")?;
             print!("{}", fg.graph.to_dot(name));
-            Ok(())
         }
-        "explain" => {
-            let src = read(&cli)?;
-            let compiled = compile(&src, &options(&cli)).map_err(|e| e.render(&src))?;
-            explain(&compiled, cli.func.as_deref());
-            Ok(())
-        }
-        "profile" => {
-            let src = read(&cli)?;
-            let compiled = compile(&src, &options(&cli)).map_err(|e| e.render(&src))?;
+        "explain" => explain(&compiled, cli.func.as_deref()),
+        _ => {
+            // `profile`: the top allocation sites of one GoFree run.
             let cfg = RunConfig {
-                seed: cli.seed,
+                seed: cli.common.config.seed,
                 ..RunConfig::default()
             };
             let report = execute(&compiled, Setting::GoFree, &cfg).map_err(|e| e.to_string())?;
@@ -443,14 +234,9 @@ fn run_cli(args: &[String]) -> Result<(), String> {
                     .unwrap_or_else(|| ("?".into(), "?".into()));
                 println!("{:>6} {:>12} {:>10}  {}", p.count, p.bytes, loc, what);
             }
-            Ok(())
         }
-        "help" | "--help" | "-h" => {
-            eprintln!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
     }
+    Ok(())
 }
 
 fn usage() -> String {
@@ -463,73 +249,81 @@ fn usage() -> String {
         .to_string()
 }
 
+/// `minigo run`: a seeded `--runs N` distribution (fanned across
+/// `--jobs`/GOFREE_JOBS workers) whose run 0 is printed either way, so
+/// output is runs/jobs-invariant.
+fn run_batch_mode(
+    cli: &Cli,
+    compiled: &gofree::Compiled,
+    setting: Setting,
+) -> Result<Observed, String> {
+    let cfg = &cli.common.config;
+    let runs = cli.common.runs.unwrap_or(1);
+    let reports =
+        gofree::run_distribution(compiled, setting, cfg, runs).map_err(|e| e.to_string())?;
+    let report = &reports[0];
+    print!("{}", report.output);
+    eprintln!(
+        "[{setting}] time={} GCs={} alloced={}B freed={}B ({:.0}%) maxheap={}B",
+        report.time,
+        report.metrics.gcs,
+        report.metrics.alloced_bytes,
+        report.metrics.freed_bytes,
+        report.metrics.free_ratio() * 100.0,
+        report.metrics.maxheap,
+    );
+    if runs > 1 {
+        let times: Vec<u64> = reports.iter().map(|r| r.time).collect();
+        eprintln!(
+            "[{setting}] {runs} runs (jobs={}): time min={} max={}",
+            cfg.jobs,
+            times.iter().min().unwrap(),
+            times.iter().max().unwrap(),
+        );
+    }
+    Ok(Observed {
+        reports,
+        phases: compiled.phase_times.clone(),
+        service: None,
+    })
+}
+
 /// `minigo run --service`: drives the file's `setup`/`handle` contract
-/// through the open-loop traffic harness instead of calling `main`.
-/// Prints the latency/pause summary to stdout; `--trace`, `--gctrace`,
-/// and `--report-json` observe the service run (request spans in the
-/// chrome export, pause/latency rows after the pacing log, a
-/// `"service"` section in the JSON report).
+/// through the open-loop traffic harness instead of calling `main`, and
+/// prints the latency/pause summary to stdout. The artifacts observe the
+/// service run (request spans in the chrome export, pause/latency rows
+/// after the pacing log, a `"service"` section in the JSON report).
 fn run_service_mode(
     cli: &Cli,
     compiled: &gofree::Compiled,
     setting: Setting,
-    cfg: &RunConfig,
-    _src: &str,
-) -> Result<(), String> {
-    let svc = gofree::ServiceConfig {
-        requests: cli.requests,
-        rps: cli.rps,
-        arrival: cli.arrival,
-    };
-    let r = gofree::run_service(compiled, setting, cfg, &svc).map_err(|e| e.to_string())?;
+) -> Result<Observed, String> {
+    let svc = &cli.svc;
+    let r = gofree::run_service(compiled, setting, &cli.common.config, svc)
+        .map_err(|e| e.to_string())?;
     print!("{}", r.report.output);
     println!(
         "[{setting}] service: {} arrivals at {} rps over {} requests",
         svc.arrival, svc.rps, svc.requests
     );
     print!("{}", gofree::service_summary(&r.stats));
-    if cfg.trace {
-        let trace = r
-            .report
-            .trace
-            .as_ref()
-            .ok_or("internal error: traced run produced no trace")?;
-        trace
-            .reconcile(&r.report.metrics)
-            .map_err(|e| format!("[trace] {e}"))?;
-        if let Some(path) = &cli.trace {
-            let json = gofree::chrome_trace_json(trace, &compiled.phase_times);
-            std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!(
-                "[trace] {} events (incl. request spans) reconciled with metrics; wrote {path}",
-                trace.events.len()
-            );
-        }
-        if cli.gctrace {
-            for line in gofree::gctrace_lines(trace) {
-                eprintln!("{line}");
-            }
-            eprint!("{}", gofree::service_gctrace_lines(&r.stats));
-        }
-    }
-    if let Some(path) = &cli.report_json {
-        let json = gofree::service_report_json(&r.report, Some(&r.stats));
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("[report] wrote {path}");
-    }
-    if cli.sanitize {
-        if !r.report.violations.is_empty() {
-            for v in &r.report.violations {
-                eprintln!("[sanitize] {v}");
-            }
-            return Err(format!(
-                "sanitizer reported {} violation(s)",
-                r.report.violations.len()
-            ));
-        }
-        eprintln!("[sanitize] clean: no violations");
-    }
-    Ok(())
+    Ok(Observed {
+        reports: vec![r.report],
+        phases: compiled.phase_times.clone(),
+        service: Some(r.stats),
+    })
+}
+
+/// Site id → `line:col what`, naming the sites of the trace timeline
+/// and the profile.
+fn site_labels(program: &minigo_syntax::Program, src: &str) -> HashMap<u32, String> {
+    collect_spans(program)
+        .iter()
+        .map(|(id, (span, what))| {
+            let (line, col) = span.line_col(src);
+            (id.0, format!("{line}:{col} {what}"))
+        })
+        .collect()
 }
 
 /// Prints the liveness placement counters (when the program was compiled

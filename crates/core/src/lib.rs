@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod engine;
 pub mod experiment;
 pub mod pipeline;

@@ -109,6 +109,34 @@ fn explain_reports_decisions_with_reasons() {
     let _ = std::fs::remove_file(path);
 }
 
+/// `run --service` writes the artifacts `run` writes: here a reconciled
+/// profile and its folded-stack companion.
+#[test]
+fn service_mode_writes_the_profile() {
+    let file = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/programs/kvservice.mgo");
+    let prof = std::env::temp_dir().join(format!("minigo-cli-svc-{}.prof", std::process::id()));
+    let prof = prof.to_str().unwrap();
+    let out = minigo(&[
+        "run",
+        "--service",
+        "--requests",
+        "200",
+        "--profile",
+        prof,
+        file.to_str().unwrap(),
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("[profile]"), "{err}");
+    let report = std::fs::read_to_string(prof).expect("profile written");
+    assert!(!report.is_empty());
+    let folded = std::fs::read_to_string(format!("{prof}.folded")).expect("folded written");
+    assert!(!folded.is_empty());
+    let _ = std::fs::remove_file(prof);
+    let _ = std::fs::remove_file(format!("{prof}.folded"));
+}
+
 /// Whatever goes wrong — unreadable source, a run-time error, a resource
 /// limit — `minigo` exits 1 with one `minigo: ...` line on stderr: never
 /// 0, never an abort (134) or a panic (101).

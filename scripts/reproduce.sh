@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every experiment in the paper's evaluation (plus the
-# extension studies) into results/. Takes ~15 minutes at full scale;
-# pass --quick to smoke-test in under a minute.
+# extension studies) into results/: one file per row of `bench --list`,
+# plus table 7 under the generational collector. Takes a few minutes at
+# full scale; pass --quick to smoke-test in seconds.
 #
 # Runs fan out across JOBS worker threads (default: all host cores, or
 # GOFREE_JOBS); reported numbers are identical for any value
@@ -12,29 +13,17 @@ ARGS=("$@")
 CORES="$(nproc 2>/dev/null || echo 1)"
 JOBS="${GOFREE_JOBS:-$CORES}"
 HEADER="# host: $CORES core(s), jobs=$JOBS"
-cargo build --workspace --release
+cargo build --release -p gofree-bench
+BENCH=target/release/bench
 mkdir -p results
-for bin in table3 table7 table8 table9 fig10 fig11 compile_speed \
-           robustness ablation inlining batching gogc_sweep summary fuzz \
-           audit trace profile liveness collectors service; do
-  echo "== $bin =="
+for exp in $("$BENCH" --list); do
+  echo "== $exp =="
   { echo "$HEADER"
-    cargo run --release -q -p gofree-bench --bin "$bin" -- \
-      --jobs "$JOBS" "${ARGS[@]}"
-  } | tee "results/$bin.txt"
+    "$BENCH" "$exp" --jobs "$JOBS" "${ARGS[@]}"
+  } | tee "results/$exp.txt"
 done
 echo "== table7 (gen collector) =="
 { echo "$HEADER"
-  cargo run --release -q -p gofree-bench --bin table7 -- \
-    --jobs "$JOBS" --collector gen "${ARGS[@]}"
+  "$BENCH" table7 --jobs "$JOBS" --collector gen "${ARGS[@]}"
 } | tee results/table7_gen.txt
-echo "== engines =="
-{ echo "$HEADER"
-  cargo run --release -q -p gofree-bench --bin engines -- \
-    --jobs "$JOBS" "${ARGS[@]}"
-} | tee results/vm_engines.txt
-echo "== parallel_harness =="
-{ echo "$HEADER"
-  cargo run --release -q -p gofree-bench --bin parallel_harness -- "${ARGS[@]}"
-} | tee results/parallel_harness.txt
 echo "All experiments regenerated into results/."
