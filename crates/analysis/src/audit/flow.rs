@@ -6,6 +6,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use minigo_syntax::fxhash::FxHashMap;
+use minigo_syntax::visit::{Node, Visitor, Walk};
 use minigo_syntax::{
     Block, Builtin, Expr, ExprId, ExprKind, Func, Resolution, Stmt, StmtKind, Type, TypeInfo, UnOp,
     VarId,
@@ -939,61 +940,10 @@ impl<'a> Liveness<'a> {
     }
 
     fn uses(&self, e: &Expr, out: &mut LiveSet) {
-        match &e.kind {
-            ExprKind::Ident(_) => {
-                if let Some(v) = self.res.def_of(e.id) {
-                    out.use_bare(v);
-                }
-            }
-            ExprKind::Field { base, name } => {
-                if let ExprKind::Ident(_) = &base.kind {
-                    if let Some(v) = self.res.def_of(base.id) {
-                        out.use_field(v, name);
-                        return;
-                    }
-                }
-                self.uses(base, out);
-            }
-            ExprKind::Unary { operand, .. } => self.uses(operand, out),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.uses(lhs, out);
-                self.uses(rhs, out);
-            }
-            ExprKind::Index { base, index } => {
-                self.uses(base, out);
-                self.uses(index, out);
-            }
-            ExprKind::SliceExpr { base, lo, hi } => {
-                self.uses(base, out);
-                for b in [lo, hi].into_iter().flatten() {
-                    self.uses(b, out);
-                }
-            }
-            ExprKind::Call { callee, args } => {
-                let sum = self.summaries.get(callee);
-                for (i, a) in args.iter().enumerate() {
-                    if matches!(a.kind, ExprKind::Ident(_))
-                        && sum.map(|s| !s.param_used(i)).unwrap_or(false)
-                    {
-                        // Dead pass-through: the callee cannot touch the
-                        // referent, so the argument stays dead here.
-                        continue;
-                    }
-                    self.uses(a, out);
-                }
-            }
-            ExprKind::Builtin { args, .. } => {
-                for a in args {
-                    self.uses(a, out);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for f in fields {
-                    self.uses(f, out);
-                }
-            }
-            _ => {}
-        }
+        occurrences(e, self.res, self.summaries, |v, field| match field {
+            Some(name) => out.use_field(v, name),
+            None => out.use_bare(v),
+        });
     }
 
     fn back_block(&mut self, block: &Block, mut live: LiveSet) -> LiveSet {
@@ -1192,151 +1142,70 @@ pub(crate) fn analyze_func(
     }
 }
 
-/// Syntactic parameter-use walker: marks a parameter used on any
-/// occurrence except a bare pass-through into a summarized callee
-/// position that is itself unused. The auditor's independent counterpart
-/// of the planner's `UseSummary` derivation.
+/// Every variable occurrence under `node`, `x.f` reported as a use of
+/// field `f`, except a bare argument passed to a callee position whose
+/// summary says it is never used: the callee cannot touch the referent.
+fn occurrences<'a, N: Node>(
+    node: &'a N,
+    res: &Resolution,
+    summaries: &FxHashMap<String, FnSummary>,
+    f: impl FnMut(VarId, Option<&'a str>),
+) {
+    struct Occurrences<'r, F> {
+        res: &'r Resolution,
+        summaries: &'r FxHashMap<String, FnSummary>,
+        f: F,
+    }
+    impl<'a, F: FnMut(VarId, Option<&'a str>)> Visitor<'a> for Occurrences<'_, F> {
+        fn expr(&mut self, e: &'a Expr) -> Walk {
+            match &e.kind {
+                ExprKind::Ident(_) => {
+                    if let Some(v) = self.res.def_of(e.id) {
+                        (self.f)(v, None);
+                    }
+                }
+                ExprKind::Field { base, name } => {
+                    if let (ExprKind::Ident(_), Some(v)) = (&base.kind, self.res.def_of(base.id)) {
+                        (self.f)(v, Some(name));
+                        return Walk::Skip;
+                    }
+                }
+                ExprKind::Call { callee, args } => {
+                    let sum = self.summaries.get(callee);
+                    for (i, a) in args.iter().enumerate() {
+                        let dead = matches!(a.kind, ExprKind::Ident(_))
+                            && sum.is_some_and(|s| !s.param_used(i));
+                        if !dead {
+                            let _ = a.walk(self);
+                        }
+                    }
+                    return Walk::Skip;
+                }
+                _ => {}
+            }
+            Walk::Descend
+        }
+    }
+    let _ = node.walk(&mut Occurrences { res, summaries, f });
+}
+
+/// Syntactic parameter-use walk: a parameter is used on any occurrence
+/// but a dead pass-through (see [`occurrences`]). Freeing a parameter's
+/// object touches it too: a caller must not advance its own free past
+/// the call. The auditor's independent counterpart of the planner's
+/// `UseSummary` derivation.
 pub(crate) fn param_uses(
     res: &Resolution,
     func: &Func,
     summaries: &FxHashMap<String, FnSummary>,
 ) -> Vec<bool> {
-    let params: Vec<VarId> = res.params_of(func.id).to_vec();
+    let params = res.params_of(func.id);
     let mut used = vec![false; params.len()];
-    fn expr(
-        e: &Expr,
-        res: &Resolution,
-        params: &[VarId],
-        summaries: &FxHashMap<String, FnSummary>,
-        used: &mut [bool],
-    ) {
-        match &e.kind {
-            ExprKind::Ident(_) => {
-                if let Some(v) = res.def_of(e.id) {
-                    if let Some(i) = params.iter().position(|p| *p == v) {
-                        used[i] = true;
-                    }
-                }
-            }
-            ExprKind::Unary { operand, .. } => expr(operand, res, params, summaries, used),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                expr(lhs, res, params, summaries, used);
-                expr(rhs, res, params, summaries, used);
-            }
-            ExprKind::Field { base, .. } => expr(base, res, params, summaries, used),
-            ExprKind::Index { base, index } => {
-                expr(base, res, params, summaries, used);
-                expr(index, res, params, summaries, used);
-            }
-            ExprKind::SliceExpr { base, lo, hi } => {
-                expr(base, res, params, summaries, used);
-                for b in [lo, hi].into_iter().flatten() {
-                    expr(b, res, params, summaries, used);
-                }
-            }
-            ExprKind::Call { callee, args } => {
-                let sum = summaries.get(callee);
-                for (i, a) in args.iter().enumerate() {
-                    if matches!(a.kind, ExprKind::Ident(_))
-                        && sum.map(|s| !s.param_used(i)).unwrap_or(false)
-                    {
-                        continue;
-                    }
-                    expr(a, res, params, summaries, used);
-                }
-            }
-            ExprKind::Builtin { args, .. } => {
-                for a in args {
-                    expr(a, res, params, summaries, used);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for f in fields {
-                    expr(f, res, params, summaries, used);
-                }
-            }
-            ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::StrLit(_) | ExprKind::Nil => {}
+    occurrences(&func.body, res, summaries, |v, _| {
+        if let Some(i) = params.iter().position(|p| *p == v) {
+            used[i] = true;
         }
-    }
-    fn stmt(
-        s: &Stmt,
-        res: &Resolution,
-        params: &[VarId],
-        summaries: &FxHashMap<String, FnSummary>,
-        used: &mut [bool],
-    ) {
-        match &s.kind {
-            StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => init
-                .iter()
-                .for_each(|e| expr(e, res, params, summaries, used)),
-            StmtKind::Assign { lhs, rhs, .. } => lhs
-                .iter()
-                .chain(rhs)
-                .for_each(|e| expr(e, res, params, summaries, used)),
-            StmtKind::If { cond, then, els } => {
-                expr(cond, res, params, summaries, used);
-                block(then, res, params, summaries, used);
-                if let Some(e) = els {
-                    stmt(e, res, params, summaries, used);
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                post,
-                body,
-            } => {
-                if let Some(i) = init {
-                    stmt(i, res, params, summaries, used);
-                }
-                if let Some(c) = cond {
-                    expr(c, res, params, summaries, used);
-                }
-                if let Some(p) = post {
-                    stmt(p, res, params, summaries, used);
-                }
-                block(body, res, params, summaries, used);
-            }
-            StmtKind::Return { exprs } => exprs
-                .iter()
-                .for_each(|e| expr(e, res, params, summaries, used)),
-            StmtKind::Expr { expr: e } => expr(e, res, params, summaries, used),
-            StmtKind::BlockStmt { block: b } => block(b, res, params, summaries, used),
-            StmtKind::Defer { call } => expr(call, res, params, summaries, used),
-            StmtKind::Switch {
-                subject,
-                cases,
-                default,
-            } => {
-                expr(subject, res, params, summaries, used);
-                for case in cases {
-                    case.values
-                        .iter()
-                        .for_each(|v| expr(v, res, params, summaries, used));
-                    block(&case.body, res, params, summaries, used);
-                }
-                if let Some(d) = default {
-                    block(d, res, params, summaries, used);
-                }
-            }
-            // Freeing a parameter's object touches it: a caller must not
-            // advance its own free past this call.
-            StmtKind::Free { target, .. } => expr(target, res, params, summaries, used),
-            StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-    fn block(
-        b: &Block,
-        res: &Resolution,
-        params: &[VarId],
-        summaries: &FxHashMap<String, FnSummary>,
-        used: &mut [bool],
-    ) {
-        for s in &b.stmts {
-            stmt(s, res, params, summaries, used);
-        }
-    }
-    block(&func.body, res, &params, summaries, &mut used);
+    });
     used
 }
 

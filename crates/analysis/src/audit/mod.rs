@@ -26,9 +26,9 @@
 mod flow;
 
 use minigo_syntax::fxhash::{FxHashMap, FxHashSet};
+use minigo_syntax::visit::{self, Walk};
 use minigo_syntax::{
-    Block, Expr, ExprKind, FreeKind, Func, Program, Resolution, Span, Stmt, StmtId, StmtKind,
-    TypeInfo,
+    Expr, ExprKind, FreeKind, Func, Program, Resolution, Span, StmtId, StmtKind, TypeInfo,
 };
 
 use flow::{analyze_func, closure, summarize, AbsObj, FieldKey, FnSummary, FuncFlow, ObjSet};
@@ -208,7 +208,20 @@ pub fn audit(program: &Program, res: &Resolution, types: &TypeInfo) -> AuditRepo
         let Some(fl) = flows.get(&func.name) else {
             continue;
         };
-        collect_sites(func, &func.body, fl, &mut report);
+        // Every `Free` statement, in source order.
+        visit::stmts(&func.body, |stmt| {
+            if let StmtKind::Free { target, kind } = &stmt.kind {
+                report.sites.push(AuditSite {
+                    stmt: stmt.id,
+                    func: func.name.clone(),
+                    target: render_target(target),
+                    kind: *kind,
+                    span: stmt.span,
+                    verdict: judge(stmt.id, fl),
+                });
+            }
+            Walk::Descend
+        });
     }
     report
 }
@@ -229,8 +242,15 @@ fn summarize_func(
     // Analyze callees first so their summaries are precise; members of a
     // recursion cycle fall back to `FnSummary::conservative` (the lookup
     // miss in `eval_call_multi`).
-    for callee in callees_of(&func.body) {
-        if let Some(cf) = program.funcs.iter().find(|f| f.name == callee) {
+    let mut callees = Vec::new();
+    visit::exprs(&func.body, |e| {
+        if let ExprKind::Call { callee, .. } = &e.kind {
+            callees.push(callee);
+        }
+        Walk::Descend
+    });
+    for callee in callees {
+        if let Some(cf) = program.funcs.iter().find(|f| &f.name == callee) {
             summarize_func(program, res, types, cf, summaries, flows, visiting);
         }
     }
@@ -239,160 +259,6 @@ fn summarize_func(
     summaries.insert(func.name.clone(), summary);
     flows.insert(func.name.clone(), fl);
     visiting.remove(&func.name);
-}
-
-fn callees_of(block: &Block) -> Vec<String> {
-    fn walk_expr(e: &Expr, out: &mut Vec<String>) {
-        if let ExprKind::Call { callee, args } = &e.kind {
-            out.push(callee.clone());
-            for a in args {
-                walk_expr(a, out);
-            }
-            return;
-        }
-        match &e.kind {
-            ExprKind::Unary { operand, .. } => walk_expr(operand, out),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, out);
-                walk_expr(rhs, out);
-            }
-            ExprKind::Field { base, .. } => walk_expr(base, out),
-            ExprKind::Index { base, index } => {
-                walk_expr(base, out);
-                walk_expr(index, out);
-            }
-            ExprKind::SliceExpr { base, lo, hi } => {
-                walk_expr(base, out);
-                for b in [lo, hi].into_iter().flatten() {
-                    walk_expr(b, out);
-                }
-            }
-            ExprKind::Builtin { args, .. } => {
-                for a in args {
-                    walk_expr(a, out);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for f in fields {
-                    walk_expr(f, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    fn walk_stmt(s: &Stmt, out: &mut Vec<String>) {
-        match &s.kind {
-            StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
-                init.iter().for_each(|e| walk_expr(e, out))
-            }
-            StmtKind::Assign { lhs, rhs, .. } => {
-                lhs.iter().chain(rhs).for_each(|e| walk_expr(e, out))
-            }
-            StmtKind::If { cond, then, els } => {
-                walk_expr(cond, out);
-                walk_block(then, out);
-                if let Some(e) = els {
-                    walk_stmt(e, out);
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                post,
-                body,
-            } => {
-                if let Some(i) = init {
-                    walk_stmt(i, out);
-                }
-                if let Some(c) = cond {
-                    walk_expr(c, out);
-                }
-                if let Some(p) = post {
-                    walk_stmt(p, out);
-                }
-                walk_block(body, out);
-            }
-            StmtKind::Return { exprs } => exprs.iter().for_each(|e| walk_expr(e, out)),
-            StmtKind::Expr { expr } => walk_expr(expr, out),
-            StmtKind::BlockStmt { block } => walk_block(block, out),
-            StmtKind::Defer { call } => walk_expr(call, out),
-            StmtKind::Switch {
-                subject,
-                cases,
-                default,
-            } => {
-                walk_expr(subject, out);
-                for case in cases {
-                    case.values.iter().for_each(|v| walk_expr(v, out));
-                    walk_block(&case.body, out);
-                }
-                if let Some(d) = default {
-                    walk_block(d, out);
-                }
-            }
-            StmtKind::Free { target, .. } => walk_expr(target, out),
-            StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-    fn walk_block(b: &Block, out: &mut Vec<String>) {
-        for s in &b.stmts {
-            walk_stmt(s, out);
-        }
-    }
-    let mut out = Vec::new();
-    walk_block(block, &mut out);
-    out
-}
-
-/// Walks a function collecting verdicts for its `Free` statements, in
-/// source order.
-fn collect_sites(func: &Func, block: &Block, fl: &FuncFlow, report: &mut AuditReport) {
-    for stmt in &block.stmts {
-        match &stmt.kind {
-            StmtKind::Free { target, kind } => {
-                let verdict = judge(stmt.id, fl);
-                report.sites.push(AuditSite {
-                    stmt: stmt.id,
-                    func: func.name.clone(),
-                    target: render_target(target),
-                    kind: *kind,
-                    span: stmt.span,
-                    verdict,
-                });
-            }
-            StmtKind::If { then, els, .. } => {
-                collect_sites(func, then, fl, report);
-                if let Some(e) = els {
-                    collect_sites_stmt(func, e, fl, report);
-                }
-            }
-            StmtKind::For { body, .. } => collect_sites(func, body, fl, report),
-            StmtKind::BlockStmt { block } => collect_sites(func, block, fl, report),
-            StmtKind::Switch { cases, default, .. } => {
-                for case in cases {
-                    collect_sites(func, &case.body, fl, report);
-                }
-                if let Some(d) = default {
-                    collect_sites(func, d, fl, report);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn collect_sites_stmt(func: &Func, stmt: &Stmt, fl: &FuncFlow, report: &mut AuditReport) {
-    // Wrap a lone statement (else-if chain) as a one-statement walk.
-    match &stmt.kind {
-        StmtKind::If { then, els, .. } => {
-            collect_sites(func, then, fl, report);
-            if let Some(e) = els {
-                collect_sites_stmt(func, e, fl, report);
-            }
-        }
-        StmtKind::BlockStmt { block } => collect_sites(func, block, fl, report),
-        _ => {}
-    }
 }
 
 /// Judges one free site against its recorded snapshot.
@@ -497,44 +363,16 @@ pub fn strip_unproven(program: &Program, report: &AuditReport) -> (Program, u64)
     let mut stripped = program.clone();
     let mut removed = 0u64;
     for func in &mut stripped.funcs {
-        strip_block(&mut func.body, &unproven, &mut removed);
+        visit::blocks_mut(&mut func.body, |block| {
+            block.stmts.retain(|s| {
+                let drop = matches!(s.kind, StmtKind::Free { .. }) && unproven.contains(&s.id);
+                removed += u64::from(drop);
+                !drop
+            });
+            Walk::Descend
+        });
     }
     (stripped, removed)
-}
-
-fn strip_block(block: &mut Block, unproven: &FxHashSet<StmtId>, removed: &mut u64) {
-    block.stmts.retain(|s| {
-        let drop = matches!(s.kind, StmtKind::Free { .. }) && unproven.contains(&s.id);
-        if drop {
-            *removed += 1;
-        }
-        !drop
-    });
-    for stmt in &mut block.stmts {
-        strip_stmt(stmt, unproven, removed);
-    }
-}
-
-fn strip_stmt(stmt: &mut Stmt, unproven: &FxHashSet<StmtId>, removed: &mut u64) {
-    match &mut stmt.kind {
-        StmtKind::If { then, els, .. } => {
-            strip_block(then, unproven, removed);
-            if let Some(e) = els {
-                strip_stmt(e, unproven, removed);
-            }
-        }
-        StmtKind::For { body, .. } => strip_block(body, unproven, removed),
-        StmtKind::BlockStmt { block } => strip_block(block, unproven, removed),
-        StmtKind::Switch { cases, default, .. } => {
-            for case in cases {
-                strip_block(&mut case.body, unproven, removed);
-            }
-            if let Some(d) = default {
-                strip_block(d, unproven, removed);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]
@@ -662,21 +500,13 @@ mod tests {
         assert_eq!(report.proved(), 0);
         let (stripped, removed) = strip_unproven(&program, &report);
         assert_eq!(removed, 1);
-        let count = {
-            fn frees(b: &Block) -> usize {
-                b.stmts
-                    .iter()
-                    .map(|s| match &s.kind {
-                        StmtKind::Free { .. } => 1,
-                        StmtKind::BlockStmt { block } => frees(block),
-                        StmtKind::If { then, .. } => frees(then),
-                        StmtKind::For { body, .. } => frees(body),
-                        _ => 0,
-                    })
-                    .sum()
-            }
-            stripped.funcs.iter().map(|f| frees(&f.body)).sum::<usize>()
-        };
+        let mut count = 0;
+        for f in &stripped.funcs {
+            visit::stmts(&f.body, |s| {
+                count += usize::from(matches!(s.kind, StmtKind::Free { .. }));
+                Walk::Descend
+            });
+        }
         assert_eq!(count, 0);
     }
 

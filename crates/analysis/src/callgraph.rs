@@ -7,7 +7,8 @@
 //! functions fall back to the default tag for their in-SCC calls.
 
 use minigo_syntax::fxhash::FxHashMap;
-use minigo_syntax::{Block, Expr, ExprKind, FuncId, IdMap, Program, Stmt, StmtKind};
+use minigo_syntax::visit::{self, Walk};
+use minigo_syntax::{ExprKind, FuncId, IdMap, Program};
 
 /// The program's direct-call graph.
 #[derive(Debug, Clone, Default)]
@@ -36,18 +37,13 @@ impl CallGraph {
         let mut cg = CallGraph::default();
         for func in &program.funcs {
             let mut calls = Vec::new();
-            collect_block(&func.body, &mut |name| {
-                if let Some(&fid) = by_name.get(name) {
-                    calls.push(fid);
+            visit::exprs(&func.body, |e| {
+                if let ExprKind::Call { callee, .. } = &e.kind {
+                    calls.extend(by_name.get(callee.as_str()));
                 }
+                Walk::Descend
             });
-            let mut selfrec = false;
-            calls.retain(|&c| {
-                if c == func.id {
-                    selfrec = true;
-                }
-                true
-            });
+            let selfrec = calls.contains(&func.id);
             calls.sort();
             calls.dedup();
             cg.self_recursive.insert(func.id, selfrec);
@@ -169,99 +165,6 @@ impl CallGraph {
         }
         self.scc_size = scc_sizes;
         self.order = order;
-    }
-}
-
-fn collect_block(block: &Block, f: &mut impl FnMut(&str)) {
-    for stmt in &block.stmts {
-        collect_stmt(stmt, f);
-    }
-}
-
-fn collect_stmt(stmt: &Stmt, f: &mut impl FnMut(&str)) {
-    match &stmt.kind {
-        StmtKind::VarDecl { init, .. } => init.iter().for_each(|e| collect_expr(e, f)),
-        StmtKind::ShortDecl { init, .. } => init.iter().for_each(|e| collect_expr(e, f)),
-        StmtKind::Assign { lhs, rhs, .. } => {
-            lhs.iter().for_each(|e| collect_expr(e, f));
-            rhs.iter().for_each(|e| collect_expr(e, f));
-        }
-        StmtKind::If { cond, then, els } => {
-            collect_expr(cond, f);
-            collect_block(then, f);
-            if let Some(els) = els {
-                collect_stmt(els, f);
-            }
-        }
-        StmtKind::For {
-            init,
-            cond,
-            post,
-            body,
-        } => {
-            if let Some(init) = init {
-                collect_stmt(init, f);
-            }
-            if let Some(cond) = cond {
-                collect_expr(cond, f);
-            }
-            if let Some(post) = post {
-                collect_stmt(post, f);
-            }
-            collect_block(body, f);
-        }
-        StmtKind::Return { exprs } => exprs.iter().for_each(|e| collect_expr(e, f)),
-        StmtKind::Expr { expr } => collect_expr(expr, f),
-        StmtKind::BlockStmt { block } => collect_block(block, f),
-        StmtKind::Defer { call } => collect_expr(call, f),
-        StmtKind::Switch {
-            subject,
-            cases,
-            default,
-        } => {
-            collect_expr(subject, f);
-            for case in cases {
-                case.values.iter().for_each(|v| collect_expr(v, f));
-                collect_block(&case.body, f);
-            }
-            if let Some(default) = default {
-                collect_block(default, f);
-            }
-        }
-        StmtKind::Break | StmtKind::Continue => {}
-        StmtKind::Free { target, .. } => collect_expr(target, f),
-    }
-}
-
-fn collect_expr(expr: &Expr, f: &mut impl FnMut(&str)) {
-    match &expr.kind {
-        ExprKind::Call { callee, args } => {
-            f(callee);
-            args.iter().for_each(|a| collect_expr(a, f));
-        }
-        ExprKind::Unary { operand, .. } => collect_expr(operand, f),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_expr(lhs, f);
-            collect_expr(rhs, f);
-        }
-        ExprKind::Field { base, .. } => collect_expr(base, f),
-        ExprKind::Index { base, index } => {
-            collect_expr(base, f);
-            collect_expr(index, f);
-        }
-        ExprKind::SliceExpr { base, lo, hi } => {
-            collect_expr(base, f);
-            for bound in [lo, hi].into_iter().flatten() {
-                collect_expr(bound, f);
-            }
-        }
-        ExprKind::Builtin { args, .. } => args.iter().for_each(|a| collect_expr(a, f)),
-        ExprKind::StructLit { fields, .. } => fields.iter().for_each(|e| collect_expr(e, f)),
-        ExprKind::IntLit(_)
-        | ExprKind::BoolLit(_)
-        | ExprKind::StrLit(_)
-        | ExprKind::Nil
-        | ExprKind::Ident(_) => {}
     }
 }
 

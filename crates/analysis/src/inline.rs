@@ -14,9 +14,9 @@
 //! [`inline_program`] and then treat the result as a brand-new program).
 
 use minigo_syntax::fxhash::FxHashMap;
+use minigo_syntax::visit::{self, Node, VisitorMut, Walk};
 use minigo_syntax::{
     Block, BlockId, Expr, ExprId, ExprKind, Func, FuncId, IdMap, Program, Stmt, StmtId, StmtKind,
-    SwitchCase,
 };
 
 use crate::callgraph::CallGraph;
@@ -95,10 +95,22 @@ fn is_eligible(f: &Func, cg: &CallGraph, opts: &InlineOptions) -> bool {
     if f.name == "main" || cg.is_recursive(f.id) {
         return false;
     }
-    if count_stmts(&f.body) > opts.max_stmts {
+    // A `for` clause is part of its loop, not a statement of its own.
+    let (mut stmts, mut clauses, mut returns) = (0, 0, 0);
+    visit::stmts(&f.body, |s| {
+        stmts += 1;
+        match &s.kind {
+            StmtKind::For { init, post, .. } => {
+                clauses += usize::from(init.is_some()) + usize::from(post.is_some())
+            }
+            StmtKind::Return { .. } => returns += 1,
+            _ => {}
+        }
+        Walk::Descend
+    });
+    if stmts - clauses > opts.max_stmts {
         return false;
     }
-    let returns = count_returns(&f.body);
     match returns {
         0 => f.results.is_empty(),
         1 => matches!(
@@ -107,67 +119,6 @@ fn is_eligible(f: &Func, cg: &CallGraph, opts: &InlineOptions) -> bool {
         ),
         _ => false,
     }
-}
-
-fn count_stmts(block: &Block) -> usize {
-    let mut n = 0;
-    for stmt in &block.stmts {
-        n += 1;
-        match &stmt.kind {
-            StmtKind::If { then, els, .. } => {
-                n += count_stmts(then);
-                if let Some(els) = els {
-                    n += 1;
-                    if let StmtKind::BlockStmt { block } = &els.kind {
-                        n += count_stmts(block);
-                    }
-                }
-            }
-            StmtKind::For { body, .. } => n += count_stmts(body),
-            StmtKind::BlockStmt { block } => n += count_stmts(block),
-            StmtKind::Switch { cases, default, .. } => {
-                for c in cases {
-                    n += count_stmts(&c.body);
-                }
-                if let Some(d) = default {
-                    n += count_stmts(d);
-                }
-            }
-            _ => {}
-        }
-    }
-    n
-}
-
-fn count_returns(block: &Block) -> usize {
-    let mut n = 0;
-    for stmt in &block.stmts {
-        match &stmt.kind {
-            StmtKind::Return { .. } => n += 1,
-            StmtKind::If { then, els, .. } => {
-                n += count_returns(then);
-                if let Some(els) = els {
-                    if let StmtKind::BlockStmt { block } = &els.kind {
-                        n += count_returns(block);
-                    } else if let StmtKind::Return { .. } = &els.kind {
-                        n += 1;
-                    }
-                }
-            }
-            StmtKind::For { body, .. } => n += count_returns(body),
-            StmtKind::BlockStmt { block } => n += count_returns(block),
-            StmtKind::Switch { cases, default, .. } => {
-                for c in cases {
-                    n += count_returns(&c.body);
-                }
-                if let Some(d) = default {
-                    n += count_returns(d);
-                }
-            }
-            _ => {}
-        }
-    }
-    n
 }
 
 struct Inliner<'p> {
@@ -203,7 +154,10 @@ impl<'p> Inliner<'p> {
         let old = std::mem::take(&mut block.stmts);
         let mut stmts = Vec::with_capacity(old.len());
         for mut stmt in old {
-            self.rewrite_children(&mut stmt);
+            visit::blocks_mut(&mut stmt, |inner| {
+                self.rewrite_block(inner);
+                Walk::Skip
+            });
             match self.try_inline(&stmt) {
                 Some(replacement) => {
                     self.stats.inlined_calls += 1;
@@ -213,28 +167,6 @@ impl<'p> Inliner<'p> {
             }
         }
         block.stmts = stmts;
-    }
-
-    fn rewrite_children(&mut self, stmt: &mut Stmt) {
-        match &mut stmt.kind {
-            StmtKind::If { then, els, .. } => {
-                self.rewrite_block(then);
-                if let Some(els) = els {
-                    self.rewrite_children(els);
-                }
-            }
-            StmtKind::For { body, .. } => self.rewrite_block(body),
-            StmtKind::BlockStmt { block } => self.rewrite_block(block),
-            StmtKind::Switch { cases, default, .. } => {
-                for c in cases {
-                    self.rewrite_block(&mut c.body);
-                }
-                if let Some(d) = default {
-                    self.rewrite_block(d);
-                }
-            }
-            _ => {}
-        }
     }
 
     /// Inlines `x, y := f(args)`, `x, y = f(args)` (identifier targets
@@ -274,7 +206,10 @@ impl<'p> Inliner<'p> {
         }
         // Arguments must not themselves contain calls (evaluation-order
         // fidelity); keep it simple and skip such sites.
-        if args.iter().any(contains_call) {
+        if args
+            .iter()
+            .any(|a| visit::any_expr(a, |e| matches!(e.kind, ExprKind::Call { .. })))
+        {
             self.stats.skipped_calls += 1;
             return None;
         }
@@ -287,7 +222,7 @@ impl<'p> Inliner<'p> {
         // Bind parameters: __inK_param := arg.
         for (param, arg) in func.params.iter().zip(args) {
             let mut arg = arg.clone();
-            self.renumber_expr(&mut arg);
+            self.refresh(&mut arg, None);
             stmts.push(Stmt {
                 id: self.stmt_id(),
                 kind: StmtKind::ShortDecl {
@@ -321,8 +256,7 @@ impl<'p> Inliner<'p> {
                 if let StmtKind::Return { exprs } = &s.kind {
                     let mut exprs = exprs.clone();
                     for e in &mut exprs {
-                        self.rename_expr(e, &prefix);
-                        self.renumber_expr(e);
+                        self.refresh(e, Some(&prefix));
                     }
                     // A bare return uses the named result variables.
                     if exprs.is_empty() && !func.results.is_empty() {
@@ -332,7 +266,7 @@ impl<'p> Inliner<'p> {
                                 kind: ExprKind::Ident(format!("{prefix}{}", r.name)),
                                 span: stmt.span,
                             };
-                            self.renumber_expr(&mut e);
+                            self.refresh(&mut e, None);
                             exprs.push(e);
                         }
                     }
@@ -353,8 +287,7 @@ impl<'p> Inliner<'p> {
                     continue;
                 }
             }
-            self.rename_stmt(&mut s, &prefix);
-            self.renumber_stmt(&mut s);
+            self.refresh(&mut s, Some(&prefix));
             stmts.push(s);
         }
         // Functions with results but no trailing return (all named,
@@ -376,7 +309,7 @@ impl<'p> Inliner<'p> {
                         kind: ExprKind::Ident(format!("{prefix}{}", r.name)),
                         span: stmt.span,
                     };
-                    self.renumber_expr(&mut e);
+                    self.refresh(&mut e, None);
                     e
                 })
                 .collect();
@@ -433,7 +366,7 @@ impl<'p> Inliner<'p> {
                     kind: ExprKind::Ident(name),
                     span,
                 };
-                self.renumber_expr(&mut e);
+                self.refresh(&mut e, None);
                 e
             })
             .collect();
@@ -448,243 +381,49 @@ impl<'p> Inliner<'p> {
         }
     }
 
-    // -- renaming (prefix every variable identifier and declaration) --
+    /// Gives a copied node fresh ids — in pre-order, the order the
+    /// parser numbers in — and, with a prefix, renames every variable it
+    /// declares or mentions.
+    fn refresh(&mut self, node: &mut impl Node, prefix: Option<&str>) {
+        let _ = node.walk_mut(&mut Fresh { ids: self, prefix });
+    }
+}
 
-    fn rename_stmt(&mut self, stmt: &mut Stmt, prefix: &str) {
-        match &mut stmt.kind {
-            StmtKind::VarDecl { names, init, .. } | StmtKind::ShortDecl { names, init } => {
-                for n in names.iter_mut() {
-                    *n = format!("{prefix}{n}");
-                }
-                for e in init {
-                    self.rename_expr(e, prefix);
-                }
-            }
-            StmtKind::Assign { lhs, rhs, .. } => {
-                for e in lhs.iter_mut().chain(rhs) {
-                    self.rename_expr(e, prefix);
-                }
-            }
-            StmtKind::If { cond, then, els } => {
-                self.rename_expr(cond, prefix);
-                self.rename_block(then, prefix);
-                if let Some(els) = els {
-                    self.rename_stmt(els, prefix);
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                post,
-                body,
-            } => {
-                if let Some(init) = init {
-                    self.rename_stmt(init, prefix);
-                }
-                if let Some(cond) = cond {
-                    self.rename_expr(cond, prefix);
-                }
-                if let Some(post) = post {
-                    self.rename_stmt(post, prefix);
-                }
-                self.rename_block(body, prefix);
-            }
-            StmtKind::Return { exprs } => {
-                for e in exprs {
-                    self.rename_expr(e, prefix);
-                }
-            }
-            StmtKind::Expr { expr } => self.rename_expr(expr, prefix),
-            StmtKind::BlockStmt { block } => self.rename_block(block, prefix),
-            StmtKind::Defer { call } => self.rename_expr(call, prefix),
-            StmtKind::Switch {
-                subject,
-                cases,
-                default,
-            } => {
-                self.rename_expr(subject, prefix);
-                for SwitchCase { values, body } in cases {
-                    for v in values {
-                        self.rename_expr(v, prefix);
-                    }
-                    self.rename_block(body, prefix);
-                }
-                if let Some(d) = default {
-                    self.rename_block(d, prefix);
-                }
-            }
-            StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Free { target, .. } => self.rename_expr(target, prefix),
-        }
+struct Fresh<'i, 'p> {
+    ids: &'i mut Inliner<'p>,
+    prefix: Option<&'i str>,
+}
+
+impl VisitorMut for Fresh<'_, '_> {
+    fn block(&mut self, b: &mut Block) -> Walk {
+        b.id = self.ids.block_id();
+        Walk::Descend
     }
 
-    fn rename_block(&mut self, block: &mut Block, prefix: &str) {
-        for s in &mut block.stmts {
-            self.rename_stmt(s, prefix);
+    fn stmt(&mut self, s: &mut Stmt) -> Walk {
+        s.id = self.ids.stmt_id();
+        if let (StmtKind::VarDecl { names, .. } | StmtKind::ShortDecl { names, .. }, Some(p)) =
+            (&mut s.kind, self.prefix)
+        {
+            for n in names {
+                *n = format!("{p}{n}");
+            }
         }
+        Walk::Descend
     }
 
-    fn rename_expr(&mut self, e: &mut Expr, prefix: &str) {
-        match &mut e.kind {
-            ExprKind::Ident(name) => *name = format!("{prefix}{name}"),
-            ExprKind::Unary { operand, .. } => self.rename_expr(operand, prefix),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.rename_expr(lhs, prefix);
-                self.rename_expr(rhs, prefix);
-            }
-            ExprKind::Field { base, .. } => self.rename_expr(base, prefix),
-            ExprKind::Index { base, index } => {
-                self.rename_expr(base, prefix);
-                self.rename_expr(index, prefix);
-            }
-            ExprKind::SliceExpr { base, lo, hi } => {
-                self.rename_expr(base, prefix);
-                for bound in [lo, hi].into_iter().flatten() {
-                    self.rename_expr(bound, prefix);
-                }
-            }
-            ExprKind::Call { args, .. } | ExprKind::Builtin { args, .. } => {
-                for a in args {
-                    self.rename_expr(a, prefix);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for f in fields {
-                    self.rename_expr(f, prefix);
-                }
-            }
-            _ => {}
+    fn expr(&mut self, e: &mut Expr) -> Walk {
+        e.id = self.ids.expr_id();
+        if let (ExprKind::Ident(name), Some(p)) = (&mut e.kind, self.prefix) {
+            *name = format!("{p}{name}");
         }
-    }
-
-    // -- id renumbering (fresh ids for every cloned node) --
-
-    fn renumber_stmt(&mut self, stmt: &mut Stmt) {
-        stmt.id = self.stmt_id();
-        match &mut stmt.kind {
-            StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
-                for e in init {
-                    self.renumber_expr(e);
-                }
-            }
-            StmtKind::Assign { lhs, rhs, .. } => {
-                for e in lhs.iter_mut().chain(rhs) {
-                    self.renumber_expr(e);
-                }
-            }
-            StmtKind::If { cond, then, els } => {
-                self.renumber_expr(cond);
-                self.renumber_block(then);
-                if let Some(els) = els {
-                    self.renumber_stmt(els);
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                post,
-                body,
-            } => {
-                if let Some(init) = init {
-                    self.renumber_stmt(init);
-                }
-                if let Some(cond) = cond {
-                    self.renumber_expr(cond);
-                }
-                if let Some(post) = post {
-                    self.renumber_stmt(post);
-                }
-                self.renumber_block(body);
-            }
-            StmtKind::Return { exprs } => {
-                for e in exprs {
-                    self.renumber_expr(e);
-                }
-            }
-            StmtKind::Expr { expr } => self.renumber_expr(expr),
-            StmtKind::BlockStmt { block } => self.renumber_block(block),
-            StmtKind::Defer { call } => self.renumber_expr(call),
-            StmtKind::Switch {
-                subject,
-                cases,
-                default,
-            } => {
-                self.renumber_expr(subject);
-                for SwitchCase { values, body } in cases {
-                    for v in values {
-                        self.renumber_expr(v);
-                    }
-                    self.renumber_block(body);
-                }
-                if let Some(d) = default {
-                    self.renumber_block(d);
-                }
-            }
-            StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Free { target, .. } => self.renumber_expr(target),
-        }
-    }
-
-    fn renumber_block(&mut self, block: &mut Block) {
-        block.id = self.block_id();
-        for s in &mut block.stmts {
-            self.renumber_stmt(s);
-        }
-    }
-
-    fn renumber_expr(&mut self, e: &mut Expr) {
-        e.id = self.expr_id();
-        match &mut e.kind {
-            ExprKind::Unary { operand, .. } => self.renumber_expr(operand),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.renumber_expr(lhs);
-                self.renumber_expr(rhs);
-            }
-            ExprKind::Field { base, .. } => self.renumber_expr(base),
-            ExprKind::Index { base, index } => {
-                self.renumber_expr(base);
-                self.renumber_expr(index);
-            }
-            ExprKind::SliceExpr { base, lo, hi } => {
-                self.renumber_expr(base);
-                for bound in [lo, hi].into_iter().flatten() {
-                    self.renumber_expr(bound);
-                }
-            }
-            ExprKind::Call { args, .. } | ExprKind::Builtin { args, .. } => {
-                for a in args {
-                    self.renumber_expr(a);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for f in fields {
-                    self.renumber_expr(f);
-                }
-            }
-            _ => {}
-        }
+        Walk::Descend
     }
 }
 
 enum Target {
     Decl(String),
     Assign(String),
-}
-
-fn contains_call(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Call { .. } => true,
-        ExprKind::Unary { operand, .. } => contains_call(operand),
-        ExprKind::Binary { lhs, rhs, .. } => contains_call(lhs) || contains_call(rhs),
-        ExprKind::Field { base, .. } => contains_call(base),
-        ExprKind::Index { base, index } => contains_call(base) || contains_call(index),
-        ExprKind::SliceExpr { base, lo, hi } => {
-            contains_call(base) || [lo, hi].into_iter().flatten().any(|b| contains_call(b))
-        }
-        ExprKind::Builtin { args, .. } => args.iter().any(contains_call),
-        ExprKind::StructLit { fields, .. } => fields.iter().any(contains_call),
-        _ => false,
-    }
 }
 
 #[cfg(test)]

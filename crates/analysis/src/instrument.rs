@@ -14,6 +14,7 @@
 //!   leave the deallocation to GC".
 
 use minigo_syntax::fxhash::{FxHashMap, FxHashSet};
+use minigo_syntax::visit::{self, Walk};
 use minigo_syntax::{
     Block, Expr, ExprId, ExprKind, FreeKind, IdMap, Program, Resolution, Span, Stmt, StmtId,
     StmtKind, TypeInfo, VarId,
@@ -180,7 +181,10 @@ impl<'a> Inserter<'a> {
         let mut after: FxHashMap<StmtId, Vec<(VarId, FreeKind)>> = FxHashMap::default();
         let mut partial: FxHashMap<StmtId, Vec<PartialFree>> = FxHashMap::default();
         for stmt in &mut block.stmts {
-            self.rewrite_stmt(stmt);
+            visit::blocks_mut(stmt, |inner| {
+                self.rewrite_block(inner);
+                Walk::Skip
+            });
             match &stmt.kind {
                 StmtKind::VarDecl { .. } | StmtKind::ShortDecl { .. } => {
                     if let Some(list) = self.by_decl.remove(stmt.id) {
@@ -217,11 +221,15 @@ impl<'a> Inserter<'a> {
             let after_this = after.remove(&stmt.id);
             let partial_this = partial.remove(&stmt.id);
             let is_last = i == last_index;
-            if is_last && is_terminator(&stmt) {
+            if is_last && stmt.is_terminator() {
                 // Insert the end-of-scope frees *before* the trailing
                 // terminator so they execute — skipping any variable the
                 // terminator still reads.
-                let used = vars_read_by(self.res, &stmt);
+                let mut used = Vec::new();
+                visit::exprs(&stmt, |e| {
+                    used.extend(self.res.def_of(e.id));
+                    Walk::Descend
+                });
                 for (vid, kind) in end_frees.drain(..) {
                     if !used.contains(&vid) {
                         stmts.push(self.make_free(vid, kind));
@@ -246,78 +254,6 @@ impl<'a> Inserter<'a> {
             stmts.push(self.make_free(vid, kind));
         }
         block.stmts = stmts;
-    }
-
-    fn rewrite_stmt(&mut self, stmt: &mut Stmt) {
-        match &mut stmt.kind {
-            StmtKind::If { then, els, .. } => {
-                self.rewrite_block(then);
-                if let Some(els) = els {
-                    self.rewrite_stmt(els);
-                }
-            }
-            StmtKind::For { body, .. } => self.rewrite_block(body),
-            StmtKind::BlockStmt { block } => self.rewrite_block(block),
-            StmtKind::Switch { cases, default, .. } => {
-                for case in cases {
-                    self.rewrite_block(&mut case.body);
-                }
-                if let Some(default) = default {
-                    self.rewrite_block(default);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn is_terminator(stmt: &Stmt) -> bool {
-    matches!(
-        stmt.kind,
-        StmtKind::Return { .. } | StmtKind::Break | StmtKind::Continue
-    )
-}
-
-/// Variables read by a statement's expressions (used to keep frees from
-/// preceding a use in the trailing return).
-fn vars_read_by(res: &Resolution, stmt: &Stmt) -> Vec<VarId> {
-    let mut out = Vec::new();
-    if let StmtKind::Return { exprs } = &stmt.kind {
-        for e in exprs {
-            collect_vars(res, e, &mut out);
-        }
-    }
-    out
-}
-
-fn collect_vars(res: &Resolution, e: &Expr, out: &mut Vec<VarId>) {
-    match &e.kind {
-        ExprKind::Ident(_) => {
-            if let Some(v) = res.def_of(e.id) {
-                out.push(v);
-            }
-        }
-        ExprKind::Unary { operand, .. } => collect_vars(res, operand, out),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_vars(res, lhs, out);
-            collect_vars(res, rhs, out);
-        }
-        ExprKind::Field { base, .. } => collect_vars(res, base, out),
-        ExprKind::Index { base, index } => {
-            collect_vars(res, base, out);
-            collect_vars(res, index, out);
-        }
-        ExprKind::Call { args, .. } | ExprKind::Builtin { args, .. } => {
-            for a in args {
-                collect_vars(res, a, out);
-            }
-        }
-        ExprKind::StructLit { fields, .. } => {
-            for f in fields {
-                collect_vars(res, f, out);
-            }
-        }
-        _ => {}
     }
 }
 

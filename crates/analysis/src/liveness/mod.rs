@@ -26,9 +26,10 @@
 use std::collections::BTreeSet;
 
 use minigo_syntax::fxhash::FxHashMap;
+use minigo_syntax::visit::{self, Walk};
 use minigo_syntax::{
-    Block, Expr, ExprKind, FreeKind, Func, FuncId, IdMap, Program, Resolution, Stmt, StmtId,
-    StmtKind, Type, TypeInfo, VarId, VarKind,
+    Block, FreeKind, Func, FuncId, IdMap, Program, Resolution, Stmt, StmtId, StmtKind, Type,
+    TypeInfo, VarId, VarKind,
 };
 
 use crate::analyze::Analysis;
@@ -143,7 +144,13 @@ pub fn plan_placement(
         let advances = plan_advances(func, res, fg, frees, &sums);
         let mut partials = partial::plan_partials(func, res, types, fg, frees);
         // Never park a free behind a terminator: it would not execute.
-        let terms = terminator_stmts(&func.body);
+        let mut terms = BTreeSet::new();
+        visit::stmts(&func.body, |s| {
+            if s.is_terminator() {
+                terms.insert(s.id);
+            }
+            Walk::Descend
+        });
         partials.retain(|p| !terms.contains(&p.after));
         plan.stats.lastuse_advanced += advances.len() as u64;
         plan.stats.partial_frees += partials.len() as u64;
@@ -211,13 +218,13 @@ fn plan_advances(
             }
         }
         let last_index = stmts.len() - 1;
-        if is_terminator(&stmts[last]) {
+        if stmts[last].is_terminator() {
             continue; // the last use is on the terminator itself
         }
         // The scope path already places the free at the block end (or
         // just before a trailing terminator); only a strictly earlier
         // slot is an advancement.
-        let scope_idx = if is_terminator(&stmts[last_index]) {
+        let scope_idx = if stmts[last_index].is_terminator() {
             last_index.saturating_sub(1)
         } else {
             last_index
@@ -230,13 +237,6 @@ fn plan_advances(
     out
 }
 
-fn is_terminator(stmt: &Stmt) -> bool {
-    matches!(
-        stmt.kind,
-        StmtKind::Return { .. } | StmtKind::Break | StmtKind::Continue
-    )
-}
-
 /// Whether a statement's subtree can touch the referent of any variable
 /// in `group`, with the context-sensitive dead-argument refinement.
 fn stmt_uses_group(
@@ -245,230 +245,42 @@ fn stmt_uses_group(
     group: &[VarId],
     sums: &IdMap<FuncId, UseSummary>,
 ) -> bool {
-    fn expr_uses(
-        e: &Expr,
-        res: &Resolution,
-        group: &[VarId],
-        sums: &IdMap<FuncId, UseSummary>,
-    ) -> bool {
-        match &e.kind {
-            ExprKind::Ident(_) => res
-                .def_of(e.id)
-                .map(|v| group.contains(&v))
-                .unwrap_or(false),
-            ExprKind::Unary { operand, .. } => expr_uses(operand, res, group, sums),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                expr_uses(lhs, res, group, sums) || expr_uses(rhs, res, group, sums)
-            }
-            ExprKind::Field { base, .. } => expr_uses(base, res, group, sums),
-            ExprKind::Index { base, index } => {
-                expr_uses(base, res, group, sums) || expr_uses(index, res, group, sums)
-            }
-            ExprKind::SliceExpr { base, lo, hi } => {
-                expr_uses(base, res, group, sums)
-                    || [lo, hi]
-                        .into_iter()
-                        .flatten()
-                        .any(|b| expr_uses(b, res, group, sums))
-            }
-            ExprKind::Call { callee, args } => args.iter().enumerate().any(|(i, a)| {
-                !summary::arg_is_dead(a, i, callee, res, sums) && expr_uses(a, res, group, sums)
-            }),
-            ExprKind::Builtin { args, .. } => args.iter().any(|a| expr_uses(a, res, group, sums)),
-            ExprKind::StructLit { fields, .. } => {
-                fields.iter().any(|f| expr_uses(f, res, group, sums))
-            }
-            ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::StrLit(_) | ExprKind::Nil => {
-                false
-            }
-        }
-    }
-    fn block_uses(
-        b: &Block,
-        res: &Resolution,
-        group: &[VarId],
-        sums: &IdMap<FuncId, UseSummary>,
-    ) -> bool {
-        b.stmts.iter().any(|s| stmt_uses_group(s, res, group, sums))
-    }
-    match &stmt.kind {
-        StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
-            init.iter().any(|e| expr_uses(e, res, group, sums))
-        }
-        StmtKind::Assign { lhs, rhs, .. } => lhs
-            .iter()
-            .chain(rhs)
-            .any(|e| expr_uses(e, res, group, sums)),
-        StmtKind::If { cond, then, els } => {
-            expr_uses(cond, res, group, sums)
-                || block_uses(then, res, group, sums)
-                || els
-                    .as_ref()
-                    .is_some_and(|e| stmt_uses_group(e, res, group, sums))
-        }
-        StmtKind::For {
-            init,
-            cond,
-            post,
-            body,
-        } => {
-            init.as_ref()
-                .is_some_and(|i| stmt_uses_group(i, res, group, sums))
-                || cond
-                    .as_ref()
-                    .is_some_and(|c| expr_uses(c, res, group, sums))
-                || post
-                    .as_ref()
-                    .is_some_and(|p| stmt_uses_group(p, res, group, sums))
-                || block_uses(body, res, group, sums)
-        }
-        StmtKind::Return { exprs } => exprs.iter().any(|e| expr_uses(e, res, group, sums)),
-        StmtKind::Expr { expr } => expr_uses(expr, res, group, sums),
-        StmtKind::BlockStmt { block } => block_uses(block, res, group, sums),
-        StmtKind::Defer { call } => expr_uses(call, res, group, sums),
-        StmtKind::Switch {
-            subject,
-            cases,
-            default,
-        } => {
-            expr_uses(subject, res, group, sums)
-                || cases.iter().any(|c| {
-                    c.values.iter().any(|v| expr_uses(v, res, group, sums))
-                        || block_uses(&c.body, res, group, sums)
-                })
-                || default
-                    .as_ref()
-                    .is_some_and(|d| block_uses(d, res, group, sums))
-        }
-        StmtKind::Free { target, .. } => expr_uses(target, res, group, sums),
-        StmtKind::Break | StmtKind::Continue => false,
-    }
+    summary::live_idents(stmt, res, sums, |v| group.contains(&v))
 }
 
 /// Whether any `defer` in the function mentions a group member. Deferred
 /// argument *values* are captured at defer time, but the paper's model
 /// keeps referents alive until the call runs, so we stay conservative.
 fn defer_mentions(body: &Block, res: &Resolution, group: &[VarId]) -> bool {
-    fn walk(b: &Block, res: &Resolution, group: &[VarId]) -> bool {
-        b.stmts.iter().any(|s| stmt_defers(s, res, group))
-    }
-    fn stmt_defers(s: &Stmt, res: &Resolution, group: &[VarId]) -> bool {
-        match &s.kind {
-            StmtKind::Defer { call } => mentions(call, res, group),
-            StmtKind::If { then, els, .. } => {
-                walk(then, res, group) || els.as_ref().is_some_and(|e| stmt_defers(e, res, group))
-            }
-            StmtKind::For { body, .. } => walk(body, res, group),
-            StmtKind::BlockStmt { block } => walk(block, res, group),
-            StmtKind::Switch { cases, default, .. } => {
-                cases.iter().any(|c| walk(&c.body, res, group))
-                    || default.as_ref().is_some_and(|d| walk(d, res, group))
-            }
-            _ => false,
+    let mut found = false;
+    visit::stmts(body, |s| {
+        if let StmtKind::Defer { call } = &s.kind {
+            found = visit::any_expr(call, |e| {
+                res.def_of(e.id).is_some_and(|v| group.contains(&v))
+            });
         }
-    }
-    fn mentions(e: &Expr, res: &Resolution, group: &[VarId]) -> bool {
-        match &e.kind {
-            ExprKind::Ident(_) => res
-                .def_of(e.id)
-                .map(|v| group.contains(&v))
-                .unwrap_or(false),
-            ExprKind::Unary { operand, .. } => mentions(operand, res, group),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                mentions(lhs, res, group) || mentions(rhs, res, group)
-            }
-            ExprKind::Field { base, .. } => mentions(base, res, group),
-            ExprKind::Index { base, index } => {
-                mentions(base, res, group) || mentions(index, res, group)
-            }
-            ExprKind::SliceExpr { base, lo, hi } => {
-                mentions(base, res, group)
-                    || [lo, hi]
-                        .into_iter()
-                        .flatten()
-                        .any(|b| mentions(b, res, group))
-            }
-            ExprKind::Call { args, .. } | ExprKind::Builtin { args, .. } => {
-                args.iter().any(|a| mentions(a, res, group))
-            }
-            ExprKind::StructLit { fields, .. } => fields.iter().any(|f| mentions(f, res, group)),
-            _ => false,
+        if found {
+            Walk::Stop
+        } else {
+            Walk::Descend
         }
-    }
-    walk(body, res, group)
+    });
+    found
 }
 
-/// Finds the statement list of the block containing `sid` at top level.
+/// The statement list of the block that holds `sid` directly, at any
+/// depth; `None` for a statement no block lists (a `for` init or post).
 fn block_of_stmt(body: &Block, sid: StmtId) -> Option<&[Stmt]> {
-    fn walk(b: &Block, sid: StmtId) -> Option<&[Stmt]> {
+    let mut found = None;
+    visit::blocks(body, |b| {
         if b.stmts.iter().any(|s| s.id == sid) {
-            return Some(&b.stmts);
+            found = Some(&b.stmts[..]);
+            Walk::Stop
+        } else {
+            Walk::Descend
         }
-        for s in &b.stmts {
-            let found = match &s.kind {
-                StmtKind::If { then, els, .. } => {
-                    walk(then, sid).or_else(|| els.as_ref().and_then(|e| stmt_walk(e, sid)))
-                }
-                StmtKind::For { body, .. } => walk(body, sid),
-                StmtKind::BlockStmt { block } => walk(block, sid),
-                StmtKind::Switch { cases, default, .. } => cases
-                    .iter()
-                    .find_map(|c| walk(&c.body, sid))
-                    .or_else(|| default.as_ref().and_then(|d| walk(d, sid))),
-                _ => None,
-            };
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
-    }
-    fn stmt_walk(s: &Stmt, sid: StmtId) -> Option<&[Stmt]> {
-        match &s.kind {
-            StmtKind::BlockStmt { block } => walk(block, sid),
-            StmtKind::If { then, els, .. } => {
-                walk(then, sid).or_else(|| els.as_ref().and_then(|e| stmt_walk(e, sid)))
-            }
-            _ => None,
-        }
-    }
-    walk(body, sid)
-}
-
-/// Collects every terminator statement id in a function body.
-fn terminator_stmts(body: &Block) -> BTreeSet<StmtId> {
-    fn walk(b: &Block, out: &mut BTreeSet<StmtId>) {
-        for s in &b.stmts {
-            stmt(s, out);
-        }
-    }
-    fn stmt(s: &Stmt, out: &mut BTreeSet<StmtId>) {
-        match &s.kind {
-            StmtKind::Return { .. } | StmtKind::Break | StmtKind::Continue => {
-                out.insert(s.id);
-            }
-            StmtKind::If { then, els, .. } => {
-                walk(then, out);
-                if let Some(e) = els {
-                    stmt(e, out);
-                }
-            }
-            StmtKind::For { body, .. } => walk(body, out),
-            StmtKind::BlockStmt { block } => walk(block, out),
-            StmtKind::Switch { cases, default, .. } => {
-                for c in cases {
-                    walk(&c.body, out);
-                }
-                if let Some(d) = default {
-                    walk(d, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut out = BTreeSet::new();
-    walk(body, &mut out);
-    out
+    });
+    found
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! pointerful field qualifies).
 
 use minigo_syntax::fxhash::FxHashMap;
+use minigo_syntax::visit::{Node, Visitor, Walk};
 use minigo_syntax::{
     Block, Builtin, Expr, ExprKind, FreeKind, Func, Resolution, Stmt, StmtId, StmtKind, Type,
     TypeInfo, UnOp, VarId,
@@ -184,34 +185,31 @@ struct Scan<'a> {
 }
 
 impl<'a> Scan<'a> {
-    /// Finds the block declaring `x` at top level and scans the whole
-    /// function, attributing occurrences to that block's statements.
+    /// Finds the block declaring `x`, at any depth, and scans the whole
+    /// function, attributing occurrences to that block's statements
+    /// (occurrences can only be in its subtree).
     fn find_and_scan(&mut self, body: &Block) {
-        // Locate the declaring block first (occurrences can only be in
-        // its subtree), then scan with attribution.
-        if let Some(stmts) = find_decl_block(self.res, body, self.x) {
-            let decl_idx = stmts.iter().position(|s| self.declares_x(s)).unwrap();
-            if !self.check_decl(&stmts[decl_idx]) {
-                self.bail = true;
-                return;
-            }
-            self.decl_found = true;
-            self.whole_last = Some(stmts[decl_idx].id);
-            for stmt in stmts {
-                self.attribution = Some(stmt.id);
-                if !self.declares_x(stmt) {
-                    self.scan_stmt(stmt);
-                }
-            }
-            self.attribution = None;
+        let Some(decl) = self.res.decl_stmt_of(self.x) else {
+            return;
+        };
+        let Some(stmts) = super::block_of_stmt(body, decl) else {
+            return;
+        };
+        let decl_stmt = stmts.iter().find(|s| s.id == decl).unwrap();
+        if !self.check_decl(decl_stmt) {
+            self.bail = true;
+            return;
         }
-    }
-
-    fn declares_x(&self, s: &Stmt) -> bool {
-        matches!(
-            s.kind,
-            StmtKind::VarDecl { .. } | StmtKind::ShortDecl { .. }
-        ) && (0..16).any(|i| self.res.decl_of(s.id, i) == Some(self.x))
+        self.decl_found = true;
+        self.whole_last = Some(decl);
+        for stmt in stmts {
+            // Nested blocks keep the enclosing top-level attribution.
+            self.attribution = Some(stmt.id);
+            if stmt.id != decl {
+                let _ = stmt.walk(self);
+            }
+        }
+        self.attribution = None;
     }
 
     /// Validates the declaration initializer; marks non-fresh freeable
@@ -282,215 +280,79 @@ impl<'a> Scan<'a> {
             self.bad.push(field.to_string());
         }
     }
+}
 
-    fn scan_expr(&mut self, e: &Expr) {
+impl<'a> Visitor<'a> for Scan<'_> {
+    fn stmt(&mut self, s: &'a Stmt) -> Walk {
+        let StmtKind::Assign { lhs, op, rhs } = &s.kind else {
+            return Walk::Descend;
+        };
+        if lhs.len() == rhs.len() {
+            for (l, r) in lhs.iter().zip(rhs) {
+                if let Some(f) = self.x_field(l) {
+                    self.note(f);
+                    if op.is_some() || !is_fresh(r) {
+                        self.mark_bad(f);
+                    }
+                    if !is_fresh(r) {
+                        let _ = r.walk(self);
+                    }
+                } else {
+                    let _ = l.walk(self);
+                    let _ = r.walk(self);
+                }
+            }
+        } else {
+            // Multi-value call RHS: opaque provenance.
+            for l in lhs {
+                if let Some(f) = self.x_field(l) {
+                    self.note(f);
+                    self.mark_bad(f);
+                } else {
+                    let _ = l.walk(self);
+                }
+            }
+            rhs.iter().for_each(|r| {
+                let _ = r.walk(self);
+            });
+        }
+        Walk::Skip
+    }
+
+    fn expr(&mut self, e: &'a Expr) -> Walk {
         if let Some(f) = self.x_field(e) {
             // A field projection reaching here was not consumed by an
             // allowed context: the reference is copied out.
-            let f = f.to_string();
-            self.note(&f);
-            self.mark_bad(&f);
-            return;
+            self.note(f);
+            self.mark_bad(f);
+            return Walk::Skip;
         }
-        match &e.kind {
+        // The allowed contexts: `x.f[i]` (an element access, also as an
+        // assignment target, leaves the array in place) and `len`/`cap`/
+        // `delete` of `x.f`.
+        let (consumed, rest): (_, &[Expr]) = match &e.kind {
             ExprKind::Ident(_) => {
-                if self.res.def_of(e.id) == Some(self.x) {
-                    self.bail = true;
-                }
+                self.bail |= self.res.def_of(e.id) == Some(self.x);
+                return Walk::Descend;
             }
-            ExprKind::Index { base, index } => {
-                if let Some(f) = self.x_field(base) {
-                    let f = f.to_string();
-                    self.note(&f); // x.f[i]: element access, array stays put
-                } else {
-                    self.scan_expr(base);
-                }
-                self.scan_expr(index);
-            }
-            ExprKind::Builtin { kind, args, .. } => {
-                let measured = matches!(kind, Builtin::Len | Builtin::Cap | Builtin::Delete);
-                for (i, a) in args.iter().enumerate() {
-                    if i == 0 && measured {
-                        if let Some(f) = self.x_field(a) {
-                            let f = f.to_string();
-                            self.note(&f);
-                            continue;
-                        }
-                    }
-                    self.scan_expr(a);
-                }
-            }
-            ExprKind::Unary { operand, .. } => self.scan_expr(operand),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.scan_expr(lhs);
-                self.scan_expr(rhs);
-            }
-            ExprKind::Field { base, .. } => self.scan_expr(base),
-            ExprKind::SliceExpr { base, lo, hi } => {
-                self.scan_expr(base);
-                for b in [lo, hi].into_iter().flatten() {
-                    self.scan_expr(b);
-                }
-            }
-            ExprKind::Call { args, .. } => args.iter().for_each(|a| self.scan_expr(a)),
-            ExprKind::StructLit { fields, .. } => fields.iter().for_each(|f| self.scan_expr(f)),
-            ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::StrLit(_) | ExprKind::Nil => {}
+            ExprKind::Index { base, index } => (self.x_field(base), std::slice::from_ref(index)),
+            ExprKind::Builtin {
+                kind: Builtin::Len | Builtin::Cap | Builtin::Delete,
+                args,
+                ..
+            } => match args.split_first() {
+                Some((first, rest)) => (self.x_field(first), rest),
+                None => return Walk::Descend,
+            },
+            _ => return Walk::Descend,
+        };
+        let Some(f) = consumed else {
+            return Walk::Descend;
+        };
+        self.note(f);
+        for r in rest {
+            let _ = r.walk(self);
         }
+        Walk::Skip
     }
-
-    fn scan_stmt(&mut self, s: &Stmt) {
-        match &s.kind {
-            StmtKind::Assign { lhs, op, rhs } => {
-                if lhs.len() == rhs.len() {
-                    for (l, r) in lhs.iter().zip(rhs) {
-                        if let Some(f) = self.x_field(l) {
-                            let f = f.to_string();
-                            self.note(&f);
-                            if op.is_some() || !is_fresh(r) {
-                                self.mark_bad(&f);
-                            }
-                            if !is_fresh(r) {
-                                self.scan_expr(r);
-                            }
-                            continue;
-                        }
-                        self.scan_lvalue(l);
-                        self.scan_expr(r);
-                    }
-                } else {
-                    // Multi-value call RHS: opaque provenance.
-                    for l in lhs {
-                        if let Some(f) = self.x_field(l) {
-                            let f = f.to_string();
-                            self.note(&f);
-                            self.mark_bad(&f);
-                        } else {
-                            self.scan_lvalue(l);
-                        }
-                    }
-                    rhs.iter().for_each(|r| self.scan_expr(r));
-                }
-            }
-            StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
-                init.iter().for_each(|e| self.scan_expr(e))
-            }
-            StmtKind::If { cond, then, els } => {
-                self.scan_expr(cond);
-                self.scan_block(then);
-                if let Some(e) = els {
-                    self.scan_stmt(e);
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                post,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.scan_stmt(i);
-                }
-                if let Some(c) = cond {
-                    self.scan_expr(c);
-                }
-                if let Some(p) = post {
-                    self.scan_stmt(p);
-                }
-                self.scan_block(body);
-            }
-            StmtKind::Return { exprs } => exprs.iter().for_each(|e| self.scan_expr(e)),
-            StmtKind::Expr { expr } => self.scan_expr(expr),
-            StmtKind::BlockStmt { block } => self.scan_block(block),
-            StmtKind::Defer { call } => self.scan_expr(call),
-            StmtKind::Switch {
-                subject,
-                cases,
-                default,
-            } => {
-                self.scan_expr(subject);
-                for case in cases {
-                    case.values.iter().for_each(|v| self.scan_expr(v));
-                    self.scan_block(&case.body);
-                }
-                if let Some(d) = default {
-                    self.scan_block(d);
-                }
-            }
-            StmtKind::Free { target, .. } => self.scan_expr(target),
-            StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-
-    /// An assignment target that is not `x.f` itself: `x.f[i] = v` and
-    /// `x.f[k] = v` keep the storage in place and are allowed.
-    fn scan_lvalue(&mut self, l: &Expr) {
-        if let ExprKind::Index { base, index } = &l.kind {
-            if let Some(f) = self.x_field(base) {
-                let f = f.to_string();
-                self.note(&f);
-                self.scan_expr(index);
-                return;
-            }
-        }
-        self.scan_expr(l);
-    }
-
-    fn scan_block(&mut self, b: &Block) {
-        // Nested blocks keep the enclosing top-level attribution.
-        for s in &b.stmts {
-            self.scan_stmt(s);
-        }
-    }
-}
-
-/// Finds the statement list of the block declaring `x` at top level.
-fn find_decl_block<'p>(res: &Resolution, body: &'p Block, x: VarId) -> Option<&'p [Stmt]> {
-    fn declares(res: &Resolution, s: &Stmt, x: VarId) -> bool {
-        matches!(
-            s.kind,
-            StmtKind::VarDecl { .. } | StmtKind::ShortDecl { .. }
-        ) && (0..16).any(|i| res.decl_of(s.id, i) == Some(x))
-    }
-    fn walk<'p>(res: &Resolution, b: &'p Block, x: VarId) -> Option<&'p [Stmt]> {
-        if b.stmts.iter().any(|s| declares(res, s, x)) {
-            return Some(&b.stmts);
-        }
-        for s in &b.stmts {
-            let found = match &s.kind {
-                StmtKind::If { then, els, .. } => walk(res, then, x).or_else(|| {
-                    els.as_ref().and_then(|e| match &e.kind {
-                        StmtKind::BlockStmt { block } => walk(res, block, x),
-                        StmtKind::If { .. } => {
-                            // else-if chain: wrap through recursion.
-                            let tmp = std::slice::from_ref(&**e);
-                            tmp.iter().find_map(|s| match &s.kind {
-                                StmtKind::If { then, els, .. } => {
-                                    walk(res, then, x).or_else(|| {
-                                        els.as_ref().and_then(|e2| match &e2.kind {
-                                            StmtKind::BlockStmt { block } => walk(res, block, x),
-                                            _ => None,
-                                        })
-                                    })
-                                }
-                                _ => None,
-                            })
-                        }
-                        _ => None,
-                    })
-                }),
-                StmtKind::For { body, .. } => walk(res, body, x),
-                StmtKind::BlockStmt { block } => walk(res, block, x),
-                StmtKind::Switch { cases, default, .. } => cases
-                    .iter()
-                    .find_map(|c| walk(res, &c.body, x))
-                    .or_else(|| default.as_ref().and_then(|d| walk(res, d, x))),
-                _ => None,
-            };
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
-    }
-    walk(res, body, x)
 }

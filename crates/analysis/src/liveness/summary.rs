@@ -12,9 +12,8 @@
 //! which is what makes the refinement context-sensitive rather than a
 //! per-function bit.
 
-use minigo_syntax::{
-    Block, Expr, ExprKind, FuncId, IdMap, Program, Resolution, Stmt, StmtKind, VarId,
-};
+use minigo_syntax::visit::{Node, Visitor, Walk};
+use minigo_syntax::{Expr, ExprKind, FuncId, IdMap, Program, Resolution, VarId};
 
 use crate::callgraph::CallGraph;
 
@@ -50,15 +49,17 @@ pub fn use_summaries(
         let params = res.params_of(fid);
         let mut used = vec![false; params.len()];
         // A recursive function's own summary is not available while we
-        // walk it; `arg_is_dead` below misses the lookup and counts the
-        // occurrence, which is the conservative answer.
-        let mut walker = UseWalker {
-            res,
-            summaries: &out,
-            params,
-            used: &mut used,
-        };
-        walker.block(&func.body);
+        // walk it; `arg_is_dead` misses the lookup and counts the
+        // occurrence, which is the conservative answer. A `tcfree(p)`
+        // counts as a use: the callee touching the referent (even to
+        // free it) matters to a caller deciding whether its own free may
+        // move earlier.
+        live_idents(&func.body, res, &out, |v| {
+            if let Some(i) = params.iter().position(|p| *p == v) {
+                used[i] = true;
+            }
+            false
+        });
         out.insert(fid, UseSummary { param_used: used });
     }
     out
@@ -83,124 +84,40 @@ pub(crate) fn arg_is_dead(
         .unwrap_or(false)
 }
 
-struct UseWalker<'a> {
-    res: &'a Resolution,
-    summaries: &'a IdMap<FuncId, UseSummary>,
-    params: &'a [VarId],
-    used: &'a mut [bool],
-}
-
-impl<'a> UseWalker<'a> {
-    fn mark(&mut self, expr_id: minigo_syntax::ExprId) {
-        if let Some(v) = self.res.def_of(expr_id) {
-            if let Some(i) = self.params.iter().position(|p| *p == v) {
-                self.used[i] = true;
-            }
-        }
+/// Calls `f` on the variable of every identifier under `node` that can
+/// touch its referent — every one except a bare argument handed to a
+/// callee position that provably never uses it ([`arg_is_dead`]). `f`
+/// answering `true` stops the walk, and then so does this: `true`.
+pub(crate) fn live_idents<N: Node>(
+    node: &N,
+    res: &Resolution,
+    summaries: &IdMap<FuncId, UseSummary>,
+    f: impl FnMut(VarId) -> bool,
+) -> bool {
+    struct Live<'r, F> {
+        res: &'r Resolution,
+        summaries: &'r IdMap<FuncId, UseSummary>,
+        f: F,
     }
-
-    fn expr(&mut self, e: &Expr) {
-        match &e.kind {
-            ExprKind::Ident(_) => self.mark(e.id),
-            ExprKind::Unary { operand, .. } => self.expr(operand),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            ExprKind::Field { base, .. } => self.expr(base),
-            ExprKind::Index { base, index } => {
-                self.expr(base);
-                self.expr(index);
-            }
-            ExprKind::SliceExpr { base, lo, hi } => {
-                self.expr(base);
-                for b in [lo, hi].into_iter().flatten() {
-                    self.expr(b);
-                }
-            }
-            ExprKind::Call { callee, args } => {
+    impl<'a, F: FnMut(VarId) -> bool> Visitor<'a> for Live<'_, F> {
+        fn expr(&mut self, e: &'a Expr) -> Walk {
+            if let ExprKind::Call { callee, args } = &e.kind {
                 for (i, a) in args.iter().enumerate() {
-                    if arg_is_dead(a, i, callee, self.res, self.summaries) {
-                        continue;
+                    if !arg_is_dead(a, i, callee, self.res, self.summaries)
+                        && a.walk(self).is_break()
+                    {
+                        return Walk::Stop;
                     }
-                    self.expr(a);
                 }
+                return Walk::Skip;
             }
-            ExprKind::Builtin { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
+            match self.res.def_of(e.id) {
+                Some(v) if (self.f)(v) => Walk::Stop,
+                _ => Walk::Descend,
             }
-            ExprKind::StructLit { fields, .. } => {
-                for f in fields {
-                    self.expr(f);
-                }
-            }
-            ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::StrLit(_) | ExprKind::Nil => {}
         }
     }
-
-    fn stmt(&mut self, s: &Stmt) {
-        match &s.kind {
-            StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
-                init.iter().for_each(|e| self.expr(e))
-            }
-            StmtKind::Assign { lhs, rhs, .. } => lhs.iter().chain(rhs).for_each(|e| self.expr(e)),
-            StmtKind::If { cond, then, els } => {
-                self.expr(cond);
-                self.block(then);
-                if let Some(e) = els {
-                    self.stmt(e);
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                post,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.stmt(i);
-                }
-                if let Some(c) = cond {
-                    self.expr(c);
-                }
-                if let Some(p) = post {
-                    self.stmt(p);
-                }
-                self.block(body);
-            }
-            StmtKind::Return { exprs } => exprs.iter().for_each(|e| self.expr(e)),
-            StmtKind::Expr { expr } => self.expr(expr),
-            StmtKind::BlockStmt { block } => self.block(block),
-            StmtKind::Defer { call } => self.expr(call),
-            StmtKind::Switch {
-                subject,
-                cases,
-                default,
-            } => {
-                self.expr(subject);
-                for case in cases {
-                    case.values.iter().for_each(|v| self.expr(v));
-                    self.block(&case.body);
-                }
-                if let Some(d) = default {
-                    self.block(d);
-                }
-            }
-            // A `tcfree(p)` occurrence counts as a use: the callee
-            // touching the referent (even to free it) matters to a
-            // caller deciding whether its own free may move earlier.
-            StmtKind::Free { target, .. } => self.expr(target),
-            StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-
-    fn block(&mut self, b: &Block) {
-        for s in &b.stmts {
-            self.stmt(s);
-        }
-    }
+    node.walk(&mut Live { res, summaries, f }).is_break()
 }
 
 #[cfg(test)]

@@ -52,7 +52,8 @@ use std::process::ExitCode;
 
 use gofree::cli::{number, positive, value, write_artifacts, CommonOptions, Observed};
 use gofree::{compile, execute, AuditMode, CompileOptions, RunConfig, ServiceConfig, Setting};
-use minigo_syntax::{Block, Expr, ExprId, ExprKind, Span, Stmt, StmtKind};
+use minigo_syntax::visit::{self, Walk};
+use minigo_syntax::{Builtin, ExprId, ExprKind, Span};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -561,109 +562,23 @@ fn print_analysis(compiled: &gofree::Compiled, only: Option<&str>) {
 fn collect_spans(program: &minigo_syntax::Program) -> HashMap<ExprId, (Span, String)> {
     let mut out = HashMap::new();
     for func in &program.funcs {
-        collect_block(&func.body, &func.name, &mut out);
-    }
-    out
-}
-
-fn collect_block(block: &Block, fname: &str, out: &mut HashMap<ExprId, (Span, String)>) {
-    for stmt in &block.stmts {
-        collect_stmt(stmt, fname, out);
-    }
-}
-
-fn collect_stmt(stmt: &Stmt, fname: &str, out: &mut HashMap<ExprId, (Span, String)>) {
-    let mut visit = |e: &Expr| collect_expr(e, fname, out);
-    match &stmt.kind {
-        StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
-            init.iter().for_each(&mut visit)
-        }
-        StmtKind::Assign { lhs, rhs, .. } => {
-            lhs.iter().for_each(&mut visit);
-            rhs.iter().for_each(&mut visit);
-        }
-        StmtKind::If { cond, then, els } => {
-            visit(cond);
-            collect_block(then, fname, out);
-            if let Some(els) = els {
-                collect_stmt(els, fname, out);
-            }
-        }
-        StmtKind::For {
-            init,
-            cond,
-            post,
-            body,
-        } => {
-            if let Some(init) = init {
-                collect_stmt(init, fname, out);
-            }
-            if let Some(cond) = cond {
-                collect_expr(cond, fname, out);
-            }
-            if let Some(post) = post {
-                collect_stmt(post, fname, out);
-            }
-            collect_block(body, fname, out);
-        }
-        StmtKind::Return { exprs } => exprs.iter().for_each(&mut visit),
-        StmtKind::Expr { expr } => visit(expr),
-        StmtKind::BlockStmt { block } => collect_block(block, fname, out),
-        StmtKind::Defer { call } => visit(call),
-        StmtKind::Switch {
-            subject,
-            cases,
-            default,
-        } => {
-            collect_expr(subject, fname, out);
-            for case in cases {
-                case.values.iter().for_each(|v| collect_expr(v, fname, out));
-                collect_block(&case.body, fname, out);
-            }
-            if let Some(default) = default {
-                collect_block(default, fname, out);
-            }
-        }
-        StmtKind::Break | StmtKind::Continue => {}
-        StmtKind::Free { target, .. } => visit(target),
-    }
-}
-
-fn collect_expr(e: &Expr, fname: &str, out: &mut HashMap<ExprId, (Span, String)>) {
-    match &e.kind {
-        ExprKind::Builtin { kind, args, .. } => {
-            let what = match kind {
-                minigo_syntax::Builtin::Make => Some(format!("make (in {fname})")),
-                minigo_syntax::Builtin::New => Some(format!("new (in {fname})")),
-                minigo_syntax::Builtin::Append => Some(format!("append growth (in {fname})")),
+        let fname = &func.name;
+        visit::exprs(&func.body, |e| {
+            let what = match &e.kind {
+                ExprKind::Builtin { kind, .. } => match kind {
+                    Builtin::Make => Some(format!("make (in {fname})")),
+                    Builtin::New => Some(format!("new (in {fname})")),
+                    Builtin::Append => Some(format!("append growth (in {fname})")),
+                    _ => None,
+                },
+                ExprKind::StructLit { name, .. } => Some(format!("&{name}{{}} (in {fname})")),
                 _ => None,
             };
             if let Some(what) = what {
                 out.insert(e.id, (e.span, what));
             }
-            args.iter().for_each(|a| collect_expr(a, fname, out));
-        }
-        ExprKind::StructLit { name, fields } => {
-            out.insert(e.id, (e.span, format!("&{name}{{}} (in {fname})")));
-            fields.iter().for_each(|f| collect_expr(f, fname, out));
-        }
-        ExprKind::Unary { operand, .. } => collect_expr(operand, fname, out),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_expr(lhs, fname, out);
-            collect_expr(rhs, fname, out);
-        }
-        ExprKind::Field { base, .. } => collect_expr(base, fname, out),
-        ExprKind::Index { base, index } => {
-            collect_expr(base, fname, out);
-            collect_expr(index, fname, out);
-        }
-        ExprKind::SliceExpr { base, lo, hi } => {
-            collect_expr(base, fname, out);
-            for bound in [lo, hi].into_iter().flatten() {
-                collect_expr(bound, fname, out);
-            }
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(|a| collect_expr(a, fname, out)),
-        _ => {}
+            Walk::Descend
+        });
     }
+    out
 }

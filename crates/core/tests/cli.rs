@@ -151,6 +151,7 @@ fn every_failure_exits_1_with_one_line() {
             err.starts_with("minigo: ") && err.contains(want),
             "{label}: {err}"
         );
+        err.into_owned()
     };
 
     // 300 bytes off a fixed LCG: not UTF-8 (and not MiniGo).
@@ -190,6 +191,57 @@ fn every_failure_exits_1_with_one_line() {
     ] {
         let path = write_temp(name, src);
         fails(name, &["run", path.to_str().unwrap()], want);
+        let _ = std::fs::remove_file(path);
+    }
+
+    // Nesting far past the parser's budget: an error at the first level
+    // too deep (`line:col: error: nesting too deep ...`), never a stack
+    // overflow in the parser, a later pass or the tree's drop.
+    let deep = 200_000;
+    let arms: String = (1..=20_000)
+        .map(|k| format!(" else if x == {k} {{ }}"))
+        .collect();
+    for (name, src) in [
+        (
+            "parens",
+            format!(
+                "func main() {{ x := {}1{} }}",
+                "(".repeat(deep),
+                ")".repeat(deep)
+            ),
+        ),
+        (
+            "blocks",
+            format!("func main() {{ {}{} }}", "{".repeat(deep), "}".repeat(deep)),
+        ),
+        (
+            "unary",
+            format!("func main() {{ x := {}1 }}", "-".repeat(deep)),
+        ),
+        (
+            "operators",
+            format!("func main() {{ x := 1{} }}", "+1".repeat(deep)),
+        ),
+        (
+            "postfix",
+            format!(
+                "func main() {{ s := make([]int, 1)\n x := s{} }}",
+                "[0:1]".repeat(deep)
+            ),
+        ),
+        (
+            "else-if",
+            format!("func main() {{ x := 1\n if x == 0 {{ }}{arms} }}"),
+        ),
+    ] {
+        let path = write_temp(name, src);
+        let err = fails(name, &["run", path.to_str().unwrap()], "nesting too deep");
+        let mut at = err["minigo: ".len()..].split(':');
+        let mut number = || at.next().and_then(|n| n.parse::<usize>().ok());
+        assert!(
+            number().is_some() && number().is_some(),
+            "{name}: no line:col in {err}"
+        );
         let _ = std::fs::remove_file(path);
     }
 

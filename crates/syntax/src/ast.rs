@@ -159,6 +159,17 @@ pub struct Stmt {
     pub span: Span,
 }
 
+impl Stmt {
+    /// Whether control never falls through to the next statement:
+    /// `return`, `break` or `continue`.
+    pub fn is_terminator(&self) -> bool {
+        matches!(
+            self.kind,
+            StmtKind::Return { .. } | StmtKind::Break | StmtKind::Continue
+        )
+    }
+}
+
 /// Statement kinds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {

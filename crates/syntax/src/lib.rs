@@ -38,6 +38,7 @@ pub mod span;
 pub mod token;
 pub mod typecheck;
 pub mod types;
+pub mod visit;
 
 pub use ast::{
     BinOp, Block, BlockId, Builtin, Expr, ExprId, ExprKind, FreeKind, Func, FuncId, Param, Program,

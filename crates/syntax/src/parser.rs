@@ -14,6 +14,7 @@ use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use crate::types::Type;
+use crate::visit::{self, Walk};
 
 /// Parses a complete MiniGo program.
 ///
@@ -39,6 +40,16 @@ pub fn parse_expr(src: &str) -> Result<Expr> {
     Ok(e)
 }
 
+/// The deepest nesting a program may have. Every construct that puts
+/// one thing inside another counts a level: an expression position
+/// (statement operands, call and index arguments, parentheses, struct
+/// fields), a unary operator, a block, an `else if`, a composite type,
+/// and each link of an operator chain (`1+1+…`) or a postfix chain
+/// (`a[0][0]…`, `x.f.g…`). The parser rejects a deeper program while
+/// building the offending node, so no pass — nor the parser itself, nor
+/// dropping the tree — ever recurses further.
+pub const MAX_NESTING: u32 = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -48,6 +59,11 @@ struct Parser {
     /// When true, an identifier followed by `{` is *not* a struct literal
     /// (inside `if`/`for` headers, as in Go).
     no_struct_lit: bool,
+    /// Nesting levels open at the current token.
+    depth: u32,
+    /// The height of every expression built so far, by id: a chain link
+    /// deepens everything under it without the parser recursing.
+    heights: Vec<u32>,
 }
 
 impl Parser {
@@ -59,7 +75,27 @@ impl Parser {
             next_stmt: 0,
             next_block: 0,
             no_struct_lit: false,
+            depth: 0,
+            heights: Vec::new(),
         }
+    }
+
+    fn too_deep(span: Span) -> Diagnostic {
+        Diagnostic::new(
+            format!("nesting too deep (more than {MAX_NESTING} levels)"),
+            span,
+        )
+    }
+
+    /// Runs `f` one nesting level further in.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(Self::too_deep(self.span()));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     // ---- token helpers ----
@@ -157,12 +193,25 @@ impl Parser {
         id
     }
 
-    fn mk_expr(&mut self, kind: ExprKind, span: Span) -> Expr {
-        Expr {
+    fn mk_expr(&mut self, kind: ExprKind, span: Span) -> Result<Expr> {
+        let e = Expr {
             id: self.expr_id(),
             kind,
             span,
+        };
+        let mut below = 0;
+        visit::exprs(&e, |c| {
+            if c.id == e.id {
+                return Walk::Descend;
+            }
+            below = below.max(self.heights[c.id.index()]);
+            Walk::Skip
+        });
+        self.heights.push(below + 1);
+        if self.depth + below + 1 > MAX_NESTING {
+            return Err(Self::too_deep(e.span));
         }
+        Ok(e)
     }
 
     fn mk_stmt(&mut self, kind: StmtKind, span: Span) -> Stmt {
@@ -304,19 +353,19 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Star => {
                 self.bump();
-                Ok(Type::ptr(self.ty()?))
+                Ok(Type::ptr(self.nested(Self::ty)?))
             }
             TokenKind::LBracket => {
                 self.bump();
                 self.expect(&TokenKind::RBracket)?;
-                Ok(Type::slice(self.ty()?))
+                Ok(Type::slice(self.nested(Self::ty)?))
             }
             TokenKind::Map => {
                 self.bump();
                 self.expect(&TokenKind::LBracket)?;
-                let key = self.ty()?;
+                let key = self.nested(Self::ty)?;
                 self.expect(&TokenKind::RBracket)?;
-                let value = self.ty()?;
+                let value = self.nested(Self::ty)?;
                 Ok(Type::map(key, value))
             }
             TokenKind::Ident(name) => {
@@ -338,6 +387,10 @@ impl Parser {
     // ---- statements ----
 
     fn block(&mut self) -> Result<Block> {
+        self.nested(Self::block_body)
+    }
+
+    fn block_body(&mut self) -> Result<Block> {
         let id = self.block_id();
         let start = self.expect(&TokenKind::LBrace)?;
         self.eat_semis();
@@ -496,7 +549,7 @@ impl Parser {
         let then = self.block()?;
         let els = if self.eat(&TokenKind::Else) {
             if self.at(&TokenKind::If) {
-                Some(Box::new(self.if_stmt()?))
+                Some(Box::new(self.nested(Self::if_stmt)?))
             } else {
                 let block = self.block()?;
                 let sp = block.span;
@@ -587,14 +640,14 @@ impl Parser {
             if self.eat(&TokenKind::Case) {
                 let values = self.expr_list()?;
                 self.expect(&TokenKind::Colon)?;
-                let body = self.case_body()?;
+                let body = self.nested(Self::case_body)?;
                 cases.push(SwitchCase { values, body });
             } else if self.eat(&TokenKind::Default) {
                 self.expect(&TokenKind::Colon)?;
                 if default.is_some() {
                     return Err(Diagnostic::new("duplicate default case", self.prev_span()));
                 }
-                default = Some(self.case_body()?);
+                default = Some(self.nested(Self::case_body)?);
             } else {
                 return Err(Diagnostic::new(
                     format!(
@@ -682,7 +735,7 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr> {
-        self.binary_expr(0)
+        self.nested(|p| p.binary_expr(0))
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr> {
@@ -717,7 +770,7 @@ impl Parser {
                     rhs: Box::new(rhs),
                 },
                 span,
-            );
+            )?;
         }
         Ok(lhs)
     }
@@ -733,15 +786,15 @@ impl Parser {
         if let Some(op) = op {
             let start = self.span();
             self.bump();
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Self::unary_expr)?;
             let span = start.merge(operand.span);
-            return Ok(self.mk_expr(
+            return self.mk_expr(
                 ExprKind::Unary {
                     op,
                     operand: Box::new(operand),
                 },
                 span,
-            ));
+            );
         }
         self.postfix_expr()
     }
@@ -760,7 +813,7 @@ impl Parser {
                             name,
                         },
                         span,
-                    );
+                    )?;
                 }
                 TokenKind::LBracket => {
                     self.bump();
@@ -790,7 +843,7 @@ impl Parser {
                                 hi,
                             },
                             span,
-                        );
+                        )?;
                     } else {
                         self.no_struct_lit = saved;
                         let index = lo.ok_or_else(|| {
@@ -804,7 +857,7 @@ impl Parser {
                                 index: Box::new(index),
                             },
                             span,
-                        );
+                        )?;
                     }
                 }
                 _ => break,
@@ -818,23 +871,23 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(self.mk_expr(ExprKind::IntLit(v), start))
+                self.mk_expr(ExprKind::IntLit(v), start)
             }
             TokenKind::True => {
                 self.bump();
-                Ok(self.mk_expr(ExprKind::BoolLit(true), start))
+                self.mk_expr(ExprKind::BoolLit(true), start)
             }
             TokenKind::False => {
                 self.bump();
-                Ok(self.mk_expr(ExprKind::BoolLit(false), start))
+                self.mk_expr(ExprKind::BoolLit(false), start)
             }
             TokenKind::Nil => {
                 self.bump();
-                Ok(self.mk_expr(ExprKind::Nil, start))
+                self.mk_expr(ExprKind::Nil, start)
             }
             TokenKind::Str(s) => {
                 self.bump();
-                Ok(self.mk_expr(ExprKind::StrLit(s), start))
+                self.mk_expr(ExprKind::StrLit(s), start)
             }
             TokenKind::LParen => {
                 self.bump();
@@ -853,7 +906,7 @@ impl Parser {
                 if self.at(&TokenKind::LBrace) && !self.no_struct_lit {
                     return self.struct_lit(name, start);
                 }
-                Ok(self.mk_expr(ExprKind::Ident(name), start))
+                self.mk_expr(ExprKind::Ident(name), start)
             }
             other => Err(Diagnostic::new(
                 format!("expected expression, found {}", other.describe()),
@@ -875,7 +928,7 @@ impl Parser {
         }
         self.eat_semis();
         let end = self.expect(&TokenKind::RBrace)?;
-        Ok(self.mk_expr(ExprKind::StructLit { name, fields }, start.merge(end)))
+        self.mk_expr(ExprKind::StructLit { name, fields }, start.merge(end))
     }
 
     fn call_or_builtin(&mut self, name: String, start: Span) -> Result<Expr> {
@@ -904,14 +957,14 @@ impl Parser {
                 }
             }
             let end = self.expect(&TokenKind::RParen)?;
-            return Ok(self.mk_expr(
+            return self.mk_expr(
                 ExprKind::Builtin {
                     kind: builtin,
                     ty_args,
                     args,
                 },
                 start.merge(end),
-            ));
+            );
         }
         let mut args = Vec::new();
         while !self.at(&TokenKind::RParen) {
@@ -921,13 +974,13 @@ impl Parser {
             }
         }
         let end = self.expect(&TokenKind::RParen)?;
-        Ok(self.mk_expr(
+        self.mk_expr(
             ExprKind::Call {
                 callee: name.to_string(),
                 args,
             },
             start.merge(end),
-        ))
+        )
     }
 }
 

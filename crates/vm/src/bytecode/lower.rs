@@ -21,7 +21,7 @@ use minigo_syntax::{
 
 use super::ir::{BFunc, Const, Instr, Module};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::interp::collect_addr_taken_block;
+use crate::interp::addr_taken_vars;
 
 /// Lowers a checked (and, in GoFree mode, instrumented) program to
 /// bytecode. Never fails: see the module docs.
@@ -83,8 +83,7 @@ fn lower_func(
     analysis: &Analysis,
     consts: &mut ConstPool,
 ) -> BFunc {
-    let mut addr_taken = FxHashSet::default();
-    collect_addr_taken_block(&func.body, res, &mut addr_taken);
+    let addr_taken = addr_taken_vars(&func.body, res);
 
     // Dense slot assignment: every variable the resolver attributed to
     // this function, in VarId order (parameters and results first, since

@@ -12,6 +12,7 @@
 use std::rc::Rc;
 
 use minigo_escape::{AllocPlace, Analysis};
+use minigo_syntax::visit::{self, Walk};
 use minigo_syntax::{
     BinOp, Block, Builtin, Expr, ExprKind, FuncId, IdMap, Program, Resolution, Stmt, StmtKind,
     Type, TypeInfo, UnOp, VarId,
@@ -93,10 +94,11 @@ impl<'p> TreeWalk<'p> {
         types: &'p TypeInfo,
         analysis: &'p Analysis,
     ) -> Self {
-        let mut addr_taken = IdMap::default();
-        for func in &program.funcs {
-            collect_addr_taken_block(&func.body, res, addr_taken.or_default(func.id));
-        }
+        let addr_taken: IdMap<FuncId, _> = program
+            .funcs
+            .iter()
+            .map(|func| (func.id, addr_taken_vars(&func.body, res)))
+            .collect();
         TreeWalk {
             program,
             res,
@@ -793,115 +795,22 @@ fn make_slot(value: Value, boxed: bool) -> Slot {
     }
 }
 
-pub(crate) fn collect_addr_taken_block(
-    block: &Block,
-    res: &Resolution,
-    out: &mut FxHashSet<VarId>,
-) {
-    for stmt in &block.stmts {
-        collect_addr_taken_stmt(stmt, res, out);
-    }
-}
-
-fn collect_addr_taken_stmt(stmt: &Stmt, res: &Resolution, out: &mut FxHashSet<VarId>) {
-    let mut visit_expr = |e: &Expr| collect_addr_taken_expr(e, res, out);
-    match &stmt.kind {
-        StmtKind::VarDecl { init, .. } | StmtKind::ShortDecl { init, .. } => {
-            init.iter().for_each(&mut visit_expr)
-        }
-        StmtKind::Assign { lhs, rhs, .. } => {
-            lhs.iter().for_each(&mut visit_expr);
-            rhs.iter().for_each(&mut visit_expr);
-        }
-        StmtKind::If { cond, then, els } => {
-            visit_expr(cond);
-            collect_addr_taken_block(then, res, out);
-            if let Some(els) = els {
-                collect_addr_taken_stmt(els, res, out);
-            }
-        }
-        StmtKind::For {
-            init,
-            cond,
-            post,
-            body,
-        } => {
-            if let Some(init) = init {
-                collect_addr_taken_stmt(init, res, out);
-            }
-            if let Some(cond) = cond {
-                collect_addr_taken_expr(cond, res, out);
-            }
-            if let Some(post) = post {
-                collect_addr_taken_stmt(post, res, out);
-            }
-            collect_addr_taken_block(body, res, out);
-        }
-        StmtKind::Return { exprs } => exprs.iter().for_each(&mut visit_expr),
-        StmtKind::Expr { expr } => visit_expr(expr),
-        StmtKind::BlockStmt { block } => collect_addr_taken_block(block, res, out),
-        StmtKind::Defer { call } => visit_expr(call),
-        StmtKind::Switch {
-            subject,
-            cases,
-            default,
-        } => {
-            collect_addr_taken_expr(subject, res, out);
-            for case in cases {
-                for v in &case.values {
-                    collect_addr_taken_expr(v, res, out);
-                }
-                collect_addr_taken_block(&case.body, res, out);
-            }
-            if let Some(default) = default {
-                collect_addr_taken_block(default, res, out);
-            }
-        }
-        StmtKind::Break | StmtKind::Continue => {}
-        StmtKind::Free { target, .. } => visit_expr(target),
-    }
-}
-
-fn collect_addr_taken_expr(e: &Expr, res: &Resolution, out: &mut FxHashSet<VarId>) {
-    match &e.kind {
-        ExprKind::Unary {
+/// The variables whose address (`&x`) the function body takes.
+pub(crate) fn addr_taken_vars(body: &Block, res: &Resolution) -> FxHashSet<VarId> {
+    let mut out = FxHashSet::default();
+    visit::exprs(body, |e| {
+        if let ExprKind::Unary {
             op: UnOp::Addr,
             operand,
-        } => {
+        } = &e.kind
+        {
             if let ExprKind::Ident(_) = &operand.kind {
-                if let Some(v) = res.def_of(operand.id) {
-                    out.insert(v);
-                }
-            }
-            collect_addr_taken_expr(operand, res, out);
-        }
-        ExprKind::Unary { operand, .. } => collect_addr_taken_expr(operand, res, out),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_addr_taken_expr(lhs, res, out);
-            collect_addr_taken_expr(rhs, res, out);
-        }
-        ExprKind::Field { base, .. } => collect_addr_taken_expr(base, res, out),
-        ExprKind::Index { base, index } => {
-            collect_addr_taken_expr(base, res, out);
-            collect_addr_taken_expr(index, res, out);
-        }
-        ExprKind::SliceExpr { base, lo, hi } => {
-            collect_addr_taken_expr(base, res, out);
-            for bound in [lo, hi].into_iter().flatten() {
-                collect_addr_taken_expr(bound, res, out);
+                out.extend(res.def_of(operand.id));
             }
         }
-        ExprKind::Call { args, .. } | ExprKind::Builtin { args, .. } => {
-            args.iter()
-                .for_each(|a| collect_addr_taken_expr(a, res, out));
-        }
-        ExprKind::StructLit { fields, .. } => {
-            fields
-                .iter()
-                .for_each(|f| collect_addr_taken_expr(f, res, out));
-        }
-        _ => {}
-    }
+        Walk::Descend
+    });
+    out
 }
 
 #[cfg(test)]

@@ -225,3 +225,68 @@ fn lastuse_introduces_no_new_unproven_sites() {
         );
     }
 }
+
+/// A struct local declared three arms down an `else if` chain is found
+/// like any other: both of its fields get a partial free, each proved by
+/// the auditor, and the program prints what it printed before.
+#[test]
+fn struct_local_in_a_third_else_if_arm_is_partially_freed() {
+    let src = r#"
+type T struct {
+    a []int
+    b map[int]int
+}
+
+func f(n int) int {
+    r := 0
+    if n == 0 {
+        r = 1
+    } else if n == 1 {
+        r = 2
+    } else if n > 1 {
+        x := &T{make([]int, n), make(map[int]int)}
+        x.a[0] = n
+        r = x.a[0]
+        x.b[1] = r
+        r += x.b[1]
+        print(r)
+        print(n)
+    }
+    return r
+}
+
+func main() {
+    print(f(5))
+}
+"#;
+    let opts = CompileOptions {
+        audit: AuditMode::Warn,
+        free_placement: FreePlacement::LastUse,
+        ..CompileOptions::default()
+    };
+    let lastuse = compile(src, &opts).expect("compiles");
+    assert_eq!(lastuse.placement.expect("stats").partial_frees, 2);
+    let audit = lastuse.audit.as_ref().expect("audit ran");
+    let partial: Vec<_> = audit
+        .sites
+        .iter()
+        .filter(|s| s.target.starts_with("x."))
+        .collect();
+    assert_eq!(partial.len(), 2, "{}", audit.render());
+    assert!(
+        partial.iter().all(|s| s.verdict.is_proved()),
+        "{}",
+        audit.render()
+    );
+    let scope = compile_placed("else-if", src, FreePlacement::Scope);
+    for engine in [VmEngine::TreeWalk, VmEngine::Bytecode] {
+        let cfg = RunConfig {
+            engine,
+            ..RunConfig::deterministic(2)
+        };
+        let s = execute(&scope, Setting::GoFree, &cfg).unwrap();
+        let l = execute(&lastuse, Setting::GoFree, &cfg).unwrap();
+        assert_eq!(l.output, "10\n5\n10\n");
+        assert_eq!(s.output, l.output, "{engine}");
+    }
+}
