@@ -163,6 +163,7 @@ pub fn analyze(
         let s = solve(&mut fg.graph, &solve_cfg);
         stats.solve.walks += s.walks;
         stats.solve.relaxations += s.relaxations;
+        stats.solve.reached += s.reached;
         stats.solve.passes += s.passes;
         stats.solve.skipped_walks += s.skipped_walks;
         let summary = extract_summary(program, res, &fg, opts);

@@ -104,8 +104,7 @@ pub fn build_func_graph(
     // The per-function return dummy (definition 4.2): HeapAlloc(return) is
     // true (def 4.10) and DeclDepth(return) = -1 (def 4.13), which makes
     // every pointer to a returned object Outlived inside the callee.
-    let ret =
-        b.g.add_location(LocKind::ReturnDummy, "return", -1, -1, true);
+    let ret = b.g.add_location(LocKind::ReturnDummy, -1, -1, true);
     b.g.loc_mut(ret).heap_alloc = true;
     b.return_dummy = ret;
 
@@ -116,7 +115,6 @@ pub fn build_func_graph(
         let pointerful = ty.map(|t| types.contains_pointers(t)).unwrap_or(true);
         let loc = b.g.add_location(
             LocKind::Var(vid),
-            info.name.clone(),
             info.loop_depth,
             info.decl_depth,
             pointerful,
@@ -132,7 +130,6 @@ pub fn build_func_graph(
         let pointerful = b.g.loc(rloc).pointerful;
         let tag = b.g.add_location(
             LocKind::Content(ContentOrigin::CallResult(ExprId(u32::MAX), j)),
-            format!("ContentTag(${j})"),
             0,
             1,
             pointerful,
@@ -196,7 +193,6 @@ impl<'a> Builder<'a> {
     fn temp(&mut self, e: &Expr, pointerful: bool) -> LocId {
         self.g.add_location(
             LocKind::Temp(e.id),
-            format!("tmp@{}", e.id),
             self.loop_depth,
             self.decl_depth,
             pointerful,
@@ -498,7 +494,6 @@ impl<'a> Builder<'a> {
                 // map then points to.
                 let grow = self.g.add_location(
                     LocKind::Content(ContentOrigin::MapGrowth(site)),
-                    "mapGrow",
                     self.loop_depth,
                     self.decl_depth,
                     true,
@@ -575,7 +570,7 @@ impl<'a> Builder<'a> {
                         ),
                         None => (None, true),
                     };
-                    let a = self.alloc_loc(e, AllocKind::Object, size, "structLit", pointerful);
+                    let a = self.alloc_loc(e, AllocKind::Object, size, pointerful);
                     for f in fields {
                         self.connect(a, 0, f);
                     }
@@ -605,12 +600,10 @@ impl<'a> Builder<'a> {
         e: &Expr,
         kind: AllocKind,
         const_size: Option<u64>,
-        name: &str,
         pointerful: bool,
     ) -> LocId {
         let loc = self.g.add_location(
             LocKind::Alloc(e.id, kind),
-            format!("{name}@{}", e.id),
             self.loop_depth,
             self.decl_depth,
             pointerful,
@@ -660,13 +653,7 @@ impl<'a> Builder<'a> {
                         });
                         let const_size = const_cap.map(|c| c * self.types.inline_size(elem));
                         let pointerful = self.types.contains_pointers(elem);
-                        let a = self.alloc_loc(
-                            e,
-                            AllocKind::SliceArray,
-                            const_size,
-                            "make",
-                            pointerful,
-                        );
+                        let a = self.alloc_loc(e, AllocKind::SliceArray, const_size, pointerful);
                         self.g.add_edge(a, dst, k - 1);
                     }
                     Type::Map(_, _) => {
@@ -683,7 +670,6 @@ impl<'a> Builder<'a> {
                             e,
                             AllocKind::MapBuckets,
                             Some(crate::MAP_BASE_BYTES),
-                            "makemap",
                             pointerful,
                         );
                         self.g.add_edge(a, dst, k - 1);
@@ -694,7 +680,7 @@ impl<'a> Builder<'a> {
             Builtin::New => {
                 let size = self.types.inline_size(&ty_args[0]);
                 let pointerful = self.types.contains_pointers(&ty_args[0]);
-                let a = self.alloc_loc(e, AllocKind::Object, Some(size), "new", pointerful);
+                let a = self.alloc_loc(e, AllocKind::Object, Some(size), pointerful);
                 self.g.add_edge(a, dst, k - 1);
             }
             Builtin::Append => {
@@ -703,7 +689,6 @@ impl<'a> Builder<'a> {
                 // ...or a fresh heap array from implicit growth (§4.6.1).
                 let m = self.g.add_location(
                     LocKind::Content(ContentOrigin::SliceAppend(e.id)),
-                    "appendGrow",
                     self.loop_depth,
                     self.decl_depth,
                     true,
@@ -787,7 +772,6 @@ impl<'a> Builder<'a> {
             // Content tag: what result j points to (callee allocations).
             let c = self.g.add_location(
                 LocKind::Content(ContentOrigin::CallResult(call.id, j)),
-                format!("ret{j}@{callee}"),
                 self.loop_depth,
                 self.decl_depth,
                 true,
@@ -845,19 +829,20 @@ mod tests {
         (p, r, t, fg)
     }
 
-    fn loc_by_name(fg: &FuncGraph, name: &str) -> LocId {
-        fg.graph
-            .ids()
-            .find(|&id| fg.graph.loc(id).name == name)
-            .unwrap_or_else(|| panic!("no location named {name}"))
+    fn loc_by_name(fg: &FuncGraph, res: &Resolution, name: &str) -> LocId {
+        let vid = res
+            .vars_of(fg.func)
+            .iter()
+            .find(|&&v| res.var(v).name == name);
+        fg.loc_of(*vid.unwrap_or_else(|| panic!("no variable named {name}")))
     }
 
     #[test]
     fn simple_pointer_flow() {
-        let (_, _, _, mut fg) = build_first("func f() { x := 1\n p := &x\n q := p\n q = q }\n");
+        let (_, r, _, mut fg) = build_first("func f() { x := 1\n p := &x\n q := p\n q = q }\n");
         solve(&mut fg.graph, &SolveConfig::default());
-        let x = loc_by_name(&fg, "x");
-        let q = loc_by_name(&fg, "q");
+        let x = loc_by_name(&fg, &r, "x");
+        let q = loc_by_name(&fg, &r, "q");
         assert_eq!(points_to(&fg.graph, q), vec![x]);
         assert!(!fg.graph.loc(x).heap_alloc, "nothing escapes");
     }
@@ -888,13 +873,13 @@ mod tests {
 
     #[test]
     fn indirect_store_escapes_value_and_exposes_pointer() {
-        let (_, _, _, mut fg) = build_first(
+        let (_, r, _, mut fg) = build_first(
             "func f() { c := 1\n d := 2\n pc := &c\n pd := &d\n ppd := &pd\n *ppd = pc\n pd2 := *ppd\n pd2 = pd2 }\n",
         );
         solve(&mut fg.graph, &SolveConfig::default());
-        let c = loc_by_name(&fg, "c");
-        let pd2 = loc_by_name(&fg, "pd2");
-        let ppd = loc_by_name(&fg, "ppd");
+        let c = loc_by_name(&fg, &r, "c");
+        let pd2 = loc_by_name(&fg, &r, "pd2");
+        let ppd = loc_by_name(&fg, &r, "ppd");
         // The indirect store exposed ppd and sent pc's value to the heap,
         // so c is heap-allocated (fig. 1)...
         assert!(fg.graph.loc(c).heap_alloc);
@@ -911,19 +896,19 @@ mod tests {
 
     #[test]
     fn return_makes_pointers_outlived() {
-        let (_, _, _, mut fg) =
+        let (_, r, _, mut fg) =
             build_first("func f() []int { s := make([]int, 100000)\n return s }\n");
         solve(&mut fg.graph, &SolveConfig::default());
-        let s = loc_by_name(&fg, "s");
+        let s = loc_by_name(&fg, &r, "s");
         assert!(fg.graph.loc(s).outlived, "returned object escapes");
         assert!(!fg.graph.loc(s).to_free());
     }
 
     #[test]
     fn local_heap_slice_is_freeable() {
-        let (_, _, _, mut fg) = build_first("func f(n int) { s := make([]int, n)\n s[0] = 1 }\n");
+        let (_, r, _, mut fg) = build_first("func f(n int) { s := make([]int, n)\n s[0] = 1 }\n");
         solve(&mut fg.graph, &SolveConfig::default());
-        let s = loc_by_name(&fg, "s");
+        let s = loc_by_name(&fg, &r, "s");
         let l = fg.graph.loc(s);
         assert!(l.points_to_heap);
         assert!(!l.incomplete);
@@ -933,43 +918,43 @@ mod tests {
 
     #[test]
     fn append_adds_heap_content() {
-        let (_, _, _, mut fg) = build_first(
+        let (_, r, _, mut fg) = build_first(
             "func f(n int) { var s []int\n for i := 0; i < n; i += 1 { s = append(s, i) }\n s[0] = 1 }\n",
         );
         solve(&mut fg.graph, &SolveConfig::default());
-        let s = loc_by_name(&fg, "s");
+        let s = loc_by_name(&fg, &r, "s");
         assert!(fg.graph.loc(s).points_to_heap);
         assert!(fg.graph.loc(s).to_free(), "append-grown local slice");
     }
 
     #[test]
     fn map_store_adds_growth_content() {
-        let (_, _, _, mut fg) = build_first(
+        let (_, r, _, mut fg) = build_first(
             "func f(n int) { m := make(map[int]int)\n for i := 0; i < n; i += 1 { m[i] = i } }\n",
         );
         solve(&mut fg.graph, &SolveConfig::default());
-        let m = loc_by_name(&fg, "m");
+        let m = loc_by_name(&fg, &r, "m");
         assert!(fg.graph.loc(m).points_to_heap, "growth buckets are heap");
         assert!(fg.graph.loc(m).to_free());
     }
 
     #[test]
     fn defer_pins_arguments() {
-        let (_, _, _, mut fg) =
+        let (_, r, _, mut fg) =
             build_first("func f(n int) { s := make([]int, n)\n defer print(len(s)) }\n");
         solve(&mut fg.graph, &SolveConfig::default());
-        let s = loc_by_name(&fg, "s");
+        let s = loc_by_name(&fg, &r, "s");
         assert!(fg.graph.loc(s).pinned);
         assert!(!fg.graph.loc(s).to_free());
     }
 
     #[test]
     fn loop_alloc_bound_to_outer_pointer_heap_allocates() {
-        let (_, _, _, mut fg) = build_first(
+        let (_, r, _, mut fg) = build_first(
             "func f(n int) { var keep *int\n for i := 0; i < n; i += 1 { x := i\n keep = &x }\n keep = keep }\n",
         );
         solve(&mut fg.graph, &SolveConfig::default());
-        let x = loc_by_name(&fg, "x");
+        let x = loc_by_name(&fg, &r, "x");
         assert!(
             fg.graph.loc(x).heap_alloc,
             "loop-carried address forces heap (def 4.10 loop rule)"
@@ -978,21 +963,21 @@ mod tests {
 
     #[test]
     fn params_are_incomplete() {
-        let (_, _, _, mut fg) = build_first("func f(p *int) { q := p\n q = q }\n");
+        let (_, r, _, mut fg) = build_first("func f(p *int) { q := p\n q = q }\n");
         solve(&mut fg.graph, &SolveConfig::default());
-        let p = loc_by_name(&fg, "p");
-        let q = loc_by_name(&fg, "q");
+        let p = loc_by_name(&fg, &r, "p");
+        let q = loc_by_name(&fg, &r, "q");
         assert!(fg.graph.loc(p).incomplete);
         assert!(fg.graph.loc(q).incomplete, "flows from an unknown param");
     }
 
     #[test]
     fn unknown_callee_uses_default_tag() {
-        let (_, _, _, mut fg) = build_first(
+        let (_, r, _, mut fg) = build_first(
             "func f(n int) []int { if n == 0 { return make([]int, 1) }\n r := f(n - 1)\n return r }\n",
         );
         solve(&mut fg.graph, &SolveConfig::default());
-        let r = loc_by_name(&fg, "r");
+        let r = loc_by_name(&fg, &r, "r");
         assert!(
             fg.graph.loc(r).incomplete,
             "recursive call gets the conservative default tag"
@@ -1020,11 +1005,11 @@ func nested(n int) {
     keep[0] = 3
 }
 "#;
-        let (_, _, _, mut fg) = build_first(src);
+        let (_, r, _, mut fg) = build_first(src);
         solve(&mut fg.graph, &SolveConfig::default());
-        assert!(fg.graph.loc(loc_by_name(&fg, "s1")).to_free());
-        assert!(fg.graph.loc(loc_by_name(&fg, "s2")).to_free());
-        let s3 = fg.graph.loc(loc_by_name(&fg, "s3"));
+        assert!(fg.graph.loc(loc_by_name(&fg, &r, "s1")).to_free());
+        assert!(fg.graph.loc(loc_by_name(&fg, &r, "s2")).to_free());
+        let s3 = fg.graph.loc(loc_by_name(&fg, &r, "s3"));
         assert!(s3.outlived);
         assert!(!s3.to_free());
     }

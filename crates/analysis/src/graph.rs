@@ -7,7 +7,9 @@
 
 use std::fmt;
 
-use minigo_syntax::{ExprId, FreeKind, VarId};
+use minigo_syntax::fxhash::FxHashMap;
+use minigo_syntax::visit::{self, Walk};
+use minigo_syntax::{Expr, ExprId, ExprKind, FreeKind, FuncId, Program, Resolution, VarId};
 
 /// Identifies a location (vertex) within one function's escape graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,10 +98,9 @@ pub struct Edge {
 /// Per-location solved properties (table 1) plus bookkeeping flags.
 #[derive(Debug, Clone)]
 pub struct Location {
-    /// What this location stands for.
+    /// What this location stands for (and, through [`Labels`], what it
+    /// is called when printed).
     pub kind: LocKind,
-    /// A printable name for debugging and experiment output.
-    pub name: String,
     /// `LoopDepth` (definition 4.3). Dummies use -1.
     pub loop_depth: i32,
     /// `DeclDepth` (definition 4.13). Dummies use -1.
@@ -150,6 +151,9 @@ pub struct EscapeGraph {
     edges: Vec<Edge>,
     /// Incoming edge indices per location (the solver walks reverse edges).
     incoming: Vec<Vec<u32>>,
+    /// Outgoing edge indices per location (the solver's dirty-root
+    /// closure follows forward edges).
+    outgoing: Vec<Vec<u32>>,
 }
 
 /// The conventional id of the `heapLoc` dummy: always the first location.
@@ -159,7 +163,7 @@ impl EscapeGraph {
     /// Creates a graph containing only the `heapLoc` dummy.
     pub fn new() -> Self {
         let mut g = EscapeGraph::default();
-        let heap = g.add_location(LocKind::HeapDummy, "heapLoc", -1, -1, true);
+        let heap = g.add_location(LocKind::HeapDummy, -1, -1, true);
         debug_assert_eq!(heap, HEAP_LOC);
         g.locs[heap.index()].heap_alloc = true;
         // Exposes(heapLoc) = true (definition 4.11): anything escaping into
@@ -172,7 +176,6 @@ impl EscapeGraph {
     pub fn add_location(
         &mut self,
         kind: LocKind,
-        name: impl Into<String>,
         loop_depth: i32,
         decl_depth: i32,
         pointerful: bool,
@@ -180,7 +183,6 @@ impl EscapeGraph {
         let id = LocId(self.locs.len() as u32);
         self.locs.push(Location {
             kind,
-            name: name.into(),
             loop_depth,
             decl_depth,
             pointerful,
@@ -194,6 +196,7 @@ impl EscapeGraph {
             pinned: false,
         });
         self.incoming.push(Vec::new());
+        self.outgoing.push(Vec::new());
         id
     }
 
@@ -207,6 +210,7 @@ impl EscapeGraph {
         let idx = self.edges.len() as u32;
         self.edges.push(Edge { src, dst, derefs });
         self.incoming[dst.index()].push(idx);
+        self.outgoing[src.index()].push(idx);
     }
 
     /// The location for an id.
@@ -246,6 +250,13 @@ impl EscapeGraph {
             .map(|&i| self.edges[i as usize])
     }
 
+    /// Outgoing edges of `src`.
+    pub fn outgoing(&self, src: LocId) -> impl Iterator<Item = Edge> + '_ {
+        self.outgoing[src.index()]
+            .iter()
+            .map(|&i| self.edges[i as usize])
+    }
+
     /// Iterates all location ids.
     pub fn ids(&self) -> impl Iterator<Item = LocId> {
         (0..self.locs.len() as u32).map(LocId)
@@ -261,7 +272,7 @@ impl EscapeGraph {
     /// locations green and stack locations blue like the paper's fig. 1.
     /// Dummy locations are drawn as diamonds; edges are labeled with their
     /// `Derefs` weight.
-    pub fn to_dot(&self, title: &str) -> String {
+    pub fn to_dot(&self, title: &str, labels: &Labels) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "digraph \"{title}\" {{");
@@ -295,7 +306,11 @@ impl EscapeGraph {
             let _ = writeln!(
                 out,
                 "  n{} [label=\"{}{}\" shape={} style=filled fillcolor={}];",
-                id.0, l.name, flags, shape, color
+                id.0,
+                labels.of(&l.kind),
+                flags,
+                shape,
+                color
             );
         }
         for e in &self.edges {
@@ -310,8 +325,8 @@ impl EscapeGraph {
     }
 
     /// Renders the graph in a stable, human-readable form (tests and the
-    /// table 3 experiment use this).
-    pub fn dump(&self) -> String {
+    /// compile-speed experiment use this).
+    pub fn dump(&self, labels: &Labels) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for id in self.ids() {
@@ -319,7 +334,7 @@ impl EscapeGraph {
             let _ = writeln!(
                 out,
                 "{id} {} ld={} dd={}{}{}{}{}{}{}",
-                l.name,
+                labels.of(&l.kind),
                 l.loop_depth,
                 l.decl_depth,
                 if l.heap_alloc { " heap" } else { "" },
@@ -334,6 +349,77 @@ impl EscapeGraph {
             let _ = writeln!(out, "{} -{}-> {}", e.src, e.derefs, e.dst);
         }
         out
+    }
+}
+
+/// Renders location labels — what [`EscapeGraph::dump`], `to_dot` and
+/// table 3 print — from each location's [`LocKind`]. Building a graph
+/// formats no names; only a printer pays for them.
+pub struct Labels<'a> {
+    res: Option<&'a Resolution>,
+    /// The function's call and struct-literal expressions, by id.
+    exprs: FxHashMap<ExprId, &'a Expr>,
+}
+
+impl<'a> Labels<'a> {
+    /// Labels for the graph of `func`: variables by name, call results by
+    /// callee.
+    pub fn new(program: &'a Program, res: &'a Resolution, func: FuncId) -> Self {
+        let mut exprs = FxHashMap::default();
+        visit::exprs(&program.funcs[func.index()].body, |e| {
+            if matches!(e.kind, ExprKind::Call { .. } | ExprKind::StructLit { .. }) {
+                exprs.insert(e.id, e);
+            }
+            Walk::Descend
+        });
+        Labels {
+            res: Some(res),
+            exprs,
+        }
+    }
+
+    /// Labels for a graph built without a program: a variable shows as
+    /// `v<id>`, a call result by its call's id.
+    pub fn bare() -> Labels<'static> {
+        Labels {
+            res: None,
+            exprs: FxHashMap::default(),
+        }
+    }
+
+    /// The label of a location of kind `kind`.
+    pub fn of(&self, kind: &LocKind) -> String {
+        match kind {
+            LocKind::HeapDummy => "heapLoc".to_string(),
+            LocKind::ReturnDummy => "return".to_string(),
+            LocKind::Var(v) => match self.res {
+                Some(res) => res.var(*v).name.clone(),
+                None => format!("v{}", v.0),
+            },
+            LocKind::Alloc(e, kind) => {
+                let site = match kind {
+                    AllocKind::SliceArray => "make",
+                    AllocKind::MapBuckets => "makemap",
+                    AllocKind::Object => match self.exprs.get(e).map(|x| &x.kind) {
+                        Some(ExprKind::StructLit { .. }) => "structLit",
+                        _ => "new",
+                    },
+                };
+                format!("{site}@{e}")
+            }
+            LocKind::Content(ContentOrigin::SliceAppend(_)) => "appendGrow".to_string(),
+            LocKind::Content(ContentOrigin::MapGrowth(_)) => "mapGrow".to_string(),
+            LocKind::Content(ContentOrigin::CallResult(call, j)) => {
+                if call.0 == u32::MAX {
+                    return format!("ContentTag(${j})");
+                }
+                match self.exprs.get(call).map(|x| &x.kind) {
+                    Some(ExprKind::Call { callee, .. }) => format!("ret{j}@{callee}"),
+                    _ => format!("ret{j}@{call}"),
+                }
+            }
+            LocKind::Temp(e) => format!("tmp@{e}"),
+        }
     }
 }
 
@@ -353,8 +439,8 @@ mod tests {
     #[test]
     fn edges_index_incoming() {
         let mut g = EscapeGraph::new();
-        let a = g.add_location(LocKind::Var(VarId(0)), "a", 0, 1, true);
-        let b = g.add_location(LocKind::Var(VarId(1)), "b", 0, 1, true);
+        let a = g.add_location(LocKind::Var(VarId(0)), 0, 1, true);
+        let b = g.add_location(LocKind::Var(VarId(1)), 0, 1, true);
         g.add_edge(a, b, -1);
         g.add_edge(HEAP_LOC, b, 0);
         let incoming: Vec<_> = g.incoming(b).collect();
@@ -366,7 +452,7 @@ mod tests {
     #[test]
     fn zero_weight_self_edges_dropped() {
         let mut g = EscapeGraph::new();
-        let a = g.add_location(LocKind::Var(VarId(0)), "a", 0, 1, true);
+        let a = g.add_location(LocKind::Var(VarId(0)), 0, 1, true);
         g.add_edge(a, a, 0);
         assert!(g.edges().is_empty());
     }
@@ -374,7 +460,7 @@ mod tests {
     #[test]
     fn to_free_requires_all_three_conditions() {
         let mut g = EscapeGraph::new();
-        let a = g.add_location(LocKind::Var(VarId(0)), "a", 0, 1, true);
+        let a = g.add_location(LocKind::Var(VarId(0)), 0, 1, true);
         assert!(!g.loc(a).to_free(), "needs PointsToHeap");
         g.loc_mut(a).points_to_heap = true;
         assert!(g.loc(a).to_free());
@@ -398,18 +484,34 @@ mod tests {
     #[test]
     fn var_loc_lookup() {
         let mut g = EscapeGraph::new();
-        let a = g.add_location(LocKind::Var(VarId(7)), "a", 0, 1, true);
+        let a = g.add_location(LocKind::Var(VarId(7)), 0, 1, true);
         assert_eq!(g.var_loc(VarId(7)), Some(a));
         assert_eq!(g.var_loc(VarId(8)), None);
     }
 
     #[test]
     fn dump_contains_names_and_edges() {
+        let src = "func f() { alpha := 1\n p := &alpha\n print(*p) }\n";
+        let (program, res, _) = minigo_syntax::frontend(src).unwrap();
         let mut g = EscapeGraph::new();
-        let a = g.add_location(LocKind::Var(VarId(0)), "alpha", 0, 1, true);
+        let a = g.add_location(LocKind::Var(res.vars_of(FuncId(0))[0]), 0, 1, true);
         g.add_edge(a, HEAP_LOC, 0);
-        let d = g.dump();
-        assert!(d.contains("alpha"));
+        let d = g.dump(&Labels::new(&program, &res, FuncId(0)));
+        assert!(d.contains("L0 heapLoc"), "{d}");
+        assert!(d.contains("L1 alpha"), "{d}");
         assert!(d.contains("-0-> L0"));
+        assert!(g.dump(&Labels::bare()).contains("L1 v"));
+    }
+
+    #[test]
+    fn outgoing_mirrors_incoming() {
+        let mut g = EscapeGraph::new();
+        let a = g.add_location(LocKind::Var(VarId(0)), 0, 1, true);
+        let b = g.add_location(LocKind::Var(VarId(1)), 0, 1, true);
+        g.add_edge(a, b, -1);
+        g.add_edge(a, HEAP_LOC, 0);
+        let out: Vec<_> = g.outgoing(a).map(|e| e.dst).collect();
+        assert_eq!(out, vec![b, HEAP_LOC]);
+        assert_eq!(g.outgoing(b).count(), 0);
     }
 }

@@ -14,6 +14,7 @@
 //! [`inline_program`] and then treat the result as a brand-new program).
 
 use minigo_syntax::fxhash::FxHashMap;
+use minigo_syntax::parser::{block_levels, deepest, MAX_NESTING};
 use minigo_syntax::visit::{self, Node, VisitorMut, Walk};
 use minigo_syntax::{
     Block, BlockId, Expr, ExprId, ExprKind, Func, FuncId, IdMap, Program, Stmt, StmtId, StmtKind,
@@ -44,7 +45,10 @@ pub struct InlineStats {
 }
 
 /// Inlines eligible statement-position calls once (no transitive
-/// inlining). Returns the transformed program and statistics.
+/// inlining). Returns the transformed program and statistics. A call
+/// whose splice would nest deeper than the parser's budget
+/// ([`MAX_NESTING`]) is left alone, so no later pass meets a tree the
+/// parser would have refused.
 ///
 /// ```
 /// use minigo_escape::{inline_program, InlineOptions};
@@ -76,9 +80,11 @@ pub fn inline_program(program: &Program, opts: &InlineOptions) -> (Program, Inli
         next_stmt: program.stmt_count,
         next_block: program.block_count,
         next_site: 0,
+        levels: IdMap::default(),
         stats: InlineStats::default(),
     };
     for func in &mut out.funcs {
+        ctx.levels = block_levels(&func.body);
         ctx.rewrite_block(&mut func.body);
     }
     out.expr_count = ctx.next_expr;
@@ -128,6 +134,8 @@ struct Inliner<'p> {
     next_stmt: u32,
     next_block: u32,
     next_site: u32,
+    /// The nesting level of each block of the function being rewritten.
+    levels: IdMap<BlockId, u32>,
     stats: InlineStats,
 }
 
@@ -151,6 +159,7 @@ impl<'p> Inliner<'p> {
     }
 
     fn rewrite_block(&mut self, block: &mut Block) {
+        let level = self.levels[block.id];
         let old = std::mem::take(&mut block.stmts);
         let mut stmts = Vec::with_capacity(old.len());
         for mut stmt in old {
@@ -158,7 +167,7 @@ impl<'p> Inliner<'p> {
                 self.rewrite_block(inner);
                 Walk::Skip
             });
-            match self.try_inline(&stmt) {
+            match self.try_inline(&stmt, level) {
                 Some(replacement) => {
                     self.stats.inlined_calls += 1;
                     stmts.extend(replacement);
@@ -170,10 +179,11 @@ impl<'p> Inliner<'p> {
     }
 
     /// Inlines `x, y := f(args)`, `x, y = f(args)` (identifier targets
-    /// only), and `f(args)` statements. Returns the replacement statement
-    /// sequence: declarations for `:=` targets (typed from the callee's
-    /// results) followed by the inline block.
-    fn try_inline(&mut self, stmt: &Stmt) -> Option<Vec<Stmt>> {
+    /// only), and `f(args)` statements in a block at nesting `level`.
+    /// Returns the replacement statement sequence: declarations for `:=`
+    /// targets (typed from the callee's results) followed by the inline
+    /// block.
+    fn try_inline(&mut self, stmt: &Stmt, level: u32) -> Option<Vec<Stmt>> {
         let (call, targets): (&Expr, Vec<Target>) = match &stmt.kind {
             StmtKind::ShortDecl { names, init } if init.len() == 1 => (
                 &init[0],
@@ -214,6 +224,7 @@ impl<'p> Inliner<'p> {
             return None;
         }
 
+        let ids = (self.next_expr, self.next_stmt, self.next_block);
         let site = self.next_site;
         self.next_site += 1;
         let prefix = format!("__in{site}_");
@@ -343,6 +354,13 @@ impl<'p> Inliner<'p> {
             kind: StmtKind::BlockStmt { block },
             span: stmt.span,
         });
+        if out.iter().any(|s| deepest(s, level) > MAX_NESTING) {
+            // Too deep to splice: hand back the ids the copy took.
+            (self.next_expr, self.next_stmt, self.next_block) = ids;
+            self.next_site = site;
+            self.stats.skipped_calls += 1;
+            return None;
+        }
         Some(out)
     }
 

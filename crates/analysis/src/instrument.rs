@@ -27,6 +27,13 @@ use crate::liveness::{PartialFree, PlacementPlan};
 /// `analysis`. Synthesized identifier uses are registered in `res` so the
 /// VM can resolve them.
 pub fn instrument(program: &Program, res: &mut Resolution, analysis: &Analysis) -> Program {
+    let mut out = program.clone();
+    instrument_in_place(&mut out, res, analysis);
+    out
+}
+
+/// [`instrument`] without the copy: rewrites `program` itself.
+pub fn instrument_in_place(program: &mut Program, res: &mut Resolution, analysis: &Analysis) {
     instrument_inner(program, res, None, analysis, None)
 }
 
@@ -44,16 +51,29 @@ pub fn instrument_with_plan(
     analysis: &Analysis,
     plan: &PlacementPlan,
 ) -> Program {
+    let mut out = program.clone();
+    instrument_with_plan_in_place(&mut out, res, types, analysis, plan);
+    out
+}
+
+/// [`instrument_with_plan`] without the copy: rewrites `program` itself.
+pub fn instrument_with_plan_in_place(
+    program: &mut Program,
+    res: &mut Resolution,
+    types: &mut TypeInfo,
+    analysis: &Analysis,
+    plan: &PlacementPlan,
+) {
     instrument_inner(program, res, Some(types), analysis, Some(plan))
 }
 
 fn instrument_inner(
-    program: &Program,
+    program: &mut Program,
     res: &mut Resolution,
     types: Option<&mut TypeInfo>,
     analysis: &Analysis,
     plan: Option<&PlacementPlan>,
-) -> Program {
+) {
     // Statement ids are unique program-wide, so one table per insertion
     // kind serves every function.
     let mut by_decl: IdMap<StmtId, Vec<(VarId, FreeKind)>> = IdMap::default();
@@ -84,7 +104,6 @@ fn instrument_inner(
             partial_after.or_default(pf.after).push(pf.clone());
         }
     }
-    let mut out = program.clone();
     let mut ctx = Inserter {
         res,
         types,
@@ -94,12 +113,11 @@ fn instrument_inner(
         next_expr: program.expr_count,
         next_stmt: program.stmt_count,
     };
-    for func in &mut out.funcs {
+    for func in &mut program.funcs {
         ctx.rewrite_block(&mut func.body);
     }
-    out.expr_count = ctx.next_expr;
-    out.stmt_count = ctx.next_stmt;
-    out
+    program.expr_count = ctx.next_expr;
+    program.stmt_count = ctx.next_stmt;
 }
 
 struct Inserter<'a> {

@@ -55,9 +55,13 @@ pub use analyze::{
 pub use audit::{audit, strip_unproven, AuditMode, AuditReport, AuditSite, AuditVerdict};
 pub use build::{build_func_graph, AllocSite, BuildOptions, FuncGraph};
 pub use callgraph::CallGraph;
-pub use graph::{AllocKind, ContentOrigin, Edge, EscapeGraph, LocId, LocKind, Location, HEAP_LOC};
+pub use graph::{
+    AllocKind, ContentOrigin, Edge, EscapeGraph, Labels, LocId, LocKind, Location, HEAP_LOC,
+};
 pub use inline::{inline_program, InlineOptions, InlineStats};
-pub use instrument::{instrument, instrument_with_plan};
+pub use instrument::{
+    instrument, instrument_in_place, instrument_with_plan, instrument_with_plan_in_place,
+};
 pub use liveness::{
     plan_placement, use_summaries, FreePlacement, PartialFree, PlacementPlan, PlacementStats,
     UseSummary,

@@ -10,7 +10,12 @@
 //! Dereference counts are clamped to the small domain `[-1, CLAMP]`; only
 //! `d == -1` (points-to) and `d <= 0` matter to any constraint, so clamping
 //! preserves the solution while bounding each node to a constant number of
-//! relaxations per walk — this is what keeps the whole pass O(N²).
+//! relaxations per walk — this is what keeps the whole pass O(N²). A walk
+//! also costs only what it reaches: the walk state is allocated once per
+//! solve and each location is stamped with the walk that last reached it,
+//! so no walk clears or scans the whole graph.
+
+use std::collections::VecDeque;
 
 use crate::graph::{EscapeGraph, LocId};
 
@@ -54,10 +59,89 @@ pub struct SolveStats {
     pub walks: usize,
     /// Number of edge relaxations across all walks.
     pub relaxations: usize,
+    /// Locations the walks reached, each walk's root included. With
+    /// `relaxations` this is a walk's whole cost: it stamps and revisits
+    /// only what it reached, however large the graph.
+    pub reached: usize,
     /// Number of outer fixpoint passes (should stay a small constant).
     pub passes: usize,
     /// Root walks skipped by dirty-root tracking (their cone was clean).
     pub skipped_walks: usize,
+}
+
+/// One solve's walk state, reused by every root walk. Each location
+/// carries a distance and the generation of the walk that last reached
+/// it (Go's `walkgen`): starting a walk bumps the generation instead of
+/// clearing a distance per location, and the locations a walk reached
+/// are listed, so applying the constraints visits only those.
+struct Walker {
+    dist: Vec<i32>,
+    stamp: Vec<u32>,
+    gen: u32,
+    /// The last walk's locations, root included, in location order.
+    reached: Vec<LocId>,
+    queue: VecDeque<LocId>,
+}
+
+impl Walker {
+    fn new(len: usize) -> Self {
+        Walker {
+            dist: vec![0; len],
+            stamp: vec![0; len],
+            gen: 0,
+            reached: Vec::new(),
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// `MinDerefs(m, root)` of the last walk, `None` when `m ∉ Holds(root)`.
+    fn dist(&self, m: LocId) -> Option<i32> {
+        (self.stamp[m.index()] == self.gen).then(|| self.dist[m.index()])
+    }
+
+    fn set(&mut self, m: LocId, d: i32) {
+        if self.stamp[m.index()] != self.gen {
+            self.stamp[m.index()] = self.gen;
+            self.reached.push(m);
+        }
+        self.dist[m.index()] = d;
+    }
+
+    /// Computes `MinDerefs(m, root)` for every `m ∈ Holds(root)`.
+    fn walk(&mut self, g: &EscapeGraph, root: LocId, relaxations: &mut usize) {
+        self.gen = self.gen.checked_add(1).unwrap_or_else(|| {
+            self.stamp.fill(0);
+            1
+        });
+        self.reached.clear();
+        self.set(root, 0);
+        self.queue.push_back(root);
+        while let Some(cur) = self.queue.pop_front() {
+            let d_cur = self.dist[cur.index()];
+            for e in g.incoming(cur) {
+                *relaxations += 1;
+                // TrackDerefs recurrence (definition 4.7): extending the
+                // track with an earlier edge clamps the running count at
+                // zero first.
+                let base = if cur == root { 0 } else { d_cur.max(0) };
+                let d_new = (base + e.derefs).min(CLAMP);
+                if self.dist(e.src).is_none_or(|old| d_new < old) {
+                    self.set(e.src, d_new);
+                    self.queue.push_back(e.src);
+                }
+            }
+        }
+        self.reached.sort_unstable();
+    }
+
+    /// The last walk's reached locations other than `root`, with their
+    /// distances, in location order.
+    fn leaves(&self, root: LocId) -> impl Iterator<Item = (LocId, i32)> + '_ {
+        self.reached
+            .iter()
+            .filter(move |&&m| m != root)
+            .map(|&m| (m, self.dist[m.index()]))
+    }
 }
 
 /// Computes `MinDerefs(m, root)` for every `m ∈ Holds(root)`.
@@ -66,33 +150,19 @@ pub struct SolveStats {
 /// `m ∉ Holds(root)`. The entry for `root` itself is `Some(0)` (the empty
 /// track), which callers typically skip.
 pub fn walk(g: &EscapeGraph, root: LocId) -> Vec<Option<i32>> {
-    walk_counting(g, root, &mut 0)
+    let mut w = Walker::new(g.len());
+    w.walk(g, root, &mut 0);
+    g.ids().map(|m| w.dist(m)).collect()
 }
 
-fn walk_counting(g: &EscapeGraph, root: LocId, relaxations: &mut usize) -> Vec<Option<i32>> {
-    let mut dist: Vec<Option<i32>> = vec![None; g.len()];
-    dist[root.index()] = Some(0);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(root);
-    while let Some(cur) = queue.pop_front() {
-        let d_cur = dist[cur.index()].expect("queued nodes have distances");
-        for e in g.incoming(cur) {
-            *relaxations += 1;
-            // TrackDerefs recurrence (definition 4.7): extending the track
-            // with an earlier edge clamps the running count at zero first.
-            let base = if cur == root { 0 } else { d_cur.max(0) };
-            let d_new = (base + e.derefs).min(CLAMP);
-            let better = match dist[e.src.index()] {
-                None => true,
-                Some(old) => d_new < old,
-            };
-            if better {
-                dist[e.src.index()] = Some(d_new);
-                queue.push_back(e.src);
-            }
-        }
-    }
-    dist
+/// The leaves of one walk from `root` whose distance passes `keep`, in
+/// location order.
+fn leaves_where(g: &EscapeGraph, root: LocId, keep: impl Fn(i32) -> bool) -> Vec<LocId> {
+    let mut w = Walker::new(g.len());
+    w.walk(g, root, &mut 0);
+    w.leaves(root)
+        .filter_map(|(m, d)| keep(d).then_some(m))
+        .collect()
 }
 
 /// `PointsTo(root)` (definition 4.9): locations whose address `root` may
@@ -104,35 +174,21 @@ fn walk_counting(g: &EscapeGraph, root: LocId, relaxations: &mut usize) -> Vec<O
 ///
 /// // p = &x; q = p
 /// let mut g = EscapeGraph::new();
-/// let x = g.add_location(LocKind::Var(VarId(0)), "x", 0, 1, true);
-/// let p = g.add_location(LocKind::Var(VarId(1)), "p", 0, 1, true);
-/// let q = g.add_location(LocKind::Var(VarId(2)), "q", 0, 1, true);
+/// let x = g.add_location(LocKind::Var(VarId(0)), 0, 1, true);
+/// let p = g.add_location(LocKind::Var(VarId(1)), 0, 1, true);
+/// let q = g.add_location(LocKind::Var(VarId(2)), 0, 1, true);
 /// g.add_edge(x, p, -1);
 /// g.add_edge(p, q, 0);
 /// assert_eq!(points_to(&g, q), vec![x]);
 /// ```
 pub fn points_to(g: &EscapeGraph, root: LocId) -> Vec<LocId> {
-    walk(g, root)
-        .iter()
-        .enumerate()
-        .filter_map(|(i, d)| {
-            let id = LocId(i as u32);
-            (id != root && *d == Some(-1)).then_some(id)
-        })
-        .collect()
+    leaves_where(g, root, |d| d == -1)
 }
 
 /// `Holds(root)` (definition 4.6): every location whose value or address
 /// may end up in `root`.
 pub fn holds(g: &EscapeGraph, root: LocId) -> Vec<LocId> {
-    walk(g, root)
-        .iter()
-        .enumerate()
-        .filter_map(|(i, d)| {
-            let id = LocId(i as u32);
-            (id != root && d.is_some()).then_some(id)
-        })
-        .collect()
+    leaves_where(g, root, |_| true)
 }
 
 /// Solves all escape properties on `g` to a fixpoint.
@@ -143,8 +199,8 @@ pub fn holds(g: &EscapeGraph, root: LocId) -> Vec<LocId> {
 ///
 /// // x escapes: p = &x; *q = p
 /// let mut g = EscapeGraph::new();
-/// let x = g.add_location(LocKind::Var(VarId(0)), "x", 0, 1, true);
-/// let p = g.add_location(LocKind::Var(VarId(1)), "p", 0, 1, true);
+/// let x = g.add_location(LocKind::Var(VarId(0)), 0, 1, true);
+/// let p = g.add_location(LocKind::Var(VarId(1)), 0, 1, true);
 /// g.add_edge(x, p, -1);
 /// g.add_edge(p, HEAP_LOC, 0);
 /// solve(&mut g, &SolveConfig::default());
@@ -152,6 +208,7 @@ pub fn holds(g: &EscapeGraph, root: LocId) -> Vec<LocId> {
 /// ```
 pub fn solve(g: &mut EscapeGraph, cfg: &SolveConfig) -> SolveStats {
     let mut stats = SolveStats::default();
+    let mut walker = Walker::new(g.len());
     // Outer fixpoint: the queue discipline of fig. 5 re-walks updated
     // locations, but a leaf update can also invalidate constraints whose
     // *root* is elsewhere (rule (c) of definition 4.12 reads leaf state from
@@ -165,7 +222,7 @@ pub fn solve(g: &mut EscapeGraph, cfg: &SolveConfig) -> SolveStats {
     loop {
         stats.passes += 1;
         let mut touched = vec![false; g.len()];
-        let changed = walkall_pass(g, cfg, &mut stats, &seed, &mut touched);
+        let changed = walkall_pass(g, cfg, &mut stats, &seed, &mut touched, &mut walker);
         if !changed {
             break;
         }
@@ -191,18 +248,13 @@ pub fn solve(g: &mut EscapeGraph, cfg: &SolveConfig) -> SolveStats {
 /// constraint is a pure monotone function of those operands, so re-walking
 /// it is a no-op.
 fn dirty_roots(g: &EscapeGraph, touched: &[bool]) -> Vec<LocId> {
-    let mut out: Vec<Vec<LocId>> = vec![Vec::new(); g.len()];
-    for e in g.edges() {
-        out[e.src.index()].push(e.dst);
-    }
     let mut dirty = touched.to_vec();
-    let mut queue: std::collections::VecDeque<LocId> =
-        g.ids().filter(|id| touched[id.index()]).collect();
+    let mut queue: VecDeque<LocId> = g.ids().filter(|id| touched[id.index()]).collect();
     while let Some(cur) = queue.pop_front() {
-        for &next in &out[cur.index()] {
-            if !dirty[next.index()] {
-                dirty[next.index()] = true;
-                queue.push_back(next);
+        for e in g.outgoing(cur) {
+            if !dirty[e.dst.index()] {
+                dirty[e.dst.index()] = true;
+                queue.push_back(e.dst);
             }
         }
     }
@@ -210,31 +262,29 @@ fn dirty_roots(g: &EscapeGraph, touched: &[bool]) -> Vec<LocId> {
 }
 
 /// One work-queue pass over the `seed` roots; returns whether anything
-/// changed and flags every mutated location in `touched`.
+/// changed and flags every mutated location in `touched`. Each root's
+/// constraints are applied leaf by leaf in location order.
 fn walkall_pass(
     g: &mut EscapeGraph,
     cfg: &SolveConfig,
     stats: &mut SolveStats,
     seed: &[LocId],
     touched: &mut [bool],
+    w: &mut Walker,
 ) -> bool {
     let mut any_change = false;
     let mut in_queue = vec![false; g.len()];
     for id in seed {
         in_queue[id.index()] = true;
     }
-    let mut queue: std::collections::VecDeque<LocId> = seed.iter().copied().collect();
+    let mut queue: VecDeque<LocId> = seed.iter().copied().collect();
     while let Some(root) = queue.pop_front() {
         in_queue[root.index()] = false;
         stats.walks += 1;
-        let dist = walk_counting(g, root, &mut stats.relaxations);
+        w.walk(g, root, &mut stats.relaxations);
+        stats.reached += w.reached.len();
         let mut root_changed = false;
-        for (i, d) in dist.iter().enumerate() {
-            let leaf = LocId(i as u32);
-            let Some(d) = *d else { continue };
-            if leaf == root {
-                continue;
-            }
+        for (leaf, d) in w.leaves(root) {
             let leaf_changed = apply_forward(g, root, leaf, d, cfg);
             if leaf_changed {
                 any_change = true;
@@ -349,12 +399,236 @@ fn apply_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{LocKind, HEAP_LOC};
+    use crate::graph::{Labels, LocKind, HEAP_LOC};
     use minigo_syntax::VarId;
 
-    fn var(g: &mut EscapeGraph, name: &str, loop_depth: i32, decl_depth: i32) -> LocId {
+    /// Every solved property of every location, in location order.
+    fn snapshot(g: &EscapeGraph) -> Vec<(bool, bool, bool, bool, i32, bool, bool)> {
+        g.locations()
+            .iter()
+            .map(|l| {
+                (
+                    l.heap_alloc,
+                    l.exposes,
+                    l.incomplete,
+                    l.incomplete_internal,
+                    l.outermost_ref,
+                    l.outlived,
+                    l.points_to_heap,
+                )
+            })
+            .collect()
+    }
+
+    /// The dense solver the walk-generation one replaced, kept as the
+    /// model: every walk allocates a distance per location, the pass
+    /// scans all of them, and `dirty_roots` rebuilds its forward lists.
+    /// The model tests below hold the real solver to it.
+    mod model {
+        use super::super::{apply_backward, apply_forward, SolveConfig, SolveStats, CLAMP};
+        use crate::graph::{EscapeGraph, LocId};
+        use std::collections::VecDeque;
+
+        pub fn walk(g: &EscapeGraph, root: LocId, relaxations: &mut usize) -> Vec<Option<i32>> {
+            let mut dist: Vec<Option<i32>> = vec![None; g.len()];
+            dist[root.index()] = Some(0);
+            let mut queue = VecDeque::new();
+            queue.push_back(root);
+            while let Some(cur) = queue.pop_front() {
+                let d_cur = dist[cur.index()].expect("queued nodes have distances");
+                for e in g.incoming(cur) {
+                    *relaxations += 1;
+                    let base = if cur == root { 0 } else { d_cur.max(0) };
+                    let d_new = (base + e.derefs).min(CLAMP);
+                    let better = match dist[e.src.index()] {
+                        None => true,
+                        Some(old) => d_new < old,
+                    };
+                    if better {
+                        dist[e.src.index()] = Some(d_new);
+                        queue.push_back(e.src);
+                    }
+                }
+            }
+            dist
+        }
+
+        pub fn solve(g: &mut EscapeGraph, cfg: &SolveConfig) -> SolveStats {
+            let mut stats = SolveStats::default();
+            let mut seed: Vec<LocId> = g.ids().collect();
+            loop {
+                stats.passes += 1;
+                let mut touched = vec![false; g.len()];
+                if !pass(g, cfg, &mut stats, &seed, &mut touched) {
+                    break;
+                }
+                seed = if cfg.dirty_roots {
+                    let dirty = dirty_roots(g, &touched);
+                    stats.skipped_walks += g.len() - dirty.len();
+                    dirty
+                } else {
+                    g.ids().collect()
+                };
+            }
+            stats
+        }
+
+        fn dirty_roots(g: &EscapeGraph, touched: &[bool]) -> Vec<LocId> {
+            let mut out: Vec<Vec<LocId>> = vec![Vec::new(); g.len()];
+            for e in g.edges() {
+                out[e.src.index()].push(e.dst);
+            }
+            let mut dirty = touched.to_vec();
+            let mut queue: VecDeque<LocId> = g.ids().filter(|id| touched[id.index()]).collect();
+            while let Some(cur) = queue.pop_front() {
+                for &next in &out[cur.index()] {
+                    if !dirty[next.index()] {
+                        dirty[next.index()] = true;
+                        queue.push_back(next);
+                    }
+                }
+            }
+            g.ids().filter(|id| dirty[id.index()]).collect()
+        }
+
+        fn pass(
+            g: &mut EscapeGraph,
+            cfg: &SolveConfig,
+            stats: &mut SolveStats,
+            seed: &[LocId],
+            touched: &mut [bool],
+        ) -> bool {
+            let mut any_change = false;
+            let mut in_queue = vec![false; g.len()];
+            for id in seed {
+                in_queue[id.index()] = true;
+            }
+            let mut queue: VecDeque<LocId> = seed.iter().copied().collect();
+            while let Some(root) = queue.pop_front() {
+                in_queue[root.index()] = false;
+                stats.walks += 1;
+                let dist = walk(g, root, &mut stats.relaxations);
+                stats.reached += dist.iter().flatten().count();
+                let mut root_changed = false;
+                for (i, d) in dist.iter().enumerate() {
+                    let leaf = LocId(i as u32);
+                    let Some(d) = *d else { continue };
+                    if leaf == root {
+                        continue;
+                    }
+                    if apply_forward(g, root, leaf, d, cfg) {
+                        any_change = true;
+                        touched[leaf.index()] = true;
+                        if !in_queue[leaf.index()] {
+                            in_queue[leaf.index()] = true;
+                            queue.push_back(leaf);
+                        }
+                    }
+                    if cfg.back_propagation && apply_backward(g, root, leaf, d, cfg) {
+                        any_change = true;
+                        root_changed = true;
+                    }
+                }
+                if root_changed {
+                    touched[root.index()] = true;
+                    if !in_queue[root.index()] {
+                        in_queue[root.index()] = true;
+                        queue.push_back(root);
+                    }
+                }
+            }
+            any_change
+        }
+    }
+
+    /// The graphs the analysis builds for the generated corpus and
+    /// fuzzer programs, one per function.
+    fn program_graphs() -> Vec<EscapeGraph> {
+        use crate::{analyze, build_func_graph, AnalyzeOptions, BuildOptions};
+        use gofree_workloads::{corpus, fuzzgen};
+        let mut sources = vec![corpus::generate(200)];
+        sources.extend((0..16).map(fuzzgen::generate));
+        let mut graphs = Vec::new();
+        for src in &sources {
+            let (program, res, types) =
+                minigo_syntax::frontend(src).expect("generated programs compile");
+            let analysis = analyze(&program, &res, &types, &AnalyzeOptions::default());
+            for func in &program.funcs {
+                let fg = build_func_graph(
+                    &program,
+                    &res,
+                    &types,
+                    func,
+                    &analysis.summaries,
+                    &BuildOptions::default(),
+                );
+                graphs.push(fg.graph);
+            }
+        }
+        graphs
+    }
+
+    /// One reused walk state reaches, from every root, exactly the
+    /// model's dense map at the same relaxation count.
+    #[test]
+    fn every_walk_matches_the_dense_model() {
+        let graphs = program_graphs();
+        let mut roots = 0;
+        for g in &graphs {
+            let mut w = Walker::new(g.len());
+            for root in g.ids() {
+                let (mut ours, mut theirs) = (0, 0);
+                w.walk(g, root, &mut ours);
+                let dense = model::walk(g, root, &mut theirs);
+                assert_eq!(g.ids().map(|m| w.dist(m)).collect::<Vec<_>>(), dense);
+                assert_eq!(w.reached.len(), dense.iter().flatten().count());
+                assert_eq!(ours, theirs);
+                assert_eq!(walk(g, root), dense);
+                roots += 1;
+            }
+        }
+        assert!(roots > 5_000, "only {roots} roots walked");
+    }
+
+    /// The solved properties and every counter equal the dense model's,
+    /// in Go and GoFree modes and with each optimisation off.
+    #[test]
+    fn solve_matches_the_dense_model() {
+        let go = SolveConfig {
+            gofree: false,
+            back_propagation: false,
+            ..SolveConfig::default()
+        };
+        let configs = [
+            go.clone(),
+            SolveConfig {
+                dirty_roots: false,
+                ..go
+            },
+            SolveConfig::default(),
+            SolveConfig {
+                back_propagation: false,
+                ..SolveConfig::default()
+            },
+            SolveConfig {
+                dirty_roots: false,
+                ..SolveConfig::default()
+            },
+        ];
+        for g in program_graphs() {
+            for cfg in &configs {
+                let (mut ours, mut theirs) = (g.clone(), g.clone());
+                let stats = solve(&mut ours, cfg);
+                assert_eq!(stats, model::solve(&mut theirs, cfg), "{cfg:?}");
+                assert_eq!(snapshot(&ours), snapshot(&theirs), "{cfg:?}");
+            }
+        }
+    }
+
+    /// A pointerful variable location; `_name` only documents the test.
+    fn var(g: &mut EscapeGraph, _name: &str, loop_depth: i32, decl_depth: i32) -> LocId {
         let n = g.len() as u32;
-        g.add_location(LocKind::Var(VarId(n)), name, loop_depth, decl_depth, true)
+        g.add_location(LocKind::Var(VarId(n)), loop_depth, decl_depth, true)
     }
 
     /// p = &x: x -(-1)-> p. PointsTo(p) = {x}.
@@ -575,7 +849,7 @@ mod tests {
     #[test]
     fn scalars_skip_completeness_tracking() {
         let mut g = EscapeGraph::new();
-        let n = g.add_location(LocKind::Var(VarId(9)), "n", 0, 1, false);
+        let n = g.add_location(LocKind::Var(VarId(9)), 0, 1, false);
         let p = var(&mut g, "p", 0, 1);
         g.add_edge(p, n, 0);
         g.loc_mut(p).incomplete = true;
@@ -664,23 +938,6 @@ mod tests {
             g.loc_mut(first).exposes = true;
             (g, first)
         };
-        let snapshot = |g: &EscapeGraph| {
-            g.locations()
-                .iter()
-                .map(|l| {
-                    (
-                        l.heap_alloc,
-                        l.exposes,
-                        l.incomplete,
-                        l.incomplete_internal,
-                        l.outermost_ref,
-                        l.outlived,
-                        l.points_to_heap,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-
         let (mut with, _) = mk();
         let s_with = solve(&mut with, &SolveConfig::default());
         let (mut without, _) = mk();
@@ -692,7 +949,7 @@ mod tests {
             },
         );
         assert_eq!(snapshot(&with), snapshot(&without), "solutions diverge");
-        assert_eq!(with.dump(), without.dump());
+        assert_eq!(with.dump(&Labels::bare()), without.dump(&Labels::bare()));
         assert!(s_with.skipped_walks > 0, "nothing was skipped");
         assert_eq!(s_without.skipped_walks, 0);
         assert!(

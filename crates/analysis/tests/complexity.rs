@@ -1,10 +1,12 @@
 //! Empirical complexity checks for the escape analysis: the paper's core
 //! algorithmic claim is that GoFree keeps Go's O(N²) propagation. We pin
-//! the *work counters* (walks and relaxations), which are deterministic,
-//! rather than wall time.
+//! the *work counters* (walks, relaxations and locations reached), which
+//! are deterministic, rather than wall time.
 
-use minigo_escape::{analyze, build_func_graph, solve, AnalyzeOptions, BuildOptions, SolveConfig};
-use minigo_syntax::{frontend, IdMap};
+use minigo_escape::{
+    analyze, build_func_graph, solve, AnalyzeOptions, BuildOptions, LocKind, SolveConfig,
+};
+use minigo_syntax::{frontend, IdMap, VarId};
 
 /// A straight-line pointer-heavy function with `k` statements.
 fn chain_program(k: usize) -> String {
@@ -112,4 +114,43 @@ fn dense_alias_cliques_converge() {
         "clique converged in {} passes",
         stats.passes
     );
+}
+
+/// A walk costs what it reaches, not what the graph holds: K isolated
+/// locations add K walks that reach only their own root, and leave the
+/// relaxations and reached locations of every other walk unchanged.
+#[test]
+fn isolated_locations_leave_each_walk_unchanged() {
+    let src = chain_program(100);
+    let (program, res, types) = frontend(&src).expect("compiles");
+    let func = program.func("big").unwrap();
+    let fg = build_func_graph(
+        &program,
+        &res,
+        &types,
+        func,
+        &IdMap::default(),
+        &BuildOptions::default(),
+    );
+    let go = SolveConfig {
+        gofree: false,
+        back_propagation: false,
+        ..SolveConfig::default()
+    };
+    for cfg in [SolveConfig::default(), go] {
+        let base = solve(&mut fg.graph.clone(), &cfg);
+        assert!(base.passes > 1, "the chain needs more than one pass");
+        for k in [1u32, 1_000, 50_000] {
+            let mut g = fg.graph.clone();
+            for i in 0..k {
+                g.add_location(LocKind::Var(VarId(u32::MAX - i)), 0, 1, true);
+            }
+            let s = solve(&mut g, &cfg);
+            let k = k as usize;
+            assert_eq!(s.walks, base.walks + k, "k={k}");
+            assert_eq!(s.reached, base.reached + k, "k={k}");
+            assert_eq!(s.relaxations, base.relaxations, "k={k}");
+            assert_eq!(s.passes, base.passes, "k={k}");
+        }
+    }
 }

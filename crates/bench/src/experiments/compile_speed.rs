@@ -15,7 +15,9 @@ use gofree::cli::Observed;
 use gofree::{compile, welch_t_test, CompileOptions, Setting};
 use gofree_workloads::corpus;
 use minigo_escape::baseline::{conn, fast};
-use minigo_escape::{analyze, build_func_graph, solve, AnalyzeOptions, BuildOptions, SolveConfig};
+use minigo_escape::{
+    analyze, build_func_graph, solve, AnalyzeOptions, BuildOptions, Labels, SolveConfig,
+};
 use minigo_syntax::{frontend, IdMap};
 
 /// Program sizes (function counts) of the scaling table.
@@ -211,7 +213,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
                 );
                 walks += s.walks;
                 relax += s.relaxations;
-                dumps.push_str(&fg.graph.dump());
+                dumps.push_str(&fg.graph.dump(&Labels::new(&program, &res, f.id)));
             }
             (walks, relax, dumps)
         };

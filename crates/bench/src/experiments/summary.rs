@@ -88,11 +88,9 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let compiled = compile(fig1, &opts.compile_options(Setting::GoFree)).expect("fig1");
     let f = compiled.program.func("fig1").unwrap().id;
     let fg = &compiled.analysis.funcs[f];
-    let pd2 = fg
-        .graph
-        .ids()
-        .find(|&i| fg.graph.loc(i).name == "pd2")
-        .unwrap();
+    let res = &compiled.resolution;
+    let pd2 = res.vars_of(f).iter().find(|&&v| res.var(v).name == "pd2");
+    let pd2 = fg.loc_of(*pd2.unwrap());
     assert!(fg.graph.loc(pd2).incomplete);
     println!("\ntable 3: Go graph's PointsTo(pd2) flagged Incomplete -> never freed  OK");
     println!("robustness: run `--bin robustness` / `--bin fuzz` for the soundness suite");

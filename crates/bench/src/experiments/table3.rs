@@ -5,7 +5,9 @@
 use crate::Options;
 use gofree::cli::Observed;
 use minigo_escape::baseline::{conn, fast};
-use minigo_escape::{build_func_graph, points_to, solve, BuildOptions, LocKind, SolveConfig};
+use minigo_escape::{
+    build_func_graph, points_to, solve, BuildOptions, Labels, LocKind, SolveConfig,
+};
 use minigo_syntax::{frontend, IdMap, VarId};
 
 /// The paper's fig. 1 program (MiniGo syntax).
@@ -82,6 +84,7 @@ pub fn run(_: &Options) -> Result<Option<Observed>, String> {
     );
     solve(&mut fg.graph, &SolveConfig::default());
     let loc = fg.loc_of(pd2);
+    let labels = Labels::new(&program, &res, func.id);
     let go_pts: Vec<String> = points_to(&fg.graph, loc)
         .into_iter()
         .filter(|l| {
@@ -90,7 +93,7 @@ pub fn run(_: &Options) -> Result<Option<Observed>, String> {
                 LocKind::Var(_) | LocKind::Alloc(_, _)
             )
         })
-        .map(|l| fg.graph.loc(l).name.clone())
+        .map(|l| labels.of(&fg.graph.loc(l).kind))
         .collect();
     println!(
         "{:<22} {:<12} {:<28} {}",

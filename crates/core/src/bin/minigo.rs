@@ -213,7 +213,8 @@ fn run_cli(args: &[String]) -> Result<(), String> {
                 .funcs
                 .get(fid)
                 .ok_or("function not analyzed")?;
-            print!("{}", fg.graph.to_dot(name));
+            let labels = minigo_escape::Labels::new(&compiled.program, &compiled.resolution, fid);
+            print!("{}", fg.graph.to_dot(name, &labels));
         }
         "explain" => explain(&compiled, cli.func.as_deref()),
         _ => {
@@ -437,7 +438,7 @@ fn explain_sites(compiled: &gofree::Compiled, src: &str) {
 /// Explains, for every local of a freeable reference type, which of
 /// definition 4.17's conjuncts hold and which witnesses block freeing.
 fn explain(compiled: &gofree::Compiled, only: Option<&str>) {
-    use minigo_escape::{points_to, LocKind};
+    use minigo_escape::{points_to, Labels, LocKind};
     for func in &compiled.program.funcs {
         if let Some(name) = only {
             if func.name != name {
@@ -453,11 +454,13 @@ fn explain(compiled: &gofree::Compiled, only: Option<&str>) {
             .get(func.id)
             .map(|v| v.iter().map(|(vid, _)| *vid).collect())
             .unwrap_or_default();
+        let labels = Labels::new(&compiled.program, &compiled.resolution, func.id);
         let mut printed_header = false;
         for id in fg.graph.ids() {
             let l = fg.graph.loc(id);
             let LocKind::Var(vid) = l.kind else { continue };
             let info = compiled.resolution.var(vid);
+            let name = &info.name;
             let is_local = info.kind == minigo_syntax::VarKind::Local;
             let freeable_ty = compiled
                 .types
@@ -475,14 +478,14 @@ fn explain(compiled: &gofree::Compiled, only: Option<&str>) {
             if selected.contains(&vid) {
                 println!(
                     "  {:<14} FREED   (complete, not outlived, points to heap)",
-                    l.name
+                    name
                 );
                 continue;
             }
             if l.to_free() {
                 println!(
                     "  {:<14} KEPT    qualified, but excluded by the free-target selection (§6.5)",
-                    l.name
+                    name
                 );
                 continue;
             }
@@ -500,7 +503,9 @@ fn explain(compiled: &gofree::Compiled, only: Option<&str>) {
                         let pl = fg.graph.loc(p);
                         format!(
                             "{} (referenced from scope depth {} < {})",
-                            pl.name, pl.outermost_ref, l.decl_depth
+                            labels.of(&pl.kind),
+                            pl.outermost_ref,
+                            l.decl_depth
                         )
                     })
                     .collect();
@@ -515,7 +520,7 @@ fn explain(compiled: &gofree::Compiled, only: Option<&str>) {
             if reasons.is_empty() {
                 reasons.push("not selected (mode or target restriction)".to_string());
             }
-            println!("  {:<14} KEPT    {}", l.name, reasons.join("; "));
+            println!("  {:<14} KEPT    {}", name, reasons.join("; "));
         }
         if printed_header {
             println!();
@@ -536,12 +541,12 @@ fn print_analysis(compiled: &gofree::Compiled, only: Option<&str>) {
         println!("func {}:", func.name);
         for id in fg.graph.ids() {
             let l = fg.graph.loc(id);
-            if !matches!(l.kind, minigo_escape::LocKind::Var(_)) {
+            let minigo_escape::LocKind::Var(vid) = l.kind else {
                 continue;
-            }
+            };
             println!(
                 "  {:<16} heap={:<5} exposes={:<5} incomplete={:<5} outlived={:<5} tofree={}",
-                l.name,
+                compiled.resolution.var(vid).name,
                 l.heap_alloc,
                 l.exposes,
                 l.incomplete,

@@ -1,9 +1,9 @@
 //! The compile pipeline: front end → escape analysis → instrumentation.
 
 use minigo_escape::{
-    analyze, audit, inline_program, instrument, instrument_with_plan, plan_placement,
-    strip_unproven, Analysis, AnalyzeOptions, AuditMode, AuditReport, FreePlacement, FreeTargets,
-    InlineOptions, Mode, PlacementStats,
+    analyze, audit, inline_program, instrument_in_place, instrument_with_plan_in_place,
+    plan_placement, strip_unproven, Analysis, AnalyzeOptions, AuditMode, AuditReport,
+    FreePlacement, FreeTargets, InlineOptions, Mode, PlacementStats,
 };
 use minigo_syntax::{
     parse, print_program, resolve, typecheck, Diagnostic, Program, Resolution, TypeInfo,
@@ -163,27 +163,21 @@ pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, Diagnostic>
     // Liveness-driven placement plans *before* instrumentation; scope
     // mode never builds a plan, preserving bit-exact historical output.
     let mut placement: Option<PlacementStats> = None;
-    let mut program = if opts.mode == Mode::GoFree {
-        if opts.free_placement == FreePlacement::LastUse {
-            let t = std::time::Instant::now();
-            let plan = plan_placement(&program, &resolution, &types, &analysis);
-            timed("liveness", t.elapsed().as_nanos());
-            placement = Some(plan.stats);
-            let t = std::time::Instant::now();
-            let p = instrument_with_plan(&program, &mut resolution, &mut types, &analysis, &plan);
-            timed("instrument", t.elapsed().as_nanos());
-            p
-        } else {
-            let t = std::time::Instant::now();
-            let p = instrument(&program, &mut resolution, &analysis);
-            timed("instrument", t.elapsed().as_nanos());
-            p
-        }
+    if opts.mode == Mode::GoFree && opts.free_placement == FreePlacement::LastUse {
+        let t = std::time::Instant::now();
+        let plan = plan_placement(&program, &resolution, &types, &analysis);
+        timed("liveness", t.elapsed().as_nanos());
+        placement = Some(plan.stats);
+        let t = std::time::Instant::now();
+        instrument_with_plan_in_place(&mut program, &mut resolution, &mut types, &analysis, &plan);
+        timed("instrument", t.elapsed().as_nanos());
     } else {
         let t = std::time::Instant::now();
+        if opts.mode == Mode::GoFree {
+            instrument_in_place(&mut program, &mut resolution, &analysis);
+        }
         timed("instrument", t.elapsed().as_nanos());
-        program
-    };
+    }
     // The audit is an independent second pass: it sees only the
     // instrumented AST, never the escape graph that justified the frees.
     let mut report = None;

@@ -10,11 +10,12 @@
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Result};
+use crate::idmap::IdMap;
 use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use crate::types::Type;
-use crate::visit::{self, Walk};
+use crate::visit::{self, Node, Visitor, Walk};
 
 /// Parses a complete MiniGo program.
 ///
@@ -50,6 +51,116 @@ pub fn parse_expr(src: &str) -> Result<Expr> {
 /// dropping the tree — ever recurses further.
 pub const MAX_NESTING: u32 = 128;
 
+/// The level the nesting budget charges the deepest node of `stmt`
+/// when it sits in a block at `level` (a function body's statements sit
+/// at level 1), for a tree a pass built rather than parsed: the
+/// §4.6.4 inliner measures a splice with it before making it. The rules
+/// are the parser's — each block, `else if` and case arm one level, an
+/// expression position one level and each expression node one more,
+/// each composite type level one more — read off the tree. A tree holds
+/// no parentheses, and a builtin's type argument is charged from the
+/// builtin's own depth in the tree, which an operator chain above it
+/// can only make deeper than the parser counted; so a parsed statement
+/// may measure more than the parser charged, never less.
+pub fn deepest(stmt: &Stmt, level: u32) -> u32 {
+    let mut levels = Levels {
+        level,
+        deepest: level,
+        blocks: None,
+    };
+    let _ = stmt.walk(&mut levels);
+    levels.deepest
+}
+
+/// The level of every block in `body`, a function body (level 1), by
+/// [`deepest`]'s rules.
+pub fn block_levels(body: &Block) -> IdMap<BlockId, u32> {
+    let mut blocks = IdMap::default();
+    let _ = body.walk(&mut Levels {
+        level: 0,
+        deepest: 0,
+        blocks: Some(&mut blocks),
+    });
+    blocks
+}
+
+struct Levels<'t> {
+    /// The level of the statements being walked.
+    level: u32,
+    deepest: u32,
+    blocks: Option<&'t mut IdMap<BlockId, u32>>,
+}
+
+impl<'a> Visitor<'a> for Levels<'_> {
+    fn block(&mut self, b: &'a Block) -> Walk {
+        self.level += 1;
+        self.deepest = self.deepest.max(self.level);
+        if let Some(blocks) = self.blocks.as_deref_mut() {
+            blocks.insert(b.id, self.level);
+        }
+        for s in &b.stmts {
+            let _ = s.walk(self);
+        }
+        self.level -= 1;
+        Walk::Skip
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) -> Walk {
+        match &s.kind {
+            StmtKind::VarDecl { ty, .. } => {
+                self.deepest = self.deepest.max(self.level + type_height(ty));
+            }
+            StmtKind::If {
+                cond,
+                then,
+                els: Some(els),
+            } if matches!(els.kind, StmtKind::If { .. }) => {
+                // An `else if` sits one level below its `if`.
+                let _ = cond.walk(self);
+                let _ = then.walk(self);
+                self.level += 1;
+                let _ = els.walk(self);
+                self.level -= 1;
+                return Walk::Skip;
+            }
+            _ => {}
+        }
+        Walk::Descend
+    }
+
+    fn expr(&mut self, e: &'a Expr) -> Walk {
+        self.deepest = self.deepest.max(expr_deepest(e, self.level + 2));
+        Walk::Skip
+    }
+}
+
+/// The deepest level under expression `e`, itself at `level`.
+fn expr_deepest(e: &Expr, level: u32) -> u32 {
+    let mut deepest = level;
+    if let ExprKind::Builtin { ty_args, .. } = &e.kind {
+        for t in ty_args {
+            deepest = deepest.max(level - 1 + type_height(t));
+        }
+    }
+    visit::exprs(e, |c| {
+        if std::ptr::eq(c, e) {
+            return Walk::Descend;
+        }
+        deepest = deepest.max(expr_deepest(c, level + 1));
+        Walk::Skip
+    });
+    deepest
+}
+
+/// The composite levels of `t`: `[]*int` has two.
+fn type_height(t: &Type) -> u32 {
+    match t {
+        Type::Int | Type::Bool | Type::Str | Type::Named(_) => 0,
+        Type::Ptr(inner) | Type::Slice(inner) => 1 + type_height(inner),
+        Type::Map(k, v) => 1 + type_height(k).max(type_height(v)),
+    }
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -61,9 +172,11 @@ struct Parser {
     no_struct_lit: bool,
     /// Nesting levels open at the current token.
     depth: u32,
-    /// The height of every expression built so far, by id: a chain link
-    /// deepens everything under it without the parser recursing.
-    heights: Vec<u32>,
+    /// The height of the expression the parser built or returned last.
+    /// A caller reads it right after parsing each operand: a chain link
+    /// deepens everything under it without the parser recursing, so its
+    /// height, not `depth`, is what the budget charges.
+    height: u32,
 }
 
 impl Parser {
@@ -76,7 +189,7 @@ impl Parser {
             next_block: 0,
             no_struct_lit: false,
             depth: 0,
-            heights: Vec::new(),
+            height: 0,
         }
     }
 
@@ -193,24 +306,24 @@ impl Parser {
         id
     }
 
-    fn mk_expr(&mut self, kind: ExprKind, span: Span) -> Result<Expr> {
+    /// Builds an expression over operands at most `below` high.
+    fn mk_expr(&mut self, kind: ExprKind, span: Span, below: u32) -> Result<Expr> {
         let e = Expr {
             id: self.expr_id(),
             kind,
             span,
         };
-        let mut below = 0;
-        visit::exprs(&e, |c| {
-            if c.id == e.id {
-                return Walk::Descend;
-            }
-            below = below.max(self.heights[c.id.index()]);
-            Walk::Skip
-        });
-        self.heights.push(below + 1);
-        if self.depth + below + 1 > MAX_NESTING {
+        self.height = below + 1;
+        if self.depth + self.height > MAX_NESTING {
             return Err(Self::too_deep(e.span));
         }
+        Ok(e)
+    }
+
+    /// Parses one expression and folds its height into `below`.
+    fn operand(&mut self, below: &mut u32) -> Result<Expr> {
+        let e = self.expr()?;
+        *below = (*below).max(self.height);
         Ok(e)
     }
 
@@ -740,6 +853,7 @@ impl Parser {
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr> {
         let mut lhs = self.unary_expr()?;
+        let mut lhs_height = self.height;
         loop {
             let (op, prec) = match self.peek() {
                 TokenKind::OrOr => (BinOp::Or, 1),
@@ -770,8 +884,11 @@ impl Parser {
                     rhs: Box::new(rhs),
                 },
                 span,
+                lhs_height.max(self.height),
             )?;
+            lhs_height = self.height;
         }
+        self.height = lhs_height;
         Ok(lhs)
     }
 
@@ -794,6 +911,7 @@ impl Parser {
                     operand: Box::new(operand),
                 },
                 span,
+                self.height,
             );
         }
         self.postfix_expr()
@@ -802,6 +920,8 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr> {
         let mut e = self.primary_expr()?;
         loop {
+            // Each link sits on the chain so far and its own operands.
+            let mut below = self.height;
             match self.peek() {
                 TokenKind::Dot => {
                     self.bump();
@@ -813,6 +933,7 @@ impl Parser {
                             name,
                         },
                         span,
+                        below,
                     )?;
                 }
                 TokenKind::LBracket => {
@@ -824,14 +945,14 @@ impl Parser {
                     let lo = if self.at(&TokenKind::Colon) {
                         None
                     } else {
-                        Some(self.expr()?)
+                        Some(self.operand(&mut below)?)
                     };
                     if self.eat(&TokenKind::Colon) {
                         // Reslice: base[lo:hi].
                         let hi = if self.at(&TokenKind::RBracket) {
                             None
                         } else {
-                            Some(Box::new(self.expr()?))
+                            Some(Box::new(self.operand(&mut below)?))
                         };
                         self.no_struct_lit = saved;
                         let end = self.expect(&TokenKind::RBracket)?;
@@ -843,6 +964,7 @@ impl Parser {
                                 hi,
                             },
                             span,
+                            below,
                         )?;
                     } else {
                         self.no_struct_lit = saved;
@@ -857,6 +979,7 @@ impl Parser {
                                 index: Box::new(index),
                             },
                             span,
+                            below,
                         )?;
                     }
                 }
@@ -871,23 +994,23 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Int(v) => {
                 self.bump();
-                self.mk_expr(ExprKind::IntLit(v), start)
+                self.mk_expr(ExprKind::IntLit(v), start, 0)
             }
             TokenKind::True => {
                 self.bump();
-                self.mk_expr(ExprKind::BoolLit(true), start)
+                self.mk_expr(ExprKind::BoolLit(true), start, 0)
             }
             TokenKind::False => {
                 self.bump();
-                self.mk_expr(ExprKind::BoolLit(false), start)
+                self.mk_expr(ExprKind::BoolLit(false), start, 0)
             }
             TokenKind::Nil => {
                 self.bump();
-                self.mk_expr(ExprKind::Nil, start)
+                self.mk_expr(ExprKind::Nil, start, 0)
             }
             TokenKind::Str(s) => {
                 self.bump();
-                self.mk_expr(ExprKind::StrLit(s), start)
+                self.mk_expr(ExprKind::StrLit(s), start, 0)
             }
             TokenKind::LParen => {
                 self.bump();
@@ -906,7 +1029,7 @@ impl Parser {
                 if self.at(&TokenKind::LBrace) && !self.no_struct_lit {
                     return self.struct_lit(name, start);
                 }
-                self.mk_expr(ExprKind::Ident(name), start)
+                self.mk_expr(ExprKind::Ident(name), start, 0)
             }
             other => Err(Diagnostic::new(
                 format!("expected expression, found {}", other.describe()),
@@ -918,9 +1041,9 @@ impl Parser {
     fn struct_lit(&mut self, name: String, start: Span) -> Result<Expr> {
         self.expect(&TokenKind::LBrace)?;
         self.eat_semis();
-        let mut fields = Vec::new();
+        let (mut fields, mut below) = (Vec::new(), 0);
         while !self.at(&TokenKind::RBrace) {
-            fields.push(self.expr()?);
+            fields.push(self.operand(&mut below)?);
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
@@ -928,7 +1051,11 @@ impl Parser {
         }
         self.eat_semis();
         let end = self.expect(&TokenKind::RBrace)?;
-        self.mk_expr(ExprKind::StructLit { name, fields }, start.merge(end))
+        self.mk_expr(
+            ExprKind::StructLit { name, fields },
+            start.merge(end),
+            below,
+        )
     }
 
     fn call_or_builtin(&mut self, name: String, start: Span) -> Result<Expr> {
@@ -949,9 +1076,9 @@ impl Parser {
                     self.expect(&TokenKind::Comma)?;
                 }
             }
-            let mut args = Vec::new();
+            let (mut args, mut below) = (Vec::new(), 0);
             while !self.at(&TokenKind::RParen) {
-                args.push(self.expr()?);
+                args.push(self.operand(&mut below)?);
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
@@ -964,11 +1091,12 @@ impl Parser {
                     args,
                 },
                 start.merge(end),
+                below,
             );
         }
-        let mut args = Vec::new();
+        let (mut args, mut below) = (Vec::new(), 0);
         while !self.at(&TokenKind::RParen) {
-            args.push(self.expr()?);
+            args.push(self.operand(&mut below)?);
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
@@ -980,6 +1108,7 @@ impl Parser {
                 args,
             },
             start.merge(end),
+            below,
         )
     }
 }
@@ -1370,5 +1499,88 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Measured on the tree, a program the parser admitted at the limit
+    /// reaches exactly the limit, however its depth was built; the same
+    /// depth in parentheses leaves no nodes and measures less.
+    #[test]
+    fn deepest_measures_what_the_parser_charged() {
+        let shapes: [fn(usize) -> String; 6] = [
+            |n| {
+                format!(
+                    "func main() {{\n x := 1\n {} x += 1 {}\n}}\n",
+                    "{".repeat(n),
+                    "}".repeat(n)
+                )
+            },
+            |n| format!("func main() {{\n x := {}1\n print(x)\n}}\n", "- ".repeat(n)),
+            |n| format!("func main() {{\n x := 1{}\n print(x)\n}}\n", "+1".repeat(n)),
+            |n| {
+                format!(
+                    "func main() {{\n s := make([]int, 2)\n x := s{}\n print(len(x))\n}}\n",
+                    "[0:2]".repeat(n)
+                )
+            },
+            |n| {
+                format!(
+                    "func main() {{\n x := len(make({}int, 1))\n print(x)\n}}\n",
+                    "[]".repeat(n)
+                )
+            },
+            |n| {
+                let arms: String = (1..=n)
+                    .map(|k| format!(" else if x == {k} {{\n print({k})\n }}"))
+                    .collect();
+                format!("func main() {{\n x := 1\n if x == 0 {{\n print(0)\n }}{arms}\n}}\n")
+            },
+        ];
+        let measure = |src: &str| {
+            let p = parse_ok(src);
+            p.funcs[0]
+                .body
+                .stmts
+                .iter()
+                .map(|s| deepest(s, 1))
+                .max()
+                .unwrap()
+        };
+        let limit = |shape: &dyn Fn(usize) -> String| {
+            (0..)
+                .take_while(|&n| parse(&shape(n)).is_ok())
+                .last()
+                .unwrap()
+        };
+        for shape in shapes {
+            let n = limit(&shape);
+            assert_eq!(measure(&shape(n)), MAX_NESTING, "{}", shape(n));
+        }
+        // A chain link above a builtin is not charged to its type
+        // argument by the parser, but is by the measure.
+        let lagging = |n| {
+            format!(
+                "func main() {{\n x := 1 + len(make({}int, 1))\n}}\n",
+                "[]".repeat(n)
+            )
+        };
+        assert_eq!(measure(&lagging(limit(&lagging))), MAX_NESTING + 1);
+        let parens = |n| {
+            format!(
+                "func main() {{\n x := {}1{}\n}}\n",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert_eq!(measure(&parens(limit(&parens))), 3);
+    }
+
+    /// Blocks sit one level below their statement; an `else if` arm's
+    /// block one level below the arm before it.
+    #[test]
+    fn block_levels_follow_the_budget() {
+        let p = parse_ok("func f(x int) {\n { }\n if x == 0 { } else if x == 1 { } else { }\n}\n");
+        let levels = block_levels(&p.funcs[0].body);
+        let by_id: Vec<u32> = levels.values().copied().collect();
+        assert_eq!(by_id, vec![1, 2, 2, 3, 3]);
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use minigo_escape::{
-    analyze, build_func_graph, instrument, points_to, solve, AnalyzeOptions, BuildOptions,
+    analyze, build_func_graph, instrument, points_to, solve, AnalyzeOptions, BuildOptions, Labels,
     SolveConfig,
 };
 use minigo_syntax::{frontend, print_program, IdMap};
@@ -80,16 +80,17 @@ func main() {
     );
     solve(&mut fg.graph, &SolveConfig::default());
     println!("solved properties per location (table 1):\n");
+    let labels = Labels::new(&program, &res, func.id);
     for id in fg.graph.ids() {
         let l = fg.graph.loc(id);
         if matches!(l.kind, minigo_escape::LocKind::Var(_)) {
             let pts: Vec<String> = points_to(&fg.graph, id)
                 .into_iter()
-                .map(|p| fg.graph.loc(p).name.clone())
+                .map(|p| labels.of(&fg.graph.loc(p).kind))
                 .collect();
             println!(
                 "{:<8} HeapAlloc={:<5} Exposes={:<5} Incomplete={:<5} Outlived={:<5} PointsTo={{{}}}",
-                l.name,
+                labels.of(&l.kind),
                 l.heap_alloc,
                 l.exposes,
                 l.incomplete,

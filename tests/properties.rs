@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use minigo_escape::{points_to, solve, walk, EscapeGraph, LocKind, SolveConfig, HEAP_LOC};
+use minigo_escape::{points_to, solve, walk, EscapeGraph, Labels, LocKind, SolveConfig, HEAP_LOC};
 use minigo_runtime::{Category, FreeOutcome, FreeSource, Runtime, RuntimeConfig};
 use minigo_syntax::VarId;
 
@@ -76,7 +76,7 @@ proptest! {
     fn solver_invariants(edges in proptest::collection::vec((0u32..12, 0u32..12, -1i32..=2), 0..40)) {
         let mut g = EscapeGraph::new();
         for i in 0..12u32 {
-            g.add_location(LocKind::Var(VarId(i)), format!("v{i}"), (i % 3) as i32, 1 + (i % 4) as i32, true);
+            g.add_location(LocKind::Var(VarId(i)), (i % 3) as i32, 1 + (i % 4) as i32, true);
         }
         for (a, b, w) in edges {
             // Location 0 is the heap dummy; shift user nodes by 1.
@@ -87,7 +87,7 @@ proptest! {
             );
         }
         solve(&mut g, &SolveConfig::default());
-        let snapshot = g.dump();
+        let snapshot = g.dump(&Labels::bare());
         for id in g.ids() {
             let dist = walk(&g, id);
             for d in dist.iter().flatten() {
@@ -108,7 +108,7 @@ proptest! {
         }
         let mut g2 = g.clone();
         solve(&mut g2, &SolveConfig::default());
-        prop_assert_eq!(snapshot, g2.dump(), "solve must be idempotent");
+        prop_assert_eq!(snapshot, g2.dump(&Labels::bare()), "solve must be idempotent");
     }
 
     /// Adding edges is monotone for HeapAlloc: escaping more never makes a
@@ -118,7 +118,7 @@ proptest! {
         let build = |n_edges: usize| {
             let mut g = EscapeGraph::new();
             for i in 0..8u32 {
-                g.add_location(LocKind::Var(VarId(i)), format!("v{i}"), 0, 1, true);
+                g.add_location(LocKind::Var(VarId(i)), 0, 1, true);
             }
             for (a, b, w) in edges.iter().take(n_edges) {
                 g.add_edge(
