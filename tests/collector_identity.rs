@@ -23,10 +23,31 @@ use gofree_workloads::Scale;
 
 const RUNS: u64 = 2;
 
-fn golden_path() -> PathBuf {
+fn golden_path(file: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden_collector")
-        .join("corpus.txt")
+        .join(file)
+}
+
+/// Compares `reference` with the committed golden `file`, first
+/// rewriting the golden when `GOFREE_BLESS=1`.
+fn check_golden(file: &str, reference: &str, what: &str) {
+    let path = golden_path(file);
+    if std::env::var("GOFREE_BLESS").as_deref() == Ok("1") {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
+        std::fs::write(&path, reference).expect("write golden");
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "missing golden {}; bless with GOFREE_BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        reference, golden,
+        "the {what} collector no longer reproduces {file}; if this change \
+         is intentional, re-bless with GOFREE_BLESS=1"
+    );
 }
 
 /// FNV-1a over a string — a stable, dependency-free content hash for
@@ -172,23 +193,7 @@ fn go_collector_matches_pre_refactor_fingerprints() {
     // Engine and jobs sweep: all four cells must agree with each other
     // AND with the committed pre-refactor golden.
     let reference = corpus_fingerprint(VmEngine::Bytecode, 1, CollectorKind::Go);
-
-    let path = golden_path();
-    if std::env::var("GOFREE_BLESS").as_deref() == Ok("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
-        std::fs::write(&path, &reference).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!(
-            "missing golden {}; bless with GOFREE_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        reference, golden,
-        "the default (go) collector no longer reproduces the pre-refactor \
-         observables; if this change is intentional, re-bless with GOFREE_BLESS=1"
-    );
+    check_golden("corpus.txt", &reference, "default (go)");
 
     for (engine, jobs) in [
         (VmEngine::Bytecode, 2),
@@ -205,10 +210,11 @@ fn go_collector_matches_pre_refactor_fingerprints() {
 
 #[test]
 fn generational_collector_is_invariant_and_genuinely_different() {
-    // The second backend gets the same determinism guarantees as the
-    // first: identical observables across both engines and under
-    // parallel fan-out...
+    // The second backend gets the same guarantees as the first: its
+    // committed golden, and identical observables across both engines
+    // and under parallel fan-out...
     let reference = corpus_fingerprint(VmEngine::Bytecode, 1, CollectorKind::Generational);
+    check_golden("corpus_gen.txt", &reference, "generational");
     for (engine, jobs) in [(VmEngine::TreeWalk, 1), (VmEngine::Bytecode, 2)] {
         assert_eq!(
             corpus_fingerprint(engine, jobs, CollectorKind::Generational),
@@ -219,7 +225,7 @@ fn generational_collector_is_invariant_and_genuinely_different() {
     // ...but it must NOT reproduce the go backend's stream — nursery
     // pacing runs different cycles at different times. A backend that
     // matches the mark-sweep golden byte-for-byte is not generational.
-    let golden = std::fs::read_to_string(golden_path()).expect("go golden exists");
+    let golden = std::fs::read_to_string(golden_path("corpus.txt")).expect("go golden exists");
     assert_ne!(
         reference, golden,
         "the generational backend produced the mark-sweep fingerprint"
