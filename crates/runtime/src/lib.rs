@@ -41,7 +41,7 @@ pub mod trace;
 pub use minigo_syntax::fxhash;
 
 pub use clock::{Clock, CostModel};
-pub use collector::{Collector, CollectorKind, CycleKind, CycleOutcome, GcTrigger};
+pub use collector::{CollectorKind, CycleKind};
 pub use heap::{
     AllocEvents, Heap, HeapInvariant, HeapInvariantError, Mspan, ObjAddr, OwnerTag, SmallFree,
     SpanId, SweepOutcome, Swept,

@@ -53,9 +53,6 @@ pub struct RuntimeConfig {
     pub seed: u64,
     /// Clock jitter amplitude (fraction).
     pub jitter: f64,
-    /// The concurrent-mark window: GC stays "running" for
-    /// `live_objects / gc_assist_divisor` allocations before the sweep.
-    pub gc_assist_divisor: u64,
     /// §6.8 robustness mock.
     pub poison: PoisonMode,
     /// Record the typed runtime event stream ([`crate::trace`]). Like the
@@ -68,10 +65,10 @@ pub struct RuntimeConfig {
     /// refuses to reconcile instead of silently folding a partial
     /// stream.
     pub trace_cap: Option<usize>,
-    /// Which collection backend runs ([`crate::collector`]).
+    /// Whether the collector runs a nursery ([`crate::collector`]).
     pub collector: CollectorKind,
-    /// Nursery size in bytes for the generational backend's minor
-    /// trigger (ignored by the default mark-sweep backend). Must stay
+    /// Nursery size in bytes for the generational collector's minor
+    /// trigger (ignored without a nursery). Must stay
     /// below `min_heap` — a nursery at or above the initial full-heap
     /// goal would let major pacing permanently shadow minor cycles
     /// ([`RuntimeConfig::validate`] rejects it).
@@ -90,7 +87,6 @@ impl Default for RuntimeConfig {
             migrate_prob: 0.0005,
             seed: 0,
             jitter: 0.02,
-            gc_assist_divisor: 16,
             poison: PoisonMode::Off,
             trace: false,
             trace_cap: None,
@@ -110,13 +106,10 @@ pub enum ConfigError {
     /// heap, so every allocation past `min_heap` would trigger a cycle —
     /// a GC livelock, not a measurement.
     ZeroGogc,
-    /// `gc_assist_divisor` = 0: the concurrent-mark window length would
-    /// divide by zero.
-    ZeroAssistDivisor,
-    /// Generational backend with a zero-byte nursery: every allocation
+    /// Generational collector with a zero-byte nursery: every allocation
     /// would trigger a minor cycle.
     ZeroNursery,
-    /// Generational backend with `nursery_size >= min_heap`: the
+    /// Generational collector with `nursery_size >= min_heap`: the
     /// full-heap goal would always be crossed before the nursery fills,
     /// so minor cycles could never run.
     NurseryAboveHeapGoal {
@@ -136,12 +129,6 @@ impl fmt::Display for ConfigError {
                     "GOGC=0 with GC enabled would collect on every allocation past min_heap"
                 )
             }
-            ConfigError::ZeroAssistDivisor => {
-                write!(
-                    f,
-                    "gc_assist_divisor must be nonzero (mark-window length divides by it)"
-                )
-            }
             ConfigError::ZeroNursery => {
                 write!(f, "the generational collector needs a nonzero nursery_size")
             }
@@ -157,8 +144,8 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl RuntimeConfig {
-    /// Rejects configurations that would panic, divide by zero, or
-    /// degenerate into a GC livelock.
+    /// Rejects configurations that would degenerate into a GC livelock
+    /// or never run a minor cycle.
     ///
     /// # Errors
     ///
@@ -168,9 +155,6 @@ impl RuntimeConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.gc_enabled && self.gogc == 0 {
             return Err(ConfigError::ZeroGogc);
-        }
-        if self.gc_enabled && self.gc_assist_divisor == 0 {
-            return Err(ConfigError::ZeroAssistDivisor);
         }
         if self.collector == CollectorKind::Generational && self.gc_enabled {
             if self.nursery_size == 0 {
@@ -227,15 +211,10 @@ pub struct Runtime {
     metrics: Metrics,
     rng: SimRng,
     current_thread: u32,
-    /// The collection backend: owns pacing state, the mark window, the
-    /// cost model application, and the sweep policy. A separate field so
-    /// the borrow checker lets it borrow `heap`/`clock`/`rng` disjointly.
-    collector: Box<dyn Collector>,
-    /// `collector.gc_pending()`, refreshed after `pace`, `collect` and
-    /// `force_window`: the per-statement safepoint reads a field.
-    gc_pending: bool,
-    /// `collector.has_barrier()`, asked once.
-    has_barrier: bool,
+    /// Pacing state, the mark window, and the cycle's cost and sweep
+    /// policy. A separate field so it can borrow `heap`/`clock`/`rng`
+    /// disjointly.
+    collector: Collector,
     live_objects: u64,
     /// The event recorder, present when [`RuntimeConfig::trace`] is on.
     /// Boxed so the untraced hot path only carries a pointer-sized
@@ -256,10 +235,8 @@ impl Runtime {
         let heap = Heap::new(cfg.threads as usize);
         let rng = SimRng::seed_from_u64(cfg.seed);
         let tracer = cfg.trace.then(|| Box::new(Tracer::with_cap(cfg.trace_cap)));
-        let collector = cfg.collector.build(&cfg);
+        let collector = Collector::new(&cfg);
         Runtime {
-            gc_pending: collector.gc_pending(),
-            has_barrier: collector.has_barrier(),
             cfg,
             heap,
             clock,
@@ -292,12 +269,6 @@ impl Runtime {
         &self.metrics
     }
 
-    /// Mutable metrics access (the VM records stack allocations and
-    /// interpreter-side counters here).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Elapsed virtual time.
     #[inline]
     pub fn now(&self) -> u64 {
@@ -324,8 +295,7 @@ impl Runtime {
     /// Whether a collection should run at the next safepoint.
     #[inline]
     pub fn gc_pending(&self) -> bool {
-        debug_assert_eq!(self.gc_pending, self.collector.gc_pending());
-        self.gc_pending
+        self.collector.gc_pending()
     }
 
     /// Whether the concurrent mark window is open (tcfree bails).
@@ -333,9 +303,9 @@ impl Runtime {
         self.collector.gc_running()
     }
 
-    /// Which collection backend is running.
+    /// Which collector is running.
     pub fn collector_kind(&self) -> CollectorKind {
-        self.collector.kind()
+        self.cfg.collector
     }
 
     /// Allocates `size` bytes of category `cat`. Returns the address; the
@@ -412,7 +382,6 @@ impl Runtime {
         let trigger = self
             .collector
             .pace(&self.cfg, &self.heap, self.live_objects);
-        self.gc_pending = self.collector.gc_pending();
         if let Some(trigger) = trigger {
             if let Some(t) = &mut self.tracer {
                 t.record(TraceEvent::GcStart {
@@ -442,19 +411,20 @@ impl Runtime {
         self.heap.mark(addr)
     }
 
-    /// Whether the backend has a write barrier at all (constant for the
-    /// run): without one [`Runtime::record_store`] does nothing, and a
-    /// caller may skip preparing its argument.
+    /// Whether the collector has a write barrier at all (only with a
+    /// nursery; constant for the run): without one
+    /// [`Runtime::record_store`] does nothing, and a caller may skip
+    /// preparing its argument.
     #[inline]
     pub fn has_barrier(&self) -> bool {
-        self.has_barrier
+        self.collector.has_barrier()
     }
 
     /// Write-barrier entry point: the VM calls this at every
     /// heap-pointer store site (the same sites the shadow sanitizer
-    /// hooks). The default mark-sweep backend makes it a total no-op —
-    /// zero ticks, no state — so runs without a barrier-carrying
-    /// collector stay bit-identical to the pre-barrier runtime.
+    /// hooks). Without a nursery it is a total no-op — zero ticks, no
+    /// state — so `go` runs stay bit-identical to the pre-barrier
+    /// runtime.
     pub fn record_store(&mut self, addr: ObjAddr) {
         let ticks = self.collector.record_store(&self.cfg, &self.heap, addr);
         if ticks > 0 {
@@ -483,20 +453,9 @@ impl Runtime {
         self.tcfree_inner(addr, source, true)
     }
 
-    /// Batched `tcfree` (§5, "Possibility of Batching"): adjacent frees in
-    /// the same scope share one call overhead. The paper notes this
-    /// "typically offers limited performance gains since few objects are
-    /// freed in a single scope" — the `batching` experiment measures it.
-    pub fn tcfree_batch(&mut self, requests: &[(ObjAddr, FreeSource)]) -> Vec<FreeOutcome> {
-        requests
-            .iter()
-            .enumerate()
-            .map(|(i, &(addr, source))| self.tcfree_inner(addr, source, i == 0))
-            .collect()
-    }
-
-    /// A `tcfree` that continues an open batch: the call overhead was
-    /// already paid by the batch's first free.
+    /// A `tcfree` that continues an open batch (§5, "Possibility of
+    /// Batching"): adjacent frees in the same scope share one call
+    /// overhead, already paid by the batch's first free.
     pub fn tcfree_continue(&mut self, addr: ObjAddr, source: FreeSource) -> FreeOutcome {
         self.tcfree_inner(addr, source, false)
     }
@@ -612,11 +571,10 @@ impl Runtime {
         }
         // The cycle itself — mark cost, sweep, next goal — is collector
         // policy; the mechanism below (metrics, live-object accounting,
-        // trace events) is collector-agnostic.
+        // trace events) is the same for either cycle kind.
         let cycle =
             self.collector
                 .collect(&self.cfg, &mut self.heap, &mut self.clock, &mut self.rng);
-        self.gc_pending = self.collector.gc_pending();
         let out = cycle.sweep;
         self.debug_check_heap();
         for f in &out.freed {
@@ -706,7 +664,7 @@ impl Runtime {
     /// Takes the recorded event stream (once, after the run; `None` when
     /// tracing was off). The trace is stamped with the active collector.
     pub fn take_trace(&mut self) -> Option<Trace> {
-        let kind = self.collector.kind();
+        let kind = self.cfg.collector;
         self.tracer.take().map(|t| {
             let mut trace = t.finish();
             trace.collector = kind;
@@ -756,7 +714,6 @@ impl Runtime {
     #[doc(hidden)]
     pub fn force_gc_window(&mut self, assists: u64) {
         self.collector.force_window(assists);
-        self.gc_pending = self.collector.gc_pending();
     }
 }
 
@@ -837,7 +794,6 @@ mod tests {
     fn gc_triggers_by_pacing_and_collects() {
         let mut rt = Runtime::new(RuntimeConfig {
             min_heap: 4096,
-            gc_assist_divisor: u64::MAX, // close the window immediately
             ..quiet_cfg()
         });
         let mut addrs = Vec::new();
@@ -930,12 +886,6 @@ mod tests {
         };
         assert_eq!(gc_off.validate(), Ok(()));
 
-        let zero_div = RuntimeConfig {
-            gc_assist_divisor: 0,
-            ..RuntimeConfig::default()
-        };
-        assert_eq!(zero_div.validate(), Err(ConfigError::ZeroAssistDivisor));
-
         let zero_nursery = RuntimeConfig {
             collector: CollectorKind::Generational,
             nursery_size: 0,
@@ -978,7 +928,6 @@ mod tests {
             collector: CollectorKind::Generational,
             nursery_size: 4096,
             min_heap: 1024 * 1024,
-            gc_assist_divisor: u64::MAX, // close windows immediately
             ..quiet_cfg()
         });
         let mut addrs = Vec::new();
@@ -1001,7 +950,6 @@ mod tests {
             collector: CollectorKind::Generational,
             nursery_size: 4096,
             min_heap: 1024 * 1024,
-            gc_assist_divisor: u64::MAX,
             ..quiet_cfg()
         });
         // Fill a nursery generation and promote it (everything marked).
@@ -1044,7 +992,6 @@ mod tests {
             collector: CollectorKind::Generational,
             nursery_size: 4096,
             min_heap: 1024 * 1024,
-            gc_assist_divisor: u64::MAX,
             ..quiet_cfg()
         });
         let a = rt.alloc(512, Category::Other);

@@ -37,8 +37,8 @@ pub enum ExecError {
     /// service harness' `setup`/`handle` contract).
     NoFunc(String),
     /// The runtime configuration failed validation before the run
-    /// started (e.g. GOGC=0 with GC enabled, a zero assist divisor, or a
-    /// generational nursery at or above the heap goal).
+    /// started (e.g. GOGC=0 with GC enabled, or a generational nursery
+    /// at or above the heap goal).
     InvalidConfig(minigo_runtime::ConfigError),
     /// An operation the VM does not support (e.g. interior pointers
     /// `&x.f`).

@@ -1,16 +1,17 @@
-//! The collector-refactor bit-identity gate.
+//! The collector bit-identity gate.
 //!
-//! The `Collector` trait refactor moved every collection-policy decision
-//! (pacing, the concurrent-mark window, mark costing, the sweep, the
-//! post-GC goal) out of `Runtime` and behind trait objects. This test
-//! pins the default `go` backend to the **pre-refactor** behaviour: the
-//! golden fingerprints under `tests/golden_collector/` were generated by
-//! the tree as it stood *before* the trait existed, and every observable
-//! a run produces — program output, virtual time, step count, all v1
+//! Every collection-policy decision (pacing, the concurrent-mark window,
+//! mark costing, the sweep, the post-GC goal) lives in the runtime's one
+//! `Collector`. This test pins both of its kinds to committed goldens
+//! under `tests/golden_collector/`: `corpus.txt` for `go`, generated
+//! before that policy was first moved out of `Runtime`, and
+//! `corpus_gen.txt` for `gen`, the nursery variant. Every observable a
+//! run produces — program output, virtual time, step count, all v1
 //! metrics counters, the GC pacing stream (trigger/goal/window per
 //! cycle), the live-heap curve, and the folded allocation profile — must
-//! still match byte-for-byte, on the full workload corpus, under both VM
-//! engines, with `--jobs 1` and `--jobs 2`.
+//! match byte-for-byte, on the full workload corpus, under both VM
+//! engines, with `--jobs 1` and `--jobs 2`; and `gen` must differ from
+//! `go`.
 //!
 //! Regenerate after an *intentional* observable change with
 //! `GOFREE_BLESS=1 cargo test --test collector_identity`.
