@@ -180,3 +180,27 @@ fn report_json_snapshot() {
     assert_golden("report_json_sieve", &json);
     let _ = std::fs::remove_file(&out_path);
 }
+
+#[test]
+fn chrome_trace_runtime_track_snapshot() {
+    // The Chrome export's runtime track alone (no compile phases, whose
+    // host timings vary): wordcount under GoFree on the generational
+    // collector, seeded, runs five cycles, so the snapshot pins every
+    // free's and sweep's address, site and stack.
+    let src = std::fs::read_to_string(repo_file("examples/programs/wordcount.mgo"))
+        .expect("wordcount source");
+    let compiled = gofree::compile(&src, &gofree::Setting::GoFree.compile_options())
+        .expect("wordcount compiles");
+    let cfg = gofree::RunConfig {
+        seed: 7,
+        trace: true,
+        collector: gofree::CollectorKind::Generational,
+        ..gofree::RunConfig::default()
+    };
+    let report = gofree::execute(&compiled, gofree::Setting::GoFree, &cfg).expect("runs");
+    let trace = report.trace.expect("traced run carries a trace");
+    assert_golden(
+        "chrome_trace_wordcount_gen",
+        &gofree::chrome_trace_json(&trace, &[]),
+    );
+}
