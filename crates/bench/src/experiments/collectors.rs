@@ -214,14 +214,13 @@ fn delta_row(opts: &Options, project: &'static str, base: &RunConfig) -> DeltaRo
                 _ => 0,
             })
             .sum();
-        let peak_footprint = trace.max_footprint();
         CellStats {
             cycles: report.metrics.gcs,
             minor: report.metrics.gcs_minor,
             major: report.metrics.gcs_major,
             swept_bytes,
             time: report.time,
-            peak_footprint,
+            peak_footprint: report.metrics.maxheap,
         }
     };
     DeltaRow {

@@ -1,9 +1,10 @@
 //! Regenerates fig. 10: the map microbenchmark sweeping the deallocated-
 //! object-size parameter `c`. Bigger `c` keeps the free *ratio* comparable
 //! while the mean freed object grows, shifting the benefit from GC-count
-//! reduction toward heap-size reduction (§6.3).
+//! reduction toward heap-size reduction (§6.3). The table ends with that
+//! shape checked on its own rows, first point against last.
 
-use crate::{pct, Options};
+use crate::{pct, verdict, Options};
 use gofree::cli::Observed;
 use gofree::{fig10_point, Setting};
 use gofree_workloads::micro;
@@ -47,16 +48,25 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
         last_traced = Some((gf_r, gofree.phase_times.clone()));
     }
     println!("{}", "-".repeat(70));
-    println!("\nExpected shape (paper fig. 10): free ratio comparable across c;");
-    println!("small c -> bigger GC-count/time reduction; large c -> bigger heap reduction.");
-    let first = &points[0];
-    let last = &points[points.len() - 1];
-    if last.heap_ratio < first.heap_ratio {
-        println!("heap benefit grows with c: OK");
-    }
-    if first.gc_ratio <= last.gc_ratio {
-        println!("GC-count benefit shrinks with c: OK");
-    }
+    let (first, last) = (&points[0], &points[points.len() - 1]);
+    let (lo, hi) = points.iter().fold((f64::MAX, f64::MIN), |(lo, hi), p| {
+        (lo.min(p.free_ratio), hi.max(p.free_ratio))
+    });
+    println!(
+        "\nfree ratio {}..{} across c, comparable (within 10 points): {}",
+        pct(lo),
+        pct(hi),
+        verdict(hi - lo <= 0.10)
+    );
+    let ends = |a: f64, b: f64| {
+        format!("{} at c={} -> {} at c={}", pct(a), first.c, pct(b), last.c)
+    };
+    let (a, b) = (first.gc_ratio, last.gc_ratio);
+    println!("GC-count benefit shrinks with c ({}): {}", ends(a, b), verdict(a <= b));
+    let (a, b) = (first.time_ratio, last.time_ratio);
+    println!("time benefit shrinks with c ({}): {}", ends(a, b), verdict(a <= b));
+    let (a, b) = (first.heap_ratio, last.heap_ratio);
+    println!("heap benefit grows with c ({}): {}", ends(a, b), verdict(b < a));
     // The designated run is the last sweep point's GoFree run.
     Ok(last_traced.map(|(report, phases)| Observed::new(report, phases)))
 }

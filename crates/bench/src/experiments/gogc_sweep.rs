@@ -2,9 +2,10 @@
 //! knob. Smaller GOGC means more frequent collections, so explicit
 //! deallocation avoids more of them; large GOGC amortizes GC so well that
 //! GoFree's effect shrinks toward the allocator level. (The paper fixes
-//! GOGC at the default 100; this extends table 7 along that axis.)
+//! GOGC at the default 100; this extends table 7 along that axis.) The
+//! table ends with both halves of that claim checked on its own rows.
 
-use crate::{pct, Options};
+use crate::{pct, verdict, Options};
 use gofree::cli::Observed;
 use gofree::{compile, execute, RunConfig, Setting};
 
@@ -17,6 +18,8 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     );
     println!("{}", "-".repeat(72));
     let mut observed = None;
+    // Per GOGC, ascending: (GCs avoided, GoFree/Go time).
+    let mut rows: Vec<(i64, f64)> = Vec::new();
     for gogc in [25u64, 50, 100, 200, 400] {
         let cfg = RunConfig {
             gogc,
@@ -43,8 +46,23 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
             gf_r.time,
             pct(gf_r.time as f64 / go_r.time as f64),
         );
+        rows.push((
+            go_r.metrics.gcs as i64 - gf_r.metrics.gcs as i64,
+            gf_r.time as f64 / go_r.time as f64,
+        ));
     }
-    println!("\nExpected shape: tighter pacing (low GOGC) = more GCs avoided = bigger");
-    println!("time benefit; generous pacing dilutes GoFree's effect.");
+    let avoided: Vec<String> = rows.iter().map(|r| r.0.to_string()).collect();
+    let times: Vec<String> = rows.iter().map(|r| pct(r.1)).collect();
+    let steps = || rows.windows(2).map(|w| (w[0], w[1]));
+    println!(
+        "\nGCs avoided (Go - GoFree) {} do not rise with GOGC: {}",
+        avoided.join(", "),
+        verdict(steps().all(|(a, b)| b.0 <= a.0))
+    );
+    println!(
+        "GoFree/Go time {} does not fall with GOGC: {}",
+        times.join(", "),
+        verdict(steps().all(|(a, b)| b.1 >= a.1))
+    );
     Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

@@ -49,7 +49,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
                 t.garbage_bytes(),
                 t.swept_bytes,
                 t.leftover_bytes,
-                trace.gc_count(),
+                report.metrics.gcs,
             );
             let ranked = profile.ranked_by(|s: &StackStat| s.garbage_bytes());
             let shown: Vec<_> = ranked

@@ -79,7 +79,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     }
     println!(
         "\naudit (deny): {suppressed} of {audited_sites} free sites suppressed across workloads \
-         (run `--bin audit` for the full sweep)"
+         (run `bench audit` for the full sweep)"
     );
     assert_eq!(suppressed, 0, "the auditor must prove every workload free");
 
@@ -93,7 +93,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let pd2 = fg.loc_of(*pd2.unwrap());
     assert!(fg.graph.loc(pd2).incomplete);
     println!("\ntable 3: Go graph's PointsTo(pd2) flagged Incomplete -> never freed  OK");
-    println!("robustness: run `--bin robustness` / `--bin fuzz` for the soundness suite");
+    println!("robustness: run `bench robustness` / `bench fuzz` for the soundness suite");
     println!("\nAll headline invariants hold.");
     Ok(None)
 }

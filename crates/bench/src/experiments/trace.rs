@@ -2,15 +2,16 @@
 //! trace instead of end-of-run aggregates, cross-checking every derived
 //! number against [`gofree::Report::metrics`]:
 //!
-//! * a fig. 10-style object-size sweep where the GC-count and peak-heap
-//!   ratios are computed from `GcEnd`/`Alloc` events;
+//! * a fig. 10-style object-size sweep of GC-count and peak-heap ratios;
 //! * a fig. 11-style per-workload view of the six subject programs with
 //!   an ASCII live-heap curve sampled from the event stream.
 //!
-//! Every row asserts `Trace::gc_count == Metrics::gcs`,
-//! `Trace::max_footprint == Metrics::maxheap`, and full
-//! [`gofree::Trace::reconcile`] — the trace layer cannot drift from the
-//! published numbers without this experiment failing.
+//! Every row asserts [`gofree::Trace::reconcile`]: the stream's fold —
+//! GC count (`GcEnd` events) and peak footprint (`Alloc`/`Finalize`
+//! events) included — equals the run's metrics field for field, so the
+//! figures printed from those metrics are the trace's own, and the trace
+//! layer cannot drift from the published numbers without this experiment
+//! failing.
 
 use crate::{pct, Options};
 use gofree::cli::Observed;
@@ -52,8 +53,8 @@ fn curve_spark(trace: &Trace) -> String {
     out
 }
 
-/// Runs one compiled setting traced and cross-checks every trace-derived
-/// figure against the run's metrics, returning the report.
+/// Runs one compiled setting traced and checks the stream folds back to
+/// the run's metrics exactly, returning the report.
 fn run_checked(
     compiled: &gofree::Compiled,
     setting: Setting,
@@ -62,16 +63,6 @@ fn run_checked(
 ) -> gofree::Report {
     let report = gofree::execute(compiled, setting, cfg).expect("workload runs");
     let trace = report.trace.as_ref().expect("tracing was enabled");
-    assert_eq!(
-        trace.gc_count(),
-        report.metrics.gcs,
-        "{what}: GC count from events != metrics"
-    );
-    assert_eq!(
-        trace.max_footprint(),
-        report.metrics.maxheap,
-        "{what}: peak footprint from events != metrics"
-    );
     trace
         .reconcile(&report.metrics)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
@@ -99,16 +90,16 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
         let gf = gofree::compile(&src, &opts.compile_options(Setting::GoFree)).expect("compiles");
         let go_r = run_checked(&go, Setting::Go, &cfg, "fig10/go");
         let gf_r = run_checked(&gf, Setting::GoFree, &cfg, "fig10/gofree");
-        let (go_t, gf_t) = (go_r.trace.as_ref().unwrap(), gf_r.trace.as_ref().unwrap());
-        let gc_ratio = gf_t.gc_count() as f64 / go_t.gc_count().max(1) as f64;
-        let heap_ratio = gf_t.max_footprint() as f64 / go_t.max_footprint().max(1) as f64;
+        let (go_m, gf_m) = (&go_r.metrics, &gf_r.metrics);
+        let gc_ratio = gf_m.gcs as f64 / go_m.gcs.max(1) as f64;
+        let heap_ratio = gf_m.maxheap as f64 / go_m.maxheap.max(1) as f64;
         println!(
             "{:>4} | {:>8} {:>8} {:>8} | {:>8} B {:>10}",
             c,
-            gf_t.events.len(),
-            gf_t.gc_count(),
+            gf_r.trace.as_ref().unwrap().events.len(),
+            gf_m.gcs,
             pct(gc_ratio),
-            gf_t.max_footprint(),
+            gf_m.maxheap,
             pct(heap_ratio),
         );
         last_gofree = Some((gf_r, gf.phase_times.clone()));
@@ -125,14 +116,13 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
             let compiled =
                 gofree::compile(&w.source, &opts.compile_options(setting)).expect("compiles");
             let r = run_checked(&compiled, setting, &cfg, w.name);
-            let t = r.trace.as_ref().unwrap();
             println!(
                 "{:<10} {:>7} | {:>7} {:>8} B | {}",
                 w.name,
                 setting.to_string(),
-                t.gc_count(),
-                t.max_footprint(),
-                curve_spark(t),
+                r.metrics.gcs,
+                r.metrics.maxheap,
+                curve_spark(r.trace.as_ref().unwrap()),
             );
         }
     }

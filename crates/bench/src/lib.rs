@@ -161,6 +161,15 @@ pub fn pct(x: f64) -> String {
     format!("{:.0}%", x * 100.0)
 }
 
+/// The verdict a results file prints for one of its checks, either way.
+pub fn verdict(holds: bool) -> &'static str {
+    if holds {
+        "holds"
+    } else {
+        "does not hold"
+    }
+}
+
 /// Formats a p-value the way table 7 prints them.
 pub fn fmt_p(p: f64) -> String {
     if p < 0.001 {

@@ -264,7 +264,7 @@ pub fn profile_report(profile: &Profile, trace: &Trace, labels: &HashMap<u32, St
         trace.events.len(),
         trace.events_dropped,
         stacks.len(),
-        trace.gc_count()
+        trace.fold().gcs
     );
     let _ = writeln!(out, "-- totals --");
     let _ = writeln!(
@@ -406,7 +406,6 @@ mod tests {
                 TraceEvent::Free {
                     at: 50,
                     addr: addr(0),
-                    site: Some(3),
                     stack: main,
                     cat: Category::Slice,
                     source: FreeSource::SliceLifetime,

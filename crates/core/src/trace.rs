@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use minigo_runtime::{FreeStep, Trace, TraceEvent};
+use minigo_runtime::{FreeStep, Replayed, Trace, TraceEvent};
 
 use crate::pipeline::PhaseTime;
 
@@ -77,9 +77,10 @@ pub fn chrome_trace_json(trace: &Trace, phases: &[PhaseTime]) -> String {
         ts += dur;
     }
 
-    // Runtime events: virtual ticks as microseconds.
-    for ev in &trace.events {
-        let rendered = match *ev {
+    // Runtime events: virtual ticks as microseconds. A free names the
+    // site of the allocation it reclaimed, joined by the replay.
+    for Replayed { event, origin, .. } in trace.replay() {
+        let rendered = match *event {
             TraceEvent::Alloc {
                 at,
                 addr,
@@ -109,7 +110,6 @@ pub fn chrome_trace_json(trace: &Trace, phases: &[PhaseTime]) -> String {
             TraceEvent::Free {
                 at,
                 addr,
-                site,
                 stack,
                 cat,
                 source,
@@ -124,7 +124,7 @@ pub fn chrome_trace_json(trace: &Trace, phases: &[PhaseTime]) -> String {
                  {{\"name\":\"heap\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":{at},\
                  \"args\":{{\"live\":{heap_live}}}}}",
                 fmt_addr(addr),
-                fmt_site(site),
+                fmt_site(origin.and_then(|o| o.site)),
                 esc(&trace.stacks.folded(stack)),
                 fmt_step(step),
             ),
@@ -270,8 +270,8 @@ pub fn timeline_table(trace: &Trace, labels: &HashMap<u32, String>) -> String {
     };
 
     let mut rows: HashMap<Option<u32>, Row> = HashMap::new();
-    for ev in &trace.events {
-        match *ev {
+    for Replayed { event, origin, .. } in trace.replay() {
+        match *event {
             TraceEvent::Alloc {
                 at, site, bytes, ..
             } => {
@@ -285,13 +285,15 @@ pub fn timeline_table(trace: &Trace, labels: &HashMap<u32, String>) -> String {
                 row.bytes += bytes;
                 row.buckets[bucket_of(at)] += 1;
             }
-            TraceEvent::Free { site, .. } => {
-                let row = rows.entry(site).or_insert_with(|| Row {
-                    allocs: 0,
-                    bytes: 0,
-                    freed: 0,
-                    buckets: [0; TIMELINE_BUCKETS],
-                });
+            TraceEvent::Free { .. } => {
+                let row = rows
+                    .entry(origin.and_then(|o| o.site))
+                    .or_insert_with(|| Row {
+                        allocs: 0,
+                        bytes: 0,
+                        freed: 0,
+                        buckets: [0; TIMELINE_BUCKETS],
+                    });
                 row.freed += 1;
             }
             _ => {}
@@ -378,7 +380,6 @@ mod tests {
                         span: SpanId(0),
                         slot: 0,
                     },
-                    site: Some(3),
                     stack: main,
                     cat: Category::Slice,
                     source: FreeSource::SliceLifetime,
@@ -458,6 +459,62 @@ mod tests {
         let spark_line = a.lines().nth(1).unwrap();
         assert!(spark_line.contains('|'), "{spark_line}");
         assert_eq!(a.lines().count(), 2, "{a}");
+    }
+
+    #[test]
+    fn each_free_names_its_own_allocations_site() {
+        // One slot, two lives: allocated at site 3 and freed, then
+        // reallocated by an unattributed (runtime-internal) allocation
+        // and freed again. The second free must not inherit site 3.
+        let slot = ObjAddr {
+            span: SpanId(0),
+            slot: 0,
+        };
+        let alloc = |at, site| TraceEvent::Alloc {
+            at,
+            addr: slot,
+            site,
+            stack: minigo_runtime::ROOT_STACK,
+            cat: Category::Slice,
+            bytes: 112,
+            large: false,
+            heap_live: 112,
+            footprint: 8192,
+        };
+        let free = |at| TraceEvent::Free {
+            at,
+            addr: slot,
+            stack: minigo_runtime::ROOT_STACK,
+            cat: Category::Slice,
+            source: FreeSource::SliceLifetime,
+            bytes: 112,
+            step: FreeStep::Revert { cascade: 0 },
+            heap_live: 0,
+        };
+        let trace = Trace {
+            events: vec![alloc(0, Some(3)), free(10), alloc(20, None), free(30)],
+            ..Trace::default()
+        };
+        let json = chrome_trace_json(&trace, &[]);
+        let sites: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"name\":\"free\""))
+            .map(|l| {
+                let at = l.find("\"site\":").expect("free names a site") + 7;
+                let len = l[at..].find(',').expect("site is followed by a field");
+                &l[at..at + len]
+            })
+            .collect();
+        assert_eq!(sites, ["3", "null"], "{json}");
+
+        // The timeline credits each free to its own allocation's row.
+        let table = timeline_table(&trace, &HashMap::new());
+        let row = |label: &str| {
+            let line = table.lines().find(|l| l.ends_with(label)).unwrap();
+            line.split_whitespace().nth(2).unwrap().to_string()
+        };
+        assert_eq!(row("site 3"), "1", "{table}");
+        assert_eq!(row("<runtime>"), "1", "{table}");
     }
 
     #[test]

@@ -53,4 +53,6 @@ pub use rng::SimRng;
 pub use runtime::{ConfigError, FreeOutcome, Pause, PoisonMode, Runtime, RuntimeConfig};
 pub use shadow::{FreeCheck, ShadowHeap, ShadowViolation, ViolationKind};
 pub use sizeclass::{class_for, class_size, MAX_SMALL_SIZE, PAGE_SIZE};
-pub use trace::{ClassOccupancy, FreeStep, HeapSnapshot, Trace, TraceEvent, Tracer};
+pub use trace::{
+    ClassOccupancy, FreeStep, HeapSnapshot, Origin, Replayed, Trace, TraceEvent, Tracer,
+};

@@ -1,14 +1,17 @@
 //! Call-stack interning and the allocation-profile builder.
 //!
-//! The VM engines intern every MiniGo call stack into a [`StackTable`]
-//! (parent-pointer nodes over interned function names, pprof-style) and
-//! stamp the current stack id into the runtime so traced events carry
-//! full call-stack attribution. Both engines drive function entry/exit
+//! A [`StackTable`] interns MiniGo call stacks as parent-pointer nodes
+//! over interned function names, pprof-style. The table belongs to the
+//! trace: the VM engines only enter and leave stacks through
+//! [`crate::Runtime::enter_stack`] / [`crate::Runtime::leave_stack`], and
+//! the [`crate::Tracer`] interns them and stamps the current id onto
+//! every alloc/free/bail event. Both engines drive function entry/exit
 //! through identical sequences, so interning order — and therefore every
 //! stack id — is bit-identical across the tree-walk and bytecode
 //! engines, the same contract the tracer established for events.
 //!
-//! [`Profile::build`] replays a completed [`Trace`] into per-stack
+//! [`Profile::build`] is a fold over [`Trace::replay`] (which joins each
+//! free, sweep and leftover to its allocation) into per-stack
 //! allocation/free/bail statistics and per-site lifetime ("drag")
 //! histograms: how many virtual ticks objects sat between allocation and
 //! their `tcfree`, versus allocation and their GC sweep — the gap
@@ -19,10 +22,9 @@
 
 use std::collections::HashMap;
 
-use crate::heap::ObjAddr;
 use crate::histogram::Histogram;
 use crate::metrics::Metrics;
-use crate::trace::{Trace, TraceEvent, TraceSiteId};
+use crate::trace::{Replayed, Trace, TraceEvent, TraceSiteId};
 
 /// An interned call-stack id. Id 0 ([`ROOT_STACK`]) is the empty stack
 /// (no MiniGo frame active — e.g. end-of-run accounting).
@@ -233,61 +235,35 @@ pub struct Profile {
     pub events_dropped: u64,
 }
 
-/// What the replay remembers about a live object.
-struct Origin {
-    stack: StackId,
-    site: Option<TraceSiteId>,
-    at: u64,
-    bytes: u64,
-}
-
 impl Profile {
-    /// Folds a trace into the per-stack/per-site profile by replaying
-    /// the event stream with a live-object table (address → allocating
-    /// stack, site, and birth time).
+    /// Folds a trace into the per-stack/per-site profile over
+    /// [`Trace::replay`], which joins every free, sweep and end-of-run
+    /// leftover to its allocating stack, site and birth time.
     pub fn build(trace: &Trace) -> Profile {
         let mut stats: HashMap<StackId, StackStat> = HashMap::new();
         let mut drags: HashMap<Option<TraceSiteId>, SiteDrag> = HashMap::new();
-        let mut live: HashMap<ObjAddr, Origin> = HashMap::new();
-        for ev in &trace.events {
-            match *ev {
-                TraceEvent::Alloc {
-                    at,
-                    addr,
-                    site,
-                    stack,
-                    bytes,
-                    ..
-                } => {
+        for Replayed {
+            event,
+            origin,
+            live,
+        } in trace.replay()
+        {
+            match *event {
+                TraceEvent::Alloc { stack, bytes, .. } => {
                     let s = stats.entry(stack).or_default();
                     s.allocs += 1;
                     s.alloc_bytes += bytes;
-                    live.insert(
-                        addr,
-                        Origin {
-                            stack,
-                            site,
-                            at,
-                            bytes,
-                        },
-                    );
                 }
                 TraceEvent::StackAlloc { stack, .. } => {
                     stats.entry(stack).or_default().stack_allocs += 1;
                 }
                 TraceEvent::Free {
-                    at,
-                    addr,
-                    stack,
-                    bytes,
-                    ..
+                    at, stack, bytes, ..
                 } => {
                     stats.entry(stack).or_default().free_ops += 1;
                     // Attribute the reclaimed object to its allocator.
-                    let (origin_stack, origin_site, born) = match live.remove(&addr) {
-                        Some(o) => (o.stack, o.site, o.at),
-                        None => (stack, None, at),
-                    };
+                    let (origin_stack, origin_site, born) =
+                        origin.map_or((stack, None, at), |o| (o.stack, o.site, o.at));
                     let s = stats.entry(origin_stack).or_default();
                     s.frees += 1;
                     s.free_bytes += bytes;
@@ -302,13 +278,9 @@ impl Profile {
                 TraceEvent::FreePoison { stack, .. } => {
                     stats.entry(stack).or_default().poisons += 1;
                 }
-                TraceEvent::Sweep {
-                    at, addr, bytes, ..
-                } => {
-                    let (origin_stack, origin_site, born) = match live.remove(&addr) {
-                        Some(o) => (o.stack, o.site, o.at),
-                        None => (ROOT_STACK, None, at),
-                    };
+                TraceEvent::Sweep { at, bytes, .. } => {
+                    let (origin_stack, origin_site, born) =
+                        origin.map_or((ROOT_STACK, None, at), |o| (o.stack, o.site, o.at));
                     let s = stats.entry(origin_stack).or_default();
                     s.swept += 1;
                     s.swept_bytes += bytes;
@@ -317,20 +289,19 @@ impl Profile {
                         .or_insert_with(|| SiteDrag::new(origin_site));
                     d.sweep.record(at.saturating_sub(born));
                 }
+                // Objects still live would eventually be collected; they
+                // stay attributed to their allocating stacks.
+                TraceEvent::Finalize { .. } => {
+                    for o in live {
+                        let s = stats.entry(o.stack).or_default();
+                        s.leftover += 1;
+                        s.leftover_bytes += o.bytes;
+                    }
+                }
                 TraceEvent::McacheFlush { .. }
                 | TraceEvent::GcStart { .. }
                 | TraceEvent::GcEnd { .. }
                 | TraceEvent::Request { .. } => {}
-                TraceEvent::Finalize { .. } => {
-                    // Objects still live would eventually be collected;
-                    // they stay attributed to their allocating stacks.
-                    for origin in live.values() {
-                        let s = stats.entry(origin.stack).or_default();
-                        s.leftover += 1;
-                        s.leftover_bytes += origin.bytes;
-                    }
-                    live.clear();
-                }
             }
         }
         let mut stacks: Vec<(StackId, StackStat)> = stats.into_iter().collect();
@@ -423,7 +394,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heap::SpanId;
+    use crate::heap::{ObjAddr, SpanId};
     use crate::metrics::{Category, FreeSource};
     use crate::trace::FreeStep;
 
@@ -507,7 +478,6 @@ mod tests {
                 TraceEvent::Free {
                     at: 30,
                     addr: addr(0),
-                    site: Some(3),
                     stack: main,
                     cat: Category::Slice,
                     source: FreeSource::SliceLifetime,

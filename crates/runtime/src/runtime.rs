@@ -17,7 +17,7 @@ use crate::clock::{Clock, CostModel};
 use crate::collector::{Collector, CollectorKind, CycleKind};
 use crate::heap::{footprint, Heap, ObjAddr, OwnerTag, SweepOutcome};
 use crate::metrics::{BailReason, Category, FreeSource, Metrics};
-use crate::profile::ROOT_STACK;
+use crate::profile::{StackId, ROOT_STACK};
 use crate::rng::SimRng;
 use crate::sizeclass::{class_for, class_size, large_pages, MAX_SMALL_SIZE};
 use crate::trace::{FreeStep, HeapSnapshot, Trace, TraceEvent, Tracer};
@@ -220,10 +220,6 @@ pub struct Runtime {
     /// Boxed so the untraced hot path only carries a pointer-sized
     /// `None` check.
     tracer: Option<Box<Tracer>>,
-    /// The VM's current interned call-stack id, stamped onto traced
-    /// alloc/free/bail events ([`ROOT_STACK`] when no VM frame is
-    /// active). Pure trace metadata: never read by the simulation.
-    cur_stack: u32,
     /// Every completed GC cycle's stop record, in order.
     pauses: Vec<Pause>,
 }
@@ -234,7 +230,9 @@ impl Runtime {
         let clock = Clock::new(cfg.jitter);
         let heap = Heap::new(cfg.threads as usize);
         let rng = SimRng::seed_from_u64(cfg.seed);
-        let tracer = cfg.trace.then(|| Box::new(Tracer::with_cap(cfg.trace_cap)));
+        let tracer = cfg
+            .trace
+            .then(|| Box::new(Tracer::new(cfg.collector, cfg.trace_cap)));
         let collector = Collector::new(&cfg);
         Runtime {
             cfg,
@@ -246,17 +244,29 @@ impl Runtime {
             collector,
             live_objects: 0,
             tracer,
-            cur_stack: ROOT_STACK,
             pauses: Vec::new(),
         }
     }
 
-    /// Sets the interned call-stack id stamped onto subsequent traced
-    /// events. The VM engines call this at every function entry/exit;
-    /// with tracing off it is a no-op either way (the field is trace
-    /// metadata only).
-    pub fn set_stack(&mut self, stack: u32) {
-        self.cur_stack = stack;
+    /// Enters a call to `name`: traced events are stamped with the
+    /// caller's stack extended by it until [`Runtime::leave_stack`].
+    /// Returns the caller's stack ([`ROOT_STACK`] when tracing is off,
+    /// when the call is a no-op). The VM engines call this at every
+    /// function entry.
+    #[inline]
+    pub fn enter_stack(&mut self, name: &str) -> StackId {
+        self.tracer
+            .as_mut()
+            .map_or(ROOT_STACK, |t| t.enter_stack(name))
+    }
+
+    /// Restores the caller's stack `parent` on function exit (a no-op
+    /// when tracing is off).
+    #[inline]
+    pub fn leave_stack(&mut self, parent: StackId) {
+        if let Some(t) = &mut self.tracer {
+            t.leave_stack(parent);
+        }
     }
 
     /// The configuration.
@@ -364,12 +374,11 @@ impl Runtime {
         // heap-size results rest on.
         self.metrics.maxheap = self.metrics.maxheap.max(footprint(&self.heap));
         if let Some(t) = &mut self.tracer {
-            t.note_site(addr, site);
             t.record(TraceEvent::Alloc {
                 at: self.clock.now(),
                 addr,
                 site,
-                stack: self.cur_stack,
+                stack: t.stack(),
                 cat,
                 bytes,
                 large,
@@ -441,7 +450,7 @@ impl Runtime {
             t.record(TraceEvent::StackAlloc {
                 at,
                 cat,
-                stack: self.cur_stack,
+                stack: t.stack(),
             });
         }
     }
@@ -499,7 +508,7 @@ impl Runtime {
                 t.record(TraceEvent::FreePoison {
                     at,
                     addr,
-                    stack: self.cur_stack,
+                    stack: t.stack(),
                 });
             }
             return FreeOutcome::Poisoned;
@@ -526,12 +535,10 @@ impl Runtime {
         self.metrics.freed_objects_by_source[source.index()] += 1;
         self.metrics.heap_tcfreed[cat.index()] += 1;
         if let Some(t) = &mut self.tracer {
-            let site = t.take_site(addr);
             t.record(TraceEvent::Free {
                 at: self.clock.now(),
                 addr,
-                site,
-                stack: self.cur_stack,
+                stack: t.stack(),
                 cat,
                 source,
                 bytes,
@@ -549,7 +556,7 @@ impl Runtime {
             t.record(TraceEvent::FreeBail {
                 at,
                 reason,
-                stack: self.cur_stack,
+                stack: t.stack(),
             });
         }
         FreeOutcome::Bailed(reason)
@@ -602,7 +609,6 @@ impl Runtime {
             for f in &out.freed {
                 swept[f.cat.index()] += 1;
                 swept_bytes += f.bytes;
-                t.forget_site(f.addr);
                 // Per-object detail so the profile builder can attribute
                 // swept garbage back to its allocating stack; the fold
                 // counts only the GcEnd totals below.
@@ -662,14 +668,9 @@ impl Runtime {
     }
 
     /// Takes the recorded event stream (once, after the run; `None` when
-    /// tracing was off). The trace is stamped with the active collector.
+    /// tracing was off).
     pub fn take_trace(&mut self) -> Option<Trace> {
-        let kind = self.cfg.collector;
-        self.tracer.take().map(|t| {
-            let mut trace = t.finish();
-            trace.collector = kind;
-            trace
-        })
+        self.tracer.take().map(|t| t.finish())
     }
 
     /// Total heap footprint in bytes (pages held).

@@ -20,21 +20,24 @@
 //!
 //! On top of the raw stream the trace carries three profiling layers:
 //! every allocation/free/bail event is stamped with an interned
-//! **call-stack id** (see [`crate::profile::StackTable`], filled in by
-//! the VM engines), per-object [`TraceEvent::Sweep`] events let the
-//! profile builder attribute GC-reclaimed garbage back to its allocating
-//! stack, and [`HeapSnapshot`]s capture per-size-class occupancy and
-//! fragmentation at every GC safepoint. The event buffer may be capped
-//! ([`Tracer::with_cap`]); a capped stream counts what it dropped and
+//! **call-stack id** (see [`crate::profile::StackTable`]; the VM engines
+//! enter and leave stacks through the runtime, and the [`Tracer`] interns
+//! them), per-object [`TraceEvent::Sweep`] events let readers attribute
+//! GC-reclaimed garbage back to its allocation, and [`HeapSnapshot`]s
+//! capture per-size-class occupancy and fragmentation at every GC
+//! safepoint. The join from a freed or swept address to its allocation is
+//! written once, in [`Trace::replay`]. The event buffer may be capped
+//! ([`Tracer::new`]); a capped stream counts what it dropped and
 //! [`Trace::reconcile`] then fails loudly instead of reconciling a
 //! truncated stream by accident.
 
 use std::collections::HashMap;
 
 use crate::collector::{CollectorKind, CycleKind};
+use crate::fxhash::FxHashMap;
 use crate::heap::{footprint, Heap, ObjAddr};
 use crate::metrics::{BailReason, Category, FreeSource, Metrics};
-use crate::profile::{StackId, StackTable};
+use crate::profile::{StackId, StackTable, ROOT_STACK};
 use crate::sizeclass::PAGE_SIZE;
 
 /// An allocation-site id: the raw `ExprId` number assigned by the MiniGo
@@ -101,11 +104,9 @@ pub enum TraceEvent {
         at: u64,
         /// The freed address.
         addr: ObjAddr,
-        /// The allocation site that produced the object, when known.
-        site: Option<TraceSiteId>,
         /// Interned call stack performing the free (the object's
-        /// *allocating* stack is recovered by the profile builder from
-        /// the address's matching [`TraceEvent::Alloc`]).
+        /// allocating site and stack are joined from the address's
+        /// [`TraceEvent::Alloc`] by [`Trace::replay`]).
         stack: StackId,
         /// The freed object's category.
         cat: Category,
@@ -350,40 +351,34 @@ impl HeapSnapshot {
 const TRACE_PREALLOC: usize = 4096;
 
 /// The recording side, owned by the [`crate::Runtime`] when
-/// [`crate::RuntimeConfig::trace`] is on.
-///
-/// Besides the event buffer it keeps an address→site side table so free
-/// events can be attributed back to the allocation site that produced
-/// the object — state the simulation itself never reads.
+/// [`crate::RuntimeConfig::trace`] is on: the [`Trace`] being built, its
+/// buffer cap, and the call stack events are stamped with. It is the one
+/// place a run's history is recorded.
 #[derive(Debug)]
 pub struct Tracer {
-    events: Vec<TraceEvent>,
-    sites: HashMap<ObjAddr, TraceSiteId>,
-    snapshots: Vec<HeapSnapshot>,
+    trace: Trace,
     /// Optional hard cap on the event buffer; `None` = unbounded.
     cap: Option<usize>,
-    /// Events discarded once the cap was hit.
-    events_dropped: u64,
+    /// The current interned call stack ([`ROOT_STACK`] when no VM frame
+    /// is active), stamped onto alloc/free/bail events.
+    stack: StackId,
 }
 
 impl Tracer {
-    /// Creates a tracer with a preallocated, unbounded event buffer.
-    pub fn new() -> Self {
-        Tracer::with_cap(None)
-    }
-
-    /// Creates a tracer whose event buffer holds at most `cap` events;
-    /// further events are counted in `events_dropped` instead of
-    /// recorded, and the resulting truncated [`Trace`] refuses to
-    /// reconcile.
-    pub fn with_cap(cap: Option<usize>) -> Self {
+    /// Creates a tracer for a run of `collector` whose event buffer holds
+    /// at most `cap` events (`None` = unbounded); further events are
+    /// counted in `events_dropped` instead of recorded, and the resulting
+    /// truncated [`Trace`] refuses to reconcile.
+    pub fn new(collector: CollectorKind, cap: Option<usize>) -> Self {
         let prealloc = cap.map_or(TRACE_PREALLOC, |c| c.min(TRACE_PREALLOC));
         Tracer {
-            events: Vec::with_capacity(prealloc),
-            sites: HashMap::new(),
-            snapshots: Vec::new(),
+            trace: Trace {
+                collector,
+                events: Vec::with_capacity(prealloc),
+                ..Trace::default()
+            },
             cap,
-            events_dropped: 0,
+            stack: ROOT_STACK,
         }
     }
 
@@ -391,55 +386,39 @@ impl Tracer {
     /// its cap — never silently).
     pub fn record(&mut self, ev: TraceEvent) {
         match self.cap {
-            Some(cap) if self.events.len() >= cap => self.events_dropped += 1,
-            _ => self.events.push(ev),
+            Some(cap) if self.trace.events.len() >= cap => self.trace.events_dropped += 1,
+            _ => self.trace.events.push(ev),
         }
     }
 
     /// Appends a heap snapshot (bounded by the GC count, never capped).
     pub fn snapshot(&mut self, snap: HeapSnapshot) {
-        self.snapshots.push(snap);
+        self.trace.snapshots.push(snap);
     }
 
-    /// Remembers which site allocated `addr` (clearing any stale entry
-    /// left by a previous occupant of the reused address).
-    pub fn note_site(&mut self, addr: ObjAddr, site: Option<TraceSiteId>) {
-        match site {
-            Some(s) => {
-                self.sites.insert(addr, s);
-            }
-            None => {
-                self.sites.remove(&addr);
-            }
-        }
+    /// The call stack subsequent events are stamped with.
+    pub fn stack(&self) -> StackId {
+        self.stack
     }
 
-    /// Takes the allocation site of `addr` (the object is gone).
-    pub fn take_site(&mut self, addr: ObjAddr) -> Option<TraceSiteId> {
-        self.sites.remove(&addr)
+    /// Enters a call to `name`: interns the current stack extended with
+    /// it, makes that the current stack, and returns the caller's stack
+    /// for [`Tracer::leave_stack`]. Interning follows the call sequence,
+    /// so stack ids do not depend on the engine.
+    pub fn enter_stack(&mut self, name: &str) -> StackId {
+        let parent = self.stack;
+        self.stack = self.trace.stacks.push(parent, name);
+        parent
     }
 
-    /// Drops site attributions for swept addresses.
-    pub fn forget_site(&mut self, addr: ObjAddr) {
-        self.sites.remove(&addr);
+    /// Returns to the caller's stack on function exit.
+    pub fn leave_stack(&mut self, parent: StackId) {
+        self.stack = parent;
     }
 
-    /// Finishes recording, yielding the immutable trace (the stack table
-    /// is filled in afterwards by the VM engine that drove the run).
+    /// Finishes recording, yielding the immutable trace.
     pub fn finish(self) -> Trace {
-        Trace {
-            collector: CollectorKind::default(),
-            events: self.events,
-            events_dropped: self.events_dropped,
-            snapshots: self.snapshots,
-            stacks: StackTable::new(),
-        }
-    }
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new()
+        self.trace
     }
 }
 
@@ -447,8 +426,7 @@ impl Default for Tracer {
 /// (like sanitizer violations).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
-    /// Which collection backend produced the stream (stamped by the
-    /// runtime when the trace is taken).
+    /// Which collection backend produced the stream.
     pub collector: CollectorKind,
     /// Events in recording order (timestamps are non-decreasing).
     pub events: Vec<TraceEvent>,
@@ -458,13 +436,84 @@ pub struct Trace {
     pub events_dropped: u64,
     /// Heap snapshots captured at each GC trigger plus end of run.
     pub snapshots: Vec<HeapSnapshot>,
-    /// Interned call stacks referenced by the events' `stack` ids
-    /// (filled in by the VM engine after the run; empty for runtimes
-    /// driven without a VM).
+    /// Interned call stacks referenced by the events' `stack` ids (only
+    /// the root for runtimes driven without a VM).
     pub stacks: StackTable,
 }
 
+/// The allocation an address came from, as [`Trace::replay`] joins it
+/// from the address's [`TraceEvent::Alloc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Origin {
+    /// The allocation site (`None` for runtime-internal allocations).
+    pub site: Option<TraceSiteId>,
+    /// The allocating call stack.
+    pub stack: StackId,
+    /// When the object was allocated (virtual ticks).
+    pub at: u64,
+    /// Accounted bytes.
+    pub bytes: u64,
+}
+
+/// One event of [`Trace::replay`], with what the replay joined onto it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Replayed<'a> {
+    /// The event, in recording order.
+    pub event: &'a TraceEvent,
+    /// For a [`TraceEvent::Free`] or [`TraceEvent::Sweep`]: the
+    /// allocation that produced its address (`None` on every other event,
+    /// and when the stream holds no such allocation).
+    pub origin: Option<Origin>,
+    /// For a [`TraceEvent::Finalize`]: every object still live, by birth
+    /// tick then address (empty on every other event).
+    pub live: Vec<Origin>,
+}
+
 impl Trace {
+    /// Replays the stream, joining each freed or swept address to the
+    /// [`TraceEvent::Alloc`] that produced it and handing over the
+    /// objects still live at [`TraceEvent::Finalize`]. Addresses are
+    /// reused, so a join always names the *latest* allocation at the
+    /// address.
+    pub fn replay(&self) -> impl Iterator<Item = Replayed<'_>> {
+        let mut live: FxHashMap<ObjAddr, Origin> = FxHashMap::default();
+        self.events.iter().map(move |event| {
+            let mut step = Replayed {
+                event,
+                origin: None,
+                live: Vec::new(),
+            };
+            match *event {
+                TraceEvent::Alloc {
+                    at,
+                    addr,
+                    site,
+                    stack,
+                    bytes,
+                    ..
+                } => {
+                    let origin = Origin {
+                        site,
+                        stack,
+                        at,
+                        bytes,
+                    };
+                    live.insert(addr, origin);
+                }
+                TraceEvent::Free { addr, .. } | TraceEvent::Sweep { addr, .. } => {
+                    step.origin = live.remove(&addr);
+                }
+                TraceEvent::Finalize { .. } => {
+                    let mut objs: Vec<(ObjAddr, Origin)> = live.drain().collect();
+                    objs.sort_by_key(|&(addr, o)| (o.at, addr));
+                    step.live = objs.into_iter().map(|(_, o)| o).collect();
+                }
+                _ => {}
+            }
+            step
+        })
+    }
+
     /// Replays the event stream into the [`Metrics`] it implies.
     ///
     /// Every counter the runtime maintains is derivable from the stream;
@@ -579,29 +628,6 @@ impl Trace {
             })
             .collect()
     }
-
-    /// Peak page-level footprint seen by the stream (equals
-    /// [`Metrics::maxheap`]).
-    pub fn max_footprint(&self) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|ev| match *ev {
-                TraceEvent::Alloc { footprint, .. } | TraceEvent::Finalize { footprint, .. } => {
-                    Some(footprint)
-                }
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of completed GC cycles in the stream.
-    pub fn gc_count(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|ev| matches!(ev, TraceEvent::GcEnd { .. }))
-            .count() as u64
-    }
 }
 
 #[cfg(test)]
@@ -639,7 +665,6 @@ mod tests {
                 TraceEvent::Free {
                     at: 20,
                     addr: addr(0),
-                    site: Some(3),
                     stack: 1,
                     cat: Category::Slice,
                     source: FreeSource::SliceLifetime,
@@ -716,7 +741,7 @@ mod tests {
 
     #[test]
     fn capped_tracer_counts_drops_and_refuses_to_reconcile() {
-        let mut t = Tracer::with_cap(Some(2));
+        let mut t = Tracer::new(CollectorKind::Go, Some(2));
         for i in 0..5 {
             t.record(TraceEvent::StackAlloc {
                 at: i,
@@ -735,7 +760,7 @@ mod tests {
         assert!(err.contains("truncated"), "loud failure, got: {err}");
         assert!(err.contains('3'), "names the drop count, got: {err}");
         // And an uncapped tracer over the same stream reconciles.
-        let mut t = Tracer::new();
+        let mut t = Tracer::new(CollectorKind::Go, None);
         for i in 0..5 {
             t.record(TraceEvent::StackAlloc {
                 at: i,
@@ -781,18 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn tracer_site_table_tracks_reuse() {
-        let mut t = Tracer::new();
-        t.note_site(addr(1), Some(7));
-        assert_eq!(t.take_site(addr(1)), Some(7));
-        assert_eq!(t.take_site(addr(1)), None);
-        t.note_site(addr(2), Some(9));
-        t.note_site(addr(2), None); // reused by an unattributed alloc
-        assert_eq!(t.take_site(addr(2)), None);
-    }
-
-    #[test]
-    fn curve_and_peaks() {
+    fn heap_curve_samples_live_bytes() {
         let trace = Trace {
             events: vec![
                 TraceEvent::Alloc {
@@ -827,8 +841,6 @@ mod tests {
             ..Trace::default()
         };
         assert_eq!(trace.heap_curve(), vec![(1, 64), (3, 0)]);
-        assert_eq!(trace.max_footprint(), 8192);
-        assert_eq!(trace.gc_count(), 1);
         assert_eq!(trace.events[1].at(), 2);
     }
 }

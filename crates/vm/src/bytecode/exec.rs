@@ -1075,11 +1075,17 @@ mod tests {
             );
             assert!(s.engine.frames.is_empty(), "callee frame left behind");
             assert_eq!(roots(&s), 0, "callee slots still rooted");
-            assert_eq!(s.m.cur_stack(), minigo_runtime::ROOT_STACK);
         }
         let out = s.call("good", Vec::new()).expect("session still usable");
         assert!(matches!(out[..], [Value::Int(64)]), "got {out:?}");
         assert!(s.engine.frames.is_empty());
+        // Every failed call left its stack too: `bad` was entered from
+        // the root each time, and so was `good` after it.
+        let trace = s.finish().trace.expect("traced session");
+        let stacks: Vec<String> = (0..trace.stacks.len() as u32)
+            .map(|id| trace.stacks.folded(id))
+            .collect();
+        assert_eq!(stacks, ["(root)", "bad", "good"]);
     }
 
     /// The int lane of a `...BinStore` form writes through the

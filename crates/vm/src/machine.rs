@@ -4,10 +4,11 @@
 //! `TcfreeMap` / `GrowMapAndFreeOld` (table 4, §4.6) plus the allocator
 //! and the collector they talk to — and it exists here once. A
 //! [`Machine`] owns the simulated [`Runtime`], the shadow-heap sanitizer,
-//! the site profile, the session-held roots, the interned call stacks
-//! and the program's output; its methods are the heap operations, each
-//! carrying its data-dependent tick charge and its sanitizer /
-//! write-barrier / trace hooks.
+//! the site profile, the session-held roots and the program's output;
+//! its methods are the heap operations, each carrying its data-dependent
+//! tick charge and its sanitizer / write-barrier / trace hooks. It keeps
+//! no recording state: a traced run's history, call stacks included, is
+//! the runtime's tracer's alone.
 //!
 //! An engine ([`Dispatch`]) owns only control flow: frames, operands, the
 //! order things are evaluated in. `rt` is private to this module, so an
@@ -27,7 +28,7 @@ use std::rc::Rc;
 use minigo_escape::Mode;
 use minigo_runtime::{
     BailReason, Category, FreeOutcome, FreeSource, Pause, Runtime, RuntimeConfig, ShadowHeap,
-    ShadowViolation, StackTable, ROOT_STACK,
+    ShadowViolation, StackId,
 };
 use minigo_syntax::{BinOp, ExprId};
 
@@ -284,13 +285,6 @@ pub struct Machine {
     /// calls (service state returned by `setup` and passed back into
     /// every `handle`). Always empty in one-shot runs.
     held: Vec<Value>,
-    /// Interned call stacks, present when tracing: every function
-    /// entry/exit stamps the current stack id into the runtime so traced
-    /// events carry full call-stack attribution. Interning follows the
-    /// call sequence, so stack ids do not depend on the engine.
-    stacks: Option<StackTable>,
-    /// The interned id of the current call stack (root when not tracing).
-    cur_stack: u32,
     output: String,
 }
 
@@ -299,12 +293,10 @@ impl Machine {
         Machine {
             rt: Runtime::new(cfg.runtime.clone()),
             shadow: cfg.sanitize.then(ShadowHeap::new),
-            stacks: cfg.runtime.trace.then(StackTable::new),
             cfg,
             site_profile: FxHashMap::default(),
             steps: 0,
             held: Vec::new(),
-            cur_stack: ROOT_STACK,
             output: String::new(),
         }
     }
@@ -319,12 +311,6 @@ impl Machine {
             .map(|(&site, &(count, bytes))| SiteProfile { site, count, bytes })
             .collect();
         site_profile.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.site.cmp(&b.site)));
-        let mut trace = self.rt.take_trace();
-        if let (Some(tr), Some(st)) = (trace.as_mut(), self.stacks) {
-            // The runtime only sees interned ids; the table that resolves
-            // them lives here and rides along in the trace.
-            tr.stacks = st;
-        }
         RunOutcome {
             output: self.output,
             time: self.rt.now(),
@@ -335,7 +321,7 @@ impl Machine {
                 .shadow
                 .map(|mut sh| sh.take_violations())
                 .unwrap_or_default(),
-            trace,
+            trace: self.rt.take_trace(),
             collector: self.rt.collector_kind(),
             ic_hits: 0,
             ic_misses: 0,
@@ -387,31 +373,14 @@ impl Machine {
         });
     }
 
-    /// Tracing only: interns the stack extended with `name`, stamps it
-    /// into the runtime, and returns the previous stack id for
-    /// [`Machine::leave_stack`]. A no-op returning the root id when
-    /// tracing is off.
-    pub(crate) fn enter_stack(&mut self, name: &str) -> u32 {
-        let parent = self.cur_stack;
-        if let Some(st) = &mut self.stacks {
-            self.cur_stack = st.push(parent, name);
-            self.rt.set_stack(self.cur_stack);
-        }
-        parent
+    /// Function entry: see [`Runtime::enter_stack`].
+    pub(crate) fn enter_stack(&mut self, name: &str) -> StackId {
+        self.rt.enter_stack(name)
     }
 
-    /// Tracing only: restores the caller's stack id on function exit.
-    pub(crate) fn leave_stack(&mut self, parent: u32) {
-        if self.stacks.is_some() {
-            self.cur_stack = parent;
-            self.rt.set_stack(parent);
-        }
-    }
-
-    /// The current call-stack id, for tests of the call epilogue.
-    #[cfg(test)]
-    pub(crate) fn cur_stack(&self) -> u32 {
-        self.cur_stack
+    /// Function exit: see [`Runtime::leave_stack`].
+    pub(crate) fn leave_stack(&mut self, parent: StackId) {
+        self.rt.leave_stack(parent);
     }
 
     /// `print`: one line, values space-separated.

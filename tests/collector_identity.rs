@@ -146,7 +146,7 @@ fn fingerprint(label: &str, report: &Report) -> String {
         "heap_curve len={} fnv={:016x} max_footprint={}",
         curve.len(),
         fnv(&curve_text),
-        trace.max_footprint()
+        report.metrics.maxheap
     );
     let profile = gofree::Profile::build(trace);
     profile
