@@ -18,8 +18,8 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     );
     println!("{}", "-".repeat(72));
     let mut observed = None;
-    // Per GOGC, ascending: (GCs avoided, GoFree/Go time).
-    let mut rows: Vec<(i64, f64)> = Vec::new();
+    // Per GOGC, ascending: GCs avoided, and GoFree/Go time.
+    let (mut avoided, mut times) = (Vec::new(), Vec::new());
     for gogc in [25u64, 50, 100, 200, 400] {
         let cfg = RunConfig {
             gogc,
@@ -46,23 +46,20 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
             gf_r.time,
             pct(gf_r.time as f64 / go_r.time as f64),
         );
-        rows.push((
-            go_r.metrics.gcs as i64 - gf_r.metrics.gcs as i64,
-            gf_r.time as f64 / go_r.time as f64,
-        ));
+        avoided.push(go_r.metrics.gcs as i64 - gf_r.metrics.gcs as i64);
+        times.push(gf_r.time as f64 / go_r.time as f64);
     }
-    let avoided: Vec<String> = rows.iter().map(|r| r.0.to_string()).collect();
-    let times: Vec<String> = rows.iter().map(|r| pct(r.1)).collect();
-    let steps = || rows.windows(2).map(|w| (w[0], w[1]));
+    let shown: Vec<String> = avoided.iter().map(|n| n.to_string()).collect();
     println!(
         "\nGCs avoided (Go - GoFree) {} do not rise with GOGC: {}",
-        avoided.join(", "),
-        verdict(steps().all(|(a, b)| b.0 <= a.0))
+        shown.join(", "),
+        verdict(avoided.windows(2).all(|w| w[1] <= w[0]))
     );
+    let shown: Vec<String> = times.iter().map(|&t| pct(t)).collect();
     println!(
         "GoFree/Go time {} does not fall with GOGC: {}",
-        times.join(", "),
-        verdict(steps().all(|(a, b)| b.1 >= a.1))
+        shown.join(", "),
+        verdict(times.windows(2).all(|w| w[1] >= w[0]))
     );
     Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

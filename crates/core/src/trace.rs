@@ -253,6 +253,7 @@ const RAMP: &[u8] = b" .:-=+*#%@";
 /// (raw `ExprId` numbers) to human-readable descriptions, e.g. from
 /// `minigo`'s span table; unlabeled sites print as `site <id>`.
 pub fn timeline_table(trace: &Trace, labels: &HashMap<u32, String>) -> String {
+    #[derive(Default)]
     struct Row {
         allocs: u64,
         bytes: u64,
@@ -275,26 +276,13 @@ pub fn timeline_table(trace: &Trace, labels: &HashMap<u32, String>) -> String {
             TraceEvent::Alloc {
                 at, site, bytes, ..
             } => {
-                let row = rows.entry(site).or_insert_with(|| Row {
-                    allocs: 0,
-                    bytes: 0,
-                    freed: 0,
-                    buckets: [0; TIMELINE_BUCKETS],
-                });
+                let row = rows.entry(site).or_default();
                 row.allocs += 1;
                 row.bytes += bytes;
                 row.buckets[bucket_of(at)] += 1;
             }
             TraceEvent::Free { .. } => {
-                let row = rows
-                    .entry(origin.and_then(|o| o.site))
-                    .or_insert_with(|| Row {
-                        allocs: 0,
-                        bytes: 0,
-                        freed: 0,
-                        buckets: [0; TIMELINE_BUCKETS],
-                    });
-                row.freed += 1;
+                rows.entry(origin.and_then(|o| o.site)).or_default().freed += 1;
             }
             _ => {}
         }
