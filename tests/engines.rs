@@ -805,6 +805,240 @@ func main() { q := mk()\n print(*q) }\n",
         "func mk() *bool { ok := true\n p := &ok\n tcfree(p)\n if ok { print(1) }\n return p }
 func main() { q := mk()\n print(*q) }\n",
     ),
+    // Operands read before a call that changes them: each operand holds
+    // the value it had where the tree-walk read it.
+    (
+        "a boxed int read before a call that stores through its pointer",
+        "Ok",
+        "func set(p *int, v int) int { *p = v\n return 1 }
+func main() {
+    x := 1
+    px := &x
+    t := x + set(px, 10)
+    u := x * 100 + set(px, 20) + x
+    s := make([]int, 4)
+    s[x] = x + set(px, 3)
+    print(t, u, x, s, x < set(px, 30), x)
+}
+",
+    ),
+    (
+        "a slice read before calls that append to it and free it",
+        "Ok",
+        "func grow(p *[]int) int { *p = append(*p, 9)\n (*p)[0] = 7\n return len(*p) }
+func drop(p *[]int) int { tcfree(*p)\n *p = make([]int, 1)\n return 0 }
+func main() {
+    n := 4
+    s := make([]int, n)
+    ps := &s
+    s[0] = 5
+    a := s
+    print(s, grow(ps), s, len(a))
+    t := s[0] + grow(ps) + s[0]
+    b := s
+    print(b, drop(ps), s, t, len(b))
+}
+",
+    ),
+    (
+        "a map read before a call that deletes from it",
+        "Ok",
+        "func del(m map[int]int, k int) int { delete(m, k)\n return len(m) }
+func main() {
+    m := make(map[int]int)
+    for i := 0; i < 6; i += 1 { m[i] = i * 10 }
+    k := 2
+    t := m[k] + del(m, k) + m[k]
+    print(t, m[k] + del(m, 3), len(m), m)
+}
+",
+    ),
+    (
+        "an index base read before an index expression that calls",
+        "Ok",
+        "func swap(p *[]int) int { *p = make([]int, 1)\n return 2 }
+func main() {
+    n := 4
+    s := make([]int, n)
+    ps := &s
+    s[2] = 8
+    t := s[swap(ps)]
+    s = make([]int, n)
+    s[swap(ps)] = 5
+    print(t, len(s), s)
+}
+",
+    ),
+    // A poisoned variable as each operand of each shape that reads two:
+    // the error, and the clock where it struck, are the tree-walk's.
+    (
+        "poisoned int as the left operand of a binary operator",
+        "read of poisoned memory",
+        "func mk() *int { v := 5\n p := &v\n o := 2\n t := 0\n tcfree(p)\n t = v + o\n print(t)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the right operand of a binary operator",
+        "read of poisoned memory",
+        "func mk() *int { v := 5\n p := &v\n o := 2\n t := 0\n tcfree(p)\n t = o * 3 + v\n print(t)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the left operand of a compare-and-branch",
+        "read of poisoned memory",
+        "func mk() *int { v := 5\n p := &v\n o := 2\n tcfree(p)\n if v < o { print(o) }\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the right operand of a compare-and-branch",
+        "read of poisoned memory",
+        "func mk() *int { v := 5\n p := &v\n o := 2\n tcfree(p)\n for i := 0; o < v; i += 1 { print(i) }\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned slice as the base of an index read",
+        "read of poisoned memory",
+        "func mk() *[]int { v := make([]int, 4)\n p := &v\n o := 1\n t := 0\n tcfree(p)\n t = v[o]\n print(t)\n return p }
+func main() { q := mk()\n print(len(*q)) }\n",
+    ),
+    (
+        "poisoned int as the index of an index read",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n s := make([]int, 4)\n t := 0\n tcfree(p)\n t = s[v]\n print(t)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the value of an index store",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n s := make([]int, 4)\n o := 2\n tcfree(p)\n s[o] = v\n print(s)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned map as the base of an index store",
+        "read of poisoned memory",
+        "func mk() *map[int]int { v := make(map[int]int)\n p := &v\n o := 2\n tcfree(p)\n v[o] = 1\n return p }
+func main() { q := mk()\n print(len(*q)) }\n",
+    ),
+    (
+        "poisoned int as the index of an index store",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n s := make([]int, 4)\n tcfree(p)\n s[v] = 3\n print(s)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned slice under len",
+        "read of poisoned memory",
+        "func mk() *[]int { v := make([]int, 4)\n p := &v\n t := 0\n tcfree(p)\n t = len(v)\n print(t)\n return p }
+func main() { q := mk()\n print(len(*q)) }\n",
+    ),
+    (
+        "poisoned int as the first argument of a call",
+        "read of poisoned memory",
+        "func f(a int, b int) int { return a - b }
+func mk() *int { v := 1\n p := &v\n o := 2\n tcfree(p)\n print(f(v, o))\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the second argument of a call",
+        "read of poisoned memory",
+        "func f(a int, b int) int { return a - b }
+func mk() *int { v := 1\n p := &v\n o := 2\n tcfree(p)\n print(f(o, v))\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the second argument of print",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n o := 2\n tcfree(p)\n print(o, v)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the first field of a struct literal",
+        "read of poisoned memory",
+        "type P struct { a int\n b int }
+func mk() *int { v := 1\n p := &v\n o := 2\n tcfree(p)\n r := P{v, o}\n print(r.b)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the second field of a struct literal",
+        "read of poisoned memory",
+        "type P struct { a int\n b int }
+func mk() *int { v := 1\n p := &v\n o := 2\n tcfree(p)\n r := P{o, v}\n print(r.a)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned slice as the slice of an append",
+        "read of poisoned memory",
+        "func mk() *[]int { v := make([]int, 4)\n p := &v\n o := 2\n s := v\n tcfree(p)\n s = append(v, o)\n print(s)\n return p }
+func main() { q := mk()\n print(len(*q)) }\n",
+    ),
+    (
+        "poisoned int as the item of an append",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n s := make([]int, 4)\n tcfree(p)\n s = append(s, v)\n print(s)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned map as the map of a delete",
+        "read of poisoned memory",
+        "func mk() *map[int]int { v := make(map[int]int)\n p := &v\n o := 2\n tcfree(p)\n delete(v, o)\n return p }
+func main() { q := mk()\n print(len(*q)) }\n",
+    ),
+    (
+        "poisoned int as the key of a delete",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n m := make(map[int]int)\n tcfree(p)\n delete(m, v)\n print(len(m))\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as a switch subject",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n o := 2\n tcfree(p)\n switch v { case o: print(1) }\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as a case value",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n o := 2\n tcfree(p)\n switch o { case 3, v: print(1) }\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the value of a pointer store",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n o := 2\n po := &o\n tcfree(p)\n *po = v\n print(o)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned pointer as the target of a field store",
+        "read of poisoned memory",
+        "type P struct { a int\n b int }
+func mk() **P { v := &P{1, 2}\n p := &v\n o := 2\n tcfree(p)\n v.a = o\n return p }
+func main() { q := mk()\n print(len(\"x\")) }\n",
+    ),
+    (
+        "poisoned int as the low bound of a reslice",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n s := make([]int, 4)\n tcfree(p)\n r := s[v:3]\n print(r)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as the capacity of a make",
+        "read of poisoned memory",
+        "func mk() *int { v := 8\n p := &v\n o := 2\n tcfree(p)\n s := make([]int, o, v)\n print(s)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int as a deferred call's second argument",
+        "read of poisoned memory",
+        "func f(a int, b int) { print(a, b) }
+func mk() *int { v := 1\n p := &v\n o := 2\n tcfree(p)\n defer f(o, v)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
+    (
+        "poisoned int read into a short declaration and an assignment",
+        "read of poisoned memory",
+        "func mk() *int { v := 1\n p := &v\n o := 2\n o = v\n tcfree(p)\n t := v\n print(t, o)\n return p }
+func main() { q := mk()\n print(*q) }\n",
+    ),
 ];
 
 /// Opens a session on one engine configuration (`None` = tree-walk),
