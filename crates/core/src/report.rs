@@ -30,10 +30,13 @@ use minigo_runtime::Metrics;
 /// harness: a top-level `"service"` object (`null` for batch runs) with
 /// request counts, exact latency/queue quantiles, log₂ latency and
 /// minor/major GC-pause histogram buckets, and the heap high-water
-/// marks. Every v4 field is unchanged. The map inline caches are gone:
-/// `"ic_hits"`, `"ic_misses"` and `"opt"."ic_sites"` keep their place in
-/// the schema and always read 0.
-pub const REPORT_SCHEMA: &str = "gofree-report/5";
+/// marks. Every v4 field is unchanged. `gofree-report/6` is v5 less
+/// the counters of code that no longer exists: the inline caches'
+/// `"ic_hits"`, `"ic_misses"` and `"opt"."ic_sites"`, and the
+/// optimizer's `"opt"."pushpops_elided"` and `"opt"."fusions"` (the
+/// register-form bytecode has no operand stack and no fused
+/// instructions). From v6 on the schema only grows.
+pub const REPORT_SCHEMA: &str = "gofree-report/6";
 
 fn u64_array(values: &[u64]) -> String {
     let items: Vec<String> = values.iter().map(u64::to_string).collect();
@@ -156,16 +159,13 @@ pub fn service_report_json(
     let opt = match &report.opt {
         Some(o) => format!(
             "{{\"instrs_before\":{},\"instrs_after\":{},\"consts_folded\":{},\
-             \"branches_folded\":{},\"pushpops_elided\":{},\"ticks_merged\":{},\
-             \"jumps_threaded\":{},\"ic_sites\":0,\"fusions\":{}}}",
+             \"branches_folded\":{},\"ticks_merged\":{},\"jumps_threaded\":{}}}",
             o.instrs_before,
             o.instrs_after,
             o.consts_folded,
             o.branches_folded,
-            o.pushpops_elided,
             o.ticks_merged,
             o.jumps_threaded,
-            o.fusions,
         ),
         None => "null".to_string(),
     };
@@ -187,11 +187,8 @@ pub fn service_report_json(
     let _ = write!(
         out,
         "\"violations\":{},\"trace_events\":{trace_events},\"events_dropped\":{events_dropped},\
-         \"ic_hits\":{},\"ic_misses\":{},\"opt\":{opt},\"placement\":{placement},\
-         \"service\":{service}}}",
+         \"opt\":{opt},\"placement\":{placement},\"service\":{service}}}",
         report.violations.len(),
-        report.ic_hits,
-        report.ic_misses,
     );
     out.push('\n');
     out
@@ -239,7 +236,7 @@ mod tests {
             opt: Some(minigo_vm::OptStats {
                 instrs_before: 100,
                 instrs_after: 80,
-                fusions: 6,
+                ticks_merged: 6,
                 ..minigo_vm::OptStats::default()
             }),
             placement: Some(minigo_escape::PlacementStats {
@@ -251,8 +248,9 @@ mod tests {
         };
         let json = report_json(&report);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(!json.contains("ic_"), "dead inline-cache keys in:\n{json}");
         for needle in [
-            "\"schema\":\"gofree-report/5\"",
+            "\"schema\":\"gofree-report/6\"",
             "\"service\":null",
             "\"collector\":\"go\"",
             "\"output\":\"hi \\\"there\\\"\\n\"",
@@ -262,10 +260,8 @@ mod tests {
             "\"site\":7",
             "\"trace_events\":0",
             "\"events_dropped\":0",
-            "\"ic_hits\":9",
-            "\"ic_misses\":2",
             "\"opt\":{\"instrs_before\":100,\"instrs_after\":80",
-            "\"fusions\":6",
+            "\"ticks_merged\":6,\"jumps_threaded\":0}",
             "\"placement\":{\"mode\":\"lastuse\",\"lastuse_advanced\":5,\"partial_frees\":2,\"suppressed\":1}",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");

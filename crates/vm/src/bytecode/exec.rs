@@ -1,23 +1,24 @@
-//! The bytecode engine: a loop-dispatch VM over the slot-indexed IR.
+//! The bytecode engine: a loop-dispatch VM over the register-form IR.
 //!
 //! Executes one instruction stream per function. Like every engine it
-//! owns control flow only — frames, the operand stack, each
-//! instruction's own tick — and performs every heap operation through
-//! the [`Machine`], so the sequence of allocations, frees, safepoints,
-//! and GC cycles, and the total clock charge per statement, are the
-//! tree-walk's by construction (and checked by the differential tests).
+//! owns control flow only — frames, each instruction's operand reads and
+//! its own tick — and performs every heap operation through the
+//! [`Machine`], so the sequence of allocations, frees, safepoints, and GC
+//! cycles, and the clock at each of them, are the tree-walk's by
+//! construction (and checked by the differential tests).
 //!
-//! Frames hold a dense `Vec` of slots instead of a `HashMap<VarId, _>`;
-//! each call's operand stack is a plain local `Vec`. Operand-stack
-//! temporaries are deliberately *not* GC roots: only frame slots and
-//! deferred-call arguments are, on either engine.
+//! A frame is a dense `Vec` of slots: the function's variables, then the
+//! temporaries lowering numbered above them. Temporaries are
+//! deliberately *not* GC roots: only variable slots and deferred-call
+//! arguments are, on either engine (the tree-walk's temporaries are
+//! Rust locals).
 
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use minigo_syntax::{BinOp, Builtin};
 
-use super::ir::{BFunc, Const, Instr, Module};
+use super::ir::{BFunc, Const, Instr, Module, Src, SrcKind};
 use crate::error::ExecError;
 use crate::machine::{
     cap_of, check_index_base, expected_bool, int_of, itoa, len_of, reslice, value_eq, with_field,
@@ -61,8 +62,11 @@ struct BDeferred {
     args: Vec<Value>,
 }
 
+#[derive(Default)]
 struct BFrame {
     slots: Vec<BSlot>,
+    /// How many of `slots` are variables (the rest are temporaries).
+    vars: usize,
     defers: Vec<BDeferred>,
 }
 
@@ -73,12 +77,14 @@ pub struct Bytecode<'m> {
     /// Per-run materialization of the module's (thread-shared) constant
     /// pool; string payloads are `Rc`-shared within the run.
     consts: Vec<Value>,
+    /// The running function's frame (an empty one between calls), kept
+    /// apart so a slot access is one index.
+    top: BFrame,
+    /// The suspended callers' frames, innermost last.
     frames: Vec<BFrame>,
     /// Retired frame-slot vectors, reused across calls so a call does
     /// not malloc (values were dropped when the owning frame popped).
     slot_pool: Vec<Vec<BSlot>>,
-    /// Retired operand stacks, reused across calls for the same reason.
-    stack_pool: Vec<Vec<Value>>,
 }
 
 #[inline]
@@ -90,12 +96,12 @@ fn bslot(value: Value, boxed: bool) -> BSlot {
     }
 }
 
-/// The `JumpIfFalse` test, shared with the fused branch handlers.
+/// The `JumpIf` test: jump to `t` when `v` is `when`.
 #[inline]
-fn branch_if_false(v: &Value, pc: &mut usize, t: usize) -> Result<()> {
+fn jump_if(v: &Value, when: bool, pc: &mut usize, t: usize) -> Result<()> {
     match v {
         Value::Bool(b) => {
-            if !b {
+            if *b == when {
                 *pc = t;
             }
             Ok(())
@@ -110,6 +116,8 @@ fn branch_if_false(v: &Value, pc: &mut usize, t: usize) -> Result<()> {
 enum Operand<'a> {
     Plain(&'a Value),
     Boxed(Ref<'a, Value>),
+    /// A computed operand (a `len`).
+    Owned(Value),
 }
 
 impl std::ops::Deref for Operand<'_> {
@@ -120,22 +128,17 @@ impl std::ops::Deref for Operand<'_> {
         match self {
             Operand::Plain(v) => v,
             Operand::Boxed(r) => r,
+            Operand::Owned(v) => v,
         }
     }
 }
 
-/// The one way the engine reads a frame slot (the `LoadSlot` body sans
-/// tick and sans clone): lends the top frame's slot `s`, poison-checked
-/// on the borrow. A free function over `frames` so the loan leaves the
+/// Lends slot `s` of `frame`. A free function so the loan leaves the
 /// rest of the engine free to be mutated (the [`Machine`] is a separate
-/// struct for the same reason). The
-/// hot path (a plain, unpoisoned slot) must stay small enough to inline
-/// into the dispatch loop; the error constructions are kept out of line
-/// behind `#[cold]`. `inline(always)` because LLVM refuses the hint at
-/// this size yet the call sits on every fused load's hot path (a
-/// measured win; see DESIGN.md §12).
+/// struct for the same reason). The error construction is kept out of
+/// line so the hot path inlines.
 #[inline(always)]
-fn operand<'a>(frames: &'a [BFrame], f: &BFunc, s: u32) -> Result<Operand<'a>> {
+fn lend<'a>(frame: &'a BFrame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
     #[cold]
     fn undeclared(f: &BFunc, s: u32) -> ExecError {
         ExecError::Internal(format!(
@@ -143,12 +146,34 @@ fn operand<'a>(frames: &'a [BFrame], f: &BFunc, s: u32) -> Result<Operand<'a>> {
             f.slot_names[s as usize]
         ))
     }
-    let frame = frames.last().expect("in a frame");
-    let v = match &frame.slots[s as usize] {
-        BSlot::Plain(v) => Operand::Plain(v),
-        BSlot::Boxed(cell, _) => Operand::Boxed(cell.borrow()),
-        BSlot::Empty => return Err(undeclared(f, s)),
-    };
+    match &frame.slots[s as usize] {
+        BSlot::Plain(v) => Ok(Operand::Plain(v)),
+        BSlot::Boxed(cell, _) => Ok(Operand::Boxed(cell.borrow())),
+        BSlot::Empty => Err(undeclared(f, s)),
+    }
+}
+
+/// Stores `v` to slot `s` of `frame` (through its cell when boxed).
+#[inline(always)]
+fn store_in(frame: &mut BFrame, s: u32, v: Value) -> Result<()> {
+    let slot = &mut frame.slots[s as usize];
+    // An int over an int, the hot case, in place: no drop to run.
+    if let (BSlot::Plain(Value::Int(d)), Value::Int(n)) = (&mut *slot, &v) {
+        *d = *n;
+        return Ok(());
+    }
+    match slot {
+        BSlot::Plain(p) => *p = v,
+        BSlot::Boxed(cell, _) => *cell.borrow_mut() = v,
+        BSlot::Empty => Err(ExecError::Internal("write to undeclared variable".into()))?,
+    }
+    Ok(())
+}
+
+/// [`lend`], poison-checked: the tree-walk's variable read.
+#[inline(always)]
+fn checked<'a>(frame: &'a BFrame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
+    let v = lend(frame, f, s)?;
     if matches!(*v, Value::Poison) {
         return Err(ExecError::PoisonedRead);
     }
@@ -157,13 +182,20 @@ fn operand<'a>(frames: &'a [BFrame], f: &BFunc, s: u32) -> Result<Operand<'a>> {
 
 // ---- the int lane ----
 //
-// The handlers that dominate the measured instruction mix try these
-// first: when every slot, constant and stack top involved is a plain
-// `Value::Int` they compute on `i64`s and write an `i64` back (or set
-// `pc`) — no `Operand`, no `Result<Value>`, no slot drop. A `None` from
-// any of them (a boxed, empty, poisoned or non-int operand, `/ 0`, `% 0`,
-// `&&`, `||`) has changed nothing, and the handler's generic body runs:
-// every error and every non-int row stays the generic path's.
+// `Bin`, `BrCmp`, `Move`, the index instructions and `Len` try these
+// first: when every operand involved is a plain `Value::Int` (or slice)
+// they charge the instruction's ticks in one add and compute on `i64`s —
+// no `Operand`, no `Result<Value>`. Such operands cannot fail to read,
+// so no tick is charged early. A `None` (a boxed, empty, poisoned or
+// non-int operand, `/ 0`, `% 0`, `&&`, `||`) has changed nothing, and
+// the handler's generic body runs: every error and every non-int row
+// stays the generic path's.
+
+/// The ticks reading `srcs` charges.
+#[inline(always)]
+fn read_ticks<const N: usize>(srcs: &[Src; N]) -> u64 {
+    srcs.iter().map(|s| u64::from(s.ticks)).sum()
+}
 
 #[inline(always)]
 fn as_int(v: &Value) -> Option<i64> {
@@ -171,48 +203,6 @@ fn as_int(v: &Value) -> Option<i64> {
         Value::Int(i) => Some(*i),
         _ => None,
     }
-}
-
-/// The top frame's slot `s`, when it is a plain int.
-#[inline(always)]
-fn int_slot(frames: &[BFrame], s: u32) -> Option<i64> {
-    match &frames.last()?.slots[s as usize] {
-        BSlot::Plain(v) => as_int(v),
-        _ => None,
-    }
-}
-
-/// Plain slot `base` as a slice header beside plain slot `idx` as an int.
-#[inline(always)]
-fn slice_and_int(frames: &[BFrame], base: u32, idx: u32) -> Option<(&SliceVal, i64)> {
-    match &frames.last()?.slots[base as usize] {
-        BSlot::Plain(Value::Slice(s)) => Some((s, int_slot(frames, idx)?)),
-        _ => None,
-    }
-}
-
-/// Overwrites the int in the top frame's plain slot `s` with `v`.
-#[inline(always)]
-fn set_int_slot(frames: &mut [BFrame], s: u32, v: Option<i64>) -> Option<()> {
-    match &mut frames.last_mut()?.slots[s as usize] {
-        BSlot::Plain(Value::Int(i)) => *i = v?,
-        _ => return None,
-    }
-    Some(())
-}
-
-/// `a op b` for the operators with an int result ([`Machine::binop`]'s
-/// first rows); division by zero is left to the generic body to report.
-#[inline(always)]
-fn arith(op: BinOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div if b != 0 => a.wrapping_div(b),
-        BinOp::Rem if b != 0 => a.wrapping_rem(b),
-        _ => return None,
-    })
 }
 
 /// `a op b` for the comparisons.
@@ -229,80 +219,19 @@ fn cmp(op: BinOp, a: i64, b: i64) -> Option<bool> {
     })
 }
 
-/// Branches as `JumpIfFalse` would on `a op b`, a comparison.
+/// `a op b` for the operators with an int result, as [`Machine::binop`]
+/// computes them; division by zero is left to the generic body to
+/// report.
 #[inline(always)]
-fn int_branch(op: BinOp, ints: Option<(i64, i64)>, pc: &mut usize, t: usize) -> Option<()> {
-    let (a, b) = ints?;
-    if !cmp(op, a, b)? {
-        *pc = t;
-    }
-    Some(())
-}
-
-/// Pushes `a op b`, as a push form leaves it on the stack.
-#[inline(always)]
-fn push_int_bin(stack: &mut Vec<Value>, op: BinOp, ints: Option<(i64, i64)>) -> Option<()> {
-    let (a, b) = ints?;
-    stack.push(match arith(op, a, b) {
-        Some(v) => Value::Int(v),
-        None => Value::Bool(cmp(op, a, b)?),
-    });
-    Some(())
-}
-
-/// `*l = *l op r` in place, when `l` is an int.
-#[inline(always)]
-fn int_bin_assign(l: &mut Value, op: BinOp, r: Option<i64>) -> Option<()> {
-    let (Value::Int(a), r) = (&mut *l, r?) else {
-        return None;
-    };
-    match arith(op, *a, r) {
-        Some(v) => *a = v,
-        None => *l = Value::Bool(cmp(op, *a, r)?),
-    }
-    Some(())
-}
-
-#[inline]
-fn pop(stack: &mut Vec<Value>) -> Value {
-    stack.pop().expect("operand stack underflow")
-}
-
-/// The top two operands in place, the top one last.
-#[inline(always)]
-fn top2(stack: &[Value]) -> (&Value, &Value) {
-    match stack {
-        [.., l, r] => (l, r),
-        _ => panic!("operand stack underflow"),
-    }
-}
-
-/// `[.., l, r]` to `[.., l op r]` in place, when both are ints.
-#[inline(always)]
-fn int_bin_top2(stack: &mut Vec<Value>, op: BinOp) -> Option<()> {
-    let [.., l, r] = &mut stack[..] else {
-        return None;
-    };
-    int_bin_assign(l, op, as_int(r))?;
-    stack.pop();
-    Some(())
-}
-
-/// Overwrites the top two operands with `v` (a binary result).
-#[inline(always)]
-fn replace_top2(stack: &mut Vec<Value>, v: Value) {
-    stack.pop();
-    *stack.last_mut().expect("operand stack underflow") = v;
-}
-
-/// The `IndexSet` operands `[.., v, base, idx]`: `v` moved out (it is
-/// what gets stored), base and index in place; the caller truncates.
-#[inline(always)]
-fn store_operands(stack: &mut [Value]) -> (Value, &Value, &Value) {
-    match stack {
-        [.., v, base, idx] => (std::mem::replace(v, Value::Nil), base, idx),
-        _ => panic!("operand stack underflow"),
-    }
+fn arith(op: BinOp, a: i64, b: i64) -> Option<i64> {
+    Some(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div if b != 0 => a.wrapping_div(b),
+        BinOp::Rem if b != 0 => a.wrapping_rem(b),
+        _ => return None,
+    })
 }
 
 impl<'m> Bytecode<'m> {
@@ -311,47 +240,72 @@ impl<'m> Bytecode<'m> {
         Bytecode {
             module,
             consts: module.consts.iter().map(Const::to_value).collect(),
+            top: BFrame::default(),
             frames: Vec::new(),
             slot_pool: Vec::new(),
-            stack_pool: Vec::new(),
         }
     }
 
     // ---- calls ----
 
-    /// The call protocol: moves the top `nargs` of the caller's operand
-    /// stack into the callee's parameter slots, runs body + defers, and
-    /// pushes the poison-checked results back (dropped when `want` is
-    /// `u32::MAX`). Frame-slot vectors and operand stacks are recycled
-    /// through pools, so a call steady-state allocates nothing.
-    fn call_on_stack(
+    /// A fresh frame for `f`: every variable undeclared, every
+    /// temporary nil. Slot vectors are recycled through a pool, so a
+    /// call steady-state allocates nothing.
+    fn fresh_slots(&mut self, f: &BFunc) -> Vec<BSlot> {
+        let mut slots = self.slot_pool.pop().unwrap_or_default();
+        slots.resize(f.slot_names.len(), BSlot::Empty);
+        slots.resize(f.nslots as usize, BSlot::Plain(Value::Nil));
+        slots
+    }
+
+    /// Returns a slot vector to the pool (its values drop here).
+    fn recycle(&mut self, mut slots: Vec<BSlot>) {
+        slots.clear();
+        self.slot_pool.push(slots);
+    }
+
+    /// A frame for `fid` with `args` in its parameter slots.
+    fn frame_of(&mut self, fid: usize, args: Vec<Value>) -> Vec<BSlot> {
+        let f = &self.module.funcs[fid];
+        let mut slots = self.fresh_slots(f);
+        for (&(slot, boxed), arg) in f.params.iter().zip(args) {
+            slots[slot as usize] = bslot(arg, boxed);
+        }
+        slots
+    }
+
+    /// The call protocol, once the callee's parameters are in `slots`:
+    /// runs body + defers and reads the results, poison-checked. With
+    /// `into = Some((dst, want))` they are stored to the caller's slots
+    /// from `dst` up, and there must be `want` of them; otherwise they
+    /// are returned.
+    fn invoke(
         &mut self,
         m: &mut Machine,
         fid: usize,
-        stack: &mut Vec<Value>,
-        nargs: usize,
-        want: u32,
-    ) -> Result<()> {
-        m.check_depth(self.frames.len())?;
-        let f = &self.module.funcs[fid];
-        let mut slots = self.slot_pool.pop().unwrap_or_default();
-        slots.resize(f.nslots as usize, BSlot::Empty);
-        let base = stack.len() - nargs;
-        for (&(slot, boxed), arg) in f.params.iter().zip(stack.drain(base..)) {
-            slots[slot as usize] = bslot(arg, boxed);
+        mut slots: Vec<BSlot>,
+        into: Option<(u32, u32)>,
+    ) -> Result<Vec<Value>> {
+        let module = self.module;
+        let f = &module.funcs[fid];
+        if let Err(e) = m.check_depth(self.frames.len()) {
+            self.recycle(slots);
+            return Err(e);
         }
         for &(slot, boxed, zero) in &f.results {
             let Some(zero) = zero else {
-                slots.clear();
-                self.slot_pool.push(slots);
+                self.recycle(slots);
                 return Err(ExecError::Internal("untyped result".into()));
             };
             slots[slot as usize] = bslot(self.consts[zero as usize].clone(), boxed);
         }
-        self.frames.push(BFrame {
+        let callee = BFrame {
             slots,
+            vars: f.slot_names.len(),
             defers: Vec::new(),
-        });
+        };
+        let caller = std::mem::replace(&mut self.top, callee);
+        self.frames.push(caller);
         let parent_stack = m.enter_stack(&f.name);
 
         let body = self.exec(m, f);
@@ -359,37 +313,35 @@ impl<'m> Bytecode<'m> {
         // Read the results, then pop, then propagate: a poisoned or
         // undeclared result must not leave the frame behind (a root set
         // and a `max_frames` unit for the rest of a session).
-        let rbase = stack.len();
         let results = body.and(defer_result).and_then(|()| {
-            f.results.iter().try_for_each(|&(slot, _, _)| {
-                stack.push(self.slot_value(f, slot)?);
-                Ok(())
-            })
+            let mut out = Vec::new();
+            let arity = into.is_none_or(|(_, want)| f.results.len() == want as usize);
+            for (k, &(slot, _, _)) in (0..).zip(&f.results) {
+                let v = checked(&self.top, f, slot)?.clone();
+                match (into, arity) {
+                    (Some((dst, _)), true) => {
+                        let caller = self.frames.last_mut().expect("pushed above");
+                        store_in(caller, dst + k, v)?;
+                    }
+                    (None, _) => out.push(v),
+                    _ => {}
+                }
+            }
+            match arity {
+                true => Ok(out),
+                false => Err(ExecError::Internal("result arity mismatch".into())),
+            }
         });
         m.leave_stack(parent_stack);
-        self.pop_frame();
-        results?;
-        if want == u32::MAX {
-            stack.truncate(rbase);
-        } else if stack.len() - rbase != want as usize {
-            return Err(ExecError::Internal("result arity mismatch".into()));
-        }
-        Ok(())
-    }
-
-    /// Pops the current frame, recycling its slot vector (the slot
-    /// values drop here, exactly when the frame itself used to drop).
-    fn pop_frame(&mut self) {
-        if let Some(frame) = self.frames.pop() {
-            let mut slots = frame.slots;
-            slots.clear();
-            self.slot_pool.push(slots);
-        }
+        let caller = self.frames.pop().expect("pushed above");
+        let callee = std::mem::replace(&mut self.top, caller);
+        self.recycle(callee.slots);
+        results
     }
 
     fn run_defers(&mut self, m: &mut Machine) -> Result<()> {
         loop {
-            let Some(d) = self.frames.last_mut().and_then(|f| f.defers.pop()) else {
+            let Some(d) = self.top.defers.pop() else {
                 return Ok(());
             };
             match d.kind {
@@ -397,9 +349,8 @@ impl<'m> Bytecode<'m> {
                     // The arguments become the callee's parameters; its
                     // results are read and poison-checked like any
                     // call's, then discarded.
-                    let mut stack = d.args;
-                    let nargs = stack.len();
-                    self.call_on_stack(m, fid, &mut stack, nargs, u32::MAX)?;
+                    let slots = self.frame_of(fid, d.args);
+                    self.invoke(m, fid, slots, None)?;
                 }
                 BDeferKind::Builtin(Builtin::Print) => m.print(&d.args),
                 BDeferKind::Builtin(_) => {}
@@ -407,19 +358,97 @@ impl<'m> Bytecode<'m> {
         }
     }
 
-    // ---- the dispatch loop ----
+    // ---- operands ----
 
-    /// Runs one function body on a pooled operand stack.
-    fn exec(&mut self, m: &mut Machine, f: &BFunc) -> Result<()> {
-        let mut stack = self.stack_pool.pop().unwrap_or_default();
-        let res = self.exec_on(m, f, &mut stack);
-        stack.clear();
-        self.stack_pool.push(stack);
-        res
+    /// Reads operand `s` as the tree-walk evaluates its leaf: charges
+    /// its ticks, then poison-checks a variable.
+    #[inline(always)]
+    fn src(&self, m: &mut Machine, f: &BFunc, s: Src) -> Result<Operand<'_>> {
+        m.tick(u64::from(s.ticks));
+        match s.kind {
+            SrcKind::Var => checked(&self.top, f, s.at),
+            SrcKind::Tmp => lend(&self.top, f, s.at),
+            SrcKind::K => Ok(Operand::Plain(&self.consts[s.at as usize])),
+            SrcKind::Len => Ok(Operand::Owned(len_of(&*lend(&self.top, f, s.at)?)?)),
+        }
     }
 
+    /// An owned copy of operand `s`, for when the copy is the point.
+    #[inline(always)]
+    fn value(&self, m: &mut Machine, f: &BFunc, s: Src) -> Result<Value> {
+        let v = self.src(m, f, s)?;
+        // An int is copied in line; `Value::clone` is out of line.
+        Ok(match *v {
+            Value::Int(n) => Value::Int(n),
+            ref other => other.clone(),
+        })
+    }
+
+    /// Owned copies of `srcs`, read in order.
+    fn values(&self, m: &mut Machine, f: &BFunc, srcs: &[Src]) -> Result<Vec<Value>> {
+        srcs.iter().map(|&s| self.value(m, f, s)).collect()
+    }
+
+    /// The plain value of a slot or constant operand, charging nothing
+    /// (the int lane's read).
+    #[inline(always)]
+    fn plain(&self, s: Src) -> Option<&Value> {
+        match s.kind {
+            SrcKind::Var | SrcKind::Tmp => match &self.top.slots[s.at as usize] {
+                BSlot::Plain(v) => Some(v),
+                _ => None,
+            },
+            SrcKind::K => Some(&self.consts[s.at as usize]),
+            SrcKind::Len => None,
+        }
+    }
+
+    /// Operand `s` when it is a plain int.
+    #[inline(always)]
+    fn int(&self, s: Src) -> Option<i64> {
+        match s.kind {
+            SrcKind::K => as_int(&self.consts[s.at as usize]),
+            SrcKind::Len => match &self.top.slots[s.at as usize] {
+                BSlot::Plain(Value::Slice(sv)) => Some(sv.len as i64),
+                _ => None,
+            },
+            SrcKind::Var | SrcKind::Tmp => match self.top.slots[s.at as usize] {
+                BSlot::Plain(Value::Int(n)) => Some(n),
+                _ => None,
+            },
+        }
+    }
+
+    /// Operands `a` and `b` when both are plain ints.
+    #[inline(always)]
+    fn ints(&self, a: Src, b: Src) -> Option<(i64, i64)> {
+        Some((self.int(a)?, self.int(b)?))
+    }
+
+    /// Operand `s` when it is a plain slice.
+    #[inline(always)]
+    fn slice(&self, s: Src) -> Option<&SliceVal> {
+        match self.plain(s)? {
+            Value::Slice(sv) => Some(sv),
+            _ => None,
+        }
+    }
+
+    /// Stores `v` to slot `s` of the running frame.
+    #[inline(always)]
+    fn store(&mut self, s: u32, v: Value) -> Result<()> {
+        store_in(&mut self.top, s, v)
+    }
+
+    fn defer(&mut self, kind: BDeferKind, args: Vec<Value>) {
+        self.top.defers.push(BDeferred { kind, args });
+    }
+
+    // ---- the dispatch loop ----
+
     #[allow(clippy::too_many_lines)]
-    fn exec_on(&mut self, m: &mut Machine, f: &BFunc, stack: &mut Vec<Value>) -> Result<()> {
+    fn exec(&mut self, m: &mut Machine, f: &BFunc) -> Result<()> {
+        let module = self.module;
         let code = &f.code;
         let mut pc = 0usize;
         loop {
@@ -429,528 +458,372 @@ impl<'m> Bytecode<'m> {
                 Instr::Safepoint => m.safepoint(&*self)?,
                 Instr::Tick(n) => m.tick(u64::from(*n)),
                 Instr::Jump(t) => pc = *t,
-                Instr::JumpIfFalse(t) => branch_if_false(&pop(stack), &mut pc, *t)?,
-                Instr::AndJump(t) => match pop(stack) {
-                    Value::Bool(b) => {
-                        if !b {
-                            stack.push(Value::Bool(false));
+                Instr::JumpIf { cond, when, t } => {
+                    jump_if(&*self.src(m, f, *cond)?, *when, &mut pc, *t)?;
+                }
+                Instr::BrCmp { op, a, b, when, t } => {
+                    if let Some(r) = self.ints(*a, *b).and_then(|(x, y)| cmp(*op, x, y)) {
+                        m.tick(read_ticks(&[*a, *b]) + 1);
+                        if r == *when {
                             pc = *t;
                         }
+                        continue;
                     }
-                    other => return Err(expected_bool(&other)),
-                },
-                Instr::OrJump(t) => match pop(stack) {
-                    Value::Bool(b) => {
-                        if b {
-                            stack.push(Value::Bool(true));
-                            pc = *t;
-                        }
-                    }
-                    other => return Err(expected_bool(&other)),
-                },
-                Instr::AssertBool => {
-                    let v = stack.last().expect("operand stack underflow");
-                    if !matches!(v, Value::Bool(_)) {
-                        return Err(expected_bool(v));
+                    let v = {
+                        let l = self.src(m, f, *a)?;
+                        let r = self.src(m, f, *b)?;
+                        m.tick(1);
+                        m.binop(*op, &l, &r)?
+                    };
+                    jump_if(&v, *when, &mut pc, *t)?;
+                }
+                Instr::AssertBool(s) => {
+                    let v = self.src(m, f, *s)?;
+                    if !matches!(*v, Value::Bool(_)) {
+                        return Err(expected_bool(&v));
                     }
                 }
-                Instr::CaseJump(t) => {
-                    let cv = pop(stack);
-                    let sv = stack.last().expect("operand stack underflow");
-                    if value_eq(sv, &cv)? {
-                        stack.pop();
+                Instr::CaseJump { subject, case, t } => {
+                    let s = self.src(m, f, *subject)?;
+                    if value_eq(&s, &*self.src(m, f, *case)?)? {
                         pc = *t;
                     }
                 }
                 Instr::Ret => return Ok(()),
                 Instr::Call {
                     fid,
-                    nargs,
+                    args,
+                    dst,
                     want,
-                    value_pos,
                 } => {
-                    if *value_pos {
-                        m.tick(1);
+                    let callee = &module.funcs[*fid as usize];
+                    let mut slots = self.fresh_slots(callee);
+                    for (i, &a) in args.iter().enumerate() {
+                        let v = match self.value(m, f, a) {
+                            Ok(v) => v,
+                            Err(e) => {
+                                self.recycle(slots);
+                                return Err(e);
+                            }
+                        };
+                        if let Some(&(slot, boxed)) = callee.params.get(i) {
+                            slots[slot as usize] = bslot(v, boxed);
+                        }
                     }
-                    m.tick(2);
-                    self.call_on_stack(m, *fid, stack, *nargs as usize, *want)?;
+                    m.tick(if *want == 1 { 3 } else { 2 });
+                    let into = (*want != u32::MAX).then_some((*dst, *want));
+                    self.invoke(m, *fid as usize, slots, into)?;
                 }
-                Instr::DeferFunc { fid, nargs } => {
-                    let args = stack.split_off(stack.len() - *nargs as usize);
-                    self.frames
-                        .last_mut()
-                        .expect("in a frame")
-                        .defers
-                        .push(BDeferred {
-                            kind: BDeferKind::Func(*fid),
-                            args,
-                        });
-                }
-                Instr::DeferBuiltin { builtin, nargs } => {
-                    let args = stack.split_off(stack.len() - *nargs as usize);
-                    self.frames
-                        .last_mut()
-                        .expect("in a frame")
-                        .defers
-                        .push(BDeferred {
-                            kind: BDeferKind::Builtin(*builtin),
-                            args,
-                        });
-                }
-                Instr::Const(c) => {
-                    m.tick(1);
-                    stack.push(self.consts[*c as usize].clone());
-                }
-                Instr::ConstRaw(c) => stack.push(self.consts[*c as usize].clone()),
-                Instr::LoadSlot(s) => {
-                    m.tick(1);
-                    let v = self.slot_value(f, *s)?;
-                    stack.push(v);
-                }
-                Instr::StoreSlot(s) => {
-                    let v = pop(stack);
-                    self.store_slot(*s, v)?;
+                Instr::Move { dst, src } => {
+                    if let Some(n) = self.int(*src) {
+                        m.tick(read_ticks(&[*src]));
+                        self.store(*dst, Value::Int(n))?;
+                        continue;
+                    }
+                    let v = self.value(m, f, *src)?;
+                    self.store(*dst, v)?;
                 }
                 Instr::Declare {
                     slot,
+                    src,
                     boxed,
                     heap,
                     size,
                 } => {
-                    let v = pop(stack);
+                    let v = self.value(m, f, *src)?;
                     let new_slot = if *boxed {
                         let PtrVal { cell, obj } = m.alloc_box(v, *heap, *size, None);
                         BSlot::Boxed(cell, obj)
                     } else {
                         BSlot::Plain(v)
                     };
-                    let frame = self.frames.last_mut().expect("in a frame");
-                    frame.slots[*slot as usize] = new_slot;
+                    self.top.slots[*slot as usize] = new_slot;
                 }
-                Instr::Pop(n) => {
-                    stack.truncate(stack.len() - *n as usize);
-                }
-                Instr::ReverseN(n) => {
-                    let at = stack.len() - *n as usize;
-                    stack[at..].reverse();
-                }
-                Instr::Neg => {
-                    let v = int_of(&pop(stack))?;
-                    m.tick(1);
-                    stack.push(Value::Int(v.wrapping_neg()));
-                }
-                Instr::Not => match pop(stack) {
-                    Value::Bool(b) => {
-                        m.tick(1);
-                        stack.push(Value::Bool(!b));
-                    }
-                    other => return Err(expected_bool(&other)),
-                },
-                Instr::Bin(op) => {
-                    m.tick(1);
-                    if int_bin_top2(stack, *op).is_some() {
-                        continue;
-                    }
-                    let (l, r) = top2(stack);
-                    let v = m.binop(*op, l, r)?;
-                    replace_top2(stack, v);
-                }
-                Instr::BinRaw(op) => {
-                    if int_bin_top2(stack, *op).is_some() {
-                        continue;
-                    }
-                    let (l, r) = top2(stack);
-                    let v = m.binop(*op, l, r)?;
-                    replace_top2(stack, v);
-                }
-                Instr::AddrOfSlot(s) => {
-                    m.tick(1);
-                    let frame = self.frames.last().expect("in a frame");
-                    match &frame.slots[*s as usize] {
-                        BSlot::Boxed(cell, obj) => stack.push(Value::ptr(PtrVal {
-                            cell: cell.clone(),
-                            obj: *obj,
-                        })),
-                        BSlot::Plain(_) => {
-                            return Err(ExecError::Internal(format!(
-                                "address taken of unboxed variable {}",
-                                f.slot_names[*s as usize]
-                            )))
-                        }
-                        BSlot::Empty => {
-                            return Err(ExecError::Internal("variable not found".into()))
-                        }
-                    }
-                }
-                Instr::AllocBox { heap, size, site } => {
-                    m.tick(1);
-                    let v = pop(stack);
-                    stack.push(Value::ptr(m.alloc_box(v, *heap, *size, Some(*site))));
-                }
-                Instr::Deref => {
-                    m.tick(1);
-                    let p = pop(stack);
-                    stack.push(m.deref(&p)?);
-                }
-                Instr::DerefSet => {
-                    let p = pop(stack);
-                    m.deref_set(&p, pop(stack))?;
-                }
-                Instr::GetField { idx, through_ptr } => {
-                    m.tick(1);
-                    let base = pop(stack);
-                    stack.push(m.get_field(&base, *idx as usize, *through_ptr)?);
-                }
-                Instr::StructSetField { idx } => {
-                    let base = pop(stack);
-                    let v = pop(stack);
-                    stack.push(with_field(base, *idx as usize, v)?);
-                }
-                Instr::FieldSetPtr { idx } => {
-                    let p = pop(stack);
-                    m.field_set_ptr(&p, *idx as usize, pop(stack))?;
-                }
-                Instr::CheckIndexBase => {
-                    check_index_base(stack.last().expect("operand stack underflow"))?
-                }
-                Instr::IndexGet => {
-                    m.tick(1);
-                    let (base, idx) = top2(stack);
-                    let v = m.index_get(base, idx)?;
-                    replace_top2(stack, v);
-                }
-                Instr::IndexSet => {
-                    let (v, base, idx) = store_operands(stack);
-                    m.index_set(base, idx, v)?;
-                    stack.truncate(stack.len() - 3);
-                }
-                Instr::ReSlice { has_hi } => {
-                    m.tick(1);
-                    let hi = if *has_hi {
-                        Some(int_of(&pop(stack))?)
-                    } else {
-                        None
-                    };
-                    let lo = int_of(&pop(stack))?;
-                    let base = pop(stack);
-                    stack.push(reslice(&base, lo, hi)?);
-                }
-                Instr::MakeSlice {
-                    elem_size,
-                    has_cap,
-                    heap,
-                    site,
-                    zero,
-                } => {
-                    m.tick(1);
-                    let cap = if *has_cap {
-                        Some(int_of(&pop(stack))?)
-                    } else {
-                        None
-                    };
-                    let len = int_of(&pop(stack))?;
-                    let zero = self.consts[*zero as usize].clone();
-                    stack.push(m.make_slice(len, cap, *elem_size, zero, *heap, *site)?);
-                }
-                Instr::MakeMap {
-                    entry_size,
-                    heap,
-                    site,
-                    default,
-                } => {
-                    m.tick(1);
-                    let default = self.consts[*default as usize].clone();
-                    stack.push(m.make_map(default, *entry_size, *heap, *site));
-                }
-                Instr::NewPtr {
-                    size,
-                    heap,
-                    site,
-                    zero,
-                } => {
-                    m.tick(1);
-                    let zero = self.consts[*zero as usize].clone();
-                    stack.push(Value::ptr(m.alloc_box(zero, *heap, *size, Some(*site))));
-                }
-                Instr::Append { elem_size, site } => {
-                    m.tick(1);
-                    let item = pop(stack);
-                    let sv = pop(stack);
-                    let out = m.append(sv, item, *elem_size, *site)?;
-                    stack.push(out);
-                }
-                Instr::MakeStruct(n) => {
-                    m.tick(1);
-                    let fields = stack.split_off(stack.len() - *n as usize);
-                    stack.push(Value::struct_of(fields));
-                }
-                Instr::Len => {
-                    m.tick(1);
-                    let top = stack.last_mut().expect("operand stack underflow");
-                    *top = len_of(top)?;
-                }
-                Instr::Cap => {
-                    m.tick(1);
-                    let v = pop(stack);
-                    stack.push(cap_of(&v)?);
-                }
-                Instr::MapDelete => {
-                    m.tick(1);
-                    let kv = pop(stack);
-                    let mv = pop(stack);
-                    m.map_delete(&mv, &kv)?;
-                    stack.push(Value::Int(0));
-                }
-                Instr::Panic => {
-                    m.tick(1);
-                    let v = pop(stack);
-                    return Err(ExecError::Panic(v.display()));
-                }
-                Instr::Print(n) => {
-                    m.tick(1);
-                    let args = stack.split_off(stack.len() - *n as usize);
-                    m.print(&args);
-                    stack.push(Value::Int(0));
-                }
-                Instr::Itoa => {
-                    m.tick(1);
-                    let v = int_of(&pop(stack))?;
-                    stack.push(itoa(v));
-                }
-                Instr::Tcfree { follows_free } => m.exec_tcfree(pop(stack), *follows_free),
-                Instr::TrapUnsupported(msg) => {
-                    return Err(ExecError::Unsupported(msg.to_string()));
-                }
-                Instr::TrapInternal(msg) => {
-                    return Err(ExecError::Internal(msg.to_string()));
-                }
-                // ---- optimizer-tier instructions ----
-                //
-                // Each fused handler charges its summed constituent
-                // ticks upfront, then runs the constituent logic in the
-                // original order. Coalescing is invisible: the clock
-                // charge is an exact add and no observable event can
-                // occur between the constituents' charges.
-                Instr::ConstTicked { c, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    stack.push(self.consts[*c as usize].clone());
-                }
-                Instr::LoadLoadBin { a, b, op, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let ints = int_slot(&self.frames, *a).zip(int_slot(&self.frames, *b));
-                    if push_int_bin(stack, *op, ints).is_none() {
-                        stack.push(self.bin_slots(m, f, *a, *b, *op)?);
-                    }
-                }
-                Instr::LoadConstBin { a, c, op, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let ints = int_slot(&self.frames, *a).zip(as_int(&self.consts[*c as usize]));
-                    if push_int_bin(stack, *op, ints).is_none() {
-                        stack.push(self.bin_slot_const(m, f, *a, *c, *op)?);
-                    }
-                }
-                Instr::LoadLoadBinStore {
+                Instr::Bin {
+                    op,
+                    dst,
                     a,
                     b,
-                    op,
-                    dst,
                     ticks,
                 } => {
-                    m.tick(u64::from(*ticks));
-                    let ints = int_slot(&self.frames, *a).zip(int_slot(&self.frames, *b));
-                    let v = ints.and_then(|(a, b)| arith(*op, a, b));
-                    if set_int_slot(&mut self.frames, *dst, v).is_some() {
-                        continue;
+                    if let Some((x, y)) = self.ints(*a, *b) {
+                        if let Some(n) = arith(*op, x, y) {
+                            m.tick(read_ticks(&[*a, *b]) + u64::from(*ticks));
+                            self.store(*dst, Value::Int(n))?;
+                            continue;
+                        }
+                        if let Some(c) = cmp(*op, x, y) {
+                            m.tick(read_ticks(&[*a, *b]) + u64::from(*ticks));
+                            self.store(*dst, Value::Bool(c))?;
+                            continue;
+                        }
                     }
-                    let v = self.bin_slots(m, f, *a, *b, *op)?;
-                    self.store_slot(*dst, v)?;
+                    let v = {
+                        let l = self.src(m, f, *a)?;
+                        let r = self.src(m, f, *b)?;
+                        m.tick(u64::from(*ticks));
+                        m.binop(*op, &l, &r)?
+                    };
+                    self.store(*dst, v)?;
                 }
-                Instr::LoadConstBinStore {
-                    a,
-                    c,
-                    op,
+                Instr::GetField {
                     dst,
-                    ticks,
+                    base,
+                    idx,
+                    through_ptr,
                 } => {
-                    m.tick(u64::from(*ticks));
-                    let ints = int_slot(&self.frames, *a).zip(as_int(&self.consts[*c as usize]));
-                    let v = ints.and_then(|(a, c)| arith(*op, a, c));
-                    if set_int_slot(&mut self.frames, *dst, v).is_some() {
+                    let v = {
+                        let b = self.src(m, f, *base)?;
+                        m.tick(1);
+                        m.get_field(&b, *idx as usize, *through_ptr)?
+                    };
+                    self.store(*dst, v)?;
+                }
+                Instr::CheckIndexBase(s) => check_index_base(&*self.src(m, f, *s)?)?,
+                Instr::IndexGet { dst, base, idx } => {
+                    let v = if let Some((s, i)) = self.slice(*base).zip(self.int(*idx)) {
+                        m.tick(read_ticks(&[*base, *idx]) + 1);
+                        m.slice_get(s, i)?
+                    } else {
+                        let b = self.src(m, f, *base)?;
+                        check_index_base(&b)?;
+                        let i = self.src(m, f, *idx)?;
+                        m.tick(1);
+                        m.index_get(&b, &i)?
+                    };
+                    self.store(*dst, v)?;
+                }
+                Instr::IndexSet { val, base, idx } => {
+                    let v = self.value(m, f, *val)?;
+                    if let Some((s, i)) = self.slice(*base).zip(self.int(*idx)) {
+                        m.tick(read_ticks(&[*base, *idx]));
+                        m.slice_set(s, i, v)?;
                         continue;
                     }
-                    let v = self.bin_slot_const(m, f, *a, *c, *op)?;
-                    self.store_slot(*dst, v)?;
-                }
-                Instr::LoadLoadBinJump { a, b, op, t, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let ints = int_slot(&self.frames, *a).zip(int_slot(&self.frames, *b));
-                    if int_branch(*op, ints, &mut pc, *t).is_some() {
-                        continue;
-                    }
-                    let v = self.bin_slots(m, f, *a, *b, *op)?;
-                    branch_if_false(&v, &mut pc, *t)?;
-                }
-                Instr::LoadConstBinJump { a, c, op, t, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let ints = int_slot(&self.frames, *a).zip(as_int(&self.consts[*c as usize]));
-                    if int_branch(*op, ints, &mut pc, *t).is_some() {
-                        continue;
-                    }
-                    let v = self.bin_slot_const(m, f, *a, *c, *op)?;
-                    branch_if_false(&v, &mut pc, *t)?;
-                }
-                Instr::LoadJumpIfFalse { s, t, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    branch_if_false(&*operand(&self.frames, f, *s)?, &mut pc, *t)?;
-                }
-                Instr::BinJumpIfFalse { op, t, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let (l, r) = top2(stack);
-                    if int_branch(*op, as_int(l).zip(as_int(r)), &mut pc, *t).is_some() {
-                        stack.truncate(stack.len() - 2);
-                        continue;
-                    }
-                    let v = m.binop(*op, l, r)?;
-                    stack.truncate(stack.len() - 2);
-                    branch_if_false(&v, &mut pc, *t)?;
-                }
-                Instr::LoadLoadIndexGet { base, idx, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    if let Some((s, i)) = slice_and_int(&self.frames, *base, *idx) {
-                        stack.push(m.slice_get(s, i)?);
-                        continue;
-                    }
-                    let b = operand(&self.frames, f, *base)?;
+                    let b = self.src(m, f, *base)?;
                     check_index_base(&b)?;
-                    let i = operand(&self.frames, f, *idx)?;
-                    stack.push(m.index_get(&b, &i)?);
+                    let i = self.src(m, f, *idx)?;
+                    m.index_set(&b, &i, v)?;
                 }
-                Instr::LoadConstIndexGet { base, c, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let b = operand(&self.frames, f, *base)?;
-                    check_index_base(&b)?;
-                    let i = &self.consts[*c as usize];
-                    stack.push(m.index_get(&b, i)?);
-                }
-                Instr::LoadLoadIndexSet { base, idx, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    if let Some((s, i)) = slice_and_int(&self.frames, *base, *idx) {
-                        m.slice_set(s, i, pop(stack))?;
+                Instr::Len { dst, src } => {
+                    if let Some(s) = self.slice(*src) {
+                        let n = s.len as i64;
+                        m.tick(read_ticks(&[*src]) + 1);
+                        self.store(*dst, Value::Int(n))?;
                         continue;
                     }
-                    let b = operand(&self.frames, f, *base)?;
-                    check_index_base(&b)?;
-                    let i = operand(&self.frames, f, *idx)?;
-                    m.index_set(&b, &i, pop(stack))?;
+                    let v = {
+                        let v = self.src(m, f, *src)?;
+                        m.tick(1);
+                        len_of(&v)?
+                    };
+                    self.store(*dst, v)?;
                 }
-                Instr::LoadConstIndexSet { base, c, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let b = operand(&self.frames, f, *base)?;
-                    check_index_base(&b)?;
-                    let i = &self.consts[*c as usize];
-                    m.index_set(&b, i, pop(stack))?;
-                }
-                Instr::LoadLen { s, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    stack.push(len_of(&*operand(&self.frames, f, *s)?)?);
-                }
-                Instr::LoadLenStore { s, dst, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let v = len_of(&*operand(&self.frames, f, *s)?)?;
-                    self.store_slot(*dst, v)?;
-                }
-                Instr::LoadLoadLenBinJump { a, s, op, t, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let ints = slice_and_int(&self.frames, *s, *a).map(|(s, a)| (a, s.len as i64));
-                    if int_branch(*op, ints, &mut pc, *t).is_some() {
-                        continue;
-                    }
-                    let l = operand(&self.frames, f, *a)?;
-                    let r = len_of(&*operand(&self.frames, f, *s)?)?;
-                    let v = m.binop(*op, &l, &r)?;
-                    branch_if_false(&v, &mut pc, *t)?;
-                }
-                Instr::BinSlot { s, op, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let l = stack.last_mut().expect("operand stack underflow");
-                    if int_bin_assign(l, *op, int_slot(&self.frames, *s)).is_some() {
-                        continue;
-                    }
-                    let r = operand(&self.frames, f, *s)?;
-                    *l = m.binop(*op, l, &r)?;
-                }
-                Instr::BinConst { c, op, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let l = stack.last_mut().expect("operand stack underflow");
-                    if int_bin_assign(l, *op, as_int(&self.consts[*c as usize])).is_some() {
-                        continue;
-                    }
-                    *l = m.binop(*op, l, &self.consts[*c as usize])?;
-                }
-                Instr::BinConstStore { c, op, dst, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let l = pop(stack);
-                    let v = m.binop(*op, &l, &self.consts[*c as usize])?;
-                    self.store_slot(*dst, v)?;
-                }
-                Instr::BinConstJump { c, op, t, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    let l = pop(stack);
-                    let ints = as_int(&l).zip(as_int(&self.consts[*c as usize]));
-                    if int_branch(*op, ints, &mut pc, *t).is_some() {
-                        continue;
-                    }
-                    let v = m.binop(*op, &l, &self.consts[*c as usize])?;
-                    branch_if_false(&v, &mut pc, *t)?;
-                }
-                Instr::LoadLoad { a, b, ticks } => {
-                    m.tick(u64::from(*ticks));
-                    stack.push(self.slot_value(f, *a)?);
-                    stack.push(self.slot_value(f, *b)?);
-                }
+                _ => self.step(m, f, instr)?,
             }
         }
     }
 
-    // ---- slot access ----
+    /// The instructions off the hot path, out of line so the dispatch
+    /// loop stays small.
+    #[inline(never)]
+    fn step(&mut self, m: &mut Machine, f: &BFunc, instr: &Instr) -> Result<()> {
+        match instr {
+            Instr::DeferFunc { fid, args } => {
+                let args = self.values(m, f, args)?;
+                self.defer(BDeferKind::Func(*fid as usize), args);
+            }
+            Instr::DeferBuiltin { builtin, args } => {
+                let args = self.values(m, f, args)?;
+                self.defer(BDeferKind::Builtin(*builtin), args);
+            }
+            Instr::Neg { dst, src } => {
+                let v = int_of(&*self.src(m, f, *src)?)?;
+                m.tick(1);
+                self.store(*dst, Value::Int(v.wrapping_neg()))?;
+            }
+            Instr::Not { dst, src } => {
+                let v = match *self.src(m, f, *src)? {
+                    Value::Bool(b) => !b,
+                    ref other => return Err(expected_bool(other)),
+                };
+                m.tick(1);
+                self.store(*dst, Value::Bool(v))?;
+            }
+            Instr::AddrOfSlot { dst, slot } => {
+                m.tick(1);
+                let p = match &self.top.slots[*slot as usize] {
+                    BSlot::Boxed(cell, obj) => Value::ptr(PtrVal {
+                        cell: cell.clone(),
+                        obj: *obj,
+                    }),
+                    BSlot::Plain(_) => {
+                        return Err(ExecError::Internal(format!(
+                            "address taken of unboxed variable {}",
+                            f.slot_names[*slot as usize]
+                        )))
+                    }
+                    BSlot::Empty => return Err(ExecError::Internal("variable not found".into())),
+                };
+                self.store(*dst, p)?;
+            }
+            Instr::AllocBox {
+                dst,
+                src,
+                heap,
+                size,
+                site,
+            } => {
+                let v = self.value(m, f, *src)?;
+                m.tick(1);
+                let p = Value::ptr(m.alloc_box(v, *heap, *size, Some(*site)));
+                self.store(*dst, p)?;
+            }
+            Instr::Deref { dst, ptr } => {
+                let p = self.value(m, f, *ptr)?;
+                m.tick(1);
+                let v = m.deref(&p)?;
+                self.store(*dst, v)?;
+            }
+            Instr::DerefSet { val, ptr } => {
+                let v = self.value(m, f, *val)?;
+                let p = self.value(m, f, *ptr)?;
+                m.deref_set(&p, v)?;
+            }
+            Instr::StructSetField {
+                dst,
+                val,
+                base,
+                idx,
+            } => {
+                let v = self.value(m, f, *val)?;
+                let b = self.value(m, f, *base)?;
+                self.store(*dst, with_field(b, *idx as usize, v)?)?;
+            }
+            Instr::FieldSetPtr { val, ptr, idx } => {
+                let v = self.value(m, f, *val)?;
+                let p = self.value(m, f, *ptr)?;
+                m.field_set_ptr(&p, *idx as usize, v)?;
+            }
+            Instr::ReSlice { dst, base, lo, hi } => {
+                let v = {
+                    let b = self.src(m, f, *base)?;
+                    let lo = int_of(&*self.src(m, f, *lo)?)?;
+                    let hi = match hi {
+                        Some(h) => Some(int_of(&*self.src(m, f, *h)?)?),
+                        None => None,
+                    };
+                    m.tick(1);
+                    reslice(&b, lo, hi)?
+                };
+                self.store(*dst, v)?;
+            }
+            Instr::MakeSlice {
+                dst,
+                len,
+                cap,
+                elem_size,
+                heap,
+                site,
+                zero,
+            } => {
+                let len = int_of(&*self.src(m, f, *len)?)?;
+                let cap = match cap {
+                    Some(c) => Some(int_of(&*self.src(m, f, *c)?)?),
+                    None => None,
+                };
+                m.tick(1);
+                let zero = self.consts[*zero as usize].clone();
+                let v = m.make_slice(len, cap, *elem_size, zero, *heap, *site)?;
+                self.store(*dst, v)?;
+            }
+            Instr::MakeMap {
+                dst,
+                entry_size,
+                heap,
+                site,
+                default,
+            } => {
+                m.tick(1);
+                let default = self.consts[*default as usize].clone();
+                let v = m.make_map(default, *entry_size, *heap, *site);
+                self.store(*dst, v)?;
+            }
+            Instr::NewPtr {
+                dst,
+                size,
+                heap,
+                site,
+                zero,
+            } => {
+                m.tick(1);
+                let zero = self.consts[*zero as usize].clone();
+                let p = Value::ptr(m.alloc_box(zero, *heap, *size, Some(*site)));
+                self.store(*dst, p)?;
+            }
+            Instr::Append {
+                dst,
+                slice,
+                item,
+                elem_size,
+                site,
+            } => {
+                let sv = self.value(m, f, *slice)?;
+                let item = self.value(m, f, *item)?;
+                m.tick(1);
+                let out = m.append(sv, item, *elem_size, *site)?;
+                self.store(*dst, out)?;
+            }
+            Instr::MakeStruct { dst, fields } => {
+                let fields = self.values(m, f, fields)?;
+                m.tick(1);
+                self.store(*dst, Value::struct_of(fields))?;
+            }
+            Instr::Cap { dst, src } => {
+                let v = {
+                    let v = self.src(m, f, *src)?;
+                    m.tick(1);
+                    cap_of(&v)?
+                };
+                self.store(*dst, v)?;
+            }
+            Instr::MapDelete { dst, map, key } => {
+                {
+                    let mv = self.src(m, f, *map)?;
+                    let kv = self.src(m, f, *key)?;
+                    m.tick(1);
+                    m.map_delete(&mv, &kv)?;
+                }
+                self.store(*dst, Value::Int(0))?;
+            }
+            Instr::Panic(s) => {
+                let v = self.src(m, f, *s)?;
+                m.tick(1);
+                return Err(ExecError::Panic(v.display()));
+            }
+            Instr::Print { dst, args } => {
+                let args = self.values(m, f, args)?;
+                m.tick(1);
+                m.print(&args);
+                self.store(*dst, Value::Int(0))?;
+            }
+            Instr::Itoa { dst, src } => {
+                let v = int_of(&*self.src(m, f, *src)?)?;
+                m.tick(1);
+                self.store(*dst, itoa(v))?;
+            }
+            Instr::Tcfree { src, follows_free } => {
+                let v = self.value(m, f, *src)?;
+                m.exec_tcfree(v, *follows_free);
+            }
+            Instr::TrapUnsupported(msg) => {
+                return Err(ExecError::Unsupported(msg.to_string()));
+            }
+            Instr::TrapInternal(msg) => {
+                return Err(ExecError::Internal(msg.to_string()));
+            }
 
-    /// An owned copy of a slot, for when the copy is the point (a push).
-    #[inline(always)]
-    fn slot_value(&self, f: &BFunc, s: u32) -> Result<Value> {
-        Ok(operand(&self.frames, f, s)?.clone())
-    }
-
-    /// `slot[a] op slot[b]`, the operand loans ended by the time it
-    /// returns (so the result may be stored to either slot).
-    #[inline(always)]
-    fn bin_slots(&self, m: &mut Machine, f: &BFunc, a: u32, b: u32, op: BinOp) -> Result<Value> {
-        let l = operand(&self.frames, f, a)?;
-        let r = operand(&self.frames, f, b)?;
-        m.binop(op, &l, &r)
-    }
-
-    /// `slot[a] op const[c]`, likewise.
-    #[inline(always)]
-    fn bin_slot_const(
-        &self,
-        m: &mut Machine,
-        f: &BFunc,
-        a: u32,
-        c: u32,
-        op: BinOp,
-    ) -> Result<Value> {
-        let l = operand(&self.frames, f, a)?;
-        m.binop(op, &l, &self.consts[c as usize])
-    }
-
-    /// The `StoreSlot` body, shared with the fused handlers.
-    #[inline(always)]
-    fn store_slot(&mut self, s: u32, v: Value) -> Result<()> {
-        let frame = self.frames.last_mut().expect("in a frame");
-        match &mut frame.slots[s as usize] {
-            BSlot::Plain(p) => *p = v,
-            BSlot::Boxed(cell, _) => *cell.borrow_mut() = v,
-            BSlot::Empty => Err(ExecError::Internal("write to undeclared variable".into()))?,
+            _ => unreachable!("dispatched in the loop: {instr:?}"),
         }
         Ok(())
     }
@@ -958,21 +831,19 @@ impl<'m> Bytecode<'m> {
 
 impl Dispatch for Bytecode<'_> {
     fn call(&mut self, m: &mut Machine, name: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        let funcs = &self.module.funcs;
-        let fid = funcs
+        let fid = self
+            .module
+            .funcs
             .iter()
             .position(|f| f.name == name)
             .ok_or_else(|| ExecError::NoFunc(name.to_string()))?;
-        let want = funcs[fid].results.len() as u32;
-        let mut stack = args;
-        let nargs = stack.len();
-        self.call_on_stack(m, fid, &mut stack, nargs, want)?;
-        Ok(stack)
+        let slots = self.frame_of(fid, args);
+        self.invoke(m, fid, slots, None)
     }
 
     fn roots(&self, sink: &mut dyn RootSink) {
-        for frame in &self.frames {
-            for slot in &frame.slots {
+        for frame in self.frames.iter().chain([&self.top]) {
+            for slot in &frame.slots[..frame.vars] {
                 match slot {
                     BSlot::Empty => {}
                     BSlot::Plain(v) => sink.value(v),
@@ -992,13 +863,15 @@ mod tests {
 
     use super::*;
 
-    fn func(name: &str, nslots: u32, code: Vec<Instr>) -> BFunc {
+    /// A function with `vars` variables (the first its result) and one
+    /// temporary, slot `vars`.
+    fn func(name: &str, vars: u32, code: Vec<Instr>) -> BFunc {
         BFunc {
             name: name.into(),
-            nslots,
+            nslots: vars + 1,
             params: Vec::new(),
             results: vec![(0, false, Some(0))],
-            slot_names: (0..nslots).map(|i| format!("v{i}")).collect(),
+            slot_names: (0..vars).map(|i| format!("v{i}")).collect(),
             code,
         }
     }
@@ -1016,29 +889,32 @@ mod tests {
             "bad",
             2,
             vec![
-                Instr::Const(0),
                 Instr::Declare {
                     slot: 0,
+                    src: Src::k(0, 1),
                     boxed: true,
                     heap: true,
                     size: 8,
                 },
-                Instr::Const(1),
                 Instr::MakeSlice {
+                    dst: 2,
+                    len: Src::k(1, 1),
+                    cap: None,
                     elem_size: 8,
-                    has_cap: false,
                     heap: true,
                     site: minigo_syntax::ExprId(1),
                     zero: 0,
                 },
                 Instr::Declare {
                     slot: 1,
+                    src: Src::tmp(2),
                     boxed: false,
                     heap: false,
                     size: 0,
                 },
-                Instr::AddrOfSlot(0),
+                Instr::AddrOfSlot { dst: 2, slot: 0 },
                 Instr::Tcfree {
+                    src: Src::tmp(2),
                     follows_free: false,
                 },
                 Instr::Ret,
@@ -1047,7 +923,13 @@ mod tests {
         let good = func(
             "good",
             1,
-            vec![Instr::Const(1), Instr::StoreSlot(0), Instr::Ret],
+            vec![
+                Instr::Move {
+                    dst: 0,
+                    src: Src::k(1, 1),
+                },
+                Instr::Ret,
+            ],
         );
         let module = Module {
             funcs: vec![bad, good],
@@ -1065,8 +947,10 @@ mod tests {
             ..VmConfig::default()
         };
         let mut s = Session::new(Bytecode::new(&module), cfg).expect("valid config");
-        let roots =
-            |s: &Session<Bytecode>| s.engine.frames.iter().map(|f| f.slots.len()).sum::<usize>();
+        let roots = |s: &Session<Bytecode>| {
+            let frames = s.engine.frames.iter().chain([&s.engine.top]);
+            frames.map(|f| f.slots.len()).sum::<usize>()
+        };
         assert_eq!(roots(&s), 0);
         for _ in 0..3 {
             assert_eq!(
@@ -1088,41 +972,36 @@ mod tests {
         assert_eq!(stacks, ["(root)", "bad", "good"]);
     }
 
-    /// The int lane of a `...BinStore` form writes through the
-    /// destination's `i64`, so it must decline whenever the destination
-    /// holds anything else: the store is then the generic body's, with
-    /// its result or error. No typed program stores an int over a string
-    /// or into an undeclared slot, hence the hand-written module.
+    /// The int lane of `Bin` computes on `i64`s but stores like `Move`:
+    /// over a string, through a box, and not into an undeclared slot. No
+    /// typed program stores an int over a string or into an undeclared
+    /// slot, hence the hand-written module.
     #[test]
-    fn the_int_lane_declines_a_destination_that_is_not_a_plain_int() {
-        let add_into = |dst| Instr::LoadConstBinStore {
-            a: 0,
-            c: 1,
+    fn the_int_lane_stores_to_any_destination_like_a_move() {
+        let add_into = |dst| Instr::Bin {
             op: BinOp::Add,
             dst,
-            ticks: 3,
+            a: Src::var(0),
+            b: Src::k(1, 1),
+            ticks: 0,
         };
         let declare = |boxed| Instr::Declare {
             slot: 1,
+            src: Src::k(2, 1),
             boxed,
             heap: false,
             size: 8,
         };
-        let over_str = vec![
-            Instr::Const(2),
-            declare(false),
-            add_into(1),
-            Instr::LoadSlot(1),
-            Instr::StoreSlot(0),
-            Instr::Ret,
-        ];
+        let result = |src| Instr::Move { dst: 0, src };
+        let over_str = vec![declare(false), add_into(1), result(Src::var(1)), Instr::Ret];
         let into_box = vec![
-            Instr::Const(2),
             declare(true),
             add_into(1),
-            Instr::AddrOfSlot(1),
-            Instr::Deref,
-            Instr::StoreSlot(0),
+            Instr::AddrOfSlot { dst: 2, slot: 1 },
+            Instr::Deref {
+                dst: 0,
+                ptr: Src::tmp(2),
+            },
             Instr::Ret,
         ];
         let module = Module {

@@ -1,19 +1,21 @@
-//! The slot-indexed bytecode IR.
+//! The register-form bytecode IR.
 //!
 //! A [`Module`] is the unit of lowering: one [`BFunc`] per source
 //! function, a shared constant pool, and flat instruction vectors with
-//! explicit jump targets. Variables are compile-time frame slots (dense
-//! indices assigned per function), so the executing engine indexes a
-//! `Vec` instead of hashing [`VarId`](minigo_syntax::VarId)s.
+//! explicit jump targets. Every instruction names its operands as
+//! [`Src`]s — a frame slot or a constant-pool entry — and writes its
+//! result to a frame slot or branches on it. Frame slots are the
+//! function's variables (dense indices assigned per function, so the
+//! executing engine indexes a `Vec` instead of hashing
+//! [`VarId`](minigo_syntax::VarId)s) followed by the temporaries
+//! lowering numbers above them.
 //!
-//! Tick accounting is baked into the instructions: an instruction that
-//! corresponds to an AST node the tree-walking interpreter would `eval`
-//! charges that node's clock ticks when it executes. Tick *placement*
-//! within a statement differs from the tree-walk (which charges on node
-//! entry), but per-statement totals are identical, and the simulated
-//! runtime's observable behaviour (GC pacing, RNG draws, metrics)
-//! depends only on the allocation/free/safepoint sequence and on total
-//! charged ticks — so the two engines produce identical outcomes.
+//! Tick accounting is baked into the instructions: an instruction
+//! charges the ticks of the AST nodes it evaluates, in the tree-walk's
+//! order — each operand's own charge as it is read (a variable read is
+//! the identifier's one tick, then its poison check), then the node's
+//! own — so the clock at every allocation, free, safepoint and error is
+//! the tree-walking interpreter's.
 
 use std::sync::Arc;
 
@@ -36,7 +38,7 @@ pub struct Module {
     pub funcs: Vec<BFunc>,
     /// The constant pool. Holds literals and statically computed zero
     /// values; the engine materializes them into per-run [`Value`]s that
-    /// are cloned onto the operand stack.
+    /// instructions read in place.
     pub consts: Vec<Const>,
 }
 
@@ -76,8 +78,8 @@ pub enum Const {
 impl Const {
     /// Materializes the per-run runtime [`Value`] for this constant.
     /// Called once per constant per run (the engine keeps the result and
-    /// clones it onto the operand stack), so per-run `Rc` sharing of
-    /// string payloads matches the previous `Value`-pool behaviour.
+    /// clones it where an instruction stores it), so string payloads are
+    /// `Rc`-shared within a run.
     pub fn to_value(&self) -> Value {
         match self {
             Const::Int(i) => Value::Int(*i),
@@ -94,7 +96,8 @@ impl Const {
 pub struct BFunc {
     /// Source name (for error messages).
     pub name: String,
-    /// Number of frame slots (parameters + results + locals).
+    /// Number of frame slots: the variables (parameters + results +
+    /// locals), then the temporaries lowering numbered above them.
     pub nslots: u32,
     /// Parameter slots in declaration order, with their boxed-ness
     /// (address-taken variables live in shared cells).
@@ -104,16 +107,91 @@ pub struct BFunc {
     /// the front end left the result untyped (calling such a function is
     /// a runtime error, exactly as in the tree-walk).
     pub results: Vec<(u32, bool, Option<u32>)>,
-    /// Slot names, for error messages.
+    /// Variable names, for error messages. There is one per variable
+    /// slot; every slot from `slot_names.len()` up is a temporary.
     pub slot_names: Vec<String>,
     /// The instruction stream. Always ends with [`Instr::Ret`].
     pub code: Vec<Instr>,
 }
 
+/// An instruction operand, read the way the tree-walk evaluates the
+/// leaf it stands for: `ticks` are charged, then the value at `at` is
+/// read (see [`SrcKind`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Src {
+    /// What `at` indexes, and how it is read.
+    pub kind: SrcKind,
+    /// The ticks charged before the operand is read: 1 for a variable
+    /// (the identifier's), 0 for a temporary, 2 for a `len`, and for a
+    /// constant 1 for a literal, 0 for the implicit values the tree-walk
+    /// never evaluates, or a folded constant expression's summed charge.
+    /// Lowering and the optimizer move charges between operands (see
+    /// `lower`), never past an event or a failure.
+    pub ticks: u16,
+    /// A frame slot, or a constant-pool index.
+    pub at: u32,
+}
+
+/// What a [`Src`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SrcKind {
+    /// A variable's slot, poison-checked (through its cell when boxed).
+    Var,
+    /// A slot an earlier instruction wrote, never checked.
+    Tmp,
+    /// A constant-pool entry.
+    K,
+    /// The length of the slice or string in a variable's slot: `len(x)`
+    /// of a variable whose address is never taken (reading it cannot
+    /// fail, and nothing in an expression can change it).
+    Len,
+}
+
+impl Src {
+    /// Variable slot `slot`.
+    pub fn var(slot: u32) -> Src {
+        Src {
+            kind: SrcKind::Var,
+            ticks: 1,
+            at: slot,
+        }
+    }
+
+    /// Temporary (or otherwise already evaluated) slot `slot`.
+    pub fn tmp(slot: u32) -> Src {
+        Src {
+            kind: SrcKind::Tmp,
+            ticks: 0,
+            at: slot,
+        }
+    }
+
+    /// `len` of variable slot `slot`, charging the identifier's tick and
+    /// the `len` node's.
+    pub fn len(slot: u32) -> Src {
+        Src {
+            kind: SrcKind::Len,
+            ticks: 2,
+            at: slot,
+        }
+    }
+
+    /// Constant-pool entry `c`, charging `ticks`.
+    pub fn k(c: u32, ticks: u16) -> Src {
+        Src {
+            kind: SrcKind::K,
+            ticks,
+            at: c,
+        }
+    }
+}
+
 /// A bytecode instruction.
 ///
-/// Stack effects are written `[before] -> [after]` with the top of the
-/// stack on the right.
+/// Operands are read in the order the fields are listed, each charging
+/// its own ticks as it is read ([`Src::ticks`]); an instruction that
+/// evaluates an AST node then charges the node's tick and acts. `dst`
+/// is the slot the result is stored to (through its cell when boxed).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     // ---- control ----
@@ -124,75 +202,93 @@ pub enum Instr {
     Tick(u32),
     /// Unconditional jump to an instruction index.
     Jump(usize),
-    /// `[cond] -> []` — jump if the popped bool is false. Errors if the
-    /// value is not a bool (the tree-walk's `eval_bool`).
-    JumpIfFalse(usize),
-    /// `[lhs] -> [false]?` — short-circuit `&&`: if the popped bool is
-    /// false, push `false` back and jump past the rhs. Charges the
-    /// binary node's tick.
-    AndJump(usize),
-    /// `[lhs] -> [true]?` — short-circuit `||`.
-    OrJump(usize),
-    /// `[v] -> [v]` — error unless the top of stack is a bool (the type
-    /// check `eval_bool` applies to `&&`/`||` right operands).
-    AssertBool,
-    /// `[subject, case] -> [subject]` or `[] + jump` — switch dispatch:
-    /// pop the case value, compare to the subject below it; on a match
-    /// pop the subject too and jump to the case body.
-    CaseJump(usize),
+    /// Jump to `t` when `cond` is `when`. Errors if `cond` is not a bool
+    /// (the tree-walk's `eval_bool`).
+    JumpIf {
+        /// The condition.
+        cond: Src,
+        /// The value that takes the jump.
+        when: bool,
+        /// Branch target.
+        t: usize,
+    },
+    /// Compare-and-branch: charge the operator node's tick and jump to
+    /// `t` when `a op b` is `when` (an `if` or `for` condition). Errors
+    /// if the result is not a bool.
+    BrCmp {
+        /// The operator.
+        op: BinOp,
+        /// Left operand.
+        a: Src,
+        /// Right operand.
+        b: Src,
+        /// The result that takes the jump.
+        when: bool,
+        /// Branch target.
+        t: usize,
+    },
+    /// Error unless `src` is a bool (the type check `eval_bool` applies
+    /// to a `&&`/`||` right operand).
+    AssertBool(Src),
+    /// Switch dispatch: jump to the case body when `case` equals
+    /// `subject`.
+    CaseJump {
+        /// The switch subject.
+        subject: Src,
+        /// One case value.
+        case: Src,
+        /// The case body.
+        t: usize,
+    },
     /// Return from the current function. Defers and result-slot reads
     /// are handled by the engine's call protocol.
     Ret,
-    /// `[args...] -> [results...]` — call a function: pop `nargs`
-    /// arguments, charge call ticks (2, plus 1 more in single-value
-    /// expression position), recurse. `want == u32::MAX` discards the
-    /// results (expression statements); otherwise the result count must
-    /// equal `want` and the results are pushed in order.
+    /// Call a function: read the arguments, charge call ticks (2, plus 1
+    /// more in single-value expression position, `want == 1`), recurse.
+    /// `want == u32::MAX` discards the results (expression statements);
+    /// otherwise the result count must equal `want` and the results are
+    /// stored to `dst, dst + 1, ..`.
     Call {
         /// Callee function index.
-        fid: usize,
-        /// Argument count.
-        nargs: u32,
+        fid: u32,
+        /// The arguments.
+        args: Box<[Src]>,
+        /// First result slot.
+        dst: u32,
         /// Expected result arity, or `u32::MAX` for "any, discarded".
         want: u32,
-        /// Whether the call sits in single-value expression position
-        /// (charges the expression node's extra tick).
-        value_pos: bool,
     },
-    /// Record a deferred call of a user function: pop `nargs` arguments.
+    /// Record a deferred call of a user function.
     DeferFunc {
         /// Callee function index.
-        fid: usize,
-        /// Argument count.
-        nargs: u32,
+        fid: u32,
+        /// The arguments, read now.
+        args: Box<[Src]>,
     },
-    /// Record a deferred builtin: pop `nargs` arguments.
+    /// Record a deferred builtin.
     DeferBuiltin {
         /// The builtin.
         builtin: Builtin,
-        /// Argument count.
-        nargs: u32,
+        /// The arguments, read now.
+        args: Box<[Src]>,
     },
 
-    // ---- stack & slots ----
-    /// `[] -> [const]` — push a constant and charge the literal node's
-    /// tick.
-    Const(u32),
-    /// `[] -> [const]` — push a constant without charging ticks (used
-    /// for implicit values the tree-walk never evaluates: zero-value
-    /// initializers and absent reslice bounds).
-    ConstRaw(u32),
-    /// `[] -> [v]` — read a slot (through its cell when boxed) with a
-    /// poison check; charges the identifier node's tick.
-    LoadSlot(u32),
-    /// `[v] -> []` — write a slot (through its cell when boxed).
-    StoreSlot(u32),
-    /// `[v] -> []` — declare a variable: allocate a fresh cell when
-    /// boxed, charging heap or stack accounting per the escape
-    /// analysis's static decision.
+    // ---- slots ----
+    /// `dst = src`.
+    Move {
+        /// Destination slot.
+        dst: u32,
+        /// The value.
+        src: Src,
+    },
+    /// Declare a variable: allocate a fresh cell when boxed, charging
+    /// heap or stack accounting per the escape analysis's static
+    /// decision.
     Declare {
         /// Destination slot.
         slot: u32,
+        /// The initial value.
+        src: Src,
         /// Whether the variable is address-taken (boxed).
         boxed: bool,
         /// Whether the box is heap-accounted.
@@ -200,31 +296,54 @@ pub enum Instr {
         /// Heap object size when `heap`.
         size: u64,
     },
-    /// `[v] -> []` — discard `n` values.
-    Pop(u32),
-    /// Reverse the top `n` stack values (so multi-value results pop in
-    /// declaration order).
-    ReverseN(u32),
 
     // ---- operators ----
-    /// `[v] -> [-v]` — integer negation; charges the unary node's tick.
-    Neg,
-    /// `[v] -> [!v]` — boolean not.
-    Not,
-    /// `[l, r] -> [l op r]` — binary operator, charging the node's tick
-    /// (string concatenation charges extra inside, as in the tree-walk).
-    Bin(BinOp),
-    /// `[l, r] -> [l op r]` — binary operator *without* the node tick:
-    /// compound assignments apply the operator directly.
-    BinRaw(BinOp),
+    /// `dst = -src`, integer negation; charges the unary node's tick.
+    Neg {
+        /// Destination slot.
+        dst: u32,
+        /// The operand.
+        src: Src,
+    },
+    /// `dst = !src`, boolean not.
+    Not {
+        /// Destination slot.
+        dst: u32,
+        /// The operand.
+        src: Src,
+    },
+    /// `dst = a op b`, charging the node's `ticks` (string concatenation
+    /// charges extra inside, as in the tree-walk).
+    Bin {
+        /// The operator.
+        op: BinOp,
+        /// Destination slot.
+        dst: u32,
+        /// Left operand.
+        a: Src,
+        /// Right operand.
+        b: Src,
+        /// The node's own charge: 1, or 0 for a compound assignment,
+        /// which applies the operator directly.
+        ticks: u8,
+    },
 
     // ---- memory ----
-    /// `[] -> [ptr]` — address of a boxed slot; charges the `&x` node's
-    /// tick.
-    AddrOfSlot(u32),
-    /// `[v] -> [ptr]` — box a value into a fresh cell (`&T{...}`),
-    /// charging heap or stack accounting; charges the node's tick.
+    /// `dst = &slot`, the address of a boxed slot; charges the `&x`
+    /// node's tick.
+    AddrOfSlot {
+        /// Destination slot.
+        dst: u32,
+        /// The boxed variable.
+        slot: u32,
+    },
+    /// `dst = &src`: box a value into a fresh cell (`&T{...}`), charging
+    /// heap or stack accounting; charges the node's tick.
     AllocBox {
+        /// Destination slot.
+        dst: u32,
+        /// The boxed value.
+        src: Src,
         /// Heap-allocated per the escape analysis.
         heap: bool,
         /// Object size when heap-allocated.
@@ -232,55 +351,102 @@ pub enum Instr {
         /// Profile attribution site.
         site: ExprId,
     },
-    /// `[ptr] -> [*ptr]` — pointer load with poison check.
-    Deref,
-    /// `[v, ptr] -> []` — pointer store.
-    DerefSet,
-    /// `[base] -> [field]` — struct field read with auto-deref decided
-    /// statically.
+    /// `dst = *ptr`, with poison check.
+    Deref {
+        /// Destination slot.
+        dst: u32,
+        /// The pointer.
+        ptr: Src,
+    },
+    /// `*ptr = val`.
+    DerefSet {
+        /// The stored value.
+        val: Src,
+        /// The pointer.
+        ptr: Src,
+    },
+    /// `dst = base.field`, with auto-deref decided statically.
     GetField {
+        /// Destination slot.
+        dst: u32,
+        /// The struct or pointer.
+        base: Src,
         /// Field index in declaration order.
         idx: u32,
         /// Whether the base is a pointer (deref through the cell).
         through_ptr: bool,
     },
-    /// `[v, base] -> [base']` — value-semantics field store: writes the
-    /// field into the popped struct and pushes the updated struct (the
-    /// lowering then stores it back into the base lvalue).
+    /// `dst = base` with field `idx` set to `val`: a value-semantics
+    /// field store (lowering then stores `dst` back into the base
+    /// lvalue).
     StructSetField {
+        /// Destination slot.
+        dst: u32,
+        /// The stored value.
+        val: Src,
+        /// The struct.
+        base: Src,
         /// Field index.
         idx: u32,
     },
-    /// `[v, ptr] -> []` — through-pointer field store: mutate in place.
+    /// `ptr.field = val`: a through-pointer field store, in place.
     FieldSetPtr {
+        /// The stored value.
+        val: Src,
+        /// The pointer.
+        ptr: Src,
         /// Field index.
         idx: u32,
     },
-    /// `[.., base] -> [.., base]` — error out on nil (or non-indexable)
-    /// index bases *before* the index expression is evaluated, matching
-    /// the tree-walk's dispatch order.
-    CheckIndexBase,
-    /// `[base, idx] -> [v]` — slice/map read, dispatching on the base
+    /// Error out on a nil (or non-indexable) index base *before* the
+    /// index expression is evaluated, matching the tree-walk's dispatch
+    /// order. Lowered only where the index is not a leaf; the index
+    /// instructions check their own base.
+    CheckIndexBase(Src),
+    /// `dst = base[idx]`: slice or map read, dispatching on the base
     /// value exactly like the tree-walk (slice: bounds check; map: key
     /// lookup charging the map-op ticks).
-    IndexGet,
-    /// `[v, base, idx] -> []` — slice/map store (map stores run the full
-    /// insert-with-growth path).
-    IndexSet,
-    /// `[base, lo, hi?] -> [slice]` — reslice; `has_hi` tells whether a
-    /// high bound was pushed (otherwise it defaults to the length).
+    IndexGet {
+        /// Destination slot.
+        dst: u32,
+        /// The slice or map.
+        base: Src,
+        /// The index or key.
+        idx: Src,
+    },
+    /// `base[idx] = val` (map stores run the full insert-with-growth
+    /// path).
+    IndexSet {
+        /// The stored value.
+        val: Src,
+        /// The slice or map.
+        base: Src,
+        /// The index or key.
+        idx: Src,
+    },
+    /// `dst = base[lo:hi]`; without `hi` the high bound is the length.
     ReSlice {
-        /// Whether an explicit high bound is on the stack.
-        has_hi: bool,
+        /// Destination slot.
+        dst: u32,
+        /// The slice.
+        base: Src,
+        /// Low bound.
+        lo: Src,
+        /// High bound.
+        hi: Option<Src>,
     },
 
     // ---- allocation ----
-    /// `[len, cap?] -> [slice]` — `make([]T, ..)`.
+    /// `dst = make([]T, len, cap?)`.
     MakeSlice {
+        /// Destination slot.
+        dst: u32,
+        /// Length.
+        len: Src,
+        /// Capacity.
+        cap: Option<Src>,
         /// Element size in bytes.
         elem_size: u64,
-        /// Whether an explicit capacity was pushed.
-        has_cap: bool,
         /// Heap-allocated per the escape analysis.
         heap: bool,
         /// Profile attribution site.
@@ -288,8 +454,10 @@ pub enum Instr {
         /// Constant-pool index of the element zero value.
         zero: u32,
     },
-    /// `[] -> [map]` — `make(map[K]V)`.
+    /// `dst = make(map[K]V)`.
     MakeMap {
+        /// Destination slot.
+        dst: u32,
         /// Entry size in bytes (16 + value inline size).
         entry_size: u64,
         /// Heap-allocated per the escape analysis.
@@ -300,8 +468,10 @@ pub enum Instr {
         /// default).
         default: u32,
     },
-    /// `[] -> [ptr]` — `new(T)`.
+    /// `dst = new(T)`.
     NewPtr {
+        /// Destination slot.
+        dst: u32,
         /// Pointee size in bytes.
         size: u64,
         /// Heap-allocated per the escape analysis.
@@ -311,36 +481,76 @@ pub enum Instr {
         /// Constant-pool index of the pointee zero value.
         zero: u32,
     },
-    /// `[slice, item] -> [slice']` — `append`, including nil-slice
-    /// bootstrap and growth.
+    /// `dst = append(slice, item)`, including nil-slice bootstrap and
+    /// growth.
     Append {
+        /// Destination slot.
+        dst: u32,
+        /// The slice.
+        slice: Src,
+        /// The appended element.
+        item: Src,
         /// Element size in bytes.
         elem_size: u64,
         /// Profile attribution site.
         site: ExprId,
     },
-    /// `[fields...] -> [struct]` — build a struct from `n` field values.
-    MakeStruct(u32),
+    /// `dst = T{fields...}`.
+    MakeStruct {
+        /// Destination slot.
+        dst: u32,
+        /// Field values in declaration order.
+        fields: Box<[Src]>,
+    },
 
     // ---- builtins ----
-    /// `[v] -> [len]`.
-    Len,
-    /// `[v] -> [cap]`.
-    Cap,
-    /// `[map, key] -> [0]` — `delete`.
-    MapDelete,
-    /// `[v] -> !` — `panic`.
-    Panic,
-    /// `[args...] -> [0]` — `print(n args)`.
-    Print(u32),
-    /// `[int] -> [str]` — `itoa`.
-    Itoa,
+    /// `dst = len(src)`.
+    Len {
+        /// Destination slot.
+        dst: u32,
+        /// Slice, map or string.
+        src: Src,
+    },
+    /// `dst = cap(src)`.
+    Cap {
+        /// Destination slot.
+        dst: u32,
+        /// The slice.
+        src: Src,
+    },
+    /// `delete(map, key)`; `dst` gets the builtin's 0.
+    MapDelete {
+        /// Destination slot.
+        dst: u32,
+        /// The map.
+        map: Src,
+        /// The key.
+        key: Src,
+    },
+    /// `panic(src)`.
+    Panic(Src),
+    /// `print(args...)`; `dst` gets the builtin's 0.
+    Print {
+        /// Destination slot.
+        dst: u32,
+        /// The printed values.
+        args: Box<[Src]>,
+    },
+    /// `dst = itoa(src)`.
+    Itoa {
+        /// Destination slot.
+        dst: u32,
+        /// The int.
+        src: Src,
+    },
 
     // ---- frees ----
-    /// `[v] -> []` — a `tcfree` statement: dispatch on the value
-    /// (slice/map/pointer) and call the runtime's free primitives.
-    /// `follows_free` marks statically adjacent frees for §5 batching.
+    /// A `tcfree` statement: dispatch on the value (slice/map/pointer)
+    /// and call the runtime's free primitives. `follows_free` marks
+    /// statically adjacent frees for §5 batching.
     Tcfree {
+        /// The freed value.
+        src: Src,
         /// Whether the previous statement in the block was also a free.
         follows_free: bool,
     },
@@ -354,267 +564,18 @@ pub enum Instr {
     /// Fail with [`ExecError::Internal`](crate::ExecError) when
     /// executed.
     TrapInternal(Box<str>),
-
-    // ---- optimizer tier ----
-    //
-    // Everything below is installed by `bytecode::opt`, never emitted by
-    // lowering, so the baseline stream stays available under `--opt
-    // off`. Each fused instruction charges `ticks` — the summed static
-    // charges of its constituents — up front, then runs the constituent
-    // handlers in order; per-statement tick totals (and therefore GC
-    // pacing, safepoints, and every metric) are unchanged, because the
-    // clock charge is an exact add and no observable runtime event can
-    // occur between the coalesced charges.
-    /// `[] -> [const]` — push a constant charging `ticks`: a folded
-    /// constant expression carrying the summed charge of the
-    /// instructions it replaced.
-    ConstTicked {
-        /// Constant-pool index.
-        c: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> [a op b]` — fused `LoadSlot a; LoadSlot b; Bin/BinRaw op`.
-    LoadLoadBin {
-        /// Left operand slot.
-        a: u32,
-        /// Right operand slot.
-        b: u32,
-        /// The operator.
-        op: BinOp,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> [a op c]` — fused `LoadSlot a; Const c; Bin/BinRaw op`.
-    LoadConstBin {
-        /// Left operand slot.
-        a: u32,
-        /// Right operand constant-pool index.
-        c: u32,
-        /// The operator.
-        op: BinOp,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> []` — fused `LoadSlot a; LoadSlot b; Bin/BinRaw;
-    /// StoreSlot dst` (e.g. `x = a + b`).
-    LoadLoadBinStore {
-        /// Left operand slot.
-        a: u32,
-        /// Right operand slot.
-        b: u32,
-        /// The operator.
-        op: BinOp,
-        /// Destination slot.
-        dst: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> []` — fused `LoadSlot a; Const c; Bin/BinRaw; StoreSlot
-    /// dst` (compound assignments like `i += 1` collapse 4 → 1).
-    LoadConstBinStore {
-        /// Left operand slot.
-        a: u32,
-        /// Right operand constant-pool index.
-        c: u32,
-        /// The operator.
-        op: BinOp,
-        /// Destination slot.
-        dst: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> []` or jump — fused `LoadSlot a; LoadSlot b; Bin;
-    /// JumpIfFalse t` (loop conditions like `i < n` collapse 4 → 1).
-    LoadLoadBinJump {
-        /// Left operand slot.
-        a: u32,
-        /// Right operand slot.
-        b: u32,
-        /// The operator.
-        op: BinOp,
-        /// Branch target when the result is false.
-        t: usize,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> []` or jump — fused `LoadSlot a; Const c; Bin;
-    /// JumpIfFalse t`.
-    LoadConstBinJump {
-        /// Left operand slot.
-        a: u32,
-        /// Right operand constant-pool index.
-        c: u32,
-        /// The operator.
-        op: BinOp,
-        /// Branch target when the result is false.
-        t: usize,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> []` or jump — fused `LoadSlot s; JumpIfFalse t`.
-    LoadJumpIfFalse {
-        /// Condition slot.
-        s: u32,
-        /// Branch target when false.
-        t: usize,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[l, r] -> []` or jump — fused `Bin op; JumpIfFalse t`.
-    BinJumpIfFalse {
-        /// The operator.
-        op: BinOp,
-        /// Branch target when false.
-        t: usize,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> [v]` — fused `LoadSlot base; CheckIndexBase; LoadSlot
-    /// idx; IndexGet`.
-    LoadLoadIndexGet {
-        /// Slot holding the slice/map base.
-        base: u32,
-        /// Slot holding the index/key.
-        idx: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> [v]` — fused `LoadSlot base; CheckIndexBase; Const c;
-    /// IndexGet`.
-    LoadConstIndexGet {
-        /// Slot holding the slice/map base.
-        base: u32,
-        /// Constant-pool index of the index/key.
-        c: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[v] -> []` — fused `LoadSlot base; CheckIndexBase; LoadSlot
-    /// idx; IndexSet`.
-    LoadLoadIndexSet {
-        /// Slot holding the slice/map base.
-        base: u32,
-        /// Slot holding the index/key.
-        idx: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[v] -> []` — fused `LoadSlot base; CheckIndexBase; Const c;
-    /// IndexSet`.
-    LoadConstIndexSet {
-        /// Slot holding the slice/map base.
-        base: u32,
-        /// Constant-pool index of the index/key.
-        c: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> [len]` — fused `LoadSlot s; Len` (e.g. `n := len(s)`).
-    LoadLen {
-        /// Slot holding the slice/map/string.
-        s: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> []` — fused `LoadSlot s; Len; StoreSlot dst`.
-    LoadLenStore {
-        /// Slot holding the slice/map/string.
-        s: u32,
-        /// Destination slot.
-        dst: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> []` or jump — fused `LoadSlot a; LoadSlot s; Len; Bin;
-    /// JumpIfFalse t`: the canonical loop header `for i < len(s)`
-    /// collapses 5 → 1.
-    LoadLoadLenBinJump {
-        /// Left operand slot (the induction variable).
-        a: u32,
-        /// Slot holding the slice/map/string whose length is compared.
-        s: u32,
-        /// The comparison operator.
-        op: BinOp,
-        /// Branch target when the result is false.
-        t: usize,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[l] -> [l op s]` — fused `LoadSlot s; Bin/BinRaw op`: the right
-    /// operand is a slot, the left comes from the stack (a complex
-    /// subexpression already evaluated).
-    BinSlot {
-        /// Right operand slot.
-        s: u32,
-        /// The operator.
-        op: BinOp,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[l] -> [l op c]` — fused `Const c; Bin/BinRaw op`: the right
-    /// operand is a constant, the left comes from the stack.
-    BinConst {
-        /// Right operand constant-pool index.
-        c: u32,
-        /// The operator.
-        op: BinOp,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[l] -> []` — fused `Const c; Bin/BinRaw op; StoreSlot dst`.
-    BinConstStore {
-        /// Right operand constant-pool index.
-        c: u32,
-        /// The operator.
-        op: BinOp,
-        /// Destination slot.
-        dst: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[l] -> []` or jump — fused `Const c; Bin op; JumpIfFalse t`
-    /// (conditions like `x % 2 == 0` finish in one dispatch).
-    BinConstJump {
-        /// Right operand constant-pool index.
-        c: u32,
-        /// The operator.
-        op: BinOp,
-        /// Branch target when the result is false.
-        t: usize,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
-    /// `[] -> [a, b]` — fused `LoadSlot a; LoadSlot b`: adjacent slot
-    /// reads feeding an unfuseable consumer (call arguments, struct
-    /// literals, prints) still coalesce their dispatch.
-    LoadLoad {
-        /// First slot pushed.
-        a: u32,
-        /// Second slot pushed.
-        b: u32,
-        /// Coalesced tick charge.
-        ticks: u32,
-    },
 }
 
 impl Instr {
     /// The instruction's jump-target operand, if it has one. The
-    /// optimizer uses this to find fusion barriers and to rewrite
+    /// optimizer uses this to find rewrite barriers and to rewrite
     /// targets after structural passes.
     pub fn jump_target(&self) -> Option<usize> {
         match self {
             Instr::Jump(t)
-            | Instr::JumpIfFalse(t)
-            | Instr::AndJump(t)
-            | Instr::OrJump(t)
-            | Instr::CaseJump(t)
-            | Instr::LoadLoadBinJump { t, .. }
-            | Instr::LoadConstBinJump { t, .. }
-            | Instr::LoadJumpIfFalse { t, .. }
-            | Instr::BinJumpIfFalse { t, .. }
-            | Instr::LoadLoadLenBinJump { t, .. }
-            | Instr::BinConstJump { t, .. } => Some(*t),
+            | Instr::JumpIf { t, .. }
+            | Instr::BrCmp { t, .. }
+            | Instr::CaseJump { t, .. } => Some(*t),
             _ => None,
         }
     }
@@ -623,17 +584,103 @@ impl Instr {
     pub fn jump_target_mut(&mut self) -> Option<&mut usize> {
         match self {
             Instr::Jump(t)
-            | Instr::JumpIfFalse(t)
-            | Instr::AndJump(t)
-            | Instr::OrJump(t)
-            | Instr::CaseJump(t)
-            | Instr::LoadLoadBinJump { t, .. }
-            | Instr::LoadConstBinJump { t, .. }
-            | Instr::LoadJumpIfFalse { t, .. }
-            | Instr::BinJumpIfFalse { t, .. }
-            | Instr::LoadLoadLenBinJump { t, .. }
-            | Instr::BinConstJump { t, .. } => Some(t),
+            | Instr::JumpIf { t, .. }
+            | Instr::BrCmp { t, .. }
+            | Instr::CaseJump { t, .. } => Some(t),
             _ => None,
+        }
+    }
+
+    /// The slots the instruction writes.
+    pub fn dsts(&self) -> std::ops::Range<u32> {
+        match *self {
+            Instr::Call { dst, want, .. } if want != u32::MAX => dst..dst + want,
+            Instr::Move { dst, .. }
+            | Instr::Declare { slot: dst, .. }
+            | Instr::Neg { dst, .. }
+            | Instr::Not { dst, .. }
+            | Instr::Bin { dst, .. }
+            | Instr::AddrOfSlot { dst, .. }
+            | Instr::AllocBox { dst, .. }
+            | Instr::Deref { dst, .. }
+            | Instr::GetField { dst, .. }
+            | Instr::StructSetField { dst, .. }
+            | Instr::IndexGet { dst, .. }
+            | Instr::ReSlice { dst, .. }
+            | Instr::MakeSlice { dst, .. }
+            | Instr::MakeMap { dst, .. }
+            | Instr::NewPtr { dst, .. }
+            | Instr::Append { dst, .. }
+            | Instr::MakeStruct { dst, .. }
+            | Instr::Len { dst, .. }
+            | Instr::Cap { dst, .. }
+            | Instr::MapDelete { dst, .. }
+            | Instr::Print { dst, .. }
+            | Instr::Itoa { dst, .. } => dst..dst + 1,
+            _ => 0..0,
+        }
+    }
+
+    /// Visits the operands in the order the instruction reads them.
+    pub fn visit_srcs(&mut self, f: &mut impl FnMut(&mut Src)) {
+        match self {
+            Instr::JumpIf { cond: a, .. }
+            | Instr::AssertBool(a)
+            | Instr::Move { src: a, .. }
+            | Instr::Declare { src: a, .. }
+            | Instr::Neg { src: a, .. }
+            | Instr::Not { src: a, .. }
+            | Instr::AllocBox { src: a, .. }
+            | Instr::Deref { ptr: a, .. }
+            | Instr::GetField { base: a, .. }
+            | Instr::CheckIndexBase(a)
+            | Instr::Len { src: a, .. }
+            | Instr::Cap { src: a, .. }
+            | Instr::Panic(a)
+            | Instr::Itoa { src: a, .. }
+            | Instr::Tcfree { src: a, .. } => f(a),
+            Instr::BrCmp { a, b, .. }
+            | Instr::Bin { a, b, .. }
+            | Instr::CaseJump {
+                subject: a,
+                case: b,
+                ..
+            }
+            | Instr::DerefSet { val: a, ptr: b }
+            | Instr::StructSetField {
+                val: a, base: b, ..
+            }
+            | Instr::FieldSetPtr { val: a, ptr: b, .. }
+            | Instr::IndexGet {
+                base: a, idx: b, ..
+            }
+            | Instr::Append {
+                slice: a, item: b, ..
+            }
+            | Instr::MapDelete { map: a, key: b, .. } => {
+                f(a);
+                f(b);
+            }
+            Instr::IndexSet { val, base, idx } => {
+                f(val);
+                f(base);
+                f(idx);
+            }
+            Instr::ReSlice { base, lo, hi, .. } => {
+                f(base);
+                f(lo);
+                hi.iter_mut().for_each(f);
+            }
+            Instr::MakeSlice { len, cap, .. } => {
+                f(len);
+                cap.iter_mut().for_each(f);
+            }
+            Instr::Call { args, .. }
+            | Instr::DeferFunc { args, .. }
+            | Instr::DeferBuiltin { args, .. }
+            | Instr::Print { args, .. }
+            | Instr::MakeStruct { fields: args, .. } => args.iter_mut().for_each(f),
+            _ => {}
         }
     }
 }

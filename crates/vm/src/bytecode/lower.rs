@@ -12,6 +12,20 @@
 //! slots, allocation sites carry their heap/stack decision and sizes,
 //! field accesses carry their index, and zero values live in the
 //! constant pool.
+//!
+//! Expressions lower to three-address form. A leaf (a variable, a
+//! literal, or `len` of a slice or string variable) becomes a [`Src`]
+//! its consumer reads; any other expression writes a temporary, a slot
+//! numbered above the variables and reused from one statement to the
+//! next. When code is lowered between a leaf operand and its consumer,
+//! the leaf's ticks are charged where the tree-walk evaluates it
+//! ([`Instr::Tick`]), and only the read moves to the consumer. That is
+//! invisible for a literal and for a variable whose address is never
+//! taken: nothing can change it (no pointer to it exists) and reading it
+//! cannot fail (it is declared before any use and never holds a poisoned
+//! value). An address-taken variable is copied into a temporary instead,
+//! because the code in between may store through a pointer to it or
+//! free it.
 
 use minigo_escape::{AllocPlace, Analysis};
 use minigo_syntax::{
@@ -19,7 +33,7 @@ use minigo_syntax::{
     TypeInfo, UnOp, VarId,
 };
 
-use super::ir::{BFunc, Const, Instr, Module};
+use super::ir::{BFunc, Const, Instr, Module, Src, SrcKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::interp::addr_taken_vars;
 
@@ -94,6 +108,12 @@ fn lower_func(
         slot_of.insert(v, slot_names.len() as u32);
         slot_names.push(res.var(v).name.clone());
     }
+    let nvars = slot_names.len() as u32;
+    let boxed = res
+        .vars_of(func.id)
+        .iter()
+        .map(|v| addr_taken.contains(v))
+        .collect();
 
     let mut lo = FnLowerer {
         fid: func.id,
@@ -102,11 +122,14 @@ fn lower_func(
         analysis,
         addr_taken,
         slot_of,
+        boxed,
         consts,
         code: Vec::new(),
         patches: Vec::new(),
         break_stack: Vec::new(),
         continue_stack: Vec::new(),
+        next_temp: nvars,
+        nslots: nvars,
     };
     lo.lower_block(&func.body);
     lo.code.push(Instr::Ret);
@@ -128,7 +151,7 @@ fn lower_func(
     let code = std::mem::take(&mut lo.code);
     BFunc {
         name: func.name.clone(),
-        nslots: slot_names.len() as u32,
+        nslots: lo.nslots,
         params,
         results,
         slot_names,
@@ -157,6 +180,8 @@ struct FnLowerer<'a> {
     analysis: &'a Analysis,
     addr_taken: FxHashSet<VarId>,
     slot_of: FxHashMap<VarId, u32>,
+    /// Per variable slot, whether the variable is address-taken.
+    boxed: Vec<bool>,
     consts: &'a mut ConstPool,
     code: Vec<Instr>,
     /// The back-patch table: every forward jump is emitted with a
@@ -170,6 +195,12 @@ struct FnLowerer<'a> {
     /// Per innermost loop: placeholder jumps to patch to the post
     /// statement (continue target).
     continue_stack: Vec<Vec<usize>>,
+    /// The next free temporary. Temporaries live within one statement,
+    /// so each statement starts numbering where its parent stood.
+    next_temp: u32,
+    /// Slots used so far: the variables, then the most temporaries any
+    /// statement held at once.
+    nslots: u32,
 }
 
 impl<'a> FnLowerer<'a> {
@@ -208,6 +239,18 @@ impl<'a> FnLowerer<'a> {
         self.consts.add(v)
     }
 
+    /// `n` fresh consecutive temporaries; the first one's slot.
+    fn temps(&mut self, n: u32) -> u32 {
+        let t = self.next_temp;
+        self.next_temp += n;
+        self.nslots = self.nslots.max(self.next_temp);
+        t
+    }
+
+    fn temp(&mut self) -> u32 {
+        self.temps(1)
+    }
+
     fn heap_placed(&self, e: &Expr) -> bool {
         self.analysis.place_of(e.id) == AllocPlace::Heap
     }
@@ -219,6 +262,123 @@ impl<'a> FnLowerer<'a> {
             .unwrap_or(8)
     }
 
+    // ---- operands ----
+
+    /// Whether `e` lowers to a [`Src`] without emitting anything.
+    fn is_leaf(&self, e: &Expr) -> bool {
+        match &e.kind {
+            ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::StrLit(_) | ExprKind::Nil => {
+                true
+            }
+            ExprKind::Ident(_) => self.res.def_of(e.id).is_some(),
+            _ => self.len_of_var(e).is_some(),
+        }
+    }
+
+    /// The slot of `x` when `e` is `len(x)` of a slice or string
+    /// variable whose address is never taken: a leaf, since nothing in
+    /// an expression can change such a variable's length. (A map's can:
+    /// a call may insert into it.)
+    fn len_of_var(&self, e: &Expr) -> Option<u32> {
+        let ExprKind::Builtin {
+            kind: Builtin::Len,
+            args,
+            ..
+        } = &e.kind
+        else {
+            return None;
+        };
+        let slot = self.var_of(args.first()?)?;
+        let sized = matches!(
+            self.types.expr(args[0].id),
+            Some(Type::Slice(_) | Type::Str)
+        );
+        (sized && !self.boxed[slot as usize]).then_some(slot)
+    }
+
+    /// A leaf's operand: a variable, or a literal charging its tick.
+    fn leaf(&mut self, e: &Expr) -> Option<Src> {
+        let c = match &e.kind {
+            ExprKind::IntLit(v) => Const::Int(*v),
+            ExprKind::BoolLit(b) => Const::Bool(*b),
+            ExprKind::StrLit(s) => Const::Str(std::sync::Arc::from(s.as_str())),
+            ExprKind::Nil => Const::Nil,
+            ExprKind::Ident(_) => return Some(Src::var(self.slot(self.res.def_of(e.id)?))),
+            _ => return self.len_of_var(e).map(Src::len),
+        };
+        Some(Src::k(self.intern(c), 1))
+    }
+
+    /// Evaluates `s` here into a value of its own, as the tree-walk
+    /// would at this point: a variable (or its `len`) is copied into a
+    /// temporary, a literal's ticks charged. For values that separate
+    /// instructions consume, such as a multi-value assignment's, where a
+    /// store in between may change the variable.
+    fn pin(&mut self, s: Src) -> Src {
+        if matches!(s.kind, SrcKind::Var | SrcKind::Len) {
+            let dst = self.temp();
+            self.emit(Instr::Move { dst, src: s });
+            return Src::tmp(dst);
+        }
+        self.settle(s)
+    }
+
+    /// Charges `s`'s ticks here, where the tree-walk evaluates it, and
+    /// leaves the read to its consumer (see the module docs); an
+    /// address-taken variable is pinned.
+    fn settle(&mut self, s: Src) -> Src {
+        if s.kind == SrcKind::Var && self.boxed[s.at as usize] {
+            return self.pin(s);
+        }
+        if s.ticks > 0 {
+            self.emit(Instr::Tick(u32::from(s.ticks)));
+        }
+        Src { ticks: 0, ..s }
+    }
+
+    /// `s` as an operand read before `next` is lowered: settled unless
+    /// `next` is a leaf (which emits nothing in between).
+    fn before(&mut self, s: Src, next: &Expr) -> Src {
+        if self.is_leaf(next) {
+            s
+        } else {
+            self.settle(s)
+        }
+    }
+
+    /// Lowers `es` left to right into one instruction's operands.
+    fn operands<'e>(&mut self, es: impl IntoIterator<Item = &'e Expr>) -> Box<[Src]> {
+        let mut ops: Vec<Src> = Vec::new();
+        for e in es {
+            if !self.is_leaf(e) {
+                for s in &mut ops {
+                    *s = self.settle(*s);
+                }
+            }
+            let s = self.lower_expr(e);
+            ops.push(s);
+        }
+        ops.into()
+    }
+
+    /// The operands of `base[index]`, read after a store's `val`.
+    fn index_operands(&mut self, val: Option<&mut Src>, base: &Expr, index: &Expr) -> (Src, Src) {
+        let mut val = val;
+        if let Some(v) = val.as_deref_mut() {
+            *v = self.before(*v, base);
+        }
+        let mut b = self.lower_expr(base);
+        if !self.is_leaf(index) {
+            if let Some(v) = val {
+                *v = self.settle(*v);
+            }
+            b = self.settle(b);
+            // The tree-walk checks the base before it evaluates the index.
+            self.emit(Instr::CheckIndexBase(b));
+        }
+        (b, self.lower_expr(index))
+    }
+
     // ---- statements ----
 
     fn lower_block(&mut self, block: &Block) {
@@ -226,7 +386,9 @@ impl<'a> FnLowerer<'a> {
         for stmt in &block.stmts {
             self.emit(Instr::Safepoint);
             let is_free = matches!(stmt.kind, StmtKind::Free { .. });
+            let mark = self.next_temp;
             self.lower_stmt(stmt, is_free && prev_was_free);
+            self.next_temp = mark;
             prev_was_free = is_free;
         }
     }
@@ -235,13 +397,10 @@ impl<'a> FnLowerer<'a> {
         match &stmt.kind {
             StmtKind::VarDecl { names, ty, init } => {
                 if init.is_empty() {
-                    // Zero initialization evaluates nothing, so the
-                    // per-name push/declare interleave preserves the
-                    // tree-walk's declaration (and alloc) order.
-                    let zero = self.intern(zero_value(ty, self.types));
+                    // Zero initialization evaluates nothing.
+                    let zero = Src::k(self.intern(zero_value(ty, self.types)), 0);
                     for i in 0..names.len() {
-                        self.emit(Instr::ConstRaw(zero));
-                        self.lower_decl(stmt.id, i);
+                        self.lower_decl(stmt.id, i, zero);
                     }
                 } else {
                     self.lower_decl_inits(stmt.id, names.len(), init);
@@ -252,30 +411,42 @@ impl<'a> FnLowerer<'a> {
             }
             StmtKind::Assign { lhs, op, rhs } => {
                 if let Some(op) = op {
-                    self.lower_expr(&lhs[0]);
-                    self.lower_expr(&rhs[0]);
-                    self.emit(Instr::BinRaw(*op));
-                    self.lower_store(&lhs[0]);
+                    let a = self.lower_expr(&lhs[0]);
+                    let a = self.before(a, &rhs[0]);
+                    let b = self.lower_expr(&rhs[0]);
+                    // The operator applies directly: no node tick.
+                    let var = self.var_of(&lhs[0]);
+                    let dst = var.unwrap_or_else(|| self.temp());
+                    let op = *op;
+                    self.emit(Instr::Bin {
+                        op,
+                        dst,
+                        a,
+                        b,
+                        ticks: 0,
+                    });
+                    if var.is_none() {
+                        self.lower_store(&lhs[0], Src::tmp(dst));
+                    }
                     return;
                 }
-                let n = if rhs.len() == 1 && lhs.len() > 1 {
-                    self.lower_multi(&rhs[0], lhs.len())
-                } else {
-                    for e in rhs {
-                        self.lower_expr(e);
+                if let ([l], [r]) = (&lhs[..], &rhs[..]) {
+                    match self.var_of(l) {
+                        Some(dst) => self.lower_into(r, dst),
+                        None => {
+                            let v = self.lower_expr(r);
+                            self.lower_store(l, v);
+                        }
                     }
-                    rhs.len()
-                };
-                if n > 1 {
-                    self.emit(Instr::ReverseN(n as u32));
+                    return;
                 }
-                for l in lhs.iter().take(n) {
-                    self.lower_store(l);
+                let values = self.lower_values(rhs, lhs.len());
+                for (l, v) in lhs.iter().zip(values) {
+                    self.lower_store(l, v);
                 }
             }
             StmtKind::If { cond, then, els } => {
-                self.lower_expr(cond);
-                let jf = self.emit(Instr::JumpIfFalse(usize::MAX));
+                let jf = self.lower_cond(cond, false);
                 self.lower_block(then);
                 if let Some(els) = els {
                     let jend = self.emit(Instr::Jump(usize::MAX));
@@ -298,13 +469,11 @@ impl<'a> FnLowerer<'a> {
                 if let Some(init) = init {
                     self.lower_stmt(init, false);
                 }
+                // The condition sits at the bottom, so an iteration takes
+                // one branch: enter at the condition, loop back while it
+                // holds.
+                let enter = cond.as_ref().map(|_| self.emit(Instr::Jump(usize::MAX)));
                 let top = self.here();
-                let exit = if let Some(cond) = cond {
-                    self.lower_expr(cond);
-                    Some(self.emit(Instr::JumpIfFalse(usize::MAX)))
-                } else {
-                    None
-                };
                 self.break_stack.push(Vec::new());
                 self.continue_stack.push(Vec::new());
                 self.lower_block(body);
@@ -313,11 +482,18 @@ impl<'a> FnLowerer<'a> {
                     self.lower_stmt(post, false);
                 }
                 self.emit(Instr::Safepoint);
-                self.emit(Instr::Jump(top));
-                let end = self.here();
-                if let Some(exit) = exit {
-                    self.patch(exit, end);
+                match cond {
+                    Some(cond) => {
+                        let at = self.here();
+                        self.patch(enter.expect("emitted with the condition"), at);
+                        let back = self.lower_cond(cond, true);
+                        self.patch(back, top);
+                    }
+                    None => {
+                        self.emit(Instr::Jump(top));
+                    }
                 }
+                let end = self.here();
                 for at in self.break_stack.pop().expect("pushed above") {
                     self.patch(at, end);
                 }
@@ -326,32 +502,26 @@ impl<'a> FnLowerer<'a> {
                 }
             }
             StmtKind::Return { exprs } => {
-                let results = self.res.results_of(self.fid).to_vec();
-                if !exprs.is_empty() {
-                    let n = if exprs.len() == 1 && results.len() > 1 {
-                        self.lower_multi(&exprs[0], results.len())
-                    } else {
-                        for e in exprs {
-                            self.lower_expr(e);
-                        }
-                        exprs.len()
-                    };
-                    if n > 1 {
-                        self.emit(Instr::ReverseN(n as u32));
-                    }
-                    for &rvar in results.iter().take(n) {
-                        let slot = self.slot(rvar);
-                        self.emit(Instr::StoreSlot(slot));
+                let results = self.res.results_of(self.fid);
+                if let ([e], [r]) = (&exprs[..], results) {
+                    let dst = self.slot(*r);
+                    self.lower_into(e, dst);
+                } else if !exprs.is_empty() {
+                    let results = results.to_vec();
+                    let values = self.lower_values(exprs, results.len());
+                    for (&rvar, src) in results.iter().zip(values) {
+                        let dst = self.slot(rvar);
+                        self.emit(Instr::Move { dst, src });
                     }
                 }
                 self.emit(Instr::Ret);
             }
             StmtKind::Expr { expr } => {
                 if matches!(expr.kind, ExprKind::Call { .. }) {
-                    self.lower_call(expr, u32::MAX, false);
+                    self.lower_call(expr, 0, u32::MAX);
                 } else {
-                    self.lower_expr(expr);
-                    self.emit(Instr::Pop(1));
+                    let s = self.lower_expr(expr);
+                    self.settle(s);
                 }
             }
             StmtKind::BlockStmt { block } => self.lower_block(block),
@@ -359,12 +529,10 @@ impl<'a> FnLowerer<'a> {
                 ExprKind::Call { callee, args } => {
                     match self.res.func_by_name(callee) {
                         Some(fid) => {
-                            for a in args {
-                                self.lower_expr(a);
-                            }
+                            let args = self.operands(args);
                             self.emit(Instr::DeferFunc {
-                                fid: fid.index(),
-                                nargs: args.len() as u32,
+                                fid: fid.index() as u32,
+                                args,
                             });
                         }
                         None => {
@@ -373,12 +541,10 @@ impl<'a> FnLowerer<'a> {
                     };
                 }
                 ExprKind::Builtin { kind, args, .. } => {
-                    for a in args {
-                        self.lower_expr(a);
-                    }
+                    let args = self.operands(args);
                     self.emit(Instr::DeferBuiltin {
                         builtin: *kind,
-                        nargs: args.len() as u32,
+                        args,
                     });
                 }
                 _ => {
@@ -390,18 +556,22 @@ impl<'a> FnLowerer<'a> {
                 cases,
                 default,
             } => {
-                self.lower_expr(subject);
+                let s = self.lower_expr(subject);
+                let subject = self.settle(s);
                 let mut case_jumps: Vec<Vec<usize>> = Vec::new();
                 for case in cases {
                     let mut jumps = Vec::new();
                     for v in &case.values {
-                        self.lower_expr(v);
-                        jumps.push(self.emit(Instr::CaseJump(usize::MAX)));
+                        let case = self.lower_expr(v);
+                        jumps.push(self.emit(Instr::CaseJump {
+                            subject,
+                            case,
+                            t: usize::MAX,
+                        }));
                     }
                     case_jumps.push(jumps);
                 }
-                // No case matched: drop the subject, run the default.
-                self.emit(Instr::Pop(1));
+                // No case matched: run the default.
                 let mut end_jumps = Vec::new();
                 if let Some(default) = default {
                     self.break_stack.push(Vec::new());
@@ -443,35 +613,75 @@ impl<'a> FnLowerer<'a> {
                 }
             }
             StmtKind::Free { target, .. } => {
-                self.lower_expr(target);
-                self.emit(Instr::Tcfree { follows_free });
+                let src = self.lower_expr(target);
+                self.emit(Instr::Tcfree { src, follows_free });
             }
         }
+    }
+
+    /// The slot of `e` when it is a resolved variable.
+    fn var_of(&self, e: &Expr) -> Option<u32> {
+        match e.kind {
+            ExprKind::Ident(_) => self.res.def_of(e.id).map(|v| self.slot(v)),
+            _ => None,
+        }
+    }
+
+    /// Lowers a condition; returns the branch to patch to where control
+    /// goes when it is `when`.
+    fn lower_cond(&mut self, cond: &Expr, when: bool) -> usize {
+        let t = usize::MAX;
+        if let ExprKind::Binary { op, lhs, rhs } = &cond.kind {
+            if !matches!(op, BinOp::And | BinOp::Or) {
+                let a = self.lower_expr(lhs);
+                let a = self.before(a, rhs);
+                let b = self.lower_expr(rhs);
+                let op = *op;
+                return self.emit(Instr::BrCmp { op, a, b, when, t });
+            }
+        }
+        let cond = self.lower_expr(cond);
+        self.emit(Instr::JumpIf { cond, when, t })
+    }
+
+    /// Lowers a value list (the tree-walk's evaluate-all-then-assign):
+    /// one call in multi-value position yields its results, anything
+    /// else one value per expression. Every value is pinned, since each
+    /// is consumed by an instruction of its own.
+    fn lower_values(&mut self, exprs: &[Expr], want: usize) -> Vec<Src> {
+        if let [e @ Expr {
+            kind: ExprKind::Call { .. },
+            ..
+        }] = exprs
+        {
+            if want > 1 {
+                let dst = self.temps(want as u32);
+                self.lower_call(e, dst, want as u32);
+                return (dst..dst + want as u32).map(Src::tmp).collect();
+            }
+        }
+        let ops = self.operands(exprs);
+        ops.iter().map(|&s| self.pin(s)).collect()
     }
 
     /// Lowers a declaration's initializer list and the declares
     /// themselves, preserving the tree-walk's evaluate-all-then-declare
     /// order.
     fn lower_decl_inits(&mut self, stmt: minigo_syntax::StmtId, nnames: usize, init: &[Expr]) {
-        let n = if init.len() == 1 && nnames > 1 {
-            self.lower_multi(&init[0], nnames)
-        } else {
-            for e in init {
-                self.lower_expr(e);
+        let values = match init {
+            [e] if nnames == 1 || !matches!(e.kind, ExprKind::Call { .. }) => {
+                vec![self.lower_expr(e)]
             }
-            init.len()
+            _ => self.lower_values(init, nnames),
         };
-        if n > 1 {
-            self.emit(Instr::ReverseN(n as u32));
-        }
-        for i in 0..n {
-            self.lower_decl(stmt, i);
+        for (i, src) in values.into_iter().enumerate() {
+            self.lower_decl(stmt, i, src);
         }
     }
 
-    /// Emits the declare for `decl_of(stmt, idx)`; the initial value is
-    /// on the stack.
-    fn lower_decl(&mut self, stmt: minigo_syntax::StmtId, idx: usize) {
+    /// Emits the declare for `decl_of(stmt, idx)` with initial value
+    /// `src`.
+    fn lower_decl(&mut self, stmt: minigo_syntax::StmtId, idx: usize, src: Src) {
         let Some(var) = self.res.decl_of(stmt, idx) else {
             self.emit(Instr::TrapInternal("unresolved decl".into()));
             return;
@@ -479,29 +689,16 @@ impl<'a> FnLowerer<'a> {
         let boxed = self.addr_taken.contains(&var);
         self.emit(Instr::Declare {
             slot: self.slot(var),
+            src,
             boxed,
             heap: boxed && boxed_on_heap(self.analysis, self.fid, var),
             size: var_size(self.types, var),
         });
     }
 
-    /// Lowers an expression in multi-value position (the tree-walk's
-    /// `eval_multi`): a call pushes its results, anything else a single
-    /// value. Returns how many values are on the stack.
-    fn lower_multi(&mut self, e: &Expr, want: usize) -> usize {
-        if matches!(e.kind, ExprKind::Call { .. }) {
-            self.lower_call(e, want as u32, false);
-            want
-        } else {
-            self.lower_expr(e);
-            1
-        }
-    }
-
     /// Lowers a call expression. `want` is the expected result arity
-    /// (`u32::MAX` discards); `value_pos` marks single-value expression
-    /// position, which charges the call node's own tick.
-    fn lower_call(&mut self, e: &Expr, want: u32, value_pos: bool) {
+    /// (`u32::MAX` discards), stored from `dst` up.
+    fn lower_call(&mut self, e: &Expr, dst: u32, want: u32) {
         let ExprKind::Call { callee, args } = &e.kind else {
             unreachable!("lower_call on non-call");
         };
@@ -509,148 +706,166 @@ impl<'a> FnLowerer<'a> {
             self.emit(Instr::TrapInternal("unknown callee".into()));
             return;
         };
-        for a in args {
-            self.lower_expr(a);
-        }
+        let args = self.operands(args);
         self.emit(Instr::Call {
-            fid: fid.index(),
-            nargs: args.len() as u32,
+            fid: fid.index() as u32,
+            args,
+            dst,
             want,
-            value_pos,
         });
     }
 
     // ---- expressions ----
 
-    fn lower_expr(&mut self, e: &Expr) {
+    /// Lowers `e` to the operand its consumer reads: a leaf as itself,
+    /// anything else into a fresh temporary.
+    fn lower_expr(&mut self, e: &Expr) -> Src {
+        if let Some(s) = self.leaf(e) {
+            return s;
+        }
+        let dst = self.temp();
+        self.lower_into(e, dst);
+        Src::tmp(dst)
+    }
+
+    /// Lowers `e` so that its value ends up in slot `dst`. Every
+    /// instruction stores its result after reading all its operands, so
+    /// `dst` may be one of the variables `e` reads.
+    fn lower_into(&mut self, e: &Expr, dst: u32) {
+        if let Some(src) = self.leaf(e) {
+            self.emit(Instr::Move { dst, src });
+            return;
+        }
         match &e.kind {
-            ExprKind::IntLit(v) => {
-                let c = self.intern(Const::Int(*v));
-                self.emit(Instr::Const(c));
+            ExprKind::IntLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Nil
+            | ExprKind::Ident(_) => {
+                self.emit(Instr::TrapInternal("unresolved ident".into()));
             }
-            ExprKind::BoolLit(b) => {
-                let c = self.intern(Const::Bool(*b));
-                self.emit(Instr::Const(c));
-            }
-            ExprKind::StrLit(s) => {
-                let c = self.intern(Const::Str(std::sync::Arc::from(s.as_str())));
-                self.emit(Instr::Const(c));
-            }
-            ExprKind::Nil => {
-                let c = self.intern(Const::Nil);
-                self.emit(Instr::Const(c));
-            }
-            ExprKind::Ident(_) => match self.res.def_of(e.id) {
-                Some(var) => {
-                    let slot = self.slot(var);
-                    self.emit(Instr::LoadSlot(slot));
-                }
-                None => {
-                    self.emit(Instr::TrapInternal("unresolved ident".into()));
-                }
-            },
             ExprKind::Unary { op, operand } => match op {
                 UnOp::Neg => {
-                    self.lower_expr(operand);
-                    self.emit(Instr::Neg);
+                    let src = self.lower_expr(operand);
+                    self.emit(Instr::Neg { dst, src });
                 }
                 UnOp::Not => {
-                    self.lower_expr(operand);
-                    self.emit(Instr::Not);
+                    let src = self.lower_expr(operand);
+                    self.emit(Instr::Not { dst, src });
                 }
-                UnOp::Addr => self.lower_addr_of(operand),
+                UnOp::Addr => self.lower_addr_of(operand, dst),
                 UnOp::Deref => {
-                    self.lower_expr(operand);
-                    self.emit(Instr::Deref);
+                    let ptr = self.lower_expr(operand);
+                    self.emit(Instr::Deref { dst, ptr });
                 }
             },
             ExprKind::Binary { op, lhs, rhs } => match op {
                 BinOp::And | BinOp::Or => {
+                    // The result is written twice, so never straight
+                    // into a variable the right operand may read.
+                    let d = if dst < self.nvars() { self.temp() } else { dst };
                     self.emit(Instr::Tick(1));
-                    self.lower_expr(lhs);
-                    let j = self.emit(if *op == BinOp::And {
-                        Instr::AndJump(usize::MAX)
-                    } else {
-                        Instr::OrJump(usize::MAX)
+                    self.lower_into(lhs, d);
+                    let j = self.emit(Instr::JumpIf {
+                        cond: Src::tmp(d),
+                        when: *op == BinOp::Or,
+                        t: usize::MAX,
                     });
-                    self.lower_expr(rhs);
-                    self.emit(Instr::AssertBool);
+                    self.lower_into(rhs, d);
+                    self.emit(Instr::AssertBool(Src::tmp(d)));
                     let end = self.here();
                     self.patch(j, end);
+                    if d != dst {
+                        self.emit(Instr::Move {
+                            dst,
+                            src: Src::tmp(d),
+                        });
+                    }
                 }
                 _ => {
-                    self.lower_expr(lhs);
-                    self.lower_expr(rhs);
-                    self.emit(Instr::Bin(*op));
+                    let a = self.lower_expr(lhs);
+                    let a = self.before(a, rhs);
+                    let b = self.lower_expr(rhs);
+                    self.emit(Instr::Bin {
+                        op: *op,
+                        dst,
+                        a,
+                        b,
+                        ticks: 1,
+                    });
                 }
             },
             ExprKind::Field { base, name } => {
-                self.lower_expr(base);
+                let b = self.lower_expr(base);
                 match field_target(self.types, base, name) {
                     Ok((idx, through_ptr)) => {
                         self.emit(Instr::GetField {
+                            dst,
+                            base: b,
                             idx: idx as u32,
                             through_ptr,
                         });
                     }
                     Err(msg) => {
+                        self.pin(b);
                         self.emit(Instr::TrapInternal(msg.into()));
                     }
                 }
             }
             ExprKind::Index { base, index } => {
-                self.lower_expr(base);
-                self.emit(Instr::CheckIndexBase);
-                self.lower_expr(index);
-                self.emit(Instr::IndexGet);
+                let (base, idx) = self.index_operands(None, base, index);
+                self.emit(Instr::IndexGet { dst, base, idx });
             }
             ExprKind::SliceExpr { base, lo, hi } => {
-                self.lower_expr(base);
-                match lo {
-                    Some(lo) => self.lower_expr(lo),
-                    None => {
-                        let c = self.intern(Const::Int(0));
-                        self.emit(Instr::ConstRaw(c));
-                    }
-                }
-                if let Some(hi) = hi {
-                    self.lower_expr(hi);
-                }
+                let bounds = lo.iter().chain(hi).map(|b| &**b);
+                let ops = self.operands(std::iter::once(&**base).chain(bounds));
+                // An absent low bound is a 0 the tree-walk never evaluates.
+                let lo = match lo {
+                    Some(_) => ops[1],
+                    None => Src::k(self.intern(Const::Int(0)), 0),
+                };
                 self.emit(Instr::ReSlice {
-                    has_hi: hi.is_some(),
+                    dst,
+                    base: ops[0],
+                    lo,
+                    hi: hi.as_ref().map(|_| ops[ops.len() - 1]),
                 });
             }
-            ExprKind::Call { .. } => self.lower_call(e, 1, true),
+            ExprKind::Call { .. } => self.lower_call(e, dst, 1),
             ExprKind::Builtin {
                 kind,
                 ty_args,
                 args,
             } => {
-                self.lower_builtin(e, *kind, ty_args, args);
+                self.lower_builtin(e, *kind, ty_args, args, dst);
             }
             ExprKind::StructLit { fields, .. } => {
-                for f in fields {
-                    self.lower_expr(f);
-                }
-                self.emit(Instr::MakeStruct(fields.len() as u32));
+                let fields = self.operands(fields);
+                self.emit(Instr::MakeStruct { dst, fields });
             }
         }
     }
 
-    fn lower_addr_of(&mut self, operand: &Expr) {
+    fn nvars(&self) -> u32 {
+        self.slot_of.len() as u32
+    }
+
+    fn lower_addr_of(&mut self, operand: &Expr, dst: u32) {
         match &operand.kind {
             ExprKind::Ident(_) => match self.res.def_of(operand.id) {
                 Some(var) => {
                     let slot = self.slot(var);
-                    self.emit(Instr::AddrOfSlot(slot));
+                    self.emit(Instr::AddrOfSlot { dst, slot });
                 }
                 None => {
                     self.emit(Instr::TrapInternal("unresolved ident".into()));
                 }
             },
             ExprKind::StructLit { .. } => {
-                self.lower_expr(operand);
+                let src = self.lower_expr(operand);
                 self.emit(Instr::AllocBox {
+                    dst,
+                    src,
                     heap: self.heap_placed(operand),
                     size: self.expr_size(operand),
                     site: operand.id,
@@ -662,7 +877,7 @@ impl<'a> FnLowerer<'a> {
             } => {
                 // `&*p` evaluates to `p`; the `&` node still ticks.
                 self.emit(Instr::Tick(1));
-                self.lower_expr(inner);
+                self.lower_into(inner, dst);
             }
             other => {
                 self.emit(Instr::TrapUnsupported(
@@ -672,19 +887,24 @@ impl<'a> FnLowerer<'a> {
         }
     }
 
-    fn lower_builtin(&mut self, e: &Expr, kind: Builtin, ty_args: &[Type], args: &[Expr]) {
+    fn lower_builtin(
+        &mut self,
+        e: &Expr,
+        kind: Builtin,
+        ty_args: &[Type],
+        args: &[Expr],
+        dst: u32,
+    ) {
         match kind {
             Builtin::Make => match ty_args.first() {
                 Some(Type::Slice(elem)) => {
-                    self.lower_expr(&args[0]);
-                    let has_cap = args.len() > 1;
-                    if has_cap {
-                        self.lower_expr(&args[1]);
-                    }
+                    let ops = self.operands(&args[..args.len().min(2)]);
                     let zero = self.intern(zero_value(elem, self.types));
                     self.emit(Instr::MakeSlice {
+                        dst,
+                        len: ops[0],
+                        cap: ops.get(1).copied(),
                         elem_size: self.types.inline_size(elem),
-                        has_cap,
                         heap: self.heap_placed(e),
                         site: e.id,
                         zero,
@@ -693,6 +913,7 @@ impl<'a> FnLowerer<'a> {
                 Some(Type::Map(_, v)) => {
                     let default = self.intern(zero_value(v, self.types));
                     self.emit(Instr::MakeMap {
+                        dst,
                         entry_size: 16 + self.types.inline_size(v),
                         heap: self.heap_placed(e),
                         site: e.id,
@@ -707,6 +928,7 @@ impl<'a> FnLowerer<'a> {
                 Some(ty) => {
                     let zero = self.intern(zero_value(ty, self.types));
                     self.emit(Instr::NewPtr {
+                        dst,
                         size: self.types.inline_size(ty),
                         heap: self.heap_placed(e),
                         site: e.id,
@@ -718,57 +940,60 @@ impl<'a> FnLowerer<'a> {
                 }
             },
             Builtin::Append => {
-                self.lower_expr(&args[0]);
-                self.lower_expr(&args[1]);
+                let ops = self.operands(&args[..2]);
                 let elem_size = match self.types.expr(args[0].id) {
                     Some(Type::Slice(elem)) => self.types.inline_size(elem),
                     _ => 8,
                 };
                 self.emit(Instr::Append {
+                    dst,
+                    slice: ops[0],
+                    item: ops[1],
                     elem_size,
                     site: e.id,
                 });
             }
             Builtin::Len => {
-                self.lower_expr(&args[0]);
-                self.emit(Instr::Len);
+                let src = self.lower_expr(&args[0]);
+                self.emit(Instr::Len { dst, src });
             }
             Builtin::Cap => {
-                self.lower_expr(&args[0]);
-                self.emit(Instr::Cap);
+                let src = self.lower_expr(&args[0]);
+                self.emit(Instr::Cap { dst, src });
             }
             Builtin::Delete => {
-                self.lower_expr(&args[0]);
-                self.lower_expr(&args[1]);
-                self.emit(Instr::MapDelete);
+                let ops = self.operands(&args[..2]);
+                self.emit(Instr::MapDelete {
+                    dst,
+                    map: ops[0],
+                    key: ops[1],
+                });
             }
             Builtin::Panic => {
-                self.lower_expr(&args[0]);
-                self.emit(Instr::Panic);
+                let src = self.lower_expr(&args[0]);
+                self.emit(Instr::Panic(src));
             }
             Builtin::Print => {
-                for a in args {
-                    self.lower_expr(a);
-                }
-                self.emit(Instr::Print(args.len() as u32));
+                let args = self.operands(args);
+                self.emit(Instr::Print { dst, args });
             }
             Builtin::Itoa => {
-                self.lower_expr(&args[0]);
-                self.emit(Instr::Itoa);
+                let src = self.lower_expr(&args[0]);
+                self.emit(Instr::Itoa { dst, src });
             }
         }
     }
 
     // ---- lvalues ----
 
-    /// Lowers a store into `lv`; the value to store is on the stack
-    /// beneath whatever operands the lvalue itself evaluates.
-    fn lower_store(&mut self, lv: &Expr) {
+    /// Lowers a store of `val` (an operand read before anything the
+    /// lvalue evaluates) into `lv`.
+    fn lower_store(&mut self, lv: &Expr, val: Src) {
         match &lv.kind {
             ExprKind::Ident(_) => match self.res.def_of(lv.id) {
                 Some(var) => {
-                    let slot = self.slot(var);
-                    self.emit(Instr::StoreSlot(slot));
+                    let dst = self.slot(var);
+                    self.emit(Instr::Move { dst, src: val });
                 }
                 None => {
                     self.emit(Instr::TrapInternal("unresolved ident".into()));
@@ -778,29 +1003,42 @@ impl<'a> FnLowerer<'a> {
                 op: UnOp::Deref,
                 operand,
             } => {
-                self.lower_expr(operand);
-                self.emit(Instr::DerefSet);
+                let val = self.before(val, operand);
+                let ptr = self.lower_expr(operand);
+                self.emit(Instr::DerefSet { val, ptr });
             }
             ExprKind::Field { base, name } => {
-                self.lower_expr(base);
+                let val = self.before(val, base);
+                let b = self.lower_expr(base);
                 match field_target(self.types, base, name) {
                     Ok((idx, true)) => {
-                        self.emit(Instr::FieldSetPtr { idx: idx as u32 });
+                        self.emit(Instr::FieldSetPtr {
+                            val,
+                            ptr: b,
+                            idx: idx as u32,
+                        });
                     }
                     Ok((idx, false)) => {
-                        self.emit(Instr::StructSetField { idx: idx as u32 });
-                        self.lower_store(base);
+                        let dst = self.temp();
+                        self.emit(Instr::StructSetField {
+                            dst,
+                            val,
+                            base: b,
+                            idx: idx as u32,
+                        });
+                        self.lower_store(base, Src::tmp(dst));
                     }
                     Err(msg) => {
+                        self.pin(val);
+                        self.pin(b);
                         self.emit(Instr::TrapInternal(msg.into()));
                     }
                 }
             }
             ExprKind::Index { base, index } => {
-                self.lower_expr(base);
-                self.emit(Instr::CheckIndexBase);
-                self.lower_expr(index);
-                self.emit(Instr::IndexSet);
+                let mut val = val;
+                let (base, idx) = self.index_operands(Some(&mut val), base, index);
+                self.emit(Instr::IndexSet { val, base, idx });
             }
             _ => {
                 self.emit(Instr::TrapInternal("bad lvalue".into()));

@@ -1,5 +1,5 @@
-//! The bytecode optimizer tier: peephole/constant folding, jump
-//! threading, and superinstruction fusion.
+//! The bytecode optimizer tier: constant folding and propagation,
+//! constant branches, tick merging, and jump threading.
 //!
 //! [`optimize`] rewrites a lowered [`Module`] into a faster but
 //! observably identical one. "Observably identical" is a hard contract
@@ -10,69 +10,58 @@
 //!
 //! The contract holds because of one rule — **tick preservation**:
 //! every rewrite that removes instructions carries their summed static
-//! tick charges on the replacement (the `ticks` operand of
-//! [`Instr::ConstTicked`] and the fused instructions). The runtime's
-//! clock charge is an exact add with no per-call randomness, and no
-//! observable event (allocation, trace event, safepoint, GC poll) can
-//! occur *between* the charges of a fused window, so coalescing
-//! `tick(1); tick(1)` into `tick(2)` is invisible to every observer.
-//! Rewrites that could change error behaviour are refused: division by
-//! a constant zero is never folded, branch folding only applies to
-//! constant bools, and fusion windows never span a jump target.
+//! tick charges on the replacement (a folded constant operand's ticks,
+//! or a [`Instr::Tick`]). The runtime's clock charge is an exact add
+//! with no per-call randomness, and no observable event (allocation,
+//! trace event, safepoint, GC poll, error) can occur *between* the
+//! charges a rewrite coalesces, so the clock reads the same at every
+//! event. Rewrites that could change error behaviour are refused:
+//! division by a constant zero is never folded, and branch folding only
+//! applies to constant bools.
 //!
 //! Pass ordering (per function):
 //!
-//! 1. **Fold** (to a fixpoint): constant arithmetic/comparisons into
-//!    pool entries, dead push/pop pairs, constant branches, adjacent
-//!    tick merging.
+//! 1. **Fold** (to a fixpoint): constant arithmetic, comparisons and
+//!    negations into pool entries, constant branches, tick merging (a
+//!    `Tick` into the next `Tick`, or into the next instruction's first
+//!    operand read, which charges before anything else it does), and
+//!    propagation of a constant moved into a temporary into the next
+//!    instruction, its one reader.
 //! 2. **Thread**: collapse jump-to-jump chains and jumps-to-return.
-//! 3. **Fuse**: superinstructions for the hot shapes the lowering
-//!    emits (`load load bin [store|branch]`, `load const bin ...`,
-//!    slice-index-then-load, `load branch`), longest match first.
 //!
-//! Structural passes rebuild the instruction vector and remap every
-//! jump operand through an old-index → new-index table; a window is
-//! only rewritten when no jump targets its interior (targets *at* a
-//! window start stay valid, since entering the window's replacement
-//! executes exactly the constituent sequence).
+//! Rewrites rebuild the instruction vector and remap every jump operand
+//! through an old-index → new-index table; a window is only rewritten
+//! when no jump targets its interior.
 
 use minigo_syntax::BinOp;
 
-use super::ir::{BFunc, Const, Instr, Module};
+use super::ir::{BFunc, Const, Instr, Module, Src, SrcKind};
 use crate::fxhash::FxHashMap;
 
 /// Per-pass rewrite counters for one [`optimize`] run, surfaced through
 /// the compile pipeline next to its phase timings and exported in the
-/// JSON report (`gofree-report/3`'s additive `"opt"` object).
+/// JSON report (`"opt"`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptStats {
     /// Instructions across the module before optimization.
     pub instrs_before: u64,
     /// Instructions after all passes.
     pub instrs_after: u64,
-    /// Constant expressions folded into pool entries (fold pass).
+    /// Constant expressions folded into pool entries, and constants
+    /// propagated into their reader (fold pass).
     pub consts_folded: u64,
     /// Constant branches resolved to straight-line code (fold pass).
     pub branches_folded: u64,
-    /// Dead push/pop pairs eliminated (fold pass).
-    pub pushpops_elided: u64,
     /// Adjacent tick charges merged (fold pass).
     pub ticks_merged: u64,
     /// Jump-to-jump chains and jumps-to-return collapsed (thread pass).
     pub jumps_threaded: u64,
-    /// Superinstructions fused (fuse pass).
-    pub fusions: u64,
 }
 
 impl OptStats {
     /// Total rewrites across all passes.
     pub fn total_rewrites(&self) -> u64 {
-        self.consts_folded
-            + self.branches_folded
-            + self.pushpops_elided
-            + self.ticks_merged
-            + self.jumps_threaded
-            + self.fusions
+        self.consts_folded + self.branches_folded + self.ticks_merged + self.jumps_threaded
     }
 }
 
@@ -91,12 +80,11 @@ pub fn optimize(m: &Module) -> (Module, OptStats) {
         // Fold to a fixpoint so nested constant expressions collapse
         // fully (`1 + 2 + 3` needs two rounds); bounded for safety.
         for _ in 0..8 {
-            if fold_pass(f, &mut pool, &mut stats) == 0 {
+            if fold_pass(f, &mut pool, &mut stats) + propagate_pass(f, &mut stats) == 0 {
                 break;
             }
         }
         thread_jumps(f, &mut stats);
-        fuse_pass(f, &mut stats);
     }
     stats.instrs_after = out.instr_count() as u64;
     (out, stats)
@@ -182,20 +170,21 @@ fn target_flags(code: &[Instr]) -> Vec<bool> {
 ///
 /// The matcher must refuse windows whose interior (everything after the
 /// first instruction) is a jump target; a jump *at* the window start
-/// lands on the replacement, which executes the same sequence.
+/// lands on the replacement, which executes the same sequence. It may
+/// look ahead of `i` but never behind it.
 fn rewrite_windows(
     f: &mut BFunc,
     mut matcher: impl FnMut(&[Instr], usize, &[bool]) -> Option<(usize, Vec<Instr>)>,
 ) -> u64 {
-    let code = &f.code;
-    let is_target = target_flags(code);
+    let mut code = std::mem::take(&mut f.code);
+    let is_target = target_flags(&code);
     let mut new_code: Vec<Instr> = Vec::with_capacity(code.len());
     let mut map: Vec<usize> = vec![0; code.len() + 1];
     let mut rewrites = 0u64;
     let mut i = 0;
     while i < code.len() {
         map[i] = new_code.len();
-        match matcher(code, i, &is_target) {
+        match matcher(&code, i, &is_target) {
             Some((consumed, repl)) => {
                 debug_assert!(consumed >= 1 && i + consumed <= code.len());
                 debug_assert!(!is_target[i + 1..i + consumed].iter().any(|&b| b));
@@ -207,7 +196,7 @@ fn rewrite_windows(
                 i += consumed;
             }
             None => {
-                new_code.push(code[i].clone());
+                new_code.push(std::mem::replace(&mut code[i], Instr::Ret));
                 i += 1;
             }
         }
@@ -222,156 +211,184 @@ fn rewrite_windows(
     rewrites
 }
 
-/// Views an instruction as a constant push: `(pool index, ticks)`.
-fn as_const_push(i: &Instr) -> Option<(u32, u32)> {
-    match i {
-        Instr::Const(c) => Some((*c, 1)),
-        Instr::ConstRaw(c) => Some((*c, 0)),
-        Instr::ConstTicked { c, ticks } => Some((*c, *ticks)),
-        _ => None,
+/// A constant operand carrying `ticks`, unless the charge overflows.
+fn konst(c: u32, ticks: u64) -> Option<Src> {
+    Some(Src::k(c, u16::try_from(ticks).ok()?))
+}
+
+/// `[Tick(t)]`, or nothing for no ticks.
+fn tick_instrs(t: u64) -> Vec<Instr> {
+    match u32::try_from(t) {
+        Ok(0) => Vec::new(),
+        Ok(t) => vec![Instr::Tick(t)],
+        Err(_) => unreachable!("operand ticks fit in u16"),
     }
 }
 
-/// `ConstTicked`, but degrading to the cheapest encoding.
-fn const_push(c: u32, ticks: u32) -> Instr {
-    match ticks {
-        0 => Instr::ConstRaw(c),
-        1 => Instr::Const(c),
-        _ => Instr::ConstTicked { c, ticks },
-    }
-}
+// ---- pass 1: constant folding ----
 
-// ---- pass 1: peephole + constant folding ----
-
-/// One fold round. Returns the number of rewrites.
+/// One fold round over single instructions and tick pairs. Returns the
+/// number of rewrites.
 fn fold_pass(f: &mut BFunc, pool: &mut PoolInterner, stats: &mut OptStats) -> u64 {
     // Counters are attributed inside the matcher; the closure borrows
     // them individually to keep borrowck happy.
     let mut folded = 0u64;
     let mut branches = 0u64;
-    let mut pushpops = 0u64;
     let mut ticks_merged = 0u64;
     let total = rewrite_windows(f, |code, i, is_target| {
-        let interior_free =
-            |n: usize| i + n <= code.len() && !is_target[i + 1..i + n].iter().any(|&b| b);
-        // [Tick a, Tick b] -> [Tick a+b]; [Tick n, const] -> const+n.
-        if let Instr::Tick(a) = code[i] {
-            if interior_free(2) {
-                if let Instr::Tick(b) = code[i + 1] {
-                    ticks_merged += 1;
-                    return Some((2, vec![Instr::Tick(a + b)]));
-                }
-                if let Some((c, t)) = as_const_push(&code[i + 1]) {
-                    ticks_merged += 1;
-                    return Some((2, vec![const_push(c, a + t)]));
-                }
-            }
-            if a == 0 {
-                ticks_merged += 1;
-                return Some((1, Vec::new()));
-            }
-            return None;
-        }
-        let (ca, ta) = as_const_push(&code[i])?;
-        // [const a, const b, Bin op] -> folded const.
-        if interior_free(3) {
-            if let Some((cb, tb)) = as_const_push(&code[i + 1]) {
-                let op_ticks = match &code[i + 2] {
-                    Instr::Bin(op) => Some((*op, 1u32)),
-                    Instr::BinRaw(op) => Some((*op, 0u32)),
-                    _ => None,
-                };
-                if let Some((op, op_tick)) = op_ticks {
-                    if let Some((folded_c, extra)) = fold_binop(pool.get(ca), pool.get(cb), op) {
-                        let idx = pool.add(folded_c);
-                        folded += 1;
-                        return Some((3, vec![const_push(idx, ta + tb + op_tick + extra as u32)]));
+        let k = |s: Src| (s.kind == SrcKind::K).then_some((s.at, u64::from(s.ticks)));
+        match code[i] {
+            // [Tick a, Tick b] -> [Tick a+b]; [Tick a, I] -> I charging a
+            // more before its first operand read; [Tick 0] -> [].
+            Instr::Tick(a) => {
+                if let (Some(next), false) = (code.get(i + 1), is_target[i + 1]) {
+                    if let Instr::Tick(b) = next {
+                        ticks_merged += 1;
+                        return Some((2, vec![Instr::Tick(a + b)]));
                     }
-                }
-            }
-        }
-        if !interior_free(2) {
-            return None;
-        }
-        match &code[i + 1] {
-            // [const int, Neg] / [const bool, Not].
-            Instr::Neg => {
-                if let Const::Int(v) = pool.get(ca) {
-                    let idx = pool.add(Const::Int(v.wrapping_neg()));
-                    folded += 1;
-                    return Some((2, vec![const_push(idx, ta + 1)]));
-                }
-            }
-            Instr::Not => {
-                if let Const::Bool(b) = pool.get(ca) {
-                    let idx = pool.add(Const::Bool(!b));
-                    folded += 1;
-                    return Some((2, vec![const_push(idx, ta + 1)]));
-                }
-            }
-            // [const, Pop 1] -> the ticks alone.
-            Instr::Pop(1) => {
-                pushpops += 1;
-                let repl = if ta > 0 {
-                    vec![Instr::Tick(ta)]
-                } else {
-                    Vec::new()
-                };
-                return Some((2, repl));
-            }
-            // [const bool, JumpIfFalse t] -> straight line or jump.
-            Instr::JumpIfFalse(t) => {
-                if let Const::Bool(b) = pool.get(ca) {
-                    let mut repl = Vec::new();
-                    if ta > 0 {
-                        repl.push(Instr::Tick(ta));
-                    }
-                    if !b {
-                        repl.push(Instr::Jump(*t));
-                    }
-                    branches += 1;
-                    return Some((2, repl));
-                }
-            }
-            // [const bool, AndJump t]: false short-circuits (push false,
-            // jump), true continues with nothing pushed.
-            Instr::AndJump(t) => {
-                if let Const::Bool(b) = pool.get(ca) {
-                    let repl = if *b {
-                        if ta > 0 {
-                            vec![Instr::Tick(ta)]
-                        } else {
-                            Vec::new()
+                    let mut next = next.clone();
+                    let mut first = true;
+                    let mut merged = false;
+                    next.visit_srcs(&mut |s| {
+                        if std::mem::take(&mut first) {
+                            if let Ok(t) = u16::try_from(u32::from(s.ticks) + a) {
+                                s.ticks = t;
+                                merged = true;
+                            }
                         }
-                    } else {
-                        vec![const_push(ca, ta), Instr::Jump(*t)]
-                    };
-                    branches += 1;
-                    return Some((2, repl));
+                    });
+                    if merged {
+                        ticks_merged += 1;
+                        return Some((2, vec![next]));
+                    }
                 }
-            }
-            Instr::OrJump(t) => {
-                if let Const::Bool(b) = pool.get(ca) {
-                    let repl = if *b {
-                        vec![const_push(ca, ta), Instr::Jump(*t)]
-                    } else if ta > 0 {
-                        vec![Instr::Tick(ta)]
-                    } else {
-                        Vec::new()
-                    };
-                    branches += 1;
-                    return Some((2, repl));
+                if a == 0 {
+                    ticks_merged += 1;
+                    return Some((1, Vec::new()));
                 }
+                None
             }
-            _ => {}
+            Instr::Bin {
+                op,
+                dst,
+                a,
+                b,
+                ticks,
+            } => {
+                let ((ca, ta), (cb, tb)) = (k(a)?, k(b)?);
+                let (c, extra) = fold_binop(pool.get(ca), pool.get(cb), op)?;
+                let src = konst(pool.add(c), ta + tb + u64::from(ticks) + extra)?;
+                folded += 1;
+                Some((1, vec![Instr::Move { dst, src }]))
+            }
+            Instr::Neg { dst, src } => {
+                let (c, t) = k(src)?;
+                let Const::Int(v) = pool.get(c) else {
+                    return None;
+                };
+                let src = konst(pool.add(Const::Int(v.wrapping_neg())), t + 1)?;
+                folded += 1;
+                Some((1, vec![Instr::Move { dst, src }]))
+            }
+            Instr::Not { dst, src } => {
+                let (c, t) = k(src)?;
+                let Const::Bool(v) = pool.get(c) else {
+                    return None;
+                };
+                let src = konst(pool.add(Const::Bool(!v)), t + 1)?;
+                folded += 1;
+                Some((1, vec![Instr::Move { dst, src }]))
+            }
+            // A constant condition: its ticks, then the jump if taken.
+            Instr::BrCmp { op, a, b, when, t } => {
+                let ((ca, ta), (cb, tb)) = (k(a)?, k(b)?);
+                let (Const::Bool(v), 0) = fold_binop(pool.get(ca), pool.get(cb), op)? else {
+                    return None;
+                };
+                let mut repl = tick_instrs(ta + tb + 1);
+                if v == when {
+                    repl.push(Instr::Jump(t));
+                }
+                branches += 1;
+                Some((1, repl))
+            }
+            Instr::JumpIf { cond, when, t } => {
+                let (c, tc) = k(cond)?;
+                let Const::Bool(v) = *pool.get(c) else {
+                    return None;
+                };
+                let mut repl = tick_instrs(tc);
+                if v == when {
+                    repl.push(Instr::Jump(t));
+                }
+                branches += 1;
+                Some((1, repl))
+            }
+            _ => None,
         }
-        None
     });
     stats.consts_folded += folded;
     stats.branches_folded += branches;
-    stats.pushpops_elided += pushpops;
     stats.ticks_merged += ticks_merged;
     total
+}
+
+/// Moves each constant moved into a temporary into the next
+/// instruction, when that instruction is its one reader: the constant's
+/// ticks are then charged where that operand is read. Lowering pins
+/// every operand read before a non-leaf one, so the reader's earlier
+/// operands neither fail nor charge, and the clock at every event is
+/// unchanged. Returns the number of rewrites.
+fn propagate_pass(f: &mut BFunc, stats: &mut OptStats) -> u64 {
+    let nvars = f.slot_names.len() as u32;
+    let is_target = target_flags(&f.code);
+    let code = &mut f.code;
+    let mut gone = vec![false; code.len()];
+    for i in 0..code.len().saturating_sub(1) {
+        let Instr::Move { dst: t, src } = code[i] else {
+            continue;
+        };
+        if src.kind != SrcKind::K || t < nvars {
+            continue;
+        }
+        if is_target[i + 1] || code[i + 1].jump_target().is_some() || !dead_after(code, i + 1, t) {
+            continue;
+        }
+        let mut reads = 0;
+        code[i + 1].visit_srcs(&mut |s| reads += u32::from(*s == Src::tmp(t)));
+        if reads != 1 {
+            continue;
+        }
+        code[i + 1].visit_srcs(&mut |s| {
+            if *s == Src::tmp(t) {
+                *s = src;
+            }
+        });
+        gone[i] = true;
+    }
+    let n = rewrite_windows(f, |_, i, _| gone[i].then(|| (1, Vec::new())));
+    stats.consts_folded += n;
+    n
+}
+
+/// Whether temporary `t` is dead once `code[at]` has run: overwritten
+/// before any read on the straight-line code that follows (a branch
+/// ends the search, as a read would).
+fn dead_after(code: &mut [Instr], at: usize, t: u32) -> bool {
+    if code[at].dsts().contains(&t) {
+        return true;
+    }
+    for instr in &mut code[at + 1..] {
+        let mut read = false;
+        instr.visit_srcs(&mut |s| read |= *s == Src::tmp(t));
+        if read || instr.jump_target().is_some() {
+            return false;
+        }
+        if instr.dsts().contains(&t) || matches!(instr, Instr::Ret) {
+            return true;
+        }
+    }
+    true
 }
 
 /// Folds `a op b` exactly as [`binop`](crate::interp) would evaluate
@@ -464,279 +481,17 @@ fn thread_jumps(f: &mut BFunc, stats: &mut OptStats) {
     }
 }
 
-// ---- pass 3: superinstruction fusion ----
-
-/// Fuses the hot instruction shapes, longest match first. Every fused
-/// instruction's `ticks` operand is the sum of its constituents' static
-/// charges; data-dependent charges (map-op ticks, string concat) stay
-/// inside the shared runtime helpers the fused handlers call.
-fn fuse_pass(f: &mut BFunc, stats: &mut OptStats) {
-    let fused = rewrite_windows(f, |code, i, is_target| {
-        let interior_free =
-            |n: usize| i + n <= code.len() && !is_target[i + 1..i + n].iter().any(|&b| b);
-        let Instr::LoadSlot(a) = code[i] else {
-            // Non-load-led shapes: [Bin, JumpIfFalse].
-            if interior_free(2) {
-                if let (Instr::Bin(op), Instr::JumpIfFalse(t)) = (&code[i], &code[i + 1]) {
-                    return Some((
-                        2,
-                        vec![Instr::BinJumpIfFalse {
-                            op: *op,
-                            t: *t,
-                            ticks: 1,
-                        }],
-                    ));
-                }
-            }
-            // Const-led shapes: [const, Bin|BinRaw, ...] — the left
-            // operand is already on the stack (a complex subexpression),
-            // the right is a constant. Reached only when the const was
-            // not absorbed by a load-led window further left.
-            if let Some((c, tc)) = as_const_push(&code[i]) {
-                let op = if interior_free(2) {
-                    match &code[i + 1] {
-                        Instr::Bin(op) => Some((*op, tc + 1)),
-                        Instr::BinRaw(op) => Some((*op, tc)),
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                if let Some((op, ticks)) = op {
-                    let tail = if interior_free(3) {
-                        Some(&code[i + 2])
-                    } else {
-                        None
-                    };
-                    return Some(match tail {
-                        Some(Instr::JumpIfFalse(t)) => (
-                            3,
-                            vec![Instr::BinConstJump {
-                                c,
-                                op,
-                                t: *t,
-                                ticks,
-                            }],
-                        ),
-                        Some(Instr::StoreSlot(dst)) => (
-                            3,
-                            vec![Instr::BinConstStore {
-                                c,
-                                op,
-                                dst: *dst,
-                                ticks,
-                            }],
-                        ),
-                        _ => (2, vec![Instr::BinConst { c, op, ticks }]),
-                    });
-                }
-            }
-            return None;
-        };
-        // Loop-header shape: [LoadSlot i, LoadSlot s, Len, Bin,
-        // JumpIfFalse] (`for i < len(s)`) collapses 5 -> 1.
-        if interior_free(5) {
-            if let (Instr::LoadSlot(s), Instr::Len, Instr::Bin(op), Instr::JumpIfFalse(t)) =
-                (&code[i + 1], &code[i + 2], &code[i + 3], &code[i + 4])
-            {
-                return Some((
-                    5,
-                    vec![Instr::LoadLoadLenBinJump {
-                        a,
-                        s: *s,
-                        op: *op,
-                        t: *t,
-                        ticks: 4,
-                    }],
-                ));
-            }
-        }
-        // Arithmetic shapes: [LoadSlot, LoadSlot|const, Bin|BinRaw, ...].
-        let rhs = if interior_free(3) {
-            match &code[i + 1] {
-                Instr::LoadSlot(b) => match &code[i + 2] {
-                    Instr::Bin(op) => Some((Ok(*b), *op, 2 + 1)),
-                    Instr::BinRaw(op) => Some((Ok(*b), *op, 2)),
-                    _ => None,
-                },
-                other => match (as_const_push(other), &code[i + 2]) {
-                    (Some((c, tc)), Instr::Bin(op)) => Some((Err(c), *op, 1 + tc + 1)),
-                    (Some((c, tc)), Instr::BinRaw(op)) => Some((Err(c), *op, 1 + tc)),
-                    _ => None,
-                },
-            }
-        } else {
-            None
-        };
-        if let Some((rhs, op, ticks)) = rhs {
-            // Try to absorb a trailing StoreSlot or JumpIfFalse.
-            let tail = if interior_free(4) {
-                Some(&code[i + 3])
-            } else {
-                None
-            };
-            let instr = match (rhs, tail) {
-                (Ok(b), Some(Instr::StoreSlot(dst))) => Some((
-                    4,
-                    Instr::LoadLoadBinStore {
-                        a,
-                        b,
-                        op,
-                        dst: *dst,
-                        ticks,
-                    },
-                )),
-                (Err(c), Some(Instr::StoreSlot(dst))) => Some((
-                    4,
-                    Instr::LoadConstBinStore {
-                        a,
-                        c,
-                        op,
-                        dst: *dst,
-                        ticks,
-                    },
-                )),
-                (Ok(b), Some(Instr::JumpIfFalse(t))) => Some((
-                    4,
-                    Instr::LoadLoadBinJump {
-                        a,
-                        b,
-                        op,
-                        t: *t,
-                        ticks,
-                    },
-                )),
-                (Err(c), Some(Instr::JumpIfFalse(t))) => Some((
-                    4,
-                    Instr::LoadConstBinJump {
-                        a,
-                        c,
-                        op,
-                        t: *t,
-                        ticks,
-                    },
-                )),
-                (Ok(b), _) => Some((3, Instr::LoadLoadBin { a, b, op, ticks })),
-                (Err(c), _) => Some((3, Instr::LoadConstBin { a, c, op, ticks })),
-            };
-            if let Some((n, instr)) = instr {
-                return Some((n, vec![instr]));
-            }
-        }
-        // Index shapes: [LoadSlot base, CheckIndexBase, LoadSlot|const,
-        // IndexGet|IndexSet].
-        if interior_free(4) {
-            if let Instr::CheckIndexBase = code[i + 1] {
-                let idx = match &code[i + 2] {
-                    Instr::LoadSlot(s) => Some((Ok(*s), 1u32)),
-                    other => as_const_push(other).map(|(c, tc)| (Err(c), tc)),
-                };
-                if let Some((idx, tidx)) = idx {
-                    let instr = match (&code[i + 3], idx) {
-                        (Instr::IndexGet, Ok(s)) => Some(Instr::LoadLoadIndexGet {
-                            base: a,
-                            idx: s,
-                            ticks: 1 + tidx + 1,
-                        }),
-                        (Instr::IndexGet, Err(c)) => Some(Instr::LoadConstIndexGet {
-                            base: a,
-                            c,
-                            ticks: 1 + tidx + 1,
-                        }),
-                        (Instr::IndexSet, Ok(s)) => Some(Instr::LoadLoadIndexSet {
-                            base: a,
-                            idx: s,
-                            ticks: 1 + tidx,
-                        }),
-                        (Instr::IndexSet, Err(c)) => Some(Instr::LoadConstIndexSet {
-                            base: a,
-                            c,
-                            ticks: 1 + tidx,
-                        }),
-                        _ => None,
-                    };
-                    if let Some(instr) = instr {
-                        return Some((4, vec![instr]));
-                    }
-                }
-            }
-        }
-        // [LoadSlot, JumpIfFalse] (bare bool conditions).
-        if interior_free(2) {
-            if let Instr::JumpIfFalse(t) = code[i + 1] {
-                return Some((2, vec![Instr::LoadJumpIfFalse { s: a, t, ticks: 1 }]));
-            }
-        }
-        // [LoadSlot, Len, StoreSlot?] (`n := len(s)` and friends).
-        if interior_free(2) {
-            if let Instr::Len = code[i + 1] {
-                if interior_free(3) {
-                    if let Instr::StoreSlot(dst) = code[i + 2] {
-                        return Some((
-                            3,
-                            vec![Instr::LoadLenStore {
-                                s: a,
-                                dst,
-                                ticks: 2,
-                            }],
-                        ));
-                    }
-                }
-                return Some((2, vec![Instr::LoadLen { s: a, ticks: 2 }]));
-            }
-        }
-        // [LoadSlot, Bin|BinRaw]: slot right operand under a stack left
-        // operand (reached only when the longer arithmetic windows
-        // above did not match).
-        if interior_free(2) {
-            let op = match &code[i + 1] {
-                Instr::Bin(op) => Some((*op, 2)),
-                Instr::BinRaw(op) => Some((*op, 1)),
-                _ => None,
-            };
-            if let Some((op, ticks)) = op {
-                return Some((2, vec![Instr::BinSlot { s: a, op, ticks }]));
-            }
-        }
-        // [LoadSlot, LoadSlot] pairs feeding an unfuseable consumer
-        // (call arguments, struct literals, prints). Guarded: when the
-        // instruction after the pair could start a fusion led by the
-        // second load, leave the pair alone so that window stays
-        // available.
-        if interior_free(2) {
-            if let Instr::LoadSlot(b) = code[i + 1] {
-                let blocks_b = i + 2 < code.len()
-                    && matches!(
-                        code[i + 2],
-                        Instr::LoadSlot(_)
-                            | Instr::Const(_)
-                            | Instr::ConstRaw(_)
-                            | Instr::ConstTicked { .. }
-                            | Instr::Len
-                            | Instr::CheckIndexBase
-                            | Instr::Bin(_)
-                            | Instr::BinRaw(_)
-                            | Instr::JumpIfFalse(_)
-                    );
-                if !blocks_b {
-                    return Some((2, vec![Instr::LoadLoad { a, b, ticks: 2 }]));
-                }
-            }
-        }
-        None
-    });
-    stats.fusions += fused;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `main` with four variables (`a`..`d`, slots 0-3) and temporaries
+    /// from slot 4 up.
     fn module(code: Vec<Instr>, consts: Vec<Const>) -> Module {
         Module {
             funcs: vec![BFunc {
                 name: "main".into(),
-                nslots: 4,
+                nslots: 8,
                 params: Vec::new(),
                 results: Vec::new(),
                 slot_names: vec!["a".into(), "b".into(), "c".into(), "d".into()],
@@ -746,142 +501,157 @@ mod tests {
         }
     }
 
+    fn add(dst: u32, a: Src, b: Src) -> Instr {
+        Instr::Bin {
+            op: BinOp::Add,
+            dst,
+            a,
+            b,
+            ticks: 1,
+        }
+    }
+
     #[test]
     fn folds_constant_arithmetic_with_summed_ticks() {
-        // 1 + 2 + 3 -> one push charging all five constituent ticks.
+        // a = 1 + 2 + 3 -> one constant move charging all five ticks.
         let m = module(
             vec![
-                Instr::Const(0),
-                Instr::Const(1),
-                Instr::Bin(BinOp::Add),
-                Instr::Const(2),
-                Instr::Bin(BinOp::Add),
-                Instr::Pop(1),
+                add(4, Src::k(0, 1), Src::k(1, 1)),
+                add(5, Src::tmp(4), Src::k(2, 1)),
+                Instr::Move {
+                    dst: 0,
+                    src: Src::tmp(5),
+                },
                 Instr::Ret,
             ],
             vec![Const::Int(1), Const::Int(2), Const::Int(3)],
         );
         let (opt, stats) = optimize(&m);
-        assert!(stats.consts_folded >= 2, "{stats:?}");
-        assert!(stats.pushpops_elided >= 1, "{stats:?}");
-        // The whole expression statement collapses to its tick charge.
-        assert_eq!(opt.funcs[0].code, vec![Instr::Tick(5), Instr::Ret]);
-        assert!(opt.consts.iter().any(|c| matches!(c, Const::Int(6))));
-    }
-
-    #[test]
-    fn never_folds_division_by_zero() {
-        let m = module(
-            vec![
-                Instr::Const(0),
-                Instr::Const(1),
-                Instr::Bin(BinOp::Div),
-                Instr::Pop(1),
-                Instr::Ret,
-            ],
-            vec![Const::Int(1), Const::Int(0)],
-        );
-        let (opt, stats) = optimize(&m);
-        assert_eq!(stats.consts_folded, 0);
-        // The division must still execute at runtime (where it errors);
-        // fusing it into a const-operand form is fine, folding is not.
-        assert!(opt.funcs[0].code.iter().any(|i| matches!(
-            i,
-            Instr::Bin(BinOp::Div) | Instr::BinConst { op: BinOp::Div, .. }
-        )));
-    }
-
-    #[test]
-    fn fuses_compound_assignment_to_one_instruction() {
-        // i += 1 -> LoadConstBinStore with the original 2-tick charge.
-        let m = module(
-            vec![
-                Instr::LoadSlot(0),
-                Instr::Const(0),
-                Instr::BinRaw(BinOp::Add),
-                Instr::StoreSlot(0),
-                Instr::Ret,
-            ],
-            vec![Const::Int(1)],
-        );
-        let (opt, stats) = optimize(&m);
-        assert_eq!(stats.fusions, 1);
+        assert_eq!(stats.consts_folded, 4, "{stats:?}");
+        let six = opt.consts.iter().position(|c| *c == Const::Int(6));
+        let six = six.expect("6 interned") as u32;
         assert_eq!(
             opt.funcs[0].code,
             vec![
-                Instr::LoadConstBinStore {
-                    a: 0,
-                    c: 0,
-                    op: BinOp::Add,
+                Instr::Move {
                     dst: 0,
-                    ticks: 2,
+                    src: Src::k(six, 5)
                 },
-                Instr::Ret,
+                Instr::Ret
             ]
         );
     }
 
     #[test]
-    fn fusion_respects_jump_targets_and_remaps() {
-        // The StoreSlot at index 3 is a jump target, so the 4-window
-        // must not absorb it; the 3-window [Load, Load, Bin] still
-        // fuses and the jump is remapped onto the surviving store.
+    fn never_folds_division_by_zero() {
+        let div = Instr::Bin {
+            op: BinOp::Div,
+            dst: 0,
+            a: Src::k(0, 1),
+            b: Src::k(1, 1),
+            ticks: 1,
+        };
         let m = module(
-            vec![
-                Instr::Jump(3),
-                Instr::LoadSlot(0),
-                Instr::LoadSlot(1),
-                Instr::StoreSlot(2), // target
-                Instr::LoadSlot(0),
-                Instr::LoadSlot(1),
-                Instr::Bin(BinOp::Add),
-                Instr::StoreSlot(3), // target of nothing: fused fully
-                Instr::Ret,
-            ],
-            Vec::new(),
+            vec![div.clone(), Instr::Ret],
+            vec![Const::Int(1), Const::Int(0)],
         );
         let (opt, stats) = optimize(&m);
-        assert!(stats.fusions >= 1);
-        let code = &opt.funcs[0].code;
-        let Some(Instr::Jump(t)) = code.first() else {
-            panic!("expected leading jump, got {code:?}");
-        };
-        assert!(
-            matches!(code[*t], Instr::StoreSlot(2)),
-            "jump should land on the store: {code:?}"
-        );
+        assert_eq!(stats.consts_folded, 0);
+        // The division must still execute at runtime, where it errors.
+        assert_eq!(opt.funcs[0].code, vec![div, Instr::Ret]);
     }
 
     #[test]
-    fn fuses_index_reads() {
+    fn propagates_a_constant_only_into_its_sole_reader() {
+        let set = |dst, src| Instr::Move { dst, src };
+        let kept = vec![
+            // Read twice by the next instruction.
+            set(4, Src::k(0, 1)),
+            add(0, Src::tmp(4), Src::tmp(4)),
+            // Read again after its reader.
+            set(4, Src::k(0, 1)),
+            add(0, Src::tmp(4), Src::var(1)),
+            set(1, Src::tmp(4)),
+            // Moved into a variable.
+            set(2, Src::k(0, 1)),
+            add(3, Src::var(2), Src::var(2)),
+            Instr::Ret,
+        ];
+        let (opt, stats) = optimize(&module(kept.clone(), vec![Const::Int(7)]));
+        assert_eq!(stats.total_rewrites(), 0, "{stats:?}");
+        assert_eq!(opt.funcs[0].code, kept);
+    }
+
+    #[test]
+    fn propagation_respects_jump_targets_and_remaps() {
+        let branch = |t| Instr::JumpIf {
+            cond: Src::var(1),
+            when: false,
+            t,
+        };
+        let load = Instr::Move {
+            dst: 4,
+            src: Src::k(0, 1),
+        };
+        let store = Instr::Move {
+            dst: 0,
+            src: Src::tmp(4),
+        };
+        // The reader is a jump target: the move stays.
+        let kept = vec![branch(2), load.clone(), store.clone(), Instr::Ret];
+        let (opt, _) = optimize(&module(kept.clone(), vec![Const::Int(7)]));
+        assert_eq!(opt.funcs[0].code, kept);
+        // A jump past the move is remapped onto the surviving return.
         let m = module(
-            vec![
-                Instr::LoadSlot(0),
-                Instr::CheckIndexBase,
-                Instr::LoadSlot(1),
-                Instr::IndexGet,
-                Instr::Pop(1),
-                Instr::Ret,
-            ],
-            Vec::new(),
+            vec![branch(3), load, store, Instr::Ret],
+            vec![Const::Int(7)],
         );
         let (opt, stats) = optimize(&m);
-        assert_eq!(stats.fusions, 1);
-        assert!(matches!(
-            opt.funcs[0].code[0],
-            Instr::LoadLoadIndexGet {
-                base: 0,
-                idx: 1,
-                ticks: 3,
-            }
-        ));
+        assert_eq!(stats.consts_folded, 1);
+        let folded = Instr::Move {
+            dst: 0,
+            src: Src::k(0, 1),
+        };
+        assert_eq!(opt.funcs[0].code, vec![branch(2), folded, Instr::Ret]);
+    }
+
+    #[test]
+    fn folds_constant_branches_to_their_ticks() {
+        let lt = |t| Instr::BrCmp {
+            op: BinOp::Lt,
+            a: Src::k(0, 1),
+            b: Src::k(1, 1),
+            when: false,
+            t,
+        };
+        let m = module(
+            vec![lt(2), Instr::Tick(4), Instr::Ret],
+            vec![Const::Int(1), Const::Int(2)],
+        );
+        let (opt, stats) = optimize(&m);
+        assert_eq!(stats.branches_folded, 1);
+        assert_eq!(stats.ticks_merged, 1);
+        assert_eq!(opt.funcs[0].code, vec![Instr::Tick(7), Instr::Ret]);
+        let m = module(
+            vec![lt(2), Instr::Tick(4), Instr::Ret],
+            vec![Const::Int(2), Const::Int(1)],
+        );
+        let (opt, _) = optimize(&m);
+        assert_eq!(
+            opt.funcs[0].code,
+            vec![Instr::Tick(3), Instr::Ret, Instr::Tick(4), Instr::Ret]
+        );
     }
 
     #[test]
     fn threads_jump_chains() {
         let m = module(
             vec![
-                Instr::JumpIfFalse(2),
+                Instr::JumpIf {
+                    cond: Src::var(0),
+                    when: false,
+                    t: 2,
+                },
                 Instr::Ret,
                 Instr::Jump(4),
                 Instr::Ret,
@@ -891,6 +661,6 @@ mod tests {
         );
         let (opt, stats) = optimize(&m);
         assert!(stats.jumps_threaded >= 1);
-        assert!(matches!(opt.funcs[0].code[0], Instr::JumpIfFalse(4)));
+        assert!(matches!(opt.funcs[0].code[0], Instr::JumpIf { t: 4, .. }));
     }
 }

@@ -45,7 +45,8 @@ pub type Result<T> = std::result::Result<T, ExecError>;
 pub struct VmConfig {
     /// Runtime (allocator/GC/tcfree) configuration.
     pub runtime: RuntimeConfig,
-    /// Abort after this many statements (runaway guard).
+    /// Fail a call after this many statements (runaway guard). The
+    /// budget is per [`Session::call`]: each call starts a fresh one.
     pub step_limit: u64,
     /// Maximum call depth.
     pub max_frames: usize,
@@ -215,6 +216,7 @@ impl<D: Dispatch + ?Sized> Session<D> {
     /// [`ExecError::NoFunc`] for an unknown name; otherwise whatever the
     /// call itself raises.
     pub fn call(&mut self, name: &str, args: Vec<Value>) -> Result<Vec<Value>> {
+        self.m.call_start = self.m.steps;
         self.engine.call(&mut self.m, name, args)
     }
 
@@ -281,6 +283,9 @@ pub struct Machine {
     /// Per-site allocation profile: expr id -> (count, bytes).
     site_profile: FxHashMap<ExprId, (u64, u64)>,
     steps: u64,
+    /// `steps` when the current [`Session::call`] began: the step
+    /// budget counts from here.
+    call_start: u64,
     /// Session-held GC roots: values a [`Session`] keeps alive across
     /// calls (service state returned by `setup` and passed back into
     /// every `handle`). Always empty in one-shot runs.
@@ -296,6 +301,7 @@ impl Machine {
             cfg,
             site_profile: FxHashMap::default(),
             steps: 0,
+            call_start: 0,
             held: Vec::new(),
             output: String::new(),
         }
@@ -352,7 +358,7 @@ impl Machine {
     #[inline]
     pub(crate) fn safepoint<D: Dispatch + ?Sized>(&mut self, engine: &D) -> Result<()> {
         self.steps += 1;
-        if self.steps > self.cfg.step_limit {
+        if self.steps - self.call_start > self.cfg.step_limit {
             return Err(ExecError::StepLimit);
         }
         self.rt.tick(1);

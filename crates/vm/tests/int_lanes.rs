@@ -1,9 +1,10 @@
 //! The bytecode handlers' int lanes against the operator table they
-//! shortcut. Every handler that applies a `BinOp` is run on hand-written
-//! modules three ways: with plain int slots (the lane's case), with the
-//! same slots boxed (the lane declines, so `Machine::binop` and the
-//! generic store or branch compute the answer), and against Go's integer
-//! semantics worked out here. All three must agree for every operator —
+//! shortcut. Every handler that applies a `BinOp` (`Bin` and the
+//! compare-and-branch `BrCmp`, with each kind of operand) is run on
+//! hand-written modules three ways: with plain int slots (the lane's
+//! case), with the same slots boxed (the lane declines, so
+//! `Machine::binop` and the generic store or branch compute the answer),
+//! and against Go's integer semantics worked out here. All three must agree for every operator —
 //! result, error, output, virtual time and step count — over the values
 //! where wrapping arithmetic and division differ from the naive reading.
 //!
@@ -14,7 +15,7 @@
 use proptest::prelude::*;
 
 use minigo_syntax::{BinOp, ExprId};
-use minigo_vm::bytecode::{BFunc, Instr};
+use minigo_vm::bytecode::{BFunc, Instr, Src};
 use minigo_vm::{run_module, Const as K, Module, VmConfig};
 
 const OPS: [BinOp; 13] = [
@@ -35,17 +36,20 @@ const OPS: [BinOp; 13] = [
 
 const EDGES: [i64; 5] = [i64::MIN, -1, 0, 1, i64::MAX];
 
-// Slots: x and y hold the operands, D is a store form's destination, S a
-// slice whose length is y. Constants: 0 and 1 are themselves, Y is y.
+// Slots: x and y hold the operands, D is a value form's destination (or
+// a branch form's verdict), S a slice whose length is y, T a temporary.
+// Constants: 0 and 1 are themselves, Y is y and X is x.
 const X: u32 = 0;
 const Y: u32 = 1;
 const D: u32 = 2;
 const S: u32 = 3;
+const T: u32 = 4;
 const CY: u32 = 2;
+const CX: u32 = 3;
 
 /// Where a branch form goes when its comparison is false (see
 /// [`program`]).
-const FALSE_ARM: usize = 10;
+const FALSE_ARM: usize = 6;
 
 /// What Go computes for `a op b` on ints: the value as `print` renders
 /// it, or the run-time error's rendering. `&&`/`||` never reach the
@@ -70,162 +74,140 @@ fn oracle(op: BinOp, a: i64, b: i64) -> Result<String, Option<&'static str>> {
     }
 }
 
-/// The handlers under test: `(name, code computing x op y, whether the
-/// code is a branch)`. A value form leaves the result on the stack; a
-/// branch form jumps to [`FALSE_ARM`] when the comparison is false.
-fn forms(op: BinOp) -> Vec<(&'static str, Vec<Instr>, bool)> {
+/// The handlers under test: `(name, code computing x op y, the slot it
+/// leaves the result in, or `None` for a branch)`. A branch form jumps
+/// to [`FALSE_ARM`] when the comparison is false.
+fn forms(op: BinOp) -> Vec<(&'static str, Vec<Instr>, Option<u32>)> {
     use Instr::*;
-    let ticks = 3;
-    let (a, b, c, s, dst, t) = (X, Y, CY, Y, D, FALSE_ARM);
+    let (x, y, cx, cy) = (Src::var(X), Src::var(Y), Src::k(CX, 1), Src::k(CY, 1));
+    let bin = |dst, a, b| Bin {
+        op,
+        dst,
+        a,
+        b,
+        ticks: 1,
+    };
+    let br = |a, b| BrCmp {
+        op,
+        a,
+        b,
+        when: false,
+        t: FALSE_ARM,
+    };
+    let copy = |dst, src| Move { dst, src };
     vec![
-        ("LoadLoadBin", vec![LoadLoadBin { a, b, op, ticks }], false),
+        ("Bin var var", vec![bin(D, x, y)], Some(D)),
+        ("Bin var const", vec![bin(D, x, cy)], Some(D)),
+        ("Bin const var", vec![bin(D, cx, y)], Some(D)),
         (
-            "LoadConstBin",
-            vec![LoadConstBin { a, c, op, ticks }],
-            false,
-        ),
-        (
-            "LoadLoadBinStore",
-            vec![
-                LoadLoadBinStore {
-                    a,
-                    b,
-                    op,
-                    dst,
-                    ticks,
-                },
-                LoadSlot(D),
-            ],
-            false,
-        ),
-        (
-            "LoadConstBinStore",
-            vec![
-                LoadConstBinStore {
-                    a,
-                    c,
-                    op,
-                    dst,
-                    ticks,
-                },
-                LoadSlot(D),
-            ],
-            false,
+            "Bin tmp var",
+            vec![copy(T, x), bin(D, Src::tmp(T), y)],
+            Some(D),
         ),
         // The destination is an operand: `x = x op y`.
+        ("Bin var var to x", vec![bin(X, x, y)], Some(X)),
+        // A compound assignment applies the operator without its tick.
         (
-            "LoadLoadBinStore to x",
-            vec![
-                LoadLoadBinStore {
-                    a,
-                    b,
-                    op,
-                    dst: X,
-                    ticks,
-                },
-                LoadSlot(X),
-            ],
-            false,
-        ),
-        ("Bin", vec![LoadSlot(X), LoadSlot(Y), Bin(op)], false),
-        ("BinRaw", vec![LoadSlot(X), LoadSlot(Y), BinRaw(op)], false),
-        (
-            "BinSlot",
-            vec![LoadSlot(X), BinSlot { s, op, ticks }],
-            false,
-        ),
-        (
-            "BinConst",
-            vec![LoadSlot(X), BinConst { c, op, ticks }],
-            false,
-        ),
-        (
-            "BinConstStore",
-            vec![
-                LoadSlot(X),
-                BinConstStore { c, op, dst, ticks },
-                LoadSlot(D),
-            ],
-            false,
-        ),
-        (
-            "LoadLoadBinJump",
-            vec![LoadLoadBinJump { a, b, op, t, ticks }],
-            true,
-        ),
-        (
-            "LoadConstBinJump",
-            vec![LoadConstBinJump { a, c, op, t, ticks }],
-            true,
-        ),
-        (
-            "BinJumpIfFalse",
-            vec![LoadSlot(X), LoadSlot(Y), BinJumpIfFalse { op, t, ticks }],
-            true,
-        ),
-        (
-            "BinConstJump",
-            vec![LoadSlot(X), BinConstJump { c, op, t, ticks }],
-            true,
-        ),
-        // x against len(S), which is y whenever a slice can be that long.
-        (
-            "LoadLoadLenBinJump",
-            vec![LoadLoadLenBinJump {
-                a,
-                s: S,
+            "Bin var const raw",
+            vec![Bin {
                 op,
-                t,
-                ticks,
+                dst: X,
+                a: x,
+                b: cy,
+                ticks: 0,
             }],
-            true,
+            Some(X),
+        ),
+        ("BrCmp var var", vec![br(x, y)], None),
+        ("BrCmp var const", vec![br(x, cy)], None),
+        ("BrCmp const var", vec![br(cx, y)], None),
+        (
+            "BrCmp tmp tmp",
+            vec![copy(T, y), copy(D, x), br(Src::tmp(D), Src::tmp(T))],
+            None,
+        ),
+        // x against len(S), which is y whenever a slice can be that long:
+        // as a `len` operand, and through a `Len` into a temporary.
+        ("Bin var len", vec![bin(D, x, Src::len(S))], Some(D)),
+        ("BrCmp var len", vec![br(x, Src::len(S))], None),
+        (
+            "BrCmp var len through a temporary",
+            vec![
+                Len {
+                    dst: T,
+                    src: Src::var(S),
+                },
+                br(x, Src::tmp(T)),
+            ],
+            None,
         ),
     ]
 }
 
 /// `main`: declares the slots (boxed or plain), runs `body`, and prints
-/// the value it left — or, for a branch, `true` / `false` by which way it
-/// went.
-fn program(x: i64, y: i64, boxed: bool, body: Vec<Instr>, branch: bool) -> Module {
+/// the value it left in `result` — or, for a branch, `true` / `false` by
+/// which way it went.
+fn program(x: i64, y: i64, boxed: bool, body: Vec<Instr>, result: Option<u32>) -> Module {
     use Instr::*;
-    let declare = |slot, boxed| Declare {
+    let declare = |slot, c, boxed| Declare {
         slot,
+        src: Src::k(c, 1),
         boxed,
         heap: false,
         size: 8,
     };
     let mut code = vec![
-        Const(3),
-        declare(X, boxed),
-        Const(CY),
-        declare(Y, boxed),
-        Const(0),
-        declare(D, false),
-        Const(4),
+        declare(X, CX, boxed),
+        declare(Y, CY, boxed),
+        declare(D, 0, false),
         MakeSlice {
+            dst: T,
+            len: Src::k(4, 1),
+            cap: None,
             elem_size: 8,
-            has_cap: false,
             heap: false,
             site: ExprId(1),
             zero: 0,
         },
-        declare(S, boxed),
+        Declare {
+            slot: S,
+            src: Src::tmp(T),
+            boxed,
+            heap: false,
+            size: 8,
+        },
     ];
+    let branch = result.is_none();
     let print = code.len() + 3 + body.len() + usize::from(branch);
     code.push(Jump(FALSE_ARM + 2));
     assert_eq!(code.len(), FALSE_ARM);
-    code.extend([Const(5), Jump(print)]);
+    code.extend([
+        Move {
+            dst: D,
+            src: Src::k(5, 0),
+        },
+        Jump(print),
+    ]);
     code.extend(body);
     if branch {
-        code.push(Const(6));
+        code.push(Move {
+            dst: D,
+            src: Src::k(6, 0),
+        });
     }
     assert_eq!(code.len(), print);
-    code.extend([Print(1), Pop(1), Ret]);
+    code.extend([
+        Print {
+            dst: T,
+            args: vec![Src::tmp(result.unwrap_or(D))].into(),
+        },
+        Ret,
+    ]);
     let slice_len = if (0..=16).contains(&y) { y } else { 0 };
     Module {
         funcs: vec![BFunc {
             name: "main".into(),
-            nslots: 4,
+            nslots: 5,
             params: Vec::new(),
             results: Vec::new(),
             slot_names: ["x", "y", "d", "s"].map(String::from).to_vec(),
@@ -252,12 +234,13 @@ fn observe(module: &Module) -> Result<(String, u64, u64), String> {
 
 fn check(x: i64, y: i64) {
     for op in OPS {
-        for (name, body, branch) in forms(op) {
-            if name == "LoadLoadLenBinJump" && !(0..=16).contains(&y) {
+        for (name, body, result) in forms(op) {
+            if name.contains("len") && !(0..=16).contains(&y) {
                 continue;
             }
-            let plain = observe(&program(x, y, false, body.clone(), branch));
-            let boxed = observe(&program(x, y, true, body, branch));
+            let branch = result.is_none();
+            let plain = observe(&program(x, y, false, body.clone(), result));
+            let boxed = observe(&program(x, y, true, body, result));
             assert_eq!(plain, boxed, "{name} {x} {op} {y}: lane vs generic body");
             match (oracle(op, x, y), &plain) {
                 (Ok(want), Ok((got, _, _))) if !branch || want.parse::<bool>().is_ok() => {

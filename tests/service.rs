@@ -260,7 +260,7 @@ fn report_json_carries_service_section() {
     let json = gofree::service_report_json(&r.report, Some(&r.stats));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     for needle in [
-        "\"schema\":\"gofree-report/5\"",
+        "\"schema\":\"gofree-report/6\"",
         "\"service\":{\"requests\":400",
         "\"latency\":{\"p50\":",
         "\"pause_major_buckets\":[",
