@@ -99,8 +99,8 @@ impl std::str::FromStr for VmEngine {
 pub enum OptLevel {
     /// Run the baseline lowered stream, bypassing the optimizer tier.
     Off,
-    /// Run the optimized stream (peephole/const-fold, jump threading,
-    /// superinstructions) — the default.
+    /// Run the optimized stream (constant folding, tick merging, jump
+    /// threading) — the default.
     #[default]
     Full,
 }

@@ -98,8 +98,8 @@ pub struct Compiled {
     /// baseline instruction stream, kept for the tree-walk-independent
     /// `--opt off` debugging path.
     pub lowered: minigo_vm::Module,
-    /// The optimizer tier's rewrite of `lowered` (peephole/const-fold,
-    /// jump threading, superinstructions) — what the bytecode engine
+    /// The optimizer tier's rewrite of `lowered` (constant folding, tick
+    /// merging, jump threading) — what the bytecode engine
     /// runs by default. Observationally identical to
     /// `lowered`; only host wall-clock differs.
     pub optimized: minigo_vm::Module,

@@ -389,20 +389,6 @@ impl<'m> Bytecode<'m> {
         srcs.iter().map(|&s| self.value(m, f, s)).collect()
     }
 
-    /// The plain value of a slot or constant operand, charging nothing
-    /// (the int lane's read).
-    #[inline(always)]
-    fn plain(&self, s: Src) -> Option<&Value> {
-        match s.kind {
-            SrcKind::Var | SrcKind::Tmp => match &self.top.slots[s.at as usize] {
-                BSlot::Plain(v) => Some(v),
-                _ => None,
-            },
-            SrcKind::K => Some(&self.consts[s.at as usize]),
-            SrcKind::Len => None,
-        }
-    }
-
     /// Operand `s` when it is a plain int.
     #[inline(always)]
     fn int(&self, s: Src) -> Option<i64> {
@@ -425,11 +411,14 @@ impl<'m> Bytecode<'m> {
         Some((self.int(a)?, self.int(b)?))
     }
 
-    /// Operand `s` when it is a plain slice.
+    /// Operand `s` when it is a plain slice in a slot.
     #[inline(always)]
     fn slice(&self, s: Src) -> Option<&SliceVal> {
-        match self.plain(s)? {
-            Value::Slice(sv) => Some(sv),
+        if !matches!(s.kind, SrcKind::Var | SrcKind::Tmp) {
+            return None;
+        }
+        match &self.top.slots[s.at as usize] {
+            BSlot::Plain(Value::Slice(sv)) => Some(sv),
             _ => None,
         }
     }

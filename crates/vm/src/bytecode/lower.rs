@@ -296,7 +296,8 @@ impl<'a> FnLowerer<'a> {
         (sized && !self.boxed[slot as usize]).then_some(slot)
     }
 
-    /// A leaf's operand: a variable, or a literal charging its tick.
+    /// A leaf's operand: a variable, a `len` of one, or a literal
+    /// charging its tick.
     fn leaf(&mut self, e: &Expr) -> Option<Src> {
         let c = match &e.kind {
             ExprKind::IntLit(v) => Const::Int(*v),
@@ -763,7 +764,8 @@ impl<'a> FnLowerer<'a> {
                 BinOp::And | BinOp::Or => {
                     // The result is written twice, so never straight
                     // into a variable the right operand may read.
-                    let d = if dst < self.nvars() { self.temp() } else { dst };
+                    let var = (dst as usize) < self.boxed.len();
+                    let d = if var { self.temp() } else { dst };
                     self.emit(Instr::Tick(1));
                     self.lower_into(lhs, d);
                     let j = self.emit(Instr::JumpIf {
@@ -844,10 +846,6 @@ impl<'a> FnLowerer<'a> {
                 self.emit(Instr::MakeStruct { dst, fields });
             }
         }
-    }
-
-    fn nvars(&self) -> u32 {
-        self.slot_of.len() as u32
     }
 
     fn lower_addr_of(&mut self, operand: &Expr, dst: u32) {

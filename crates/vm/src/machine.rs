@@ -17,8 +17,8 @@
 //! the bytecode loop bit-identical without anything to mirror by hand.
 //!
 //! Tick convention: a node's *own* tick is the engine's to charge
-//! (`Machine::tick`; a fused bytecode handler sums its constituents'
-//! and charges them up front). What a method charges is what depends on
+//! (`Machine::tick`; a bytecode instruction charges each operand's ticks
+//! as it reads it, then its node's). What a method charges is what depends on
 //! the data: 2 for a map lookup or delete, 3 for a map insert, 2 for an
 //! append, a string concatenation's length-proportional cost.
 

@@ -29,7 +29,7 @@
 //!
 //! # Backing arrays: ints stored as ints
 //!
-//! The tiering above is about the operand stack. A slice's backing array
+//! The tiering above is about the values an engine moves. A slice's backing array
 //! is tiered the same way by [`Cells`], which has two representations:
 //! `Ints(Vec<i64>)` — 8 bytes an element, zero-filled by one `memset`,
 //! nothing for the marker to trace and no drop glue — for an array that

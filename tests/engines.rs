@@ -283,9 +283,8 @@ fn engines_agree_on_sample_programs() {
     assert!(checked > 0, "no sample programs found");
 }
 
-/// The operand-shape corpus: every handler that reads an operand (the
-/// fused families and the stack forms they fall back to) driven with
-/// each shape an operand can have. `(label, how main ends, source)`;
+/// The operand-shape corpus: every instruction that reads an operand
+/// driven with each shape an operand can have. `(label, how main ends, source)`;
 /// programs ending in an error stop at the first one, so each error
 /// site is a program of its own.
 const OPERAND_SHAPES: &[(&str, &str, &str)] = &[
