@@ -116,8 +116,6 @@ fn jump_if(v: &Value, when: bool, pc: &mut usize, t: usize) -> Result<()> {
 enum Operand<'a> {
     Plain(&'a Value),
     Boxed(Ref<'a, Value>),
-    /// A computed operand (a `len`).
-    Owned(Value),
 }
 
 impl std::ops::Deref for Operand<'_> {
@@ -128,7 +126,6 @@ impl std::ops::Deref for Operand<'_> {
         match self {
             Operand::Plain(v) => v,
             Operand::Boxed(r) => r,
-            Operand::Owned(v) => v,
         }
     }
 }
@@ -369,7 +366,6 @@ impl<'m> Bytecode<'m> {
             SrcKind::Var => checked(&self.top, f, s.at),
             SrcKind::Tmp => lend(&self.top, f, s.at),
             SrcKind::K => Ok(Operand::Plain(&self.consts[s.at as usize])),
-            SrcKind::Len => Ok(Operand::Owned(len_of(&*lend(&self.top, f, s.at)?)?)),
         }
     }
 
@@ -394,10 +390,6 @@ impl<'m> Bytecode<'m> {
     fn int(&self, s: Src) -> Option<i64> {
         match s.kind {
             SrcKind::K => as_int(&self.consts[s.at as usize]),
-            SrcKind::Len => match &self.top.slots[s.at as usize] {
-                BSlot::Plain(Value::Slice(sv)) => Some(sv.len as i64),
-                _ => None,
-            },
             SrcKind::Var | SrcKind::Tmp => match self.top.slots[s.at as usize] {
                 BSlot::Plain(Value::Int(n)) => Some(n),
                 _ => None,

@@ -122,9 +122,9 @@ pub struct Src {
     /// What `at` indexes, and how it is read.
     pub kind: SrcKind,
     /// The ticks charged before the operand is read: 1 for a variable
-    /// (the identifier's), 0 for a temporary, 2 for a `len`, and for a
-    /// constant 1 for a literal, 0 for the implicit values the tree-walk
-    /// never evaluates, or a folded constant expression's summed charge.
+    /// (the identifier's), 0 for a temporary, and for a constant 1 for a
+    /// literal, 0 for the implicit values the tree-walk never evaluates,
+    /// or a folded constant expression's summed charge.
     /// Lowering and the optimizer move charges between operands (see
     /// `lower`), never past an event or a failure.
     pub ticks: u16,
@@ -141,10 +141,6 @@ pub enum SrcKind {
     Tmp,
     /// A constant-pool entry.
     K,
-    /// The length of the slice or string in a variable's slot: `len(x)`
-    /// of a variable whose address is never taken (reading it cannot
-    /// fail, and nothing in an expression can change it).
-    Len,
 }
 
 impl Src {
@@ -162,16 +158,6 @@ impl Src {
         Src {
             kind: SrcKind::Tmp,
             ticks: 0,
-            at: slot,
-        }
-    }
-
-    /// `len` of variable slot `slot`, charging the identifier's tick and
-    /// the `len` node's.
-    pub fn len(slot: u32) -> Src {
-        Src {
-            kind: SrcKind::Len,
-            ticks: 2,
             at: slot,
         }
     }
@@ -588,36 +574,6 @@ impl Instr {
             | Instr::BrCmp { t, .. }
             | Instr::CaseJump { t, .. } => Some(t),
             _ => None,
-        }
-    }
-
-    /// The slots the instruction writes.
-    pub fn dsts(&self) -> std::ops::Range<u32> {
-        match *self {
-            Instr::Call { dst, want, .. } if want != u32::MAX => dst..dst + want,
-            Instr::Move { dst, .. }
-            | Instr::Declare { slot: dst, .. }
-            | Instr::Neg { dst, .. }
-            | Instr::Not { dst, .. }
-            | Instr::Bin { dst, .. }
-            | Instr::AddrOfSlot { dst, .. }
-            | Instr::AllocBox { dst, .. }
-            | Instr::Deref { dst, .. }
-            | Instr::GetField { dst, .. }
-            | Instr::StructSetField { dst, .. }
-            | Instr::IndexGet { dst, .. }
-            | Instr::ReSlice { dst, .. }
-            | Instr::MakeSlice { dst, .. }
-            | Instr::MakeMap { dst, .. }
-            | Instr::NewPtr { dst, .. }
-            | Instr::Append { dst, .. }
-            | Instr::MakeStruct { dst, .. }
-            | Instr::Len { dst, .. }
-            | Instr::Cap { dst, .. }
-            | Instr::MapDelete { dst, .. }
-            | Instr::Print { dst, .. }
-            | Instr::Itoa { dst, .. } => dst..dst + 1,
-            _ => 0..0,
         }
     }
 

@@ -13,19 +13,18 @@
 //! field accesses carry their index, and zero values live in the
 //! constant pool.
 //!
-//! Expressions lower to three-address form. A leaf (a variable, a
-//! literal, or `len` of a slice or string variable) becomes a [`Src`]
-//! its consumer reads; any other expression writes a temporary, a slot
-//! numbered above the variables and reused from one statement to the
-//! next. When code is lowered between a leaf operand and its consumer,
-//! the leaf's ticks are charged where the tree-walk evaluates it
-//! ([`Instr::Tick`]), and only the read moves to the consumer. That is
-//! invisible for a literal and for a variable whose address is never
-//! taken: nothing can change it (no pointer to it exists) and reading it
-//! cannot fail (it is declared before any use and never holds a poisoned
-//! value). An address-taken variable is copied into a temporary instead,
-//! because the code in between may store through a pointer to it or
-//! free it.
+//! Expressions lower to three-address form. A leaf (a variable or a
+//! literal) becomes a [`Src`] its consumer reads; any other expression
+//! writes a temporary, a slot numbered above the variables and reused
+//! from one statement to the next. When code is lowered between a leaf
+//! operand and its consumer, the leaf's ticks are charged where the
+//! tree-walk evaluates it ([`Instr::Tick`]), and only the read moves to
+//! the consumer. That is invisible for a literal and for a variable
+//! whose address is never taken: nothing can change it (no pointer to
+//! it exists) and reading it cannot fail (it is declared before any use
+//! and never holds a poisoned value). An address-taken variable is
+//! copied into a temporary instead, because the code in between may
+//! store through a pointer to it or free it.
 
 use minigo_escape::{AllocPlace, Analysis};
 use minigo_syntax::{
@@ -271,33 +270,11 @@ impl<'a> FnLowerer<'a> {
                 true
             }
             ExprKind::Ident(_) => self.res.def_of(e.id).is_some(),
-            _ => self.len_of_var(e).is_some(),
+            _ => false,
         }
     }
 
-    /// The slot of `x` when `e` is `len(x)` of a slice or string
-    /// variable whose address is never taken: a leaf, since nothing in
-    /// an expression can change such a variable's length. (A map's can:
-    /// a call may insert into it.)
-    fn len_of_var(&self, e: &Expr) -> Option<u32> {
-        let ExprKind::Builtin {
-            kind: Builtin::Len,
-            args,
-            ..
-        } = &e.kind
-        else {
-            return None;
-        };
-        let slot = self.var_of(args.first()?)?;
-        let sized = matches!(
-            self.types.expr(args[0].id),
-            Some(Type::Slice(_) | Type::Str)
-        );
-        (sized && !self.boxed[slot as usize]).then_some(slot)
-    }
-
-    /// A leaf's operand: a variable, a `len` of one, or a literal
-    /// charging its tick.
+    /// A leaf's operand: a variable, or a literal charging its tick.
     fn leaf(&mut self, e: &Expr) -> Option<Src> {
         let c = match &e.kind {
             ExprKind::IntLit(v) => Const::Int(*v),
@@ -305,18 +282,18 @@ impl<'a> FnLowerer<'a> {
             ExprKind::StrLit(s) => Const::Str(std::sync::Arc::from(s.as_str())),
             ExprKind::Nil => Const::Nil,
             ExprKind::Ident(_) => return Some(Src::var(self.slot(self.res.def_of(e.id)?))),
-            _ => return self.len_of_var(e).map(Src::len),
+            _ => return None,
         };
         Some(Src::k(self.intern(c), 1))
     }
 
     /// Evaluates `s` here into a value of its own, as the tree-walk
-    /// would at this point: a variable (or its `len`) is copied into a
-    /// temporary, a literal's ticks charged. For values that separate
-    /// instructions consume, such as a multi-value assignment's, where a
-    /// store in between may change the variable.
+    /// would at this point: a variable is copied into a temporary, a
+    /// literal's ticks charged. For values that separate instructions
+    /// consume, such as a multi-value assignment's, where a store in
+    /// between may change the variable.
     fn pin(&mut self, s: Src) -> Src {
-        if matches!(s.kind, SrcKind::Var | SrcKind::Len) {
+        if s.kind == SrcKind::Var {
             let dst = self.temp();
             self.emit(Instr::Move { dst, src: s });
             return Src::tmp(dst);

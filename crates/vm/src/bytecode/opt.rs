@@ -1,5 +1,5 @@
-//! The bytecode optimizer tier: constant folding and propagation,
-//! constant branches, tick merging, and jump threading.
+//! The bytecode optimizer tier: constant folding, constant branches,
+//! tick merging, and jump threading.
 //!
 //! [`optimize`] rewrites a lowered [`Module`] into a faster but
 //! observably identical one. "Observably identical" is a hard contract
@@ -22,11 +22,10 @@
 //! Pass ordering (per function):
 //!
 //! 1. **Fold** (to a fixpoint): constant arithmetic, comparisons and
-//!    negations into pool entries, constant branches, tick merging (a
-//!    `Tick` into the next `Tick`, or into the next instruction's first
-//!    operand read, which charges before anything else it does), and
-//!    propagation of a constant moved into a temporary into the next
-//!    instruction, its one reader.
+//!    negations into a move from a pool entry, constant branches, and
+//!    tick merging (a `Tick` into the next `Tick`, or into the next
+//!    instruction's first operand read, which charges before anything
+//!    else it does).
 //! 2. **Thread**: collapse jump-to-jump chains and jumps-to-return.
 //!
 //! Rewrites rebuild the instruction vector and remap every jump operand
@@ -47,8 +46,7 @@ pub struct OptStats {
     pub instrs_before: u64,
     /// Instructions after all passes.
     pub instrs_after: u64,
-    /// Constant expressions folded into pool entries, and constants
-    /// propagated into their reader (fold pass).
+    /// Constant expressions folded into pool entries (fold pass).
     pub consts_folded: u64,
     /// Constant branches resolved to straight-line code (fold pass).
     pub branches_folded: u64,
@@ -77,10 +75,10 @@ pub fn optimize(m: &Module) -> (Module, OptStats) {
     };
     let mut pool = PoolInterner::new(&mut out.consts);
     for f in &mut out.funcs {
-        // Fold to a fixpoint so nested constant expressions collapse
-        // fully (`1 + 2 + 3` needs two rounds); bounded for safety.
+        // Fold to a fixpoint so chains of ticks merge fully; bounded
+        // for safety.
         for _ in 0..8 {
-            if fold_pass(f, &mut pool, &mut stats) + propagate_pass(f, &mut stats) == 0 {
+            if fold_pass(f, &mut pool, &mut stats) == 0 {
                 break;
             }
         }
@@ -333,64 +331,6 @@ fn fold_pass(f: &mut BFunc, pool: &mut PoolInterner, stats: &mut OptStats) -> u6
     total
 }
 
-/// Moves each constant moved into a temporary into the next
-/// instruction, when that instruction is its one reader: the constant's
-/// ticks are then charged where that operand is read. Lowering pins
-/// every operand read before a non-leaf one, so the reader's earlier
-/// operands neither fail nor charge, and the clock at every event is
-/// unchanged. Returns the number of rewrites.
-fn propagate_pass(f: &mut BFunc, stats: &mut OptStats) -> u64 {
-    let nvars = f.slot_names.len() as u32;
-    let is_target = target_flags(&f.code);
-    let code = &mut f.code;
-    let mut gone = vec![false; code.len()];
-    for i in 0..code.len().saturating_sub(1) {
-        let Instr::Move { dst: t, src } = code[i] else {
-            continue;
-        };
-        if src.kind != SrcKind::K || t < nvars {
-            continue;
-        }
-        if is_target[i + 1] || code[i + 1].jump_target().is_some() || !dead_after(code, i + 1, t) {
-            continue;
-        }
-        let mut reads = 0;
-        code[i + 1].visit_srcs(&mut |s| reads += u32::from(*s == Src::tmp(t)));
-        if reads != 1 {
-            continue;
-        }
-        code[i + 1].visit_srcs(&mut |s| {
-            if *s == Src::tmp(t) {
-                *s = src;
-            }
-        });
-        gone[i] = true;
-    }
-    let n = rewrite_windows(f, |_, i, _| gone[i].then(|| (1, Vec::new())));
-    stats.consts_folded += n;
-    n
-}
-
-/// Whether temporary `t` is dead once `code[at]` has run: overwritten
-/// before any read on the straight-line code that follows (a branch
-/// ends the search, as a read would).
-fn dead_after(code: &mut [Instr], at: usize, t: u32) -> bool {
-    if code[at].dsts().contains(&t) {
-        return true;
-    }
-    for instr in &mut code[at + 1..] {
-        let mut read = false;
-        instr.visit_srcs(&mut |s| read |= *s == Src::tmp(t));
-        if read || instr.jump_target().is_some() {
-            return false;
-        }
-        if instr.dsts().contains(&t) || matches!(instr, Instr::Ret) {
-            return true;
-        }
-    }
-    true
-}
-
 /// Folds `a op b` exactly as [`binop`](crate::interp) would evaluate
 /// it, or `None` when the operation could fail (division by a constant
 /// zero), charges data-dependent ticks the fold can't express, or
@@ -513,30 +453,28 @@ mod tests {
 
     #[test]
     fn folds_constant_arithmetic_with_summed_ticks() {
-        // a = 1 + 2 + 3 -> one constant move charging all five ticks.
+        // a = 1 + 2 -> one constant move charging all three ticks; a
+        // Bin that reads the folded temporary stays.
         let m = module(
             vec![
                 add(4, Src::k(0, 1), Src::k(1, 1)),
-                add(5, Src::tmp(4), Src::k(2, 1)),
-                Instr::Move {
-                    dst: 0,
-                    src: Src::tmp(5),
-                },
+                add(0, Src::tmp(4), Src::k(1, 1)),
                 Instr::Ret,
             ],
-            vec![Const::Int(1), Const::Int(2), Const::Int(3)],
+            vec![Const::Int(1), Const::Int(2)],
         );
         let (opt, stats) = optimize(&m);
-        assert_eq!(stats.consts_folded, 4, "{stats:?}");
-        let six = opt.consts.iter().position(|c| *c == Const::Int(6));
-        let six = six.expect("6 interned") as u32;
+        assert_eq!(stats.consts_folded, 1, "{stats:?}");
+        let three = opt.consts.iter().position(|c| *c == Const::Int(3));
+        let three = three.expect("3 interned") as u32;
         assert_eq!(
             opt.funcs[0].code,
             vec![
                 Instr::Move {
-                    dst: 0,
-                    src: Src::k(six, 5)
+                    dst: 4,
+                    src: Src::k(three, 3)
                 },
+                add(0, Src::tmp(4), Src::k(1, 1)),
                 Instr::Ret
             ]
         );
@@ -559,60 +497,6 @@ mod tests {
         assert_eq!(stats.consts_folded, 0);
         // The division must still execute at runtime, where it errors.
         assert_eq!(opt.funcs[0].code, vec![div, Instr::Ret]);
-    }
-
-    #[test]
-    fn propagates_a_constant_only_into_its_sole_reader() {
-        let set = |dst, src| Instr::Move { dst, src };
-        let kept = vec![
-            // Read twice by the next instruction.
-            set(4, Src::k(0, 1)),
-            add(0, Src::tmp(4), Src::tmp(4)),
-            // Read again after its reader.
-            set(4, Src::k(0, 1)),
-            add(0, Src::tmp(4), Src::var(1)),
-            set(1, Src::tmp(4)),
-            // Moved into a variable.
-            set(2, Src::k(0, 1)),
-            add(3, Src::var(2), Src::var(2)),
-            Instr::Ret,
-        ];
-        let (opt, stats) = optimize(&module(kept.clone(), vec![Const::Int(7)]));
-        assert_eq!(stats.total_rewrites(), 0, "{stats:?}");
-        assert_eq!(opt.funcs[0].code, kept);
-    }
-
-    #[test]
-    fn propagation_respects_jump_targets_and_remaps() {
-        let branch = |t| Instr::JumpIf {
-            cond: Src::var(1),
-            when: false,
-            t,
-        };
-        let load = Instr::Move {
-            dst: 4,
-            src: Src::k(0, 1),
-        };
-        let store = Instr::Move {
-            dst: 0,
-            src: Src::tmp(4),
-        };
-        // The reader is a jump target: the move stays.
-        let kept = vec![branch(2), load.clone(), store.clone(), Instr::Ret];
-        let (opt, _) = optimize(&module(kept.clone(), vec![Const::Int(7)]));
-        assert_eq!(opt.funcs[0].code, kept);
-        // A jump past the move is remapped onto the surviving return.
-        let m = module(
-            vec![branch(3), load, store, Instr::Ret],
-            vec![Const::Int(7)],
-        );
-        let (opt, stats) = optimize(&m);
-        assert_eq!(stats.consts_folded, 1);
-        let folded = Instr::Move {
-            dst: 0,
-            src: Src::k(0, 1),
-        };
-        assert_eq!(opt.funcs[0].code, vec![branch(2), folded, Instr::Ret]);
     }
 
     #[test]

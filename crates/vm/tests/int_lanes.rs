@@ -95,6 +95,10 @@ fn forms(op: BinOp) -> Vec<(&'static str, Vec<Instr>, Option<u32>)> {
         t: FALSE_ARM,
     };
     let copy = |dst, src| Move { dst, src };
+    let len = |dst, s| Len {
+        dst,
+        src: Src::var(s),
+    };
     vec![
         ("Bin var var", vec![bin(D, x, y)], Some(D)),
         ("Bin var const", vec![bin(D, x, cy)], Some(D)),
@@ -126,21 +130,14 @@ fn forms(op: BinOp) -> Vec<(&'static str, Vec<Instr>, Option<u32>)> {
             vec![copy(T, y), copy(D, x), br(Src::tmp(D), Src::tmp(T))],
             None,
         ),
-        // x against len(S), which is y whenever a slice can be that long:
-        // as a `len` operand, and through a `Len` into a temporary.
-        ("Bin var len", vec![bin(D, x, Src::len(S))], Some(D)),
-        ("BrCmp var len", vec![br(x, Src::len(S))], None),
+        // x against len(S), which is y whenever a slice can be that long,
+        // through a `Len` into a temporary.
         (
-            "BrCmp var len through a temporary",
-            vec![
-                Len {
-                    dst: T,
-                    src: Src::var(S),
-                },
-                br(x, Src::tmp(T)),
-            ],
-            None,
+            "Bin var len",
+            vec![len(T, S), bin(D, x, Src::tmp(T))],
+            Some(D),
         ),
+        ("BrCmp var len", vec![len(T, S), br(x, Src::tmp(T))], None),
     ]
 }
 

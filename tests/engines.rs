@@ -205,13 +205,12 @@ fn opt_levels_agree_on_traces_and_folded_profiles() {
             "{}: folded profiles differ across opt levels",
             w.name
         );
-        // The run reports what the optimizer did. (Register-form
-        // workloads leave it little to fold; `OPERAND_SHAPES` checks
-        // that it rewrites constant expressions.)
+        // The optimizer actually did something on real workloads, and
+        // the run reports it.
         let stats = full.opt.as_ref().expect("optimized run carries stats");
         assert!(
-            stats.instrs_after <= stats.instrs_before,
-            "{}: optimizer grew the stream: {stats:?}",
+            stats.instrs_after < stats.instrs_before,
+            "{}: optimizer had no effect: {stats:?}",
             w.name
         );
         assert!(off.opt.is_none(), "{}: --opt off carries no stats", w.name);
