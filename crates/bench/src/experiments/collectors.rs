@@ -2,7 +2,8 @@
 //! fig. 10/11-style heap curves under both collectors — `go` (the
 //! paper's mark-sweep) and `gen` (the same mark-sweep plus a nursery with
 //! minor cycles) — and prints, per collector, the Go vs GoFree deltas in
-//! GC cycles, reclaimed bytes, and virtual time.
+//! GC cycles, reclaimed bytes, virtual time and peak footprint, read from
+//! run 0 of each setting (reclaimed bytes from its cycle log).
 //!
 //! GoFree's `tcfree` evicts objects from the nursery, so their bytes
 //! never count toward a minor trigger. That does not make GoFree skip
@@ -15,7 +16,7 @@ use std::cmp::Ordering;
 
 use crate::{fmt_p, pct, run_three_settings, Options};
 use gofree::cli::Observed;
-use gofree::{table7_row, table8_row, table9_row, CollectorKind, RunConfig, Setting};
+use gofree::{table7_row, table8_row, table9_row, CollectorKind, RunConfig};
 
 pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     println!(
@@ -58,7 +59,11 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
             );
             t8.push(table8_row(w.name, &gofree[0]));
             t9.push(table9_row(w.name, &gofree[0]));
-            deltas.push(delta_row(opts, w.name, &base));
+            deltas.push(DeltaRow {
+                project: w.name,
+                go: CellStats::of(&go[0]),
+                gofree: CellStats::of(&gofree[0]),
+            });
             t7.push(row);
             observed = gofree.into_iter().next();
         }
@@ -108,7 +113,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
 
         println!(
             "\nGo vs GoFree deltas ({collector}): cycles (minor+major), GC-reclaimed bytes, \
-             virtual time (fig. 10/11-style heap curves from one traced run per setting)"
+             virtual time and peak footprint (run 0 of each setting)"
         );
         println!(
             "{:<10} | {:>16} {:>16} | {:>11} {:>11} | {:>10} {:>10} | {:>9} {:>9}",
@@ -177,8 +182,8 @@ fn minor_summary(deltas: &[DeltaRow]) -> String {
     )
 }
 
-/// One setting's single-run observables under a backend, taken from a
-/// traced run 0 (same seed for every cell, so rows are comparable).
+/// One setting's observables under a backend, from its run 0 (same seed
+/// for every cell, so rows are comparable).
 struct CellStats {
     cycles: u64,
     minor: u64,
@@ -194,38 +199,15 @@ struct DeltaRow {
     gofree: CellStats,
 }
 
-fn delta_row(opts: &Options, project: &'static str, base: &RunConfig) -> DeltaRow {
-    let cell = |setting: Setting| {
-        let w = gofree_workloads::by_name(project, opts.scale()).expect("workload exists");
-        let compiled =
-            gofree::compile(&w.source, &opts.compile_options(setting)).expect("workload compiles");
-        let cfg = RunConfig {
-            trace: true,
-            jobs: 1,
-            ..base.clone()
-        };
-        let report = gofree::execute(&compiled, setting, &cfg).expect("workload runs");
-        let trace = report.trace.as_ref().expect("traced run carries a trace");
-        let swept_bytes = trace
-            .events
-            .iter()
-            .map(|ev| match *ev {
-                gofree::TraceEvent::GcEnd { swept_bytes, .. } => swept_bytes,
-                _ => 0,
-            })
-            .sum();
+impl CellStats {
+    fn of(report: &gofree::Report) -> Self {
         CellStats {
             cycles: report.metrics.gcs,
             minor: report.metrics.gcs_minor,
             major: report.metrics.gcs_major,
-            swept_bytes,
+            swept_bytes: report.cycles.iter().map(|c| c.swept_bytes).sum(),
             time: report.time,
             peak_footprint: report.metrics.maxheap,
         }
-    };
-    DeltaRow {
-        project,
-        go: cell(Setting::Go),
-        gofree: cell(Setting::GoFree),
     }
 }

@@ -33,8 +33,9 @@
 //! default) is the paper's mark-sweep, `gen` adds a generational nursery
 //! with minor/major cycles. `--opt {off,full}` selects the bytecode
 //! instruction stream: `full` (the default) runs the optimizer tier
-//! (peephole/const-fold, jump threading, superinstructions), `off` runs
-//! the baseline lowering; observables are bit-identical either way.
+//! (constant folding, constant branches, tick merging, jump threading),
+//! `off` runs the baseline lowering; observables are bit-identical
+//! either way.
 //! `--gctrace` prints a Go
 //! `GODEBUG=gctrace=1`-style pacing line per GC cycle to stderr, tagged
 //! with the backend and cycle kind, plus a final minor/major summary. `--report-json PATH` writes the run report as JSON
@@ -45,7 +46,8 @@
 //! `handle(state, req)` executes `--requests N` requests arriving at
 //! `--rps N` with the `--arrival {fixed,poisson,burst}` shape; the
 //! summary reports exact latency percentiles, minor/major GC pause
-//! histograms, and heap high-water marks.
+//! histograms, and heap high-water marks. It runs once: `--runs` above 1
+//! is an error there.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -127,6 +129,9 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 }
             }
         }
+    }
+    if cli.service && cli.common.runs.is_some_and(|n| n > 1) {
+        return Err("--runs above 1 is for batch runs; --service runs once".into());
     }
     Ok(cli)
 }

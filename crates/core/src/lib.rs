@@ -57,8 +57,8 @@ pub use minigo_escape::{
     PlacementStats,
 };
 pub use minigo_runtime::{
-    percentile_sorted, Category, CollectorKind, ConfigError, CycleKind, FreeSource, HeapSnapshot,
-    Histogram, Pause, PoisonMode, Profile, ShadowViolation, StackStat, StackTable, Trace,
+    percentile_sorted, Category, CollectorKind, ConfigError, CycleKind, FreeSource, GcCycle,
+    HeapSnapshot, Histogram, PoisonMode, Profile, ShadowViolation, StackStat, StackTable, Trace,
     TraceEvent, ViolationKind,
 };
 pub use minigo_vm::{ExecError, OptStats, SiteProfile};

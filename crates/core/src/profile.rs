@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use minigo_runtime::{Profile, SiteDrag, StackStat, StackTable, Trace, TraceEvent};
+use minigo_runtime::{GcCycle, Profile, SiteDrag, StackStat, StackTable, Trace, TraceEvent};
 
 /// Which per-stack figure a folded-stack export weights lines by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,7 +220,7 @@ pub fn gctrace_lines(trace: &Trace) -> Vec<String> {
                 window,
                 ..
             } => pending = Some((heap_live, heap_goal, window)),
-            TraceEvent::GcEnd {
+            TraceEvent::GcEnd(GcCycle {
                 at,
                 heap_live,
                 next_goal,
@@ -229,7 +229,7 @@ pub fn gctrace_lines(trace: &Trace) -> Vec<String> {
                 dangling_retired,
                 ticks,
                 kind,
-            } => {
+            }) => {
                 cycle += 1;
                 gc_ticks_total += ticks;
                 let (trigger, goal, window) = pending.take().unwrap_or((0, 0, 0));
@@ -426,7 +426,7 @@ mod tests {
                     cat: Category::Map,
                     bytes: 64,
                 },
-                TraceEvent::GcEnd {
+                TraceEvent::GcEnd(GcCycle {
                     at: 100,
                     heap_live: 0,
                     next_goal: 1024,
@@ -435,7 +435,7 @@ mod tests {
                     dangling_retired: 0,
                     ticks: 40,
                     kind: minigo_runtime::CycleKind::Major,
-                },
+                }),
                 TraceEvent::Finalize {
                     at: 110,
                     leftover: [0, 0, 0],

@@ -230,6 +230,7 @@ mod tests {
             }],
             violations: Vec::new(),
             trace: None,
+            cycles: Vec::new(),
             collector: minigo_runtime::CollectorKind::Go,
             ic_hits: 9,
             ic_misses: 2,

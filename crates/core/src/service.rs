@@ -16,8 +16,8 @@
 //! * per-request **latency / service-time / queueing** histograms
 //!   ([`Histogram`]) plus exact order-statistic percentiles
 //!   (p50/p90/p99/p999/max via [`percentile_sorted`]);
-//! * **GC pause** histograms split minor/major, from the runtime's
-//!   always-on [`Pause`](minigo_runtime::Pause) log;
+//! * **GC pause** histograms split minor/major, from the run's
+//!   always-on cycle log ([`Report::cycles`]);
 //! * steady-state **heap high-water marks** (live bytes and page
 //!   footprint, sampled at request boundaries);
 //! * the usual end-of-run [`Report`] (metrics, optional trace with
@@ -275,9 +275,17 @@ pub fn run_service(
 ) -> Result<ServiceReport, ExecError> {
     let arrivals = svc.schedule(cfg.seed);
     let vm_cfg = cfg.vm_config(compiled, setting);
-    let (stats, report) = run_session(compiled, vm_cfg, cfg.engine, cfg.opt, |sess| {
+    let (mut stats, report) = run_session(compiled, vm_cfg, cfg.engine, cfg.opt, |sess| {
         drive_requests(sess, &arrivals)
     })?;
+    // Every cycle, set-up's included, ran inside a call (`finish` runs
+    // none), and the histograms do not depend on order.
+    for c in &report.cycles {
+        match c.kind {
+            CycleKind::Minor => stats.pause_minor.record(c.ticks),
+            CycleKind::Major => stats.pause_major.record(c.ticks),
+        }
+    }
     Ok(ServiceReport { stats, report })
 }
 
@@ -333,16 +341,6 @@ fn drive_requests(
         stats.heap_hwm = stats.heap_hwm.max(sess.heap_live());
         stats.footprint_hwm = stats.footprint_hwm.max(sess.footprint());
         stats.requests += 1;
-    }
-
-    // Every cycle, set-up's included, ran inside some call above: none
-    // runs between the last request and `finish`, and the histograms do
-    // not depend on order, so the log is read once.
-    for p in sess.pauses() {
-        match p.kind {
-            CycleKind::Minor => stats.pause_minor.record(p.ticks),
-            CycleKind::Major => stats.pause_major.record(p.ticks),
-        }
     }
 
     stats.total_time = sess.now();

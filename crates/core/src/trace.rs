@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use minigo_runtime::{FreeStep, Replayed, Trace, TraceEvent};
+use minigo_runtime::{FreeStep, GcCycle, Replayed, Trace, TraceEvent};
 
 use crate::pipeline::PhaseTime;
 
@@ -167,7 +167,7 @@ pub fn chrome_trace_json(trace: &Trace, phases: &[PhaseTime]) -> String {
                  \"pid\":1,\"tid\":1,\"ts\":{at},\"args\":{{\"live\":{heap_live},\
                  \"goal\":{heap_goal},\"window\":{window},\"kind\":\"{kind}\"}}}}"
             ),
-            TraceEvent::GcEnd {
+            TraceEvent::GcEnd(GcCycle {
                 at,
                 heap_live,
                 next_goal,
@@ -176,7 +176,7 @@ pub fn chrome_trace_json(trace: &Trace, phases: &[PhaseTime]) -> String {
                 dangling_retired,
                 ticks,
                 kind,
-            } => format!(
+            }) => format!(
                 "{{\"name\":\"gc\",\"cat\":\"runtime\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\
                  \"ts\":{},\"dur\":{ticks},\"args\":{{\"swept\":{:?},\
                  \"swept_bytes\":{swept_bytes},\"dangling_retired\":{dangling_retired},\
@@ -384,7 +384,7 @@ mod tests {
                     cat: Category::Other,
                     bytes: 64,
                 },
-                TraceEvent::GcEnd {
+                TraceEvent::GcEnd(GcCycle {
                     at: 100,
                     heap_live: 0,
                     next_goal: 512 * 1024,
@@ -393,7 +393,7 @@ mod tests {
                     dangling_retired: 0,
                     ticks: 40,
                     kind: minigo_runtime::CycleKind::Major,
-                },
+                }),
             ],
             stacks,
             ..Trace::default()

@@ -246,9 +246,13 @@ fn every_failure_exits_1_with_one_line() {
     }
 
     let path = write_temp("good", PROGRAM);
-    assert_eq!(
-        minigo(&["run", path.to_str().unwrap()]).status.code(),
-        Some(0)
+    let good = path.to_str().unwrap();
+    // A service run is one run: `--runs` above 1 is refused, not ignored.
+    fails(
+        "service-runs",
+        &["run", "--service", "--runs", "2", good],
+        "--runs",
     );
+    assert_eq!(minigo(&["run", good]).status.code(), Some(0));
     let _ = std::fs::remove_file(path);
 }

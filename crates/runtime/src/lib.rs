@@ -50,7 +50,7 @@ pub use histogram::{percentile_sorted, Histogram};
 pub use metrics::{BailReason, Category, FreeSource, Metrics};
 pub use profile::{Profile, SiteDrag, StackId, StackStat, StackTable, DRAG_BUCKETS, ROOT_STACK};
 pub use rng::SimRng;
-pub use runtime::{ConfigError, FreeOutcome, Pause, PoisonMode, Runtime, RuntimeConfig};
+pub use runtime::{ConfigError, FreeOutcome, GcCycle, PoisonMode, Runtime, RuntimeConfig};
 pub use shadow::{FreeCheck, ShadowHeap, ShadowViolation, ViolationKind};
 pub use sizeclass::{class_for, class_size, MAX_SMALL_SIZE, PAGE_SIZE};
 pub use trace::{

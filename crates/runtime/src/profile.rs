@@ -300,7 +300,7 @@ impl Profile {
                 }
                 TraceEvent::McacheFlush { .. }
                 | TraceEvent::GcStart { .. }
-                | TraceEvent::GcEnd { .. }
+                | TraceEvent::GcEnd(_)
                 | TraceEvent::Request { .. } => {}
             }
         }
@@ -496,7 +496,7 @@ mod tests {
                     cat: Category::Map,
                     bytes: 64,
                 },
-                TraceEvent::GcEnd {
+                TraceEvent::GcEnd(crate::GcCycle {
                     at: 50,
                     heap_live: 0,
                     next_goal: 512 * 1024,
@@ -505,7 +505,7 @@ mod tests {
                     dangling_retired: 0,
                     ticks: 5,
                     kind: crate::collector::CycleKind::Major,
-                },
+                }),
                 TraceEvent::Finalize {
                     at: 60,
                     leftover: [0, 0, 0],

@@ -171,20 +171,32 @@ impl RuntimeConfig {
     }
 }
 
-/// One completed GC stop: when it ended and what it cost. The runtime
-/// records every cycle here unconditionally — the log is bounded by the
-/// cycle count and read by the service harness to attribute pauses to
-/// in-flight requests, without requiring full event tracing. Like the
-/// tracer, it is pure observation: no clock charges, no metrics, no RNG
+/// One completed GC cycle: when it ended, what it cost, and what it
+/// reclaimed. The runtime builds one per cycle and keeps it twice over
+/// with the same value: in its always-on log ([`Runtime::cycles`],
+/// bounded by the cycle count, read by the service harness's pause
+/// histograms and the collector study's reclaimed bytes) and, when
+/// tracing, as the payload of [`TraceEvent::GcEnd`]. Like the tracer,
+/// the log is pure observation: no clock charges, no metrics, no RNG
 /// draws.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pause {
+pub struct GcCycle {
     /// Virtual time the cycle completed.
     pub at: u64,
     /// Nursery-only or full-heap.
     pub kind: CycleKind,
     /// Virtual ticks the cycle cost (mark + sweep).
     pub ticks: u64,
+    /// Live heap bytes after the sweep (`heap_marked`).
+    pub heap_live: u64,
+    /// The next pacing goal derived from GOGC.
+    pub next_goal: u64,
+    /// Objects swept per category (table 8's "Heap GC" input).
+    pub swept: [u64; 3],
+    /// Bytes swept.
+    pub swept_bytes: u64,
+    /// Dangling large-object spans that completed fig. 9 step 2.
+    pub dangling_retired: u64,
 }
 
 /// What a `tcfree` call did.
@@ -220,8 +232,8 @@ pub struct Runtime {
     /// Boxed so the untraced hot path only carries a pointer-sized
     /// `None` check.
     tracer: Option<Box<Tracer>>,
-    /// Every completed GC cycle's stop record, in order.
-    pauses: Vec<Pause>,
+    /// Every completed GC cycle, in order.
+    cycles: Vec<GcCycle>,
 }
 
 impl Runtime {
@@ -244,7 +256,7 @@ impl Runtime {
             collector,
             live_objects: 0,
             tracer,
-            pauses: Vec::new(),
+            cycles: Vec::new(),
         }
     }
 
@@ -584,34 +596,39 @@ impl Runtime {
                 .collect(&self.cfg, &mut self.heap, &mut self.clock, &mut self.rng);
         let out = cycle.sweep;
         self.debug_check_heap();
+        let mut swept = [0u64; 3];
+        let mut swept_bytes = 0;
         for f in &out.freed {
             self.metrics.heap_gced[f.cat.index()] += 1;
+            swept[f.cat.index()] += 1;
+            swept_bytes += f.bytes;
             self.live_objects = self.live_objects.saturating_sub(1);
         }
 
-        let heap_marked = self.heap.heap_live();
         self.metrics.gcs += 1;
         match cycle.kind {
             CycleKind::Minor => self.metrics.gcs_minor += 1,
             CycleKind::Major => self.metrics.gcs_major += 1,
         }
-        let ticks = self.clock.now() - before;
+        let at = self.clock.now();
+        let ticks = at - before;
         self.metrics.gc_ticks += ticks;
-        self.pauses.push(Pause {
-            at: self.clock.now(),
+        let record = GcCycle {
+            at,
             kind: cycle.kind,
             ticks,
-        });
+            heap_live: self.heap.heap_live(),
+            next_goal: cycle.next_goal,
+            swept,
+            swept_bytes,
+            dangling_retired: out.dangling_retired,
+        };
+        self.cycles.push(record);
         if let Some(t) = &mut self.tracer {
-            let at = self.clock.now();
-            let mut swept = [0u64; 3];
-            let mut swept_bytes = 0;
+            // Per-object detail so the profile builder can attribute
+            // swept garbage back to its allocating stack; the fold
+            // counts only the GcEnd totals below.
             for f in &out.freed {
-                swept[f.cat.index()] += 1;
-                swept_bytes += f.bytes;
-                // Per-object detail so the profile builder can attribute
-                // swept garbage back to its allocating stack; the fold
-                // counts only the GcEnd totals below.
                 t.record(TraceEvent::Sweep {
                     at,
                     addr: f.addr,
@@ -619,16 +636,7 @@ impl Runtime {
                     bytes: f.bytes,
                 });
             }
-            t.record(TraceEvent::GcEnd {
-                at,
-                heap_live: heap_marked,
-                next_goal: cycle.next_goal,
-                swept,
-                swept_bytes,
-                dangling_retired: out.dangling_retired,
-                ticks,
-                kind: cycle.kind,
-            });
+            t.record(TraceEvent::GcEnd(record));
         }
         out
     }
@@ -678,9 +686,9 @@ impl Runtime {
         footprint(&self.heap)
     }
 
-    /// Every completed GC cycle's stop record, in completion order.
-    pub fn pauses(&self) -> &[Pause] {
-        &self.pauses
+    /// Every completed GC cycle, in completion order.
+    pub fn cycles(&self) -> &[GcCycle] {
+        &self.cycles
     }
 
     /// Advances the virtual clock to absolute time `t` (no-op when `t`

@@ -38,6 +38,7 @@ use crate::fxhash::FxHashMap;
 use crate::heap::{footprint, Heap, ObjAddr};
 use crate::metrics::{BailReason, Category, FreeSource, Metrics};
 use crate::profile::{StackId, StackTable, ROOT_STACK};
+use crate::runtime::GcCycle;
 use crate::sizeclass::PAGE_SIZE;
 
 /// An allocation-site id: the raw `ExprId` number assigned by the MiniGo
@@ -60,7 +61,7 @@ pub enum FreeStep {
     },
     /// Large object: fig. 9 step 1 — pages returned immediately, the
     /// span struct left dangling until the next GC sweep (step 2, visible
-    /// as [`TraceEvent::GcEnd::dangling_retired`]).
+    /// as [`GcCycle::dangling_retired`]).
     LargeStep1,
 }
 
@@ -175,25 +176,9 @@ pub enum TraceEvent {
         /// Bytes reclaimed.
         bytes: u64,
     },
-    /// A mark+sweep cycle completed.
-    GcEnd {
-        /// Virtual timestamp (ticks).
-        at: u64,
-        /// Live heap bytes after the sweep (`heap_marked`).
-        heap_live: u64,
-        /// The next pacing goal derived from GOGC.
-        next_goal: u64,
-        /// Objects swept per category (table 8's "Heap GC" input).
-        swept: [u64; 3],
-        /// Bytes swept.
-        swept_bytes: u64,
-        /// Dangling large-object spans that completed fig. 9 step 2.
-        dangling_retired: u64,
-        /// Virtual ticks the cycle cost (mark + sweep).
-        ticks: u64,
-        /// Whether the completed cycle was nursery-only or full-heap.
-        kind: CycleKind,
-    },
+    /// A mark+sweep cycle completed: the same value the runtime keeps in
+    /// its always-on cycle log ([`crate::Runtime::cycles`]).
+    GcEnd(GcCycle),
     /// End-of-run accounting: objects still live count toward the GC
     /// columns, and the final footprint feeds `maxheap`.
     Finalize {
@@ -232,7 +217,7 @@ impl TraceEvent {
             | TraceEvent::McacheFlush { at, .. }
             | TraceEvent::GcStart { at, .. }
             | TraceEvent::Sweep { at, .. }
-            | TraceEvent::GcEnd { at, .. }
+            | TraceEvent::GcEnd(GcCycle { at, .. })
             | TraceEvent::Finalize { at, .. }
             | TraceEvent::Request { at, .. } => at,
         }
@@ -556,16 +541,14 @@ impl Trace {
                 TraceEvent::McacheFlush { .. }
                 | TraceEvent::GcStart { .. }
                 | TraceEvent::Request { .. } => {}
-                TraceEvent::GcEnd {
-                    swept, ticks, kind, ..
-                } => {
+                TraceEvent::GcEnd(c) => {
                     m.gcs += 1;
-                    match kind {
+                    match c.kind {
                         CycleKind::Minor => m.gcs_minor += 1,
                         CycleKind::Major => m.gcs_major += 1,
                     }
-                    m.gc_ticks += ticks;
-                    for (i, n) in swept.iter().enumerate() {
+                    m.gc_ticks += c.ticks;
+                    for (i, n) in c.swept.iter().enumerate() {
                         m.heap_gced[i] += n;
                     }
                 }
@@ -623,7 +606,7 @@ impl Trace {
             .filter_map(|ev| match *ev {
                 TraceEvent::Alloc { at, heap_live, .. }
                 | TraceEvent::Free { at, heap_live, .. }
-                | TraceEvent::GcEnd { at, heap_live, .. } => Some((at, heap_live)),
+                | TraceEvent::GcEnd(GcCycle { at, heap_live, .. }) => Some((at, heap_live)),
                 _ => None,
             })
             .collect()
@@ -683,7 +666,7 @@ mod tests {
                     cat: Category::Map,
                     bytes: 96,
                 },
-                TraceEvent::GcEnd {
+                TraceEvent::GcEnd(GcCycle {
                     at: 30,
                     heap_live: 0,
                     next_goal: 512 * 1024,
@@ -692,7 +675,7 @@ mod tests {
                     dangling_retired: 1,
                     ticks: 6000,
                     kind: CycleKind::Major,
-                },
+                }),
                 TraceEvent::Finalize {
                     at: 31,
                     leftover: [0, 0, 1],
@@ -716,6 +699,13 @@ mod tests {
         assert_eq!(m.heap_gced, [0, 2, 2]);
         assert_eq!(m.heap_tcfreed[Category::Slice.index()], 1);
         trace.reconcile(&m).expect("fold reconciles with itself");
+    }
+
+    #[test]
+    fn gc_end_payload_keeps_the_event_size() {
+        // Carrying the whole cycle record costs `GcEnd` no width: the
+        // tag sits in the niche of the payload's `kind`.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 80);
     }
 
     #[test]
@@ -827,7 +817,7 @@ mod tests {
                     window: 16,
                     kind: CycleKind::Major,
                 },
-                TraceEvent::GcEnd {
+                TraceEvent::GcEnd(GcCycle {
                     at: 3,
                     heap_live: 0,
                     next_goal: 1024,
@@ -836,7 +826,7 @@ mod tests {
                     dangling_retired: 0,
                     ticks: 100,
                     kind: CycleKind::Major,
-                },
+                }),
             ],
             ..Trace::default()
         };

@@ -56,7 +56,7 @@ fn gc_off_records_no_cycle_events() {
         !trace
             .events
             .iter()
-            .any(|e| matches!(e, TraceEvent::GcStart { .. } | TraceEvent::GcEnd { .. })),
+            .any(|e| matches!(e, TraceEvent::GcStart { .. } | TraceEvent::GcEnd(_))),
         "GC-off run must not record cycle events"
     );
     trace.reconcile(&m).expect("stream folds back to metrics");
@@ -105,14 +105,9 @@ fn gogc_10_tiny_heap_paces_every_cycle_consistently() {
         );
     }
     for e in &trace.events {
-        if let TraceEvent::GcEnd {
-            heap_live,
-            next_goal,
-            ..
-        } = e
-        {
-            let expect = (heap_live + heap_live * gogc / 100).max(min_heap);
-            assert_eq!(*next_goal, expect, "GcEnd goal must follow the GOGC rule");
+        if let TraceEvent::GcEnd(c) = e {
+            let expect = (c.heap_live + c.heap_live * gogc / 100).max(min_heap);
+            assert_eq!(c.next_goal, expect, "GcEnd goal must follow the GOGC rule");
         }
     }
     trace.reconcile(&m).expect("stream folds back to metrics");
@@ -214,7 +209,7 @@ fn concurrent_mark_window_bails_frees_until_it_closes() {
     let end_pos = trace
         .events
         .iter()
-        .position(|e| matches!(e, TraceEvent::GcEnd { .. }))
+        .position(|e| matches!(e, TraceEvent::GcEnd(_)))
         .expect("the cycle end is in the stream");
     assert!(
         bail_pos < end_pos,

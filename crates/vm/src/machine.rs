@@ -27,7 +27,7 @@ use std::rc::Rc;
 
 use minigo_escape::Mode;
 use minigo_runtime::{
-    BailReason, Category, FreeOutcome, FreeSource, Pause, Runtime, RuntimeConfig, ShadowHeap,
+    BailReason, Category, FreeOutcome, FreeSource, Runtime, RuntimeConfig, ShadowHeap,
     ShadowViolation, StackId,
 };
 use minigo_syntax::{BinOp, ExprId};
@@ -115,6 +115,11 @@ pub struct RunOutcome {
     /// bit-identical with tracing on or off, and the stream itself is
     /// bit-identical across the two VM engines.
     pub trace: Option<minigo_runtime::Trace>,
+    /// Every GC cycle the run completed, in order — the runtime's
+    /// always-on cycle log ([`minigo_runtime::Runtime::cycles`]), the
+    /// same values a traced run carries as its `GcEnd` events. Not part
+    /// of the exported report schema.
+    pub cycles: Vec<minigo_runtime::GcCycle>,
     /// Which collection backend ran
     /// ([`minigo_runtime::RuntimeConfig::collector`]).
     pub collector: minigo_runtime::CollectorKind,
@@ -261,11 +266,6 @@ impl<D: Dispatch + ?Sized> Session<D> {
         self.m.rt.footprint()
     }
 
-    /// Every completed GC cycle's stop record so far.
-    pub fn pauses(&self) -> &[Pause] {
-        self.m.rt.pauses()
-    }
-
     /// Records a completed-request trace span (no-op without tracing).
     pub fn note_request(&mut self, id: u64, arrival: u64, start: u64) {
         self.m.rt.trace_request(id, arrival, start);
@@ -328,6 +328,7 @@ impl Machine {
                 .map(|mut sh| sh.take_violations())
                 .unwrap_or_default(),
             trace: self.rt.take_trace(),
+            cycles: self.rt.cycles().to_vec(),
             collector: self.rt.collector_kind(),
             ic_hits: 0,
             ic_misses: 0,

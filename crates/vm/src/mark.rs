@@ -230,9 +230,9 @@ mod tests {
         assert!(reachable.iter().all(|&a| heap.is_allocated(a)));
         assert!(swept.freed.iter().all(|f| !reachable.contains(&f.addr)));
         if rt
-            .pauses()
+            .cycles()
             .last()
-            .is_some_and(|p| p.kind == minigo_runtime::CycleKind::Major)
+            .is_some_and(|c| c.kind == minigo_runtime::CycleKind::Major)
         {
             assert_eq!(
                 heap.live_objects().len(),

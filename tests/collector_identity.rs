@@ -117,7 +117,7 @@ fn fingerprint(label: &str, report: &Report) -> String {
                     "gc-start at={at} live={heap_live} goal={heap_goal} window={window}"
                 );
             }
-            gofree::TraceEvent::GcEnd {
+            gofree::TraceEvent::GcEnd(gofree::GcCycle {
                 at,
                 heap_live,
                 next_goal,
@@ -126,7 +126,7 @@ fn fingerprint(label: &str, report: &Report) -> String {
                 dangling_retired,
                 ticks,
                 ..
-            } => {
+            }) => {
                 let _ = writeln!(
                     out,
                     "gc-end at={at} live={heap_live} next={next_goal} swept={swept:?} \

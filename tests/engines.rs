@@ -44,6 +44,10 @@ fn assert_engines_agree(label: &str, compiled: &Compiled, setting: Setting, cfg:
             tree.site_profile, byte.site_profile,
             "{label} ({setting}/{opt}): site profile"
         );
+        assert_eq!(
+            tree.cycles, byte.cycles,
+            "{label} ({setting}/{opt}): cycles"
+        );
     }
 }
 

@@ -4,15 +4,16 @@
 //! * folding the event stream reproduces the run's [`Metrics`] exactly
 //!   ([`gofree::Trace::reconcile`]);
 //! * tracing is invisible — a traced run's report is bit-identical to an
-//!   untraced one in every observable field;
+//!   untraced one in every observable field, the cycle log included, and
+//!   the stream's `GcEnd` payloads are that log;
 //! * traces are bit-identical across the tree-walk and bytecode engines;
 //! * traces are `--jobs`-invariant: fanning a seeded distribution across
 //!   workers yields the same per-run event streams as running
 //!   sequentially.
 
 use gofree::{
-    compile, execute, run_distribution, CompileOptions, Compiled, Report, RunConfig, Setting,
-    VmEngine,
+    compile, execute, run_distribution, CompileOptions, Compiled, GcCycle, Report, RunConfig,
+    Setting, TraceEvent, VmEngine,
 };
 use gofree_workloads::{corpus, fuzzgen, micro, Scale};
 
@@ -79,6 +80,35 @@ fn check_program(label: &str, src: &str) {
         assert_eq!(
             traced.site_profile, untraced.site_profile,
             "{label} ({setting}): tracing changed the site profile"
+        );
+        // The always-on cycle log: untouched by tracing, the same values
+        // as the stream's `GcEnd` payloads, and one entry per counted cycle.
+        assert_eq!(
+            traced.cycles, untraced.cycles,
+            "{label} ({setting}): tracing changed the cycle log"
+        );
+        let ends: Vec<GcCycle> = traced
+            .trace
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter_map(|ev| match *ev {
+                TraceEvent::GcEnd(c) => Some(c),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            ends, traced.cycles,
+            "{label} ({setting}): GcEnd payloads differ from the cycle log"
+        );
+        assert_eq!(
+            traced.cycles.len() as u64,
+            traced.metrics.gcs,
+            "{label} ({setting})"
+        );
+        assert_eq!(
+            traced.cycles.iter().map(|c| c.ticks).sum::<u64>(),
+            traced.metrics.gc_ticks,
+            "{label} ({setting}): cycle ticks"
         );
 
         // Engine identity of the stream itself.
