@@ -16,7 +16,7 @@
 pub mod experiments;
 
 use gofree::cli::{write_artifacts, CommonOptions, Observed};
-use gofree::{CompileOptions, Compiled, RunConfig, Setting};
+use gofree::{CompileOptions, RunConfig, Setting};
 use gofree_workloads::Scale;
 
 /// One row of the registry.
@@ -196,21 +196,22 @@ pub fn run_three_settings(
     Vec<gofree::Report>,
     Vec<gofree::Report>,
 ) {
-    let compiled: Vec<(Compiled, Setting)> = Setting::all()
-        .into_iter()
-        .map(|setting| {
-            let c =
-                gofree::compile(source, &opts.compile_options(setting)).expect("workload compiles");
-            (c, setting)
-        })
-        .collect();
+    let compile = |setting: Setting| {
+        gofree::compile(source, &opts.compile_options(setting)).expect("workload compiles")
+    };
+    // `Go` and `GoGcOff` differ only at run time: one compile serves both.
+    let (go, gofree) = (compile(Setting::Go), compile(Setting::GoFree));
     // One matrix call fans all (setting × run-index) cells across the
     // worker pool instead of draining one setting at a time.
-    let cells: Vec<(&Compiled, Setting)> = compiled.iter().map(|(c, s)| (c, *s)).collect();
-    let mut out = gofree::run_matrix(&cells, base, runs).expect("workload runs");
-    let gcoff = out.pop().expect("three settings");
-    let gofree = out.pop().expect("three settings");
-    let go = out.pop().expect("three settings");
+    let cells = [
+        (&go, Setting::Go),
+        (&gofree, Setting::GoFree),
+        (&go, Setting::GoGcOff),
+    ];
+    let [go, gofree, gcoff]: [Vec<gofree::Report>; 3] = gofree::run_matrix(&cells, base, runs)
+        .expect("workload runs")
+        .try_into()
+        .expect("three settings");
     (go, gofree, gcoff)
 }
 

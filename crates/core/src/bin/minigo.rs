@@ -32,8 +32,8 @@
 //! `--collector {go,gen}` selects the collection backend: `go` (the
 //! default) is the paper's mark-sweep, `gen` adds a generational nursery
 //! with minor/major cycles. `--opt {off,full}` selects the bytecode
-//! instruction stream: `full` (the default) runs the optimizer tier
-//! (constant folding, constant branches, tick merging, jump threading),
+//! instruction stream: `full` (the default) runs the optimizer tier,
+//! which merges each run of `Tick`s into the instruction after it,
 //! `off` runs the baseline lowering; observables are bit-identical
 //! either way.
 //! `--gctrace` prints a Go
@@ -47,7 +47,9 @@
 //! `--rps N` with the `--arrival {fixed,poisson,burst}` shape; the
 //! summary reports exact latency percentiles, minor/major GC pause
 //! histograms, and heap high-water marks. It runs once: `--runs` above 1
-//! is an error there.
+//! is an error there. `--trace`, `--profile`, `--gctrace` and
+//! `--report-json` observe a run, so every command but `run` refuses
+//! them.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -150,6 +152,11 @@ fn run_cli(args: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown command `{other}`\n{}", usage())),
     }
+    if cmd != "run" && cli.common.any_artifact() {
+        return Err(format!(
+            "`{cmd}` writes no artifacts: --trace, --profile, --gctrace and --report-json are for `run`"
+        ));
+    }
     let file = cli.file.as_ref().ok_or("missing input file")?;
     let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     let base = if cli.go_mode {
@@ -224,11 +231,8 @@ fn run_cli(args: &[String]) -> Result<(), String> {
         "explain" => explain(&compiled, cli.func.as_deref()),
         _ => {
             // `profile`: the top allocation sites of one GoFree run.
-            let cfg = RunConfig {
-                seed: cli.common.config.seed,
-                ..RunConfig::default()
-            };
-            let report = execute(&compiled, Setting::GoFree, &cfg).map_err(|e| e.to_string())?;
+            let report = execute(&compiled, Setting::GoFree, &cli.common.config)
+                .map_err(|e| e.to_string())?;
             let spans = collect_spans(&compiled.program);
             println!("{:>6} {:>12} {:>10}  site", "count", "bytes", "location");
             for p in report.site_profile.iter().take(20) {

@@ -99,8 +99,8 @@ impl std::str::FromStr for VmEngine {
 pub enum OptLevel {
     /// Run the baseline lowered stream, bypassing the optimizer tier.
     Off,
-    /// Run the optimized stream (constant folding, tick merging, jump
-    /// threading) — the default.
+    /// Run the optimized stream, whose runs of `Tick`s are merged into
+    /// the instructions after them — the default.
     #[default]
     Full,
 }

@@ -98,12 +98,12 @@ pub struct Compiled {
     /// baseline instruction stream, kept for the tree-walk-independent
     /// `--opt off` debugging path.
     pub lowered: minigo_vm::Module,
-    /// The optimizer tier's rewrite of `lowered` (constant folding, tick
-    /// merging, jump threading) — what the bytecode engine
-    /// runs by default. Observationally identical to
-    /// `lowered`; only host wall-clock differs.
+    /// The optimizer tier's rewrite of `lowered`, with each run of
+    /// `Tick`s merged into the instruction after it — what the bytecode
+    /// engine runs by default. Observationally identical to `lowered`;
+    /// only host wall-clock differs.
     pub optimized: minigo_vm::Module,
-    /// Per-pass rewrite counters from producing `optimized`.
+    /// Rewrite counters from producing `optimized`.
     pub opt_stats: minigo_vm::OptStats,
     /// The free-safety audit report, when auditing was requested.
     pub audit: Option<AuditReport>,

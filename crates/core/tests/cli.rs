@@ -253,6 +253,16 @@ fn every_failure_exits_1_with_one_line() {
         &["run", "--service", "--runs", "2", good],
         "--runs",
     );
+    // The artifacts are written by `run` alone: any other command
+    // refuses their options instead of exiting 0 with nothing written.
+    for args in [
+        ["build", "--report-json", "report.json"].as_slice(),
+        &["profile", "--trace", "trace.json"],
+        &["analyze", "--gctrace"],
+        &["explain", "--profile", "profile.txt"],
+    ] {
+        fails(args[0], &[args, &[good]].concat(), "writes no artifacts");
+    }
     assert_eq!(minigo(&["run", good]).status.code(), Some(0));
     let _ = std::fs::remove_file(path);
 }

@@ -123,10 +123,10 @@ pub struct Src {
     pub kind: SrcKind,
     /// The ticks charged before the operand is read: 1 for a variable
     /// (the identifier's), 0 for a temporary, and for a constant 1 for a
-    /// literal, 0 for the implicit values the tree-walk never evaluates,
-    /// or a folded constant expression's summed charge.
-    /// Lowering and the optimizer move charges between operands (see
-    /// `lower`), never past an event or a failure.
+    /// literal, 0 for the implicit values the tree-walk never evaluates.
+    /// Lowering moves charges between operands (see `lower`) and the
+    /// optimizer merges `Tick`s into an instruction's first operand,
+    /// never past an event or a failure.
     pub ticks: u16,
     /// A frame slot, or a constant-pool index.
     pub at: u32,
@@ -554,8 +554,7 @@ pub enum Instr {
 
 impl Instr {
     /// The instruction's jump-target operand, if it has one. The
-    /// optimizer uses this to find rewrite barriers and to rewrite
-    /// targets after structural passes.
+    /// optimizer uses this to find jump targets and to remap them.
     pub fn jump_target(&self) -> Option<usize> {
         match self {
             Instr::Jump(t)

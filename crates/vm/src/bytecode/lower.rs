@@ -61,7 +61,7 @@ struct ConstPool {
 enum ScalarKey {
     Int(i64),
     Bool(bool),
-    Str(String),
+    Str(std::sync::Arc<str>),
     Nil,
 }
 
@@ -70,7 +70,7 @@ impl ConstPool {
         let key = match &v {
             Const::Int(i) => Some(ScalarKey::Int(*i)),
             Const::Bool(b) => Some(ScalarKey::Bool(*b)),
-            Const::Str(s) => Some(ScalarKey::Str(s.to_string())),
+            Const::Str(s) => Some(ScalarKey::Str(s.clone())),
             Const::Nil => Some(ScalarKey::Nil),
             _ => None,
         };
