@@ -11,7 +11,7 @@ use minigo_syntax::{
     ExprId, FreeKind, FuncId, IdMap, Program, Resolution, Type, TypeInfo, VarId, VarKind,
 };
 
-use crate::build::{build_func_graph, BuildOptions, FuncGraph};
+use crate::build::{build_func_graph, FuncGraph};
 use crate::callgraph::CallGraph;
 use crate::graph::HEAP_LOC;
 use crate::solve::{points_to, solve, walk, SolveConfig, SolveStats};
@@ -51,8 +51,6 @@ pub struct AnalyzeOptions {
     /// §4.4 content tags; disabling falls back to conservative result tags
     /// (an ablation showing cross-call frees disappear).
     pub content_tags: bool,
-    /// Graph construction options.
-    pub build: BuildOptions,
 }
 
 impl Default for AnalyzeOptions {
@@ -62,7 +60,6 @@ impl Default for AnalyzeOptions {
             free_targets: FreeTargets::SlicesAndMaps,
             back_propagation: true,
             content_tags: true,
-            build: BuildOptions::default(),
         }
     }
 }
@@ -157,7 +154,7 @@ pub fn analyze(
 
     for &fid in cg.bottom_up() {
         let func = &program.funcs[fid.index()];
-        let mut fg = build_func_graph(program, res, types, func, &summaries, &opts.build);
+        let mut fg = build_func_graph(program, res, types, func, &summaries);
         stats.locations += fg.graph.len();
         stats.edges += fg.graph.edges().len();
         let s = solve(&mut fg.graph, &solve_cfg);

@@ -53,11 +53,6 @@ impl ConnResult {
     pub fn points_to(&self, v: VarId) -> BTreeSet<Node> {
         self.pts.get(&Node::Var(v)).cloned().unwrap_or_default()
     }
-
-    /// Whether `v` may point to the unknown outside world.
-    pub fn may_point_unknown(&self, v: VarId) -> bool {
-        self.points_to(v).contains(&Node::Unknown)
-    }
 }
 
 /// Runs the connection-graph analysis on `func`.
@@ -485,12 +480,6 @@ mod tests {
         let (r, cr) = run("func f() { x := 1\n p := &x\n pp := &p\n q := *pp\n q = q }\n");
         let pts = cr.points_to(var_named(&r, "q"));
         assert!(pts.contains(&Node::Var(var_named(&r, "x"))));
-    }
-
-    #[test]
-    fn params_point_to_unknown() {
-        let (r, cr) = run("func f(p *int) { q := p\n q = q }\n");
-        assert!(cr.may_point_unknown(var_named(&r, "q")));
     }
 
     #[test]

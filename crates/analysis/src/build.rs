@@ -21,23 +21,6 @@ use minigo_syntax::{
 use crate::graph::{AllocKind, ContentOrigin, EscapeGraph, LocId, LocKind, HEAP_LOC};
 use crate::summary::FuncSummary;
 
-/// Options controlling graph construction and allocation decisions.
-#[derive(Debug, Clone)]
-pub struct BuildOptions {
-    /// Allocations larger than this (or of unknown size) are heap-allocated
-    /// regardless of escape behaviour, mirroring Go's implicit-allocation
-    /// size limit.
-    pub max_stack_bytes: u64,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            max_stack_bytes: 64 * 1024,
-        }
-    }
-}
-
 /// An allocation site (a `make`, `new`, or `&T{..}` expression).
 #[derive(Debug, Clone)]
 pub struct AllocSite {
@@ -83,14 +66,12 @@ pub fn build_func_graph(
     types: &TypeInfo,
     func: &Func,
     summaries: &IdMap<FuncId, FuncSummary>,
-    opts: &BuildOptions,
 ) -> FuncGraph {
     let mut b = Builder {
         program,
         res,
         types,
         summaries,
-        opts,
         g: EscapeGraph::new(),
         return_dummy: HEAP_LOC, // replaced below
         var_locs: FxHashMap::default(),
@@ -166,7 +147,6 @@ struct Builder<'a> {
     res: &'a Resolution,
     types: &'a TypeInfo,
     summaries: &'a IdMap<FuncId, FuncSummary>,
-    opts: &'a BuildOptions,
     g: EscapeGraph,
     return_dummy: LocId,
     var_locs: FxHashMap<VarId, LocId>,
@@ -612,7 +592,7 @@ impl<'a> Builder<'a> {
         // stack; seeding HeapAlloc here both records the decision and lets
         // PointsToHeap (definition 4.16) see them.
         let forced_heap = match const_size {
-            Some(sz) => sz > self.opts.max_stack_bytes,
+            Some(sz) => sz > crate::MAX_STACK_BYTES,
             None => true,
         };
         if forced_heap {
@@ -818,14 +798,7 @@ mod tests {
 
     fn build_first(src: &str) -> (minigo_syntax::Program, Resolution, TypeInfo, FuncGraph) {
         let (p, r, t) = frontend(src).expect("frontend");
-        let fg = build_func_graph(
-            &p,
-            &r,
-            &t,
-            &p.funcs[0],
-            &IdMap::default(),
-            &BuildOptions::default(),
-        );
+        let fg = build_func_graph(&p, &r, &t, &p.funcs[0], &IdMap::default());
         (p, r, t, fg)
     }
 

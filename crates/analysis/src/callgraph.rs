@@ -63,19 +63,6 @@ impl CallGraph {
         self.callees.get(f).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Whether `caller` and `callee` are mutually recursive (same SCC) or
-    /// the call is a direct self-call — either way the callee's tag is not
-    /// available when the caller is analyzed.
-    pub fn call_unresolvable(&self, caller: FuncId, callee: FuncId) -> bool {
-        if caller == callee {
-            return true;
-        }
-        match (self.scc.get(caller), self.scc.get(callee)) {
-            (Some(a), Some(b)) => a == b,
-            _ => true,
-        }
-    }
-
     /// Whether `f` participates in recursion at all.
     pub fn is_recursive(&self, f: FuncId) -> bool {
         self.self_recursive.get(f).copied().unwrap_or(false)
@@ -196,7 +183,6 @@ mod tests {
         let cg = CallGraph::build(&p);
         let f = p.funcs[0].id;
         assert!(cg.is_recursive(f));
-        assert!(cg.call_unresolvable(f, f));
     }
 
     #[test]
@@ -212,8 +198,6 @@ mod tests {
         assert!(cg.is_recursive(even));
         assert!(cg.is_recursive(odd));
         assert!(!cg.is_recursive(top));
-        assert!(cg.call_unresolvable(even, odd));
-        assert!(!cg.call_unresolvable(top, even));
     }
 
     #[test]

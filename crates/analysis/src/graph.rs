@@ -9,7 +9,7 @@ use std::fmt;
 
 use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::visit::{self, Walk};
-use minigo_syntax::{Expr, ExprId, ExprKind, FreeKind, FuncId, Program, Resolution, VarId};
+use minigo_syntax::{Expr, ExprId, ExprKind, FuncId, Program, Resolution, VarId};
 
 /// Identifies a location (vertex) within one function's escape graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,17 +57,6 @@ pub enum AllocKind {
     MapBuckets,
     /// The object of `new(T)` or `&T{..}`.
     Object,
-}
-
-impl AllocKind {
-    /// The `tcfree` variant that frees objects of this kind.
-    pub fn free_kind(self) -> FreeKind {
-        match self {
-            AllocKind::SliceArray => FreeKind::Slice,
-            AllocKind::MapBuckets => FreeKind::Map,
-            AllocKind::Object => FreeKind::Pointer,
-        }
-    }
 }
 
 /// Where a content dummy location came from.
@@ -260,12 +249,6 @@ impl EscapeGraph {
     /// Iterates all location ids.
     pub fn ids(&self) -> impl Iterator<Item = LocId> {
         (0..self.locs.len() as u32).map(LocId)
-    }
-
-    /// Finds the location of a variable, if present.
-    pub fn var_loc(&self, var: VarId) -> Option<LocId> {
-        self.ids()
-            .find(|id| matches!(self.loc(*id).kind, LocKind::Var(v) if v == var))
     }
 
     /// Renders the escape graph as Graphviz DOT, coloring heap-allocated
@@ -472,21 +455,6 @@ mod tests {
         g.loc_mut(a).outlived = false;
         g.loc_mut(a).pinned = true;
         assert!(!g.loc(a).to_free());
-    }
-
-    #[test]
-    fn alloc_kind_maps_to_free_kind() {
-        assert_eq!(AllocKind::SliceArray.free_kind(), FreeKind::Slice);
-        assert_eq!(AllocKind::MapBuckets.free_kind(), FreeKind::Map);
-        assert_eq!(AllocKind::Object.free_kind(), FreeKind::Pointer);
-    }
-
-    #[test]
-    fn var_loc_lookup() {
-        let mut g = EscapeGraph::new();
-        let a = g.add_location(LocKind::Var(VarId(7)), 0, 1, true);
-        assert_eq!(g.var_loc(VarId(7)), Some(a));
-        assert_eq!(g.var_loc(VarId(8)), None);
     }
 
     #[test]

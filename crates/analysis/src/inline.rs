@@ -22,18 +22,8 @@ use minigo_syntax::{
 
 use crate::callgraph::CallGraph;
 
-/// Inlining options.
-#[derive(Debug, Clone)]
-pub struct InlineOptions {
-    /// Maximum number of statements in an inlinable callee.
-    pub max_stmts: usize,
-}
-
-impl Default for InlineOptions {
-    fn default() -> Self {
-        InlineOptions { max_stmts: 12 }
-    }
-}
+/// Maximum number of statements in an inlinable callee.
+const MAX_STMTS: usize = 12;
 
 /// Statistics from one inlining pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,21 +41,21 @@ pub struct InlineStats {
 /// parser would have refused.
 ///
 /// ```
-/// use minigo_escape::{inline_program, InlineOptions};
+/// use minigo_escape::inline_program;
 ///
 /// let src = "func mk() []int { s := make([]int, 4)\n return s }\nfunc main() { t := mk()\n print(len(t)) }\n";
 /// let program = minigo_syntax::parse(src).unwrap();
-/// let (inlined, stats) = inline_program(&program, &InlineOptions::default());
+/// let (inlined, stats) = inline_program(&program);
 /// assert_eq!(stats.inlined_calls, 1);
 /// let text = minigo_syntax::print_program(&inlined);
 /// assert!(text.contains("__in0_s := make"));
 /// ```
-pub fn inline_program(program: &Program, opts: &InlineOptions) -> (Program, InlineStats) {
+pub fn inline_program(program: &Program) -> (Program, InlineStats) {
     let cg = CallGraph::build(program);
     let eligible: IdMap<FuncId, &Func> = program
         .funcs
         .iter()
-        .filter(|f| is_eligible(f, &cg, opts))
+        .filter(|f| is_eligible(f, &cg))
         .map(|f| (f.id, f))
         .collect();
     let mut out = program.clone();
@@ -97,7 +87,7 @@ pub fn inline_program(program: &Program, opts: &InlineOptions) -> (Program, Inli
 /// A callee is inlinable when it is small, non-recursive, not `main`, and
 /// control flow is simple: at most one `return`, which must be the last
 /// statement of the body.
-fn is_eligible(f: &Func, cg: &CallGraph, opts: &InlineOptions) -> bool {
+fn is_eligible(f: &Func, cg: &CallGraph) -> bool {
     if f.name == "main" || cg.is_recursive(f.id) {
         return false;
     }
@@ -114,7 +104,7 @@ fn is_eligible(f: &Func, cg: &CallGraph, opts: &InlineOptions) -> bool {
         }
         Walk::Descend
     });
-    if stmts - clauses > opts.max_stmts {
+    if stmts - clauses > MAX_STMTS {
         return false;
     }
     match returns {
@@ -451,7 +441,7 @@ mod tests {
 
     fn inline_and_print(src: &str) -> (String, InlineStats) {
         let p = parse(src).expect("parses");
-        let (out, stats) = inline_program(&p, &InlineOptions::default());
+        let (out, stats) = inline_program(&p);
         let text = print_program(&out);
         // The transformed program must still be valid MiniGo.
         minigo_syntax::frontend(&text)
@@ -489,7 +479,7 @@ mod tests {
         // escaped `mk` by return becomes stack-allocatable in plain Go.
         let src = "func mk(n int) []int { s := make([]int, 8)\n s[0] = n * 2\n return s }\nfunc main() { t := mk(21)\n x := t[0] + 1\n print(x) }\n";
         let p = parse(src).expect("parses");
-        let (inlined, stats) = inline_program(&p, &InlineOptions::default());
+        let (inlined, stats) = inline_program(&p);
         assert!(stats.inlined_calls >= 1);
         let text = print_program(&inlined);
         let (program, res, types) = minigo_syntax::frontend(&text)

@@ -53,12 +53,12 @@ pub use analyze::{
     analyze, AllocPlace, Analysis, AnalysisStats, AnalyzeOptions, FreeTargets, Mode,
 };
 pub use audit::{audit, strip_unproven, AuditMode, AuditReport, AuditSite, AuditVerdict};
-pub use build::{build_func_graph, AllocSite, BuildOptions, FuncGraph};
+pub use build::{build_func_graph, AllocSite, FuncGraph};
 pub use callgraph::CallGraph;
 pub use graph::{
     AllocKind, ContentOrigin, Edge, EscapeGraph, Labels, LocId, LocKind, Location, HEAP_LOC,
 };
-pub use inline::{inline_program, InlineOptions, InlineStats};
+pub use inline::{inline_program, InlineStats};
 pub use instrument::{
     instrument, instrument_in_place, instrument_with_plan, instrument_with_plan_in_place,
 };
@@ -68,6 +68,11 @@ pub use liveness::{
 };
 pub use solve::{holds, points_to, solve, walk, SolveConfig, SolveStats};
 pub use summary::{FuncSummary, SummaryDst, SummaryEdge};
+
+/// Allocations larger than this (or of unknown size) are heap-allocated
+/// regardless of escape behaviour, mirroring Go's implicit-allocation
+/// size limit.
+pub const MAX_STACK_BYTES: u64 = 64 * 1024;
 
 /// Bytes charged for a map's hmap header plus its initial bucket — the
 /// constant-size part of `make(map[K]V)` that can live on the stack when

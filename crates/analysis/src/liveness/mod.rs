@@ -53,20 +53,31 @@ pub enum FreePlacement {
 }
 
 impl FreePlacement {
-    /// Parses a CLI value (`scope` / `lastuse`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scope" => Some(FreePlacement::Scope),
-            "lastuse" | "last-use" => Some(FreePlacement::LastUse),
-            _ => None,
-        }
-    }
-
     /// Canonical CLI/report name.
     pub fn name(self) -> &'static str {
         match self {
             FreePlacement::Scope => "scope",
             FreePlacement::LastUse => "lastuse",
+        }
+    }
+}
+
+impl std::fmt::Display for FreePlacement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for FreePlacement {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "scope" => Ok(FreePlacement::Scope),
+            "lastuse" => Ok(FreePlacement::LastUse),
+            other => Err(format!(
+                "unknown free placement {other:?} (expected \"scope\" or \"lastuse\")"
+            )),
         }
     }
 }
@@ -398,12 +409,9 @@ mod tests {
 
     #[test]
     fn placement_parse_roundtrip() {
-        assert_eq!(FreePlacement::parse("scope"), Some(FreePlacement::Scope));
-        assert_eq!(
-            FreePlacement::parse("lastuse"),
-            Some(FreePlacement::LastUse)
-        );
-        assert_eq!(FreePlacement::parse("bogus"), None);
-        assert_eq!(FreePlacement::LastUse.name(), "lastuse");
+        assert_eq!("scope".parse(), Ok(FreePlacement::Scope));
+        assert_eq!("lastuse".parse(), Ok(FreePlacement::LastUse));
+        assert!("bogus".parse::<FreePlacement>().is_err());
+        assert_eq!(FreePlacement::LastUse.to_string(), "lastuse");
     }
 }

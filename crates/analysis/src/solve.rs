@@ -544,7 +544,7 @@ mod tests {
     /// The graphs the analysis builds for the generated corpus and
     /// fuzzer programs, one per function.
     fn program_graphs() -> Vec<EscapeGraph> {
-        use crate::{analyze, build_func_graph, AnalyzeOptions, BuildOptions};
+        use crate::{analyze, build_func_graph, AnalyzeOptions};
         use gofree_workloads::{corpus, fuzzgen};
         let mut sources = vec![corpus::generate(200)];
         sources.extend((0..16).map(fuzzgen::generate));
@@ -554,14 +554,7 @@ mod tests {
                 minigo_syntax::frontend(src).expect("generated programs compile");
             let analysis = analyze(&program, &res, &types, &AnalyzeOptions::default());
             for func in &program.funcs {
-                let fg = build_func_graph(
-                    &program,
-                    &res,
-                    &types,
-                    func,
-                    &analysis.summaries,
-                    &BuildOptions::default(),
-                );
+                let fg = build_func_graph(&program, &res, &types, func, &analysis.summaries);
                 graphs.push(fg.graph);
             }
         }

@@ -3,9 +3,7 @@
 //! the *work counters* (walks, relaxations and locations reached), which
 //! are deterministic, rather than wall time.
 
-use minigo_escape::{
-    analyze, build_func_graph, solve, AnalyzeOptions, BuildOptions, LocKind, SolveConfig,
-};
+use minigo_escape::{analyze, build_func_graph, solve, AnalyzeOptions, LocKind, SolveConfig};
 use minigo_syntax::{frontend, IdMap, VarId};
 
 /// A straight-line pointer-heavy function with `k` statements.
@@ -28,14 +26,7 @@ fn solve_counters(k: usize) -> (usize, usize, usize, usize) {
     let src = chain_program(k);
     let (program, res, types) = frontend(&src).expect("compiles");
     let func = program.func("big").unwrap().clone();
-    let mut fg = build_func_graph(
-        &program,
-        &res,
-        &types,
-        &func,
-        &IdMap::default(),
-        &BuildOptions::default(),
-    );
+    let mut fg = build_func_graph(&program, &res, &types, &func, &IdMap::default());
     let n = fg.graph.len();
     let stats = solve(&mut fg.graph, &SolveConfig::default());
     (n, stats.walks, stats.relaxations, stats.passes)
@@ -100,14 +91,7 @@ fn dense_alias_cliques_converge() {
     body.push_str("    return *p19\n}\nfunc main() { print(clique()) }\n");
     let (program, res, types) = frontend(&body).expect("compiles");
     let func = program.func("clique").unwrap().clone();
-    let mut fg = build_func_graph(
-        &program,
-        &res,
-        &types,
-        &func,
-        &IdMap::default(),
-        &BuildOptions::default(),
-    );
+    let mut fg = build_func_graph(&program, &res, &types, &func, &IdMap::default());
     let stats = solve(&mut fg.graph, &SolveConfig::default());
     assert!(
         stats.passes <= 6,
@@ -124,14 +108,7 @@ fn isolated_locations_leave_each_walk_unchanged() {
     let src = chain_program(100);
     let (program, res, types) = frontend(&src).expect("compiles");
     let func = program.func("big").unwrap();
-    let fg = build_func_graph(
-        &program,
-        &res,
-        &types,
-        func,
-        &IdMap::default(),
-        &BuildOptions::default(),
-    );
+    let fg = build_func_graph(&program, &res, &types, func, &IdMap::default());
     let go = SolveConfig {
         gofree: false,
         back_propagation: false,

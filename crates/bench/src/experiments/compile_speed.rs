@@ -16,7 +16,7 @@ use gofree::{compile, welch_t_test, CompileOptions, Setting};
 use gofree_workloads::corpus;
 use minigo_escape::baseline::{conn, fast};
 use minigo_escape::{
-    analyze, build_func_graph, solve, AnalyzeOptions, BuildOptions, Labels, SolveConfig,
+    analyze, build_func_graph, solve, AnalyzeOptions, Labels, SolveConfig,
 };
 use minigo_syntax::{frontend, IdMap};
 
@@ -201,8 +201,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
                     &res,
                     &types,
                     f,
-                    &IdMap::default(),
-                    &BuildOptions::default(),
+                    &IdMap::default()
                 );
                 let s = solve(
                     &mut fg.graph,

@@ -35,7 +35,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
                 &gofree,
                 Setting::GoFree,
                 &RunConfig {
-                    poison: PoisonMode::Flip,
+                    poison: PoisonMode::Zero,
                     ..cfg.clone()
                 },
             )

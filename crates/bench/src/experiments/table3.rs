@@ -6,7 +6,7 @@ use crate::Options;
 use gofree::cli::Observed;
 use minigo_escape::baseline::{conn, fast};
 use minigo_escape::{
-    build_func_graph, points_to, solve, BuildOptions, Labels, LocKind, SolveConfig,
+    build_func_graph, points_to, solve, Labels, LocKind, SolveConfig,
 };
 use minigo_syntax::{frontend, IdMap, VarId};
 
@@ -79,8 +79,7 @@ pub fn run(_: &Options) -> Result<Option<Observed>, String> {
         &res,
         &types,
         &func,
-        &IdMap::default(),
-        &BuildOptions::default(),
+        &IdMap::default()
     );
     solve(&mut fg.graph, &SolveConfig::default());
     let loc = fg.loc_of(pd2);

@@ -37,6 +37,10 @@ fn malformed_invocations_exit_1_with_one_line() {
         (&["table9", "--opt", "max"], "unknown opt level"),
         (
             &["table9", "--free-placement", "early"],
+            "unknown free placement",
+        ),
+        (
+            &["table9", "--free-placement"],
             "--free-placement needs scope or lastuse",
         ),
         (&["table9", "--trace"], "--trace needs an output path"),

@@ -3,16 +3,22 @@
 //! escape analysis and its graph, and profile allocation sites.
 //!
 //! ```text
-//! minigo run [--go] [--gcoff] [--seed N] [--jobs N] [--collector go|gen]
-//!            [--opt off|full] [--audit MODE] [--free-placement MODE]
-//!            [--sanitize] [--explain] [--trace PATH] [--profile PATH]
-//!            [--gctrace] [--report-json PATH] [--trace-cap N]
+//! minigo run [--gcoff] [--seed N] [--runs N] [--jobs N] [--engine E]
+//!            [--opt off|full] [--collector go|gen] [--sanitize] [--explain]
+//!            [--trace PATH] [--profile PATH] [--gctrace] [--report-json PATH]
+//!            [--trace-cap N]
 //!            [--service [--requests N] [--rps N] [--arrival SHAPE]] <file>
-//! minigo build [--go] [--audit MODE] [--free-placement MODE] [--explain] <file>
-//! minigo analyze [--func NAME] <file>   # escape properties + decisions
-//! minigo dot --func NAME <file>         # escape graph as Graphviz DOT
-//! minigo profile <file>                 # top allocation sites
+//! minigo build [--explain] <file>        # instrumented source
+//! minigo analyze [--func NAME] <file>    # escape properties + decisions
+//! minigo dot --func NAME <file>          # escape graph as Graphviz DOT
+//! minigo explain [--func NAME] <file>    # why each local is (not) freed
+//! minigo profile [--seed N] [--engine E] [--opt off|full]
+//!                [--collector go|gen] <file>   # top allocation sites
 //! ```
+//!
+//! Every command also reads the compile options `--go`/`--gofree`,
+//! `--audit MODE` and `--free-placement MODE`, and refuses any option it
+//! does not read.
 //!
 //! `--audit {off,warn,deny}` runs the independent free-safety auditor
 //! over the instrumented program; `deny` strips unproven frees before
@@ -46,8 +52,8 @@
 //! `handle(state, req)` executes `--requests N` requests arriving at
 //! `--rps N` with the `--arrival {fixed,poisson,burst}` shape; the
 //! summary reports exact latency percentiles, minor/major GC pause
-//! histograms, and heap high-water marks. It runs once: `--runs` above 1
-//! is an error there. `--trace`, `--profile`, `--gctrace` and
+//! histograms, and heap high-water marks. It runs once: `--runs` and
+//! `--jobs` are errors there. `--trace`, `--profile`, `--gctrace` and
 //! `--report-json` observe a run, so every command but `run` refuses
 //! them.
 
@@ -72,8 +78,10 @@ fn main() -> ExitCode {
 
 /// `minigo`'s own options; the ones it shares with `bench` are `common`,
 /// and `--seed`, `--sanitize` and `--trace-cap` write into its
-/// [`RunConfig`] too.
-struct Cli {
+/// [`RunConfig`] too. `given` lists every option named, so a command can
+/// refuse the ones it does not read.
+struct Cli<'a> {
+    given: Vec<&'a str>,
     go_mode: bool,
     gcoff: bool,
     audit: AuditMode,
@@ -85,8 +93,9 @@ struct Cli {
     common: CommonOptions,
 }
 
-fn parse_cli(args: &[String]) -> Result<Cli, String> {
+fn parse_cli(args: &[String]) -> Result<Cli<'_>, String> {
     let mut cli = Cli {
+        given: Vec::new(),
         go_mode: false,
         gcoff: false,
         audit: AuditMode::Off,
@@ -99,6 +108,9 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if arg.starts_with('-') {
+            cli.given.push(arg);
+        }
         let cfg = &mut cli.common.config;
         match arg.as_str() {
             "--go" => cli.go_mode = true,
@@ -132,9 +144,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
         }
     }
-    if cli.service && cli.common.runs.is_some_and(|n| n > 1) {
-        return Err("--runs above 1 is for batch runs; --service runs once".into());
-    }
     Ok(cli)
 }
 
@@ -152,10 +161,8 @@ fn run_cli(args: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown command `{other}`\n{}", usage())),
     }
-    if cmd != "run" && cli.common.any_artifact() {
-        return Err(format!(
-            "`{cmd}` writes no artifacts: --trace, --profile, --gctrace and --report-json are for `run`"
-        ));
+    if let Some(refused) = cli.given.iter().find_map(|opt| refusal(cmd, opt, &cli)) {
+        return Err(refused);
     }
     let file = cli.file.as_ref().ok_or("missing input file")?;
     let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
@@ -248,6 +255,40 @@ fn run_cli(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Why `cmd` refuses option `opt`, or `None` when it reads it. Every
+/// command compiles its file, so every command reads the compile
+/// options; the run knobs are read by `run` and by the single GoFree run
+/// of `profile`; the rest by `run` alone: the artifacts, the traffic
+/// options only with `--service` (which runs once, so without `--runs`
+/// and `--jobs`) and `--trace-cap` only with an artifact that records
+/// the event stream.
+fn refusal(cmd: &str, opt: &str, cli: &Cli) -> Option<String> {
+    let reads = match opt {
+        "--go" | "--gofree" | "--audit" | "--free-placement" => true,
+        "--trace" | "--profile" | "--gctrace" | "--report-json" if cmd != "run" => {
+            return Some(format!(
+                "`{cmd}` writes no artifacts: --trace, --profile, --gctrace and --report-json are for `run`"
+            ));
+        }
+        "--explain" => matches!(cmd, "run" | "build"),
+        "--func" => matches!(cmd, "analyze" | "dot" | "explain"),
+        "--seed" | "--engine" | "--opt" | "--collector" => matches!(cmd, "run" | "profile"),
+        "--runs" | "--jobs" if cmd == "run" && cli.service => {
+            return Some(format!("`run --service` runs once: it does not read {opt}"));
+        }
+        "--requests" | "--rps" | "--arrival" if cmd == "run" && !cli.service => {
+            return Some(format!("`run` reads {opt} only with --service"));
+        }
+        "--trace-cap" if cmd == "run" && !cli.common.config.trace => {
+            return Some(format!(
+                "`run` reads {opt} only with --trace, --profile or --gctrace"
+            ));
+        }
+        _ => cmd == "run",
+    };
+    (!reads).then(|| format!("`{cmd}` does not read {opt}"))
 }
 
 fn usage() -> String {
@@ -389,7 +430,7 @@ fn report_audit(compiled: &gofree::Compiled, src: &str) {
 /// verdict (the auditor's reason strings verbatim).
 fn explain_sites(compiled: &gofree::Compiled, src: &str) {
     let spans = collect_spans(&compiled.program);
-    let max_stack = compiled.analysis.options.build.max_stack_bytes;
+    let max_stack = minigo_escape::MAX_STACK_BYTES;
     let mut lines: Vec<(u32, String)> = Vec::new();
     for fg in compiled.analysis.funcs.values() {
         for (expr, site) in &fg.alloc_sites {

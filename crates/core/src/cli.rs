@@ -81,8 +81,8 @@ impl CommonOptions {
                 self.config.collector = value(rest, "--collector needs go or gen")?.parse()?;
             }
             "--free-placement" => {
-                let need = "--free-placement needs scope or lastuse";
-                self.free_placement = FreePlacement::parse(value(rest, need)?).ok_or(need)?;
+                self.free_placement =
+                    value(rest, "--free-placement needs scope or lastuse")?.parse()?;
             }
             "--trace" => self.trace = Some(path(rest)?),
             "--profile" => self.profile = Some(path(rest)?),

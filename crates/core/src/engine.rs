@@ -79,8 +79,8 @@ impl std::str::FromStr for VmEngine {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "tree-walk" | "treewalk" | "ast" => Ok(VmEngine::TreeWalk),
-            "bytecode" | "bc" => Ok(VmEngine::Bytecode),
+            "tree-walk" => Ok(VmEngine::TreeWalk),
+            "bytecode" => Ok(VmEngine::Bytecode),
             other => Err(format!(
                 "unknown engine {other:?} (expected \"tree-walk\" or \"bytecode\")"
             )),
@@ -119,8 +119,8 @@ impl std::str::FromStr for OptLevel {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "off" | "0" | "none" => Ok(OptLevel::Off),
-            "full" | "on" => Ok(OptLevel::Full),
+            "off" => Ok(OptLevel::Off),
+            "full" => Ok(OptLevel::Full),
             other => Err(format!(
                 "unknown opt level {other:?} (expected \"off\" or \"full\")"
             )),
@@ -143,8 +143,6 @@ pub struct RunConfig {
     pub jitter: f64,
     /// §6.8 mock tcfree.
     pub poison: PoisonMode,
-    /// Statement budget.
-    pub step_limit: u64,
     /// Which VM engine executes the program.
     pub engine: VmEngine,
     /// Which instruction stream the bytecode engine runs ([`OptLevel`]);
@@ -194,7 +192,6 @@ impl Default for RunConfig {
             migrate_prob: 0.0005,
             jitter: 0.02,
             poison: PoisonMode::Off,
-            step_limit: 500_000_000,
             engine: VmEngine::default(),
             opt: OptLevel::default(),
             sanitize: false,
@@ -237,9 +234,7 @@ impl RunConfig {
                 trace_cap: self.trace_cap,
                 collector: self.collector,
                 nursery_size: self.nursery_size,
-                ..RuntimeConfig::default()
             },
-            step_limit: self.step_limit,
             grow_map_free_old: compiled.analysis.options.mode == Mode::GoFree,
             sanitize: self.sanitize,
             ..VmConfig::default()

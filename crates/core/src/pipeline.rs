@@ -3,7 +3,7 @@
 use minigo_escape::{
     analyze, audit, inline_program, instrument_in_place, instrument_with_plan_in_place,
     plan_placement, strip_unproven, Analysis, AnalyzeOptions, AuditMode, AuditReport,
-    FreePlacement, FreeTargets, InlineOptions, Mode, PlacementStats,
+    FreePlacement, FreeTargets, Mode, PlacementStats,
 };
 use minigo_syntax::{
     parse, print_program, resolve, typecheck, Diagnostic, Program, Resolution, TypeInfo,
@@ -65,7 +65,6 @@ impl CompileOptions {
             free_targets: self.free_targets,
             content_tags: self.content_tags,
             back_propagation: self.back_propagation,
-            ..AnalyzeOptions::default()
         }
     }
 }
@@ -146,7 +145,7 @@ pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, Diagnostic>
     timed("parse", t.elapsed().as_nanos());
     if opts.inline {
         let t = std::time::Instant::now();
-        program = inline_program(&program, &InlineOptions::default()).0;
+        program = inline_program(&program).0;
         timed("inline", t.elapsed().as_nanos());
     }
     let t = std::time::Instant::now();

@@ -89,7 +89,7 @@ impl FromStr for Arrival {
         match s {
             "fixed" => Ok(Arrival::Fixed),
             "poisson" => Ok(Arrival::Poisson),
-            "burst" | "spike" => Ok(Arrival::Burst),
+            "burst" => Ok(Arrival::Burst),
             other => Err(format!(
                 "unknown arrival {other:?} (expected \"fixed\", \"poisson\", or \"burst\")"
             )),
@@ -498,7 +498,8 @@ mod tests {
     #[test]
     fn arrival_parses() {
         assert_eq!("fixed".parse::<Arrival>().unwrap(), Arrival::Fixed);
-        assert_eq!("spike".parse::<Arrival>().unwrap(), Arrival::Burst);
+        assert_eq!("burst".parse::<Arrival>().unwrap(), Arrival::Burst);
+        assert!("spike".parse::<Arrival>().is_err());
         assert!("bogus".parse::<Arrival>().is_err());
     }
 }

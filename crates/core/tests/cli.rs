@@ -1,7 +1,11 @@
 //! Integration tests for the `minigo` command-line tool.
 
+use std::fmt::Display;
 use std::io::Write as _;
 use std::process::Command;
+use std::str::FromStr;
+
+use gofree::{Arrival, AuditMode, CollectorKind, FreePlacement, OptLevel, VmEngine};
 
 fn write_temp(name: &str, content: impl AsRef<[u8]>) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!("minigo-cli-{name}-{}.mgo", std::process::id()));
@@ -81,6 +85,51 @@ fn profile_lists_sites() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("make (in work)"), "{text}");
     let _ = std::fs::remove_file(path);
+}
+
+/// Each enum option has one spelling per value: every value the usage
+/// line lists parses and prints back as listed, and no other spelling
+/// of a value parses.
+#[test]
+fn every_listed_value_round_trips_and_no_alias_parses() {
+    fn round_trip<T: FromStr<Err = String> + Display>(s: &str) -> Result<String, String> {
+        s.parse::<T>().map(|v| v.to_string())
+    }
+    let usage = String::from_utf8_lossy(&minigo(&["help"]).stderr).into_owned();
+    type RoundTrip = fn(&str) -> Result<String, String>;
+    let table: [(&str, RoundTrip, &[&str]); 6] = [
+        (
+            "--engine",
+            round_trip::<VmEngine>,
+            &["treewalk", "ast", "bc"],
+        ),
+        ("--opt", round_trip::<OptLevel>, &["0", "none", "on"]),
+        (
+            "--collector",
+            round_trip::<CollectorKind>,
+            &["generational"],
+        ),
+        ("--audit", round_trip::<AuditMode>, &[]),
+        (
+            "--free-placement",
+            round_trip::<FreePlacement>,
+            &["last-use"],
+        ),
+        ("--arrival", round_trip::<Arrival>, &["spike"]),
+    ];
+    for (opt, parse, aliases) in table {
+        let listed = usage
+            .split(&format!("[{opt} "))
+            .nth(1)
+            .and_then(|rest| rest.split(']').next())
+            .unwrap_or_else(|| panic!("usage lists no values for {opt}: {usage}"));
+        for value in listed.split('|') {
+            assert_eq!(parse(value), Ok(value.to_string()), "{opt} {value}");
+        }
+        for alias in aliases {
+            assert!(parse(alias).is_err(), "{opt} accepts {alias}");
+        }
+    }
 }
 
 #[test]
@@ -247,12 +296,15 @@ fn every_failure_exits_1_with_one_line() {
 
     let path = write_temp("good", PROGRAM);
     let good = path.to_str().unwrap();
-    // A service run is one run: `--runs` above 1 is refused, not ignored.
-    fails(
-        "service-runs",
-        &["run", "--service", "--runs", "2", good],
-        "--runs",
-    );
+    // A service run is one run: `--runs` and `--jobs` are refused, not
+    // ignored.
+    for opt in ["--runs", "--jobs"] {
+        fails(
+            opt,
+            &["run", "--service", opt, "2", good],
+            &format!("`run --service` runs once: it does not read {opt}"),
+        );
+    }
     // The artifacts are written by `run` alone: any other command
     // refuses their options instead of exiting 0 with nothing written.
     for args in [
@@ -263,6 +315,82 @@ fn every_failure_exits_1_with_one_line() {
     ] {
         fails(args[0], &[args, &[good]].concat(), "writes no artifacts");
     }
+    // Every other option a command does not read is refused too, naming
+    // the option and the command.
+    let run_knobs: [&[&str]; 13] = [
+        &["--runs", "3"],
+        &["--jobs", "2"],
+        &["--engine", "tree-walk"],
+        &["--opt", "off"],
+        &["--collector", "gen"],
+        &["--seed", "7"],
+        &["--sanitize"],
+        &["--gcoff"],
+        &["--trace-cap", "10"],
+        &["--service"],
+        &["--requests", "5"],
+        &["--rps", "5"],
+        &["--arrival", "burst"],
+    ];
+    let mut refused: Vec<(&str, &[&str])> = Vec::new();
+    for cmd in ["build", "analyze", "dot", "explain"] {
+        refused.extend(run_knobs.iter().map(|opt| (cmd, *opt)));
+    }
+    // `profile` makes one GoFree run: it reads --seed, --engine, --opt
+    // and --collector, and nothing else of `run`'s.
+    let profile_reads =
+        |opt: &&[&str]| matches!(opt[0], "--seed" | "--engine" | "--opt" | "--collector");
+    refused.extend(
+        run_knobs
+            .iter()
+            .filter(|opt| !profile_reads(opt))
+            .map(|opt| ("profile", *opt)),
+    );
+    for cmd in ["analyze", "dot", "explain", "profile"] {
+        refused.push((cmd, &["--explain"]));
+    }
+    for cmd in ["run", "build", "profile"] {
+        refused.push((cmd, &["--func", "main"]));
+    }
+    for (cmd, opt) in refused {
+        let label = format!("{cmd} {}", opt.join(" "));
+        let want = format!("`{cmd}` does not read {}", opt[0]);
+        fails(&label, &[&[cmd][..], opt, &[good]].concat(), &want);
+    }
+    // `run` reads the traffic options only for a service run, and the
+    // trace cap only when an artifact records the event stream.
+    for opt in [["--requests", "5"], ["--rps", "5"], ["--arrival", "burst"]] {
+        let want = format!("`run` reads {} only with --service", opt[0]);
+        fails(opt[0], &[&["run"][..], &opt, &[good]].concat(), &want);
+    }
+    fails(
+        "trace-cap",
+        &["run", "--trace-cap", "10", good],
+        "`run` reads --trace-cap only with --trace, --profile or --gctrace",
+    );
+    // Mixed: the first option the command does not read is named.
+    fails(
+        "build knobs",
+        &[
+            "build",
+            "--runs",
+            "3",
+            "--engine",
+            "tree-walk",
+            "--opt",
+            "off",
+            "--sanitize",
+            "--jobs",
+            "2",
+            good,
+        ],
+        "`build` does not read --runs",
+    );
+    fails(
+        "analyze service",
+        &["analyze", "--service", "--rps", "5", "--explain", good],
+        "`analyze` does not read --service",
+    );
     assert_eq!(minigo(&["run", good]).status.code(), Some(0));
     let _ = std::fs::remove_file(path);
 }

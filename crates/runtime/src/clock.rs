@@ -9,62 +9,46 @@
 
 use crate::rng::SimRng;
 
-/// Tick charges for runtime events.
-#[derive(Debug, Clone)]
-pub struct CostModel {
+/// Tick charges for runtime events: one fixed table, so virtual time is a
+/// function of the program and the seed alone.
+pub mod cost {
     /// Fast-path small allocation (mcache hit).
-    pub alloc_small: u64,
+    pub const ALLOC_SMALL: u64 = 8;
     /// Refilling an mcache from the mcentral.
-    pub mcache_refill: u64,
+    pub const MCACHE_REFILL: u64 = 40;
     /// Carving a fresh mspan out of the page heap.
-    pub span_create: u64,
+    pub const SPAN_CREATE: u64 = 50;
     /// Large (dedicated-span) allocation base cost.
-    pub alloc_large: u64,
+    pub const ALLOC_LARGE: u64 = 300;
     /// Extra cost per page of a large allocation.
-    pub alloc_large_per_page: u64,
+    pub const ALLOC_LARGE_PER_PAGE: u64 = 6;
     /// A `tcfree` attempt (status checks).
-    pub tcfree_attempt: u64,
+    pub const TCFREE_ATTEMPT: u64 = 4;
     /// Extra cost when a small free succeeds.
-    pub tcfree_small: u64,
+    pub const TCFREE_SMALL: u64 = 6;
     /// Extra cost when a large free succeeds (page return + dangling mark).
-    pub tcfree_large: u64,
+    pub const TCFREE_LARGE: u64 = 80;
     /// GC stop/start overhead per cycle.
-    pub gc_cycle_base: u64,
+    pub const GC_CYCLE_BASE: u64 = 6000;
     /// Marking one live object.
-    pub gc_mark_object: u64,
+    pub const GC_MARK_OBJECT: u64 = 10;
     /// Scanning cost per 64 bytes of live data.
-    pub gc_scan_per_64b: u64,
+    pub const GC_SCAN_PER_64B: u64 = 3;
     /// Sweeping one span.
-    pub gc_sweep_span: u64,
+    pub const GC_SWEEP_SPAN: u64 = 40;
     /// GC stop/start overhead of a generational *minor* cycle (nursery
-    /// only — much cheaper than `gc_cycle_base`). Unused by the default
+    /// only — much cheaper than `GC_CYCLE_BASE`). Unused by the default
     /// mark-sweep backend.
-    pub gc_minor_base: u64,
+    pub const GC_MINOR_BASE: u64 = 1500;
     /// The generational write barrier: charged when a store into an old
     /// object enters the remembered set. The default mark-sweep backend
     /// has no barrier and never charges this.
-    pub write_barrier: u64,
-}
+    pub const WRITE_BARRIER: u64 = 2;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            alloc_small: 8,
-            mcache_refill: 40,
-            span_create: 50,
-            alloc_large: 300,
-            alloc_large_per_page: 6,
-            tcfree_attempt: 4,
-            tcfree_small: 6,
-            tcfree_large: 80,
-            gc_cycle_base: 6000,
-            gc_mark_object: 10,
-            gc_scan_per_64b: 3,
-            gc_sweep_span: 40,
-            gc_minor_base: 1500,
-            write_barrier: 2,
-        }
-    }
+    // The fast path is the cheapest way to memory and a fresh span the
+    // dearest; a successful large free costs more than the attempt.
+    const _: () = assert!(ALLOC_SMALL < MCACHE_REFILL && MCACHE_REFILL < SPAN_CREATE);
+    const _: () = assert!(TCFREE_ATTEMPT < TCFREE_LARGE);
 }
 
 /// A monotone virtual clock with jittered charging.
@@ -153,13 +137,5 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn default_costs_are_ordered() {
-        let m = CostModel::default();
-        assert!(m.alloc_small < m.mcache_refill);
-        assert!(m.mcache_refill < m.span_create);
-        assert!(m.tcfree_attempt < m.tcfree_large);
     }
 }

@@ -121,29 +121,6 @@ impl<const N: usize> Histogram<N> {
         (self.count > 0).then(|| self.sum / self.count)
     }
 
-    /// Nearest-rank quantile estimated from the buckets: the upper edge
-    /// of the first bucket whose cumulative count reaches
-    /// `ceil(count · num / den)`, clamped to the recorded min/max so the
-    /// estimate never leaves the sample range. Exact quantiles need the
-    /// raw samples ([`percentile_sorted`]); this is the bounded-memory
-    /// fallback used for rendering.
-    pub fn quantile(&self, num: u64, den: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (self.count * num).div_ceil(den).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Upper edge of bucket i: 2^i - 1 (bucket 0 holds only 0).
-                let hi = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                return hi.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
     /// ASCII rendering: one digit per bucket scaled 1–9 to the row
     /// maximum, `.` for empty, trailing empty buckets trimmed. This is
     /// the historical drag-table spark format, verbatim.
@@ -272,18 +249,6 @@ mod tests {
         // bucket 1 has 9 (→ '9'), bucket 2 empty (→ '.'), bucket 3 has 1.
         assert_eq!(h.spark(), ".9.1");
         assert_eq!(Histogram::<24>::new().spark(), "");
-    }
-
-    #[test]
-    fn quantile_stays_in_sample_range() {
-        let mut h = Histogram::<64>::new();
-        for v in [10, 12, 14, 900] {
-            h.record(v);
-        }
-        let p50 = h.quantile(1, 2);
-        assert!((10..=15).contains(&p50), "p50={p50}");
-        assert_eq!(h.quantile(1, 1), 900, "p100 clamps to max");
-        assert_eq!(Histogram::<64>::new().quantile(1, 2), 0);
     }
 
     #[test]

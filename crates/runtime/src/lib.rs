@@ -40,7 +40,7 @@ pub mod trace;
 
 pub use minigo_syntax::fxhash;
 
-pub use clock::{Clock, CostModel};
+pub use clock::{cost, Clock};
 pub use collector::{CollectorKind, CycleKind};
 pub use heap::{
     AllocEvents, Heap, HeapInvariant, HeapInvariantError, Mspan, ObjAddr, OwnerTag, SmallFree,

@@ -152,17 +152,6 @@ impl Metrics {
         ]
     }
 
-    /// Table 8's `tcfree / (tcfree + GC)` ratio for a category.
-    pub fn tcfree_share(&self, cat: Category) -> f64 {
-        let t = self.heap_tcfreed[cat.index()] as f64;
-        let g = self.heap_gced[cat.index()] as f64;
-        if t + g == 0.0 {
-            0.0
-        } else {
-            t / (t + g)
-        }
-    }
-
     /// Records a stack allocation (made by the VM, not the heap).
     pub fn record_stack_alloc(&mut self, cat: Category) {
         self.stack_allocs[cat.index()] += 1;
@@ -194,15 +183,6 @@ mod tests {
         let s = m.source_shares();
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((s[2] - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tcfree_share() {
-        let mut m = Metrics::default();
-        m.heap_tcfreed[Category::Slice.index()] = 1;
-        m.heap_gced[Category::Slice.index()] = 3;
-        assert!((m.tcfree_share(Category::Slice) - 0.25).abs() < 1e-12);
-        assert_eq!(m.tcfree_share(Category::Map), 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use crate::clock::{Clock, CostModel};
+use crate::clock::{cost, Clock};
 use crate::collector::{Collector, CollectorKind, CycleKind};
 use crate::heap::{footprint, Heap, ObjAddr, OwnerTag, SweepOutcome};
 use crate::metrics::{BailReason, Category, FreeSource, Metrics};
@@ -22,16 +22,18 @@ use crate::rng::SimRng;
 use crate::sizeclass::{class_for, class_size, large_pages, MAX_SMALL_SIZE};
 use crate::trace::{FreeStep, HeapSnapshot, Trace, TraceEvent, Tracer};
 
+/// Simulated threads, one mcache each; scheduler migrations rotate
+/// through them.
+const THREADS: u32 = 4;
+
 /// How the §6.8 robustness mock corrupts memory instead of freeing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoisonMode {
     /// Normal operation: really deallocate.
     Off,
-    /// Mock: report `Poisoned` where a free would happen; the VM zeroes
-    /// the payload.
+    /// Mock: report `Poisoned` where a free would happen; the VM fills
+    /// the payload with a poison sentinel that traps on read.
     Zero,
-    /// Mock: the VM flips all bits of the payload.
-    Flip,
 }
 
 /// Runtime configuration.
@@ -43,8 +45,6 @@ pub struct RuntimeConfig {
     pub gogc: u64,
     /// Minimum heap size before the first collection triggers.
     pub min_heap: u64,
-    /// Simulated threads (mcaches).
-    pub threads: u32,
     /// Per-allocation probability of a scheduler migration that flushes
     /// the current mcache.
     pub migrate_prob: f64,
@@ -73,8 +73,6 @@ pub struct RuntimeConfig {
     /// goal would let major pacing permanently shadow minor cycles
     /// ([`RuntimeConfig::validate`] rejects it).
     pub nursery_size: u64,
-    /// Tick charges.
-    pub costs: CostModel,
 }
 
 impl Default for RuntimeConfig {
@@ -83,7 +81,6 @@ impl Default for RuntimeConfig {
             gc_enabled: true,
             gogc: 100,
             min_heap: 512 * 1024,
-            threads: 4,
             migrate_prob: 0.0005,
             seed: 0,
             jitter: 0.02,
@@ -92,7 +89,6 @@ impl Default for RuntimeConfig {
             trace_cap: None,
             collector: CollectorKind::Go,
             nursery_size: 64 * 1024,
-            costs: CostModel::default(),
         }
     }
 }
@@ -240,7 +236,7 @@ impl Runtime {
     /// Creates a runtime.
     pub fn new(cfg: RuntimeConfig) -> Self {
         let clock = Clock::new(cfg.jitter);
-        let heap = Heap::new(cfg.threads as usize);
+        let heap = Heap::new(THREADS as usize);
         let rng = SimRng::seed_from_u64(cfg.seed);
         let tracer = cfg
             .trace
@@ -351,27 +347,25 @@ impl Runtime {
                     thread: self.current_thread,
                 });
             }
-            self.current_thread = (self.current_thread + 1) % self.cfg.threads.max(1);
+            self.current_thread = (self.current_thread + 1) % THREADS;
         }
 
         let size = size.max(8);
         let (addr, bytes, large) = if size <= MAX_SMALL_SIZE {
             let class = class_for(size);
             let (addr, events) = self.heap.alloc_small(class, self.current_thread, cat);
-            self.clock.charge(self.cfg.costs.alloc_small);
+            self.clock.charge(cost::ALLOC_SMALL);
             if events.refilled {
-                let c = self.cfg.costs.mcache_refill;
-                self.clock.charge_jittered(c, &mut self.rng);
+                self.clock
+                    .charge_jittered(cost::MCACHE_REFILL, &mut self.rng);
             }
             if events.created_span {
-                let c = self.cfg.costs.span_create;
-                self.clock.charge_jittered(c, &mut self.rng);
+                self.clock.charge_jittered(cost::SPAN_CREATE, &mut self.rng);
             }
             (addr, class_size(class), false)
         } else {
             let addr = self.heap.alloc_large(size, self.current_thread, cat);
-            let c = self.cfg.costs.alloc_large
-                + self.cfg.costs.alloc_large_per_page * large_pages(size) as u64;
+            let c = cost::ALLOC_LARGE + cost::ALLOC_LARGE_PER_PAGE * large_pages(size) as u64;
             self.clock.charge_jittered(c, &mut self.rng);
             (addr, size, true)
         };
@@ -489,12 +483,11 @@ impl Runtime {
     ) -> FreeOutcome {
         self.metrics.tcfree_attempts += 1;
         if charge_attempt {
-            self.clock.charge(self.cfg.costs.tcfree_attempt);
+            self.clock.charge(cost::TCFREE_ATTEMPT);
         } else {
             // Batched follow-ups still pay the per-object status checks
             // (most of tcfree's cost, per §5), just not the call overhead.
-            self.clock
-                .charge(self.cfg.costs.tcfree_attempt.saturating_sub(2));
+            self.clock.charge(cost::TCFREE_ATTEMPT - 2);
         }
 
         if self.collector.gc_running() {
@@ -528,11 +521,11 @@ impl Runtime {
         let cat = span.cat(addr.slot);
         let (bytes, step) = if is_large {
             let b = self.heap.free_large_step1(addr);
-            self.clock.charge(self.cfg.costs.tcfree_large);
+            self.clock.charge(cost::TCFREE_LARGE);
             (b, FreeStep::LargeStep1)
         } else {
             let f = self.heap.free_small(addr);
-            self.clock.charge(self.cfg.costs.tcfree_small);
+            self.clock.charge(cost::TCFREE_SMALL);
             let step = if f.reverted {
                 FreeStep::Revert { cascade: f.cascade }
             } else {
@@ -781,7 +774,6 @@ mod tests {
         let mut rt = Runtime::new(RuntimeConfig {
             migrate_prob: 1.0, // migrate on every allocation
             jitter: 0.0,
-            threads: 2,
             ..RuntimeConfig::default()
         });
         let a = rt.alloc(64, Category::Slice);
@@ -1017,7 +1009,7 @@ mod tests {
         rt.record_store(a);
         assert_eq!(
             rt.now() - before,
-            rt.config().costs.write_barrier,
+            cost::WRITE_BARRIER,
             "old store enters the remembered set"
         );
     }

@@ -56,7 +56,6 @@ pub struct Resolution {
     results: IdMap<FuncId, Vec<VarId>>,
     by_func: IdMap<FuncId, Vec<VarId>>,
     funcs_by_name: FxHashMap<String, FuncId>,
-    block_depth: IdMap<BlockId, i32>,
 }
 
 impl Resolution {
@@ -100,11 +99,6 @@ impl Resolution {
     /// Finds a function id by name.
     pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
         self.funcs_by_name.get(name).copied()
-    }
-
-    /// Scope depth of a block (function body = 1).
-    pub fn depth_of_block(&self, block: BlockId) -> i32 {
-        self.block_depth.get(block).copied().unwrap_or(0)
     }
 
     /// The statement that declares `var`, if it was declared by a `var` or
@@ -217,7 +211,6 @@ impl<'p> Resolver<'p> {
         self.loop_depth = 0;
         self.body_block = func.body.id;
         self.scopes.push(FxHashMap::default());
-        self.res.block_depth.insert(func.body.id, 1);
 
         let mut params = Vec::new();
         for p in &func.params {
@@ -249,7 +242,6 @@ impl<'p> Resolver<'p> {
 
     fn block(&mut self, block: &'p Block) -> Result<()> {
         self.depth += 1;
-        self.res.block_depth.insert(block.id, self.depth);
         self.scopes.push(FxHashMap::default());
         for stmt in &block.stmts {
             self.stmt(stmt)?;
@@ -563,18 +555,6 @@ mod tests {
                 r.decl_stmt_of(r.decl_of(stmt_id, i).unwrap()),
                 Some(stmt_id)
             );
-        }
-    }
-
-    #[test]
-    fn block_depths_recorded() {
-        let (p, r) = resolve_src("func f() { { } }\n");
-        let body = &p.funcs[0].body;
-        assert_eq!(r.depth_of_block(body.id), 1);
-        if let StmtKind::BlockStmt { block } = &body.stmts[0].kind {
-            assert_eq!(r.depth_of_block(block.id), 2);
-        } else {
-            panic!("expected block");
         }
     }
 

@@ -1142,7 +1142,7 @@ mod tests {
         let src = "func work(n int) int { s := make([]int, n)\n s[0] = n\n x := s[0]\n return x }\nfunc main() { total := 0\n for i := 0; i < 50; i += 1 { total += work(100 + i) }\n print(total) }\n";
         let cfg = VmConfig {
             runtime: RuntimeConfig {
-                poison: PoisonMode::Flip,
+                poison: PoisonMode::Zero,
                 migrate_prob: 0.0,
                 ..RuntimeConfig::default()
             },

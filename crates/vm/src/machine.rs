@@ -1212,8 +1212,8 @@ mod tests {
             m.held
                 .extend([f.slice.clone(), f.map.clone(), f.ptr.clone()]);
             m.collect_garbage(&NoFrames);
-            let barrier = m.rt.config().costs.write_barrier;
-            assert!(barrier > 0);
+            let barrier = minigo_runtime::cost::WRITE_BARRIER;
+            const _: () = assert!(minigo_runtime::cost::WRITE_BARRIER > 0);
             let before = m.rt.now();
             op(&mut m, &f).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(

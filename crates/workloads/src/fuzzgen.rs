@@ -221,7 +221,7 @@ mod tests {
                 &gofree,
                 Setting::GoFree,
                 &RunConfig {
-                    poison: PoisonMode::Flip,
+                    poison: PoisonMode::Zero,
                     ..cfg.clone()
                 },
             )

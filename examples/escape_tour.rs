@@ -7,8 +7,7 @@
 //! ```
 
 use minigo_escape::{
-    analyze, build_func_graph, instrument, points_to, solve, AnalyzeOptions, BuildOptions, Labels,
-    SolveConfig,
+    analyze, build_func_graph, instrument, points_to, solve, AnalyzeOptions, Labels, SolveConfig,
 };
 use minigo_syntax::{frontend, print_program, IdMap};
 
@@ -70,14 +69,7 @@ func main() {
 "#;
     let (program, res, types) = frontend(fig1).expect("compiles");
     let func = program.func("fig1").unwrap().clone();
-    let mut fg = build_func_graph(
-        &program,
-        &res,
-        &types,
-        &func,
-        &IdMap::default(),
-        &BuildOptions::default(),
-    );
+    let mut fg = build_func_graph(&program, &res, &types, &func, &IdMap::default());
     solve(&mut fg.graph, &SolveConfig::default());
     println!("solved properties per location (table 1):\n");
     let labels = Labels::new(&program, &res, func.id);

@@ -36,7 +36,7 @@ fn divergence(src: &str) -> Option<String> {
         &gofree,
         Setting::GoFree,
         &RunConfig {
-            poison: PoisonMode::Flip,
+            poison: PoisonMode::Zero,
             ..cfg.clone()
         },
     ) {

@@ -125,7 +125,7 @@ fn poisoning_survives_switch_and_reslice_programs() {
         &compiled,
         Setting::GoFree,
         &RunConfig {
-            poison: PoisonMode::Flip,
+            poison: PoisonMode::Zero,
             ..RunConfig::deterministic(2)
         },
     )

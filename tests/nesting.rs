@@ -4,7 +4,7 @@
 //! thread with the default 2 MiB test stack.
 
 use gofree::{compile, execute, CompileOptions, OptLevel, RunConfig, Setting, VmEngine};
-use minigo_escape::{inline_program, InlineOptions};
+use minigo_escape::inline_program;
 use minigo_syntax::parse;
 use minigo_syntax::parser::{self, MAX_NESTING};
 
@@ -160,7 +160,7 @@ fn the_inliner_keeps_an_at_limit_callee_out_of_an_at_limit_call_site() {
     let blocks = deepest(|n| call_program(links, n));
     let inlined = |links, blocks| {
         let program = parse(&call_program(links, blocks)).expect("parses");
-        let (out, stats) = inline_program(&program, &InlineOptions::default());
+        let (out, stats) = inline_program(&program);
         for f in &out.funcs {
             let level = f.body.stmts.iter().map(|s| parser::deepest(s, 1)).max();
             assert!(level <= Some(MAX_NESTING), "{} at {level:?}", f.name);

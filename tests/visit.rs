@@ -2,7 +2,7 @@
 //! recursion written out here: same nodes, same source pre-order, and a
 //! renumbering through the `&mut` walk that gives the inliner's ids.
 
-use minigo_escape::{inline_program, InlineOptions};
+use minigo_escape::inline_program;
 use minigo_syntax::visit::{self, Node, Visitor, VisitorMut, Walk};
 use minigo_syntax::{parse, Block, Expr, ExprKind, Program, Stmt, StmtKind};
 
@@ -295,7 +295,7 @@ impl VisitorMut for Renumber {
 #[test]
 fn renumbering_through_the_mut_walk_matches_the_inliner() {
     let p = parse(FACTORY).unwrap();
-    let (inlined, stats) = inline_program(&p, &InlineOptions::default());
+    let (inlined, stats) = inline_program(&p);
     assert_eq!(stats.inlined_calls, 2);
     // The ids the inliner hands out, pinned: renumbering through the
     // traversal must not move them.
