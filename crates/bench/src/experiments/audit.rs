@@ -4,9 +4,10 @@
 //! shadow-heap sanitizer on both engines (zero violations required) and
 //! demonstrates detection on a planted use-after-free.
 //!
-//! Regenerates `results/audit.txt` (`--quick` and `--engine` apply).
+//! Regenerates `results/audit.txt`. It runs both engines itself, so it
+//! does not read `--engine`.
 
-use crate::{eval_run_config, pct, Options};
+use crate::{pct, Options};
 use gofree::cli::Observed;
 use gofree::{
     compile, execute, AuditMode, CompileOptions, RunConfig, Setting, ViolationKind, VmEngine,
@@ -29,11 +30,10 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     }
 
     println!(
-        "Free-safety audit over {} programs ({} workloads, 3 corpus, {} fuzzed; engine: {})\n",
+        "Free-safety audit over {} programs ({} workloads, 3 corpus, {} fuzzed)\n",
         programs.len(),
         nworkloads,
         fuzz_seeds,
-        opts.common.config.engine
     );
     println!(
         "{:<12} {:>6} {:>7} {:>6}",
@@ -83,7 +83,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
             let cfg = RunConfig {
                 engine,
                 sanitize: true,
-                ..eval_run_config()
+                ..opts.run_config()
             };
             if let Ok(run) = execute(&compiled, Setting::GoFree, &cfg) {
                 checked_runs += 1;
@@ -119,7 +119,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
         let cfg = RunConfig {
             engine,
             sanitize: true,
-            ..eval_run_config()
+            ..opts.run_config()
         };
         let run = execute(&warned, Setting::GoFree, &cfg).expect("bug runs");
         if run

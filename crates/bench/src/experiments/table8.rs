@@ -4,10 +4,25 @@
 
 use crate::{pct, Options};
 use gofree::cli::Observed;
-use gofree::{execute, table8_row, Setting};
+use gofree::{execute, table8_row, Setting, Table8Row};
 
 pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     let base = opts.run_config();
+    let mut rows = Vec::new();
+    let mut observed = None;
+    for w in gofree_workloads::all(opts.scale()) {
+        let compiled =
+            gofree::compile(&w.source, &opts.compile_options(Setting::GoFree)).expect("compiles");
+        let report = execute(&compiled, Setting::GoFree, &base).expect("runs");
+        rows.push(table8_row(w.name, &report));
+        observed = Some(report);
+    }
+    print(&rows);
+    Ok(observed.map(|r| Observed::new(r, Vec::new())))
+}
+
+/// Prints table 8 over `rows`, one GoFree run per project.
+pub fn print(rows: &[Table8Row]) {
     println!("Table 8: stack/heap allocation decisions (one GoFree run per project)\n");
     println!(
         "{:<10} | {:>9} {:>8} | {:>8} {:>9} {:>8} {:>7} | {:>8} {:>9} {:>8} {:>7}",
@@ -26,12 +41,7 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     println!("{}", "-".repeat(112));
     let mut slice_shares = Vec::new();
     let mut map_shares = Vec::new();
-    let mut observed = None;
-    for w in gofree_workloads::all(opts.scale()) {
-        let compiled =
-            gofree::compile(&w.source, &opts.compile_options(Setting::GoFree)).expect("compiles");
-        let report = execute(&compiled, Setting::GoFree, &base).expect("runs");
-        let row = table8_row(w.name, &report);
+    for row in rows {
         println!(
             "{:<10} | {:>9} {:>8} | {:>8} {:>9} {:>8} {:>7} | {:>8} {:>9} {:>8} {:>7}",
             row.project,
@@ -52,7 +62,6 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
         if row.heap_tcfree_maps + row.heap_gc_maps > 0 {
             map_shares.push(row.map_share());
         }
-        observed = Some(report);
     }
     println!("{}", "-".repeat(112));
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
@@ -69,5 +78,4 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
         "\nPaper: slices avg share 10%, maps avg share 34%; \"others\" are overwhelmingly stack-allocated,"
     );
     println!("which is why GoFree restricts freeing to slices and maps.");
-    Ok(observed.map(|r| Observed::new(r, Vec::new())))
 }

@@ -12,6 +12,9 @@
 //! observability artifacts (`--trace`, `--profile`, `--gctrace`,
 //! `--report-json`) are written from the experiment's designated run; an
 //! experiment without one observes the `json` workload under GoFree.
+//! `--quick`, `--jobs` and the artifacts apply to every experiment; of
+//! the other options, `bench` refuses those the experiment's row does not
+//! list as read.
 
 pub mod experiments;
 
@@ -25,10 +28,21 @@ pub struct Experiment {
     pub name: &'static str,
     /// What the experiment regenerates, in one line.
     pub about: &'static str,
+    /// The run options the experiment reads; `bench` refuses the rest.
+    pub reads: &'static [&'static str],
     /// Prints the experiment to stdout and returns its designated run,
     /// when it has one.
     pub run: fn(&Options) -> Result<Option<Observed>, String>,
 }
+
+/// The shared options that change what an experiment runs.
+const RUN_OPTIONS: [&str; 5] = [
+    "--runs",
+    "--engine",
+    "--opt",
+    "--collector",
+    "--free-placement",
+];
 
 /// What an experiment runs with.
 #[derive(Debug)]
@@ -78,6 +92,7 @@ pub fn main_with(args: &[String]) -> Result<(), String> {
     let mut name = None;
     let mut quick = false;
     let mut common = CommonOptions::new(eval_run_config());
+    let mut given = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -104,6 +119,7 @@ pub fn main_with(args: &[String]) -> Result<(), String> {
                 if !common.accept(other, &mut it)? {
                     return Err(format!("unknown option {other}"));
                 }
+                given.push(other);
             }
         }
     }
@@ -112,6 +128,12 @@ pub fn main_with(args: &[String]) -> Result<(), String> {
         .iter()
         .find(|e| e.name == name)
         .ok_or_else(|| format!("unknown experiment `{name}` (`bench --list` names them)"))?;
+    if let Some(opt) = given
+        .iter()
+        .find(|o| RUN_OPTIONS.contains(o) && !experiment.reads.contains(o))
+    {
+        return Err(format!("`{name}` does not read {opt}"));
+    }
     let opts = Options {
         quick,
         runs: common.runs.unwrap_or(if quick { 9 } else { 99 }),

@@ -1,7 +1,8 @@
 //! Integration tests for the `bench` command line: a malformed invocation
-//! exits 1 with one `bench: ...` line, `--quick` never overrides an
-//! explicit `--runs`, and the shared options mean the same thing in every
-//! experiment.
+//! (or a run option the experiment does not read) exits 1 with one
+//! `bench: ...` line, `--quick` never overrides an explicit `--runs`, the
+//! shared options mean the same thing in every experiment, and the
+//! collector study prints table 7 as `bench table7` does.
 
 use std::process::{Command, Output};
 
@@ -45,6 +46,44 @@ fn malformed_invocations_exit_1_with_one_line() {
         ),
         (&["table9", "--trace"], "--trace needs an output path"),
         (&["table9", "table8"], "unexpected argument table8"),
+        (&["table3", "--runs", "5"], "`table3` does not read --runs"),
+        (
+            &["table3", "--engine", "tree-walk"],
+            "`table3` does not read --engine",
+        ),
+        (&["table8", "--runs", "5"], "`table8` does not read --runs"),
+        (
+            &["collectors", "--collector", "gen"],
+            "`collectors` does not read --collector",
+        ),
+        (
+            &["service", "--collector", "go"],
+            "`service` does not read --collector",
+        ),
+        (
+            &["liveness", "--free-placement", "lastuse"],
+            "`liveness` does not read --free-placement",
+        ),
+        (
+            &["fuzz", "--engine", "bytecode"],
+            "`fuzz` does not read --engine",
+        ),
+        (&["fuzz", "--opt", "off"], "`fuzz` does not read --opt"),
+        (
+            &["fuzz", "--collector", "gen"],
+            "`fuzz` does not read --collector",
+        ),
+        (
+            &["audit", "--engine", "tree-walk"],
+            "`audit` does not read --engine",
+        ),
+        // The first option the experiment does not read is named.
+        (
+            &[
+                "fuzz", "--runs", "2", "--opt", "off", "--engine", "bytecode",
+            ],
+            "`fuzz` does not read --opt",
+        ),
         (&["nosuch"], "unknown experiment `nosuch`"),
         (&["engines"], "unknown experiment `engines`"),
         (&[], "usage: bench <experiment>"),
@@ -59,6 +98,32 @@ fn malformed_invocations_exit_1_with_one_line() {
         );
         assert!(out.stdout.is_empty(), "{args:?} ran something");
     }
+}
+
+/// The collector study prints its tables through the table experiments'
+/// printers over the same runs: its `gen` Table 7 is `bench table7
+/// --collector gen`, stdev columns and checks included.
+#[test]
+fn collector_study_prints_table7_as_table7_does() {
+    let study = bench(&["collectors", "--quick"]);
+    let table7 = bench(&["table7", "--quick", "--collector", "gen"]);
+    assert!(study.status.success() && table7.status.success());
+    let study = String::from_utf8_lossy(&study.stdout);
+    let table7 = String::from_utf8_lossy(&table7.stdout);
+    let gen = study
+        .split("==== collector: gen ====")
+        .nth(1)
+        .expect("a gen block");
+    let rows = |text: &str| -> Vec<String> {
+        let start = text.find("Table 7:").expect("a Table 7");
+        text[start..]
+            .lines()
+            .take_while(|l| !l.starts_with("Table 8:"))
+            .map(|l| l.trim_end().to_string())
+            .filter(|l| !l.is_empty())
+            .collect()
+    };
+    assert_eq!(rows(gen), rows(&table7));
 }
 
 #[test]
@@ -111,7 +176,8 @@ fn free_placement_reaches_the_designated_run() {
 
 /// An experiment without a designated run (table 3 runs no program)
 /// observes the `json` workload, so an asked-for artifact is never
-/// silently skipped.
+/// silently skipped; like `--quick` and `--jobs`, the artifact options
+/// apply to every experiment.
 #[test]
 fn an_experiment_without_a_run_still_writes_its_artifacts() {
     let json = temp("table3.json");
@@ -119,6 +185,8 @@ fn an_experiment_without_a_run_still_writes_its_artifacts() {
     let out = bench(&[
         "table3",
         "--quick",
+        "--jobs",
+        "2",
         "--gctrace",
         "--profile",
         &prof,

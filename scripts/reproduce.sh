@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every experiment in the paper's evaluation (plus the
-# extension studies) into results/: one file per row of `bench --list`,
-# plus table 7 under the generational collector. Takes a few minutes at
-# full scale; pass --quick to smoke-test in seconds.
+# extension studies) into results/: one file per row of `bench --list`.
+# Takes a few minutes at full scale; pass --quick to smoke-test in
+# seconds.
 #
 # Runs fan out across JOBS worker threads (default: all host cores, or
 # GOFREE_JOBS); reported numbers are identical for any value
@@ -22,8 +22,4 @@ for exp in $("$BENCH" --list); do
     "$BENCH" "$exp" --jobs "$JOBS" "${ARGS[@]}"
   } | tee "results/$exp.txt"
 done
-echo "== table7 (gen collector) =="
-{ echo "$HEADER"
-  "$BENCH" table7 --jobs "$JOBS" --collector gen "${ARGS[@]}"
-} | tee results/table7_gen.txt
 echo "All experiments regenerated into results/."
