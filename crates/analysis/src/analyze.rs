@@ -14,7 +14,7 @@ use minigo_syntax::{
 use crate::build::{build_func_graph, FuncGraph};
 use crate::callgraph::CallGraph;
 use crate::graph::HEAP_LOC;
-use crate::solve::{points_to, solve, walk, SolveConfig, SolveStats};
+use crate::solve::{points_to, walk, SolveConfig, SolveStats, Solver};
 use crate::summary::{FuncSummary, SummaryDst, SummaryEdge};
 
 /// Which compiler is being modeled.
@@ -151,13 +151,14 @@ pub fn analyze(
     let mut summaries = IdMap::default();
     let mut funcs = IdMap::default();
     let mut stats = AnalysisStats::default();
+    let mut solver = Solver::default();
 
     for &fid in cg.bottom_up() {
         let func = &program.funcs[fid.index()];
         let mut fg = build_func_graph(program, res, types, func, &summaries);
         stats.locations += fg.graph.len();
         stats.edges += fg.graph.edges().len();
-        let s = solve(&mut fg.graph, &solve_cfg);
+        let s = solver.solve(&mut fg.graph, &solve_cfg);
         stats.solve.walks += s.walks;
         stats.solve.relaxations += s.relaxations;
         stats.solve.reached += s.reached;

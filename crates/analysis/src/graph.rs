@@ -6,6 +6,7 @@
 //! `+1` for a load through a pointer (table 2).
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use minigo_syntax::fxhash::FxHashMap;
 use minigo_syntax::visit::{self, Walk};
@@ -138,11 +139,56 @@ impl Location {
 pub struct EscapeGraph {
     locs: Vec<Location>,
     edges: Vec<Edge>,
-    /// Incoming edge indices per location (the solver walks reverse edges).
-    incoming: Vec<Vec<u32>>,
-    /// Outgoing edge indices per location (the solver's dirty-root
-    /// closure follows forward edges).
-    outgoing: Vec<Vec<u32>>,
+    /// The edges grouped by destination and by source, built by the
+    /// first [`Self::incoming`] or [`Self::outgoing`] query and dropped
+    /// by [`Self::add_edge`], so a query always sees every edge.
+    adjacency: OnceLock<Adjacency>,
+}
+
+/// The edge list grouped twice: by destination (the solver walks
+/// reverse edges) and by source (its dirty-root closure follows forward
+/// edges). Each group keeps edge order.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    incoming: Groups,
+    outgoing: Groups,
+}
+
+/// Edges grouped by one endpoint: location `l`'s group is
+/// `edges[start[l]..start[l + 1]]`.
+#[derive(Debug, Clone)]
+struct Groups {
+    start: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+impl Groups {
+    /// A counting sort of `edges` by `key`, stable, so each group lists
+    /// its edges in the order they were added.
+    fn by(edges: &[Edge], locations: usize, key: impl Fn(&Edge) -> LocId) -> Self {
+        let mut start = vec![0u32; locations + 1];
+        for e in edges {
+            start[key(e).index() + 1] += 1;
+        }
+        for l in 0..locations {
+            start[l + 1] += start[l];
+        }
+        let mut next = start.clone();
+        let mut grouped = edges.to_vec();
+        for e in edges {
+            let slot = &mut next[key(e).index()];
+            grouped[*slot as usize] = *e;
+            *slot += 1;
+        }
+        Groups {
+            start,
+            edges: grouped,
+        }
+    }
+
+    fn of(&self, l: LocId) -> &[Edge] {
+        &self.edges[self.start[l.index()] as usize..self.start[l.index() + 1] as usize]
+    }
 }
 
 /// The conventional id of the `heapLoc` dummy: always the first location.
@@ -184,8 +230,7 @@ impl EscapeGraph {
             points_to_heap: false,
             pinned: false,
         });
-        self.incoming.push(Vec::new());
-        self.outgoing.push(Vec::new());
+        self.adjacency.take();
         id
     }
 
@@ -196,10 +241,8 @@ impl EscapeGraph {
             return;
         }
         debug_assert!(derefs >= -1, "Derefs(e) >= -1 always holds");
-        let idx = self.edges.len() as u32;
         self.edges.push(Edge { src, dst, derefs });
-        self.incoming[dst.index()].push(idx);
-        self.outgoing[src.index()].push(idx);
+        self.adjacency.take();
     }
 
     /// The location for an id.
@@ -232,18 +275,22 @@ impl EscapeGraph {
         &self.edges
     }
 
-    /// Incoming edges of `dst` (for reverse walks).
+    /// Incoming edges of `dst` (for reverse walks), in the order they
+    /// were added.
     pub fn incoming(&self, dst: LocId) -> impl Iterator<Item = Edge> + '_ {
-        self.incoming[dst.index()]
-            .iter()
-            .map(|&i| self.edges[i as usize])
+        self.adjacency().incoming.of(dst).iter().copied()
     }
 
-    /// Outgoing edges of `src`.
+    /// Outgoing edges of `src`, in the order they were added.
     pub fn outgoing(&self, src: LocId) -> impl Iterator<Item = Edge> + '_ {
-        self.outgoing[src.index()]
-            .iter()
-            .map(|&i| self.edges[i as usize])
+        self.adjacency().outgoing.of(src).iter().copied()
+    }
+
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| Adjacency {
+            incoming: Groups::by(&self.edges, self.locs.len(), |e| e.dst),
+            outgoing: Groups::by(&self.edges, self.locs.len(), |e| e.src),
+        })
     }
 
     /// Iterates all location ids.

@@ -66,7 +66,7 @@ pub use liveness::{
     plan_placement, use_summaries, FreePlacement, PartialFree, PlacementPlan, PlacementStats,
     UseSummary,
 };
-pub use solve::{holds, points_to, solve, walk, SolveConfig, SolveStats};
+pub use solve::{holds, points_to, solve, walk, SolveConfig, SolveStats, Solver};
 pub use summary::{FuncSummary, SummaryDst, SummaryEdge};
 
 /// Allocations larger than this (or of unknown size) are heap-allocated

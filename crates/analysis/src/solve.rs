@@ -12,8 +12,9 @@
 //! preserves the solution while bounding each node to a constant number of
 //! relaxations per walk — this is what keeps the whole pass O(N²). A walk
 //! also costs only what it reaches: the walk state is allocated once per
-//! solve and each location is stamped with the walk that last reached it,
-//! so no walk clears or scans the whole graph.
+//! [`Solver`], which `analyze` reuses for every function, and each
+//! location is stamped with the walk that last reached it, so no walk
+//! clears or scans the whole graph.
 
 use std::collections::VecDeque;
 
@@ -74,6 +75,7 @@ pub struct SolveStats {
 /// it (Go's `walkgen`): starting a walk bumps the generation instead of
 /// clearing a distance per location, and the locations a walk reached
 /// are listed, so applying the constraints visits only those.
+#[derive(Default)]
 struct Walker {
     dist: Vec<i32>,
     stamp: Vec<u32>,
@@ -85,12 +87,18 @@ struct Walker {
 
 impl Walker {
     fn new(len: usize) -> Self {
-        Walker {
-            dist: vec![0; len],
-            stamp: vec![0; len],
-            gen: 0,
-            reached: Vec::new(),
-            queue: VecDeque::new(),
+        let mut w = Walker::default();
+        w.fit(len);
+        w
+    }
+
+    /// Makes room for a graph of `len` locations. A stamp left by an
+    /// earlier graph is older than every walk still to come, so it reads
+    /// as unreached.
+    fn fit(&mut self, len: usize) {
+        if self.dist.len() < len {
+            self.dist.resize(len, 0);
+            self.stamp.resize(len, 0);
         }
     }
 
@@ -191,7 +199,8 @@ pub fn holds(g: &EscapeGraph, root: LocId) -> Vec<LocId> {
     leaves_where(g, root, |_| true)
 }
 
-/// Solves all escape properties on `g` to a fixpoint.
+/// Solves all escape properties on `g` to a fixpoint (see
+/// [`Solver::solve`]).
 ///
 /// ```
 /// use minigo_escape::{solve, EscapeGraph, LocKind, SolveConfig, HEAP_LOC};
@@ -207,107 +216,142 @@ pub fn holds(g: &EscapeGraph, root: LocId) -> Vec<LocId> {
 /// assert!(g.loc(x).heap_alloc);
 /// ```
 pub fn solve(g: &mut EscapeGraph, cfg: &SolveConfig) -> SolveStats {
-    let mut stats = SolveStats::default();
-    let mut walker = Walker::new(g.len());
-    // Outer fixpoint: the queue discipline of fig. 5 re-walks updated
-    // locations, but a leaf update can also invalidate constraints whose
-    // *root* is elsewhere (rule (c) of definition 4.12 reads leaf state from
-    // the root's walk). The verification sweep catches those; property
-    // lattices have constant height, so the number of passes is bounded by
-    // a small constant in practice (tests pin this).
-    let max_passes = g.len() + 4;
-    // The first pass always seeds every root; later passes only need roots
-    // whose walk cone was touched by the previous pass.
-    let mut seed: Vec<LocId> = g.ids().collect();
-    loop {
-        stats.passes += 1;
-        let mut touched = vec![false; g.len()];
-        let changed = walkall_pass(g, cfg, &mut stats, &seed, &mut touched, &mut walker);
-        if !changed {
-            break;
-        }
-        assert!(
-            stats.passes <= max_passes,
-            "escape property solve failed to converge"
-        );
-        seed = if cfg.dirty_roots {
-            let dirty = dirty_roots(g, &touched);
-            stats.skipped_walks += g.len() - dirty.len();
-            dirty
-        } else {
-            g.ids().collect()
-        };
-    }
-    stats
+    Solver::default().solve(g, cfg)
 }
 
-/// Roots that must be re-walked after a pass that touched `touched`: the
-/// forward closure (along src→dst edges) of every touched location, i.e.
-/// exactly the roots whose walk cone contains a touched location. A root
-/// outside this set re-reads the same operands as last pass, and every
-/// constraint is a pure monotone function of those operands, so re-walking
-/// it is a no-op.
-fn dirty_roots(g: &EscapeGraph, touched: &[bool]) -> Vec<LocId> {
-    let mut dirty = touched.to_vec();
-    let mut queue: VecDeque<LocId> = g.ids().filter(|id| touched[id.index()]).collect();
-    while let Some(cur) = queue.pop_front() {
-        for e in g.outgoing(cur) {
-            if !dirty[e.dst.index()] {
-                dirty[e.dst.index()] = true;
-                queue.push_back(e.dst);
+/// The solver's buffers — the walk state, the pass's seed roots, its
+/// touched and queued flags, and its work queue — sized to the largest
+/// graph solved so far. `analyze` solves every function with one, so a
+/// function's solve allocates nothing once an earlier graph was as
+/// large.
+#[derive(Default)]
+pub struct Solver {
+    walker: Walker,
+    seed: Vec<LocId>,
+    touched: Vec<bool>,
+    in_queue: Vec<bool>,
+    queue: VecDeque<LocId>,
+}
+
+impl Solver {
+    /// Solves all escape properties on `g` to a fixpoint.
+    pub fn solve(&mut self, g: &mut EscapeGraph, cfg: &SolveConfig) -> SolveStats {
+        let mut stats = SolveStats::default();
+        let n = g.len();
+        self.walker.fit(n);
+        // Every pass leaves `in_queue` all false.
+        self.in_queue.clear();
+        self.in_queue.resize(n, false);
+        // Outer fixpoint: the queue discipline of fig. 5 re-walks updated
+        // locations, but a leaf update can also invalidate constraints
+        // whose *root* is elsewhere (rule (c) of definition 4.12 reads
+        // leaf state from the root's walk). The verification sweep
+        // catches those; property lattices have constant height, so the
+        // number of passes is bounded by a small constant in practice
+        // (tests pin this).
+        let max_passes = n + 4;
+        // The first pass always seeds every root; later passes only need
+        // roots whose walk cone was touched by the previous pass.
+        self.seed.clear();
+        self.seed.extend(g.ids());
+        loop {
+            stats.passes += 1;
+            self.touched.clear();
+            self.touched.resize(n, false);
+            if !self.walkall_pass(g, cfg, &mut stats) {
+                break;
+            }
+            assert!(
+                stats.passes <= max_passes,
+                "escape property solve failed to converge"
+            );
+            if cfg.dirty_roots {
+                self.dirty_roots(g);
+                stats.skipped_walks += n - self.seed.len();
+            } else {
+                self.seed.clear();
+                self.seed.extend(g.ids());
             }
         }
+        stats
     }
-    g.ids().filter(|id| dirty[id.index()]).collect()
-}
 
-/// One work-queue pass over the `seed` roots; returns whether anything
-/// changed and flags every mutated location in `touched`. Each root's
-/// constraints are applied leaf by leaf in location order.
-fn walkall_pass(
-    g: &mut EscapeGraph,
-    cfg: &SolveConfig,
-    stats: &mut SolveStats,
-    seed: &[LocId],
-    touched: &mut [bool],
-    w: &mut Walker,
-) -> bool {
-    let mut any_change = false;
-    let mut in_queue = vec![false; g.len()];
-    for id in seed {
-        in_queue[id.index()] = true;
-    }
-    let mut queue: VecDeque<LocId> = seed.iter().copied().collect();
-    while let Some(root) = queue.pop_front() {
-        in_queue[root.index()] = false;
-        stats.walks += 1;
-        w.walk(g, root, &mut stats.relaxations);
-        stats.reached += w.reached.len();
-        let mut root_changed = false;
-        for (leaf, d) in w.leaves(root) {
-            let leaf_changed = apply_forward(g, root, leaf, d, cfg);
-            if leaf_changed {
-                any_change = true;
-                touched[leaf.index()] = true;
-                if !in_queue[leaf.index()] {
-                    in_queue[leaf.index()] = true;
-                    queue.push_back(leaf);
+    /// Replaces the seed with the roots that must be re-walked after a
+    /// pass that touched `touched`: the forward closure (along src→dst
+    /// edges) of every touched location, i.e. exactly the roots whose
+    /// walk cone contains a touched location. A root outside this set
+    /// re-reads the same operands as last pass, and every constraint is a
+    /// pure monotone function of those operands, so re-walking it is a
+    /// no-op. Marks the closure in `touched`.
+    fn dirty_roots(&mut self, g: &EscapeGraph) {
+        let dirty = &mut self.touched;
+        self.queue.clear();
+        self.queue.extend(g.ids().filter(|id| dirty[id.index()]));
+        while let Some(cur) = self.queue.pop_front() {
+            for e in g.outgoing(cur) {
+                if !dirty[e.dst.index()] {
+                    dirty[e.dst.index()] = true;
+                    self.queue.push_back(e.dst);
                 }
             }
-            if cfg.back_propagation && apply_backward(g, root, leaf, d, cfg) {
-                any_change = true;
-                root_changed = true;
-            }
         }
-        if root_changed {
-            touched[root.index()] = true;
-            if !in_queue[root.index()] {
-                in_queue[root.index()] = true;
-                queue.push_back(root);
-            }
-        }
+        self.seed.clear();
+        self.seed.extend(g.ids().filter(|id| dirty[id.index()]));
     }
-    any_change
+
+    /// One work-queue pass over the seed roots; returns whether anything
+    /// changed and flags every mutated location in `touched`. Each root's
+    /// constraints are applied leaf by leaf in location order.
+    fn walkall_pass(
+        &mut self,
+        g: &mut EscapeGraph,
+        cfg: &SolveConfig,
+        stats: &mut SolveStats,
+    ) -> bool {
+        let Solver {
+            walker: w,
+            seed,
+            touched,
+            in_queue,
+            queue,
+        } = self;
+        let mut any_change = false;
+        for id in seed.iter() {
+            in_queue[id.index()] = true;
+        }
+        queue.clear();
+        queue.extend(seed.iter().copied());
+        while let Some(root) = queue.pop_front() {
+            in_queue[root.index()] = false;
+            stats.walks += 1;
+            w.walk(g, root, &mut stats.relaxations);
+            stats.reached += w.reached.len();
+            let mut root_changed = false;
+            for (leaf, d) in w.leaves(root) {
+                let leaf_changed = apply_forward(g, root, leaf, d, cfg);
+                if leaf_changed {
+                    any_change = true;
+                    touched[leaf.index()] = true;
+                    if !in_queue[leaf.index()] {
+                        in_queue[leaf.index()] = true;
+                        queue.push_back(leaf);
+                    }
+                }
+                if cfg.back_propagation && apply_backward(g, root, leaf, d, cfg) {
+                    any_change = true;
+                    root_changed = true;
+                }
+            }
+            if root_changed {
+                touched[root.index()] = true;
+                if !in_queue[root.index()] {
+                    in_queue[root.index()] = true;
+                    queue.push_back(root);
+                }
+            }
+        }
+        any_change
+    }
 }
 
 /// Root→leaf constraints: `HeapAlloc` (4.10), `OutermostRef` (4.14),

@@ -1,7 +1,7 @@
 //! Regenerates fig. 11: the run-time distribution across N runs under the
 //! three settings (GoFree, Go, Go-GCOff), shown as a text histogram.
 
-use crate::{run_three_settings, Options};
+use crate::{run_three_settings, verdict, Options};
 use gofree::cli::Observed;
 use gofree::{distribution, Histogram, Setting};
 
@@ -38,19 +38,13 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
         }
         println!("         |{}|", hist.spark());
     }
+    println!("\n(ticks {lo:.0}..{hi:.0}, log2-bucketed offset from the fastest run)");
+    let [gofree_mean, go_mean, gcoff_mean] = dists.each_ref().map(|d| d.mean);
     println!(
-        "\n(ticks {lo:.0}..{hi:.0}, log2-bucketed offset from the fastest run; \
-         expected shape: GCOff fastest, GoFree between GCOff and Go, Go slowest)"
+        "GCOff fastest, GoFree between GCOff and Go, Go slowest on the means \
+         ({gcoff_mean:.0} <= {gofree_mean:.0} <= {go_mean:.0}): {}",
+        verdict(gcoff_mean <= gofree_mean && gofree_mean <= go_mean)
     );
-    let mean = |d: &gofree::Distribution| d.mean;
-    if mean(&dists[2]) <= mean(&dists[0]) && mean(&dists[0]) <= mean(&dists[1]) {
-        println!("Ordering GCOff <= GoFree <= Go holds on the means.");
-    } else {
-        println!(
-            "Note: the strict GCOff <= GoFree <= Go ordering did not hold at this \
-             scale (expected at --quick; run at full scale for the paper's shape)."
-        );
-    }
     // The designated run is GoFree's run 0 (compile phases are not
     // collected here; the runtime track carries everything).
     let run0 = gofree.into_iter().next().expect("at least one run");

@@ -6,13 +6,17 @@
 //! throughput tables: compiler-inserted freeing shrinks the GC work that
 //! turns into p999 queueing under the burst phase change.
 
-use crate::Options;
+use crate::{verdict, Options};
 use gofree::cli::Observed;
 use gofree::{
-    compile, run_service, Arrival, CollectorKind, RunConfig, ServiceConfig, ServiceReport, Setting,
+    compile, run_service, Arrival, CollectorKind, RunConfig, ServiceConfig, ServiceReport,
+    ServiceStats, Setting,
 };
 use gofree_workloads::service::scenarios;
 use gofree_workloads::Scale;
+
+/// The settings each cell runs, in the order they print.
+const SETTINGS: [Setting; 3] = [Setting::GoFree, Setting::Go, Setting::GoGcOff];
 
 /// Offered load per scenario, chosen against the calibrated mean
 /// service times (~800/~2200/~460 ticks) so steady state sits near
@@ -36,6 +40,9 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
     );
 
     let mut observed: Option<(ServiceReport, Vec<gofree::PhaseTime>)> = None;
+    // Per scenario and collector, the three settings' stats in
+    // `SETTINGS` order, for the shape checks at the end.
+    let mut cells: Vec<[ServiceStats; 3]> = Vec::new();
     for collector in CollectorKind::all() {
         let base = RunConfig {
             collector,
@@ -62,8 +69,8 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
                 rps: rps_for(w.name),
                 arrival: Arrival::Burst,
             };
-            let mut p999 = Vec::new();
-            for setting in [Setting::GoFree, Setting::Go, Setting::GoGcOff] {
+            let mut stats = Vec::new();
+            for setting in SETTINGS {
                 let compiled = compile(&w.source, &opts.compile_options(setting))
                     .unwrap_or_else(|e| panic!("{}: {e}", w.name));
                 let r = run_service(&compiled, setting, &base, &svc)
@@ -92,34 +99,50 @@ pub fn run(opts: &Options) -> Result<Option<Observed>, String> {
                     s.heap_hwm,
                     spark,
                 );
-                p999.push((setting, s.latency_q.p999));
+                stats.push(r.stats.clone());
                 if setting == Setting::GoFree && observed.is_none() {
                     observed = Some((r, compiled.phase_times.clone()));
                 }
             }
-            if let (Some(&(_, free)), Some(&(_, go))) = (
-                p999.iter().find(|(s, _)| *s == Setting::GoFree),
-                p999.iter().find(|(s, _)| *s == Setting::Go),
-            ) {
-                let delta = go as i64 - free as i64;
-                println!(
-                    "{:<8} p999 delta GoFree vs Go: {delta:+} ticks ({})",
-                    "",
-                    if delta >= 0 {
-                        "GoFree no worse"
-                    } else {
-                        "Go better here"
-                    }
-                );
-            }
+            let [gofree, go, gcoff] = <[ServiceStats; 3]>::try_from(stats).expect("three settings");
+            let delta = go.latency_q.p999 as i64 - gofree.latency_q.p999 as i64;
+            println!(
+                "{:<8} p999 delta GoFree vs Go: {delta:+} ticks ({})",
+                "",
+                if delta >= 0 {
+                    "GoFree no worse"
+                } else {
+                    "Go better here"
+                }
+            );
             println!();
+            cells.push([gofree, go, gcoff]);
         }
     }
-    println!(
-        "(expected shape: under the burst phase change GoFree's prompt reclamation \
-         runs fewer/cheaper GC cycles than Go's GOGC pacing, so its p999 and worst \
-         pause are no worse; GCOff has zero pauses but the largest heap.)"
-    );
+    // The shape the study expects: under the burst phase change
+    // GoFree's prompt reclamation runs fewer GC cycles than Go's GOGC
+    // pacing, so its p999 and worst pause are no worse; GCOff never
+    // pauses but holds the largest heap.
+    let check = |what: &str, holds: &dyn Fn(&[ServiceStats; 3]) -> bool| {
+        let n = cells.iter().filter(|c| holds(c)).count();
+        println!(
+            "{what} ({n} of {} cells): {}",
+            cells.len(),
+            verdict(n == cells.len())
+        );
+    };
+    check("GoFree runs fewer GC cycles than Go", &|[free, go, _]| {
+        free.gcs() < go.gcs()
+    });
+    check("GoFree's p999 is no worse than Go's", &|[free, go, _]| {
+        free.latency_q.p999 <= go.latency_q.p999
+    });
+    check("GoFree's worst pause is no worse than Go's", &|[free, go, _]| {
+        free.pause_max() <= go.pause_max()
+    });
+    check("GCOff never pauses and holds the largest heap", &|[free, go, off]| {
+        off.gcs() == 0 && off.heap_hwm > free.heap_hwm.max(go.heap_hwm)
+    });
 
     // The designated run is the first GoFree cell (go collector, first
     // scenario).

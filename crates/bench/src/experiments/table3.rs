@@ -2,7 +2,7 @@
 //! three escape analyses — Fast Escape Analysis (O(N)), the Go escape
 //! graph (O(N²)), and the connection graph (O(N³)).
 
-use crate::Options;
+use crate::{verdict, Options};
 use gofree::cli::Observed;
 use minigo_escape::baseline::{conn, fast};
 use minigo_escape::{
@@ -43,6 +43,7 @@ pub fn run(_: &Options) -> Result<Option<Observed>, String> {
     };
     let pd2 = var_named("pd2");
     let name_of = |v: VarId| res.var(v).name.clone();
+    let set = |names: &[String]| format!("{{{}}}", names.join(", "));
 
     println!("Table 3: PointsTo(L(pd2)) in different escape analyses");
     println!("(program: fig. 1; the indirect store *ppd = pc is the untracked flow)\n");
@@ -65,7 +66,7 @@ pub fn run(_: &Options) -> Result<Option<Observed>, String> {
         "{:<22} {:<12} {:<28} {}",
         "Fast Esc. Analysis",
         "O(N)",
-        format!("{{{}}}", fast_pts.join(", ")),
+        set(&fast_pts),
         if f.is_incomplete(pd2) {
             "no (deref untracked)"
         } else {
@@ -98,7 +99,7 @@ pub fn run(_: &Options) -> Result<Option<Observed>, String> {
         "{:<22} {:<12} {:<28} {}",
         "Go esc. graph",
         "O(N^2)",
-        format!("{{{}}}", go_pts.join(", ")),
+        set(&go_pts),
         if fg.graph.loc(loc).incomplete {
             "no (GoFree: Incomplete, not freed)"
         } else {
@@ -122,20 +123,38 @@ pub fn run(_: &Options) -> Result<Option<Observed>, String> {
         "{:<22} {:<12} {:<28} yes (tracks indirect stores)",
         "Conn. graph",
         "O(N^3)",
-        format!("{{{}}}", conn_pts.join(", "))
+        set(&conn_pts)
     );
 
-    println!("\nExpected shape (paper table 3):");
-    println!("  Fast:  {{}} — every dereference loses the set");
-    println!("  Go:    {{d}} — misses c (flow through *ppd omitted)");
-    println!("  Conn.: {{c, d}} — complete");
+    // Paper table 3's shape, each row checked.
+    let has = |names: &[String], n: &str| names.iter().any(|x| x == n);
+    println!();
+    println!(
+        "Fast loses the whole set at the dereference ({}): {}",
+        set(&fast_pts),
+        verdict(fast_pts.is_empty())
+    );
+    println!(
+        "Go sees d but misses c, the flow through *ppd ({}): {}",
+        set(&go_pts),
+        verdict(has(&go_pts, "d") && !has(&go_pts, "c"))
+    );
+    println!(
+        "GoFree flags pd2 Incomplete, so it is never freed: {}",
+        verdict(fg.graph.loc(loc).incomplete)
+    );
+    println!(
+        "Conn. graph is complete ({}): {}",
+        set(&conn_pts),
+        verdict(has(&conn_pts, "c") && has(&conn_pts, "d"))
+    );
     assert!(fast_pts.is_empty(), "fast analysis must lose the set");
     assert!(
-        go_pts.iter().any(|n| n == "d") && !go_pts.iter().any(|n| n == "c"),
+        has(&go_pts, "d") && !has(&go_pts, "c"),
         "Go graph sees d but not c: {go_pts:?}"
     );
     assert!(
-        conn_pts.iter().any(|n| n == "c") && conn_pts.iter().any(|n| n == "d"),
+        has(&conn_pts, "c") && has(&conn_pts, "d"),
         "connection graph sees both: {conn_pts:?}"
     );
     assert!(fg.graph.loc(loc).incomplete, "GoFree flags pd2 incomplete");

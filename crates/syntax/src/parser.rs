@@ -230,12 +230,22 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos].kind.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        kind
+    }
+
+    /// Moves the text out of the current identifier or string-literal
+    /// token and steps past it. The parser never reads a token it has
+    /// stepped past, so the token keeps only its kind and span.
+    fn take_text(&mut self) -> String {
+        let text = match &mut self.tokens[self.pos].kind {
+            TokenKind::Ident(s) | TokenKind::Str(s) => std::mem::take(s),
+            other => unreachable!("take_text at {}", other.describe()),
+        };
+        self.bump();
+        text
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -269,11 +279,10 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span)> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
+        match self.peek() {
+            TokenKind::Ident(_) => {
                 let sp = self.span();
-                self.bump();
-                Ok((name, sp))
+                Ok((self.take_text(), sp))
             }
             other => Err(Diagnostic::new(
                 format!("expected identifier, found {}", other.describe()),
@@ -463,7 +472,7 @@ impl Parser {
     // ---- types ----
 
     fn ty(&mut self) -> Result<Type> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Star => {
                 self.bump();
                 Ok(Type::ptr(self.nested(Self::ty)?))
@@ -481,8 +490,8 @@ impl Parser {
                 let value = self.nested(Self::ty)?;
                 Ok(Type::map(key, value))
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident(_) => {
+                let name = self.take_text();
                 Ok(match name.as_str() {
                     "int" => Type::Int,
                     "bool" => Type::Bool,
@@ -521,7 +530,7 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Var => self.var_decl(),
             TokenKind::If => self.if_stmt(),
             TokenKind::For => self.for_stmt(),
@@ -599,9 +608,9 @@ impl Parser {
         }
         if self.eat(&TokenKind::Define) {
             let names = lhs
-                .iter()
-                .map(|e| match &e.kind {
-                    ExprKind::Ident(name) => Ok(name.clone()),
+                .into_iter()
+                .map(|e| match e.kind {
+                    ExprKind::Ident(name) => Ok(name),
                     _ => Err(Diagnostic::new(
                         "left side of `:=` must be identifiers",
                         e.span,
@@ -991,7 +1000,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
                 self.mk_expr(ExprKind::IntLit(v), start, 0)
@@ -1008,8 +1017,8 @@ impl Parser {
                 self.bump();
                 self.mk_expr(ExprKind::Nil, start, 0)
             }
-            TokenKind::Str(s) => {
-                self.bump();
+            TokenKind::Str(_) => {
+                let s = self.take_text();
                 self.mk_expr(ExprKind::StrLit(s), start, 0)
             }
             TokenKind::LParen => {
@@ -1021,8 +1030,8 @@ impl Parser {
                 self.expect(&TokenKind::RParen)?;
                 Ok(e)
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident(_) => {
+                let name = self.take_text();
                 if self.at(&TokenKind::LParen) {
                     return self.call_or_builtin(name, start);
                 }
@@ -1031,7 +1040,7 @@ impl Parser {
                 }
                 self.mk_expr(ExprKind::Ident(name), start, 0)
             }
-            other => Err(Diagnostic::new(
+            ref other => Err(Diagnostic::new(
                 format!("expected expression, found {}", other.describe()),
                 start,
             )),
@@ -1062,13 +1071,13 @@ impl Parser {
         self.expect(&TokenKind::LParen)?;
         let saved = self.no_struct_lit;
         self.no_struct_lit = false;
-        let result = self.call_args(&name, start);
+        let result = self.call_args(name, start);
         self.no_struct_lit = saved;
         result
     }
 
-    fn call_args(&mut self, name: &str, start: Span) -> Result<Expr> {
-        if let Some(builtin) = Builtin::from_name(name) {
+    fn call_args(&mut self, name: String, start: Span) -> Result<Expr> {
+        if let Some(builtin) = Builtin::from_name(&name) {
             let mut ty_args = Vec::new();
             if matches!(builtin, Builtin::Make | Builtin::New) {
                 ty_args.push(self.ty()?);
@@ -1103,10 +1112,7 @@ impl Parser {
         }
         let end = self.expect(&TokenKind::RParen)?;
         self.mk_expr(
-            ExprKind::Call {
-                callee: name.to_string(),
-                args,
-            },
+            ExprKind::Call { callee: name, args },
             start.merge(end),
             below,
         )

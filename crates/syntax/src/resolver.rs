@@ -92,6 +92,7 @@ impl Resolution {
     }
 
     /// A function's variables (parameters, results, locals) in id order.
+    /// The resolver numbers one function's variables consecutively.
     pub fn vars_of(&self, func: FuncId) -> &[VarId] {
         self.by_func.get(func).map(Vec::as_slice).unwrap_or(&[])
     }

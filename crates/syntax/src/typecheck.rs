@@ -6,6 +6,8 @@
 //! rejects anything whose semantics the VM or the escape analysis would have
 //! to guess at.
 
+use std::sync::Arc;
+
 use crate::ast::*;
 use crate::diag::{Diagnostic, Result};
 use crate::fxhash::FxHashMap;
@@ -610,7 +612,7 @@ impl<'p> Checker<'p> {
                 UnOp::Deref => {
                     let t = self.expr(operand, None)?;
                     match t {
-                        Type::Ptr(inner) => Ok(*inner),
+                        Type::Ptr(inner) => Ok(Arc::unwrap_or_clone(inner)),
                         other => Err(Diagnostic::new(
                             format!("cannot dereference {other}"),
                             expr.span,
@@ -680,12 +682,12 @@ impl<'p> Checker<'p> {
                     Type::Slice(elem) => {
                         let it = self.expr(index, Some(&Type::Int))?;
                         self.require_assignable(&Type::Int, &it, index.span)?;
-                        Ok(*elem)
+                        Ok(Arc::unwrap_or_clone(elem))
                     }
                     Type::Map(k, v) => {
                         let it = self.expr(index, Some(&k))?;
                         self.require_assignable(&k, &it, index.span)?;
-                        Ok(*v)
+                        Ok(Arc::unwrap_or_clone(v))
                     }
                     other => Err(Diagnostic::new(format!("cannot index {other}"), expr.span)),
                 }

@@ -5,8 +5,10 @@
 //! 3 words, and struct fields are 8-byte aligned.
 
 use std::fmt;
+use std::sync::Arc;
 
-/// A MiniGo type.
+/// A MiniGo type. Composite types share their element types, so
+/// cloning a type copies at most one level.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// 64-bit signed integer.
@@ -18,27 +20,27 @@ pub enum Type {
     /// A named struct type.
     Named(String),
     /// Pointer to `T`.
-    Ptr(Box<Type>),
+    Ptr(Arc<Type>),
     /// Slice of `T` (fat pointer to a heap or stack array).
-    Slice(Box<Type>),
+    Slice(Arc<Type>),
     /// Map from `K` to `V` (reference to a runtime-managed hash table).
-    Map(Box<Type>, Box<Type>),
+    Map(Arc<Type>, Arc<Type>),
 }
 
 impl Type {
     /// Convenience constructor for `*T`.
     pub fn ptr(inner: Type) -> Type {
-        Type::Ptr(Box::new(inner))
+        Type::Ptr(Arc::new(inner))
     }
 
     /// Convenience constructor for `[]T`.
     pub fn slice(elem: Type) -> Type {
-        Type::Slice(Box::new(elem))
+        Type::Slice(Arc::new(elem))
     }
 
     /// Convenience constructor for `map[K]V`.
     pub fn map(key: Type, value: Type) -> Type {
-        Type::Map(Box::new(key), Box::new(value))
+        Type::Map(Arc::new(key), Arc::new(value))
     }
 
     /// Whether values of this type can transitively reach pointers.

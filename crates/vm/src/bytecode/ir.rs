@@ -108,8 +108,9 @@ pub struct BFunc {
     /// a runtime error, exactly as in the tree-walk).
     pub results: Vec<(u32, bool, Option<u32>)>,
     /// Variable names, for error messages. There is one per variable
-    /// slot; every slot from `slot_names.len()` up is a temporary.
-    pub slot_names: Vec<String>,
+    /// slot; every slot from `slot_names.len()` up is a temporary. The
+    /// optimized module shares the lowered one's names.
+    pub slot_names: Arc<[String]>,
     /// The instruction stream. Always ends with [`Instr::Ret`].
     pub code: Vec<Instr>,
 }

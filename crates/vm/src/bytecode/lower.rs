@@ -26,6 +26,8 @@
 //! copied into a temporary instead, because the code in between may
 //! store through a pointer to it or free it.
 
+use std::sync::Arc;
+
 use minigo_escape::{AllocPlace, Analysis};
 use minigo_syntax::{
     BinOp, Block, Builtin, Expr, ExprKind, Func, FuncId, Program, Resolution, Stmt, StmtKind, Type,
@@ -100,19 +102,19 @@ fn lower_func(
 
     // Dense slot assignment: every variable the resolver attributed to
     // this function, in VarId order (parameters and results first, since
-    // the resolver numbers them at function entry).
-    let mut slot_of = FxHashMap::default();
-    let mut slot_names = Vec::new();
-    for &v in res.vars_of(func.id) {
-        slot_of.insert(v, slot_names.len() as u32);
-        slot_names.push(res.var(v).name.clone());
-    }
+    // the resolver numbers them at function entry). The resolver numbers
+    // one function's variables consecutively, so a variable's slot is its
+    // offset from the first.
+    let vars = res.vars_of(func.id);
+    let first_var = vars.first().map_or(0, |v| v.0);
+    assert!(
+        vars.iter().zip(first_var..).all(|(v, id)| v.0 == id),
+        "the variables of `{}` are not numbered consecutively",
+        func.name
+    );
+    let slot_names: Arc<[String]> = vars.iter().map(|&v| res.var(v).name.clone()).collect();
     let nvars = slot_names.len() as u32;
-    let boxed = res
-        .vars_of(func.id)
-        .iter()
-        .map(|v| addr_taken.contains(v))
-        .collect();
+    let boxed = vars.iter().map(|v| addr_taken.contains(v)).collect();
 
     let mut lo = FnLowerer {
         fid: func.id,
@@ -120,7 +122,7 @@ fn lower_func(
         types,
         analysis,
         addr_taken,
-        slot_of,
+        first_var,
         boxed,
         consts,
         code: Vec::new(),
@@ -137,14 +139,14 @@ fn lower_func(
     let params = res
         .params_of(func.id)
         .iter()
-        .map(|&v| (lo.slot_of[&v], lo.addr_taken.contains(&v)))
+        .map(|&v| (lo.slot(v), lo.addr_taken.contains(&v)))
         .collect();
     let results = res
         .results_of(func.id)
         .iter()
         .map(|&v| {
             let zero = types.var(v).map(|t| lo.consts.add(zero_value(t, types)));
-            (lo.slot_of[&v], lo.addr_taken.contains(&v), zero)
+            (lo.slot(v), lo.addr_taken.contains(&v), zero)
         })
         .collect();
     let code = std::mem::take(&mut lo.code);
@@ -178,7 +180,9 @@ struct FnLowerer<'a> {
     types: &'a TypeInfo,
     analysis: &'a Analysis,
     addr_taken: FxHashSet<VarId>,
-    slot_of: FxHashMap<VarId, u32>,
+    /// The function's first variable: variable `v` lives in slot
+    /// `v - first_var`.
+    first_var: u32,
     /// Per variable slot, whether the variable is address-taken.
     boxed: Vec<bool>,
     consts: &'a mut ConstPool,
@@ -231,7 +235,10 @@ impl<'a> FnLowerer<'a> {
     }
 
     fn slot(&self, var: VarId) -> u32 {
-        self.slot_of[&var]
+        var.0
+            .checked_sub(self.first_var)
+            .filter(|&slot| (slot as usize) < self.boxed.len())
+            .unwrap_or_else(|| panic!("{var:?} is not a variable of this function"))
     }
 
     fn intern(&mut self, v: Const) -> u32 {

@@ -28,7 +28,9 @@
 //! rewrite: no operator on constants and no jump to a jump (DESIGN.md
 //! §12 has the census).
 
-use super::ir::{Instr, Module};
+use std::sync::Arc;
+
+use super::ir::{BFunc, Instr, Module};
 
 /// Rewrite counters for one [`optimize`] run, surfaced through the
 /// compile pipeline next to its phase timings and exported in the JSON
@@ -52,12 +54,24 @@ impl OptStats {
 
 /// Runs the optimizer tier over a lowered module, returning the
 /// optimized module and its rewrite counters. The input is left
-/// untouched so the baseline stream stays available for `--opt off`.
+/// untouched so the baseline stream stays available for `--opt off`;
+/// the two share each function's slot names.
 pub fn optimize(m: &Module) -> (Module, OptStats) {
-    let mut out = m.clone();
-    for f in &mut out.funcs {
-        f.code = merge_ticks(std::mem::take(&mut f.code));
-    }
+    let out = Module {
+        funcs: m
+            .funcs
+            .iter()
+            .map(|f| BFunc {
+                name: f.name.clone(),
+                nslots: f.nslots,
+                params: f.params.clone(),
+                results: f.results.clone(),
+                slot_names: Arc::clone(&f.slot_names),
+                code: merge_ticks(&f.code),
+            })
+            .collect(),
+        consts: m.consts.clone(),
+    };
     let instrs_before = m.instr_count() as u64;
     let instrs_after = out.instr_count() as u64;
     // Every instruction the pass removes is a merged or zero `Tick`.
@@ -71,7 +85,7 @@ pub fn optimize(m: &Module) -> (Module, OptStats) {
 
 /// Merges each run of `Tick`s into the instruction after it; see the
 /// module doc.
-fn merge_ticks(code: Vec<Instr>) -> Vec<Instr> {
+fn merge_ticks(code: &[Instr]) -> Vec<Instr> {
     let n = code.len();
     let mut is_target = vec![false; n + 1];
     for t in code.iter().filter_map(Instr::jump_target) {
@@ -83,12 +97,12 @@ fn merge_ticks(code: Vec<Instr>) -> Vec<Instr> {
     let mut map = vec![0; n + 1];
     // The charge of the `Tick`s read since the last instruction written.
     let mut pending = 0u32;
-    for (i, mut instr) in code.into_iter().enumerate() {
+    for (i, instr) in code.iter().enumerate() {
         if is_target[i] {
             flush(&mut out, &mut pending);
         }
         map[i] = out.len();
-        if let Instr::Tick(t) = instr {
+        if let Instr::Tick(t) = *instr {
             match pending.checked_add(t) {
                 Some(sum) => pending = sum,
                 None => {
@@ -98,6 +112,7 @@ fn merge_ticks(code: Vec<Instr>) -> Vec<Instr> {
             }
             continue;
         }
+        let mut instr = instr.clone();
         if pending > 0 && !ride(&mut instr, pending) {
             flush(&mut out, &mut pending);
         }
@@ -152,7 +167,7 @@ mod tests {
                 nslots: 8,
                 params: Vec::new(),
                 results: Vec::new(),
-                slot_names: vec!["a".into(), "b".into(), "c".into(), "d".into()],
+                slot_names: ["a", "b", "c", "d"].map(String::from).into(),
                 code,
             }],
             consts: Vec::new(),

@@ -207,7 +207,7 @@ fn program(x: i64, y: i64, boxed: bool, body: Vec<Instr>, result: Option<u32>) -
             nslots: 5,
             params: Vec::new(),
             results: Vec::new(),
-            slot_names: ["x", "y", "d", "s"].map(String::from).to_vec(),
+            slot_names: ["x", "y", "d", "s"].map(String::from).into(),
             code,
         }],
         consts: vec![
