@@ -18,9 +18,10 @@
 //! (allocated since the last cycle and not freed) carry a young bit on
 //! their span; when their bytes cross [`RuntimeConfig::nursery_size`] a
 //! **minor** cycle marks and sweeps only them ([`Heap::sweep_young`]) and
-//! promotes every survivor wholesale. The VM's roots cannot see
-//! old→young pointers cheaply, so a write barrier records mutated *old*
-//! objects in a remembered set, charged as minor-mark root-scan cost. It
+//! promotes every survivor wholesale. A minor mark stops at old objects,
+//! so a write barrier records the *old* objects a reference is stored
+//! into in a remembered set, the minor mark's extra roots, charged as
+//! root-scan cost. It
 //! is a set, not a fourth span word: it is bounded by one cycle's stores,
 //! and a word per 64 slots would be paid by every span of either
 //! collector. Promotion clears it: no old→young edge survives a cycle
@@ -207,6 +208,12 @@ impl Collector {
         self.pending
     }
 
+    /// What kind of cycle the open window leads to.
+    #[inline]
+    pub fn cycle(&self) -> CycleKind {
+        self.cycle
+    }
+
     /// Whether [`Collector::record_store`] can ever do anything.
     #[inline]
     pub fn has_barrier(&self) -> bool {
@@ -265,20 +272,23 @@ impl Collector {
         Some(GcTrigger { goal, window, kind })
     }
 
-    /// Write barrier: the VM stored into the heap object at `addr`.
-    /// Returns the ticks to charge; without a nursery there is no
-    /// barrier and the store is free.
-    pub fn record_store(&mut self, cfg: &RuntimeConfig, heap: &Heap, addr: ObjAddr) -> u64 {
-        let Some(n) = &mut self.nursery else {
-            return 0;
-        };
-        // Stores into young objects need no barrier: the nursery is
-        // traced in full at every cycle.
+    /// Write barrier: the VM stored a heap reference into the object at
+    /// `addr`. `None` when no barrier fires (no nursery, GC off, or a
+    /// young object: the nursery is traced at every cycle, so a store
+    /// into it needs no record); else whether `addr` is newly
+    /// remembered. The caller charges [`cost::WRITE_BARRIER`] per fired
+    /// barrier.
+    pub fn record_store(
+        &mut self,
+        cfg: &RuntimeConfig,
+        heap: &Heap,
+        addr: ObjAddr,
+    ) -> Option<bool> {
+        let n = self.nursery.as_mut()?;
         if !cfg.gc_enabled || heap.is_young(addr) {
-            return 0;
+            return None;
         }
-        n.remembered.insert(addr);
-        cost::WRITE_BARRIER
+        Some(n.remembered.insert(addr))
     }
 
     /// A `tcfree` deallocated `addr`: evict it from the nursery. Touches
@@ -479,7 +489,7 @@ mod tests {
         let mut heap = Heap::new(1);
         let (addr, _) = heap.alloc_small(class_for(64), 0, Category::Other);
         let mut gc = Collector::new(&cfg);
-        assert_eq!(gc.record_store(&cfg, &heap, addr), 0);
+        assert_eq!(gc.record_store(&cfg, &heap, addr), None);
     }
 
     #[test]
@@ -513,7 +523,7 @@ mod tests {
         let (old, _) = heap.alloc_small(class_for(64), 0, Category::Other);
         gc.on_object_alloc(&mut heap, old, 64);
         gc.open_window(CycleKind::Minor, 0);
-        heap.mark(old);
+        heap.mark(old, heap.owner(old).unwrap(), false);
         gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
         assert_eq!(nursery(&gc).young_bytes, 0, "promotion empties the nursery");
         // Now a young unmarked object dies in a minor while the old,
@@ -547,12 +557,24 @@ mod tests {
         let mut gc = Collector::new(&cfg);
         let (young, _) = heap.alloc_small(class_for(64), 0, Category::Other);
         gc.on_object_alloc(&mut heap, young, 64);
-        assert_eq!(gc.record_store(&cfg, &heap, young), 0, "young: no barrier");
+        assert_eq!(
+            gc.record_store(&cfg, &heap, young),
+            None,
+            "young: no barrier"
+        );
         assert_eq!(nursery(&gc).remembered.len(), 0);
         let (old, _) = heap.alloc_small(class_for(64), 0, Category::Other);
         // Not registered young: counts as old.
-        let ticks = gc.record_store(&cfg, &heap, old);
-        assert_eq!(ticks, cost::WRITE_BARRIER);
+        assert_eq!(
+            gc.record_store(&cfg, &heap, old),
+            Some(true),
+            "newly remembered"
+        );
+        assert_eq!(
+            gc.record_store(&cfg, &heap, old),
+            Some(false),
+            "a barrier, no news"
+        );
         assert_eq!(nursery(&gc).remembered.len(), 1);
     }
 
@@ -566,7 +588,7 @@ mod tests {
         let (a, _) = heap.alloc_small(class_for(1024), 0, Category::Other);
         gc.on_object_alloc(&mut heap, a, 1024);
         gc.force_window(0);
-        heap.mark(a);
+        heap.mark(a, heap.owner(a).unwrap(), false);
         let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
         assert_eq!(out.kind, CycleKind::Major);
         assert_eq!(out.next_goal, cfg.min_heap, "small heap: floor wins");

@@ -517,16 +517,23 @@ impl Heap {
         span.holders.get(addr.slot as usize)?.tag()
     }
 
-    /// Sets the mark bit of an allocated object; `true` when this call
-    /// marked it (free slots and repeat marks answer `false`). The VM
-    /// uses the answer as its visited check.
-    pub fn mark(&mut self, addr: ObjAddr) -> bool {
-        let Some((w, bit)) = self.word_mut(addr) else {
-            return false;
-        };
-        let newly = w.alloc & !w.mark & bit;
+    /// Marks the allocation `tag` at `addr`, checking the stamp and
+    /// setting the bit in one span lookup. `None` when the handle is
+    /// stale (the slot was freed, swept or reallocated); else whether
+    /// this call set the bit. With `young_only` (a minor cycle's mark)
+    /// an old object is left unmarked and answers `Some(false)`, like a
+    /// repeat mark: the VM uses the answer as its visited check and
+    /// does not trace what it did not mark.
+    pub fn mark(&mut self, addr: ObjAddr, tag: OwnerTag, young_only: bool) -> Option<bool> {
+        let span = self.spans.get_mut(addr.span.0 as usize)?;
+        if span.holders.get(addr.slot as usize)?.tag() != Some(tag) {
+            return None;
+        }
+        let (w, bit) = bit_of(addr.slot);
+        let w = &mut span.words[w];
+        let newly = w.alloc & !w.mark & bit & if young_only { w.young } else { !0 };
         w.mark |= newly;
-        newly != 0
+        Some(newly != 0)
     }
 
     /// Whether the object carries this cycle's mark.
@@ -772,6 +779,65 @@ mod tests {
     use super::*;
     use crate::sizeclass::class_for;
 
+    /// Marks whatever currently occupies `a` (a full cycle's mark).
+    fn mark(h: &mut Heap, a: ObjAddr) -> bool {
+        h.owner(a).and_then(|tag| h.mark(a, tag, false)) == Some(true)
+    }
+
+    #[test]
+    fn one_lookup_mark_agrees_with_the_owner_then_bit_form() {
+        let mut h = Heap::new(1);
+        let class = class_for(64);
+        let handle = |h: &mut Heap| {
+            let a = h.alloc_small(class, 0, Category::Other).0;
+            (a, h.owner(a).expect("allocated"))
+        };
+        let old = handle(&mut h);
+        let young = handle(&mut h);
+        h.set_young(young.0);
+        let freed = handle(&mut h);
+        // `below` is freed and its slot handed to a new allocation.
+        let below = handle(&mut h);
+        h.free_small(below.0);
+        let reused = handle(&mut h);
+        assert_eq!(reused.0, below.0, "the revert hands the slot back");
+        h.free_small(freed.0);
+        let stale = (
+            ObjAddr {
+                span: SpanId(7),
+                slot: 3,
+            },
+            old.1,
+        );
+        // The form the fused call replaced: the stamp, then the bits.
+        let two_call = |h: &Heap, (a, tag): (ObjAddr, OwnerTag), young_only: bool| {
+            (h.owner(a) == Some(tag))
+                .then(|| h.is_allocated(a) && !h.is_marked(a) && (!young_only || h.is_young(a)))
+        };
+        let handles = [old, young, freed, below, reused, stale];
+        for young_only in [true, false] {
+            for _repeat in 0..2 {
+                for &(a, tag) in &handles {
+                    let want = two_call(&h, (a, tag), young_only);
+                    let was = h.is_marked(a);
+                    assert_eq!(
+                        h.mark(a, tag, young_only),
+                        want,
+                        "{a:?} young_only={young_only}"
+                    );
+                    assert_eq!(h.is_marked(a), was || want == Some(true));
+                }
+            }
+        }
+        let marked: Vec<_> = handles.iter().map(|&(a, _)| h.is_marked(a)).collect();
+        assert_eq!(marked, [true, true, false, true, true, false]);
+        assert_eq!(
+            h.mark(below.0, below.1, false),
+            None,
+            "the old stamp stays stale"
+        );
+    }
+
     #[test]
     fn small_alloc_bumps_and_accounts() {
         let mut h = Heap::new(1);
@@ -869,8 +935,8 @@ mod tests {
         let class = class_for(64);
         let (a, _) = h.alloc_small(class, 0, Category::Slice);
         let (b, _) = h.alloc_small(class, 0, Category::Map);
-        assert!(h.mark(a));
-        assert!(!h.mark(a), "second mark is not new");
+        assert!(mark(&mut h, a));
+        assert!(!mark(&mut h, a), "second mark is not new");
         let out = h.sweep();
         let freed: Vec<_> = out.freed.iter().map(|f| (f.addr, f.cat)).collect();
         assert_eq!(freed, vec![(b, Category::Map)]);
@@ -902,7 +968,7 @@ mod tests {
         let big = h.alloc_large(50_000, 0, Category::Slice);
         h.set_young(young_dead);
         h.set_young(young_live);
-        h.mark(young_live);
+        mark(&mut h, young_live);
         let out = h.sweep_young();
         let freed: Vec<_> = out.freed.iter().map(|f| (f.addr, f.cat)).collect();
         assert_eq!(freed, vec![(young_dead, Category::Map)]);
@@ -970,7 +1036,7 @@ mod tests {
         assert_eq!(big.span, last.span, "the struct is reused with one slot");
         assert_eq!(h.owner(last), None);
         assert!(!h.is_allocated(last));
-        assert!(!h.mark(last));
+        assert!(!mark(&mut h, last));
         assert!(!h.clear_young(last));
     }
 
@@ -980,8 +1046,8 @@ mod tests {
         let (old, _) = h.alloc_small(class_for(64), 0, Category::Other);
         let (young, _) = h.alloc_small(class_for(512), 0, Category::Other);
         h.set_young(young);
-        h.mark(old);
-        h.mark(young);
+        mark(&mut h, old);
+        mark(&mut h, young);
         let out = h.sweep_young();
         assert_eq!(out.spans_swept, 1, "the old object's span was skipped");
         h.promote_all();
@@ -996,7 +1062,7 @@ mod tests {
         h.alloc_large(50_000, 0, Category::Slice);
         let (a, _) = h.alloc_small(class_for(64), 0, Category::Other);
         assert_eq!(h.check_invariants(), Ok(()));
-        h.mark(a);
+        mark(&mut h, a);
         let err = h.check_invariants().unwrap_err();
         assert_eq!(
             err,

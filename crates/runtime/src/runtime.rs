@@ -419,11 +419,20 @@ impl Runtime {
         self.heap.owner(addr)
     }
 
-    /// Marks `addr` reachable for the coming [`Runtime::collect`];
-    /// `true` when this call marked it ([`Heap::mark`]).
+    /// Marks the allocation `tag` at `addr` reachable for the coming
+    /// [`Runtime::collect`], in one span lookup: `None` for a stale
+    /// handle, else whether this call set the bit. With `young_only` an
+    /// old object stays unmarked ([`Heap::mark`]).
     #[inline]
-    pub fn mark(&mut self, addr: ObjAddr) -> bool {
-        self.heap.mark(addr)
+    pub fn mark(&mut self, addr: ObjAddr, tag: OwnerTag, young_only: bool) -> Option<bool> {
+        self.heap.mark(addr, tag, young_only)
+    }
+
+    /// What kind of cycle the pending collection is. A minor one sweeps
+    /// only young objects, so its mark may stop at old ones.
+    #[inline]
+    pub fn pending_cycle(&self) -> CycleKind {
+        self.collector.cycle()
     }
 
     /// Whether the collector has a write barrier at all (only with a
@@ -435,16 +444,19 @@ impl Runtime {
         self.collector.has_barrier()
     }
 
-    /// Write-barrier entry point: the VM calls this at every
-    /// heap-pointer store site (the same sites the shadow sanitizer
-    /// hooks). Without a nursery it is a total no-op — zero ticks, no
-    /// state — so `go` runs stay bit-identical to the pre-barrier
-    /// runtime.
-    pub fn record_store(&mut self, addr: ObjAddr) {
-        let ticks = self.collector.record_store(&self.cfg, &self.heap, addr);
-        if ticks > 0 {
-            self.clock.charge(ticks);
+    /// Write-barrier entry point: the VM calls this when it stores a
+    /// value that can hold a heap reference into the object at `addr`
+    /// (at the heap store sites the shadow sanitizer hooks). Charges
+    /// [`cost::WRITE_BARRIER`] when the barrier fires and answers
+    /// whether `addr` is newly remembered. Without a nursery it is a
+    /// total no-op — zero ticks, no state — so `go` runs stay
+    /// bit-identical to the pre-barrier runtime.
+    pub fn record_store(&mut self, addr: ObjAddr) -> bool {
+        let fired = self.collector.record_store(&self.cfg, &self.heap, addr);
+        if fired.is_some() {
+            self.clock.charge(cost::WRITE_BARRIER);
         }
+        fired == Some(true)
     }
 
     /// Records a stack allocation made by the VM: counted in the metrics
@@ -731,6 +743,12 @@ mod tests {
         }
     }
 
+    /// Marks whatever occupies `a` for a full cycle.
+    fn keep(rt: &mut Runtime, a: ObjAddr) -> bool {
+        let tag = rt.owner(a).expect("allocated");
+        rt.mark(a, tag, false) == Some(true)
+    }
+
     #[test]
     fn alloc_free_roundtrip() {
         let mut rt = Runtime::new(quiet_cfg());
@@ -803,7 +821,11 @@ mod tests {
             assert!(addrs.len() < 100, "pacing never triggered");
         }
         // Keep half alive.
-        let marked = addrs.iter().step_by(2).filter(|&&a| rt.mark(a)).count();
+        let marked = addrs
+            .iter()
+            .step_by(2)
+            .filter(|&&a| keep(&mut rt, a))
+            .count();
         let out = rt.collect();
         assert_eq!(out.freed.len(), addrs.len() - marked);
         assert_eq!(rt.metrics().gcs, 1);
@@ -959,7 +981,7 @@ mod tests {
             first_gen.push(rt.alloc(512, Category::Other));
         }
         for &a in &first_gen {
-            rt.mark(a);
+            keep(&mut rt, a);
         }
         rt.collect();
         // Second generation dies unmarked; the promoted one survives a
@@ -1003,7 +1025,7 @@ mod tests {
         while !rt.gc_pending() {
             rt.alloc(512, Category::Other);
         }
-        rt.mark(a);
+        keep(&mut rt, a);
         rt.collect();
         let before = rt.now();
         rt.record_store(a);

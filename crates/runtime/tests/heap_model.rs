@@ -90,7 +90,7 @@ proptest! {
                         .map(|(_, a)| *a)
                         .collect();
                     for &addr in &marked {
-                        rt.mark(addr);
+                        rt.mark(addr, rt.owner(addr).expect("live"), false);
                     }
                     let swept = rt.collect();
                     for f in &swept.freed {
@@ -571,7 +571,10 @@ proptest! {
                 HeapOp::Mark { skip, step } => {
                     for &addr in order.iter().skip(skip).step_by(step) {
                         let live = model.is_allocated(addr);
-                        prop_assert_eq!(heap.mark(addr), live && marked.insert(addr));
+                        let tag = heap.owner(addr);
+                        prop_assert_eq!(tag.is_some(), live);
+                        let newly = tag.and_then(|t| heap.mark(addr, t, false));
+                        prop_assert_eq!(newly.unwrap_or(false), live && marked.insert(addr));
                     }
                 }
                 HeapOp::Flush { thread } => {

@@ -82,7 +82,7 @@ fn gogc_10_tiny_heap_paces_every_cycle_consistently() {
         if rt.gc_pending() {
             // Keep every fourth object alive across the sweep.
             for &a in addrs.iter().skip(i as usize % 4).step_by(4) {
-                rt.mark(a);
+                rt.mark(a, rt.owner(a).expect("live"), false);
             }
             let swept = rt.collect();
             let dead: HashSet<_> = swept.freed.iter().map(|f| f.addr).collect();

@@ -34,7 +34,7 @@ use minigo_syntax::{BinOp, ExprId};
 
 use crate::error::ExecError;
 use crate::fxhash::FxHashMap;
-use crate::mark::{collect_garbage, RootSink};
+use crate::mark::{collect_garbage, Payload, Remembered, RootSink};
 use crate::value::{Cells, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
 
 /// Result alias for execution.
@@ -290,6 +290,10 @@ pub struct Machine {
     /// calls (service state returned by `setup` and passed back into
     /// every `handle`). Always empty in one-shot runs.
     held: Vec<Value>,
+    /// The payloads a minor mark traces although their objects are old:
+    /// those the write barrier newly remembered since the last cycle,
+    /// and the frame cells that cycle scanned. Empty without a nursery.
+    remembered: Vec<Remembered>,
     output: String,
 }
 
@@ -303,6 +307,7 @@ impl Machine {
             steps: 0,
             call_start: 0,
             held: Vec::new(),
+            remembered: Vec::new(),
             output: String::new(),
         }
     }
@@ -372,12 +377,13 @@ impl Machine {
     /// One GC cycle, marking from the engine's frames and the held values.
     fn collect_garbage<D: Dispatch + ?Sized>(&mut self, engine: &D) {
         let held = &self.held;
-        collect_garbage(&mut self.rt, &mut self.shadow, |sink: &mut dyn RootSink| {
+        let roots = |sink: &mut dyn RootSink| {
             engine.roots(sink);
             for v in held {
                 sink.value(v);
             }
-        });
+        };
+        collect_garbage(&mut self.rt, &mut self.shadow, &mut self.remembered, roots);
     }
 
     /// Function entry: see [`Runtime::enter_stack`].
@@ -484,28 +490,42 @@ impl Machine {
 
     // ---- write barrier ----
 
-    /// Write-barrier hook at the same heap store sites the shadow
-    /// sanitizer checks: tells the collector the object's payload was
-    /// mutated (the generational remembered set's input; a total no-op
-    /// under the default mark-sweep backend). Stack values (`obj` =
-    /// `None`) need no barrier. Unlike the shadow hooks this always
-    /// fires — barriers are part of the simulation, not an observer.
+    /// Write-barrier hook at every heap store site the shadow sanitizer
+    /// checks: storing `v` into `obj`'s payload tells the collector the
+    /// object may now point into the nursery (the generational
+    /// remembered set's input; a total no-op under the default
+    /// mark-sweep backend). Only a value that can hold a heap reference
+    /// fires it ([`Value::can_reference`]); stack values (`obj` =
+    /// `None`) need none. Unlike the shadow hooks this always fires —
+    /// barriers are part of the simulation, not an observer.
     #[inline]
-    fn barrier_store(&mut self, obj: Option<ObjId>) {
-        if !self.rt.has_barrier() {
-            return;
+    fn barrier_store(&mut self, obj: Option<ObjId>, v: &Value, payload: impl FnOnce() -> Payload) {
+        if self.rt.has_barrier() && v.can_reference() {
+            self.remember(obj, payload);
         }
+    }
+
+    /// Fires the barrier on `obj` if it is live, keeping `payload` for
+    /// the next minor mark when the object is newly remembered.
+    fn remember(&mut self, obj: Option<ObjId>, payload: impl FnOnce() -> Payload) {
         if let Some(obj) = obj.filter(|o| o.is_live(&self.rt)) {
-            self.rt.record_store(obj.addr);
+            if self.rt.record_store(obj.addr) {
+                self.remembered.push(Remembered {
+                    obj,
+                    payload: payload(),
+                });
+            }
         }
     }
 
     /// [`Machine::barrier_store`] for a map store: both the hmap header
     /// and the current bucket array count as mutated.
-    fn barrier_store_map(&mut self, m: &MapVal) {
-        let buckets = m.data.borrow().buckets_obj;
-        self.barrier_store(m.obj);
-        self.barrier_store(buckets);
+    fn barrier_store_map(&mut self, m: &MapVal, v: &Value) {
+        if self.rt.has_barrier() && v.can_reference() {
+            let buckets = m.data.borrow().buckets_obj;
+            self.remember(m.obj, || Payload::Map(m.clone()));
+            self.remember(buckets, || Payload::Map(m.clone()));
+        }
     }
 
     // ---- allocation ----
@@ -601,6 +621,7 @@ impl Machine {
                 self.shadow_access(s.obj, "append");
                 if s.len < s.cap() {
                     let at = s.offset + s.len;
+                    self.barrier_store(s.obj, &item, || Payload::Cells(s.cells.clone()));
                     s.cells.borrow_mut().set(at, item);
                     Rc::make_mut(&mut s).len += 1;
                     return Ok(Value::Slice(s));
@@ -696,7 +717,7 @@ impl Machine {
     pub(crate) fn slice_set(&mut self, s: &SliceVal, i: i64, v: Value) -> Result<()> {
         let at = cell_at(s, i)?;
         self.shadow_access(s.obj, "slice index write");
-        self.barrier_store(s.obj);
+        self.barrier_store(s.obj, &v, || Payload::Cells(s.cells.clone()));
         s.cells.borrow_mut().set(at, v);
         Ok(())
     }
@@ -742,7 +763,7 @@ impl Machine {
     fn map_insert(&mut self, m: &MapVal, key: Key, value: Value) -> Result<()> {
         self.rt.tick(3);
         self.shadow_access_map(m, "map insert");
-        self.barrier_store_map(m);
+        self.barrier_store_map(m, &value);
         let mut data = m.data.borrow_mut();
         if data.poisoned {
             return Err(ExecError::PoisonedRead);
@@ -777,6 +798,11 @@ impl Machine {
         };
         let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
         m.data.borrow_mut().buckets_obj = Some(new_obj);
+        if self.rt.has_barrier() {
+            // The header now points at a young bucket array: a pointer
+            // store, whatever value the insert stores.
+            self.remember(m.obj, || Payload::Map(m.clone()));
+        }
         if let Some(old) = old.filter(|_| self.cfg.grow_map_free_old) {
             // Poisoning old buckets would corrupt nothing the map still
             // uses: entries were evacuated. Under plain Go the old buckets
@@ -817,7 +843,7 @@ impl Machine {
         match p {
             Value::Ptr(p) => {
                 self.shadow_access(p.obj, "pointer deref write");
-                self.barrier_store(p.obj);
+                self.barrier_store(p.obj, &v, || Payload::Cell(p.cell.clone()));
                 *p.cell.borrow_mut() = v;
                 Ok(())
             }
@@ -855,7 +881,7 @@ impl Machine {
         match p {
             Value::Ptr(p) => {
                 self.shadow_access(p.obj, "field write");
-                self.barrier_store(p.obj);
+                self.barrier_store(p.obj, &v, || Payload::Cell(p.cell.clone()));
                 match &mut *p.cell.borrow_mut() {
                     Value::Struct(fields) => {
                         Rc::make_mut(fields)[idx] = v;
@@ -1146,19 +1172,20 @@ mod tests {
     /// Every load and store: the shadow label it checks under, the ticks
     /// it charges itself, the objects it records as mutated, and the
     /// call. What the two engines once had to agree on by being written
-    /// twice.
+    /// twice. Each store stores a reference (the fixture's pointer), the
+    /// only kind of value the barrier fires for.
     const OPS: &[(&str, u64, u64, Op)] = &[
         ("slice index read", 0, 0, |m, f| {
             m.index_get(&f.slice, &Value::Int(1)).map(drop)
         }),
         ("slice index write", 0, 1, |m, f| {
-            m.index_set(&f.slice, &Value::Int(1), Value::Int(9))
+            m.index_set(&f.slice, &Value::Int(1), f.ptr.clone())
         }),
         ("map lookup", 2, 0, |m, f| {
             m.index_get(&f.map, &Value::Int(5)).map(drop)
         }),
         ("map insert", 3, 1, |m, f| {
-            m.index_set(&f.map, &Value::Int(6), Value::Int(60))
+            m.index_set(&f.map, &Value::Int(6), f.ptr.clone())
         }),
         ("map delete", 2, 0, |m, f| {
             m.map_delete(&f.map, &Value::Int(5))
@@ -1171,10 +1198,10 @@ mod tests {
             m.get_field(&f.ptr, 1, true).map(drop)
         }),
         ("field write", 0, 1, |m, f| {
-            m.field_set_ptr(&f.ptr, 1, Value::Int(8))
+            m.field_set_ptr(&f.ptr, 1, f.ptr.clone())
         }),
-        ("append", 2, 0, |m, f| {
-            m.append(f.slice.clone(), Value::Int(3), 8, ExprId(8))
+        ("append", 2, 1, |m, f| {
+            m.append(f.slice.clone(), f.ptr.clone(), 8, ExprId(8))
                 .map(drop)
         }),
     ];
@@ -1245,6 +1272,46 @@ mod tests {
                 (label, ViolationKind::UseAfterFree)
             );
         }
+    }
+
+    #[test]
+    fn only_a_store_that_can_hold_a_reference_fires_the_barrier() {
+        let mut m = machine();
+        let f = fixture(&mut m);
+        m.held.push(f.slice.clone());
+        m.collect_garbage(&NoFrames);
+        let Value::Slice(s) = &f.slice else {
+            unreachable!()
+        };
+        assert!(
+            matches!(*s.cells.borrow(), Cells::Ints(_)),
+            "an old int array"
+        );
+        let before = m.rt.now();
+        for v in [
+            Value::Int(9),
+            Value::Bool(true),
+            Value::Str("s".into()),
+            Value::Nil,
+        ] {
+            m.index_set(&f.slice, &Value::Int(1), v).expect("store");
+        }
+        assert_eq!(
+            m.rt.now(),
+            before,
+            "a non-pointer store is not a barrier event"
+        );
+        assert!(m.remembered.is_empty());
+        m.index_set(&f.slice, &Value::Int(1), f.ptr.clone())
+            .expect("store");
+        let barrier = minigo_runtime::cost::WRITE_BARRIER;
+        assert_eq!(m.rt.now() - before, barrier);
+        let remembered: Vec<_> = m.remembered.iter().map(|r| Some(r.obj)).collect();
+        assert_eq!(remembered, [s.obj], "the array, with its payload");
+        m.index_set(&f.slice, &Value::Int(0), f.ptr.clone())
+            .expect("store");
+        assert_eq!(m.rt.now() - before, 2 * barrier, "charged per store");
+        assert_eq!(m.remembered.len(), 1, "remembered once");
     }
 
     #[test]

@@ -559,6 +559,17 @@ impl MapData {
 }
 
 impl Value {
+    /// Whether the value can hold a heap reference: only these stores
+    /// fire the generational write barrier, as in Go, where a store of a
+    /// non-pointer word is not a barrier event.
+    #[inline]
+    pub fn can_reference(&self) -> bool {
+        matches!(
+            self,
+            Value::Struct(_) | Value::Ptr(_) | Value::Slice(_) | Value::Map(_)
+        )
+    }
+
     /// Renders the value for `print`.
     pub fn display(&self) -> String {
         match self {
