@@ -1,12 +1,14 @@
-//! The compile path's host allocation budget. This test binary counts
-//! every allocation its process makes with its own global allocator
-//! (so no other test is affected) and compiles the generated corpus and
-//! a fuzz draw under the three option sets the `compile-corpus`
-//! benchmark uses. It fails when `parse` or the whole `compile()` asks
-//! the allocator for more blocks than its budget: the count this code
-//! made when the budget was pinned, plus 5 %. A change that allocates
-//! more per token, per edge or per instruction shows here before it
-//! shows as host time.
+//! The host allocation budgets of the compile path and of execution.
+//! This test binary counts every allocation its threads make with its
+//! own global allocator (so no other test binary is affected; each
+//! thread counts its own, so neither test sees the other's). One test
+//! compiles the generated corpus and a fuzz draw under the three option
+//! sets the `compile-corpus` benchmark uses; the other executes one small
+//! program per kind of guest heap object. Each fails when its count is
+//! over its budget: the count this code made when the budget was pinned,
+//! plus 5 %. A change that allocates more per token, per edge, per
+//! instruction or per guest object shows here before it shows as host
+//! time.
 //!
 //! The counts print with
 //! `cargo test --release -q -p gofree --test alloc_budget -- --nocapture`;
@@ -15,9 +17,9 @@
 //! both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
-use gofree::{compile, AuditMode, CompileOptions, FreePlacement};
+use gofree::{compile, execute, AuditMode, CompileOptions, FreePlacement, RunConfig, Setting};
 use gofree_workloads::{corpus, fuzzgen};
 use minigo_syntax::parse;
 
@@ -25,18 +27,28 @@ use minigo_syntax::parse;
 /// `realloc`) and hands every call to the system allocator.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's count. Constant-initialised with no destructor, so
+    /// reaching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down has nothing left to measure.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is an atomic.
+// which upholds the `GlobalAlloc` contract; the counter is a
+// thread-local `Cell` that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
@@ -45,7 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -78,16 +90,16 @@ fn option_sets() -> [CompileOptions; 3] {
     ]
 }
 
-/// The allocations `f` makes, its result dropped uncounted.
+/// The allocations `f` makes on this thread, its result dropped
+/// uncounted.
 fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCATIONS.load(Relaxed);
+    let before = ALLOCATIONS.get();
     let out = f();
-    let made = ALLOCATIONS.load(Relaxed) - before;
+    let made = ALLOCATIONS.get() - before;
     drop(out);
     made
 }
 
-// One test, so no other test thread allocates while it counts.
 #[test]
 fn compile_stays_within_its_allocation_budget() {
     let sources = sources();
@@ -112,4 +124,56 @@ fn compile_stays_within_its_allocation_budget() {
         compile_allocs <= COMPILE_BUDGET,
         "compile() made {compile_allocs} allocations, over its budget of {COMPILE_BUDGET}"
     );
+}
+
+/// How many guest objects each execute-budget program makes.
+const OBJECTS: usize = 1000;
+
+/// One loop body per kind of guest object, each making one object per
+/// iteration that dies with it, and what one `execute()` of the
+/// [`OBJECTS`]-iteration program made when pinned. Before a pointer
+/// cell, map or backing array carried its heap handle in its payload's
+/// allocation, and a struct's fields were one allocation, the counts
+/// were 4,016, 2,015, 3,045, 2,015 and 7,061: per object `&T{}` 4 → 2,
+/// a struct literal 2 → 1, `make([]int, n)` 3 → 3, `make(map…)` 2 → 1,
+/// and `newNode` — the `gc-pressure` workload's slice plus `&Node{}` —
+/// 7 → 5.
+const EXECUTE_KINDS: [(&str, &str, u64); 5] = [
+    ("&T{}", "p := &T{i, nil}\n t += p.a", 2_017),
+    ("struct literal", "s := T{i, nil}\n t += s.a", 1_015),
+    (
+        "make([]int, n)",
+        "s := make([]int, 4+i%5)\n t += len(s)",
+        3_045,
+    ),
+    ("make(map…)", "m := make(map[int]int)\n t += len(m)", 1_015),
+    ("newNode", "n := newNode(i, nil)\n t += n.vals[0]", 5_061),
+];
+
+/// A program whose `main` runs `body` [`OBJECTS`] times.
+fn kind_program(body: &str) -> String {
+    format!(
+        "type T struct {{ a int\n next *T }}\n\
+         type Node struct {{ key int\n vals []int\n next *Node }}\n\
+         func newNode(key int, next *Node) *Node {{ vals := make([]int, 4+key%5)\n\
+         vals[0] = key * 7\n return &Node{{key, vals, next}} }}\n\
+         func main() {{ t := 0\n for i := 0; i < {OBJECTS}; i += 1 {{ {body} }}\n print(t) }}\n"
+    )
+}
+
+#[test]
+fn execute_stays_within_its_allocation_budget_per_object_kind() {
+    let cfg = RunConfig::deterministic(1);
+    let mut over = Vec::new();
+    for (kind, body, pinned) in EXECUTE_KINDS {
+        let src = kind_program(body);
+        let compiled = compile(&src, &CompileOptions::go()).expect("the kind programs compile");
+        let made = allocations(|| execute(&compiled, Setting::Go, &cfg).expect("runs"));
+        let budget = pinned + pinned / 20;
+        println!("execute() {kind}: {made} allocations (budget {budget})");
+        if made > budget {
+            over.push(format!("{kind}: {made} over {budget}"));
+        }
+    }
+    assert!(over.is_empty(), "over the execute budget: {over:?}");
 }

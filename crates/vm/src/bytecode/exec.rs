@@ -13,8 +13,7 @@
 //! arguments are, on either engine (the tree-walk's temporaries are
 //! Rust locals).
 
-use std::cell::{Ref, RefCell};
-use std::rc::Rc;
+use std::cell::Ref;
 
 use minigo_syntax::{BinOp, Builtin};
 
@@ -25,7 +24,7 @@ use crate::machine::{
     Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
 };
 use crate::mark::RootSink;
-use crate::value::{ObjId, PtrVal, SliceVal, Value};
+use crate::value::{Cell, Obj, SliceVal, Value};
 
 /// Runs a lowered module's `main`.
 ///
@@ -46,11 +45,11 @@ pub fn run_module(module: &Module, cfg: VmConfig) -> Result<RunOutcome> {
 enum BSlot {
     Empty,
     Plain(Value),
-    Boxed(Rc<RefCell<Value>>, Option<ObjId>),
+    Boxed(Cell),
 }
 
-// A handle without a niche would grow every frame slot.
-const _: () = assert!(std::mem::size_of::<BSlot>() == 32);
+// A boxed slot is one pointer: the cell carries its own heap handle.
+const _: () = assert!(std::mem::size_of::<BSlot>() == 24);
 
 enum BDeferKind {
     Func(usize),
@@ -90,7 +89,7 @@ pub struct Bytecode<'m> {
 #[inline]
 fn bslot(value: Value, boxed: bool) -> BSlot {
     if boxed {
-        BSlot::Boxed(Rc::new(RefCell::new(value)), None)
+        BSlot::Boxed(Obj::new(None, value))
     } else {
         BSlot::Plain(value)
     }
@@ -145,7 +144,7 @@ fn lend<'a>(frame: &'a BFrame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
     }
     match &frame.slots[s as usize] {
         BSlot::Plain(v) => Ok(Operand::Plain(v)),
-        BSlot::Boxed(cell, _) => Ok(Operand::Boxed(cell.borrow())),
+        BSlot::Boxed(cell) => Ok(Operand::Boxed(cell.borrow())),
         BSlot::Empty => Err(undeclared(f, s)),
     }
 }
@@ -161,7 +160,7 @@ fn store_in(frame: &mut BFrame, s: u32, v: Value) -> Result<()> {
     }
     match slot {
         BSlot::Plain(p) => *p = v,
-        BSlot::Boxed(cell, _) => *cell.borrow_mut() = v,
+        BSlot::Boxed(cell) => *cell.borrow_mut() = v,
         BSlot::Empty => Err(ExecError::Internal("write to undeclared variable".into()))?,
     }
     Ok(())
@@ -513,8 +512,7 @@ impl<'m> Bytecode<'m> {
                 } => {
                     let v = self.value(m, f, *src)?;
                     let new_slot = if *boxed {
-                        let PtrVal { cell, obj } = m.alloc_box(v, *heap, *size, None);
-                        BSlot::Boxed(cell, obj)
+                        BSlot::Boxed(m.alloc_box(v, *heap, *size, None))
                     } else {
                         BSlot::Plain(v)
                     };
@@ -634,10 +632,7 @@ impl<'m> Bytecode<'m> {
             Instr::AddrOfSlot { dst, slot } => {
                 m.tick(1);
                 let p = match &self.top.slots[*slot as usize] {
-                    BSlot::Boxed(cell, obj) => Value::ptr(PtrVal {
-                        cell: cell.clone(),
-                        obj: *obj,
-                    }),
+                    BSlot::Boxed(cell) => Value::Ptr(cell.clone()),
                     BSlot::Plain(_) => {
                         return Err(ExecError::Internal(format!(
                             "address taken of unboxed variable {}",
@@ -657,7 +652,7 @@ impl<'m> Bytecode<'m> {
             } => {
                 let v = self.value(m, f, *src)?;
                 m.tick(1);
-                let p = Value::ptr(m.alloc_box(v, *heap, *size, Some(*site)));
+                let p = Value::Ptr(m.alloc_box(v, *heap, *size, Some(*site)));
                 self.store(*dst, p)?;
             }
             Instr::Deref { dst, ptr } => {
@@ -739,7 +734,7 @@ impl<'m> Bytecode<'m> {
             } => {
                 m.tick(1);
                 let zero = self.consts[*zero as usize].clone();
-                let p = Value::ptr(m.alloc_box(zero, *heap, *size, Some(*site)));
+                let p = Value::Ptr(m.alloc_box(zero, *heap, *size, Some(*site)));
                 self.store(*dst, p)?;
             }
             Instr::Append {
@@ -756,9 +751,9 @@ impl<'m> Bytecode<'m> {
                 self.store(*dst, out)?;
             }
             Instr::MakeStruct { dst, fields } => {
-                let fields = self.values(m, f, fields)?;
+                let v = Value::try_struct(fields.len(), |i| self.value(m, f, fields[i]))?;
                 m.tick(1);
-                self.store(*dst, Value::struct_of(fields))?;
+                self.store(*dst, v)?;
             }
             Instr::Cap { dst, src } => {
                 let v = {
@@ -828,7 +823,7 @@ impl Dispatch for Bytecode<'_> {
                 match slot {
                     BSlot::Empty => {}
                     BSlot::Plain(v) => sink.value(v),
-                    BSlot::Boxed(cell, obj) => sink.boxed(cell, *obj),
+                    BSlot::Boxed(cell) => sink.boxed(cell),
                 }
             }
             for v in frame.defers.iter().flat_map(|d| &d.args) {

@@ -86,7 +86,7 @@ impl Const {
             Const::Bool(b) => Value::Bool(*b),
             Const::Str(s) => Value::Str(std::rc::Rc::from(&**s)),
             Const::Nil => Value::Nil,
-            Const::Struct(fields) => Value::struct_of(fields.iter().map(Const::to_value).collect()),
+            Const::Struct(fields) => Value::struct_of(fields.iter().map(Const::to_value)),
         }
     }
 }

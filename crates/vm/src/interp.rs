@@ -26,7 +26,7 @@ use crate::machine::{
     with_field, Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
 };
 use crate::mark::RootSink;
-use crate::value::{Cell, ObjId, PtrVal, Value};
+use crate::value::{Cell, Obj, Value};
 
 /// Runs `program`'s `main` function on the tree-walk.
 ///
@@ -55,7 +55,7 @@ enum Flow {
 
 enum Slot {
     Plain(Value),
-    Boxed(Cell, Option<ObjId>),
+    Boxed(Cell),
 }
 
 enum DeferKind {
@@ -124,7 +124,7 @@ impl Dispatch for TreeWalk<'_> {
             for slot in frame.slots.values() {
                 match slot {
                     Slot::Plain(v) => sink.value(v),
-                    Slot::Boxed(cell, obj) => sink.boxed(cell, *obj),
+                    Slot::Boxed(cell) => sink.boxed(cell),
                 }
             }
             for v in frame.defers.iter().flat_map(|d| &d.args) {
@@ -205,8 +205,7 @@ impl Vm<'_, '_> {
         let slot = if self.tw.addr_taken[fid].contains(&var) {
             let heap = boxed_on_heap(self.tw.analysis, fid, var);
             let size = var_size(self.tw.types, var);
-            let PtrVal { cell, obj } = self.m.alloc_box(value, heap, size, None);
-            Slot::Boxed(cell, obj)
+            Slot::Boxed(self.m.alloc_box(value, heap, size, None))
         } else {
             Slot::Plain(value)
         };
@@ -223,7 +222,7 @@ impl Vm<'_, '_> {
             if let Some(slot) = frame.slots.get(&var) {
                 let v = match slot {
                     Slot::Plain(v) => v.clone(),
-                    Slot::Boxed(cell, _) => cell.borrow().clone(),
+                    Slot::Boxed(cell) => cell.borrow().clone(),
                 };
                 return check_poison(v);
             }
@@ -239,7 +238,7 @@ impl Vm<'_, '_> {
             if let Some(slot) = frame.slots.get_mut(&var) {
                 match slot {
                     Slot::Plain(v) => *v = value,
-                    Slot::Boxed(cell, _) => *cell.borrow_mut() = value,
+                    Slot::Boxed(cell) => *cell.borrow_mut() = value,
                 }
                 return Ok(());
             }
@@ -596,12 +595,9 @@ impl Vm<'_, '_> {
                 args,
             } => self.builtin(e, *kind, ty_args, args),
             ExprKind::StructLit { fields, .. } => {
-                let mut values = Vec::with_capacity(fields.len());
-                for f in fields {
-                    values.push(self.eval(f)?);
-                }
+                let v = Value::try_struct(fields.len(), |i| self.eval(&fields[i]))?;
                 self.m.tick(1);
-                Ok(Value::struct_of(values))
+                Ok(v)
             }
         }
     }
@@ -618,10 +614,7 @@ impl Vm<'_, '_> {
                 for frame in self.tw.frames.iter().rev() {
                     if let Some(slot) = frame.slots.get(&var) {
                         return match slot {
-                            Slot::Boxed(cell, obj) => Ok(Value::ptr(PtrVal {
-                                cell: cell.clone(),
-                                obj: *obj,
-                            })),
+                            Slot::Boxed(cell) => Ok(Value::Ptr(cell.clone())),
                             Slot::Plain(_) => Err(ExecError::Internal(format!(
                                 "address taken of unboxed variable {}",
                                 self.tw.res.var(var).name
@@ -638,7 +631,7 @@ impl Vm<'_, '_> {
                 let size = types.expr(operand.id).map(|t| types.inline_size(t));
                 let heap = self.on_heap(operand);
                 let site = Some(operand.id);
-                Ok(Value::ptr(self.m.alloc_box(
+                Ok(Value::Ptr(self.m.alloc_box(
                     v,
                     heap,
                     size.unwrap_or(8),
@@ -694,7 +687,7 @@ impl Vm<'_, '_> {
                 let ty = &ty_args[0];
                 let zero = zero_value(ty, types).to_value();
                 let (size, heap) = (types.inline_size(ty), self.on_heap(e));
-                Ok(Value::ptr(self.m.alloc_box(zero, heap, size, Some(e.id))))
+                Ok(Value::Ptr(self.m.alloc_box(zero, heap, size, Some(e.id))))
             }
             Builtin::Append => {
                 let sv = self.eval(&args[0])?;
@@ -789,7 +782,7 @@ impl Vm<'_, '_> {
 
 fn make_slot(value: Value, boxed: bool) -> Slot {
     if boxed {
-        Slot::Boxed(Rc::new(std::cell::RefCell::new(value)), None)
+        Slot::Boxed(Obj::new(None, value))
     } else {
         Slot::Plain(value)
     }

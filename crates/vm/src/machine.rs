@@ -22,7 +22,6 @@
 //! the data: 2 for a map lookup or delete, 3 for a map insert, 2 for an
 //! append, a string concatenation's length-proportional cost.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use minigo_escape::Mode;
@@ -34,8 +33,8 @@ use minigo_syntax::{BinOp, ExprId};
 
 use crate::error::ExecError;
 use crate::fxhash::FxHashMap;
-use crate::mark::{collect_garbage, Payload, Remembered, RootSink};
-use crate::value::{Cells, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
+use crate::mark::{collect_garbage, Remembered, RootSink};
+use crate::value::{Cell, Cells, Key, MapData, MapVal, Obj, ObjId, SliceVal, Value};
 
 /// Result alias for execution.
 pub type Result<T> = std::result::Result<T, ExecError>;
@@ -482,7 +481,7 @@ impl Machine {
     /// header object and the current bucket array are consulted.
     fn shadow_access_map(&mut self, m: &MapVal, op: &'static str) {
         if self.shadow.is_some() {
-            let buckets = m.data.borrow().buckets_obj;
+            let buckets = m.borrow().buckets_obj;
             self.shadow_access(m.obj, op);
             self.shadow_access(buckets, op);
         }
@@ -499,21 +498,19 @@ impl Machine {
     /// `None`) need none. Unlike the shadow hooks this always fires —
     /// barriers are part of the simulation, not an observer.
     #[inline]
-    fn barrier_store(&mut self, obj: Option<ObjId>, v: &Value, payload: impl FnOnce() -> Payload) {
+    fn barrier_store(&mut self, obj: Option<ObjId>, v: &Value, entry: impl FnOnce() -> Remembered) {
         if self.rt.has_barrier() && v.can_reference() {
-            self.remember(obj, payload);
+            self.remember(obj, entry);
         }
     }
 
-    /// Fires the barrier on `obj` if it is live, keeping `payload` for
-    /// the next minor mark when the object is newly remembered.
-    fn remember(&mut self, obj: Option<ObjId>, payload: impl FnOnce() -> Payload) {
+    /// Fires the barrier on `obj` if it is live, keeping `entry` (the
+    /// payload to trace from) for the next minor mark when the object is
+    /// newly remembered.
+    fn remember(&mut self, obj: Option<ObjId>, entry: impl FnOnce() -> Remembered) {
         if let Some(obj) = obj.filter(|o| o.is_live(&self.rt)) {
             if self.rt.record_store(obj.addr) {
-                self.remembered.push(Remembered {
-                    obj,
-                    payload: payload(),
-                });
+                self.remembered.push(entry());
             }
         }
     }
@@ -522,9 +519,9 @@ impl Machine {
     /// and the current bucket array count as mutated.
     fn barrier_store_map(&mut self, m: &MapVal, v: &Value) {
         if self.rt.has_barrier() && v.can_reference() {
-            let buckets = m.data.borrow().buckets_obj;
-            self.remember(m.obj, || Payload::Map(m.clone()));
-            self.remember(buckets, || Payload::Map(m.clone()));
+            let buckets = m.borrow().buckets_obj;
+            self.remember(m.obj, || Remembered::Map(m.clone(), None));
+            self.remember(buckets, || Remembered::Map(m.clone(), buckets));
         }
     }
 
@@ -538,11 +535,8 @@ impl Machine {
         heap: bool,
         size: u64,
         site: Option<ExprId>,
-    ) -> PtrVal {
-        PtrVal {
-            obj: self.backing(heap, size, Category::Other, site),
-            cell: Rc::new(RefCell::new(v)),
-        }
+    ) -> Cell {
+        Obj::new(self.backing(heap, size, Category::Other, site), v)
     }
 
     /// `make([]T, len[, cap])`, every element `zero`. Negative sizes
@@ -575,8 +569,10 @@ impl Machine {
         let size = (cap as u64).checked_mul(elem_size).ok_or_else(too_large)?;
         let cells = Cells::filled(zero, cap).map_err(|_| too_large())?;
         Ok(Value::slice(SliceVal {
-            obj: self.backing(heap, size.max(8), Category::Slice, Some(site)),
-            cells: Rc::new(RefCell::new(cells)),
+            cells: Obj::new(
+                self.backing(heap, size.max(8), Category::Slice, Some(site)),
+                cells,
+            ),
             offset: 0,
             len,
             elem_size,
@@ -592,10 +588,11 @@ impl Machine {
         site: ExprId,
     ) -> Value {
         let size = minigo_escape::MAP_BASE_BYTES;
-        Value::map(MapVal {
-            obj: self.backing(heap, size, Category::Map, Some(site)),
-            data: Rc::new(RefCell::new(MapData::new(default, entry_size, Some(site)))),
-        })
+        let data = MapData::new(default, entry_size, Some(site));
+        Value::Map(Obj::new(
+            self.backing(heap, size, Category::Map, Some(site)),
+            data,
+        ))
     }
 
     /// `append(sv, item)`.
@@ -616,12 +613,13 @@ impl Machine {
         let (kept, lo, hi, new_cap) = match sv {
             // Appending to a nil slice allocates a fresh heap array
             // (runtime-managed, §4.6.1).
-            Value::Nil => (Rc::default(), 0, 0, 8),
+            Value::Nil => (None, 0, 0, 8),
             Value::Slice(mut s) => {
-                self.shadow_access(s.obj, "append");
+                self.shadow_access(s.cells.obj, "append");
                 if s.len < s.cap() {
                     let at = s.offset + s.len;
-                    self.barrier_store(s.obj, &item, || Payload::Cells(s.cells.clone()));
+                    let cells = &s.cells;
+                    self.barrier_store(cells.obj, &item, || Remembered::Array(cells.clone()));
                     s.cells.borrow_mut().set(at, item);
                     Rc::make_mut(&mut s).len += 1;
                     return Ok(Value::Slice(s));
@@ -629,7 +627,8 @@ impl Machine {
                 // Grow: a fresh heap array; the old one is left to GC
                 // (other slices may still reference it).
                 let new_cap = (s.cap() * 2).max(8);
-                (s.cells.clone(), s.offset, s.offset + s.len, new_cap)
+                let (lo, hi) = (s.offset, s.offset + s.len);
+                (Some(s), lo, hi, new_cap)
             }
             _ => return Err(ExecError::Internal("append to non-slice".into())),
         };
@@ -637,11 +636,16 @@ impl Machine {
         let size = (new_cap as u64)
             .checked_mul(elem_size)
             .ok_or_else(too_large)?;
-        let cells = kept.borrow().grown(lo, hi, item, new_cap);
+        let cells = match kept {
+            Some(s) => s.cells.borrow().grown(lo, hi, item, new_cap),
+            None => Cells::default().grown(lo, hi, item, new_cap),
+        };
         let cells = cells.map_err(|_| too_large())?;
         Ok(Value::slice(SliceVal {
-            cells: Rc::new(RefCell::new(cells)),
-            obj: Some(self.new_obj_at(size, Category::Slice, Some(site))),
+            cells: Obj::new(
+                Some(self.new_obj_at(size, Category::Slice, Some(site))),
+                cells,
+            ),
             offset: 0,
             len: hi - lo + 1,
             elem_size,
@@ -658,7 +662,7 @@ impl Machine {
         let batched = self.cfg.batch_frees && follows_free;
         match v {
             Value::Slice(s) => {
-                if let Some(obj) = s.obj {
+                if let Some(obj) = s.cells.obj {
                     let (_, poison) = self.free_obj(obj, FreeSource::SliceLifetime, batched);
                     if poison {
                         s.cells.borrow_mut().fill(Value::Poison);
@@ -666,13 +670,13 @@ impl Machine {
                 }
             }
             Value::Map(m) => {
-                let buckets = m.data.borrow().buckets_obj;
+                let buckets = m.borrow().buckets_obj;
                 let mut poisoned = false;
                 if let Some(b) = buckets {
                     let (out, poison) = self.free_obj(b, FreeSource::MapLifetime, batched);
                     poisoned |= poison;
                     if matches!(out, FreeOutcome::Freed { .. }) {
-                        m.data.borrow_mut().buckets_obj = None;
+                        m.borrow_mut().buckets_obj = None;
                     }
                 }
                 if let Some(h) = m.obj {
@@ -680,7 +684,7 @@ impl Machine {
                     poisoned |= poison;
                 }
                 if poisoned {
-                    let mut data = m.data.borrow_mut();
+                    let mut data = m.borrow_mut();
                     data.poisoned = true;
                     data.fill(Value::Poison);
                 }
@@ -689,7 +693,7 @@ impl Machine {
                 if let Some(obj) = p.obj {
                     let (_, poison) = self.free_obj(obj, FreeSource::Object, batched);
                     if poison {
-                        *p.cell.borrow_mut() = Value::Poison;
+                        *p.borrow_mut() = Value::Poison;
                     }
                 }
             }
@@ -707,7 +711,7 @@ impl Machine {
     #[inline(always)]
     pub(crate) fn slice_get(&mut self, s: &SliceVal, i: i64) -> Result<Value> {
         let at = cell_at(s, i)?;
-        self.shadow_access(s.obj, "slice index read");
+        self.shadow_access(s.cells.obj, "slice index read");
         check_poison(s.cells.borrow().get(at))
     }
 
@@ -716,8 +720,9 @@ impl Machine {
     #[inline(always)]
     pub(crate) fn slice_set(&mut self, s: &SliceVal, i: i64, v: Value) -> Result<()> {
         let at = cell_at(s, i)?;
-        self.shadow_access(s.obj, "slice index write");
-        self.barrier_store(s.obj, &v, || Payload::Cells(s.cells.clone()));
+        let cells = &s.cells;
+        self.shadow_access(cells.obj, "slice index write");
+        self.barrier_store(cells.obj, &v, || Remembered::Array(cells.clone()));
         s.cells.borrow_mut().set(at, v);
         Ok(())
     }
@@ -732,7 +737,7 @@ impl Machine {
                 let key = key_of(idx)?;
                 self.rt.tick(2);
                 self.shadow_access_map(map, "map lookup");
-                let data = map.data.borrow();
+                let data = map.borrow();
                 if data.poisoned {
                     return Err(ExecError::PoisonedRead);
                 }
@@ -764,7 +769,7 @@ impl Machine {
         self.rt.tick(3);
         self.shadow_access_map(m, "map insert");
         self.barrier_store_map(m, &value);
-        let mut data = m.data.borrow_mut();
+        let mut data = m.borrow_mut();
         if data.poisoned {
             return Err(ExecError::PoisonedRead);
         }
@@ -776,7 +781,7 @@ impl Machine {
             // Growth allocates, so the borrow must not be held across it.
             drop(data);
             self.grow_map(m);
-            data = m.data.borrow_mut();
+            data = m.borrow_mut();
         }
         data.push(key, value);
         Ok(())
@@ -787,7 +792,7 @@ impl Machine {
     #[cold]
     fn grow_map(&mut self, m: &MapVal) {
         let (old, new_cap, entry_size, origin) = {
-            let mut data = m.data.borrow_mut();
+            let mut data = m.borrow_mut();
             data.bucket_cap *= 2;
             (
                 data.buckets_obj.take(),
@@ -797,11 +802,11 @@ impl Machine {
             )
         };
         let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
-        m.data.borrow_mut().buckets_obj = Some(new_obj);
+        m.borrow_mut().buckets_obj = Some(new_obj);
         if self.rt.has_barrier() {
             // The header now points at a young bucket array: a pointer
             // store, whatever value the insert stores.
-            self.remember(m.obj, || Payload::Map(m.clone()));
+            self.remember(m.obj, || Remembered::Map(m.clone(), None));
         }
         if let Some(old) = old.filter(|_| self.cfg.grow_map_free_old) {
             // Poisoning old buckets would corrupt nothing the map still
@@ -817,7 +822,7 @@ impl Machine {
             let key = key_of(k)?;
             self.rt.tick(2);
             self.shadow_access_map(m, "map delete");
-            let mut data = m.data.borrow_mut();
+            let mut data = m.borrow_mut();
             if data.poisoned {
                 return Err(ExecError::PoisonedRead);
             }
@@ -831,7 +836,7 @@ impl Machine {
         match p {
             Value::Ptr(p) => {
                 self.shadow_access(p.obj, "pointer deref read");
-                check_poison(p.cell.borrow().clone())
+                check_poison(p.borrow().clone())
             }
             Value::Nil => Err(ExecError::NilDeref),
             _ => Err(ExecError::Internal("deref of non-pointer".into())),
@@ -843,8 +848,8 @@ impl Machine {
         match p {
             Value::Ptr(p) => {
                 self.shadow_access(p.obj, "pointer deref write");
-                self.barrier_store(p.obj, &v, || Payload::Cell(p.cell.clone()));
-                *p.cell.borrow_mut() = v;
+                self.barrier_store(p.obj, &v, || Remembered::Cell(p.clone()));
+                *p.borrow_mut() = v;
                 Ok(())
             }
             Value::Nil => Err(ExecError::NilDeref),
@@ -864,7 +869,7 @@ impl Machine {
             (Value::Struct(fields), false) => check_poison(fields[idx].clone()),
             (Value::Ptr(p), true) => {
                 self.shadow_access(p.obj, "field read");
-                match &*p.cell.borrow() {
+                match &*p.borrow() {
                     Value::Struct(fields) => check_poison(fields[idx].clone()),
                     Value::Poison => Err(ExecError::PoisonedRead),
                     _ => Err(ExecError::Internal("field of non-struct".into())),
@@ -881,8 +886,8 @@ impl Machine {
         match p {
             Value::Ptr(p) => {
                 self.shadow_access(p.obj, "field write");
-                self.barrier_store(p.obj, &v, || Payload::Cell(p.cell.clone()));
-                match &mut *p.cell.borrow_mut() {
+                self.barrier_store(p.obj, &v, || Remembered::Cell(p.clone()));
+                match &mut *p.borrow_mut() {
                     Value::Struct(fields) => {
                         Rc::make_mut(fields)[idx] = v;
                         Ok(())
@@ -1021,8 +1026,8 @@ pub(crate) fn value_eq(a: &Value, b: &Value) -> Result<bool> {
         (Value::Nil, Value::Nil) => true,
         (Value::Nil, Value::Ptr(_) | Value::Slice(_) | Value::Map(_))
         | (Value::Ptr(_) | Value::Slice(_) | Value::Map(_), Value::Nil) => false,
-        (Value::Ptr(x), Value::Ptr(y)) => Rc::ptr_eq(&x.cell, &y.cell),
-        (Value::Map(x), Value::Map(y)) => Rc::ptr_eq(&x.data, &y.data),
+        (Value::Ptr(x), Value::Ptr(y)) => Rc::ptr_eq(x, y),
+        (Value::Map(x), Value::Map(y)) => Rc::ptr_eq(x, y),
         (Value::Struct(xs), Value::Struct(ys)) => {
             if xs.len() != ys.len() {
                 return Ok(false);
@@ -1059,7 +1064,7 @@ pub(crate) fn check_index_base(v: &Value) -> Result<()> {
 pub(crate) fn len_of(v: &Value) -> Result<Value> {
     let n = match v {
         Value::Slice(s) => s.len as i64,
-        Value::Map(map) => map.data.borrow().len() as i64,
+        Value::Map(map) => map.borrow().len() as i64,
         Value::Str(s) => s.len() as i64,
         Value::Nil => 0,
         _ => return Err(ExecError::Internal("len of bad value".into())),
@@ -1095,7 +1100,6 @@ pub(crate) fn reslice(base: &Value, lo: i64, hi: Option<i64>) -> Result<Value> {
             }
             Ok(Value::slice(SliceVal {
                 cells: s.cells.clone(),
-                obj: s.obj,
                 offset: s.offset + lo as usize,
                 len: (hi - lo) as usize,
                 elem_size: s.elem_size,
@@ -1155,7 +1159,7 @@ mod tests {
                 .make_slice(2, Some(4), 8, Value::Int(0), true, site)
                 .expect("four ints"),
             map: m.make_map(Value::Int(0), 24, true, site),
-            ptr: Value::ptr(m.alloc_box(
+            ptr: Value::Ptr(m.alloc_box(
                 Value::struct_of(vec![Value::Int(1), Value::Int(2)]),
                 true,
                 16,
@@ -1306,8 +1310,8 @@ mod tests {
             .expect("store");
         let barrier = minigo_runtime::cost::WRITE_BARRIER;
         assert_eq!(m.rt.now() - before, barrier);
-        let remembered: Vec<_> = m.remembered.iter().map(|r| Some(r.obj)).collect();
-        assert_eq!(remembered, [s.obj], "the array, with its payload");
+        let remembered: Vec<_> = m.remembered.iter().map(Remembered::obj).collect();
+        assert_eq!(remembered, [s.cells.obj], "the array, with its payload");
         m.index_set(&f.slice, &Value::Int(0), f.ptr.clone())
             .expect("store");
         assert_eq!(m.rt.now() - before, 2 * barrier, "charged per store");

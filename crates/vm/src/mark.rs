@@ -5,11 +5,16 @@
 //!
 //! A heap-backed payload is visited once because [`Runtime::mark`]
 //! answers "newly marked" only once per cycle — the mark bit *is* the
-//! visited check, sound because every live [`ObjId`] belongs to exactly
-//! one payload `Rc` (debug builds run a pointer set alongside and assert
-//! the two never disagree). Only payloads without a live heap object
-//! behind them — stack-backed cells, or a handle whose object was
-//! explicitly freed — still need the pointer `seen` set.
+//! visited check, sound because every live [`ObjId`] sits in the header
+//! of exactly one payload's [`Obj`] (debug builds run a pointer set
+//! alongside and assert the two never disagree). Only payloads without a
+//! live heap object behind them — stack-backed cells, or a handle whose
+//! object was explicitly freed — still need the pointer `seen` set.
+//!
+//! A guest structure is as deep as it is long, so the marker recurses
+//! only [`SPILL_DEPTH`] objects deep; a reference found below that is
+//! pushed on its own stack and traced once the root it hangs off is done.
+//! Marking is a set union, so the order changes no bit.
 //!
 //! A minor cycle sweeps only young objects, so its mark stops at old
 //! ones: an old object that is not *forced* is neither marked nor
@@ -22,43 +27,53 @@
 //! root, because its frame may return, leaving the cell reachable only
 //! through old objects, before the next cycle scans it.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use minigo_runtime::{CycleKind, Runtime, ShadowHeap};
 
 use crate::fxhash::FxHashSet;
-use crate::value::{Cell, Cells, MapVal, ObjId, Value};
+use crate::value::{Array, Cell, MapVal, Obj, ObjId, Teardown, Value};
+
+/// How many objects deep the marker recurses before it spills.
+const SPILL_DEPTH: u32 = 256;
 
 /// Where an engine reports its GC roots.
 pub trait RootSink {
     /// A value held directly (plain slot, defer argument, held value).
     fn value(&mut self, v: &Value);
-    /// A boxed frame slot: the cell and the heap object backing it.
-    fn boxed(&mut self, cell: &Cell, obj: Option<ObjId>);
+    /// A boxed frame slot (its cell carries the heap object backing it).
+    fn boxed(&mut self, cell: &Cell);
 }
 
-/// An old object a minor mark must trace although it is old: one the
-/// write barrier remembered, or a frame cell the last cycle scanned.
-/// The machine keeps these from the barrier (or the cycle) that found
-/// them to the end of the next cycle.
-pub(crate) struct Remembered {
-    /// The object; once it is no longer live (an explicit free), the
-    /// entry is skipped.
-    pub obj: ObjId,
-    /// The payload to trace from.
-    pub payload: Payload,
-}
-
-/// A handle to a remembered object's payload.
-pub(crate) enum Payload {
+/// An old object a minor mark must trace although it is old, by the
+/// payload to trace from: one the write barrier remembered, or a frame
+/// cell the last cycle scanned. The machine keeps these from the barrier
+/// (or the cycle) that found them to the end of the next cycle.
+pub(crate) enum Remembered {
     /// A pointer target or a boxed variable.
     Cell(Cell),
     /// A slice's backing array.
-    Cells(Rc<RefCell<Cells>>),
-    /// A map (header or bucket array remembered; the header's handle is
-    /// the payload's identity, as when a [`Value::Map`] is traced).
-    Map(MapVal),
+    Array(Array),
+    /// A map: its header, or with `Some` the bucket array remembered
+    /// (the header's handle is the payload's identity either way, as
+    /// when a [`Value::Map`] is traced).
+    Map(MapVal, Option<ObjId>),
+}
+
+impl Remembered {
+    /// The remembered object; once it is no longer live (an explicit
+    /// free), the entry is skipped.
+    pub fn obj(&self) -> Option<ObjId> {
+        match self {
+            Remembered::Cell(c) => c.obj,
+            Remembered::Array(a) => a.obj,
+            Remembered::Map(m, buckets) => buckets.or(m.obj),
+        }
+    }
+
+    fn is_live(&self, rt: &Runtime) -> bool {
+        self.obj().is_some_and(|o| o.is_live(rt))
+    }
 }
 
 /// Marks everything reachable from the roots it is fed.
@@ -71,6 +86,10 @@ pub(crate) struct Marker<'a> {
     /// The heap-backed frame cells reported as roots, forced again at
     /// the next cycle (only with a write barrier, i.e. a nursery).
     frame_cells: Vec<Remembered>,
+    /// How many objects deep the current trace is.
+    depth: u32,
+    /// References found [`SPILL_DEPTH`] deep, still to trace.
+    spilled: Vec<Value>,
     /// Every visited payload, to cross-check the mark-bit shortcut.
     #[cfg(debug_assertions)]
     traced: FxHashSet<usize>,
@@ -83,6 +102,8 @@ impl<'a> Marker<'a> {
             rt,
             seen: FxHashSet::default(),
             frame_cells: Vec::new(),
+            depth: 0,
+            spilled: Vec::new(),
             #[cfg(debug_assertions)]
             traced: FxHashSet::default(),
         }
@@ -96,10 +117,10 @@ impl<'a> Marker<'a> {
         self.rt.mark(obj.addr, obj.tag, self.minor && !forced)
     }
 
-    /// Whether the payload at `ptr`, backed by `obj`, is reached for the
-    /// first time this cycle (and so must be traced).
-    fn first_visit<T: ?Sized>(&mut self, obj: Option<ObjId>, ptr: *const T, forced: bool) -> bool {
-        let ptr = ptr as *const () as usize;
+    /// Whether `payload` is reached for the first time this cycle (and
+    /// so must be traced).
+    fn first_visit<T: Teardown>(&mut self, payload: &Rc<Obj<T>>, forced: bool) -> bool {
+        let (obj, ptr) = (payload.obj, Rc::as_ptr(payload) as usize);
         let marked = self.mark(obj, forced);
         let first = marked.unwrap_or_else(|| self.seen.insert(ptr));
         #[cfg(debug_assertions)]
@@ -116,66 +137,84 @@ impl<'a> Marker<'a> {
         first
     }
 
-    fn cell(&mut self, cell: &Cell, obj: Option<ObjId>, forced: bool) {
-        if self.first_visit(obj, Rc::as_ptr(cell), forced) {
-            self.value(&cell.borrow());
+    fn cell(&mut self, cell: &Cell, forced: bool) {
+        if self.first_visit(cell, forced) {
+            self.trace(&cell.borrow());
         }
     }
 
-    fn cells(&mut self, cells: &Rc<RefCell<Cells>>, obj: Option<ObjId>, forced: bool) {
-        if self.first_visit(obj, Rc::as_ptr(cells), forced) {
+    fn array(&mut self, cells: &Array, forced: bool) {
+        if self.first_visit(cells, forced) {
             for c in cells.borrow().traced() {
-                self.value(c);
+                self.trace(c);
             }
         }
     }
 
     fn map(&mut self, m: &MapVal, forced: bool) {
-        if self.first_visit(m.obj, Rc::as_ptr(&m.data), forced) {
-            let data = m.data.borrow();
+        if self.first_visit(m, forced) {
+            let data = m.borrow();
             self.mark(data.buckets_obj, false);
             for v in data.traced() {
-                self.value(v);
+                self.trace(v);
             }
+        }
+    }
+
+    /// Traces what `v` reaches, spilling past [`SPILL_DEPTH`] objects.
+    fn trace(&mut self, v: &Value) {
+        if let Value::Struct(fields) = v {
+            return fields.iter().for_each(|f| self.trace(f));
+        }
+        if !v.can_reference() {
+            return;
+        }
+        if self.depth == SPILL_DEPTH {
+            return self.spilled.push(v.clone());
+        }
+        self.depth += 1;
+        match v {
+            Value::Ptr(c) => self.cell(c, false),
+            Value::Slice(s) => self.array(&s.cells, false),
+            Value::Map(m) => self.map(m, false),
+            _ => {}
+        }
+        self.depth -= 1;
+    }
+
+    /// Traces the spilled references, and what they spill in turn.
+    fn drain(&mut self) {
+        while let Some(v) = self.spilled.pop() {
+            self.trace(&v);
         }
     }
 
     /// A remembered object: traced whatever its age while it lives.
     fn remembered(&mut self, r: &Remembered) {
-        if !r.obj.is_live(self.rt) {
+        if !r.is_live(self.rt) {
             return;
         }
-        match &r.payload {
-            Payload::Cell(c) => self.cell(c, Some(r.obj), true),
-            Payload::Cells(c) => self.cells(c, Some(r.obj), true),
-            Payload::Map(m) => self.map(m, true),
+        match r {
+            Remembered::Cell(c) => self.cell(c, true),
+            Remembered::Array(a) => self.array(a, true),
+            Remembered::Map(m, _) => self.map(m, true),
         }
+        self.drain();
     }
 }
 
 impl RootSink for Marker<'_> {
     fn value(&mut self, v: &Value) {
-        match v {
-            Value::Struct(fields) => {
-                for f in fields.iter() {
-                    self.value(f);
-                }
-            }
-            Value::Ptr(p) => self.cell(&p.cell, p.obj, false),
-            Value::Slice(s) => self.cells(&s.cells, s.obj, false),
-            Value::Map(m) => self.map(m, false),
-            _ => {}
-        }
+        self.trace(v);
+        self.drain();
     }
 
-    fn boxed(&mut self, cell: &Cell, obj: Option<ObjId>) {
-        if let Some(obj) = obj.filter(|_| self.rt.has_barrier()) {
-            self.frame_cells.push(Remembered {
-                obj,
-                payload: Payload::Cell(cell.clone()),
-            });
+    fn boxed(&mut self, cell: &Cell) {
+        if cell.obj.is_some() && self.rt.has_barrier() {
+            self.frame_cells.push(Remembered::Cell(cell.clone()));
         }
-        self.cell(cell, obj, true);
+        self.cell(cell, true);
+        self.drain();
     }
 }
 
@@ -276,14 +315,14 @@ mod tests {
             self.seen.insert(ptr)
         }
 
-        fn cell(&mut self, cell: &Cell, obj: Option<ObjId>, forced: bool) {
-            if self.enter(obj, Rc::as_ptr(cell) as usize, forced) {
+        fn cell(&mut self, cell: &Cell, forced: bool) {
+            if self.enter(cell.obj, Rc::as_ptr(cell) as usize, forced) {
                 self.value(&cell.borrow());
             }
         }
 
-        fn cells(&mut self, cells: &Rc<RefCell<Cells>>, obj: Option<ObjId>, forced: bool) {
-            if self.enter(obj, Rc::as_ptr(cells) as usize, forced) {
+        fn array(&mut self, cells: &Array, forced: bool) {
+            if self.enter(cells.obj, Rc::as_ptr(cells) as usize, forced) {
                 // Every element through `get`, never `traced()`: a
                 // representation that hid a reference would leave the
                 // span bits short of this model's set.
@@ -293,8 +332,8 @@ mod tests {
         }
 
         fn map(&mut self, m: &MapVal, forced: bool) {
-            if self.enter(m.obj, Rc::as_ptr(&m.data) as usize, forced) {
-                let data = m.data.borrow();
+            if self.enter(m.obj, Rc::as_ptr(m) as usize, forced) {
+                let data = m.borrow();
                 if let Some(addr) = self.live(data.buckets_obj) {
                     if !self.stops(addr, false) {
                         self.marked.insert(addr);
@@ -310,15 +349,15 @@ mod tests {
         fn value(&mut self, v: &Value) {
             match v {
                 Value::Struct(fields) => fields.iter().for_each(|f| self.value(f)),
-                Value::Ptr(p) => self.cell(&p.cell, p.obj, false),
-                Value::Slice(s) => self.cells(&s.cells, s.obj, false),
+                Value::Ptr(p) => self.cell(p, false),
+                Value::Slice(s) => self.array(&s.cells, false),
                 Value::Map(m) => self.map(m, false),
                 _ => {}
             }
         }
 
-        fn boxed(&mut self, cell: &Cell, obj: Option<ObjId>) {
-            self.cell(cell, obj, true);
+        fn boxed(&mut self, cell: &Cell) {
+            self.cell(cell, true);
         }
     }
 
@@ -345,11 +384,11 @@ mod tests {
             return full.marked;
         }
         let mut pruned = RefMarker::new(rt, true);
-        for r in remembered.iter().filter(|r| r.obj.is_live(rt)) {
-            match &r.payload {
-                Payload::Cell(c) => pruned.cell(c, Some(r.obj), true),
-                Payload::Cells(c) => pruned.cells(c, Some(r.obj), true),
-                Payload::Map(m) => pruned.map(m, true),
+        for r in remembered.iter().filter(|r| r.is_live(rt)) {
+            match r {
+                Remembered::Cell(c) => pruned.cell(c, true),
+                Remembered::Array(a) => pruned.array(a, true),
+                Remembered::Map(m, _) => pruned.map(m, true),
             }
         }
         roots(&mut pruned);
@@ -496,6 +535,22 @@ mod tests {
              func main() {{ m := build(40)\n print(churn(400), m[4].v, m[39].v, len(m)) }}\n"
         ));
         assert_eq!(out, ("79800 12 117 40\n".into(), 40));
+    }
+
+    #[test]
+    fn a_list_deeper_than_the_spill_depth_is_marked_whole() {
+        // Four times `SPILL_DEPTH` links: every cycle after `build` spills,
+        // and its bits must still match the reference marker's walk.
+        let out = run_everywhere(&format!(
+            "{NODE}func build(n int) *N {{ var h *N\n\
+             for i := 0; i < n; i += 1 {{ h = &N{{h, i}} }}\n return h }}\n\
+             func main() {{ h := build({})\n t := churn(400)\n\
+             for p := h; p != nil; p = p.next {{ t += p.v }}\n print(t) }}\n",
+            4 * SPILL_DEPTH
+        ));
+        let links = 4 * u64::from(SPILL_DEPTH);
+        let sum = links * (links - 1) / 2;
+        assert_eq!(out, (format!("{}\n", 79_800 + sum), links));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!    payload is immutable, so a clone is a refcount bump. This tier
 //!    sets the enum's size floor.
 //! 3. **Boxed aggregates** — `Struct`, `Ptr`, `Slice`, and `Map` hold an
-//!    8-byte `Rc` to their (formerly inline, up to 48-byte) payloads.
+//!    `Rc` to their payloads: `Struct` an `Rc<[Value]>` (its fields, in
+//!    one allocation with the count), the other three a thin 8-byte one.
 //!    Cloning any of them is a refcount bump instead of a header
 //!    memcpy. Value semantics for structs and slice headers are
 //!    preserved with copy-on-write: every mutation site goes through
@@ -26,6 +27,25 @@
 //!    actually shared — exactly the copy Go semantics would have made
 //!    eagerly. Maps and pointer cells are reference types, so sharing
 //!    the payload *is* their semantics and they are never `make_mut`.
+//!
+//! # One host allocation per heap object
+//!
+//! A pointer cell, a slice's backing array and a map are the three
+//! payloads a heap object can stand for. Each is an [`Obj`]: the
+//! object's handle (`None` for a stack placement) beside the `RefCell`
+//! holding the payload, in the one `Rc` allocation a [`Value`] points
+//! at. Reaching the payload or its identity from a value is one pointer
+//! hop — the hop the marker makes once per object per cycle — and a
+//! handle can never be paired with a second payload, which is what lets
+//! the marker's mark bit stand for its visited check (`mark.rs`).
+//! Reslicing copies the header (offset, length, element size) and shares
+//! the `Obj`, so a [`SliceVal`] is 32 bytes.
+//!
+//! A guest structure can be arbitrarily deep (a 100k-node list), and the
+//! host must not recurse once per link over it. The marker spills past a
+//! fixed depth to a stack of its own; dropping an [`Obj`] moves the
+//! references its payload holds onto a per-thread pending list that the
+//! outermost drop drains in a loop ([`Teardown`]).
 //!
 //! # Backing arrays: ints stored as ints
 //!
@@ -54,7 +74,7 @@
 //! non-int key moves the map to `Key`s with a `Key` index. Each step is
 //! taken in place, once, and never undone; a lookup never takes one.
 
-use std::cell::RefCell;
+use std::cell::{Cell as Flag, Ref, RefCell, RefMut};
 use std::collections::TryReserveError;
 use std::fmt;
 use std::hash::Hash;
@@ -90,9 +110,130 @@ impl ObjId {
     }
 }
 
-/// A shared, mutable storage cell (a variable's box or an object's
-/// payload slot).
-pub type Cell = Rc<RefCell<Value>>;
+/// A guest object as the host holds it: the handle of the heap object
+/// backing it (`None` when the escape analysis placed it on the stack,
+/// or it is a frame's box) and its payload, in one `Rc` allocation (see
+/// the module docs).
+#[derive(Debug)]
+pub struct Obj<T: Teardown> {
+    /// Heap object backing the payload, if heap-allocated.
+    pub obj: Option<ObjId>,
+    payload: RefCell<T>,
+}
+
+impl<T: Teardown> Obj<T> {
+    /// A fresh object holding `payload`.
+    #[inline]
+    pub fn new(obj: Option<ObjId>, payload: T) -> Rc<Self> {
+        Rc::new(Obj {
+            obj,
+            payload: RefCell::new(payload),
+        })
+    }
+
+    /// Borrows the payload.
+    ///
+    /// # Panics
+    ///
+    /// While it is mutably borrowed, like [`RefCell::borrow`].
+    #[inline]
+    pub fn borrow(&self) -> Ref<'_, T> {
+        self.payload.borrow()
+    }
+
+    /// Borrows the payload mutably.
+    ///
+    /// # Panics
+    ///
+    /// While it is borrowed, like [`RefCell::borrow_mut`].
+    #[inline]
+    pub fn borrow_mut(&self) -> RefMut<'_, T> {
+        self.payload.borrow_mut()
+    }
+}
+
+/// A pointer cell: a variable's box or the target of `&T{..}` / `new`.
+pub type Cell = Rc<Obj<Value>>;
+
+/// A slice's backing array.
+pub type Array = Rc<Obj<Cells>>;
+
+/// A map: the hmap header's handle beside the map's storage.
+pub type MapVal = Rc<Obj<MapData>>;
+
+/// A payload that can hand over the references it holds, so that
+/// dropping a long chain of uniquely owned objects runs in a loop rather
+/// than one host stack frame per link.
+pub trait Teardown {
+    /// The values that may hold a reference (empty when none can).
+    fn held(&mut self) -> &mut [Value];
+}
+
+impl Teardown for Value {
+    #[inline]
+    fn held(&mut self) -> &mut [Value] {
+        if self.can_reference() {
+            std::slice::from_mut(self)
+        } else {
+            &mut []
+        }
+    }
+}
+
+impl Teardown for Cells {
+    #[inline]
+    fn held(&mut self) -> &mut [Value] {
+        match self {
+            Cells::Ints(_) => &mut [],
+            Cells::Any(c) => c,
+        }
+    }
+}
+
+impl Teardown for MapData {
+    #[inline]
+    fn held(&mut self) -> &mut [Value] {
+        self.vals.held()
+    }
+}
+
+thread_local! {
+    /// References detached from dropped objects, not yet dropped.
+    static PENDING: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
+    /// Whether a drop further up this thread's stack is draining `PENDING`.
+    static DRAINING: Flag<bool> = const { Flag::new(false) };
+}
+
+/// The pending list keeps at most this much capacity between teardowns.
+const PENDING_KEPT: usize = 1 << 12;
+
+/// An object's drop moves its payload's references onto the thread's
+/// pending list; the outermost drop then drops them one at a time, each
+/// of those drops moving its own in turn. The host stack stays as deep
+/// as one struct's nesting, however long the chain.
+impl<T: Teardown> Drop for Obj<T> {
+    fn drop(&mut self) {
+        let held = self.payload.get_mut().held();
+        if held.is_empty() {
+            return;
+        }
+        let detach = |p: &RefCell<Vec<Value>>| {
+            let refs = held.iter_mut().filter(|v| v.can_reference());
+            p.borrow_mut()
+                .extend(refs.map(|v| std::mem::replace(v, Value::Nil)));
+        };
+        // During thread exit the list may be gone: drop by recursion.
+        if PENDING.try_with(detach).is_err() || DRAINING.get() {
+            return;
+        }
+        DRAINING.set(true);
+        while let Some(v) = PENDING.with_borrow_mut(Vec::pop) {
+            drop(v);
+        }
+        PENDING.with_borrow_mut(|p| p.shrink_to(PENDING_KEPT));
+        DRAINING.set(false);
+    }
+}
 
 /// A MiniGo runtime value.
 #[derive(Debug, Clone)]
@@ -107,26 +248,16 @@ pub enum Value {
     Nil,
     /// A struct value: fields in declaration order. Copy-on-write:
     /// mutations go through [`Rc::make_mut`] (see the module docs).
-    Struct(Rc<Vec<Value>>),
+    Struct(Rc<[Value]>),
     /// A pointer to a cell.
-    Ptr(Rc<PtrVal>),
+    Ptr(Cell),
     /// A slice header. Copy-on-write like `Struct`.
     Slice(Rc<SliceVal>),
     /// A map reference.
-    Map(Rc<MapVal>),
+    Map(MapVal),
     /// Poisoned memory written by the §6.8 mock `tcfree`; reading it is a
     /// runtime error, which is how unsound frees are detected.
     Poison,
-}
-
-/// A pointer value: the cell it addresses plus the heap-accounting id of
-/// the box, when the pointee is heap-allocated.
-#[derive(Debug, Clone)]
-pub struct PtrVal {
-    /// The addressed storage.
-    pub cell: Cell,
-    /// Heap object backing the cell, if any.
-    pub obj: Option<ObjId>,
 }
 
 /// A slice header: shared backing array, offset, length, and element size
@@ -134,10 +265,8 @@ pub struct PtrVal {
 /// header over the same cells, exactly like Go.
 #[derive(Debug, Clone)]
 pub struct SliceVal {
-    /// The backing array.
-    pub cells: Rc<RefCell<Cells>>,
-    /// Heap object backing the array, if heap-allocated.
-    pub obj: Option<ObjId>,
+    /// The backing array, with the heap object behind it.
+    pub cells: Array,
     /// Start offset into the backing array.
     pub offset: usize,
     /// Visible length.
@@ -334,15 +463,6 @@ impl Cells {
             Cells::Any(c) => c,
         }
     }
-}
-
-/// A map reference.
-#[derive(Debug, Clone)]
-pub struct MapVal {
-    /// The shared map storage.
-    pub data: Rc<RefCell<MapData>>,
-    /// Heap object for the hmap + initial bucket, if heap-allocated.
-    pub obj: Option<ObjId>,
 }
 
 /// Map keys: Go restricts ours to scalars.
@@ -590,7 +710,7 @@ impl Value {
                 format!("[{}]", inner.join(" "))
             }
             Value::Map(m) => {
-                let data = m.data.borrow();
+                let data = m.borrow();
                 let inner: Vec<String> = data
                     .entries()
                     .map(|(k, v)| format!("{k}:{}", v.display()))
@@ -611,24 +731,44 @@ impl Value {
         }
     }
 
-    /// Builds a struct value (tier-3 boxing in one place).
-    pub fn struct_of(fields: Vec<Value>) -> Value {
-        Value::Struct(Rc::new(fields))
+    /// Builds a struct value (tier-3 boxing in one place). The `Rc` is
+    /// allocated once when `fields` has an exact length (a `Vec`, an
+    /// array, or a `map` over either).
+    pub fn struct_of(fields: impl IntoIterator<Item = Value>) -> Value {
+        Value::Struct(fields.into_iter().collect())
     }
 
-    /// Builds a pointer value.
-    pub fn ptr(p: PtrVal) -> Value {
-        Value::Ptr(Rc::new(p))
+    /// Builds a struct value from its `n` fields, read in order by
+    /// `read`, in one allocation. The first read that fails ends the
+    /// reads, and its error is the result.
+    ///
+    /// # Errors
+    ///
+    /// The first error `read` returns.
+    pub fn try_struct<E>(
+        n: usize,
+        mut read: impl FnMut(usize) -> Result<Value, E>,
+    ) -> Result<Value, E> {
+        let mut failed = None;
+        // A range's `map` has an exact length: the `Rc` is allocated once.
+        let fields = (0..n)
+            .map(|i| match failed {
+                Some(_) => Value::Nil,
+                None => read(i).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    Value::Nil
+                }),
+            })
+            .collect();
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Value::Struct(fields)),
+        }
     }
 
     /// Builds a slice value.
     pub fn slice(s: SliceVal) -> Value {
         Value::Slice(Rc::new(s))
-    }
-
-    /// Builds a map value.
-    pub fn map(m: MapVal) -> Value {
-        Value::Map(Rc::new(m))
     }
 }
 
@@ -705,12 +845,10 @@ mod tests {
         assert_eq!(Value::Int(3).display(), "3");
         assert_eq!(Value::Nil.display(), "nil");
         let s = Value::slice(SliceVal {
-            cells: Rc::new(RefCell::new(Cells::Any(vec![
-                Value::Int(1),
-                Value::Int(2),
-                Value::Int(0),
-            ]))),
-            obj: None,
+            cells: Obj::new(
+                None,
+                Cells::Any(vec![Value::Int(1), Value::Int(2), Value::Int(0)]),
+            ),
             offset: 0,
             len: 2,
             elem_size: 8,
@@ -731,8 +869,54 @@ mod tests {
     fn value_stays_compact() {
         assert_eq!(std::mem::size_of::<Value>(), 24);
         assert_eq!(std::mem::size_of::<Option<Value>>(), 24);
-        // Frame slots hold a cell pointer beside an optional handle.
+        // An object's header: the handle keeps its niche.
         assert_eq!(std::mem::size_of::<Option<ObjId>>(), 16);
+        // A header's handle lives with its array, not in every header.
+        assert_eq!(std::mem::size_of::<SliceVal>(), 32);
+    }
+
+    /// A list far longer than the host stack has frames for drops in a
+    /// loop: through pointer cells, through a `[]*T` per link, and
+    /// through a `map[int]*T` per link. A wide array's drop leaves the
+    /// pending list no larger than it keeps.
+    #[test]
+    fn a_deep_chain_drops_without_recursing_per_link() {
+        const LINKS: usize = 200_000;
+        fn by_ptr(next: Value) -> Value {
+            Value::Ptr(Obj::new(None, Value::struct_of([Value::Int(1), next])))
+        }
+        fn by_slice(next: Value) -> Value {
+            Value::slice(SliceVal {
+                cells: Obj::new(None, Cells::Any(vec![by_ptr(next)])),
+                offset: 0,
+                len: 1,
+                elem_size: 8,
+            })
+        }
+        fn by_map(next: Value) -> Value {
+            let mut data = MapData::new(Value::Nil, 16, None);
+            data.push(Key::Int(0), by_ptr(next));
+            Value::Map(Obj::new(None, data))
+        }
+        let links: [fn(Value) -> Value; 3] = [by_ptr, by_slice, by_map];
+        for link in links {
+            let kept = std::thread::Builder::new()
+                .stack_size(256 << 10)
+                .spawn(move || {
+                    let mut head = Value::Nil;
+                    for _ in 0..LINKS {
+                        head = link(head);
+                    }
+                    drop(head);
+                    let wide = (0..LINKS).map(|_| by_ptr(Value::Nil)).collect();
+                    drop(Obj::new(None, Cells::Any(wide)));
+                    PENDING.with_borrow(Vec::capacity)
+                })
+                .expect("spawn")
+                .join()
+                .expect("the chain dropped");
+            assert!(kept <= PENDING_KEPT, "{kept}");
+        }
     }
 
     #[test]

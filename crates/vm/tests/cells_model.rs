@@ -10,13 +10,13 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use minigo_vm::{Cells, SliceVal, Value};
+use minigo_vm::{Cells, Obj, SliceVal, Value};
 
 /// One backing array, both ways, plus whether only ints have ever been
 /// stored in it — what decides the representation, so what the marker is
 /// allowed to skip.
 struct Array {
-    cells: Rc<RefCell<Cells>>,
+    cells: minigo_vm::Array,
     model: Rc<RefCell<Vec<Value>>>,
     ints_only: bool,
 }
@@ -24,7 +24,7 @@ struct Array {
 impl Array {
     fn new(cells: Cells, model: Vec<Value>, ints_only: bool) -> Array {
         Array {
-            cells: Rc::new(RefCell::new(cells)),
+            cells: Obj::new(None, cells),
             model: Rc::new(RefCell::new(model)),
             ints_only,
         }
@@ -92,7 +92,6 @@ fn check(arrays: &[Array], headers: &[Header]) {
     for h in headers {
         let slice = Value::slice(SliceVal {
             cells: arrays[h.array].cells.clone(),
-            obj: None,
             offset: h.offset,
             len: h.len,
             elem_size: 8,
@@ -192,9 +191,7 @@ proptest! {
 
 #[test]
 fn an_alias_taken_before_a_generalisation_reads_the_generalised_contents() {
-    let cells = Rc::new(RefCell::new(
-        Cells::filled(Value::Int(7), 4).expect("four ints"),
-    ));
+    let cells = Obj::new(None, Cells::filled(Value::Int(7), 4).expect("four ints"));
     let alias = cells.clone();
     assert!(alias.borrow().traced().is_empty());
     cells.borrow_mut().set(2, Value::Str("x".into()));

@@ -5,12 +5,9 @@
 //! does it: one `find`, then `set_at` or `push`), and every lookup, the
 //! length, the insertion order and the printed form must agree.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use proptest::prelude::*;
 
-use minigo_vm::{Key, MapData, MapVal, Value};
+use minigo_vm::{Key, MapData, MapVal, Obj, Value};
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     let other = prop_oneof![
@@ -57,7 +54,7 @@ fn key_for(kind: u8, a: usize, model: &[(Key, Value)]) -> Key {
     }
 }
 
-fn check(map: &Rc<RefCell<MapData>>, model: &[(Key, Value)], ints_only: bool) {
+fn check(map: &MapVal, model: &[(Key, Value)], ints_only: bool) {
     let data = map.borrow();
     assert_eq!(data.len(), model.len());
     assert_eq!(data.is_empty(), model.is_empty());
@@ -100,10 +97,7 @@ fn check(map: &Rc<RefCell<MapData>>, model: &[(Key, Value)], ints_only: bool) {
         .iter()
         .map(|(k, v)| format!("{k}:{}", v.display()))
         .collect();
-    let value = Value::map(MapVal {
-        data: map.clone(),
-        obj: None,
-    });
+    let value = Value::Map(map.clone());
     assert_eq!(value.display(), format!("map[{}]", shown.join(" ")));
 }
 
@@ -114,7 +108,7 @@ proptest! {
     fn map_data_matches_the_entry_list_it_stands_for(
         ops in proptest::collection::vec((0u8..16, any::<usize>(), value_strategy()), 1..80),
     ) {
-        let map = Rc::new(RefCell::new(MapData::new(Value::Int(0), 16, None)));
+        let map = Obj::new(None, MapData::new(Value::Int(0), 16, None));
         let mut model: Vec<(Key, Value)> = Vec::new();
         let mut ints_only = true;
         check(&map, &model, ints_only);

@@ -1,10 +1,13 @@
 //! The parser's nesting budget (`minigo_syntax::parser::MAX_NESTING`):
 //! one level past it is a spanned error, and a program nested exactly at
 //! it compiles and runs on both engines at both opt levels inside a
-//! thread with the default 2 MiB test stack.
+//! thread with the default 2 MiB test stack. A guest *heap* structure has
+//! no such budget: a list of 100k links is marked and dropped on that
+//! stack too.
 
 use gofree::{compile, execute, CompileOptions, OptLevel, RunConfig, Setting, VmEngine};
 use minigo_escape::inline_program;
+use minigo_runtime::CollectorKind;
 use minigo_syntax::parse;
 use minigo_syntax::parser::{self, MAX_NESTING};
 
@@ -184,4 +187,78 @@ fn the_inliner_keeps_an_at_limit_callee_out_of_an_at_limit_call_site() {
         .expect("spawn")
         .join()
         .expect("the at-limit call ran");
+}
+
+/// How many links each deep heap shape has.
+const LINKS: usize = 100_000;
+
+/// The deep heap shapes: `build(n)` returns the head of an `n`-link
+/// chain whose `v`s are `i % 7`, and `main` sums them down the chain.
+/// Links through a pointer, through a one-element `[]*T`, and through a
+/// one-entry `map[int]*T`.
+const HEAP_SHAPES: [(&str, &str); 3] = [
+    (
+        "pointer list",
+        "type T struct { next *T\n v int }\n\
+         func build(n int) *T { var head *T\n\
+         for i := 0; i < n; i += 1 { head = &T{head, i % 7} }\n return head }\n\
+         func main() { t := 0\n for p := build(LINKS); p != nil; p = p.next { t += p.v }\n print(t) }\n",
+    ),
+    (
+        "slice chain",
+        "type T struct { kids []*T\n v int }\n\
+         func build(n int) *T { var head *T\n\
+         for i := 0; i < n; i += 1 { kids := make([]*T, 1)\n kids[0] = head\n head = &T{kids, i % 7} }\n\
+         return head }\n\
+         func main() { t := 0\n for p := build(LINKS); p != nil; p = p.kids[0] { t += p.v }\n print(t) }\n",
+    ),
+    (
+        "map chain",
+        "type T struct { next map[int]*T\n v int }\n\
+         func build(n int) *T { var head *T\n\
+         for i := 0; i < n; i += 1 { m := make(map[int]*T)\n m[0] = head\n head = &T{m, i % 7} }\n\
+         return head }\n\
+         func main() { t := 0\n for p := build(LINKS); p != nil; p = p.next[0] { t += p.v }\n print(t) }\n",
+    ),
+];
+
+/// A deep guest heap neither overflows the marker (GC on: every cycle
+/// marks the whole chain) nor the teardown (GC off: the chain outlives
+/// the run and is dropped with it), on either engine under either
+/// collector, on a 2 MiB stack.
+#[test]
+fn a_deep_heap_structure_runs_everywhere_on_a_2_mib_stack() {
+    let want = format!("{}\n", (0..LINKS).map(|i| i % 7).sum::<usize>());
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            for (name, shape) in HEAP_SHAPES {
+                let src = shape.replace("LINKS", &LINKS.to_string());
+                let compiled = compile(&src, &CompileOptions::go())
+                    .unwrap_or_else(|e| panic!("{name}: {}", e.render(&src)));
+                for setting in [Setting::Go, Setting::GoGcOff] {
+                    for collector in [CollectorKind::Go, CollectorKind::Generational] {
+                        for engine in [VmEngine::TreeWalk, VmEngine::Bytecode] {
+                            let cfg = RunConfig {
+                                engine,
+                                collector,
+                                ..RunConfig::deterministic(1)
+                            };
+                            let r = execute(&compiled, setting, &cfg).unwrap_or_else(|e| {
+                                panic!("{name} {setting:?} {collector:?} {engine}: {e}")
+                            });
+                            assert_eq!(r.output, want, "{name} {setting:?} {collector:?} {engine}");
+                            let gcs = r.metrics.gcs;
+                            match setting {
+                                Setting::GoGcOff => assert_eq!(gcs, 0, "{name}"),
+                                _ => assert!(gcs > 0, "{name} {collector:?}: no cycle marked"),
+                            }
+                        }
+                    }
+                }
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("every deep heap shape ran");
 }
