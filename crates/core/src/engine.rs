@@ -184,22 +184,24 @@ pub struct RunConfig {
 }
 
 impl Default for RunConfig {
+    /// The runtime knobs take [`RuntimeConfig::default`]'s values.
     fn default() -> Self {
+        let rt = RuntimeConfig::default();
         RunConfig {
-            seed: 0,
-            gogc: 100,
-            min_heap: 512 * 1024,
-            migrate_prob: 0.0005,
-            jitter: 0.02,
-            poison: PoisonMode::Off,
+            seed: rt.seed,
+            gogc: rt.gogc,
+            min_heap: rt.min_heap,
+            migrate_prob: rt.migrate_prob,
+            jitter: rt.jitter,
+            poison: rt.poison,
             engine: VmEngine::default(),
             opt: OptLevel::default(),
             sanitize: false,
-            trace: false,
-            trace_cap: None,
+            trace: rt.trace,
+            trace_cap: rt.trace_cap,
             jobs: default_jobs(),
-            collector: minigo_runtime::CollectorKind::default(),
-            nursery_size: RuntimeConfig::default().nursery_size,
+            collector: rt.collector,
+            nursery_size: rt.nursery_size,
         }
     }
 }

@@ -40,9 +40,9 @@ pub mod cost {
     /// only — much cheaper than `GC_CYCLE_BASE`). Unused by the default
     /// mark-sweep backend.
     pub const GC_MINOR_BASE: u64 = 1500;
-    /// The generational write barrier: charged when a store into an old
-    /// object enters the remembered set. The default mark-sweep backend
-    /// has no barrier and never charges this.
+    /// The generational write barrier: charged per store into a live old
+    /// object, the first of which sets its remembered bit. The default
+    /// mark-sweep backend has no barrier and never charges this.
     pub const WRITE_BARRIER: u64 = 2;
 
     // The fast path is the cheapest way to memory and a fresh span the

@@ -9,26 +9,25 @@
 //! the sweep examines, and what the next pacing goal is.
 //!
 //! The major cycle is Go's: it triggers when `heap_live` crosses the GOGC
-//! goal, its window lasts `live_objects / 16` allocations (clamped to
+//! goal, its window lasts `live objects / 16` allocations (clamped to
 //! 16..=96), it charges a jittered mark cost, sweeps the whole heap, and
 //! sets the next goal to `heap_marked * (1 + GOGC/100)`, floored at
 //! `min_heap`. The `go` collector golden pins every one of those charges.
 //!
-//! [`CollectorKind::Generational`] adds a `Nursery`. Young objects
-//! (allocated since the last cycle and not freed) carry a young bit on
-//! their span; when their bytes cross [`RuntimeConfig::nursery_size`] a
-//! **minor** cycle marks and sweeps only them ([`Heap::sweep_young`]) and
-//! promotes every survivor wholesale. A minor mark stops at old objects,
-//! so a write barrier records the *old* objects a reference is stored
-//! into in a remembered set, the minor mark's extra roots, charged as
-//! root-scan cost. It
-//! is a set, not a fourth span word: it is bounded by one cycle's stores,
-//! and a word per 64 slots would be paid by every span of either
-//! collector. Promotion clears it: no old→young edge survives a cycle
-//! that promotes the whole nursery. A crossed GOGC goal outranks a full
-//! nursery, since a minor cycle cannot relieve full-heap pressure. An
-//! explicit `tcfree` evicts its object from the nursery, so freed bytes
-//! never count toward the minor trigger.
+//! [`CollectorKind::Generational`] adds a nursery, kept on the spans like
+//! every other per-object fact ([`crate::heap`]). Young objects
+//! (allocated since the last cycle and not freed) carry a young bit;
+//! when their bytes ([`Heap::young_bytes`]) cross
+//! [`RuntimeConfig::nursery_size`] a **minor** cycle marks and sweeps
+//! only them ([`Heap::sweep_young`]) and promotes every survivor
+//! wholesale. A minor mark stops at old objects, so the write barrier
+//! sets a remembered bit on the *old* objects a reference is stored into
+//! ([`Heap::remember`]): the minor mark's extra roots, charged as
+//! root-scan cost. Promotion clears both bits: no old→young edge
+//! survives a cycle that promotes the whole nursery. A crossed GOGC goal
+//! outranks a full nursery, since a minor cycle cannot relieve full-heap
+//! pressure. An explicit `tcfree` ends its slot's bits and counts, so
+//! freed bytes never count toward the minor trigger.
 //!
 //! Determinism rules: charge the clock only [`crate::clock::cost`]
 //! constants, draw from the RNG only via `charge_jittered`, and make
@@ -43,8 +42,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::clock::{cost, Clock};
-use crate::fxhash::FxHashSet;
-use crate::heap::{Heap, HeapInvariant, HeapInvariantError, ObjAddr, SweepOutcome};
+use crate::heap::{Heap, SweepOutcome};
 use crate::rng::SimRng;
 use crate::runtime::RuntimeConfig;
 
@@ -163,21 +161,9 @@ pub(crate) struct Collector {
     next_gc: u64,
     /// What kind of cycle the open window leads to.
     cycle: CycleKind,
-    /// Present only under [`CollectorKind::Generational`]. Boxed: an
-    /// inline nursery measured slower on the allocation-heavy service
-    /// workload.
-    nursery: Option<Box<Nursery>>,
-}
-
-/// The generational collector's young generation.
-#[derive(Debug, Default)]
-struct Nursery {
-    /// Objects carrying a young bit (the minor window's pacing input).
-    young_objects: u64,
-    /// Bytes those objects account for (the minor trigger's input).
-    young_bytes: u64,
-    /// Old objects mutated since the last cycle (minor-mark roots).
-    remembered: FxHashSet<ObjAddr>,
+    /// Whether there is a nursery: [`CollectorKind::Generational`] with
+    /// GC on.
+    nursery: bool,
 }
 
 impl Collector {
@@ -191,7 +177,7 @@ impl Collector {
             pending: false,
             next_gc: cfg.min_heap,
             cycle: CycleKind::Major,
-            nursery: (cfg.collector == CollectorKind::Generational).then(Box::default),
+            nursery: cfg.collector == CollectorKind::Generational && cfg.gc_enabled,
         }
     }
 
@@ -214,10 +200,11 @@ impl Collector {
         self.cycle
     }
 
-    /// Whether [`Collector::record_store`] can ever do anything.
+    /// Whether there is a nursery: young bits, minor cycles and a write
+    /// barrier.
     #[inline]
-    pub fn has_barrier(&self) -> bool {
-        self.nursery.is_some()
+    pub fn nursery(&self) -> bool {
+        self.nursery
     }
 
     fn open_window(&mut self, cycle: CycleKind, assists: u64) {
@@ -227,25 +214,10 @@ impl Collector {
         self.cycle = cycle;
     }
 
-    /// Registers a freshly allocated object in the nursery. Touches no
-    /// clock, metrics or RNG.
-    pub fn on_object_alloc(&mut self, heap: &mut Heap, addr: ObjAddr, bytes: u64) {
-        if let Some(n) = &mut self.nursery {
-            heap.set_young(addr);
-            n.young_objects += 1;
-            n.young_bytes += bytes;
-        }
-    }
-
     /// The pacing decision after an allocation: counts down an open
     /// window, or opens one and returns the trigger. Touches no clock or
     /// RNG.
-    pub fn pace(
-        &mut self,
-        cfg: &RuntimeConfig,
-        heap: &Heap,
-        live_objects: u64,
-    ) -> Option<GcTrigger> {
+    pub fn pace(&mut self, cfg: &RuntimeConfig, heap: &Heap) -> Option<GcTrigger> {
         if !cfg.gc_enabled {
             return None;
         }
@@ -255,52 +227,18 @@ impl Collector {
             return None;
         }
         let (kind, goal, window) = if heap.heap_live() >= self.next_gc {
-            let window = (live_objects / ASSIST_DIVISOR).clamp(16, 96);
+            let window = (heap.objects() / ASSIST_DIVISOR).clamp(16, 96);
             (CycleKind::Major, self.next_gc, window)
+        } else if self.nursery && heap.young_bytes() >= cfg.nursery_size {
+            // Minor windows are short: the nursery is small and the
+            // cycle must run before it overflows badly.
+            let window = (heap.young_objects() / ASSIST_DIVISOR).clamp(4, 32);
+            (CycleKind::Minor, cfg.nursery_size, window)
         } else {
-            match &self.nursery {
-                // Minor windows are short: the nursery is small and the
-                // cycle must run before it overflows badly.
-                Some(n) if n.young_bytes >= cfg.nursery_size => {
-                    let window = (n.young_objects / ASSIST_DIVISOR).clamp(4, 32);
-                    (CycleKind::Minor, cfg.nursery_size, window)
-                }
-                _ => return None,
-            }
+            return None;
         };
         self.open_window(kind, window);
         Some(GcTrigger { goal, window, kind })
-    }
-
-    /// Write barrier: the VM stored a heap reference into the object at
-    /// `addr`. `None` when no barrier fires (no nursery, GC off, or a
-    /// young object: the nursery is traced at every cycle, so a store
-    /// into it needs no record); else whether `addr` is newly
-    /// remembered. The caller charges [`cost::WRITE_BARRIER`] per fired
-    /// barrier.
-    pub fn record_store(
-        &mut self,
-        cfg: &RuntimeConfig,
-        heap: &Heap,
-        addr: ObjAddr,
-    ) -> Option<bool> {
-        let n = self.nursery.as_mut()?;
-        if !cfg.gc_enabled || heap.is_young(addr) {
-            return None;
-        }
-        Some(n.remembered.insert(addr))
-    }
-
-    /// A `tcfree` deallocated `addr`: evict it from the nursery. Touches
-    /// no clock, metrics or RNG.
-    pub fn on_free(&mut self, heap: &mut Heap, addr: ObjAddr, bytes: u64) {
-        if let Some(n) = &mut self.nursery {
-            if heap.clear_young(addr) {
-                n.young_objects -= 1;
-                n.young_bytes = n.young_bytes.saturating_sub(bytes);
-            }
-            n.remembered.remove(&addr);
-        }
     }
 
     /// Runs the cycle the window led to: charge the mark cost, sweep,
@@ -326,20 +264,17 @@ impl Collector {
             CycleKind::Minor => {
                 // The cheaper stop, nursery survivors, and a root-scan
                 // charge per remembered old object.
-                let n = self.nursery.as_ref().expect("minor cycles need a nursery");
                 let ticks = mark_cost(heap, cost::GC_MINOR_BASE, true)
-                    + cost::GC_MARK_OBJECT * n.remembered.len() as u64;
+                    + cost::GC_MARK_OBJECT * heap.remembered();
                 clock.charge_jittered(ticks, rng);
                 heap.sweep_young()
             }
         };
         clock.charge(cost::GC_SWEEP_SPAN * sweep.spans_swept as u64);
-        if let Some(n) = &mut self.nursery {
-            // Wholesale promotion: survivors become old, and the
-            // remembered set is vacuously satisfied again.
+        if self.nursery {
+            // Wholesale promotion: survivors become old, and nothing
+            // needs remembering again.
             heap.promote_all();
-            (n.young_objects, n.young_bytes) = (0, 0);
-            n.remembered.clear();
         }
         self.gc_running = false;
         self.assist_left = 0;
@@ -348,26 +283,6 @@ impl Collector {
             sweep,
             kind,
             next_goal: self.next_gc,
-        }
-    }
-
-    /// Checks the remembered set against the heap; the runtime asks
-    /// wherever it checks [`Heap::check_invariants`].
-    ///
-    /// # Errors
-    ///
-    /// A remembered object that is free or young.
-    pub fn check_invariants(&self, heap: &Heap) -> Result<(), HeapInvariantError> {
-        let Some(n) = &self.nursery else {
-            return Ok(());
-        };
-        let stray = |a: &&ObjAddr| !heap.is_allocated(**a) || heap.is_young(**a);
-        match n.remembered.iter().find(stray) {
-            Some(addr) => Err(HeapInvariantError {
-                invariant: HeapInvariant::RememberedNotOld,
-                span: Some(addr.span),
-            }),
-            None => Ok(()),
         }
     }
 
@@ -393,6 +308,7 @@ fn mark_cost(heap: &Heap, base: u64, young_only: bool) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::ObjAddr;
     use crate::metrics::Category;
     use crate::sizeclass::class_for;
 
@@ -406,8 +322,11 @@ mod tests {
         }
     }
 
-    fn nursery(gc: &Collector) -> &Nursery {
-        gc.nursery.as_deref().expect("generational")
+    /// Allocates `bytes` young, as the runtime does under a nursery.
+    fn young(heap: &mut Heap, bytes: u64) -> ObjAddr {
+        let (addr, _) = heap.alloc_small(class_for(bytes), 0, Category::Other);
+        heap.set_young(addr);
+        addr
     }
 
     #[test]
@@ -432,10 +351,8 @@ mod tests {
 
     #[test]
     fn only_generational_has_a_nursery() {
-        let go = Collector::new(&RuntimeConfig::default());
-        assert!(go.nursery.is_none() && !go.has_barrier());
-        let gen = Collector::new(&gen_cfg());
-        assert!(gen.nursery.is_some() && gen.has_barrier());
+        assert!(!Collector::new(&RuntimeConfig::default()).nursery());
+        assert!(Collector::new(&gen_cfg()).nursery());
     }
 
     #[test]
@@ -449,13 +366,11 @@ mod tests {
         let mut clock = Clock::new(0.0);
         let mut rng = SimRng::seed_from_u64(0);
         let mut gc = Collector::new(&cfg);
-        let mut live = 0u64;
         let mut trigger = None;
         while trigger.is_none() {
             heap.alloc_small(class_for(512), 0, Category::Other);
-            live += 1;
-            trigger = gc.pace(&cfg, &heap, live);
-            assert!(live < 100, "never triggered");
+            trigger = gc.pace(&cfg, &heap);
+            assert!(heap.objects() < 100, "never triggered");
         }
         let t = trigger.unwrap();
         assert_eq!(t.goal, 1024);
@@ -475,21 +390,12 @@ mod tests {
         let mut gc = Collector::new(&cfg);
         gc.force_window(2);
         assert!(gc.gc_running() && !gc.gc_pending());
-        gc.pace(&cfg, &heap, 10);
+        gc.pace(&cfg, &heap);
         assert!(!gc.gc_pending());
-        gc.pace(&cfg, &heap, 10);
+        gc.pace(&cfg, &heap);
         assert!(gc.gc_pending());
-        gc.pace(&cfg, &heap, 10);
+        gc.pace(&cfg, &heap);
         assert!(gc.gc_pending(), "a drained window stays pending");
-    }
-
-    #[test]
-    fn store_barrier_is_free_without_a_nursery() {
-        let cfg = RuntimeConfig::default();
-        let mut heap = Heap::new(1);
-        let (addr, _) = heap.alloc_small(class_for(64), 0, Category::Other);
-        let mut gc = Collector::new(&cfg);
-        assert_eq!(gc.record_store(&cfg, &heap, addr), None);
     }
 
     #[test]
@@ -497,19 +403,28 @@ mod tests {
         let cfg = gen_cfg();
         let mut heap = Heap::new(1);
         let mut gc = Collector::new(&cfg);
-        let mut live = 0;
         let trigger = loop {
-            let (addr, _) = heap.alloc_small(class_for(512), 0, Category::Other);
-            gc.on_object_alloc(&mut heap, addr, 512);
-            live += 1;
-            if let Some(t) = gc.pace(&cfg, &heap, live) {
+            young(&mut heap, 512);
+            if let Some(t) = gc.pace(&cfg, &heap) {
                 break t;
             }
-            assert!(live < 100, "minor never triggered");
+            assert!(heap.objects() < 100, "minor never triggered");
         };
         assert_eq!(trigger.kind, CycleKind::Minor);
         assert_eq!(trigger.goal, 4096);
-        assert!(nursery(&gc).young_bytes >= 4096);
+        assert!(heap.young_bytes() >= 4096);
+    }
+
+    #[test]
+    fn go_never_runs_a_minor_whatever_the_nursery_size() {
+        let cfg = RuntimeConfig {
+            nursery_size: 0,
+            ..RuntimeConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()), "go ignores the nursery size");
+        let mut heap = Heap::new(1);
+        heap.alloc_small(class_for(512), 0, Category::Other);
+        assert_eq!(Collector::new(&cfg).pace(&cfg, &heap), None);
     }
 
     #[test]
@@ -520,62 +435,74 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(0);
         let mut gc = Collector::new(&cfg);
         // An "old" object: allocated, then a cycle promotes it.
-        let (old, _) = heap.alloc_small(class_for(64), 0, Category::Other);
-        gc.on_object_alloc(&mut heap, old, 64);
+        let old = young(&mut heap, 64);
         gc.open_window(CycleKind::Minor, 0);
         heap.mark(old, heap.owner(old).unwrap(), false);
         gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
-        assert_eq!(nursery(&gc).young_bytes, 0, "promotion empties the nursery");
+        assert_eq!(heap.young_bytes(), 0, "promotion empties the nursery");
+        assert!(!heap.is_young(old));
         // Now a young unmarked object dies in a minor while the old,
         // also-unmarked one survives (floating, awaiting a major).
-        let (young, _) = heap.alloc_small(class_for(64), 0, Category::Other);
-        gc.on_object_alloc(&mut heap, young, 64);
+        let young = young(&mut heap, 64);
         gc.open_window(CycleKind::Minor, 0);
         let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
         assert_eq!(out.kind, CycleKind::Minor);
         let freed: Vec<_> = out.sweep.freed.iter().map(|f| f.addr).collect();
         assert_eq!(freed, vec![young]);
         assert!(heap.is_allocated(old), "old survives the minor unmarked");
+        assert_eq!((heap.objects(), heap.young_objects()), (1, 0));
+    }
+
+    #[test]
+    fn minor_charges_each_remembered_object_once() {
+        let cfg = gen_cfg();
+        let mut heap = Heap::new(1);
+        let mut rng = SimRng::seed_from_u64(0);
+        let mut gc = Collector::new(&cfg);
+        let olds: Vec<_> = (0..3)
+            .map(|_| heap.alloc_small(class_for(64), 0, Category::Other).0)
+            .collect();
+        let mut minor = |heap: &mut Heap, remember: &[ObjAddr]| {
+            for &a in remember {
+                heap.remember(a, heap.owner(a).unwrap());
+            }
+            let mut clock = Clock::new(0.0);
+            gc.open_window(CycleKind::Minor, 0);
+            gc.collect(&cfg, heap, &mut clock, &mut rng);
+            clock.now()
+        };
+        let none = minor(&mut heap, &[]);
+        let two = minor(&mut heap, &[olds[0], olds[2], olds[0]]);
+        assert_eq!(two - none, 2 * cost::GC_MARK_OBJECT);
+        assert_eq!(heap.remembered(), 0, "promotion ends the remembered bits");
     }
 
     #[test]
     fn tcfree_evicts_from_nursery() {
-        let cfg = gen_cfg();
         let mut heap = Heap::new(1);
-        let mut gc = Collector::new(&cfg);
-        let (a, _) = heap.alloc_small(class_for(512), 0, Category::Slice);
-        gc.on_object_alloc(&mut heap, a, 512);
-        assert_eq!(nursery(&gc).young_bytes, 512);
-        gc.on_free(&mut heap, a, 512);
-        assert_eq!(nursery(&gc).young_bytes, 0, "freed bytes leave the trigger");
+        let a = young(&mut heap, 512);
+        assert_eq!((heap.young_objects(), heap.young_bytes()), (1, 512));
+        heap.free_small(a);
+        assert_eq!(
+            (heap.young_objects(), heap.young_bytes()),
+            (0, 0),
+            "freed bytes leave the trigger"
+        );
     }
 
     #[test]
     fn barrier_remembers_old_stores_only() {
-        let cfg = gen_cfg();
         let mut heap = Heap::new(1);
-        let mut gc = Collector::new(&cfg);
-        let (young, _) = heap.alloc_small(class_for(64), 0, Category::Other);
-        gc.on_object_alloc(&mut heap, young, 64);
-        assert_eq!(
-            gc.record_store(&cfg, &heap, young),
-            None,
-            "young: no barrier"
-        );
-        assert_eq!(nursery(&gc).remembered.len(), 0);
+        let young = young(&mut heap, 64);
+        let tag = heap.owner(young).unwrap();
+        assert_eq!(heap.remember(young, tag), None, "young: no barrier");
+        assert_eq!(heap.remembered(), 0);
         let (old, _) = heap.alloc_small(class_for(64), 0, Category::Other);
-        // Not registered young: counts as old.
-        assert_eq!(
-            gc.record_store(&cfg, &heap, old),
-            Some(true),
-            "newly remembered"
-        );
-        assert_eq!(
-            gc.record_store(&cfg, &heap, old),
-            Some(false),
-            "a barrier, no news"
-        );
-        assert_eq!(nursery(&gc).remembered.len(), 1);
+        // Not flagged young: counts as old.
+        let tag = heap.owner(old).unwrap();
+        assert_eq!(heap.remember(old, tag), Some(true), "newly remembered");
+        assert_eq!(heap.remember(old, tag), Some(false), "a barrier, no news");
+        assert_eq!(heap.remembered(), 1);
     }
 
     #[test]
@@ -585,13 +512,12 @@ mod tests {
         let mut clock = Clock::new(0.0);
         let mut rng = SimRng::seed_from_u64(0);
         let mut gc = Collector::new(&cfg);
-        let (a, _) = heap.alloc_small(class_for(1024), 0, Category::Other);
-        gc.on_object_alloc(&mut heap, a, 1024);
+        let a = young(&mut heap, 1024);
         gc.force_window(0);
         heap.mark(a, heap.owner(a).unwrap(), false);
         let out = gc.collect(&cfg, &mut heap, &mut clock, &mut rng);
         assert_eq!(out.kind, CycleKind::Major);
         assert_eq!(out.next_goal, cfg.min_heap, "small heap: floor wins");
-        assert_eq!(nursery(&gc).young_bytes, 0);
+        assert_eq!(heap.young_bytes(), 0);
     }
 }

@@ -8,10 +8,12 @@
 //! dedicated multi-page mspans pushed to the mcentral.
 //!
 //! All per-object GC state lives on the span, as in Go's mspan
-//! (`allocBits`/`gcmarkBits`): packed `alloc`, `mark` and `young` words
-//! plus a per-slot [`OwnerTag`]. The heap owns `alloc`, `mark` and the
-//! tags; `young` is storage the collection backend drives (only the
-//! generational one sets it).
+//! (`allocBits`/`gcmarkBits`): packed `alloc`, `mark`, `young` and
+//! `remembered` words plus a per-slot [`OwnerTag`]. Only a nursery sets
+//! `young` and `remembered`; a free or a sweep ends both for the slot,
+//! [`Heap::promote_all`] everywhere. Beside `heap_live` the heap keeps
+//! the pacer's live, young and young-byte counts, and
+//! [`Heap::check_invariants`] holds each to its sum over the span words.
 //! Mark words are zero between cycles: the VM sets them through
 //! [`Heap::mark`] at a safepoint and either sweep clears every span's
 //! when it finishes.
@@ -56,6 +58,7 @@ struct SlotWord {
     alloc: u64,
     mark: u64,
     young: u64,
+    remembered: u64,
 }
 
 /// Who holds a slot, in one word: zero when free, else the allocation
@@ -179,11 +182,18 @@ impl Mspan {
         self.free_index = slot + 1;
     }
 
-    fn vacate(&mut self, slot: u32) {
+    /// Frees `slot`, ending its young and remembered bits; answers
+    /// whether it was young.
+    fn vacate(&mut self, slot: u32) -> bool {
         let (w, bit) = bit_of(slot);
-        debug_assert!(self.words[w].alloc & bit != 0);
-        self.words[w].alloc &= !bit;
+        let word = &mut self.words[w];
+        debug_assert!(word.alloc & bit != 0);
+        let young = word.young & bit != 0;
+        word.alloc &= !bit;
+        word.young &= !bit;
+        word.remembered &= !bit;
         self.holders[slot as usize] = Holder::default();
+        young
     }
 }
 
@@ -251,7 +261,7 @@ pub enum HeapInvariant {
     OwnerWithoutAlloc,
     /// A young bit on a free slot.
     YoungNotAllocated,
-    /// The generational backend remembers a free or young object.
+    /// A remembered bit on a free or young slot.
     RememberedNotOld,
     /// A mark bit survived the cycle that set it.
     MarkNotCleared,
@@ -261,10 +271,16 @@ pub enum HeapInvariant {
     HeapLive,
     /// `pages_in_use` differs from Σ npages over page-holding spans.
     PagesInUse,
+    /// The live-object count differs from Σ popcount(alloc).
+    LiveObjects,
+    /// The young-object count differs from Σ popcount(young).
+    YoungObjects,
+    /// The young-byte count differs from Σ popcount(young) × slot_size.
+    YoungBytes,
 }
 
 /// A failed [`Heap::check_invariants`]: which invariant, on which span
-/// (`None` for the heap-wide byte and page sums).
+/// (`None` for the heap-wide sums).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapInvariantError {
     /// The broken invariant.
@@ -299,6 +315,12 @@ pub struct Heap {
     pages_in_use: u64,
     /// Live heap bytes (allocated minus freed/swept).
     heap_live: u64,
+    /// Allocated objects.
+    objects: u64,
+    /// Objects carrying a young bit.
+    young_objects: u64,
+    /// Bytes those objects account for.
+    young_bytes: u64,
     /// Allocations so far: the next [`OwnerTag`] serial.
     allocations: u64,
 }
@@ -314,6 +336,9 @@ impl Heap {
             idle: Vec::new(),
             pages_in_use: 0,
             heap_live: 0,
+            objects: 0,
+            young_objects: 0,
+            young_bytes: 0,
             allocations: 0,
         }
     }
@@ -321,6 +346,37 @@ impl Heap {
     /// Live heap bytes.
     pub fn heap_live(&self) -> u64 {
         self.heap_live
+    }
+
+    /// Allocated objects (the major window's pacing input).
+    pub fn objects(&self) -> u64 {
+        self.objects
+    }
+
+    /// Objects carrying a young bit (the minor window's pacing input).
+    pub fn young_objects(&self) -> u64 {
+        self.young_objects
+    }
+
+    /// Bytes the young objects account for (the minor trigger's input).
+    pub fn young_bytes(&self) -> u64 {
+        self.young_bytes
+    }
+
+    /// Objects carrying a remembered bit: the old objects the write
+    /// barrier recorded since the last cycle (a minor mark's extra roots).
+    pub fn remembered(&self) -> u64 {
+        let words = self.spans.iter().flat_map(|s| &s.words);
+        words.map(|w| w.remembered.count_ones() as u64).sum()
+    }
+
+    /// Takes `n` swept or freed objects of `slot_size` bytes, `young` of
+    /// them young, off the heap-wide counts.
+    fn uncount(&mut self, n: u64, young: u64, slot_size: u64) {
+        self.heap_live -= n * slot_size;
+        self.objects -= n;
+        self.young_objects -= young;
+        self.young_bytes -= young * slot_size;
     }
 
     /// Pages currently in use.
@@ -369,6 +425,7 @@ impl Heap {
         let span = self.span_mut(sid);
         span.occupy(slot, cat, tag);
         self.heap_live += span.slot_size;
+        self.objects += 1;
         (ObjAddr { span: sid, slot }, events)
     }
 
@@ -451,6 +508,7 @@ impl Heap {
         let tag = self.next_tag();
         self.span_mut(sid).occupy(0, cat, tag);
         self.heap_live += size;
+        self.objects += 1;
         ObjAddr { span: sid, slot: 0 }
     }
 
@@ -460,7 +518,7 @@ impl Heap {
     /// free did to the allocation index.
     pub fn free_small(&mut self, addr: ObjAddr) -> SmallFree {
         let span = self.span_mut(addr.span);
-        span.vacate(addr.slot);
+        let young = span.vacate(addr.slot);
         let mut reverted = false;
         let mut cascade = 0;
         if addr.slot + 1 == span.free_index {
@@ -470,7 +528,7 @@ impl Heap {
             cascade = addr.slot - span.free_index;
         }
         let bytes = span.slot_size;
-        self.heap_live -= bytes;
+        self.uncount(1, young as u64, bytes);
         SmallFree {
             bytes,
             reverted,
@@ -483,11 +541,11 @@ impl Heap {
     pub fn free_large_step1(&mut self, addr: ObjAddr) -> u64 {
         let span = self.span_mut(addr.span);
         debug_assert!(span.class.is_none());
-        span.vacate(0);
+        let young = span.vacate(0);
         span.dangling = true;
         let (npages, bytes) = (span.npages, span.slot_size);
         self.pages_in_use -= npages as u64;
-        self.heap_live -= bytes;
+        self.uncount(1, young as u64, bytes);
         bytes
     }
 
@@ -497,10 +555,16 @@ impl Heap {
         Some((word, bit))
     }
 
-    fn word_mut(&mut self, addr: ObjAddr) -> Option<(&mut SlotWord, u64)> {
+    /// The word holding the allocation `tag` at `addr`, and its bit, in
+    /// one span lookup; `None` when the handle is stale.
+    #[inline]
+    fn held_word(&mut self, addr: ObjAddr, tag: OwnerTag) -> Option<(&mut SlotWord, u64)> {
+        let span = self.spans.get_mut(addr.span.0 as usize)?;
+        if span.holders.get(addr.slot as usize)?.tag() != Some(tag) {
+            return None;
+        }
         let (w, bit) = bit_of(addr.slot);
-        let word = self.spans.get_mut(addr.span.0 as usize)?.words.get_mut(w)?;
-        Some((word, bit))
+        Some((&mut span.words[w], bit))
     }
 
     /// Whether an address is currently allocated. Retired and dangling
@@ -525,14 +589,24 @@ impl Heap {
     /// repeat mark: the VM uses the answer as its visited check and
     /// does not trace what it did not mark.
     pub fn mark(&mut self, addr: ObjAddr, tag: OwnerTag, young_only: bool) -> Option<bool> {
-        let span = self.spans.get_mut(addr.span.0 as usize)?;
-        if span.holders.get(addr.slot as usize)?.tag() != Some(tag) {
-            return None;
-        }
-        let (w, bit) = bit_of(addr.slot);
-        let w = &mut span.words[w];
+        let (w, bit) = self.held_word(addr, tag)?;
         let newly = w.alloc & !w.mark & bit & if young_only { w.young } else { !0 };
         w.mark |= newly;
+        Some(newly != 0)
+    }
+
+    /// The write barrier: remembers the old allocation `tag` at `addr`
+    /// in one span lookup, as [`Heap::mark`] marks. `None` when the
+    /// handle is stale or the object young (the nursery is traced at
+    /// every cycle, so a store into it needs no record); else whether
+    /// this call set the bit.
+    pub fn remember(&mut self, addr: ObjAddr, tag: OwnerTag) -> Option<bool> {
+        let (w, bit) = self.held_word(addr, tag)?;
+        if w.young & bit != 0 {
+            return None;
+        }
+        let newly = !w.remembered & bit;
+        w.remembered |= newly;
         Some(newly != 0)
     }
 
@@ -541,11 +615,17 @@ impl Heap {
         self.word(addr).is_some_and(|(w, bit)| w.mark & bit != 0)
     }
 
-    /// Flags a freshly allocated object young (generational backend).
+    /// Flags a freshly allocated object young (generational backend):
+    /// its slot is allocated and, vacated or swept since it last was,
+    /// not young.
     pub fn set_young(&mut self, addr: ObjAddr) {
-        if let Some((w, bit)) = self.word_mut(addr) {
-            w.young |= w.alloc & bit;
-        }
+        let span = &mut self.spans[addr.span.0 as usize];
+        let (w, bit) = bit_of(addr.slot);
+        let w = &mut span.words[w];
+        debug_assert!(w.alloc & !w.young & bit != 0, "{addr:?} is not fresh");
+        w.young |= bit;
+        self.young_objects += 1;
+        self.young_bytes += span.slot_size;
     }
 
     /// Whether the object is flagged young.
@@ -553,22 +633,13 @@ impl Heap {
         self.word(addr).is_some_and(|(w, bit)| w.young & bit != 0)
     }
 
-    /// Clears a slot's young flag (the backend's `on_free`); `true`
-    /// when it was set.
-    pub fn clear_young(&mut self, addr: ObjAddr) -> bool {
-        let Some((w, bit)) = self.word_mut(addr) else {
-            return false;
-        };
-        let was = w.young & bit != 0;
-        w.young &= !bit;
-        was
-    }
-
-    /// Wholesale promotion: every young object becomes old.
+    /// Wholesale promotion: every young object becomes old, and no
+    /// old object needs remembering (no old→young edge survives it).
     pub fn promote_all(&mut self) {
         for w in self.spans.iter_mut().flat_map(|s| &mut s.words) {
-            w.young = 0;
+            (w.young, w.remembered) = (0, 0);
         }
+        (self.young_objects, self.young_bytes) = (0, 0);
     }
 
     /// `(marked objects, slot size)` per span holding any — all marked
@@ -635,13 +706,15 @@ impl Heap {
             }
             out.spans_swept += 1;
             let before = out.freed.len();
-            let mut live = 0;
+            let (mut live, mut young) = (0, 0);
             for w in 0..span.words.len() {
                 let word = &mut span.words[w];
                 let candidates = if young_only { word.young } else { !0 };
                 let garbage = word.alloc & candidates & !word.mark;
+                young += (word.young & garbage).count_ones() as u64;
                 word.alloc &= !garbage;
                 word.young &= !garbage;
+                word.remembered &= !garbage;
                 live += word.alloc.count_ones();
                 for slot in slots_of(w, garbage) {
                     let holder = std::mem::take(&mut span.holders[slot as usize]);
@@ -654,8 +727,8 @@ impl Heap {
                 }
             }
             span.free_index = 0;
-            let retire = live == 0 && !span.in_mcache;
-            self.heap_live -= (out.freed.len() - before) as u64 * span.slot_size;
+            let (retire, slot_size) = (live == 0 && !span.in_mcache, span.slot_size);
+            self.uncount((out.freed.len() - before) as u64, young, slot_size);
             if retire {
                 self.retire_span(sid);
             }
@@ -696,23 +769,22 @@ impl Heap {
         self.idle.push(sid);
     }
 
-    /// All currently allocated addresses (used by the end-of-run
-    /// accounting and by tests).
-    pub fn live_objects(&self) -> Vec<(ObjAddr, Category, u64)> {
-        let mut out = Vec::new();
-        for (i, span) in self.spans.iter().enumerate() {
-            let span_id = SpanId(i as u32);
-            for (w, word) in span.words.iter().enumerate() {
-                for slot in slots_of(w, word.alloc) {
+    /// Every currently allocated object, with its category and slot
+    /// size, in ascending (span, slot) order (the end-of-run accounting
+    /// and tests).
+    pub fn live_objects(&self) -> impl Iterator<Item = (ObjAddr, Category, u64)> + '_ {
+        self.spans.iter().enumerate().flat_map(|(i, span)| {
+            let words = span.words.iter().enumerate();
+            words.flat_map(move |(w, word)| {
+                slots_of(w, word.alloc).map(move |slot| {
                     let addr = ObjAddr {
-                        span: span_id,
+                        span: SpanId(i as u32),
                         slot,
                     };
-                    out.push((addr, span.cat(slot), span.slot_size));
-                }
-            }
-        }
-        out
+                    (addr, span.cat(slot), span.slot_size)
+                })
+            })
+        })
     }
 
     /// Checks the span-state invariants that hold between GC cycles.
@@ -722,7 +794,8 @@ impl Heap {
     /// The first broken [`HeapInvariant`], with the span it was found on.
     pub fn check_invariants(&self) -> Result<(), HeapInvariantError> {
         let fail = |invariant, span| Err(HeapInvariantError { invariant, span });
-        let (mut live_bytes, mut pages) = (0u64, 0u64);
+        let (mut live_bytes, mut pages, mut objects) = (0u64, 0u64, 0u64);
+        let (mut young, mut young_bytes) = (0u64, 0u64);
         for (i, s) in self.spans.iter().enumerate() {
             let here = Some(SpanId(i as u32));
             let dead = !s.active || s.dangling;
@@ -732,7 +805,7 @@ impl Heap {
             };
             let last = s.words.len() - 1;
             for (w, word) in s.words.iter().enumerate() {
-                let any = word.alloc | word.mark | word.young;
+                let any = word.alloc | word.mark | word.young | word.remembered;
                 if w == last && any & tail != 0 {
                     return fail(HeapInvariant::TailBits, here);
                 }
@@ -741,6 +814,9 @@ impl Heap {
                 }
                 if word.young & !word.alloc != 0 {
                     return fail(HeapInvariant::YoungNotAllocated, here);
+                }
+                if word.remembered & !(word.alloc & !word.young) != 0 {
+                    return fail(HeapInvariant::RememberedNotOld, here);
                 }
                 if dead && any != 0 {
                     return fail(HeapInvariant::DeadSpanHoldsState, here);
@@ -756,16 +832,24 @@ impl Heap {
             if s.free_index > s.nslots || (s.free_index > 0 && !s.is_allocated(s.free_index - 1)) {
                 return fail(HeapInvariant::FreeIndex, here);
             }
+            let young_here: u64 = s.words.iter().map(|w| w.young.count_ones() as u64).sum();
+            objects += s.live_slots() as u64;
             live_bytes += s.live_slots() as u64 * s.slot_size;
+            young += young_here;
+            young_bytes += young_here * s.slot_size;
             pages += s.npages as u64;
         }
-        if live_bytes != self.heap_live {
-            return fail(HeapInvariant::HeapLive, None);
+        let sums = [
+            (live_bytes, self.heap_live, HeapInvariant::HeapLive),
+            (pages, self.pages_in_use, HeapInvariant::PagesInUse),
+            (objects, self.objects, HeapInvariant::LiveObjects),
+            (young, self.young_objects, HeapInvariant::YoungObjects),
+            (young_bytes, self.young_bytes, HeapInvariant::YoungBytes),
+        ];
+        match sums.into_iter().find(|&(sum, kept, _)| sum != kept) {
+            Some((_, _, invariant)) => fail(invariant, None),
+            None => Ok(()),
         }
-        if pages != self.pages_in_use {
-            return fail(HeapInvariant::PagesInUse, None);
-        }
-        Ok(())
     }
 }
 
@@ -1037,7 +1121,12 @@ mod tests {
         assert_eq!(h.owner(last), None);
         assert!(!h.is_allocated(last));
         assert!(!mark(&mut h, last));
-        assert!(!h.clear_young(last));
+        let tag = h.owner(big).expect("allocated");
+        assert_eq!(
+            h.remember(last, tag),
+            None,
+            "past the reused struct's slots"
+        );
     }
 
     #[test]
@@ -1072,6 +1161,105 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("span 1"), "{err}");
+        h.sweep();
+        assert_eq!(h.check_invariants(), Ok(()));
+        // A remembered bit on a young slot (the barrier skips young
+        // objects; only a bit set before the young one can end up here).
+        let tag = h.owner(a).expect("allocated");
+        assert_eq!(h.remember(a, tag), Some(true));
+        assert_eq!(h.check_invariants(), Ok(()));
+        h.set_young(a);
+        assert_eq!(
+            h.check_invariants(),
+            Err(HeapInvariantError {
+                invariant: HeapInvariant::RememberedNotOld,
+                span: Some(a.span),
+            })
+        );
+        h.promote_all();
+        assert_eq!(h.check_invariants(), Ok(()));
+        // A remembered bit on a free slot.
+        h.spans[a.span.0 as usize].words[0].remembered |= 1 << (a.slot + 1);
+        assert_eq!(
+            h.check_invariants().map_err(|e| e.invariant),
+            Err(HeapInvariant::RememberedNotOld)
+        );
+        h.spans[a.span.0 as usize].words[0].remembered = 0;
+        // Each count drifted from its span sum, one at a time.
+        h.set_young(a);
+        fn count(h: &mut Heap, of: HeapInvariant) -> &mut u64 {
+            match of {
+                HeapInvariant::LiveObjects => &mut h.objects,
+                HeapInvariant::YoungObjects => &mut h.young_objects,
+                _ => &mut h.young_bytes,
+            }
+        }
+        use HeapInvariant::{LiveObjects, YoungBytes, YoungObjects};
+        for invariant in [LiveObjects, YoungObjects, YoungBytes] {
+            *count(&mut h, invariant) += 1;
+            let err = h.check_invariants().unwrap_err();
+            assert_eq!(
+                err,
+                HeapInvariantError {
+                    invariant,
+                    span: None
+                }
+            );
+            *count(&mut h, invariant) -= 1;
+        }
+        assert_eq!(h.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn one_lookup_remember_answers_for_old_live_handles_only() {
+        let mut h = Heap::new(1);
+        let class = class_for(64);
+        let handle = |h: &mut Heap| {
+            let a = h.alloc_small(class, 0, Category::Other).0;
+            (a, h.owner(a).expect("allocated"))
+        };
+        let old = handle(&mut h);
+        let young = handle(&mut h);
+        h.set_young(young.0);
+        let freed = handle(&mut h);
+        // `below` is freed and its slot handed to a new allocation.
+        let below = handle(&mut h);
+        h.free_small(below.0);
+        let reused = handle(&mut h);
+        assert_eq!(reused.0, below.0, "the revert hands the slot back");
+        h.free_small(freed.0);
+        let stale = (
+            ObjAddr {
+                span: SpanId(7),
+                slot: 3,
+            },
+            old.1,
+        );
+        for (a, tag) in [young, freed, below, stale] {
+            assert_eq!(h.remember(a, tag), None, "{a:?}");
+        }
+        assert_eq!(h.remembered(), 0);
+        for (a, tag) in [old, reused] {
+            assert_eq!(h.remember(a, tag), Some(true), "{a:?}");
+            assert_eq!(h.remember(a, tag), Some(false), "{a:?}");
+        }
+        assert_eq!(h.remembered(), 2);
+        // A free ends the bit.
+        h.free_small(reused.0);
+        assert_eq!(h.remembered(), 1);
+        // So does a sweep that frees the object, but not one that keeps it.
+        mark(&mut h, old.0);
+        h.sweep();
+        assert_eq!(h.remembered(), 1, "a surviving object stays remembered");
+        h.sweep();
+        assert_eq!(h.remembered(), 0, "a swept object is not");
+        // And promotion ends every bit.
+        let kept = handle(&mut h);
+        assert_eq!(h.remember(kept.0, kept.1), Some(true));
+        h.promote_all();
+        assert_eq!(h.remembered(), 0);
+        assert_eq!(h.remember(kept.0, kept.1), Some(true), "old again");
+        assert_eq!(h.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -1094,7 +1282,7 @@ mod tests {
         let class = class_for(64);
         h.alloc_small(class, 0, Category::Slice);
         h.alloc_large(50_000, 0, Category::Map);
-        let live = h.live_objects();
+        let live: Vec<_> = h.live_objects().collect();
         assert_eq!(live.len(), 2);
         let cats: Vec<_> = live.iter().map(|(_, c, _)| *c).collect();
         assert!(cats.contains(&Category::Slice) && cats.contains(&Category::Map));

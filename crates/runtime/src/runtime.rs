@@ -223,7 +223,6 @@ pub struct Runtime {
     /// policy. A separate field so it can borrow `heap`/`clock`/`rng`
     /// disjointly.
     collector: Collector,
-    live_objects: u64,
     /// The event recorder, present when [`RuntimeConfig::trace`] is on.
     /// Boxed so the untraced hot path only carries a pointer-sized
     /// `None` check.
@@ -250,7 +249,6 @@ impl Runtime {
             rng,
             current_thread: 0,
             collector,
-            live_objects: 0,
             tracer,
             cycles: Vec::new(),
         }
@@ -372,8 +370,9 @@ impl Runtime {
         self.metrics.alloced_bytes += bytes;
         self.metrics.alloced_objects += 1;
         self.metrics.heap_allocs[cat.index()] += 1;
-        self.live_objects += 1;
-        self.collector.on_object_alloc(&mut self.heap, addr, bytes);
+        if self.collector.nursery() {
+            self.heap.set_young(addr);
+        }
         // maxheap is the page-level footprint (like RSS), not live bytes:
         // small-object frees only make slots reusable, while large-object
         // frees return whole pages — exactly the distinction fig. 10's
@@ -394,10 +393,7 @@ impl Runtime {
         }
 
         // GC pacing: the collector decides; the runtime records.
-        let trigger = self
-            .collector
-            .pace(&self.cfg, &self.heap, self.live_objects);
-        if let Some(trigger) = trigger {
+        if let Some(trigger) = self.collector.pace(&self.cfg, &self.heap) {
             if let Some(t) = &mut self.tracer {
                 t.record(TraceEvent::GcStart {
                     at: self.clock.now(),
@@ -436,23 +432,27 @@ impl Runtime {
     }
 
     /// Whether the collector has a write barrier at all (only with a
-    /// nursery; constant for the run): without one
+    /// nursery, `gen` with GC on; constant for the run): without one
     /// [`Runtime::record_store`] does nothing, and a caller may skip
     /// preparing its argument.
     #[inline]
     pub fn has_barrier(&self) -> bool {
-        self.collector.has_barrier()
+        self.collector.nursery()
     }
 
     /// Write-barrier entry point: the VM calls this when it stores a
-    /// value that can hold a heap reference into the object at `addr`
-    /// (at the heap store sites the shadow sanitizer hooks). Charges
-    /// [`cost::WRITE_BARRIER`] when the barrier fires and answers
-    /// whether `addr` is newly remembered. Without a nursery it is a
-    /// total no-op — zero ticks, no state — so `go` runs stay
-    /// bit-identical to the pre-barrier runtime.
-    pub fn record_store(&mut self, addr: ObjAddr) -> bool {
-        let fired = self.collector.record_store(&self.cfg, &self.heap, addr);
+    /// value that can hold a heap reference into the allocation `tag` at
+    /// `addr` (at the heap store sites the shadow sanitizer hooks). The
+    /// barrier fires on a live old object ([`Heap::remember`]), charging
+    /// [`cost::WRITE_BARRIER`]; the answer is whether the object is newly
+    /// remembered. Without a nursery (or with GC off) it is a total
+    /// no-op — zero ticks, no state — so `go` runs stay bit-identical to
+    /// the pre-barrier runtime.
+    pub fn record_store(&mut self, addr: ObjAddr, tag: OwnerTag) -> bool {
+        if !self.collector.nursery() {
+            return false;
+        }
+        let fired = self.heap.remember(addr, tag);
         if fired.is_some() {
             self.clock.charge(cost::WRITE_BARRIER);
         }
@@ -545,8 +545,6 @@ impl Runtime {
             };
             (f.bytes, step)
         };
-        self.live_objects = self.live_objects.saturating_sub(1);
-        self.collector.on_free(&mut self.heap, addr, bytes);
         self.metrics.freed_bytes += bytes;
         self.metrics.freed_bytes_by_source[source.index()] += bytes;
         self.metrics.freed_objects_by_source[source.index()] += 1;
@@ -594,8 +592,8 @@ impl Runtime {
             ));
         }
         // The cycle itself — mark cost, sweep, next goal — is collector
-        // policy; the mechanism below (metrics, live-object accounting,
-        // trace events) is the same for either cycle kind.
+        // policy; the mechanism below (metrics, trace events) is the
+        // same for either cycle kind.
         let cycle =
             self.collector
                 .collect(&self.cfg, &mut self.heap, &mut self.clock, &mut self.rng);
@@ -607,7 +605,6 @@ impl Runtime {
             self.metrics.heap_gced[f.cat.index()] += 1;
             swept[f.cat.index()] += 1;
             swept_bytes += f.bytes;
-            self.live_objects = self.live_objects.saturating_sub(1);
         }
 
         self.metrics.gcs += 1;
@@ -673,8 +670,7 @@ impl Runtime {
     /// and at end of run, so every `cargo test` exercises them.
     fn debug_check_heap(&self) {
         if cfg!(debug_assertions) {
-            let checked = self.heap.check_invariants();
-            if let Err(e) = checked.and_then(|()| self.collector.check_invariants(&self.heap)) {
+            if let Err(e) = self.heap.check_invariants() {
                 panic!("{e}");
             }
         }
@@ -1005,7 +1001,7 @@ mod tests {
         let mut rt = Runtime::new(quiet_cfg());
         let a = rt.alloc(64, Category::Other);
         let before = rt.now();
-        rt.record_store(a);
+        assert!(!rt.record_store(a, rt.owner(a).unwrap()));
         assert_eq!(rt.now(), before, "mark-sweep barrier must be free");
     }
 
@@ -1018,8 +1014,9 @@ mod tests {
             ..quiet_cfg()
         });
         let a = rt.alloc(512, Category::Other);
+        let tag = rt.owner(a).unwrap();
         let before = rt.now();
-        rt.record_store(a);
+        assert!(!rt.record_store(a, tag));
         assert_eq!(rt.now(), before, "young store: no barrier cost");
         // Promote, then store into the now-old object.
         while !rt.gc_pending() {
@@ -1028,11 +1025,11 @@ mod tests {
         keep(&mut rt, a);
         rt.collect();
         let before = rt.now();
-        rt.record_store(a);
+        assert!(rt.record_store(a, tag), "old store is newly remembered");
         assert_eq!(
             rt.now() - before,
             cost::WRITE_BARRIER,
-            "old store enters the remembered set"
+            "old store fires the barrier"
         );
     }
 

@@ -2,15 +2,16 @@
 //! explicit freeing, and GC sweeps are checked against a simple reference
 //! model of which objects must be live — and, for the span bitmaps,
 //! against [`model::ModelHeap`]: the pre-bitmap heap (`Vec<bool>`
-//! occupancy, `HashSet` mark and young sets) kept here as the reference
-//! the word-wise implementation must match step for step.
+//! occupancy, `HashSet` mark, young and remembered sets, counts summed
+//! from them) kept here as the reference the word-wise implementation
+//! must match step for step.
 
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use minigo_runtime::{
-    class_for, class_size, Category, FreeOutcome, FreeSource, Heap, ObjAddr, Runtime,
+    class_for, class_size, Category, FreeOutcome, FreeSource, Heap, ObjAddr, OwnerTag, Runtime,
     RuntimeConfig, MAX_SMALL_SIZE, PAGE_SIZE,
 };
 
@@ -165,8 +166,10 @@ proptest! {
 }
 
 /// The heap as it was before the span bitmaps, trimmed to what the
-/// comparison needs: `Vec<bool>` occupancy scanned slot by slot, and
-/// sweeps that probe a `HashSet` of marked (and young) addresses.
+/// comparison needs: `Vec<bool>` occupancy scanned slot by slot, sweeps
+/// that probe a `HashSet` of marked (and young) addresses, and the
+/// generational collector's remembered set as it was before it moved
+/// onto the spans.
 mod model {
     use std::collections::HashSet;
 
@@ -202,6 +205,8 @@ mod model {
         idle: Vec<SpanId>,
         pub pages_in_use: u64,
         pub heap_live: u64,
+        young: HashSet<ObjAddr>,
+        remembered: HashSet<ObjAddr>,
     }
 
     impl ModelHeap {
@@ -213,7 +218,57 @@ mod model {
                 idle: Vec::new(),
                 pages_in_use: 0,
                 heap_live: 0,
+                young: HashSet::new(),
+                remembered: HashSet::new(),
             }
+        }
+
+        fn slot_size(&self, addr: ObjAddr) -> u64 {
+            self.spans[addr.span.0 as usize].slot_size
+        }
+
+        /// Allocated objects, counted slot by slot.
+        pub fn objects(&self) -> u64 {
+            let live = self.spans.iter().filter(|s| s.active && !s.dangling);
+            live.map(|s| s.alloc_bits.iter().filter(|&&b| b).count() as u64)
+                .sum()
+        }
+
+        pub fn young_objects(&self) -> u64 {
+            self.young.len() as u64
+        }
+
+        pub fn young_bytes(&self) -> u64 {
+            self.young.iter().map(|&a| self.slot_size(a)).sum()
+        }
+
+        pub fn remembered(&self) -> u64 {
+            self.remembered.len() as u64
+        }
+
+        pub fn set_young(&mut self, addr: ObjAddr) {
+            self.young.insert(addr);
+        }
+
+        /// The write barrier on a handle the caller knows to be live or
+        /// stale: `None` for a stale or young one, else whether the set
+        /// grew.
+        pub fn remember(&mut self, addr: ObjAddr, live: bool) -> Option<bool> {
+            if !live || self.young.contains(&addr) {
+                return None;
+            }
+            Some(self.remembered.insert(addr))
+        }
+
+        pub fn promote_all(&mut self) {
+            self.young.clear();
+            self.remembered.clear();
+        }
+
+        /// A freed or swept object leaves the nursery and the set.
+        fn evict(&mut self, addr: ObjAddr) {
+            self.young.remove(&addr);
+            self.remembered.remove(&addr);
         }
 
         pub fn is_allocated(&self, addr: ObjAddr) -> bool {
@@ -307,6 +362,7 @@ mod model {
         }
 
         pub fn free_small(&mut self, addr: ObjAddr) -> SmallFree {
+            self.evict(addr);
             let span = &mut self.spans[addr.span.0 as usize];
             span.alloc_bits[addr.slot as usize] = false;
             span.cats[addr.slot as usize] = None;
@@ -329,6 +385,7 @@ mod model {
         }
 
         pub fn free_large_step1(&mut self, addr: ObjAddr) -> u64 {
+            self.evict(addr);
             let span = &mut self.spans[addr.span.0 as usize];
             span.alloc_bits[0] = false;
             span.cats[0] = None;
@@ -351,12 +408,10 @@ mod model {
             }
         }
 
-        /// The full sweep (`young` = `None`) or the minor one.
-        pub fn sweep(
-            &mut self,
-            marked: &HashSet<ObjAddr>,
-            young: Option<&HashSet<ObjAddr>>,
-        ) -> ModelSweep {
+        /// The full sweep or the minor one.
+        pub fn sweep(&mut self, marked: &HashSet<ObjAddr>, minor: bool) -> ModelSweep {
+            let young = minor.then(|| self.young.clone());
+            let young = young.as_ref();
             let young_spans: Option<HashSet<u32>> =
                 young.map(|y| y.iter().map(|a| a.span.0).collect());
             let (mut freed, mut spans_swept, mut dangling_retired) = (Vec::new(), 0, 0);
@@ -386,6 +441,7 @@ mod model {
                         self.spans[i].alloc_bits[slot as usize] = false;
                         self.spans[i].cats[slot as usize] = None;
                         self.heap_live -= bytes;
+                        self.evict(addr);
                         freed.push((addr, cat, bytes));
                     }
                 }
@@ -442,6 +498,11 @@ enum HeapOp {
     Free {
         pick: usize,
     },
+    /// Fire the write barrier on the `pick`-th allocation's handle:
+    /// live or stale (freed, swept, its slot reused), young or old.
+    Remember {
+        pick: usize,
+    },
     /// Explicitly free the last `n` objects allocated, LIFO with holes.
     FreeRecent {
         n: usize,
@@ -476,6 +537,8 @@ fn heap_op_strategy() -> impl Strategy<Value = HeapOp> {
         }),
         (5u64..9).prop_map(|pages| HeapOp::AllocLarge { pages }),
         any::<usize>().prop_map(|pick| HeapOp::Free { pick }),
+        any::<usize>().prop_map(|pick| HeapOp::Remember { pick }),
+        any::<usize>().prop_map(|pick| HeapOp::Remember { pick }),
         (1usize..40).prop_map(|n| HeapOp::FreeRecent { n }),
         (0usize..4, 1usize..4).prop_map(|(skip, step)| HeapOp::Mark { skip, step }),
         (0u32..2).prop_map(|thread| HeapOp::Flush { thread }),
@@ -486,12 +549,7 @@ fn heap_op_strategy() -> impl Strategy<Value = HeapOp> {
 
 /// Frees `addr` in both heaps when it is live, comparing what the free
 /// did to the span.
-fn free_both(
-    heap: &mut Heap,
-    model: &mut model::ModelHeap,
-    young: &mut HashSet<ObjAddr>,
-    addr: ObjAddr,
-) {
+fn free_both(heap: &mut Heap, model: &mut model::ModelHeap, addr: ObjAddr) {
     assert_eq!(heap.is_allocated(addr), model.is_allocated(addr));
     if !model.is_allocated(addr) {
         return;
@@ -503,7 +561,6 @@ fn free_both(
         assert!(heap.span(addr.span).dangling);
     }
     assert_eq!(heap.owner(addr), None, "a free ends the handle");
-    assert_eq!(heap.clear_young(addr), young.remove(&addr));
 }
 
 proptest! {
@@ -512,17 +569,21 @@ proptest! {
     /// The bitmap heap and the `HashSet` model stay in lockstep over
     /// random alloc / free / mark / minor / major sequences: same
     /// addresses and events out of every allocation, same §5 revert and
-    /// cascade out of every free, and from every sweep the same `freed`
-    /// list in the same order, `spans_swept`, `dangling_retired`,
-    /// `heap_live`, page count and mcentral partial lists. Between cycles
-    /// the heap's own invariants hold.
+    /// cascade out of every free, the same answer out of every write
+    /// barrier, and from every sweep the same `freed` list in the same
+    /// order, `spans_swept`, `dangling_retired`, `heap_live`, page count
+    /// and mcentral partial lists; after every step the same live,
+    /// young and remembered counts. Between cycles the heap's own
+    /// invariants hold.
     #[test]
     fn bitmaps_match_the_hashset_model(ops in proptest::collection::vec(heap_op_strategy(), 1..60)) {
         let mut heap = Heap::new(2);
         let mut model = model::ModelHeap::new(2);
         let mut order: Vec<ObjAddr> = Vec::new();
+        // Every allocation's stamp, by allocation order: the handles
+        // the barrier is fired on.
+        let mut tags: Vec<OwnerTag> = Vec::new();
         let mut marked: HashSet<ObjAddr> = HashSet::new();
-        let mut young: HashSet<ObjAddr> = HashSet::new();
         let cats = [Category::Slice, Category::Map, Category::Other];
 
         for op in ops {
@@ -532,9 +593,9 @@ proptest! {
                     for i in 0..n {
                         let got = heap.alloc_small(class, thread, cats[i % 3]);
                         prop_assert_eq!(got, model.alloc_small(class, thread, cats[i % 3]));
-                        prop_assert!(heap.owner(got.0).is_some());
+                        tags.push(heap.owner(got.0).expect("allocated"));
                         heap.set_young(got.0);
-                        young.insert(got.0);
+                        model.set_young(got.0);
                         order.push(got.0);
                     }
                 }
@@ -542,8 +603,9 @@ proptest! {
                     let size = pages * PAGE_SIZE + 24;
                     let addr = heap.alloc_large(size, 0, Category::Slice);
                     prop_assert_eq!(addr, model.alloc_large(size, Category::Slice));
+                    tags.push(heap.owner(addr).expect("allocated"));
                     heap.set_young(addr);
-                    young.insert(addr);
+                    model.set_young(addr);
                     order.push(addr);
                 }
                 HeapOp::Free { pick } => {
@@ -552,7 +614,20 @@ proptest! {
                     if order.is_empty() || !marked.is_empty() {
                         continue;
                     }
-                    free_both(&mut heap, &mut model, &mut young, order[pick % order.len()]);
+                    free_both(&mut heap, &mut model, order[pick % order.len()]);
+                }
+                HeapOp::Remember { pick } => {
+                    if order.is_empty() {
+                        continue;
+                    }
+                    let i = pick % order.len();
+                    // The handle is live while no later allocation took
+                    // its slot and the model still holds the slot.
+                    let reused = order[i + 1..].contains(&order[i]);
+                    let live = !reused && model.is_allocated(order[i]);
+                    prop_assert_eq!(heap.owner(order[i]) == Some(tags[i]), live);
+                    let want = model.remember(order[i], live);
+                    prop_assert_eq!(heap.remember(order[i], tags[i]), want);
                 }
                 HeapOp::FreeRecent { n } => {
                     if !marked.is_empty() {
@@ -562,10 +637,10 @@ proptest! {
                     // has earlier frees below it to cascade over.
                     let recent = &order[order.len().saturating_sub(n)..];
                     for &addr in recent.iter().skip(1).step_by(2) {
-                        free_both(&mut heap, &mut model, &mut young, addr);
+                        free_both(&mut heap, &mut model, addr);
                     }
                     for &addr in recent.iter().rev() {
-                        free_both(&mut heap, &mut model, &mut young, addr);
+                        free_both(&mut heap, &mut model, addr);
                     }
                 }
                 HeapOp::Mark { skip, step } => {
@@ -584,18 +659,27 @@ proptest! {
                 HeapOp::Minor | HeapOp::Major => {
                     let minor = matches!(op, HeapOp::Minor);
                     let got = if minor { heap.sweep_young() } else { heap.sweep() };
-                    let want = model.sweep(&marked, minor.then_some(&young));
+                    let want = model.sweep(&marked, minor);
                     let freed: Vec<_> = got.freed.iter().map(|f| (f.addr, f.cat, f.bytes)).collect();
                     prop_assert_eq!(freed, want.0, "freed lists (order included)");
                     prop_assert_eq!(got.spans_swept, want.1);
                     prop_assert_eq!(got.dangling_retired, want.2);
+                    // The sweep alone keeps the counts exact, before the
+                    // promotion that zeroes the young ones.
+                    prop_assert_eq!(heap.young_objects(), model.young_objects());
+                    prop_assert_eq!(heap.young_bytes(), model.young_bytes());
+                    prop_assert_eq!(heap.check_invariants(), Ok(()));
                     // What the generational backend does after either.
                     heap.promote_all();
+                    model.promote_all();
                     marked.clear();
-                    young.clear();
                 }
             }
             prop_assert_eq!(heap.heap_live(), model.heap_live);
+            prop_assert_eq!(heap.objects(), model.objects());
+            prop_assert_eq!(heap.young_objects(), model.young_objects());
+            prop_assert_eq!(heap.young_bytes(), model.young_bytes());
+            prop_assert_eq!(heap.remembered(), model.remembered());
             prop_assert_eq!(heap.pages_in_use(), model.pages_in_use);
             prop_assert_eq!(heap.span_count(), model.spans.len());
             for (class, list) in model.partial.iter().enumerate() {

@@ -12,9 +12,8 @@
 //!
 //! Observable-safety note: nothing any crate exposes depends on hash
 //! *iteration* order — a guest map keeps its entries in insertion order
-//! beside its index, the generational collector only counts, clears and
-//! removes from its remembered set, every cost the runtime sums over a
-//! hash table commutes (DESIGN.md §11), and a compile pass that loops over
+//! beside its index, every cost the runtime sums over a hash table
+//! commutes (DESIGN.md §11), and a compile pass that loops over
 //! a hashed table either sorts what it collects or only tests membership
 //! — so swapping the hash function cannot change any metric, trace, or
 //! output. The differential, golden and collector-fingerprint suites pin

@@ -504,14 +504,12 @@ impl Machine {
         }
     }
 
-    /// Fires the barrier on `obj` if it is live, keeping `entry` (the
-    /// payload to trace from) for the next minor mark when the object is
-    /// newly remembered.
+    /// Fires the barrier on `obj` (if it is live and old), keeping
+    /// `entry` (the payload to trace from) for the next minor mark when
+    /// the object is newly remembered.
     fn remember(&mut self, obj: Option<ObjId>, entry: impl FnOnce() -> Remembered) {
-        if let Some(obj) = obj.filter(|o| o.is_live(&self.rt)) {
-            if self.rt.record_store(obj.addr) {
-                self.remembered.push(entry());
-            }
+        if obj.is_some_and(|o| self.rt.record_store(o.addr, o.tag)) {
+            self.remembered.push(entry());
         }
     }
 

@@ -372,7 +372,7 @@ mod tests {
         roots: &impl Fn(&mut dyn RootSink),
     ) -> HashSet<ObjAddr> {
         let heap = rt.heap();
-        let live = heap.live_objects().into_iter().map(|(addr, _, _)| addr);
+        let live = heap.live_objects().map(|(addr, _, _)| addr);
         let bits: HashSet<ObjAddr> = live.filter(|&addr| heap.is_marked(addr)).collect();
         let mut full = RefMarker::new(rt, false);
         roots(&mut full);
@@ -425,7 +425,7 @@ mod tests {
             .is_some_and(|c| c.kind == minigo_runtime::CycleKind::Major)
         {
             assert_eq!(
-                heap.live_objects().len(),
+                heap.live_objects().count(),
                 reachable.len(),
                 "a major cycle keeps only the reachable"
             );
