@@ -16,6 +16,9 @@
 //! * **use-after-revert** — an access through a freed identity whose
 //!   storage *has* been reallocated; on real hardware this reads another
 //!   object's bytes.
+//! * **use-after-sweep** — an access through an identity a GC sweep
+//!   reclaimed. The collector frees only what its roots cannot reach, so
+//!   this is a root the VM failed to report.
 //! * **untolerated double free** — a second free of an identity whose
 //!   storage was reallocated in between. The runtime's `AlreadyFree`
 //!   bail (§5) only tolerates double frees when the allocation bitmap
@@ -43,6 +46,8 @@ pub enum ViolationKind {
     /// Load or store through a freed object after its storage was
     /// reallocated to a new object.
     UseAfterRevert,
+    /// Load or store through an object a GC sweep reclaimed.
+    UseAfterSweep,
     /// A repeated free after the storage was reallocated — the one kind of
     /// double free §5's `AlreadyFree` bail-out cannot tolerate.
     UntoleratedDoubleFree,
@@ -53,6 +58,7 @@ impl std::fmt::Display for ViolationKind {
         match self {
             ViolationKind::UseAfterFree => write!(f, "use-after-free"),
             ViolationKind::UseAfterRevert => write!(f, "use-after-revert"),
+            ViolationKind::UseAfterSweep => write!(f, "use-after-sweep"),
             ViolationKind::UntoleratedDoubleFree => write!(f, "untolerated-double-free"),
         }
     }
@@ -109,9 +115,9 @@ pub enum FreeCheck {
 /// The shadow heap itself. Owned by a VM when `--sanitize` is on.
 #[derive(Debug, Clone, Default)]
 pub struct ShadowHeap {
-    /// Shadow state per object identity. Identities freed by GC sweep are
-    /// removed entirely: the collector only reclaims unreachable objects,
-    /// so no later access through them is possible.
+    /// Shadow state per object identity. An identity a GC sweep freed
+    /// is dropped: every heap allocation passes [`ShadowHeap::on_alloc`],
+    /// so an identity absent here is a swept one.
     states: HashMap<u64, ShadowState>,
     /// Explicitly freed storage → the identity that used to own it. When
     /// the allocator hands the address out again the old identity is
@@ -145,23 +151,21 @@ impl ShadowHeap {
         self.freed_addrs.insert(addr, obj);
     }
 
-    /// Records a GC sweep of `obj`: the object was unreachable, so its
-    /// identity is forgotten rather than marked freed (no reference to it
-    /// can exist to misuse).
+    /// Records a GC sweep of `obj`: the object was unreachable, so any
+    /// later access through it is a use-after-sweep.
     pub fn on_sweep(&mut self, obj: u64) {
         self.states.remove(&obj);
     }
 
-    /// Checks a load or store through `obj`, recording a violation if the
-    /// object was explicitly freed. `op` names the access; `step` is the
-    /// VM statement count.
+    /// Checks a load or store through heap object `obj`, recording a
+    /// violation unless it is live. `op` names the access; `step` is
+    /// the VM statement count.
     pub fn check_access(&mut self, obj: u64, op: &'static str, step: u64) {
         let kind = match self.states.get(&obj) {
+            Some(ShadowState::Live) => return,
             Some(ShadowState::Freed) => ViolationKind::UseAfterFree,
             Some(ShadowState::Reused) => ViolationKind::UseAfterRevert,
-            // Live, or an identity the shadow heap never saw (stack
-            // allocation or GC-swept — both inherently safe here).
-            _ => return,
+            None => ViolationKind::UseAfterSweep,
         };
         self.violations.push(ShadowViolation {
             kind,
@@ -263,12 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn swept_identities_are_forgotten() {
+    fn an_access_through_a_swept_identity_is_a_use_after_sweep() {
         let mut sh = ShadowHeap::new();
         sh.on_alloc(1, addr(0, 0));
         sh.on_sweep(1);
-        sh.check_access(1, "read", 3);
         assert_eq!(sh.check_free(1, "TcfreeMap", 4), FreeCheck::Ok);
-        assert!(sh.violations().is_empty());
+        assert!(sh.violations().is_empty(), "the runtime bails on the free");
+        sh.check_access(1, "read", 3);
+        assert_eq!(sh.violations()[0].kind, ViolationKind::UseAfterSweep);
     }
 }

@@ -115,25 +115,21 @@ fn small_object_slot_reuse_is_classified() {
     );
 }
 
-/// A deliberately buggy hand-instrumented sequence — free, keep using,
-/// free again across a reuse — accumulates exactly the three violation
-/// kinds, while GC-swept identities never produce any.
+/// A deliberately buggy hand-instrumented sequence — read a swept
+/// object, free, keep using, free again across a reuse — accumulates
+/// exactly the four violation kinds.
 #[test]
-fn buggy_sequence_is_flagged_and_swept_identities_are_not() {
+fn buggy_sequence_is_flagged_and_a_swept_identity_is_a_use_after_sweep() {
     let mut rt = quiet_runtime();
     let mut sh = ShadowHeap::new();
 
-    // A GC-reclaimed object: unreachable, swept, forgotten.
+    // A GC-reclaimed object: a reference the roots did not report.
     let g = rt.alloc(128, Category::Other);
     sh.on_alloc(10, g);
     let swept = rt.collect();
     assert!(swept.freed.iter().any(|f| f.addr == g));
     sh.on_sweep(10);
     sh.check_access(10, "pointer deref read", 1);
-    assert!(
-        sh.violations().is_empty(),
-        "no reference can outlive a swept (unreachable) object"
-    );
 
     // The planted bug: free s, read it, let the slot be reused, free again.
     let s = rt.alloc(256, Category::Slice);
@@ -152,6 +148,7 @@ fn buggy_sequence_is_flagged_and_swept_identities_are_not() {
     assert_eq!(
         kinds,
         vec![
+            ViolationKind::UseAfterSweep,
             ViolationKind::UseAfterFree,
             ViolationKind::UseAfterRevert,
             ViolationKind::UntoleratedDoubleFree

@@ -8,10 +8,11 @@
 //! construction (and checked by the differential tests).
 //!
 //! A frame is a dense `Vec` of slots: the function's variables, then the
-//! temporaries lowering numbered above them. Temporaries are
-//! deliberately *not* GC roots: only variable slots and deferred-call
-//! arguments are, on either engine (the tree-walk's temporaries are
-//! Rust locals).
+//! temporaries lowering numbered above them. The roots of a frame are
+//! its variable slots, its deferred-call arguments and, while it waits
+//! on a call, the temporaries that call's instruction lists as pending
+//! (operands evaluated before the call and consumed after it): the
+//! tree-walk's pending-operand stack, slot for slot.
 
 use std::cell::Ref;
 
@@ -62,11 +63,14 @@ struct BDeferred {
 }
 
 #[derive(Default)]
-struct BFrame {
+struct BFrame<'m> {
     slots: Vec<BSlot>,
     /// How many of `slots` are variables (the rest are temporaries).
     vars: usize,
     defers: Vec<BDeferred>,
+    /// While the frame waits on a call: the temporaries the call left
+    /// pending (empty otherwise).
+    pending: &'m [u32],
 }
 
 /// The bytecode engine: a lowered (optionally optimized) module and its
@@ -78,9 +82,9 @@ pub struct Bytecode<'m> {
     consts: Vec<Value>,
     /// The running function's frame (an empty one between calls), kept
     /// apart so a slot access is one index.
-    top: BFrame,
+    top: BFrame<'m>,
     /// The suspended callers' frames, innermost last.
-    frames: Vec<BFrame>,
+    frames: Vec<BFrame<'m>>,
     /// Retired frame-slot vectors, reused across calls so a call does
     /// not malloc (values were dropped when the owning frame popped).
     slot_pool: Vec<Vec<BSlot>>,
@@ -299,6 +303,7 @@ impl<'m> Bytecode<'m> {
             slots,
             vars: f.slot_names.len(),
             defers: Vec::new(),
+            pending: &[],
         };
         let caller = std::mem::replace(&mut self.top, callee);
         self.frames.push(caller);
@@ -427,7 +432,7 @@ impl<'m> Bytecode<'m> {
     // ---- the dispatch loop ----
 
     #[allow(clippy::too_many_lines)]
-    fn exec(&mut self, m: &mut Machine, f: &BFunc) -> Result<()> {
+    fn exec(&mut self, m: &mut Machine, f: &'m BFunc) -> Result<()> {
         let module = self.module;
         let code = &f.code;
         let mut pc = 0usize;
@@ -475,6 +480,7 @@ impl<'m> Bytecode<'m> {
                     args,
                     dst,
                     want,
+                    pending,
                 } => {
                     let callee = &module.funcs[*fid as usize];
                     let mut slots = self.fresh_slots(callee);
@@ -492,7 +498,10 @@ impl<'m> Bytecode<'m> {
                     }
                     m.tick(if *want == 1 { 3 } else { 2 });
                     let into = (*want != u32::MAX).then_some((*dst, *want));
-                    self.invoke(m, *fid as usize, slots, into)?;
+                    self.top.pending = pending;
+                    let done = self.invoke(m, *fid as usize, slots, into);
+                    self.top.pending = &[];
+                    done?;
                 }
                 Instr::Move { dst, src } => {
                     if let Some(n) = self.int(*src) {
@@ -828,6 +837,11 @@ impl Dispatch for Bytecode<'_> {
             }
             for v in frame.defers.iter().flat_map(|d| &d.args) {
                 sink.value(v);
+            }
+            for &t in frame.pending {
+                if let BSlot::Plain(v) = &frame.slots[t as usize] {
+                    sink.value(v);
+                }
             }
         }
     }

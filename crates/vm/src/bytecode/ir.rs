@@ -244,6 +244,10 @@ pub enum Instr {
         dst: u32,
         /// Expected result arity, or `u32::MAX` for "any, discarded".
         want: u32,
+        /// The temporaries holding operands evaluated before the call
+        /// and consumed after it: GC roots of the caller's frame while
+        /// the callee runs (the tree-walk's pending operands).
+        pending: Box<[u32]>,
     },
     /// Record a deferred call of a user function.
     DeferFunc {

@@ -131,6 +131,7 @@ fn lower_func(
         continue_stack: Vec::new(),
         next_temp: nvars,
         nslots: nvars,
+        held: Vec::new(),
     };
     lo.lower_block(&func.body);
     lo.code.push(Instr::Ret);
@@ -204,6 +205,10 @@ struct FnLowerer<'a> {
     /// Slots used so far: the variables, then the most temporaries any
     /// statement held at once.
     nslots: u32,
+    /// The temporaries whose values wait, while the code in between is
+    /// lowered, for the instruction that consumes them: what a `Call`
+    /// lowered now leaves pending across the callee.
+    held: Vec<u32>,
 }
 
 impl<'a> FnLowerer<'a> {
@@ -266,6 +271,17 @@ impl<'a> FnLowerer<'a> {
             .expr(e.id)
             .map(|t| self.types.inline_size(t))
             .unwrap_or(8)
+    }
+
+    /// Runs `lower` while `srcs` wait for their consumer: a call it
+    /// lowers keeps the temporaries among them as roots.
+    fn holding<R>(&mut self, srcs: &[Src], lower: impl FnOnce(&mut Self) -> R) -> R {
+        let mark = self.held.len();
+        let temps = srcs.iter().filter(|s| s.kind == SrcKind::Tmp);
+        self.held.extend(temps.map(|s| s.at));
+        let out = lower(self);
+        self.held.truncate(mark);
+        out
     }
 
     // ---- operands ----
@@ -340,7 +356,7 @@ impl<'a> FnLowerer<'a> {
                     *s = self.settle(*s);
                 }
             }
-            let s = self.lower_expr(e);
+            let s = self.holding(&ops, |lo| lo.lower_expr(e));
             ops.push(s);
         }
         ops.into()
@@ -352,16 +368,18 @@ impl<'a> FnLowerer<'a> {
         if let Some(v) = val.as_deref_mut() {
             *v = self.before(*v, base);
         }
-        let mut b = self.lower_expr(base);
+        let held: Vec<Src> = val.as_deref().copied().into_iter().collect();
+        let mut b = self.holding(&held, |lo| lo.lower_expr(base));
         if !self.is_leaf(index) {
-            if let Some(v) = val {
+            if let Some(v) = val.as_deref_mut() {
                 *v = self.settle(*v);
             }
             b = self.settle(b);
             // The tree-walk checks the base before it evaluates the index.
             self.emit(Instr::CheckIndexBase(b));
         }
-        (b, self.lower_expr(index))
+        let held: Vec<Src> = val.as_deref().copied().into_iter().chain([b]).collect();
+        (b, self.holding(&held, |lo| lo.lower_expr(index)))
     }
 
     // ---- statements ----
@@ -398,7 +416,7 @@ impl<'a> FnLowerer<'a> {
                 if let Some(op) = op {
                     let a = self.lower_expr(&lhs[0]);
                     let a = self.before(a, &rhs[0]);
-                    let b = self.lower_expr(&rhs[0]);
+                    let b = self.holding(&[a], |lo| lo.lower_expr(&rhs[0]));
                     // The operator applies directly: no node tick.
                     let var = self.var_of(&lhs[0]);
                     let dst = var.unwrap_or_else(|| self.temp());
@@ -426,8 +444,8 @@ impl<'a> FnLowerer<'a> {
                     return;
                 }
                 let values = self.lower_values(rhs, lhs.len());
-                for (l, v) in lhs.iter().zip(values) {
-                    self.lower_store(l, v);
+                for (i, (l, &v)) in lhs.iter().zip(&values).enumerate() {
+                    self.holding(&values[i + 1..], |lo| lo.lower_store(l, v));
                 }
             }
             StmtKind::If { cond, then, els } => {
@@ -547,7 +565,7 @@ impl<'a> FnLowerer<'a> {
                 for case in cases {
                     let mut jumps = Vec::new();
                     for v in &case.values {
-                        let case = self.lower_expr(v);
+                        let case = self.holding(&[subject], |lo| lo.lower_expr(v));
                         jumps.push(self.emit(Instr::CaseJump {
                             subject,
                             case,
@@ -620,7 +638,7 @@ impl<'a> FnLowerer<'a> {
             if !matches!(op, BinOp::And | BinOp::Or) {
                 let a = self.lower_expr(lhs);
                 let a = self.before(a, rhs);
-                let b = self.lower_expr(rhs);
+                let b = self.holding(&[a], |lo| lo.lower_expr(rhs));
                 let op = *op;
                 return self.emit(Instr::BrCmp { op, a, b, when, t });
             }
@@ -692,11 +710,13 @@ impl<'a> FnLowerer<'a> {
             return;
         };
         let args = self.operands(args);
+        let pending = self.held.as_slice().into();
         self.emit(Instr::Call {
             fid: fid.index() as u32,
             args,
             dst,
             want,
+            pending,
         });
     }
 
@@ -771,7 +791,7 @@ impl<'a> FnLowerer<'a> {
                 _ => {
                     let a = self.lower_expr(lhs);
                     let a = self.before(a, rhs);
-                    let b = self.lower_expr(rhs);
+                    let b = self.holding(&[a], |lo| lo.lower_expr(rhs));
                     self.emit(Instr::Bin {
                         op: *op,
                         dst,
@@ -986,12 +1006,12 @@ impl<'a> FnLowerer<'a> {
                 operand,
             } => {
                 let val = self.before(val, operand);
-                let ptr = self.lower_expr(operand);
+                let ptr = self.holding(&[val], |lo| lo.lower_expr(operand));
                 self.emit(Instr::DerefSet { val, ptr });
             }
             ExprKind::Field { base, name } => {
                 let val = self.before(val, base);
-                let b = self.lower_expr(base);
+                let b = self.holding(&[val], |lo| lo.lower_expr(base));
                 match field_target(self.types, base, name) {
                     Ok((idx, true)) => {
                         self.emit(Instr::FieldSetPtr {

@@ -83,6 +83,10 @@ pub struct TreeWalk<'p> {
     /// Address-taken variables per function (these get boxed slots).
     addr_taken: IdMap<FuncId, FxHashSet<VarId>>,
     frames: Vec<Frame>,
+    /// Operands evaluated and not yet consumed, innermost last: GC roots
+    /// while a call made in between runs (the bytecode's pending
+    /// temporaries).
+    pending: Vec<Value>,
 }
 
 impl<'p> TreeWalk<'p> {
@@ -106,6 +110,7 @@ impl<'p> TreeWalk<'p> {
             analysis,
             addr_taken,
             frames: Vec::new(),
+            pending: Vec::new(),
         }
     }
 }
@@ -130,6 +135,9 @@ impl Dispatch for TreeWalk<'_> {
             for v in frame.defers.iter().flat_map(|d| &d.args) {
                 sink.value(v);
             }
+        }
+        for v in &self.pending {
+            sink.value(v);
         }
     }
 }
@@ -250,6 +258,43 @@ impl Vm<'_, '_> {
         self.tw.analysis.place_of(e.id) == AllocPlace::Heap
     }
 
+    // ---- pending operands ----
+
+    /// Runs `eval` with `v` pending: a root until `eval` is done.
+    fn holding<R>(
+        &mut self,
+        v: Value,
+        eval: impl FnOnce(&mut Self) -> Result<R>,
+    ) -> Result<(Value, R)> {
+        self.tw.pending.push(v);
+        let out = eval(self);
+        let v = self.tw.pending.pop().expect("pushed above");
+        Ok((v, out?))
+    }
+
+    /// Evaluates `es` in order, each value pending until the last is
+    /// done, and leaves the values on the pending stack from the
+    /// returned base up.
+    fn eval_onto(&mut self, es: &[Expr]) -> Result<usize> {
+        let base = self.tw.pending.len();
+        for e in es {
+            match self.eval(e) {
+                Ok(v) => self.tw.pending.push(v),
+                Err(err) => {
+                    self.tw.pending.truncate(base);
+                    return Err(err);
+                }
+            }
+        }
+        Ok(base)
+    }
+
+    /// [`Vm::eval_onto`], the values taken off the pending stack.
+    fn eval_all(&mut self, es: &[Expr]) -> Result<Vec<Value>> {
+        let base = self.eval_onto(es)?;
+        Ok(self.tw.pending.drain(base..).collect())
+    }
+
     // ---- statements ----
 
     fn exec_block(&mut self, block: &Block) -> Result<Flow> {
@@ -277,7 +322,7 @@ impl Vm<'_, '_> {
                 } else if init.len() == 1 && names.len() > 1 {
                     self.eval_multi(&init[0], names.len())?
                 } else {
-                    init.iter().map(|e| self.eval(e)).collect::<Result<_>>()?
+                    self.eval_all(init)?
                 };
                 for (i, v) in values.into_iter().enumerate() {
                     let var = self
@@ -293,7 +338,7 @@ impl Vm<'_, '_> {
                 let values = if init.len() == 1 && names.len() > 1 {
                     self.eval_multi(&init[0], names.len())?
                 } else {
-                    init.iter().map(|e| self.eval(e)).collect::<Result<_>>()?
+                    self.eval_all(init)?
                 };
                 for (i, v) in values.into_iter().enumerate() {
                     let var = self
@@ -308,7 +353,7 @@ impl Vm<'_, '_> {
             StmtKind::Assign { lhs, op, rhs } => {
                 if let Some(op) = op {
                     let old = self.eval(&lhs[0])?;
-                    let rv = self.eval(&rhs[0])?;
+                    let (old, rv) = self.holding(old, |vm| vm.eval(&rhs[0]))?;
                     let new = self.m.binop(*op, &old, &rv)?;
                     self.store(&lhs[0], new)?;
                     return Ok(Flow::Normal);
@@ -316,10 +361,17 @@ impl Vm<'_, '_> {
                 let values = if rhs.len() == 1 && lhs.len() > 1 {
                     self.eval_multi(&rhs[0], lhs.len())?
                 } else {
-                    rhs.iter().map(|e| self.eval(e)).collect::<Result<_>>()?
+                    self.eval_all(rhs)?
                 };
-                for (l, v) in lhs.iter().zip(values) {
-                    self.store(l, v)?;
+                // Each value stays pending until its own store.
+                let base = self.tw.pending.len();
+                self.tw.pending.extend(values.into_iter().rev());
+                for l in lhs {
+                    let v = self.tw.pending.pop().expect("one value per target");
+                    if let Err(e) = self.store(l, v) {
+                        self.tw.pending.truncate(base);
+                        return Err(e);
+                    }
                 }
                 Ok(Flow::Normal)
             }
@@ -366,7 +418,7 @@ impl Vm<'_, '_> {
                     let values = if exprs.len() == 1 && results.len() > 1 {
                         self.eval_multi(&exprs[0], results.len())?
                     } else {
-                        exprs.iter().map(|e| self.eval(e)).collect::<Result<_>>()?
+                        self.eval_all(exprs)?
                     };
                     for (&rvar, v) in results.iter().zip(values) {
                         self.write_var(rvar, v)?;
@@ -392,10 +444,7 @@ impl Vm<'_, '_> {
                     ExprKind::Builtin { kind, args, .. } => (DeferKind::Builtin(*kind), args),
                     _ => return Err(ExecError::Internal("defer of non-call".into())),
                 };
-                let args = args
-                    .iter()
-                    .map(|a| self.eval(a))
-                    .collect::<Result<Vec<_>>>()?;
+                let args = self.eval_all(args)?;
                 self.tw
                     .frames
                     .last_mut()
@@ -410,26 +459,25 @@ impl Vm<'_, '_> {
                 default,
             } => {
                 let sv = self.eval(subject)?;
-                for case in cases {
-                    for v in &case.values {
-                        let cv = self.eval(v)?;
-                        if value_eq(&sv, &cv)? {
-                            // Go semantics: `break` inside a switch exits
-                            // the switch, not an enclosing loop.
-                            return Ok(match self.exec_block(&case.body)? {
-                                Flow::Break => Flow::Normal,
-                                other => other,
-                            });
+                let (_, matched) = self.holding(sv.clone(), |vm| {
+                    for case in cases {
+                        for v in &case.values {
+                            if value_eq(&sv, &vm.eval(v)?)? {
+                                return Ok(Some(&case.body));
+                            }
                         }
                     }
-                }
-                if let Some(default) = default {
-                    return Ok(match self.exec_block(default)? {
+                    Ok(default.as_ref())
+                })?;
+                // Go semantics: `break` inside a switch exits the switch,
+                // not an enclosing loop.
+                Ok(match matched {
+                    Some(body) => match self.exec_block(body)? {
                         Flow::Break => Flow::Normal,
                         other => other,
-                    });
-                }
-                Ok(Flow::Normal)
+                    },
+                    None => Flow::Normal,
+                })
             }
             StmtKind::Break => Ok(Flow::Break),
             StmtKind::Continue => Ok(Flow::Continue),
@@ -464,10 +512,7 @@ impl Vm<'_, '_> {
                 .res
                 .func_by_name(callee)
                 .ok_or_else(|| ExecError::Internal("unknown callee".into()))?;
-            let argv = args
-                .iter()
-                .map(|a| self.eval(a))
-                .collect::<Result<Vec<_>>>()?;
+            let argv = self.eval_all(args)?;
             // A call in value position charges its expression-node tick
             // here, after the arguments (the bytecode `Call` instruction's
             // `value_pos` extra).
@@ -553,7 +598,7 @@ impl Vm<'_, '_> {
                 }
                 _ => {
                     let l = self.eval(lhs)?;
-                    let r = self.eval(rhs)?;
+                    let (l, r) = self.holding(l, |vm| vm.eval(rhs))?;
                     self.m.tick(1);
                     self.m.binop(*op, &l, &r)
                 }
@@ -568,20 +613,23 @@ impl Vm<'_, '_> {
             ExprKind::Index { base, index } => {
                 let bv = self.eval(base)?;
                 check_index_base(&bv)?;
-                let iv = self.eval(index)?;
+                let (bv, iv) = self.holding(bv, |vm| vm.eval(index))?;
                 self.m.tick(1);
                 self.m.index_get(&bv, &iv)
             }
             ExprKind::SliceExpr { base, lo, hi } => {
                 let bv = self.eval(base)?;
-                let lo = match lo {
-                    Some(e) => self.eval_int(e)?,
-                    None => 0,
-                };
-                let hi = match hi {
-                    Some(e) => Some(self.eval_int(e)?),
-                    None => None,
-                };
+                let (bv, (lo, hi)) = self.holding(bv, |vm| {
+                    let lo = match lo {
+                        Some(e) => vm.eval_int(e)?,
+                        None => 0,
+                    };
+                    let hi = match hi {
+                        Some(e) => Some(vm.eval_int(e)?),
+                        None => None,
+                    };
+                    Ok((lo, hi))
+                })?;
                 self.m.tick(1);
                 reslice(&bv, lo, hi)
             }
@@ -595,7 +643,8 @@ impl Vm<'_, '_> {
                 args,
             } => self.builtin(e, *kind, ty_args, args),
             ExprKind::StructLit { fields, .. } => {
-                let v = Value::try_struct(fields.len(), |i| self.eval(&fields[i]))?;
+                let base = self.eval_onto(fields)?;
+                let v = Value::struct_of(self.tw.pending.drain(base..));
                 self.m.tick(1);
                 Ok(v)
             }
@@ -691,7 +740,7 @@ impl Vm<'_, '_> {
             }
             Builtin::Append => {
                 let sv = self.eval(&args[0])?;
-                let item = self.eval(&args[1])?;
+                let (sv, item) = self.holding(sv, |vm| vm.eval(&args[1]))?;
                 self.m.tick(1);
                 let elem_size = match types.expr(args[0].id) {
                     Some(Type::Slice(elem)) => types.inline_size(elem),
@@ -711,7 +760,7 @@ impl Vm<'_, '_> {
             }
             Builtin::Delete => {
                 let mv = self.eval(&args[0])?;
-                let kv = self.eval(&args[1])?;
+                let (mv, kv) = self.holding(mv, |vm| vm.eval(&args[1]))?;
                 self.m.tick(1);
                 self.m.map_delete(&mv, &kv)?;
                 Ok(Value::Int(0))
@@ -722,10 +771,7 @@ impl Vm<'_, '_> {
                 Err(ExecError::Panic(v.display()))
             }
             Builtin::Print => {
-                let values = args
-                    .iter()
-                    .map(|a| self.eval(a))
-                    .collect::<Result<Vec<_>>>()?;
+                let values = self.eval_all(args)?;
                 self.m.tick(1);
                 self.m.print(&values);
                 Ok(Value::Int(0))
@@ -754,11 +800,11 @@ impl Vm<'_, '_> {
                 op: UnOp::Deref,
                 operand,
             } => {
-                let p = self.eval(operand)?;
+                let (value, p) = self.holding(value, |vm| vm.eval(operand))?;
                 self.m.deref_set(&p, value)
             }
             ExprKind::Field { base, name } => {
-                let bv = self.eval(base)?;
+                let (value, bv) = self.holding(value, |vm| vm.eval(base))?;
                 let (idx, through_ptr) =
                     field_target(self.tw.types, base, name).map_err(ExecError::Internal)?;
                 if through_ptr {
@@ -770,9 +816,11 @@ impl Vm<'_, '_> {
                 }
             }
             ExprKind::Index { base, index } => {
-                let bv = self.eval(base)?;
-                check_index_base(&bv)?;
-                let iv = self.eval(index)?;
+                let (value, (bv, iv)) = self.holding(value, |vm| {
+                    let bv = vm.eval(base)?;
+                    check_index_base(&bv)?;
+                    vm.holding(bv, |vm| vm.eval(index))
+                })?;
                 self.m.index_set(&bv, &iv, value)
             }
             _ => Err(ExecError::Internal("bad lvalue".into())),

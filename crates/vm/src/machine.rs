@@ -167,8 +167,9 @@ pub trait Dispatch {
     /// call itself raises. A failed call leaves no frame behind.
     fn call(&mut self, m: &mut Machine, name: &str, args: Vec<Value>) -> Result<Vec<Value>>;
 
-    /// Reports every frame slot and deferred-call argument to `sink`.
-    /// Operand temporaries are not roots.
+    /// Reports every frame slot, deferred-call argument and pending
+    /// operand (one evaluated before a call in flight and consumed after
+    /// it) to `sink`.
     fn roots(&self, sink: &mut dyn RootSink);
 }
 

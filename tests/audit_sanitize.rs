@@ -426,3 +426,53 @@ fn audit_deny_makes_the_planted_bug_run_clean() {
         );
     }
 }
+
+/// Every shape that holds one call's result while a second call runs:
+/// call arguments, composite-literal fields, a multi-value assignment,
+/// an index base and `append`'s slice. `mk`, `mks` and `churn` allocate
+/// enough to start a cycle while the first value waits.
+const PENDING_ACROSS_A_CALL: &str = "type N struct { v int\n pad []int }\n\
+    type Pair struct { a *N\n b *N }\n\
+    func churn() int { t := 0\n for i := 0; i < 200; i += 1 { s := make([]int, 40+i%3)\n \
+    s[0] = i\n t += s[0] }\n return t }\n\
+    func mk(i int) *N { c := churn()\n return &N{i + c - 19900, make([]int, 8)} }\n\
+    func mks(i int) []int { s := make([]int, 4+churn()-19900)\n s[0] = i\n return s }\n\
+    func sum(a *N, b *N) int { return a.v + b.v }\n\
+    func main() { t := 0\n for i := 0; i < 20; i += 1 {\n \
+    t += sum(mk(i), mk(i+1))\n \
+    p := &Pair{mk(i), mk(i+1)}\n t += p.a.v + p.b.v\n \
+    a, b := mk(i), mk(i+1)\n t += a.v + b.v\n \
+    t += mks(i)[churn()-19900]\n \
+    s := append(mks(i), churn())\n t += s[0] + len(s) }\n \
+    print(t) }\n";
+
+#[test]
+fn values_pending_across_a_call_are_roots_on_both_engines_and_collectors() {
+    let compiled =
+        compile(PENDING_ACROSS_A_CALL, &Setting::Go.compile_options()).expect("compiles");
+    for collector in [CollectorKind::Go, CollectorKind::Generational] {
+        for engine in [VmEngine::TreeWalk, VmEngine::Bytecode] {
+            let cfg = RunConfig {
+                engine,
+                collector,
+                sanitize: true,
+                gogc: 10,
+                min_heap: 16 * 1024,
+                nursery_size: 8 * 1024,
+                ..RunConfig::deterministic(0)
+            };
+            let run = execute(&compiled, Setting::Go, &cfg).expect("runs");
+            assert_eq!(run.output, "1680\n", "{collector:?} {engine}");
+            assert!(
+                run.metrics.gcs >= 100,
+                "{collector:?} {engine}: {}",
+                run.metrics.gcs
+            );
+            assert!(
+                run.violations.is_empty(),
+                "{collector:?} {engine}: a pending value was swept: {:?}",
+                run.violations
+            );
+        }
+    }
+}
