@@ -34,7 +34,7 @@ use minigo_syntax::{
     TypeInfo, UnOp, VarId,
 };
 
-use super::ir::{BFunc, Const, Instr, Module, Src, SrcKind};
+use super::ir::{BFunc, Boxed, Const, Instr, Module, Src, SrcKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::interp::addr_taken_vars;
 
@@ -137,18 +137,25 @@ fn lower_func(
     lo.code.push(Instr::Ret);
     lo.apply_patches();
 
+    let boxed = |v: VarId| {
+        lo.addr_taken.contains(&v).then(|| Boxed {
+            heap: boxed_on_heap(analysis, func.id, v),
+            size: var_size(types, v),
+        })
+    };
     let params = res
         .params_of(func.id)
         .iter()
-        .map(|&v| (lo.slot(v), lo.addr_taken.contains(&v)))
+        .map(|&v| (lo.slot(v), boxed(v)))
         .collect();
-    let results = res
+    let results: Vec<_> = res
         .results_of(func.id)
         .iter()
-        .map(|&v| {
-            let zero = types.var(v).map(|t| lo.consts.add(zero_value(t, types)));
-            (lo.slot(v), lo.addr_taken.contains(&v), zero)
-        })
+        .map(|&v| (lo.slot(v), boxed(v), types.var(v)))
+        .collect();
+    let results = results
+        .into_iter()
+        .map(|(slot, boxed, ty)| (slot, boxed, ty.map(|t| lo.consts.add(zero_value(t, types)))))
         .collect();
     let code = std::mem::take(&mut lo.code);
     BFunc {
@@ -368,8 +375,8 @@ impl<'a> FnLowerer<'a> {
         if let Some(v) = val.as_deref_mut() {
             *v = self.before(*v, base);
         }
-        let held: Vec<Src> = val.as_deref().copied().into_iter().collect();
-        let mut b = self.holding(&held, |lo| lo.lower_expr(base));
+        let held = val.as_deref().map_or(&[][..], std::slice::from_ref);
+        let mut b = self.holding(held, |lo| lo.lower_expr(base));
         if !self.is_leaf(index) {
             if let Some(v) = val.as_deref_mut() {
                 *v = self.settle(*v);
@@ -378,8 +385,11 @@ impl<'a> FnLowerer<'a> {
             // The tree-walk checks the base before it evaluates the index.
             self.emit(Instr::CheckIndexBase(b));
         }
-        let held: Vec<Src> = val.as_deref().copied().into_iter().chain([b]).collect();
-        (b, self.holding(&held, |lo| lo.lower_expr(index)))
+        let idx = match val.as_deref() {
+            Some(&v) => self.holding(&[v, b], |lo| lo.lower_expr(index)),
+            None => self.holding(&[b], |lo| lo.lower_expr(index)),
+        };
+        (b, idx)
     }
 
     // ---- statements ----

@@ -22,11 +22,11 @@ use crate::bytecode::lower::{boxed_on_heap, field_target, var_size, zero_value};
 use crate::error::ExecError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::machine::{
-    cap_of, check_index_base, check_poison, expected_bool, int_of, itoa, len_of, reslice, value_eq,
-    with_field, Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
+    cap_of, check_index_base, check_poison, expected_bool, int_of, itoa, reslice, value_eq,
+    with_field, Dispatch, Machine, Place, Result, RunOutcome, Session, VmConfig,
 };
 use crate::mark::RootSink;
-use crate::value::{Cell, Obj, Value};
+use crate::value::{ObjId, StackKey, Value};
 
 /// Runs `program`'s `main` function on the tree-walk.
 ///
@@ -55,7 +55,7 @@ enum Flow {
 
 enum Slot {
     Plain(Value),
-    Boxed(Cell),
+    Boxed(ObjId),
 }
 
 enum DeferKind {
@@ -72,6 +72,8 @@ struct Frame {
     func: FuncId,
     slots: FxHashMap<VarId, Slot>,
     defers: Vec<Deferred>,
+    /// Where the frame's frame-owned slots start.
+    base: usize,
 }
 
 /// The tree-walk engine: a checked program and its frame stack.
@@ -129,7 +131,7 @@ impl Dispatch for TreeWalk<'_> {
             for slot in frame.slots.values() {
                 match slot {
                     Slot::Plain(v) => sink.value(v),
-                    Slot::Boxed(cell) => sink.boxed(cell),
+                    Slot::Boxed(cell) => sink.boxed(*cell),
                 }
             }
             for v in frame.defers.iter().flat_map(|d| &d.args) {
@@ -156,21 +158,23 @@ impl Vm<'_, '_> {
         let func = &self.tw.program.funcs[fid.index()];
         let (res, types) = (self.tw.res, self.tw.types);
         let mut slots = FxHashMap::default();
-        let taken = &self.tw.addr_taken[fid];
+        let base = self.m.frame_base();
         for (&pvar, arg) in res.params_of(fid).iter().zip(args) {
-            slots.insert(pvar, make_slot(arg, taken.contains(&pvar)));
+            slots.insert(pvar, self.frame_slot(fid, base, pvar, arg));
         }
         for &rvar in res.results_of(fid) {
-            let ty = types
-                .var(rvar)
-                .ok_or_else(|| ExecError::Internal("untyped result".into()))?;
+            let Some(ty) = types.var(rvar) else {
+                self.m.release_frame(base);
+                return Err(ExecError::Internal("untyped result".into()));
+            };
             let zero = zero_value(ty, types).to_value();
-            slots.insert(rvar, make_slot(zero, taken.contains(&rvar)));
+            slots.insert(rvar, self.frame_slot(fid, base, rvar, zero));
         }
         self.tw.frames.push(Frame {
             func: fid,
             slots,
             defers: Vec::new(),
+            base,
         });
         let parent_stack = self.m.enter_stack(&func.name);
 
@@ -187,7 +191,25 @@ impl Vm<'_, '_> {
         });
         self.m.leave_stack(parent_stack);
         self.tw.frames.pop();
+        self.m.release_frame(base);
         results
+    }
+
+    /// Parameter or result `var` of the frame at `base`, holding `value`:
+    /// in a cell when its address is taken.
+    fn frame_slot(&mut self, fid: FuncId, base: usize, var: VarId, value: Value) -> Slot {
+        if !self.tw.addr_taken[fid].contains(&var) {
+            return Slot::Plain(value);
+        }
+        let heap = boxed_on_heap(self.tw.analysis, fid, var);
+        let at = (!heap).then_some((base, StackKey::Var(var.0)));
+        Slot::Boxed(self.m.frame_box(value, at, var_size(self.tw.types, var)))
+    }
+
+    /// Where an allocation at `key` in the running frame goes.
+    fn place(&self, heap: bool, key: StackKey) -> Place {
+        let base = self.tw.frames.last().expect("in a frame").base;
+        (!heap).then_some((base, key))
     }
 
     fn run_defers(&mut self) -> Result<()> {
@@ -212,8 +234,11 @@ impl Vm<'_, '_> {
         let fid = self.tw.frames.last().expect("in a frame").func;
         let slot = if self.tw.addr_taken[fid].contains(&var) {
             let heap = boxed_on_heap(self.tw.analysis, fid, var);
-            let size = var_size(self.tw.types, var);
-            Slot::Boxed(self.m.alloc_box(value, heap, size, None))
+            let (at, size) = (
+                self.place(heap, StackKey::Var(var.0)),
+                var_size(self.tw.types, var),
+            );
+            Slot::Boxed(self.m.alloc_box(value, at, size, None))
         } else {
             Slot::Plain(value)
         };
@@ -230,7 +255,7 @@ impl Vm<'_, '_> {
             if let Some(slot) = frame.slots.get(&var) {
                 let v = match slot {
                     Slot::Plain(v) => v.clone(),
-                    Slot::Boxed(cell) => cell.borrow().clone(),
+                    Slot::Boxed(cell) => self.m.cell(*cell),
                 };
                 return check_poison(v);
             }
@@ -246,7 +271,7 @@ impl Vm<'_, '_> {
             if let Some(slot) = frame.slots.get_mut(&var) {
                 match slot {
                     Slot::Plain(v) => *v = value,
-                    Slot::Boxed(cell) => *cell.borrow_mut() = value,
+                    Slot::Boxed(cell) => self.m.set_cell(*cell, value),
                 }
                 return Ok(());
             }
@@ -254,8 +279,10 @@ impl Vm<'_, '_> {
         Err(ExecError::Internal("write to undeclared variable".into()))
     }
 
-    fn on_heap(&self, e: &Expr) -> bool {
-        self.tw.analysis.place_of(e.id) == AllocPlace::Heap
+    /// Where allocation site `e` puts its object in the running frame.
+    fn place_of(&self, e: &Expr) -> Place {
+        let heap = self.tw.analysis.place_of(e.id) == AllocPlace::Heap;
+        self.place(heap, StackKey::Site(e.id))
     }
 
     // ---- pending operands ----
@@ -663,7 +690,7 @@ impl Vm<'_, '_> {
                 for frame in self.tw.frames.iter().rev() {
                     if let Some(slot) = frame.slots.get(&var) {
                         return match slot {
-                            Slot::Boxed(cell) => Ok(Value::Ptr(cell.clone())),
+                            Slot::Boxed(cell) => Ok(Value::Ptr(*cell)),
                             Slot::Plain(_) => Err(ExecError::Internal(format!(
                                 "address taken of unboxed variable {}",
                                 self.tw.res.var(var).name
@@ -678,14 +705,8 @@ impl Vm<'_, '_> {
                 self.m.tick(1);
                 let types = self.tw.types;
                 let size = types.expr(operand.id).map(|t| types.inline_size(t));
-                let heap = self.on_heap(operand);
-                let site = Some(operand.id);
-                Ok(Value::Ptr(self.m.alloc_box(
-                    v,
-                    heap,
-                    size.unwrap_or(8),
-                    site,
-                )))
+                let (at, size) = (self.place_of(operand), size.unwrap_or(8));
+                Ok(Value::Ptr(self.m.alloc_box(v, at, size, Some(operand.id))))
             }
             ExprKind::Unary {
                 op: UnOp::Deref,
@@ -720,14 +741,14 @@ impl Vm<'_, '_> {
                     };
                     self.m.tick(1);
                     let zero = zero_value(elem, types).to_value();
-                    let (elem_size, heap) = (types.inline_size(elem), self.on_heap(e));
-                    self.m.make_slice(len, cap, elem_size, zero, heap, e.id)
+                    let (size, at) = (types.inline_size(elem), self.place_of(e));
+                    self.m.make_slice(len, cap, size, zero, at, e.id)
                 }
                 Type::Map(_, v) => {
                     self.m.tick(1);
                     let default = zero_value(v, types).to_value();
-                    let (entry_size, heap) = (16 + types.inline_size(v), self.on_heap(e));
-                    Ok(self.m.make_map(default, entry_size, heap, e.id))
+                    let (size, at) = (16 + types.inline_size(v), self.place_of(e));
+                    Ok(self.m.make_map(default, size, at, e.id))
                 }
                 _ => Err(ExecError::Internal("make of bad type".into())),
             },
@@ -735,8 +756,8 @@ impl Vm<'_, '_> {
                 self.m.tick(1);
                 let ty = &ty_args[0];
                 let zero = zero_value(ty, types).to_value();
-                let (size, heap) = (types.inline_size(ty), self.on_heap(e));
-                Ok(Value::Ptr(self.m.alloc_box(zero, heap, size, Some(e.id))))
+                let (size, at) = (types.inline_size(ty), self.place_of(e));
+                Ok(Value::Ptr(self.m.alloc_box(zero, at, size, Some(e.id))))
             }
             Builtin::Append => {
                 let sv = self.eval(&args[0])?;
@@ -751,7 +772,7 @@ impl Vm<'_, '_> {
             Builtin::Len => {
                 let v = self.eval(&args[0])?;
                 self.m.tick(1);
-                len_of(&v)
+                self.m.len_of(&v)
             }
             Builtin::Cap => {
                 let v = self.eval(&args[0])?;
@@ -768,7 +789,7 @@ impl Vm<'_, '_> {
             Builtin::Panic => {
                 let v = self.eval(&args[0])?;
                 self.m.tick(1);
-                Err(ExecError::Panic(v.display()))
+                Err(ExecError::Panic(self.m.display(&v)))
             }
             Builtin::Print => {
                 let values = self.eval_all(args)?;
@@ -825,14 +846,6 @@ impl Vm<'_, '_> {
             }
             _ => Err(ExecError::Internal("bad lvalue".into())),
         }
-    }
-}
-
-fn make_slot(value: Value, boxed: bool) -> Slot {
-    if boxed {
-        Slot::Boxed(Obj::new(None, value))
-    } else {
-        Slot::Plain(value)
     }
 }
 
