@@ -22,7 +22,7 @@ use super::ir::{BFunc, Boxed, Const, Instr, Module, Src, SrcKind};
 use crate::error::ExecError;
 use crate::machine::{
     cap_of, check_index_base, expected_bool, int_of, itoa, reslice, value_eq, with_field, Dispatch,
-    Machine, Place, Result, RunOutcome, Session, VmConfig,
+    Machine, Result, RunOutcome, Session, VmConfig,
 };
 use crate::mark::RootSink;
 use crate::value::{ObjId, SliceVal, StackKey, Value};
@@ -423,11 +423,6 @@ impl<'m> Bytecode<'m> {
         store_in(&mut self.top, m, s, v)
     }
 
-    /// Where an allocation at `key` in the running frame goes.
-    fn place(&self, heap: bool, key: StackKey) -> Place {
-        (!heap).then_some((self.top.base, key))
-    }
-
     fn defer(&mut self, kind: BDeferKind, args: Vec<Value>) {
         self.top.defers.push(BDeferred { kind, args });
     }
@@ -501,7 +496,7 @@ impl<'m> Bytecode<'m> {
                     }
                     m.tick(if *want == 1 { 3 } else { 2 });
                     let into = (*want != u32::MAX).then_some((*dst, *want));
-                    self.top.pending = pending;
+                    self.top.pending = &f.pending[*pending as usize];
                     let done = self.invoke(m, *fid as usize, (slots, base), into);
                     self.top.pending = &[];
                     done?;
@@ -524,7 +519,7 @@ impl<'m> Bytecode<'m> {
                 } => {
                     let v = self.value(m, f, *src)?;
                     let new_slot = if *boxed {
-                        let at = self.place(*heap, StackKey::Var(*slot));
+                        let at = (!*heap).then_some((self.top.base, StackKey::Var(*slot)));
                         BSlot::Boxed(m.alloc_box(v, at, *size, None))
                     } else {
                         BSlot::Plain(v)
@@ -665,7 +660,7 @@ impl<'m> Bytecode<'m> {
             } => {
                 let v = self.value(m, f, *src)?;
                 m.tick(1);
-                let at = self.place(*heap, StackKey::Site(*site));
+                let at = (!*heap).then_some((self.top.base, StackKey::Site(*site)));
                 let p = Value::Ptr(m.alloc_box(v, at, *size, Some(*site)));
                 self.store(m, *dst, p)?;
             }
@@ -724,7 +719,7 @@ impl<'m> Bytecode<'m> {
                 };
                 m.tick(1);
                 let zero = self.consts[*zero as usize].clone();
-                let at = self.place(*heap, StackKey::Site(*site));
+                let at = (!*heap).then_some((self.top.base, StackKey::Site(*site)));
                 let v = m.make_slice(len, cap, *elem_size, zero, at, *site)?;
                 self.store(m, *dst, v)?;
             }
@@ -737,7 +732,7 @@ impl<'m> Bytecode<'m> {
             } => {
                 m.tick(1);
                 let default = self.consts[*default as usize].clone();
-                let at = self.place(*heap, StackKey::Site(*site));
+                let at = (!*heap).then_some((self.top.base, StackKey::Site(*site)));
                 let v = m.make_map(default, *entry_size, at, *site);
                 self.store(m, *dst, v)?;
             }
@@ -750,7 +745,7 @@ impl<'m> Bytecode<'m> {
             } => {
                 m.tick(1);
                 let zero = self.consts[*zero as usize].clone();
-                let at = self.place(*heap, StackKey::Site(*site));
+                let at = (!*heap).then_some((self.top.base, StackKey::Site(*site)));
                 let p = Value::Ptr(m.alloc_box(zero, at, *size, Some(*site)));
                 self.store(m, *dst, p)?;
             }
@@ -880,6 +875,7 @@ mod tests {
             results: vec![(0, None, Some(0))],
             slot_names: (0..vars).map(|i| format!("v{i}")).collect(),
             code,
+            pending: vec![Box::from([])].into(),
         }
     }
 
@@ -1012,7 +1008,7 @@ mod tests {
                     args: Box::new([]),
                     dst: 1,
                     want: 1,
-                    pending: Box::new([]),
+                    pending: 0,
                 },
                 Instr::Deref {
                     dst: 0,

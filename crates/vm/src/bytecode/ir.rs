@@ -113,6 +113,9 @@ pub struct BFunc {
     pub slot_names: Arc<[String]>,
     /// The instruction stream. Always ends with [`Instr::Ret`].
     pub code: Vec<Instr>,
+    /// Per `Call`, the temporaries it leaves pending (the tree-walk's
+    /// pending operands), kept apart so an instruction stays 40 bytes.
+    pub pending: Arc<[Box<[u32]>]>,
 }
 
 /// The cell an address-taken parameter or result lives in: a heap
@@ -256,10 +259,9 @@ pub enum Instr {
         dst: u32,
         /// Expected result arity, or `u32::MAX` for "any, discarded".
         want: u32,
-        /// The temporaries holding operands evaluated before the call
-        /// and consumed after it: GC roots of the caller's frame while
-        /// the callee runs (the tree-walk's pending operands).
-        pending: Box<[u32]>,
+        /// Where [`BFunc::pending`] lists the temporaries that are GC
+        /// roots of the caller's frame while the callee runs.
+        pending: u32,
     },
     /// Record a deferred call of a user function.
     DeferFunc {

@@ -195,8 +195,7 @@ impl Vm<'_, '_> {
         results
     }
 
-    /// Parameter or result `var` of the frame at `base`, holding `value`:
-    /// in a cell when its address is taken.
+    /// Parameter or result `var` of the frame at `base`, holding `value`.
     fn frame_slot(&mut self, fid: FuncId, base: usize, var: VarId, value: Value) -> Slot {
         if !self.tw.addr_taken[fid].contains(&var) {
             return Slot::Plain(value);
