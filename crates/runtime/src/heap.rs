@@ -50,12 +50,6 @@ impl OwnerTag {
     pub fn serial(self) -> u64 {
         self.0.get() - 1
     }
-
-    /// The stamp with 0-based serial `serial` (below `u64::MAX`), for
-    /// storage the heap does not own (a VM frame's stack slots).
-    pub fn from_serial(serial: u64) -> Self {
-        OwnerTag(NonZeroU64::new(serial.wrapping_add(1)).expect("a serial below u64::MAX"))
-    }
 }
 
 /// GC state of 64 consecutive slots, one bit per slot in each word.
@@ -372,33 +366,8 @@ impl Heap {
     /// Objects carrying a remembered bit: the old objects the write
     /// barrier recorded since the last cycle (a minor mark's extra roots).
     pub fn remembered(&self) -> u64 {
-        self.remembered_objects().count() as u64
-    }
-
-    /// The remembered objects' handles, in ascending (span, slot) order.
-    pub fn remembered_objects(&self) -> impl Iterator<Item = (ObjAddr, OwnerTag)> + '_ {
-        self.slots_where(|w| w.remembered).map(|(addr, span)| {
-            let tag = span.holders[addr.slot as usize].tag();
-            (addr, tag.expect("remembered slots are allocated"))
-        })
-    }
-
-    /// The slots whose bit `bits` picks out of their span's words, each
-    /// with its span, in ascending (span, slot) order.
-    fn slots_where(
-        &self,
-        bits: impl Fn(&SlotWord) -> u64 + Copy,
-    ) -> impl Iterator<Item = (ObjAddr, &Mspan)> {
-        self.spans.iter().enumerate().flat_map(move |(i, span)| {
-            let words = span.words.iter().enumerate();
-            words.flat_map(move |(w, word)| {
-                let addr = move |slot| ObjAddr {
-                    span: SpanId(i as u32),
-                    slot,
-                };
-                slots_of(w, bits(word)).map(move |slot| (addr(slot), span))
-            })
-        })
+        let words = self.spans.iter().flat_map(|s| &s.words);
+        words.map(|w| w.remembered.count_ones() as u64).sum()
     }
 
     /// Takes `n` swept or freed objects of `slot_size` bytes, `young` of
@@ -804,8 +773,18 @@ impl Heap {
     /// size, in ascending (span, slot) order (the end-of-run accounting
     /// and tests).
     pub fn live_objects(&self) -> impl Iterator<Item = (ObjAddr, Category, u64)> + '_ {
-        let live = self.slots_where(|w| w.alloc);
-        live.map(|(addr, span)| (addr, span.cat(addr.slot), span.slot_size))
+        self.spans.iter().enumerate().flat_map(|(i, span)| {
+            let words = span.words.iter().enumerate();
+            words.flat_map(move |(w, word)| {
+                slots_of(w, word.alloc).map(move |slot| {
+                    let addr = ObjAddr {
+                        span: SpanId(i as u32),
+                        slot,
+                    };
+                    (addr, span.cat(slot), span.slot_size)
+                })
+            })
+        })
     }
 
     /// Checks the span-state invariants that hold between GC cycles.
@@ -1265,8 +1244,6 @@ mod tests {
             assert_eq!(h.remember(a, tag), Some(false), "{a:?}");
         }
         assert_eq!(h.remembered(), 2);
-        let listed: Vec<_> = h.remembered_objects().collect();
-        assert_eq!(listed, [old, reused], "the handles, in address order");
         // A free ends the bit.
         h.free_small(reused.0);
         assert_eq!(h.remembered(), 1);

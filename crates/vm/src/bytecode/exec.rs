@@ -14,18 +14,18 @@
 //! (operands evaluated before the call and consumed after it): the
 //! tree-walk's pending-operand stack, slot for slot.
 
-use std::borrow::Cow;
+use std::cell::Ref;
 
 use minigo_syntax::{BinOp, Builtin};
 
-use super::ir::{BFunc, Boxed, Const, Instr, Module, Src, SrcKind};
+use super::ir::{BFunc, Const, Instr, Module, Src, SrcKind};
 use crate::error::ExecError;
 use crate::machine::{
-    cap_of, check_index_base, expected_bool, int_of, itoa, reslice, value_eq, with_field, Dispatch,
-    Machine, Result, RunOutcome, Session, VmConfig,
+    cap_of, check_index_base, expected_bool, int_of, itoa, len_of, reslice, value_eq, with_field,
+    Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
 };
 use crate::mark::RootSink;
-use crate::value::{ObjId, SliceVal, StackKey, Value};
+use crate::value::{Cell, Obj, SliceVal, Value};
 
 /// Runs a lowered module's `main`.
 ///
@@ -46,10 +46,10 @@ pub fn run_module(module: &Module, cfg: VmConfig) -> Result<RunOutcome> {
 enum BSlot {
     Empty,
     Plain(Value),
-    Boxed(ObjId),
+    Boxed(Cell),
 }
 
-// A boxed slot is the handle of its cell.
+// A boxed slot is one pointer: the cell carries its own heap handle.
 const _: () = assert!(std::mem::size_of::<BSlot>() == 24);
 
 enum BDeferKind {
@@ -71,8 +71,6 @@ struct BFrame<'m> {
     /// While the frame waits on a call: the temporaries the call left
     /// pending (empty otherwise).
     pending: &'m [u32],
-    /// Where the frame's frame-owned slots start.
-    base: usize,
 }
 
 /// The bytecode engine: a lowered (optionally optimized) module and its
@@ -90,20 +88,14 @@ pub struct Bytecode<'m> {
     /// Retired frame-slot vectors, reused across calls so a call does
     /// not malloc (values were dropped when the owning frame popped).
     slot_pool: Vec<Vec<BSlot>>,
-    /// A struct literal's fields as `MakeStruct` reads them.
-    fields: Vec<Value>,
 }
 
-/// Parameter or result slot `slot` of the frame at `base`, holding
-/// `value`.
 #[inline]
-fn bslot(m: &mut Machine, base: usize, slot: u32, value: Value, boxed: Option<Boxed>) -> BSlot {
-    match boxed {
-        None => BSlot::Plain(value),
-        Some(b) => {
-            let at = (!b.heap).then_some((base, StackKey::Var(slot)));
-            BSlot::Boxed(m.frame_box(value, at, b.size))
-        }
+fn bslot(value: Value, boxed: bool) -> BSlot {
+    if boxed {
+        BSlot::Boxed(Obj::new(None, value))
+    } else {
+        BSlot::Plain(value)
     }
 }
 
@@ -121,16 +113,32 @@ fn jump_if(v: &Value, when: bool, pc: &mut usize, t: usize) -> Result<()> {
     }
 }
 
-/// A frame slot's value: a plain slot's lent in place, a boxed one's
-/// copied out of its cell (which lives in the machine's store).
-type Operand<'a> = Cow<'a, Value>;
+/// A frame slot's value lent in place: a plain slot's `&Value`, or the
+/// open `Ref` of a boxed one (which must drop before a store to the same
+/// slot re-borrows the cell mutably).
+enum Operand<'a> {
+    Plain(&'a Value),
+    Boxed(Ref<'a, Value>),
+}
+
+impl std::ops::Deref for Operand<'_> {
+    type Target = Value;
+
+    #[inline(always)]
+    fn deref(&self) -> &Value {
+        match self {
+            Operand::Plain(v) => v,
+            Operand::Boxed(r) => r,
+        }
+    }
+}
 
 /// Lends slot `s` of `frame`. A free function so the loan leaves the
 /// rest of the engine free to be mutated (the [`Machine`] is a separate
 /// struct for the same reason). The error construction is kept out of
 /// line so the hot path inlines.
 #[inline(always)]
-fn lend<'a>(frame: &'a BFrame, m: &Machine, f: &BFunc, s: u32) -> Result<Operand<'a>> {
+fn lend<'a>(frame: &'a BFrame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
     #[cold]
     fn undeclared(f: &BFunc, s: u32) -> ExecError {
         ExecError::Internal(format!(
@@ -139,15 +147,15 @@ fn lend<'a>(frame: &'a BFrame, m: &Machine, f: &BFunc, s: u32) -> Result<Operand
         ))
     }
     match &frame.slots[s as usize] {
-        BSlot::Plain(v) => Ok(Cow::Borrowed(v)),
-        BSlot::Boxed(cell) => Ok(Cow::Owned(m.cell(*cell))),
+        BSlot::Plain(v) => Ok(Operand::Plain(v)),
+        BSlot::Boxed(cell) => Ok(Operand::Boxed(cell.borrow())),
         BSlot::Empty => Err(undeclared(f, s)),
     }
 }
 
 /// Stores `v` to slot `s` of `frame` (through its cell when boxed).
 #[inline(always)]
-fn store_in(frame: &mut BFrame, m: &mut Machine, s: u32, v: Value) -> Result<()> {
+fn store_in(frame: &mut BFrame, s: u32, v: Value) -> Result<()> {
     let slot = &mut frame.slots[s as usize];
     // An int over an int, the hot case, in place: no drop to run.
     if let (BSlot::Plain(Value::Int(d)), Value::Int(n)) = (&mut *slot, &v) {
@@ -156,7 +164,7 @@ fn store_in(frame: &mut BFrame, m: &mut Machine, s: u32, v: Value) -> Result<()>
     }
     match slot {
         BSlot::Plain(p) => *p = v,
-        BSlot::Boxed(cell) => m.set_cell(*cell, v),
+        BSlot::Boxed(cell) => *cell.borrow_mut() = v,
         BSlot::Empty => Err(ExecError::Internal("write to undeclared variable".into()))?,
     }
     Ok(())
@@ -164,8 +172,8 @@ fn store_in(frame: &mut BFrame, m: &mut Machine, s: u32, v: Value) -> Result<()>
 
 /// [`lend`], poison-checked: the tree-walk's variable read.
 #[inline(always)]
-fn checked<'a>(frame: &'a BFrame, m: &Machine, f: &BFunc, s: u32) -> Result<Operand<'a>> {
-    let v = lend(frame, m, f, s)?;
+fn checked<'a>(frame: &'a BFrame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
+    let v = lend(frame, f, s)?;
     if matches!(*v, Value::Poison) {
         return Err(ExecError::PoisonedRead);
     }
@@ -235,7 +243,6 @@ impl<'m> Bytecode<'m> {
             top: BFrame::default(),
             frames: Vec::new(),
             slot_pool: Vec::new(),
-            fields: Vec::new(),
         }
     }
 
@@ -251,23 +258,20 @@ impl<'m> Bytecode<'m> {
         slots
     }
 
-    /// Returns a frame's slot vector to the pool (its values drop here)
-    /// and releases its frame-owned slots.
-    fn recycle(&mut self, m: &mut Machine, mut slots: Vec<BSlot>, base: usize) {
+    /// Returns a slot vector to the pool (its values drop here).
+    fn recycle(&mut self, mut slots: Vec<BSlot>) {
         slots.clear();
         self.slot_pool.push(slots);
-        m.release_frame(base);
     }
 
-    /// A frame for `fid` with `args` in its parameter slots, and where
-    /// its frame-owned slots start.
-    fn frame_of(&mut self, m: &mut Machine, fid: usize, args: Vec<Value>) -> (Vec<BSlot>, usize) {
+    /// A frame for `fid` with `args` in its parameter slots.
+    fn frame_of(&mut self, fid: usize, args: Vec<Value>) -> Vec<BSlot> {
         let f = &self.module.funcs[fid];
-        let (mut slots, base) = (self.fresh_slots(f), m.frame_base());
+        let mut slots = self.fresh_slots(f);
         for (&(slot, boxed), arg) in f.params.iter().zip(args) {
-            slots[slot as usize] = bslot(m, base, slot, arg, boxed);
+            slots[slot as usize] = bslot(arg, boxed);
         }
-        (slots, base)
+        slots
     }
 
     /// The call protocol, once the callee's parameters are in `slots`:
@@ -279,29 +283,27 @@ impl<'m> Bytecode<'m> {
         &mut self,
         m: &mut Machine,
         fid: usize,
-        (mut slots, base): (Vec<BSlot>, usize),
+        mut slots: Vec<BSlot>,
         into: Option<(u32, u32)>,
     ) -> Result<Vec<Value>> {
         let module = self.module;
         let f = &module.funcs[fid];
         if let Err(e) = m.check_depth(self.frames.len()) {
-            self.recycle(m, slots, base);
+            self.recycle(slots);
             return Err(e);
         }
         for &(slot, boxed, zero) in &f.results {
             let Some(zero) = zero else {
-                self.recycle(m, slots, base);
+                self.recycle(slots);
                 return Err(ExecError::Internal("untyped result".into()));
             };
-            let zero = self.consts[zero as usize].clone();
-            slots[slot as usize] = bslot(m, base, slot, zero, boxed);
+            slots[slot as usize] = bslot(self.consts[zero as usize].clone(), boxed);
         }
         let callee = BFrame {
             slots,
             vars: f.slot_names.len(),
             defers: Vec::new(),
             pending: &[],
-            base,
         };
         let caller = std::mem::replace(&mut self.top, callee);
         self.frames.push(caller);
@@ -316,11 +318,11 @@ impl<'m> Bytecode<'m> {
             let mut out = Vec::new();
             let arity = into.is_none_or(|(_, want)| f.results.len() == want as usize);
             for (k, &(slot, _, _)) in (0..).zip(&f.results) {
-                let v = checked(&self.top, m, f, slot)?.into_owned();
+                let v = checked(&self.top, f, slot)?.clone();
                 match (into, arity) {
                     (Some((dst, _)), true) => {
                         let caller = self.frames.last_mut().expect("pushed above");
-                        store_in(caller, m, dst + k, v)?;
+                        store_in(caller, dst + k, v)?;
                     }
                     (None, _) => out.push(v),
                     _ => {}
@@ -334,7 +336,7 @@ impl<'m> Bytecode<'m> {
         m.leave_stack(parent_stack);
         let caller = self.frames.pop().expect("pushed above");
         let callee = std::mem::replace(&mut self.top, caller);
-        self.recycle(m, callee.slots, callee.base);
+        self.recycle(callee.slots);
         results
     }
 
@@ -348,8 +350,8 @@ impl<'m> Bytecode<'m> {
                     // The arguments become the callee's parameters; its
                     // results are read and poison-checked like any
                     // call's, then discarded.
-                    let frame = self.frame_of(m, fid, d.args);
-                    self.invoke(m, fid, frame, None)?;
+                    let slots = self.frame_of(fid, d.args);
+                    self.invoke(m, fid, slots, None)?;
                 }
                 BDeferKind::Builtin(Builtin::Print) => m.print(&d.args),
                 BDeferKind::Builtin(_) => {}
@@ -365,9 +367,9 @@ impl<'m> Bytecode<'m> {
     fn src(&self, m: &mut Machine, f: &BFunc, s: Src) -> Result<Operand<'_>> {
         m.tick(u64::from(s.ticks));
         match s.kind {
-            SrcKind::Var => checked(&self.top, m, f, s.at),
-            SrcKind::Tmp => lend(&self.top, m, f, s.at),
-            SrcKind::K => Ok(Cow::Borrowed(&self.consts[s.at as usize])),
+            SrcKind::Var => checked(&self.top, f, s.at),
+            SrcKind::Tmp => lend(&self.top, f, s.at),
+            SrcKind::K => Ok(Operand::Plain(&self.consts[s.at as usize])),
         }
     }
 
@@ -419,8 +421,8 @@ impl<'m> Bytecode<'m> {
 
     /// Stores `v` to slot `s` of the running frame.
     #[inline(always)]
-    fn store(&mut self, m: &mut Machine, s: u32, v: Value) -> Result<()> {
-        store_in(&mut self.top, m, s, v)
+    fn store(&mut self, s: u32, v: Value) -> Result<()> {
+        store_in(&mut self.top, s, v)
     }
 
     fn defer(&mut self, kind: BDeferKind, args: Vec<Value>) {
@@ -481,34 +483,34 @@ impl<'m> Bytecode<'m> {
                     pending,
                 } => {
                     let callee = &module.funcs[*fid as usize];
-                    let (mut slots, base) = (self.fresh_slots(callee), m.frame_base());
+                    let mut slots = self.fresh_slots(callee);
                     for (i, &a) in args.iter().enumerate() {
                         let v = match self.value(m, f, a) {
                             Ok(v) => v,
                             Err(e) => {
-                                self.recycle(m, slots, base);
+                                self.recycle(slots);
                                 return Err(e);
                             }
                         };
                         if let Some(&(slot, boxed)) = callee.params.get(i) {
-                            slots[slot as usize] = bslot(m, base, slot, v, boxed);
+                            slots[slot as usize] = bslot(v, boxed);
                         }
                     }
                     m.tick(if *want == 1 { 3 } else { 2 });
                     let into = (*want != u32::MAX).then_some((*dst, *want));
-                    self.top.pending = &f.pending[*pending as usize];
-                    let done = self.invoke(m, *fid as usize, (slots, base), into);
+                    self.top.pending = pending;
+                    let done = self.invoke(m, *fid as usize, slots, into);
                     self.top.pending = &[];
                     done?;
                 }
                 Instr::Move { dst, src } => {
                     if let Some(n) = self.int(*src) {
                         m.tick(read_ticks(&[*src]));
-                        self.store(m, *dst, Value::Int(n))?;
+                        self.store(*dst, Value::Int(n))?;
                         continue;
                     }
                     let v = self.value(m, f, *src)?;
-                    self.store(m, *dst, v)?;
+                    self.store(*dst, v)?;
                 }
                 Instr::Declare {
                     slot,
@@ -519,8 +521,7 @@ impl<'m> Bytecode<'m> {
                 } => {
                     let v = self.value(m, f, *src)?;
                     let new_slot = if *boxed {
-                        let at = (!*heap).then_some((self.top.base, StackKey::Var(*slot)));
-                        BSlot::Boxed(m.alloc_box(v, at, *size, None))
+                        BSlot::Boxed(m.alloc_box(v, *heap, *size, None))
                     } else {
                         BSlot::Plain(v)
                     };
@@ -536,12 +537,12 @@ impl<'m> Bytecode<'m> {
                     if let Some((x, y)) = self.ints(*a, *b) {
                         if let Some(n) = arith(*op, x, y) {
                             m.tick(read_ticks(&[*a, *b]) + u64::from(*ticks));
-                            self.store(m, *dst, Value::Int(n))?;
+                            self.store(*dst, Value::Int(n))?;
                             continue;
                         }
                         if let Some(c) = cmp(*op, x, y) {
                             m.tick(read_ticks(&[*a, *b]) + u64::from(*ticks));
-                            self.store(m, *dst, Value::Bool(c))?;
+                            self.store(*dst, Value::Bool(c))?;
                             continue;
                         }
                     }
@@ -551,7 +552,7 @@ impl<'m> Bytecode<'m> {
                         m.tick(u64::from(*ticks));
                         m.binop(*op, &l, &r)?
                     };
-                    self.store(m, *dst, v)?;
+                    self.store(*dst, v)?;
                 }
                 Instr::GetField {
                     dst,
@@ -564,7 +565,7 @@ impl<'m> Bytecode<'m> {
                         m.tick(1);
                         m.get_field(&b, *idx as usize, *through_ptr)?
                     };
-                    self.store(m, *dst, v)?;
+                    self.store(*dst, v)?;
                 }
                 Instr::CheckIndexBase(s) => check_index_base(&*self.src(m, f, *s)?)?,
                 Instr::IndexGet { dst, base, idx } => {
@@ -578,7 +579,7 @@ impl<'m> Bytecode<'m> {
                         m.tick(1);
                         m.index_get(&b, &i)?
                     };
-                    self.store(m, *dst, v)?;
+                    self.store(*dst, v)?;
                 }
                 Instr::IndexSet { val, base, idx } => {
                     let v = self.value(m, f, *val)?;
@@ -596,15 +597,15 @@ impl<'m> Bytecode<'m> {
                     if let Some(s) = self.slice(*src) {
                         let n = s.len as i64;
                         m.tick(read_ticks(&[*src]) + 1);
-                        self.store(m, *dst, Value::Int(n))?;
+                        self.store(*dst, Value::Int(n))?;
                         continue;
                     }
                     let v = {
                         let v = self.src(m, f, *src)?;
                         m.tick(1);
-                        m.len_of(&v)?
+                        len_of(&v)?
                     };
-                    self.store(m, *dst, v)?;
+                    self.store(*dst, v)?;
                 }
                 _ => self.step(m, f, instr)?,
             }
@@ -627,7 +628,7 @@ impl<'m> Bytecode<'m> {
             Instr::Neg { dst, src } => {
                 let v = int_of(&*self.src(m, f, *src)?)?;
                 m.tick(1);
-                self.store(m, *dst, Value::Int(v.wrapping_neg()))?;
+                self.store(*dst, Value::Int(v.wrapping_neg()))?;
             }
             Instr::Not { dst, src } => {
                 let v = match *self.src(m, f, *src)? {
@@ -635,12 +636,12 @@ impl<'m> Bytecode<'m> {
                     ref other => return Err(expected_bool(other)),
                 };
                 m.tick(1);
-                self.store(m, *dst, Value::Bool(v))?;
+                self.store(*dst, Value::Bool(v))?;
             }
             Instr::AddrOfSlot { dst, slot } => {
                 m.tick(1);
                 let p = match &self.top.slots[*slot as usize] {
-                    BSlot::Boxed(cell) => Value::Ptr(*cell),
+                    BSlot::Boxed(cell) => Value::Ptr(cell.clone()),
                     BSlot::Plain(_) => {
                         return Err(ExecError::Internal(format!(
                             "address taken of unboxed variable {}",
@@ -649,7 +650,7 @@ impl<'m> Bytecode<'m> {
                     }
                     BSlot::Empty => return Err(ExecError::Internal("variable not found".into())),
                 };
-                self.store(m, *dst, p)?;
+                self.store(*dst, p)?;
             }
             Instr::AllocBox {
                 dst,
@@ -660,15 +661,14 @@ impl<'m> Bytecode<'m> {
             } => {
                 let v = self.value(m, f, *src)?;
                 m.tick(1);
-                let at = (!*heap).then_some((self.top.base, StackKey::Site(*site)));
-                let p = Value::Ptr(m.alloc_box(v, at, *size, Some(*site)));
-                self.store(m, *dst, p)?;
+                let p = Value::Ptr(m.alloc_box(v, *heap, *size, Some(*site)));
+                self.store(*dst, p)?;
             }
             Instr::Deref { dst, ptr } => {
                 let p = self.value(m, f, *ptr)?;
                 m.tick(1);
                 let v = m.deref(&p)?;
-                self.store(m, *dst, v)?;
+                self.store(*dst, v)?;
             }
             Instr::DerefSet { val, ptr } => {
                 let v = self.value(m, f, *val)?;
@@ -683,7 +683,7 @@ impl<'m> Bytecode<'m> {
             } => {
                 let v = self.value(m, f, *val)?;
                 let b = self.value(m, f, *base)?;
-                self.store(m, *dst, with_field(b, *idx as usize, v)?)?;
+                self.store(*dst, with_field(b, *idx as usize, v)?)?;
             }
             Instr::FieldSetPtr { val, ptr, idx } => {
                 let v = self.value(m, f, *val)?;
@@ -701,7 +701,7 @@ impl<'m> Bytecode<'m> {
                     m.tick(1);
                     reslice(&b, lo, hi)?
                 };
-                self.store(m, *dst, v)?;
+                self.store(*dst, v)?;
             }
             Instr::MakeSlice {
                 dst,
@@ -719,9 +719,8 @@ impl<'m> Bytecode<'m> {
                 };
                 m.tick(1);
                 let zero = self.consts[*zero as usize].clone();
-                let at = (!*heap).then_some((self.top.base, StackKey::Site(*site)));
-                let v = m.make_slice(len, cap, *elem_size, zero, at, *site)?;
-                self.store(m, *dst, v)?;
+                let v = m.make_slice(len, cap, *elem_size, zero, *heap, *site)?;
+                self.store(*dst, v)?;
             }
             Instr::MakeMap {
                 dst,
@@ -732,9 +731,8 @@ impl<'m> Bytecode<'m> {
             } => {
                 m.tick(1);
                 let default = self.consts[*default as usize].clone();
-                let at = (!*heap).then_some((self.top.base, StackKey::Site(*site)));
-                let v = m.make_map(default, *entry_size, at, *site);
-                self.store(m, *dst, v)?;
+                let v = m.make_map(default, *entry_size, *heap, *site);
+                self.store(*dst, v)?;
             }
             Instr::NewPtr {
                 dst,
@@ -745,9 +743,8 @@ impl<'m> Bytecode<'m> {
             } => {
                 m.tick(1);
                 let zero = self.consts[*zero as usize].clone();
-                let at = (!*heap).then_some((self.top.base, StackKey::Site(*site)));
-                let p = Value::Ptr(m.alloc_box(zero, at, *size, Some(*site)));
-                self.store(m, *dst, p)?;
+                let p = Value::Ptr(m.alloc_box(zero, *heap, *size, Some(*site)));
+                self.store(*dst, p)?;
             }
             Instr::Append {
                 dst,
@@ -760,21 +757,12 @@ impl<'m> Bytecode<'m> {
                 let item = self.value(m, f, *item)?;
                 m.tick(1);
                 let out = m.append(sv, item, *elem_size, *site)?;
-                self.store(m, *dst, out)?;
+                self.store(*dst, out)?;
             }
             Instr::MakeStruct { dst, fields } => {
-                // The fields are read into a recycled vector, so the
-                // struct is one allocation.
-                let mut read = std::mem::take(&mut self.fields);
-                let done = fields
-                    .iter()
-                    .try_for_each(|&s| self.value(m, f, s).map(|v| read.push(v)));
-                let v = done.map(|()| Value::struct_of(read.drain(..)));
-                read.clear();
-                self.fields = read;
-                let v = v?;
+                let v = Value::try_struct(fields.len(), |i| self.value(m, f, fields[i]))?;
                 m.tick(1);
-                self.store(m, *dst, v)?;
+                self.store(*dst, v)?;
             }
             Instr::Cap { dst, src } => {
                 let v = {
@@ -782,7 +770,7 @@ impl<'m> Bytecode<'m> {
                     m.tick(1);
                     cap_of(&v)?
                 };
-                self.store(m, *dst, v)?;
+                self.store(*dst, v)?;
             }
             Instr::MapDelete { dst, map, key } => {
                 {
@@ -791,23 +779,23 @@ impl<'m> Bytecode<'m> {
                     m.tick(1);
                     m.map_delete(&mv, &kv)?;
                 }
-                self.store(m, *dst, Value::Int(0))?;
+                self.store(*dst, Value::Int(0))?;
             }
             Instr::Panic(s) => {
                 let v = self.src(m, f, *s)?;
                 m.tick(1);
-                return Err(ExecError::Panic(m.display(&v)));
+                return Err(ExecError::Panic(v.display()));
             }
             Instr::Print { dst, args } => {
                 let args = self.values(m, f, args)?;
                 m.tick(1);
                 m.print(&args);
-                self.store(m, *dst, Value::Int(0))?;
+                self.store(*dst, Value::Int(0))?;
             }
             Instr::Itoa { dst, src } => {
                 let v = int_of(&*self.src(m, f, *src)?)?;
                 m.tick(1);
-                self.store(m, *dst, itoa(v))?;
+                self.store(*dst, itoa(v))?;
             }
             Instr::Tcfree { src, follows_free } => {
                 let v = self.value(m, f, *src)?;
@@ -834,8 +822,8 @@ impl Dispatch for Bytecode<'_> {
             .iter()
             .position(|f| f.name == name)
             .ok_or_else(|| ExecError::NoFunc(name.to_string()))?;
-        let frame = self.frame_of(m, fid, args);
-        self.invoke(m, fid, frame, None)
+        let slots = self.frame_of(fid, args);
+        self.invoke(m, fid, slots, None)
     }
 
     fn roots(&self, sink: &mut dyn RootSink) {
@@ -844,7 +832,7 @@ impl Dispatch for Bytecode<'_> {
                 match slot {
                     BSlot::Empty => {}
                     BSlot::Plain(v) => sink.value(v),
-                    BSlot::Boxed(cell) => sink.boxed(*cell),
+                    BSlot::Boxed(cell) => sink.boxed(cell),
                 }
             }
             for v in frame.defers.iter().flat_map(|d| &d.args) {
@@ -861,7 +849,7 @@ impl Dispatch for Bytecode<'_> {
 
 #[cfg(test)]
 mod tests {
-    use minigo_runtime::{PoisonMode, RuntimeConfig, ViolationKind};
+    use minigo_runtime::{PoisonMode, RuntimeConfig};
 
     use super::*;
 
@@ -872,10 +860,9 @@ mod tests {
             name: name.into(),
             nslots: vars + 1,
             params: Vec::new(),
-            results: vec![(0, None, Some(0))],
+            results: vec![(0, false, Some(0))],
             slot_names: (0..vars).map(|i| format!("v{i}")).collect(),
             code,
-            pending: vec![Box::from([])].into(),
         }
     }
 
@@ -973,85 +960,6 @@ mod tests {
             .map(|id| trace.stacks.folded(id))
             .collect();
         assert_eq!(stacks, ["(root)", "bad", "good"]);
-    }
-
-    /// A stack placement that outlives its frame: `leak` keeps a
-    /// variable in a frame-owned cell (the escape analysis' stack
-    /// verdict, forced) and returns its address, which `read`
-    /// dereferences after `leak` returned. No typed program gets here
-    /// unless the analysis is wrong, hence the hand-written module. The
-    /// read sees poison either way; under the sanitizer it is also a
-    /// use-after-return, and nothing else differs.
-    #[test]
-    fn a_stack_cell_read_after_its_frame_returned_is_a_use_after_return() {
-        let leak = func(
-            "leak",
-            2,
-            vec![
-                Instr::Declare {
-                    slot: 1,
-                    src: Src::k(1, 1),
-                    boxed: true,
-                    heap: false,
-                    size: 8,
-                },
-                Instr::AddrOfSlot { dst: 0, slot: 1 },
-                Instr::Ret,
-            ],
-        );
-        let read = func(
-            "read",
-            1,
-            vec![
-                Instr::Call {
-                    fid: 0,
-                    args: Box::new([]),
-                    dst: 1,
-                    want: 1,
-                    pending: 0,
-                },
-                Instr::Deref {
-                    dst: 0,
-                    ptr: Src::tmp(1),
-                },
-                Instr::Ret,
-            ],
-        );
-        let module = Module {
-            funcs: vec![leak, read],
-            consts: vec![Const::Nil, Const::Int(7)],
-        };
-        let run = |sanitize| {
-            let cfg = VmConfig {
-                sanitize,
-                ..VmConfig::default()
-            };
-            let mut s = Session::new(Bytecode::new(&module), cfg).expect("valid config");
-            assert_eq!(
-                s.call("read", Vec::new()).err(),
-                Some(ExecError::PoisonedRead)
-            );
-            s.finish()
-        };
-        let (plain, sanitized) = (run(false), run(true));
-        let found: Vec<_> = sanitized
-            .violations
-            .iter()
-            .map(|v| (v.kind, v.op))
-            .collect();
-        assert_eq!(
-            found,
-            [(ViolationKind::UseAfterReturn, "pointer deref read")]
-        );
-        assert!(plain.violations.is_empty());
-        assert_eq!(
-            (plain.time, plain.steps, plain.metrics.stack_allocs),
-            (
-                sanitized.time,
-                sanitized.steps,
-                sanitized.metrics.stack_allocs
-            )
-        );
     }
 
     /// The int lane of `Bin` computes on `i64`s but stores like `Move`:

@@ -99,35 +99,20 @@ pub struct BFunc {
     /// Number of frame slots: the variables (parameters + results +
     /// locals), then the temporaries lowering numbered above them.
     pub nslots: u32,
-    /// Parameter slots in declaration order, with their box when the
-    /// variable is address-taken.
-    pub params: Vec<(u32, Option<Boxed>)>,
-    /// Result slots in declaration order: slot, box, and the
+    /// Parameter slots in declaration order, with their boxed-ness
+    /// (address-taken variables live in shared cells).
+    pub params: Vec<(u32, bool)>,
+    /// Result slots in declaration order: slot, boxed-ness, and the
     /// constant-pool index of the zero value they start as. `None` when
     /// the front end left the result untyped (calling such a function is
     /// a runtime error, exactly as in the tree-walk).
-    pub results: Vec<(u32, Option<Boxed>, Option<u32>)>,
+    pub results: Vec<(u32, bool, Option<u32>)>,
     /// Variable names, for error messages. There is one per variable
     /// slot; every slot from `slot_names.len()` up is a temporary. The
     /// optimized module shares the lowered one's names.
     pub slot_names: Arc<[String]>,
     /// The instruction stream. Always ends with [`Instr::Ret`].
     pub code: Vec<Instr>,
-    /// Per `Call`, the temporaries it leaves pending (the tree-walk's
-    /// pending operands), kept apart so an instruction stays 40 bytes.
-    pub pending: Arc<[Box<[u32]>]>,
-}
-
-/// The cell an address-taken parameter or result lives in: a heap
-/// object of `size` bytes when the escape analysis says its address
-/// escapes (as a declared variable's box would be), else a frame-owned
-/// slot, uncounted like the frame itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Boxed {
-    /// The address escapes: the cell is a heap object.
-    pub heap: bool,
-    /// Bytes the heap object is accounted at.
-    pub size: u64,
 }
 
 /// An instruction operand, read the way the tree-walk evaluates the
@@ -259,9 +244,10 @@ pub enum Instr {
         dst: u32,
         /// Expected result arity, or `u32::MAX` for "any, discarded".
         want: u32,
-        /// Where [`BFunc::pending`] lists the temporaries that are GC
-        /// roots of the caller's frame while the callee runs.
-        pending: u32,
+        /// The temporaries holding operands evaluated before the call
+        /// and consumed after it: GC roots of the caller's frame while
+        /// the callee runs (the tree-walk's pending operands).
+        pending: Box<[u32]>,
     },
     /// Record a deferred call of a user function.
     DeferFunc {

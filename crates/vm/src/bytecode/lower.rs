@@ -34,7 +34,7 @@ use minigo_syntax::{
     TypeInfo, UnOp, VarId,
 };
 
-use super::ir::{BFunc, Boxed, Const, Instr, Module, Src, SrcKind};
+use super::ir::{BFunc, Const, Instr, Module, Src, SrcKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::interp::addr_taken_vars;
 
@@ -132,31 +132,23 @@ fn lower_func(
         next_temp: nvars,
         nslots: nvars,
         held: Vec::new(),
-        pending: Vec::new(),
     };
     lo.lower_block(&func.body);
     lo.code.push(Instr::Ret);
     lo.apply_patches();
 
-    let boxed = |v: VarId| {
-        lo.addr_taken.contains(&v).then(|| Boxed {
-            heap: boxed_on_heap(analysis, func.id, v),
-            size: var_size(types, v),
-        })
-    };
     let params = res
         .params_of(func.id)
         .iter()
-        .map(|&v| (lo.slot(v), boxed(v)))
+        .map(|&v| (lo.slot(v), lo.addr_taken.contains(&v)))
         .collect();
-    let results: Vec<_> = res
+    let results = res
         .results_of(func.id)
         .iter()
-        .map(|&v| (lo.slot(v), boxed(v), types.var(v)))
-        .collect();
-    let results = results
-        .into_iter()
-        .map(|(slot, boxed, ty)| (slot, boxed, ty.map(|t| lo.consts.add(zero_value(t, types)))))
+        .map(|&v| {
+            let zero = types.var(v).map(|t| lo.consts.add(zero_value(t, types)));
+            (lo.slot(v), lo.addr_taken.contains(&v), zero)
+        })
         .collect();
     let code = std::mem::take(&mut lo.code);
     BFunc {
@@ -166,7 +158,6 @@ fn lower_func(
         results,
         slot_names,
         code,
-        pending: std::mem::take(&mut lo.pending).into(),
     }
 }
 
@@ -218,8 +209,6 @@ struct FnLowerer<'a> {
     /// lowered, for the instruction that consumes them: what a `Call`
     /// lowered now leaves pending across the callee.
     held: Vec<u32>,
-    /// Each `Call`'s copy of `held`, in emission order.
-    pending: Vec<Box<[u32]>>,
 }
 
 impl<'a> FnLowerer<'a> {
@@ -379,8 +368,8 @@ impl<'a> FnLowerer<'a> {
         if let Some(v) = val.as_deref_mut() {
             *v = self.before(*v, base);
         }
-        let held = val.as_deref().map_or(&[][..], std::slice::from_ref);
-        let mut b = self.holding(held, |lo| lo.lower_expr(base));
+        let held: Vec<Src> = val.as_deref().copied().into_iter().collect();
+        let mut b = self.holding(&held, |lo| lo.lower_expr(base));
         if !self.is_leaf(index) {
             if let Some(v) = val.as_deref_mut() {
                 *v = self.settle(*v);
@@ -389,11 +378,8 @@ impl<'a> FnLowerer<'a> {
             // The tree-walk checks the base before it evaluates the index.
             self.emit(Instr::CheckIndexBase(b));
         }
-        let idx = match val.as_deref() {
-            Some(&v) => self.holding(&[v, b], |lo| lo.lower_expr(index)),
-            None => self.holding(&[b], |lo| lo.lower_expr(index)),
-        };
-        (b, idx)
+        let held: Vec<Src> = val.as_deref().copied().into_iter().chain([b]).collect();
+        (b, self.holding(&held, |lo| lo.lower_expr(index)))
     }
 
     // ---- statements ----
@@ -724,8 +710,7 @@ impl<'a> FnLowerer<'a> {
             return;
         };
         let args = self.operands(args);
-        let pending = self.pending.len() as u32;
-        self.pending.push(self.held.as_slice().into());
+        let pending = self.held.as_slice().into();
         self.emit(Instr::Call {
             fid: fid.index() as u32,
             args,

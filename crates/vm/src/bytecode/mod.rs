@@ -17,7 +17,7 @@ pub(crate) mod lower;
 mod opt;
 
 pub use exec::{run_module, Bytecode};
-pub use ir::{BFunc, Boxed, Const, Instr, Module, Src, SrcKind};
+pub use ir::{BFunc, Const, Instr, Module, Src, SrcKind};
 pub use lower::lower;
 pub use opt::{optimize, OptStats};
 

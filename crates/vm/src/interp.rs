@@ -22,11 +22,11 @@ use crate::bytecode::lower::{boxed_on_heap, field_target, var_size, zero_value};
 use crate::error::ExecError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::machine::{
-    cap_of, check_index_base, check_poison, expected_bool, int_of, itoa, reslice, value_eq,
-    with_field, Dispatch, Machine, Place, Result, RunOutcome, Session, VmConfig,
+    cap_of, check_index_base, check_poison, expected_bool, int_of, itoa, len_of, reslice, value_eq,
+    with_field, Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
 };
 use crate::mark::RootSink;
-use crate::value::{ObjId, StackKey, Value};
+use crate::value::{Cell, Obj, Value};
 
 /// Runs `program`'s `main` function on the tree-walk.
 ///
@@ -55,7 +55,7 @@ enum Flow {
 
 enum Slot {
     Plain(Value),
-    Boxed(ObjId),
+    Boxed(Cell),
 }
 
 enum DeferKind {
@@ -72,8 +72,6 @@ struct Frame {
     func: FuncId,
     slots: FxHashMap<VarId, Slot>,
     defers: Vec<Deferred>,
-    /// Where the frame's frame-owned slots start.
-    base: usize,
 }
 
 /// The tree-walk engine: a checked program and its frame stack.
@@ -131,7 +129,7 @@ impl Dispatch for TreeWalk<'_> {
             for slot in frame.slots.values() {
                 match slot {
                     Slot::Plain(v) => sink.value(v),
-                    Slot::Boxed(cell) => sink.boxed(*cell),
+                    Slot::Boxed(cell) => sink.boxed(cell),
                 }
             }
             for v in frame.defers.iter().flat_map(|d| &d.args) {
@@ -158,23 +156,21 @@ impl Vm<'_, '_> {
         let func = &self.tw.program.funcs[fid.index()];
         let (res, types) = (self.tw.res, self.tw.types);
         let mut slots = FxHashMap::default();
-        let base = self.m.frame_base();
+        let taken = &self.tw.addr_taken[fid];
         for (&pvar, arg) in res.params_of(fid).iter().zip(args) {
-            slots.insert(pvar, self.frame_slot(fid, base, pvar, arg));
+            slots.insert(pvar, make_slot(arg, taken.contains(&pvar)));
         }
         for &rvar in res.results_of(fid) {
-            let Some(ty) = types.var(rvar) else {
-                self.m.release_frame(base);
-                return Err(ExecError::Internal("untyped result".into()));
-            };
+            let ty = types
+                .var(rvar)
+                .ok_or_else(|| ExecError::Internal("untyped result".into()))?;
             let zero = zero_value(ty, types).to_value();
-            slots.insert(rvar, self.frame_slot(fid, base, rvar, zero));
+            slots.insert(rvar, make_slot(zero, taken.contains(&rvar)));
         }
         self.tw.frames.push(Frame {
             func: fid,
             slots,
             defers: Vec::new(),
-            base,
         });
         let parent_stack = self.m.enter_stack(&func.name);
 
@@ -191,24 +187,7 @@ impl Vm<'_, '_> {
         });
         self.m.leave_stack(parent_stack);
         self.tw.frames.pop();
-        self.m.release_frame(base);
         results
-    }
-
-    /// Parameter or result `var` of the frame at `base`, holding `value`.
-    fn frame_slot(&mut self, fid: FuncId, base: usize, var: VarId, value: Value) -> Slot {
-        if !self.tw.addr_taken[fid].contains(&var) {
-            return Slot::Plain(value);
-        }
-        let heap = boxed_on_heap(self.tw.analysis, fid, var);
-        let at = (!heap).then_some((base, StackKey::Var(var.0)));
-        Slot::Boxed(self.m.frame_box(value, at, var_size(self.tw.types, var)))
-    }
-
-    /// Where an allocation at `key` in the running frame goes.
-    fn place(&self, heap: bool, key: StackKey) -> Place {
-        let base = self.tw.frames.last().expect("in a frame").base;
-        (!heap).then_some((base, key))
     }
 
     fn run_defers(&mut self) -> Result<()> {
@@ -233,11 +212,8 @@ impl Vm<'_, '_> {
         let fid = self.tw.frames.last().expect("in a frame").func;
         let slot = if self.tw.addr_taken[fid].contains(&var) {
             let heap = boxed_on_heap(self.tw.analysis, fid, var);
-            let (at, size) = (
-                self.place(heap, StackKey::Var(var.0)),
-                var_size(self.tw.types, var),
-            );
-            Slot::Boxed(self.m.alloc_box(value, at, size, None))
+            let size = var_size(self.tw.types, var);
+            Slot::Boxed(self.m.alloc_box(value, heap, size, None))
         } else {
             Slot::Plain(value)
         };
@@ -254,7 +230,7 @@ impl Vm<'_, '_> {
             if let Some(slot) = frame.slots.get(&var) {
                 let v = match slot {
                     Slot::Plain(v) => v.clone(),
-                    Slot::Boxed(cell) => self.m.cell(*cell),
+                    Slot::Boxed(cell) => cell.borrow().clone(),
                 };
                 return check_poison(v);
             }
@@ -270,7 +246,7 @@ impl Vm<'_, '_> {
             if let Some(slot) = frame.slots.get_mut(&var) {
                 match slot {
                     Slot::Plain(v) => *v = value,
-                    Slot::Boxed(cell) => self.m.set_cell(*cell, value),
+                    Slot::Boxed(cell) => *cell.borrow_mut() = value,
                 }
                 return Ok(());
             }
@@ -278,10 +254,8 @@ impl Vm<'_, '_> {
         Err(ExecError::Internal("write to undeclared variable".into()))
     }
 
-    /// Where allocation site `e` puts its object in the running frame.
-    fn place_of(&self, e: &Expr) -> Place {
-        let heap = self.tw.analysis.place_of(e.id) == AllocPlace::Heap;
-        self.place(heap, StackKey::Site(e.id))
+    fn on_heap(&self, e: &Expr) -> bool {
+        self.tw.analysis.place_of(e.id) == AllocPlace::Heap
     }
 
     // ---- pending operands ----
@@ -296,6 +270,16 @@ impl Vm<'_, '_> {
         let out = eval(self);
         let v = self.tw.pending.pop().expect("pushed above");
         Ok((v, out?))
+    }
+
+    /// Evaluates `e` with `v` pending ([`Vm::holding`]); a leaf makes
+    /// no call, so nothing can collect while it is read.
+    fn eval_holding(&mut self, v: Value, e: &Expr) -> Result<(Value, Value)> {
+        use ExprKind::{BoolLit, Ident, IntLit, Nil, StrLit};
+        if matches!(e.kind, IntLit(_) | BoolLit(_) | StrLit(_) | Nil | Ident(_)) {
+            return Ok((v, self.eval(e)?));
+        }
+        self.holding(v, |vm| vm.eval(e))
     }
 
     /// Evaluates `es` in order, each value pending until the last is
@@ -379,7 +363,7 @@ impl Vm<'_, '_> {
             StmtKind::Assign { lhs, op, rhs } => {
                 if let Some(op) = op {
                     let old = self.eval(&lhs[0])?;
-                    let (old, rv) = self.holding(old, |vm| vm.eval(&rhs[0]))?;
+                    let (old, rv) = self.eval_holding(old, &rhs[0])?;
                     let new = self.m.binop(*op, &old, &rv)?;
                     self.store(&lhs[0], new)?;
                     return Ok(Flow::Normal);
@@ -624,7 +608,7 @@ impl Vm<'_, '_> {
                 }
                 _ => {
                     let l = self.eval(lhs)?;
-                    let (l, r) = self.holding(l, |vm| vm.eval(rhs))?;
+                    let (l, r) = self.eval_holding(l, rhs)?;
                     self.m.tick(1);
                     self.m.binop(*op, &l, &r)
                 }
@@ -639,7 +623,7 @@ impl Vm<'_, '_> {
             ExprKind::Index { base, index } => {
                 let bv = self.eval(base)?;
                 check_index_base(&bv)?;
-                let (bv, iv) = self.holding(bv, |vm| vm.eval(index))?;
+                let (bv, iv) = self.eval_holding(bv, index)?;
                 self.m.tick(1);
                 self.m.index_get(&bv, &iv)
             }
@@ -689,7 +673,7 @@ impl Vm<'_, '_> {
                 for frame in self.tw.frames.iter().rev() {
                     if let Some(slot) = frame.slots.get(&var) {
                         return match slot {
-                            Slot::Boxed(cell) => Ok(Value::Ptr(*cell)),
+                            Slot::Boxed(cell) => Ok(Value::Ptr(cell.clone())),
                             Slot::Plain(_) => Err(ExecError::Internal(format!(
                                 "address taken of unboxed variable {}",
                                 self.tw.res.var(var).name
@@ -704,8 +688,14 @@ impl Vm<'_, '_> {
                 self.m.tick(1);
                 let types = self.tw.types;
                 let size = types.expr(operand.id).map(|t| types.inline_size(t));
-                let (at, size) = (self.place_of(operand), size.unwrap_or(8));
-                Ok(Value::Ptr(self.m.alloc_box(v, at, size, Some(operand.id))))
+                let heap = self.on_heap(operand);
+                let site = Some(operand.id);
+                Ok(Value::Ptr(self.m.alloc_box(
+                    v,
+                    heap,
+                    size.unwrap_or(8),
+                    site,
+                )))
             }
             ExprKind::Unary {
                 op: UnOp::Deref,
@@ -740,14 +730,14 @@ impl Vm<'_, '_> {
                     };
                     self.m.tick(1);
                     let zero = zero_value(elem, types).to_value();
-                    let (size, at) = (types.inline_size(elem), self.place_of(e));
-                    self.m.make_slice(len, cap, size, zero, at, e.id)
+                    let (elem_size, heap) = (types.inline_size(elem), self.on_heap(e));
+                    self.m.make_slice(len, cap, elem_size, zero, heap, e.id)
                 }
                 Type::Map(_, v) => {
                     self.m.tick(1);
                     let default = zero_value(v, types).to_value();
-                    let (size, at) = (16 + types.inline_size(v), self.place_of(e));
-                    Ok(self.m.make_map(default, size, at, e.id))
+                    let (entry_size, heap) = (16 + types.inline_size(v), self.on_heap(e));
+                    Ok(self.m.make_map(default, entry_size, heap, e.id))
                 }
                 _ => Err(ExecError::Internal("make of bad type".into())),
             },
@@ -755,12 +745,12 @@ impl Vm<'_, '_> {
                 self.m.tick(1);
                 let ty = &ty_args[0];
                 let zero = zero_value(ty, types).to_value();
-                let (size, at) = (types.inline_size(ty), self.place_of(e));
-                Ok(Value::Ptr(self.m.alloc_box(zero, at, size, Some(e.id))))
+                let (size, heap) = (types.inline_size(ty), self.on_heap(e));
+                Ok(Value::Ptr(self.m.alloc_box(zero, heap, size, Some(e.id))))
             }
             Builtin::Append => {
                 let sv = self.eval(&args[0])?;
-                let (sv, item) = self.holding(sv, |vm| vm.eval(&args[1]))?;
+                let (sv, item) = self.eval_holding(sv, &args[1])?;
                 self.m.tick(1);
                 let elem_size = match types.expr(args[0].id) {
                     Some(Type::Slice(elem)) => types.inline_size(elem),
@@ -771,7 +761,7 @@ impl Vm<'_, '_> {
             Builtin::Len => {
                 let v = self.eval(&args[0])?;
                 self.m.tick(1);
-                self.m.len_of(&v)
+                len_of(&v)
             }
             Builtin::Cap => {
                 let v = self.eval(&args[0])?;
@@ -780,7 +770,7 @@ impl Vm<'_, '_> {
             }
             Builtin::Delete => {
                 let mv = self.eval(&args[0])?;
-                let (mv, kv) = self.holding(mv, |vm| vm.eval(&args[1]))?;
+                let (mv, kv) = self.eval_holding(mv, &args[1])?;
                 self.m.tick(1);
                 self.m.map_delete(&mv, &kv)?;
                 Ok(Value::Int(0))
@@ -788,7 +778,7 @@ impl Vm<'_, '_> {
             Builtin::Panic => {
                 let v = self.eval(&args[0])?;
                 self.m.tick(1);
-                Err(ExecError::Panic(self.m.display(&v)))
+                Err(ExecError::Panic(v.display()))
             }
             Builtin::Print => {
                 let values = self.eval_all(args)?;
@@ -820,11 +810,11 @@ impl Vm<'_, '_> {
                 op: UnOp::Deref,
                 operand,
             } => {
-                let (value, p) = self.holding(value, |vm| vm.eval(operand))?;
+                let (value, p) = self.eval_holding(value, operand)?;
                 self.m.deref_set(&p, value)
             }
             ExprKind::Field { base, name } => {
-                let (value, bv) = self.holding(value, |vm| vm.eval(base))?;
+                let (value, bv) = self.eval_holding(value, base)?;
                 let (idx, through_ptr) =
                     field_target(self.tw.types, base, name).map_err(ExecError::Internal)?;
                 if through_ptr {
@@ -845,6 +835,14 @@ impl Vm<'_, '_> {
             }
             _ => Err(ExecError::Internal("bad lvalue".into())),
         }
+    }
+}
+
+fn make_slot(value: Value, boxed: bool) -> Slot {
+    if boxed {
+        Slot::Boxed(Obj::new(None, value))
+    } else {
+        Slot::Plain(value)
     }
 }
 

@@ -27,14 +27,14 @@ use std::rc::Rc;
 use minigo_escape::Mode;
 use minigo_runtime::{
     BailReason, Category, FreeOutcome, FreeSource, Runtime, RuntimeConfig, ShadowHeap,
-    ShadowViolation, StackId, ViolationKind,
+    ShadowViolation, StackId,
 };
 use minigo_syntax::{BinOp, ExprId};
 
 use crate::error::ExecError;
 use crate::fxhash::FxHashMap;
-use crate::mark::{collect_garbage, RootSink};
-use crate::value::{Cells, Key, MapData, ObjId, Payload, SliceVal, StackKey, Store, Value};
+use crate::mark::{collect_garbage, Remembered, RootSink};
+use crate::value::{Cell, Cells, Key, MapData, MapVal, Obj, ObjId, SliceVal, Value};
 
 /// Result alias for execution.
 pub type Result<T> = std::result::Result<T, ExecError>;
@@ -142,11 +142,6 @@ pub struct RunOutcome {
 
 /// The id type used for profile attribution (an expression id).
 pub type SiteId = ExprId;
-
-/// Where an allocation goes: `None` for the heap, else (a stack
-/// placement) the frame-owned slot a key owns in the frame whose slots
-/// start at the base.
-pub(crate) type Place = Option<(usize, StackKey)>;
 
 /// Heap allocation statistics for one allocation expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,11 +290,10 @@ pub struct Machine {
     /// calls (service state returned by `setup` and passed back into
     /// every `handle`). Always empty in one-shot runs.
     held: Vec<Value>,
-    /// Every guest object's payload: the heap's and the frames'.
-    store: Store,
-    /// The heap-backed frame cells the last cycle scanned, which a minor
-    /// mark traces although they are old. Empty without a nursery.
-    frame_cells: Vec<ObjId>,
+    /// The payloads a minor mark traces although their objects are old:
+    /// those the write barrier newly remembered since the last cycle,
+    /// and the frame cells that cycle scanned. Empty without a nursery.
+    remembered: Vec<Remembered>,
     output: String,
 }
 
@@ -313,8 +307,7 @@ impl Machine {
             steps: 0,
             call_start: 0,
             held: Vec::new(),
-            store: Store::default(),
-            frame_cells: Vec::new(),
+            remembered: Vec::new(),
             output: String::new(),
         }
     }
@@ -390,7 +383,7 @@ impl Machine {
                 sink.value(v);
             }
         };
-        collect_garbage(&mut self.rt, &mut self.store, &mut self.frame_cells, roots);
+        collect_garbage(&mut self.rt, &mut self.shadow, &mut self.remembered, roots);
     }
 
     /// Function entry: see [`Runtime::enter_stack`].
@@ -405,7 +398,7 @@ impl Machine {
 
     /// `print`: one line, values space-separated.
     pub(crate) fn print(&mut self, values: &[Value]) {
-        let line: Vec<String> = values.iter().map(|v| v.display(&self.store)).collect();
+        let line: Vec<String> = values.iter().map(Value::display).collect();
         self.output.push_str(&line.join(" "));
         self.output.push('\n');
     }
@@ -421,79 +414,28 @@ impl Machine {
         // The allocator may hand back a previously freed address; the
         // fresh tag is what tells this object from the old occupant.
         let (addr, tag) = self.rt.alloc_at(size, cat, site.map(|s| s.0));
-        ObjId { tag, addr }
+        let id = ObjId { tag, addr };
+        if let Some(sh) = &mut self.shadow {
+            sh.on_alloc(id.number(), addr);
+        }
+        id
     }
 
-    /// Stores a fresh allocation's payload in a heap object or a counted
-    /// frame-owned slot.
-    fn place(
+    /// Storage for a fresh allocation: a heap object where the escape
+    /// analysis placed it on the heap, a counted stack allocation (no
+    /// object) otherwise.
+    fn backing(
         &mut self,
-        at: Place,
+        heap: bool,
         size: u64,
         cat: Category,
         site: Option<ExprId>,
-        payload: Payload,
-    ) -> ObjId {
-        let Some((base, key)) = at else {
-            let id = self.new_obj_at(size, cat, site);
-            self.store.put(id, payload);
-            return id;
-        };
-        self.rt.stack_alloc(cat);
-        self.store.frame_slot(base, key, payload)
-    }
-
-    /// Where a frame entered now starts its frame-owned slots.
-    pub(crate) fn frame_base(&self) -> usize {
-        self.store.frame_base()
-    }
-
-    /// Releases the frame-owned slots of the returning frame at `base`.
-    pub(crate) fn release_frame(&mut self, base: usize) {
-        self.store.release(base);
-    }
-
-    /// A boxed variable's value: a frame's own access, unchecked.
-    pub(crate) fn cell(&self, id: ObjId) -> Value {
-        match self.store.get(id) {
-            Some(Payload::Cell(v)) => v.clone(),
-            _ => Value::Poison,
-        }
-    }
-
-    /// Stores `v` in a boxed variable's cell.
-    pub(crate) fn set_cell(&mut self, id: ObjId, v: Value) {
-        if let Some(Payload::Cell(c)) = self.store.get_mut(id) {
-            *c = v;
-        }
-    }
-
-    /// Renders `v` for `print` or a panic message.
-    pub(crate) fn display(&self, v: &Value) -> String {
-        v.display(&self.store)
-    }
-
-    /// A map's storage (a stale handle reads as poison).
-    fn map_data(&self, m: ObjId) -> Result<&MapData> {
-        match self.store.get(m) {
-            Some(Payload::Map(data)) => Ok(data),
-            _ => Err(ExecError::PoisonedRead),
-        }
-    }
-
-    /// [`Machine::map_data`], mutably.
-    fn map_data_mut(&mut self, m: ObjId) -> Result<&mut MapData> {
-        match self.store.get_mut(m) {
-            Some(Payload::Map(data)) => Ok(data),
-            _ => Err(ExecError::PoisonedRead),
-        }
-    }
-
-    /// A slice's backing array (a stale handle reads as poison).
-    fn array_mut(&mut self, id: ObjId) -> Result<&mut Cells> {
-        match self.store.get_mut(id) {
-            Some(Payload::Array(cells)) => Ok(cells),
-            _ => Err(ExecError::PoisonedRead),
+    ) -> Option<ObjId> {
+        if heap {
+            Some(self.new_obj_at(size, cat, site))
+        } else {
+            self.rt.stack_alloc(cat);
+            None
         }
     }
 
@@ -502,8 +444,7 @@ impl Machine {
     /// the outcome and whether the payload should be poisoned.
     fn free_obj(&mut self, obj: ObjId, source: FreeSource, batched: bool) -> (FreeOutcome, bool) {
         if let Some(sh) = &mut self.shadow {
-            let reused = self.store.get(obj).is_none();
-            sh.check_free(obj.number(), reused, free_op_name(source), self.steps);
+            sh.check_free(obj.number(), free_op_name(source), self.steps);
         }
         if !obj.is_live(&self.rt) {
             // Already freed or swept: tolerated double free.
@@ -517,7 +458,7 @@ impl Machine {
         match out {
             FreeOutcome::Freed { .. } => {
                 if let Some(sh) = &mut self.shadow {
-                    sh.on_free(obj.number());
+                    sh.on_free(obj.number(), obj.addr);
                 }
                 (out, false)
             }
@@ -528,35 +469,22 @@ impl Machine {
 
     // ---- shadow-heap sanitizer hooks ----
 
-    /// Checks a load or store through `obj` against the shadow heap
-    /// unless it names a live heap object or a slot of a live frame.
-    /// No-op when the sanitizer is off.
-    fn shadow_access(&mut self, obj: ObjId, op: &'static str) {
-        let Some(sh) = self.shadow.as_mut() else {
-            return;
-        };
-        let (gone, n) = (self.store.get(obj).is_none(), obj.number());
-        if obj.on_stack() && gone {
-            sh.record(ViolationKind::UseAfterReturn, n, op, self.steps);
-        } else if !obj.on_stack() && !obj.is_live(&self.rt) {
-            sh.check_access(n, gone, op, self.steps);
+    /// Checks a load or store through `obj` against the shadow heap.
+    /// No-op when the sanitizer is off or the value is stack-allocated
+    /// (`obj` is `None`).
+    fn shadow_access(&mut self, obj: Option<ObjId>, op: &'static str) {
+        if let (Some(sh), Some(obj)) = (self.shadow.as_mut(), obj) {
+            sh.check_access(obj.number(), op, self.steps);
         }
-    }
-
-    /// The current bucket array of map `m`, if it has one.
-    fn buckets(&self, m: ObjId) -> Option<ObjId> {
-        self.map_data(m).ok()?.buckets_obj
     }
 
     /// Checks a map operation against the shadow heap: both the hmap
     /// header object and the current bucket array are consulted.
-    fn shadow_access_map(&mut self, m: ObjId, op: &'static str) {
+    fn shadow_access_map(&mut self, m: &MapVal, op: &'static str) {
         if self.shadow.is_some() {
-            let buckets = self.buckets(m);
-            self.shadow_access(m, op);
-            if let Some(b) = buckets {
-                self.shadow_access(b, op);
-            }
+            let buckets = m.borrow().buckets_obj;
+            self.shadow_access(m.obj, op);
+            self.shadow_access(buckets, op);
         }
     }
 
@@ -564,53 +492,50 @@ impl Machine {
 
     /// Write-barrier hook at every heap store site the shadow sanitizer
     /// checks: storing `v` into `obj`'s payload tells the collector the
-    /// object may now point into the nursery (the heap's remembered bit,
-    /// a minor mark's extra root; a total no-op under the default
+    /// object may now point into the nursery (the generational
+    /// remembered set's input; a total no-op under the default
     /// mark-sweep backend). Only a value that can hold a heap reference
-    /// fires it ([`Value::can_reference`]); a frame-owned slot is no
-    /// heap object and records nothing. Unlike the shadow hooks this
-    /// always fires — barriers are part of the simulation, not an
-    /// observer.
+    /// fires it ([`Value::can_reference`]); stack values (`obj` =
+    /// `None`) need none. Unlike the shadow hooks this always fires —
+    /// barriers are part of the simulation, not an observer.
     #[inline]
-    fn barrier_store(&mut self, obj: ObjId, v: &Value) {
+    fn barrier_store(&mut self, obj: Option<ObjId>, v: &Value, entry: impl FnOnce() -> Remembered) {
         if self.rt.has_barrier() && v.can_reference() {
-            self.rt.record_store(obj.addr, obj.tag);
+            self.remember(obj, entry);
+        }
+    }
+
+    /// Fires the barrier on `obj` (if it is live and old), keeping
+    /// `entry` (the payload to trace from) for the next minor mark when
+    /// the object is newly remembered.
+    fn remember(&mut self, obj: Option<ObjId>, entry: impl FnOnce() -> Remembered) {
+        if obj.is_some_and(|o| self.rt.record_store(o.addr, o.tag)) {
+            self.remembered.push(entry());
         }
     }
 
     /// [`Machine::barrier_store`] for a map store: both the hmap header
     /// and the current bucket array count as mutated.
-    fn barrier_store_map(&mut self, m: ObjId, v: &Value) {
+    fn barrier_store_map(&mut self, m: &MapVal, v: &Value) {
         if self.rt.has_barrier() && v.can_reference() {
-            let buckets = self.buckets(m);
-            for obj in std::iter::once(m).chain(buckets) {
-                self.rt.record_store(obj.addr, obj.tag);
-            }
+            let buckets = m.borrow().buckets_obj;
+            self.remember(m.obj, || Remembered::Map(m.clone(), None));
+            self.remember(buckets, || Remembered::Map(m.clone(), buckets));
         }
     }
 
     // ---- allocation ----
 
-    /// A fresh cell holding `v` — a boxed variable (`site` = `None`),
-    /// `&T{..}`, or `new(T)`.
+    /// A fresh cell holding `v` — a declared address-taken variable
+    /// (`site` = `None`), `&T{..}`, or `new(T)`.
     pub(crate) fn alloc_box(
         &mut self,
         v: Value,
-        at: Place,
+        heap: bool,
         size: u64,
         site: Option<ExprId>,
-    ) -> ObjId {
-        self.place(at, size, Category::Other, site, Payload::Cell(v))
-    }
-
-    /// The cell of an address-taken parameter or result: a heap object
-    /// when its address escapes, as a declared variable's box is; else a
-    /// frame-owned slot, uncounted like the frame it belongs to.
-    pub(crate) fn frame_box(&mut self, v: Value, at: Place, size: u64) -> ObjId {
-        match at {
-            None => self.alloc_box(v, None, size, None),
-            Some((base, key)) => self.store.frame_slot(base, key, Payload::Cell(v)),
-        }
+    ) -> Cell {
+        Obj::new(self.backing(heap, size, Category::Other, site), v)
     }
 
     /// `make([]T, len[, cap])`, every element `zero`. Negative sizes
@@ -628,7 +553,7 @@ impl Machine {
         cap: Option<i64>,
         elem_size: u64,
         zero: Value,
-        at: Place,
+        heap: bool,
         site: ExprId,
     ) -> Result<Value> {
         let len = len.max(0) as usize;
@@ -642,12 +567,13 @@ impl Machine {
         };
         let size = (cap as u64).checked_mul(elem_size).ok_or_else(too_large)?;
         let cells = Cells::filled(zero, cap).map_err(|_| too_large())?;
-        let payload = Payload::Array(cells);
         Ok(Value::slice(SliceVal {
-            cells: self.place(at, size.max(8), Category::Slice, Some(site), payload),
+            cells: Obj::new(
+                self.backing(heap, size.max(8), Category::Slice, Some(site)),
+                cells,
+            ),
             offset: 0,
             len,
-            cap,
             elem_size,
         }))
     }
@@ -657,12 +583,15 @@ impl Machine {
         &mut self,
         default: Value,
         entry_size: u64,
-        at: Place,
+        heap: bool,
         site: ExprId,
     ) -> Value {
         let size = minigo_escape::MAP_BASE_BYTES;
-        let data = Box::new(MapData::new(default, entry_size, Some(site)));
-        Value::Map(self.place(at, size, Category::Map, Some(site), Payload::Map(data)))
+        let data = MapData::new(default, entry_size, Some(site));
+        Value::Map(Obj::new(
+            self.backing(heap, size, Category::Map, Some(site)),
+            data,
+        ))
     }
 
     /// `append(sv, item)`.
@@ -671,8 +600,7 @@ impl Machine {
     ///
     /// [`ExecError::SliceRange`] when the grown array's accounted size
     /// overflows or the host refuses the storage (see
-    /// [`Machine::make_slice`]); [`ExecError::PoisonedRead`] through a
-    /// stale handle.
+    /// [`Machine::make_slice`]).
     pub(crate) fn append(
         &mut self,
         sv: Value,
@@ -686,18 +614,20 @@ impl Machine {
             // (runtime-managed, §4.6.1).
             Value::Nil => (None, 0, 0, 8),
             Value::Slice(mut s) => {
-                self.shadow_access(s.cells, "append");
-                if s.len < s.cap {
+                self.shadow_access(s.cells.obj, "append");
+                if s.len < s.cap() {
                     let at = s.offset + s.len;
-                    self.barrier_store(s.cells, &item);
-                    self.array_mut(s.cells)?.set(at, item);
+                    let cells = &s.cells;
+                    self.barrier_store(cells.obj, &item, || Remembered::Array(cells.clone()));
+                    s.cells.borrow_mut().set(at, item);
                     Rc::make_mut(&mut s).len += 1;
                     return Ok(Value::Slice(s));
                 }
                 // Grow: a fresh heap array; the old one is left to GC
                 // (other slices may still reference it).
-                let new_cap = (s.cap * 2).max(8);
-                (Some(s.cells), s.offset, s.offset + s.len, new_cap)
+                let new_cap = (s.cap() * 2).max(8);
+                let (lo, hi) = (s.offset, s.offset + s.len);
+                (Some(s), lo, hi, new_cap)
             }
             _ => return Err(ExecError::Internal("append to non-slice".into())),
         };
@@ -706,15 +636,17 @@ impl Machine {
             .checked_mul(elem_size)
             .ok_or_else(too_large)?;
         let cells = match kept {
-            Some(old) => self.array_mut(old)?.grown(lo, hi, item, new_cap),
+            Some(s) => s.cells.borrow().grown(lo, hi, item, new_cap),
             None => Cells::default().grown(lo, hi, item, new_cap),
         };
-        let payload = Payload::Array(cells.map_err(|_| too_large())?);
+        let cells = cells.map_err(|_| too_large())?;
         Ok(Value::slice(SliceVal {
-            cells: self.place(None, size, Category::Slice, Some(site), payload),
+            cells: Obj::new(
+                Some(self.new_obj_at(size, Category::Slice, Some(site))),
+                cells,
+            ),
             offset: 0,
             len: hi - lo + 1,
-            cap: new_cap,
             elem_size,
         }))
     }
@@ -724,39 +656,44 @@ impl Machine {
     /// Executes a `tcfree` statement: dispatches to TcfreeSlice /
     /// TcfreeMap / Tcfree on the runtime value. `follows_free` marks the
     /// 2nd..nth statement of a run of frees, which share one call
-    /// overhead when batching is on. A frame-owned slot is no heap
-    /// object (§4.3: a free of a stack object is a safe no-op).
+    /// overhead when batching is on.
     pub(crate) fn exec_tcfree(&mut self, v: Value, follows_free: bool) {
         let batched = self.cfg.batch_frees && follows_free;
         match v {
-            Value::Slice(s) if !s.cells.on_stack() => {
-                let (_, poison) = self.free_obj(s.cells, FreeSource::SliceLifetime, batched);
-                if let (true, Ok(cells)) = (poison, self.array_mut(s.cells)) {
-                    cells.fill(Value::Poison);
+            Value::Slice(s) => {
+                if let Some(obj) = s.cells.obj {
+                    let (_, poison) = self.free_obj(obj, FreeSource::SliceLifetime, batched);
+                    if poison {
+                        s.cells.borrow_mut().fill(Value::Poison);
+                    }
                 }
             }
             Value::Map(m) => {
+                let buckets = m.borrow().buckets_obj;
                 let mut poisoned = false;
-                if let Some(b) = self.buckets(m) {
+                if let Some(b) = buckets {
                     let (out, poison) = self.free_obj(b, FreeSource::MapLifetime, batched);
                     poisoned |= poison;
-                    if let (FreeOutcome::Freed { .. }, Ok(data)) = (out, self.map_data_mut(m)) {
-                        data.buckets_obj = None;
+                    if matches!(out, FreeOutcome::Freed { .. }) {
+                        m.borrow_mut().buckets_obj = None;
                     }
                 }
-                if !m.on_stack() {
-                    let (_, poison) = self.free_obj(m, FreeSource::MapLifetime, batched);
+                if let Some(h) = m.obj {
+                    let (_, poison) = self.free_obj(h, FreeSource::MapLifetime, batched);
                     poisoned |= poison;
                 }
-                if let (true, Ok(data)) = (poisoned, self.map_data_mut(m)) {
+                if poisoned {
+                    let mut data = m.borrow_mut();
                     data.poisoned = true;
                     data.fill(Value::Poison);
                 }
             }
-            Value::Ptr(p) if !p.on_stack() => {
-                let (_, poison) = self.free_obj(p, FreeSource::Object, batched);
-                if poison {
-                    self.set_cell(p, Value::Poison);
+            Value::Ptr(p) => {
+                if let Some(obj) = p.obj {
+                    let (_, poison) = self.free_obj(obj, FreeSource::Object, batched);
+                    if poison {
+                        *p.borrow_mut() = Value::Poison;
+                    }
                 }
             }
             // tcfree ignores nil and non-reference values (§4.3: calls on
@@ -773,11 +710,8 @@ impl Machine {
     #[inline(always)]
     pub(crate) fn slice_get(&mut self, s: &SliceVal, i: i64) -> Result<Value> {
         let at = cell_at(s, i)?;
-        self.shadow_access(s.cells, "slice index read");
-        match self.store.get(s.cells) {
-            Some(Payload::Array(cells)) => check_poison(cells.get(at)),
-            _ => Err(ExecError::PoisonedRead),
-        }
+        self.shadow_access(s.cells.obj, "slice index read");
+        check_poison(s.cells.borrow().get(at))
     }
 
     /// `s[i] = v`: the one place a slice element is written (bounds,
@@ -785,9 +719,10 @@ impl Machine {
     #[inline(always)]
     pub(crate) fn slice_set(&mut self, s: &SliceVal, i: i64, v: Value) -> Result<()> {
         let at = cell_at(s, i)?;
-        self.shadow_access(s.cells, "slice index write");
-        self.barrier_store(s.cells, &v);
-        self.array_mut(s.cells)?.set(at, v);
+        let cells = &s.cells;
+        self.shadow_access(cells.obj, "slice index write");
+        self.barrier_store(cells.obj, &v, || Remembered::Array(cells.clone()));
+        s.cells.borrow_mut().set(at, v);
         Ok(())
     }
 
@@ -800,8 +735,8 @@ impl Machine {
             Value::Map(map) => {
                 let key = key_of(idx)?;
                 self.rt.tick(2);
-                self.shadow_access_map(*map, "map lookup");
-                let data = self.map_data(*map)?;
+                self.shadow_access_map(map, "map lookup");
+                let data = map.borrow();
                 if data.poisoned {
                     return Err(ExecError::PoisonedRead);
                 }
@@ -820,7 +755,7 @@ impl Machine {
     pub(crate) fn index_set(&mut self, base: &Value, idx: &Value, v: Value) -> Result<()> {
         match base {
             Value::Slice(s) => self.slice_set(s, int_of(idx)?, v),
-            Value::Map(map) => self.map_insert(*map, key_of(idx)?, v),
+            Value::Map(map) => self.map_insert(map, key_of(idx)?, v),
             Value::Nil => Err(ExecError::NilDeref),
             _ => Err(ExecError::Internal("store into non-indexable".into())),
         }
@@ -829,11 +764,11 @@ impl Machine {
     /// `m[key] = value`: one lookup, then an update in place or an append
     /// (after growing the buckets when the append would overflow them).
     #[inline]
-    fn map_insert(&mut self, m: ObjId, key: Key, value: Value) -> Result<()> {
+    fn map_insert(&mut self, m: &MapVal, key: Key, value: Value) -> Result<()> {
         self.rt.tick(3);
         self.shadow_access_map(m, "map insert");
         self.barrier_store_map(m, &value);
-        let data = self.map_data_mut(m)?;
+        let mut data = m.borrow_mut();
         if data.poisoned {
             return Err(ExecError::PoisonedRead);
         }
@@ -841,33 +776,36 @@ impl Machine {
             data.set_at(i, value);
             return Ok(());
         }
-        if data.len() < data.bucket_cap {
-            data.push(key, value);
-            return Ok(());
+        if data.len() + 1 > data.bucket_cap {
+            // Growth allocates, so the borrow must not be held across it.
+            drop(data);
+            self.grow_map(m);
+            data = m.borrow_mut();
         }
-        self.grow_map(m)?.push(key, value);
+        data.push(key, value);
         Ok(())
     }
 
     /// §4.6.2: the map grows; the old bucket array is exclusively owned
-    /// and (under GoFree) explicitly freed. Returns the map's storage.
+    /// and (under GoFree) explicitly freed.
     #[cold]
-    fn grow_map(&mut self, m: ObjId) -> Result<&mut MapData> {
-        let data = self.map_data_mut(m)?;
-        data.bucket_cap *= 2;
-        let (old, new_cap, entry_size, origin) = (
-            data.buckets_obj.take(),
-            data.bucket_cap,
-            data.entry_size,
-            data.origin,
-        );
+    fn grow_map(&mut self, m: &MapVal) {
+        let (old, new_cap, entry_size, origin) = {
+            let mut data = m.borrow_mut();
+            data.bucket_cap *= 2;
+            (
+                data.buckets_obj.take(),
+                data.bucket_cap,
+                data.entry_size,
+                data.origin,
+            )
+        };
         let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
-        self.store.put(new_obj, Payload::Buckets(m));
-        self.map_data_mut(m)?.buckets_obj = Some(new_obj);
+        m.borrow_mut().buckets_obj = Some(new_obj);
         if self.rt.has_barrier() {
             // The header now points at a young bucket array: a pointer
             // store, whatever value the insert stores.
-            self.rt.record_store(m.addr, m.tag);
+            self.remember(m.obj, || Remembered::Map(m.clone(), None));
         }
         if let Some(old) = old.filter(|_| self.cfg.grow_map_free_old) {
             // Poisoning old buckets would corrupt nothing the map still
@@ -875,7 +813,6 @@ impl Machine {
             // are simply garbage for the collector.
             self.free_obj(old, FreeSource::MapGrowOld, false);
         }
-        self.map_data_mut(m)
     }
 
     /// `delete(m, k)`; a no-op on a nil map.
@@ -883,8 +820,8 @@ impl Machine {
         if let Value::Map(m) = m {
             let key = key_of(k)?;
             self.rt.tick(2);
-            self.shadow_access_map(*m, "map delete");
-            let data = self.map_data_mut(*m)?;
+            self.shadow_access_map(m, "map delete");
+            let mut data = m.borrow_mut();
             if data.poisoned {
                 return Err(ExecError::PoisonedRead);
             }
@@ -893,25 +830,12 @@ impl Machine {
         Ok(())
     }
 
-    /// `len(v)`.
-    #[inline]
-    pub(crate) fn len_of(&self, v: &Value) -> Result<Value> {
-        let n = match v {
-            Value::Slice(s) => s.len,
-            Value::Map(map) => self.map_data(*map)?.len(),
-            Value::Str(s) => s.len(),
-            Value::Nil => 0,
-            _ => return Err(ExecError::Internal("len of bad value".into())),
-        };
-        Ok(Value::Int(n as i64))
-    }
-
     /// `*p`.
     pub(crate) fn deref(&mut self, p: &Value) -> Result<Value> {
         match p {
             Value::Ptr(p) => {
-                self.shadow_access(*p, "pointer deref read");
-                check_poison(self.cell(*p))
+                self.shadow_access(p.obj, "pointer deref read");
+                check_poison(p.borrow().clone())
             }
             Value::Nil => Err(ExecError::NilDeref),
             _ => Err(ExecError::Internal("deref of non-pointer".into())),
@@ -922,12 +846,9 @@ impl Machine {
     pub(crate) fn deref_set(&mut self, p: &Value, v: Value) -> Result<()> {
         match p {
             Value::Ptr(p) => {
-                self.shadow_access(*p, "pointer deref write");
-                self.barrier_store(*p, &v);
-                match self.store.get_mut(*p) {
-                    Some(Payload::Cell(c)) => *c = v,
-                    _ => return Err(ExecError::PoisonedRead),
-                }
+                self.shadow_access(p.obj, "pointer deref write");
+                self.barrier_store(p.obj, &v, || Remembered::Cell(p.clone()));
+                *p.borrow_mut() = v;
                 Ok(())
             }
             Value::Nil => Err(ExecError::NilDeref),
@@ -946,10 +867,10 @@ impl Machine {
         match (base, through_ptr) {
             (Value::Struct(fields), false) => check_poison(fields[idx].clone()),
             (Value::Ptr(p), true) => {
-                self.shadow_access(*p, "field read");
-                match self.store.get(*p) {
-                    Some(Payload::Cell(Value::Struct(fields))) => check_poison(fields[idx].clone()),
-                    Some(Payload::Cell(Value::Poison)) | None => Err(ExecError::PoisonedRead),
+                self.shadow_access(p.obj, "field read");
+                match &*p.borrow() {
+                    Value::Struct(fields) => check_poison(fields[idx].clone()),
+                    Value::Poison => Err(ExecError::PoisonedRead),
                     _ => Err(ExecError::Internal("field of non-struct".into())),
                 }
             }
@@ -963,14 +884,14 @@ impl Machine {
     pub(crate) fn field_set_ptr(&mut self, p: &Value, idx: usize, v: Value) -> Result<()> {
         match p {
             Value::Ptr(p) => {
-                self.shadow_access(*p, "field write");
-                self.barrier_store(*p, &v);
-                match self.store.get_mut(*p) {
-                    Some(Payload::Cell(Value::Struct(fields))) => {
+                self.shadow_access(p.obj, "field write");
+                self.barrier_store(p.obj, &v, || Remembered::Cell(p.clone()));
+                match &mut *p.borrow_mut() {
+                    Value::Struct(fields) => {
                         Rc::make_mut(fields)[idx] = v;
                         Ok(())
                     }
-                    Some(Payload::Cell(Value::Poison)) | None => Err(ExecError::PoisonedRead),
+                    Value::Poison => Err(ExecError::PoisonedRead),
                     _ => Err(ExecError::Internal("field store on non-struct".into())),
                 }
             }
@@ -1034,8 +955,8 @@ fn binop_other(rt: &mut Runtime, op: BinOp, l: &Value, r: &Value) -> Result<Valu
         (Ne, _, _) => Ok(Value::Bool(!value_eq(l, r)?)),
         _ => Err(ExecError::Internal(format!(
             "bad operands for {op}: {} and {}",
-            l.display(&Store::default()),
-            r.display(&Store::default())
+            l.display(),
+            r.display()
         ))),
     }
 }
@@ -1054,10 +975,7 @@ fn free_op_name(source: FreeSource) -> &'static str {
 }
 
 pub(crate) fn expected_bool(v: &Value) -> ExecError {
-    ExecError::Internal(format!(
-        "expected bool, got {}",
-        v.display(&Store::default())
-    ))
+    ExecError::Internal(format!("expected bool, got {}", v.display()))
 }
 
 /// The integer in `v`, or the front end let a non-int through.
@@ -1067,7 +985,7 @@ pub(crate) fn int_of(v: &Value) -> Result<i64> {
         Value::Int(i) => Ok(*i),
         other => Err(ExecError::Internal(format!(
             "expected int, got {}",
-            other.display(&Store::default())
+            other.display()
         ))),
     }
 }
@@ -1107,7 +1025,8 @@ pub(crate) fn value_eq(a: &Value, b: &Value) -> Result<bool> {
         (Value::Nil, Value::Nil) => true,
         (Value::Nil, Value::Ptr(_) | Value::Slice(_) | Value::Map(_))
         | (Value::Ptr(_) | Value::Slice(_) | Value::Map(_), Value::Nil) => false,
-        (Value::Ptr(x), Value::Ptr(y)) | (Value::Map(x), Value::Map(y)) => x == y,
+        (Value::Ptr(x), Value::Ptr(y)) => Rc::ptr_eq(x, y),
+        (Value::Map(x), Value::Map(y)) => Rc::ptr_eq(x, y),
         (Value::Struct(xs), Value::Struct(ys)) => {
             if xs.len() != ys.len() {
                 return Ok(false);
@@ -1139,10 +1058,23 @@ pub(crate) fn check_index_base(v: &Value) -> Result<()> {
     }
 }
 
+/// `len(v)`.
+#[inline]
+pub(crate) fn len_of(v: &Value) -> Result<Value> {
+    let n = match v {
+        Value::Slice(s) => s.len as i64,
+        Value::Map(map) => map.borrow().len() as i64,
+        Value::Str(s) => s.len() as i64,
+        Value::Nil => 0,
+        _ => return Err(ExecError::Internal("len of bad value".into())),
+    };
+    Ok(Value::Int(n))
+}
+
 /// `cap(v)`.
 pub(crate) fn cap_of(v: &Value) -> Result<Value> {
     match v {
-        Value::Slice(s) => Ok(Value::Int(s.cap as i64)),
+        Value::Slice(s) => Ok(Value::Int(s.cap() as i64)),
         Value::Nil => Ok(Value::Int(0)),
         _ => Err(ExecError::Internal("cap of bad value".into())),
     }
@@ -1159,17 +1091,16 @@ pub(crate) fn reslice(base: &Value, lo: i64, hi: Option<i64>) -> Result<Value> {
     match base {
         Value::Slice(s) => {
             let hi = hi.unwrap_or(s.len as i64);
-            if lo < 0 || hi < lo || hi as usize > s.cap {
+            if lo < 0 || hi < lo || hi as usize > s.cap() {
                 return Err(ExecError::OutOfBounds {
                     index: hi,
-                    len: s.cap,
+                    len: s.cap(),
                 });
             }
             Ok(Value::slice(SliceVal {
-                cells: s.cells,
+                cells: s.cells.clone(),
                 offset: s.offset + lo as usize,
                 len: (hi - lo) as usize,
-                cap: s.cap - lo as usize,
                 elem_size: s.elem_size,
             }))
         }
@@ -1224,12 +1155,12 @@ mod tests {
         let site = ExprId(7);
         let f = Fixture {
             slice: m
-                .make_slice(2, Some(4), 8, Value::Int(0), None, site)
+                .make_slice(2, Some(4), 8, Value::Int(0), true, site)
                 .expect("four ints"),
-            map: m.make_map(Value::Int(0), 24, None, site),
+            map: m.make_map(Value::Int(0), 24, true, site),
             ptr: Value::Ptr(m.alloc_box(
                 Value::struct_of(vec![Value::Int(1), Value::Int(2)]),
-                None,
+                true,
                 16,
                 Some(site),
             )),
@@ -1356,7 +1287,7 @@ mod tests {
             unreachable!()
         };
         assert!(
-            matches!(m.store.get(s.cells), Some(Payload::Array(Cells::Ints(_)))),
+            matches!(*s.cells.borrow(), Cells::Ints(_)),
             "an old int array"
         );
         let before = m.rt.now();
@@ -1373,17 +1304,17 @@ mod tests {
             before,
             "a non-pointer store is not a barrier event"
         );
-        assert_eq!(m.rt.heap().remembered(), 0);
+        assert!(m.remembered.is_empty());
         m.index_set(&f.slice, &Value::Int(1), f.ptr.clone())
             .expect("store");
         let barrier = minigo_runtime::cost::WRITE_BARRIER;
         assert_eq!(m.rt.now() - before, barrier);
-        let remembered: Vec<_> = m.rt.heap().remembered_objects().collect();
-        assert_eq!(remembered, [(s.cells.addr, s.cells.tag)], "the array");
+        let remembered: Vec<_> = m.remembered.iter().map(Remembered::obj).collect();
+        assert_eq!(remembered, [s.cells.obj], "the array, with its payload");
         m.index_set(&f.slice, &Value::Int(0), f.ptr.clone())
             .expect("store");
         assert_eq!(m.rt.now() - before, 2 * barrier, "charged per store");
-        assert_eq!(m.rt.heap().remembered(), 1, "remembered once");
+        assert_eq!(m.remembered.len(), 1, "remembered once");
     }
 
     #[test]
@@ -1402,7 +1333,7 @@ mod tests {
         ] {
             for zero in [Value::Int(0), Value::Nil] {
                 let before = m.rt.now();
-                let got = m.make_slice(len, cap, 8, zero, None, site);
+                let got = m.make_slice(len, cap, 8, zero, true, site);
                 assert_eq!(got.err(), Some(ExecError::SliceRange(bound)));
                 assert_eq!((m.rt.now(), allocated(&m)), (before, 0));
             }
@@ -1412,8 +1343,8 @@ mod tests {
         let grown = m.append(Value::Nil, Value::Int(1), u64::MAX / 4, site);
         assert_eq!(grown.err(), Some(ExecError::SliceRange("growslice: len")));
         assert_eq!(allocated(&m), 0);
-        let s = m.make_slice(3, Some(5), 8, Value::Int(0), None, site);
-        assert_eq!(m.display(&s.expect("five ints")), "[0 0 0]");
+        let s = m.make_slice(3, Some(5), 8, Value::Int(0), true, site);
+        assert_eq!(s.expect("five ints").display(), "[0 0 0]");
         assert_eq!(allocated(&m), 1);
     }
 }

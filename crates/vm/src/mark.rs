@@ -1,108 +1,205 @@
 //! The mark phase: the machine feeds its roots (an engine's frame
-//! slots, deferred-call arguments and pending operands, then the
-//! session-held values) into one [`Marker`], which sets mark bits on the
-//! runtime's spans and traces payloads from the [`Store`].
+//! slots and deferred-call arguments, then the session-held values) into
+//! one [`Marker`], which sets mark bits on the runtime's spans and
+//! traces payloads.
 //!
-//! A live heap object is visited once because [`Runtime::mark`] answers
-//! "newly marked" only once per cycle — the mark bit *is* the visited
-//! check. Only handles without a live heap object behind them —
-//! frame-owned slots, or storage an explicit free left unreused — are
-//! checked against a set of addresses. Each handle visited for the first
-//! time goes on a worklist and is traced when it is popped, so the host
-//! stack stays as deep as one struct's nesting however deep the guest
-//! structure; marking is a set union, so the order changes no bit.
+//! A heap-backed payload is visited once because [`Runtime::mark`]
+//! answers "newly marked" only once per cycle — the mark bit *is* the
+//! visited check, sound because every live [`ObjId`] sits in the header
+//! of exactly one payload's [`Obj`] (debug builds run a pointer set
+//! alongside and assert the two never disagree). Only payloads without a
+//! live heap object behind them — stack-backed cells, or a handle whose
+//! object was explicitly freed — still need the pointer `seen` set.
+//!
+//! A guest structure is as deep as it is long, so the marker recurses
+//! only [`SPILL_DEPTH`] objects deep; a reference found below that is
+//! pushed on its own stack and traced once the root it hangs off is done.
+//! Marking is a set union, so the order changes no bit.
 //!
 //! A minor cycle sweeps only young objects, so its mark stops at old
 //! ones: an old object that is not *forced* is neither marked nor
-//! traced. Forced are the objects a young one can hang off without the
-//! marker passing through the nursery: every live object whose
-//! remembered bit the write barrier set since the last cycle (a map's
-//! bucket array stands for its map), and every heap-backed cell of a
-//! frame slot, since a store through a slot carries no barrier. A frame
-//! cell stays forced for one more cycle after the marker last saw it as
-//! a root, because its frame may return, leaving the cell reachable only
+//! dereferenced. Forced are the objects a young one can hang off without
+//! the marker passing through the nursery: every live object the write
+//! barrier remembered since the last cycle (the machine keeps their
+//! payloads, [`Remembered`]), and every heap-backed cell of a frame
+//! slot, since a store through a slot carries no barrier. A frame cell
+//! stays forced for one more cycle after the marker last saw it as a
+//! root, because its frame may return, leaving the cell reachable only
 //! through old objects, before the next cycle scans it.
 
-use minigo_runtime::{CycleKind, ObjAddr, Runtime};
+use std::rc::Rc;
+
+use minigo_runtime::{CycleKind, Runtime, ShadowHeap};
 
 use crate::fxhash::FxHashSet;
-use crate::value::{ObjId, Payload, Store, Value};
+use crate::value::{Array, Cell, MapVal, Obj, ObjId, Teardown, Value};
+
+/// How many objects deep the marker recurses before it spills.
+const SPILL_DEPTH: u32 = 256;
 
 /// Where an engine reports its GC roots.
 pub trait RootSink {
-    /// A value held directly (plain slot, defer argument, pending
-    /// operand, held value).
+    /// A value held directly (plain slot, defer argument, held value).
     fn value(&mut self, v: &Value);
-    /// A boxed frame slot: the handle of its cell.
-    fn boxed(&mut self, cell: ObjId);
+    /// A boxed frame slot (its cell carries the heap object backing it).
+    fn boxed(&mut self, cell: &Cell);
+}
+
+/// An old object a minor mark must trace although it is old, by the
+/// payload to trace from: one the write barrier remembered, or a frame
+/// cell the last cycle scanned. The machine keeps these from the barrier
+/// (or the cycle) that found them to the end of the next cycle.
+pub(crate) enum Remembered {
+    /// A pointer target or a boxed variable.
+    Cell(Cell),
+    /// A slice's backing array.
+    Array(Array),
+    /// A map: its header, or with `Some` the bucket array remembered
+    /// (the header's handle is the payload's identity either way, as
+    /// when a [`Value::Map`] is traced).
+    Map(MapVal, Option<ObjId>),
+}
+
+impl Remembered {
+    /// The remembered object; once it is no longer live (an explicit
+    /// free), the entry is skipped.
+    pub fn obj(&self) -> Option<ObjId> {
+        match self {
+            Remembered::Cell(c) => c.obj,
+            Remembered::Array(a) => a.obj,
+            Remembered::Map(m, buckets) => buckets.or(m.obj),
+        }
+    }
+
+    fn is_live(&self, rt: &Runtime) -> bool {
+        self.obj().is_some_and(|o| o.is_live(rt))
+    }
 }
 
 /// Marks everything reachable from the roots it is fed.
 pub(crate) struct Marker<'a> {
     rt: &'a mut Runtime,
-    store: &'a Store,
     /// The pending cycle is minor: stop at old objects not forced.
     minor: bool,
-    /// Visited handles that have no live heap object to carry the bit.
-    seen: FxHashSet<ObjAddr>,
-    /// Visited handles whose payloads are still to trace.
-    work: Vec<ObjId>,
+    /// Visited payloads that have no live heap object to carry the bit.
+    seen: FxHashSet<usize>,
     /// The heap-backed frame cells reported as roots, forced again at
     /// the next cycle (only with a write barrier, i.e. a nursery).
-    frame_cells: Vec<ObjId>,
+    frame_cells: Vec<Remembered>,
+    /// How many objects deep the current trace is.
+    depth: u32,
+    /// References found [`SPILL_DEPTH`] deep, still to trace.
+    spilled: Vec<Value>,
+    /// Every visited payload, to cross-check the mark-bit shortcut.
+    #[cfg(debug_assertions)]
+    traced: FxHashSet<usize>,
 }
 
 impl<'a> Marker<'a> {
-    fn new(rt: &'a mut Runtime, store: &'a Store) -> Self {
+    fn new(rt: &'a mut Runtime) -> Self {
         Marker {
             minor: rt.pending_cycle() == CycleKind::Minor,
             rt,
-            store,
             seen: FxHashSet::default(),
-            work: Vec::new(),
             frame_cells: Vec::new(),
+            depth: 0,
+            spilled: Vec::new(),
+            #[cfg(debug_assertions)]
+            traced: FxHashSet::default(),
         }
     }
 
-    /// Queues `id`'s payload for tracing unless it was visited this
-    /// cycle, its handle resolves to nothing, or (in a minor, not
-    /// `forced`) it names an old object.
-    fn visit(&mut self, id: ObjId, forced: bool) {
-        let first = match self.rt.mark(id.addr, id.tag, self.minor && !forced) {
-            Some(first) => first,
-            None => self.store.get(id).is_some() && self.seen.insert(id.addr),
-        };
-        if first {
-            self.work.push(id);
+    /// Marks `obj` unless the handle is stale or absent (`None`) or, in a
+    /// minor and not `forced`, the object is old (`Some(false)`, as for
+    /// a repeat mark); `Some(true)` when this call marked it.
+    fn mark(&mut self, obj: Option<ObjId>, forced: bool) -> Option<bool> {
+        let obj = obj?;
+        self.rt.mark(obj.addr, obj.tag, self.minor && !forced)
+    }
+
+    /// Whether `payload` is reached for the first time this cycle (and
+    /// so must be traced).
+    fn first_visit<T: Teardown>(&mut self, payload: &Rc<Obj<T>>, forced: bool) -> bool {
+        let (obj, ptr) = (payload.obj, Rc::as_ptr(payload) as usize);
+        let marked = self.mark(obj, forced);
+        let first = marked.unwrap_or_else(|| self.seen.insert(ptr));
+        #[cfg(debug_assertions)]
+        {
+            // An old object a minor stopped at was neither marked nor
+            // traced; every other answer must match payload identity.
+            let stopped =
+                marked == Some(false) && !obj.is_some_and(|o| self.rt.heap().is_marked(o.addr));
+            assert!(
+                stopped || first == self.traced.insert(ptr),
+                "mark bit and payload identity disagree: a heap object is shared by two payloads"
+            );
+        }
+        first
+    }
+
+    fn cell(&mut self, cell: &Cell, forced: bool) {
+        if self.first_visit(cell, forced) {
+            self.trace(&cell.borrow());
         }
     }
 
-    /// Visits the handles `v` holds.
-    fn trace(&mut self, v: &Value) {
-        match v {
-            Value::Struct(fields) => fields.iter().for_each(|f| self.trace(f)),
-            Value::Ptr(id) | Value::Map(id) => self.visit(*id, false),
-            Value::Slice(s) => self.visit(s.cells, false),
-            _ => {}
-        }
-    }
-
-    /// Traces the queued payloads, and what they queue in turn.
-    fn drain(&mut self) {
-        let store = self.store;
-        while let Some(id) = self.work.pop() {
-            match store.get(id) {
-                Some(Payload::Cell(v)) => self.trace(v),
-                Some(Payload::Array(cells)) => cells.traced().iter().for_each(|v| self.trace(v)),
-                Some(Payload::Map(data)) => {
-                    if let Some(b) = data.buckets_obj {
-                        self.rt.mark(b.addr, b.tag, self.minor);
-                    }
-                    data.traced().iter().for_each(|v| self.trace(v));
-                }
-                Some(Payload::Buckets(_)) | None => {}
+    fn array(&mut self, cells: &Array, forced: bool) {
+        if self.first_visit(cells, forced) {
+            for c in cells.borrow().traced() {
+                self.trace(c);
             }
         }
+    }
+
+    fn map(&mut self, m: &MapVal, forced: bool) {
+        if self.first_visit(m, forced) {
+            let data = m.borrow();
+            self.mark(data.buckets_obj, false);
+            for v in data.traced() {
+                self.trace(v);
+            }
+        }
+    }
+
+    /// Traces what `v` reaches, spilling past [`SPILL_DEPTH`] objects.
+    fn trace(&mut self, v: &Value) {
+        if let Value::Struct(fields) = v {
+            return fields.iter().for_each(|f| self.trace(f));
+        }
+        if !v.can_reference() {
+            return;
+        }
+        if self.depth == SPILL_DEPTH {
+            return self.spilled.push(v.clone());
+        }
+        self.depth += 1;
+        match v {
+            Value::Ptr(c) => self.cell(c, false),
+            Value::Slice(s) => self.array(&s.cells, false),
+            Value::Map(m) => self.map(m, false),
+            _ => {}
+        }
+        self.depth -= 1;
+    }
+
+    /// Traces the spilled references, and what they spill in turn.
+    fn drain(&mut self) {
+        while let Some(v) = self.spilled.pop() {
+            self.trace(&v);
+        }
+    }
+
+    /// A remembered object: traced whatever its age while it lives.
+    fn remembered(&mut self, r: &Remembered) {
+        if !r.is_live(self.rt) {
+            return;
+        }
+        match r {
+            Remembered::Cell(c) => self.cell(c, true),
+            Remembered::Array(a) => self.array(a, true),
+            Remembered::Map(m, _) => self.map(m, true),
+        }
+        self.drain();
     }
 }
 
@@ -112,52 +209,45 @@ impl RootSink for Marker<'_> {
         self.drain();
     }
 
-    fn boxed(&mut self, cell: ObjId) {
-        if !cell.on_stack() && self.rt.has_barrier() {
-            self.frame_cells.push(cell);
+    fn boxed(&mut self, cell: &Cell) {
+        if cell.obj.is_some() && self.rt.has_barrier() {
+            self.frame_cells.push(Remembered::Cell(cell.clone()));
         }
-        self.visit(cell, true);
+        self.cell(cell, true);
         self.drain();
     }
 }
 
-/// One GC cycle: mark from `roots` (and, in a minor, from the heap's
-/// remembered objects and `frame_cells`), collect, and drop the
-/// payloads the sweep freed.
+/// One GC cycle: mark from `roots` (and, in a minor, from `remembered`),
+/// collect, and tell the shadow heap which allocations the sweep ended.
 /// `roots` reports every root to the sink it is given (it may be asked
-/// more than once). On return `frame_cells` holds the frame cells this
+/// more than once). On return `remembered` holds the frame cells this
 /// cycle scanned, for the next one. Called by `Machine::collect_garbage`
 /// only.
 pub(crate) fn collect_garbage(
     rt: &mut Runtime,
-    store: &mut Store,
-    frame_cells: &mut Vec<ObjId>,
+    shadow: &mut Option<ShadowHeap>,
+    remembered: &mut Vec<Remembered>,
     roots: impl Fn(&mut dyn RootSink),
 ) {
-    let mut marker = Marker::new(rt, store);
+    let mut marker = Marker::new(rt);
     if marker.minor {
-        let remembered = marker.rt.heap().remembered_objects();
-        let mut forced: Vec<ObjId> = remembered.map(|(addr, tag)| ObjId { tag, addr }).collect();
-        forced.extend(frame_cells.iter().filter(|c| c.is_live(marker.rt)));
-        for id in forced {
-            // A remembered bucket array stands for its map.
-            match store.get(id) {
-                Some(Payload::Buckets(map)) => marker.visit(*map, true),
-                _ => marker.visit(id, true),
-            }
-            marker.drain();
+        for r in remembered.iter() {
+            marker.remembered(r);
         }
     }
     roots(&mut marker);
-    let scanned = marker.frame_cells;
+    let frame_cells = marker.frame_cells;
     #[cfg(test)]
-    let reachable = tests::check_marks(rt, store, frame_cells, &roots);
-    *frame_cells = scanned;
+    let reachable = tests::check_marks(rt, remembered, &roots);
+    *remembered = frame_cells;
     let swept = rt.collect();
     #[cfg(test)]
     tests::check_survivors(rt, &reachable, &swept);
-    for f in &swept.freed {
-        store.sweep(f.addr);
+    if let Some(sh) = shadow {
+        for f in &swept.freed {
+            sh.on_sweep(f.owner.serial());
+        }
     }
 }
 
@@ -183,28 +273,30 @@ mod tests {
     }
 
     /// The pre-bitmap marker, kept as the model: a plain recursive walk
-    /// into a `HashSet` of addresses with a `seen` set on every edge.
-    /// With `prune` it applies a minor's rule, written apart from
+    /// into a `HashSet` of addresses with a pointer `seen` set on every
+    /// edge. With `prune` it applies a minor's rule, written apart from
     /// [`Marker`]'s: an old live object is entered only when forced (a
-    /// remembered object or a frame cell). Every cycle either engine
-    /// runs under `cfg(test)` is checked against it.
+    /// remembered entry or a frame cell). Every cycle either engine runs
+    /// under `cfg(test)` is checked against it.
     struct RefMarker<'a> {
         rt: &'a Runtime,
-        store: &'a Store,
         prune: bool,
         marked: HashSet<ObjAddr>,
-        seen: HashSet<ObjAddr>,
+        seen: HashSet<usize>,
     }
 
     impl<'a> RefMarker<'a> {
-        fn new(rt: &'a Runtime, store: &'a Store, prune: bool) -> Self {
+        fn new(rt: &'a Runtime, prune: bool) -> Self {
             RefMarker {
                 rt,
-                store,
                 prune,
                 marked: HashSet::new(),
                 seen: HashSet::new(),
             }
+        }
+
+        fn live(&self, obj: Option<ObjId>) -> Option<ObjAddr> {
+            obj.filter(|o| o.is_live(self.rt)).map(|o| o.addr)
         }
 
         /// Whether a minor stops at `addr` (old, not forced).
@@ -212,34 +304,43 @@ mod tests {
             self.prune && !forced && !self.rt.heap().is_young(addr)
         }
 
-        /// Marks `obj` if it is live and walks its payload, once.
-        fn object(&mut self, obj: ObjId, forced: bool) {
-            if obj.is_live(self.rt) {
-                if self.stops(obj.addr, forced) {
-                    return;
+        /// Marks `obj` and answers whether to walk the payload at `ptr`.
+        fn enter(&mut self, obj: Option<ObjId>, ptr: usize, forced: bool) -> bool {
+            if let Some(addr) = self.live(obj) {
+                if self.stops(addr, forced) {
+                    return false;
                 }
-                self.marked.insert(obj.addr);
+                self.marked.insert(addr);
             }
-            let store = self.store;
-            let Some(payload) = store.get(obj).filter(|_| self.seen.insert(obj.addr)) else {
-                return;
-            };
-            match payload {
-                Payload::Cell(v) => self.value(v),
+            self.seen.insert(ptr)
+        }
+
+        fn cell(&mut self, cell: &Cell, forced: bool) {
+            if self.enter(cell.obj, Rc::as_ptr(cell) as usize, forced) {
+                self.value(&cell.borrow());
+            }
+        }
+
+        fn array(&mut self, cells: &Array, forced: bool) {
+            if self.enter(cells.obj, Rc::as_ptr(cells) as usize, forced) {
                 // Every element through `get`, never `traced()`: a
                 // representation that hid a reference would leave the
                 // span bits short of this model's set.
-                Payload::Array(cells) => (0..cells.len()).for_each(|i| self.value(&cells.get(i))),
-                Payload::Map(data) => {
-                    if let Some(b) = data.buckets_obj.filter(|b| b.is_live(self.rt)) {
-                        if !self.stops(b.addr, false) {
-                            self.marked.insert(b.addr);
-                        }
+                let cells = cells.borrow();
+                (0..cells.len()).for_each(|i| self.value(&cells.get(i)));
+            }
+        }
+
+        fn map(&mut self, m: &MapVal, forced: bool) {
+            if self.enter(m.obj, Rc::as_ptr(m) as usize, forced) {
+                let data = m.borrow();
+                if let Some(addr) = self.live(data.buckets_obj) {
+                    if !self.stops(addr, false) {
+                        self.marked.insert(addr);
                     }
-                    // Every entry, never `traced()` (as for slices).
-                    data.entries().for_each(|(_, v)| self.value(&v));
                 }
-                Payload::Buckets(_) => {}
+                // Every entry, never `traced()` (as for slices).
+                data.entries().for_each(|(_, v)| self.value(&v));
             }
         }
     }
@@ -248,14 +349,15 @@ mod tests {
         fn value(&mut self, v: &Value) {
             match v {
                 Value::Struct(fields) => fields.iter().for_each(|f| self.value(f)),
-                Value::Ptr(id) | Value::Map(id) => self.object(*id, false),
-                Value::Slice(s) => self.object(s.cells, false),
+                Value::Ptr(p) => self.cell(p, false),
+                Value::Slice(s) => self.array(&s.cells, false),
+                Value::Map(m) => self.map(m, false),
                 _ => {}
             }
         }
 
-        fn boxed(&mut self, cell: ObjId) {
-            self.object(cell, true);
+        fn boxed(&mut self, cell: &Cell) {
+            self.cell(cell, true);
         }
     }
 
@@ -266,14 +368,13 @@ mod tests {
     /// the roots (safety).
     pub(super) fn check_marks(
         rt: &Runtime,
-        store: &Store,
-        frame_cells: &[ObjId],
+        remembered: &[Remembered],
         roots: &impl Fn(&mut dyn RootSink),
     ) -> HashSet<ObjAddr> {
         let heap = rt.heap();
         let live = heap.live_objects().map(|(addr, _, _)| addr);
         let bits: HashSet<ObjAddr> = live.filter(|&addr| heap.is_marked(addr)).collect();
-        let mut full = RefMarker::new(rt, store, false);
+        let mut full = RefMarker::new(rt, false);
         roots(&mut full);
         if rt.pending_cycle() == CycleKind::Major {
             assert_eq!(
@@ -282,14 +383,12 @@ mod tests {
             );
             return full.marked;
         }
-        let mut pruned = RefMarker::new(rt, store, true);
-        let remembered = heap
-            .remembered_objects()
-            .map(|(addr, tag)| ObjId { tag, addr });
-        for id in remembered.chain(frame_cells.iter().copied().filter(|c| c.is_live(rt))) {
-            match store.get(id) {
-                Some(Payload::Buckets(map)) => pruned.object(*map, true),
-                _ => pruned.object(id, true),
+        let mut pruned = RefMarker::new(rt, true);
+        for r in remembered.iter().filter(|r| r.is_live(rt)) {
+            match r {
+                Remembered::Cell(c) => pruned.cell(c, true),
+                Remembered::Array(a) => pruned.array(a, true),
+                Remembered::Map(m, _) => pruned.map(m, true),
             }
         }
         roots(&mut pruned);
@@ -406,8 +505,8 @@ mod tests {
 
     #[test]
     fn stack_backed_cell_cycle() {
-        // `a` and `b` never escape: both boxes are frame-owned slots, so
-        // no edge of the cycle has a mark bit and only `seen` ends the walk.
+        // `a` and `b` never escape: both boxes are stack-backed, so every
+        // edge of the cycle has `obj == None` and only `seen` ends the walk.
         let out = run_everywhere(&format!(
             "{NODE}func main() {{ a := N{{nil, 1}}\n b := N{{nil, 2}}\n a.next = &b\n b.next = &a\n\
              print(churn(400), a.next.next.v, a.next.v) }}\n"
@@ -439,17 +538,17 @@ mod tests {
     }
 
     #[test]
-    fn a_deep_list_is_marked_whole() {
-        // A thousand links, traced off the worklist; the bits must still
-        // match the reference marker's walk.
-        const LINKS: u64 = 1024;
+    fn a_list_deeper_than_the_spill_depth_is_marked_whole() {
+        // Four times `SPILL_DEPTH` links: every cycle after `build` spills,
+        // and its bits must still match the reference marker's walk.
         let out = run_everywhere(&format!(
             "{NODE}func build(n int) *N {{ var h *N\n\
              for i := 0; i < n; i += 1 {{ h = &N{{h, i}} }}\n return h }}\n\
-             func main() {{ h := build({LINKS})\n t := churn(400)\n\
-             for p := h; p != nil; p = p.next {{ t += p.v }}\n print(t) }}\n"
+             func main() {{ h := build({})\n t := churn(400)\n\
+             for p := h; p != nil; p = p.next {{ t += p.v }}\n print(t) }}\n",
+            4 * SPILL_DEPTH
         ));
-        let links = LINKS;
+        let links = 4 * u64::from(SPILL_DEPTH);
         let sum = links * (links - 1) / 2;
         assert_eq!(out, (format!("{}\n", 79_800 + sum), links));
     }
@@ -646,10 +745,12 @@ mod tests {
         assert_eq!(again, addr, "the §5 revert hands the slot straight back");
         let new = ObjId { tag, addr };
         assert_eq!((old.number(), new.number()), (0, 1));
-        let store = Store::default();
-        let mut marker = Marker::new(&mut rt, &store);
-        marker.visit(old, false);
-        assert!(marker.work.is_empty(), "absent, not the new occupant");
+        let mut marker = Marker::new(&mut rt);
+        assert_eq!(
+            marker.mark(Some(old), false),
+            None,
+            "absent, not the new occupant"
+        );
         assert!(!rt.heap().is_marked(addr));
         assert!(new.is_live(&rt) && !old.is_live(&rt));
     }

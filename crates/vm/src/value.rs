@@ -2,8 +2,9 @@
 //!
 //! MiniGo values follow Go's semantics: structs are values (copied on
 //! assignment), slices are headers sharing a backing array, maps are
-//! references to runtime-managed storage, and pointers address a heap
-//! object or a frame-owned stack slot.
+//! references to runtime-managed storage, and pointers address either a
+//! heap cell or a stack slot (uniformly represented as shared cells; the
+//! escape analysis decides which get heap *accounting*).
 //!
 //! # The three-tier layout
 //!
@@ -13,31 +14,38 @@
 //!
 //! 1. **Inline scalars** — `Int`, `Bool`, `Nil`, `Poison` fit in the
 //!    discriminant + 8 payload bytes.
-//! 2. **Handles and the shared string** — `Ptr` and `Map` carry an
-//!    [`ObjId`], a 16-byte `Copy` handle; `Str(Rc<str>)` is a 16-byte fat
-//!    pointer whose clone is a refcount bump. This tier sets the enum's
-//!    size floor.
-//! 3. **Boxed aggregates** — `Struct` holds an `Rc<[Value]>` (its fields,
-//!    in one allocation with the count) and `Slice` an `Rc` of its
-//!    header. Value semantics are preserved with copy-on-write: every
-//!    mutation site goes through [`Rc::make_mut`], which clones the
-//!    payload only when it is actually shared — exactly the copy Go
-//!    semantics would have made eagerly.
+//! 2. **Shared string** — `Str(Rc<str>)` is a 16-byte fat pointer; the
+//!    payload is immutable, so a clone is a refcount bump. This tier
+//!    sets the enum's size floor.
+//! 3. **Boxed aggregates** — `Struct`, `Ptr`, `Slice`, and `Map` hold an
+//!    `Rc` to their payloads: `Struct` an `Rc<[Value]>` (its fields, in
+//!    one allocation with the count), the other three a thin 8-byte one.
+//!    Cloning any of them is a refcount bump instead of a header
+//!    memcpy. Value semantics for structs and slice headers are
+//!    preserved with copy-on-write: every mutation site goes through
+//!    [`Rc::make_mut`], which clones the payload only when it is
+//!    actually shared — exactly the copy Go semantics would have made
+//!    eagerly. Maps and pointer cells are reference types, so sharing
+//!    the payload *is* their semantics and they are never `make_mut`.
 //!
-//! # The heap owns its objects
+//! # One host allocation per heap object
 //!
-//! A pointer cell, a slice's backing array and a map live in the
-//! [`Store`] under the address the allocator gave them, beside the stamp
-//! of the allocation that put them there; a reference is that
-//! `(stamp, address)` [`ObjId`], the pair [`Runtime::mark`] checks. Only
-//! the store owns a payload, so no reference cycle keeps one alive, and a
-//! sweep drops what it frees in place. A `tcfree` leaves the payload
-//! until the slot is reused; after that the old handle's stamp no longer
-//! matches and it reads as `Poison`. A stack placement or a boxed
-//! variable is a frame-owned slot instead — one per site or variable of
-//! the frame, reused when the site runs again, released when the frame
-//! returns — named by the reserved span [`STACK`]. Handles own nothing,
-//! so neither dropping nor marking a deep structure recurses per link.
+//! A pointer cell, a slice's backing array and a map are the three
+//! payloads a heap object can stand for. Each is an [`Obj`]: the
+//! object's handle (`None` for a stack placement) beside the `RefCell`
+//! holding the payload, in the one `Rc` allocation a [`Value`] points
+//! at. Reaching the payload or its identity from a value is one pointer
+//! hop — the hop the marker makes once per object per cycle — and a
+//! handle can never be paired with a second payload, which is what lets
+//! the marker's mark bit stand for its visited check (`mark.rs`).
+//! Reslicing copies the header (offset, length, element size) and shares
+//! the `Obj`, so a [`SliceVal`] is 32 bytes.
+//!
+//! A guest structure can be arbitrarily deep (a 100k-node list), and the
+//! host must not recurse once per link over it. The marker spills past a
+//! fixed depth to a stack of its own; dropping an [`Obj`] moves the
+//! references its payload holds onto a per-thread pending list that the
+//! outermost drop drains in a loop ([`Teardown`]).
 //!
 //! # Backing arrays: ints stored as ints
 //!
@@ -51,7 +59,7 @@
 //! `append` grows a nil slice by. The moment something that is not an
 //! `Int` is stored into an `Ints` array (the §6.8 mock `tcfree`'s
 //! `Poison` fill is the one case a typed program reaches) the array
-//! *generalises in place*, in the one store entry every alias names, so
+//! *generalises in place*, inside the `RefCell` every alias shares, so
 //! correctness never rests on the typechecker. No caller outside this
 //! module matches on the variant; they go through [`Cells`]' methods.
 //!
@@ -66,31 +74,26 @@
 //! non-int key moves the map to `Key`s with a `Key` index. Each step is
 //! taken in place, once, and never undone; a lookup never takes one.
 
+use std::cell::{Cell as Flag, Ref, RefCell, RefMut};
 use std::collections::TryReserveError;
 use std::fmt;
 use std::hash::Hash;
 use std::rc::Rc;
 
-use minigo_runtime::{ObjAddr, OwnerTag, Runtime, SpanId};
+use minigo_runtime::{ObjAddr, OwnerTag, Runtime};
 
 use crate::fxhash::FxHashMap;
-use crate::machine::SiteId;
 
-/// The span no heap object lives in: a handle naming it is a frame-owned
-/// slot, indexed by its slot number in the [`Store`]'s stack.
-pub const STACK: SpanId = SpanId(u32::MAX);
-
-/// A handle to a guest object: where it lives plus the stamp its
-/// allocation left. There is no object table — the handle resolves while
-/// the [`Store`] still holds that stamp at that address, and names a live
-/// heap object while the heap reports `tag` as the slot's owner
-/// (`Runtime::owner`), which an explicit free, a sweep, or reuse of the
-/// slot all end.
+/// A handle to a heap-accounted object: the allocator address plus the
+/// stamp the allocation left on the slot. There is no object table —
+/// the handle is live exactly while the heap still reports `tag` as the
+/// slot's owner (`Runtime::owner`), which an explicit free, a sweep, or
+/// reuse of the slot all end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjId {
     /// The allocation stamp (its niche keeps `Option<ObjId>` at 16 bytes).
     pub tag: OwnerTag,
-    /// Where the allocator put the object, or its frame-owned slot.
+    /// Where the allocator put the object.
     pub addr: ObjAddr,
 }
 
@@ -100,12 +103,6 @@ impl ObjId {
         self.tag.serial()
     }
 
-    /// Whether the handle names a frame-owned slot, not a heap object.
-    #[inline]
-    pub fn on_stack(self) -> bool {
-        self.addr.span == STACK
-    }
-
     /// Whether the object is still allocated under this handle.
     #[inline]
     pub fn is_live(self, rt: &Runtime) -> bool {
@@ -113,123 +110,128 @@ impl ObjId {
     }
 }
 
-/// What a handle resolves to.
+/// A guest object as the host holds it: the handle of the heap object
+/// backing it (`None` when the escape analysis placed it on the stack,
+/// or it is a frame's box) and its payload, in one `Rc` allocation (see
+/// the module docs).
 #[derive(Debug)]
-pub enum Payload {
-    /// A pointer cell: a variable's box or the target of `&T{..}` / `new`.
-    Cell(Value),
-    /// A slice's backing array.
-    Array(Cells),
-    /// A map's storage.
-    Map(Box<MapData>),
-    /// A map's bucket array: the map it belongs to (what a minor traces
-    /// when the barrier remembered the array).
-    Buckets(ObjId),
+pub struct Obj<T: Teardown> {
+    /// Heap object backing the payload, if heap-allocated.
+    pub obj: Option<ObjId>,
+    payload: RefCell<T>,
 }
 
-/// A payload and the stamp of the allocation that stored it.
-#[derive(Debug)]
-struct Entry {
-    tag: OwnerTag,
-    payload: Payload,
-}
-
-/// A frame-owned slot: the site or variable that owns it in its frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StackKey {
-    /// A boxed variable (its slot or id).
-    Var(u32),
-    /// A stack-placed allocation site.
-    Site(SiteId),
-}
-
-/// The storage behind every handle: each heap object's payload at its
-/// address, in a slab per span grown to the highest slot used, and the
-/// frame-owned slots in one more slab the frames share as a stack, each
-/// frame's from the base it entered at.
-#[derive(Debug, Default)]
-pub struct Store {
-    spans: Vec<Vec<Option<Entry>>>,
-    stack: Vec<Option<Entry>>,
-    /// The site or variable owning each stack slot.
-    keys: Vec<StackKey>,
-    /// Frame-owned slots stamped so far.
-    stamps: u64,
-}
-
-impl Store {
-    /// What `id` names, unless its slot was reused, swept or released.
+impl<T: Teardown> Obj<T> {
+    /// A fresh object holding `payload`.
     #[inline]
-    pub fn get(&self, id: ObjId) -> Option<&Payload> {
-        let slab = if id.on_stack() {
-            &self.stack
-        } else {
-            self.spans.get(id.addr.span.0 as usize)?
-        };
-        let e = slab.get(id.addr.slot as usize)?.as_ref()?;
-        (e.tag == id.tag).then_some(&e.payload)
+    pub fn new(obj: Option<ObjId>, payload: T) -> Rc<Self> {
+        Rc::new(Obj {
+            obj,
+            payload: RefCell::new(payload),
+        })
     }
 
-    /// [`Store::get`], mutably.
+    /// Borrows the payload.
+    ///
+    /// # Panics
+    ///
+    /// While it is mutably borrowed, like [`RefCell::borrow`].
     #[inline]
-    pub fn get_mut(&mut self, id: ObjId) -> Option<&mut Payload> {
-        let slab = if id.on_stack() {
-            &mut self.stack
+    pub fn borrow(&self) -> Ref<'_, T> {
+        self.payload.borrow()
+    }
+
+    /// Borrows the payload mutably.
+    ///
+    /// # Panics
+    ///
+    /// While it is borrowed, like [`RefCell::borrow_mut`].
+    #[inline]
+    pub fn borrow_mut(&self) -> RefMut<'_, T> {
+        self.payload.borrow_mut()
+    }
+}
+
+/// A pointer cell: a variable's box or the target of `&T{..}` / `new`.
+pub type Cell = Rc<Obj<Value>>;
+
+/// A slice's backing array.
+pub type Array = Rc<Obj<Cells>>;
+
+/// A map: the hmap header's handle beside the map's storage.
+pub type MapVal = Rc<Obj<MapData>>;
+
+/// A payload that can hand over the references it holds, so that
+/// dropping a long chain of uniquely owned objects runs in a loop rather
+/// than one host stack frame per link.
+pub trait Teardown {
+    /// The values that may hold a reference (empty when none can).
+    fn held(&mut self) -> &mut [Value];
+}
+
+impl Teardown for Value {
+    #[inline]
+    fn held(&mut self) -> &mut [Value] {
+        if self.can_reference() {
+            std::slice::from_mut(self)
         } else {
-            self.spans.get_mut(id.addr.span.0 as usize)?
-        };
-        let e = slab.get_mut(id.addr.slot as usize)?.as_mut()?;
-        (e.tag == id.tag).then_some(&mut e.payload)
-    }
-
-    /// Stores the payload of a fresh heap allocation, dropping whatever
-    /// the slot held before.
-    pub fn put(&mut self, id: ObjId, payload: Payload) {
-        let (span, slot) = (id.addr.span.0 as usize, id.addr.slot as usize);
-        self.spans
-            .resize_with(self.spans.len().max(span + 1), Vec::new);
-        let slab = &mut self.spans[span];
-        slab.resize_with(slab.len().max(slot + 1), || None);
-        slab[slot] = Some(Entry {
-            tag: id.tag,
-            payload,
-        });
-    }
-
-    /// Drops the payload of the heap object a sweep freed at `addr`.
-    pub fn sweep(&mut self, addr: ObjAddr) {
-        self.spans[addr.span.0 as usize][addr.slot as usize] = None;
-    }
-
-    /// Where the frame entered now starts its slots.
-    pub fn frame_base(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Stores `payload` in the slot `key` owns in the frame at `base`,
-    /// under a fresh stamp: a new slot the first time, else the one the
-    /// key used before (whose old handles go stale).
-    pub fn frame_slot(&mut self, base: usize, key: StackKey, payload: Payload) -> ObjId {
-        self.stamps += 1;
-        let tag = OwnerTag::from_serial(self.stamps);
-        let owned = self.keys[base..].iter().position(|k| *k == key);
-        let slot = owned.map_or(self.stack.len(), |i| base + i);
-        if owned.is_none() {
-            self.keys.push(key);
-            self.stack.push(None);
+            &mut []
         }
-        self.stack[slot] = Some(Entry { tag, payload });
-        let addr = ObjAddr {
-            span: STACK,
-            slot: slot as u32,
-        };
-        ObjId { tag, addr }
     }
+}
 
-    /// Releases the slots of the frame at `base` (and of any above it).
-    pub fn release(&mut self, base: usize) {
-        self.stack.truncate(base);
-        self.keys.truncate(base);
+impl Teardown for Cells {
+    #[inline]
+    fn held(&mut self) -> &mut [Value] {
+        match self {
+            Cells::Ints(_) => &mut [],
+            Cells::Any(c) => c,
+        }
+    }
+}
+
+impl Teardown for MapData {
+    #[inline]
+    fn held(&mut self) -> &mut [Value] {
+        self.vals.held()
+    }
+}
+
+thread_local! {
+    /// References detached from dropped objects, not yet dropped.
+    static PENDING: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
+    /// Whether a drop further up this thread's stack is draining `PENDING`.
+    static DRAINING: Flag<bool> = const { Flag::new(false) };
+}
+
+/// The pending list keeps at most this much capacity between teardowns.
+const PENDING_KEPT: usize = 1 << 12;
+
+/// An object's drop moves its payload's references onto the thread's
+/// pending list; the outermost drop then drops them one at a time, each
+/// of those drops moving its own in turn. The host stack stays as deep
+/// as one struct's nesting, however long the chain.
+impl<T: Teardown> Drop for Obj<T> {
+    fn drop(&mut self) {
+        let held = self.payload.get_mut().held();
+        if held.is_empty() {
+            return;
+        }
+        let detach = |p: &RefCell<Vec<Value>>| {
+            let refs = held.iter_mut().filter(|v| v.can_reference());
+            p.borrow_mut()
+                .extend(refs.map(|v| std::mem::replace(v, Value::Nil)));
+        };
+        // During thread exit the list may be gone: drop by recursion.
+        if PENDING.try_with(detach).is_err() || DRAINING.get() {
+            return;
+        }
+        DRAINING.set(true);
+        while let Some(v) = PENDING.with_borrow_mut(Vec::pop) {
+            drop(v);
+        }
+        PENDING.with_borrow_mut(|p| p.shrink_to(PENDING_KEPT));
+        DRAINING.set(false);
     }
 }
 
@@ -248,32 +250,36 @@ pub enum Value {
     /// mutations go through [`Rc::make_mut`] (see the module docs).
     Struct(Rc<[Value]>),
     /// A pointer to a cell.
-    Ptr(ObjId),
+    Ptr(Cell),
     /// A slice header. Copy-on-write like `Struct`.
     Slice(Rc<SliceVal>),
     /// A map reference.
-    Map(ObjId),
+    Map(MapVal),
     /// Poisoned memory written by the §6.8 mock `tcfree`; reading it is a
     /// runtime error, which is how unsound frees are detected.
     Poison,
 }
 
-/// A slice header: shared backing array, offset, length, capacity, and
-/// element size (bytes) for allocator accounting. Reslicing (`s[a:b]`)
-/// produces a new header over the same cells, exactly like Go.
+/// A slice header: shared backing array, offset, length, and element size
+/// (bytes) for allocator accounting. Reslicing (`s[a:b]`) produces a new
+/// header over the same cells, exactly like Go.
 #[derive(Debug, Clone)]
 pub struct SliceVal {
-    /// The backing array.
-    pub cells: ObjId,
+    /// The backing array, with the heap object behind it.
+    pub cells: Array,
     /// Start offset into the backing array.
     pub offset: usize,
     /// Visible length.
     pub len: usize,
-    /// From the offset to the end of the backing array, whose length
-    /// never changes.
-    pub cap: usize,
     /// Element size in bytes.
     pub elem_size: u64,
+}
+
+impl SliceVal {
+    /// Capacity: from the offset to the end of the backing array.
+    pub fn cap(&self) -> usize {
+        self.cells.borrow().len().saturating_sub(self.offset)
+    }
 }
 
 /// A slice's backing array, in one of two representations (see the
@@ -295,8 +301,8 @@ impl Default for Cells {
 }
 
 /// An `Ints` array's elements as an `Any` array holds them. The caller
-/// replaces the array in the store entry every alias names, so they all
-/// read the generalised contents.
+/// replaces the array inside the `RefCell` every alias shares, so they
+/// all read the generalised contents.
 #[cold]
 fn generalised(ints: &[i64]) -> Vec<Value> {
     ints.iter().map(|&i| Value::Int(i)).collect()
@@ -548,7 +554,7 @@ pub struct MapData {
     pub entry_size: u64,
     /// The `make(map...)` expression that created this map (profile
     /// attribution for growth allocations).
-    pub origin: Option<SiteId>,
+    pub origin: Option<crate::machine::SiteId>,
     /// Set when the §6.8 mock poisoned this map's storage.
     pub poisoned: bool,
 }
@@ -556,7 +562,7 @@ pub struct MapData {
 impl MapData {
     /// An empty map: the hmap with room for eight entries before its
     /// first growth.
-    pub fn new(default: Value, entry_size: u64, origin: Option<SiteId>) -> Self {
+    pub fn new(default: Value, entry_size: u64, origin: Option<crate::machine::SiteId>) -> Self {
         MapData {
             keys: Keys::Ints(Vec::new(), None),
             vals: Cells::default(),
@@ -684,42 +690,34 @@ impl Value {
         )
     }
 
-    /// Renders the value for `print`, reading slices and maps from
-    /// `store` (one whose handle no longer resolves is `Poison`).
-    pub fn display(&self, store: &Store) -> String {
-        match (self, self.payload(store)) {
-            (Value::Int(v), _) => v.to_string(),
-            (Value::Bool(b), _) => b.to_string(),
-            (Value::Str(s), _) => s.to_string(),
-            (Value::Nil, _) => "nil".to_string(),
-            (Value::Struct(fields), _) => {
-                let inner: Vec<String> = fields.iter().map(|f| f.display(store)).collect();
+    /// Renders the value for `print`.
+    pub fn display(&self) -> String {
+        match self {
+            Value::Int(v) => v.to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Str(s) => s.to_string(),
+            Value::Nil => "nil".to_string(),
+            Value::Struct(fields) => {
+                let inner: Vec<String> = fields.iter().map(Value::display).collect();
                 format!("{{{}}}", inner.join(" "))
             }
-            (Value::Ptr(_), _) => "<ptr>".to_string(),
-            (Value::Slice(s), Some(Payload::Array(cells))) => {
+            Value::Ptr(_) => "<ptr>".to_string(),
+            Value::Slice(s) => {
+                let cells = s.cells.borrow();
                 let inner: Vec<String> = (s.offset..s.offset + s.len)
-                    .map(|i| cells.get(i).display(store))
+                    .map(|i| cells.get(i).display())
                     .collect();
                 format!("[{}]", inner.join(" "))
             }
-            (Value::Map(_), Some(Payload::Map(data))) => {
+            Value::Map(m) => {
+                let data = m.borrow();
                 let inner: Vec<String> = data
                     .entries()
-                    .map(|(k, v)| format!("{k}:{}", v.display(store)))
+                    .map(|(k, v)| format!("{k}:{}", v.display()))
                     .collect();
                 format!("map[{}]", inner.join(" "))
             }
-            _ => "<poison>".to_string(),
-        }
-    }
-
-    /// What a slice or map value's handle resolves to in `store`.
-    fn payload<'s>(&self, store: &'s Store) -> Option<&'s Payload> {
-        match self {
-            Value::Slice(s) => store.get(s.cells),
-            Value::Map(m) => store.get(*m),
-            _ => None,
+            Value::Poison => "<poison>".to_string(),
         }
     }
 
@@ -738,6 +736,34 @@ impl Value {
     /// array, or a `map` over either).
     pub fn struct_of(fields: impl IntoIterator<Item = Value>) -> Value {
         Value::Struct(fields.into_iter().collect())
+    }
+
+    /// Builds a struct value from its `n` fields, read in order by
+    /// `read`, in one allocation. The first read that fails ends the
+    /// reads, and its error is the result.
+    ///
+    /// # Errors
+    ///
+    /// The first error `read` returns.
+    pub fn try_struct<E>(
+        n: usize,
+        mut read: impl FnMut(usize) -> Result<Value, E>,
+    ) -> Result<Value, E> {
+        let mut failed = None;
+        // A range's `map` has an exact length: the `Rc` is allocated once.
+        let fields = (0..n)
+            .map(|i| match failed {
+                Some(_) => Value::Nil,
+                None => read(i).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    Value::Nil
+                }),
+            })
+            .collect();
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Value::Struct(fields)),
+        }
     }
 
     /// Builds a slice value.
@@ -816,77 +842,81 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let mut store = Store::default();
-        assert_eq!(Value::Int(3).display(&store), "3");
-        assert_eq!(Value::Nil.display(&store), "nil");
-        let cells = Cells::Any(vec![Value::Int(1), Value::Int(2), Value::Int(0)]);
-        let id = store.frame_slot(0, StackKey::Var(0), Payload::Array(cells));
+        assert_eq!(Value::Int(3).display(), "3");
+        assert_eq!(Value::Nil.display(), "nil");
         let s = Value::slice(SliceVal {
-            cells: id,
+            cells: Obj::new(
+                None,
+                Cells::Any(vec![Value::Int(1), Value::Int(2), Value::Int(0)]),
+            ),
             offset: 0,
             len: 2,
-            cap: 3,
             elem_size: 8,
         });
-        assert_eq!(s.display(&store), "[1 2]");
+        assert_eq!(s.display(), "[1 2]");
         assert_eq!(
-            Value::struct_of(vec![Value::Int(1), Value::Bool(true)]).display(&store),
+            Value::struct_of(vec![Value::Int(1), Value::Bool(true)]).display(),
             "{1 true}"
         );
-        store.release(0);
-        assert_eq!(s.display(&store), "<poison>", "a released slot");
-    }
-
-    #[test]
-    fn a_stale_handle_resolves_to_nothing() {
-        let mut store = Store::default();
-        let a = store.frame_slot(
-            0,
-            StackKey::Site(minigo_syntax::ExprId(1)),
-            Payload::Cell(Value::Int(1)),
-        );
-        let again = store.frame_slot(
-            0,
-            StackKey::Site(minigo_syntax::ExprId(1)),
-            Payload::Cell(Value::Int(2)),
-        );
-        let var = store.frame_slot(0, StackKey::Var(1), Payload::Cell(Value::Int(3)));
-        assert_eq!(again.addr, a.addr, "a site's second run reuses its slot");
-        assert_ne!(var.addr, a.addr);
-        assert!(store.get(a).is_none(), "under a fresh stamp");
-        assert!(matches!(
-            store.get(again),
-            Some(Payload::Cell(Value::Int(2)))
-        ));
-        let heap = |slot, serial| ObjId {
-            tag: OwnerTag::from_serial(serial),
-            addr: ObjAddr {
-                span: SpanId(3),
-                slot,
-            },
-        };
-        store.put(heap(5, 10), Payload::Cell(Value::Int(4)));
-        assert!(store.get(heap(5, 10)).is_some());
-        assert!(
-            store.get(heap(5, 11)).is_none(),
-            "another allocation's stamp"
-        );
-        assert!(store.get(heap(4, 10)).is_none(), "a slot never stored");
-        store.sweep(heap(5, 10).addr);
-        assert!(store.get(heap(5, 10)).is_none(), "swept");
     }
 
     /// The three-tier layout (module docs) pins `Value` at 24 bytes on
-    /// 64-bit hosts: 16 for a handle or the `Rc<str>` fat pointer plus 8
-    /// for the discriminant-bearing word. Growing any variant past that
-    /// is a regression in operand-stack and slot bandwidth.
+    /// 64-bit hosts: 16 for the `Rc<str>` fat pointer plus 8 for the
+    /// discriminant-bearing word. Growing any variant past that is a
+    /// regression in operand-stack and slot bandwidth.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn value_stays_compact() {
         assert_eq!(std::mem::size_of::<Value>(), 24);
         assert_eq!(std::mem::size_of::<Option<Value>>(), 24);
-        // A handle keeps its niche.
+        // An object's header: the handle keeps its niche.
         assert_eq!(std::mem::size_of::<Option<ObjId>>(), 16);
+        // A header's handle lives with its array, not in every header.
+        assert_eq!(std::mem::size_of::<SliceVal>(), 32);
+    }
+
+    /// A list far longer than the host stack has frames for drops in a
+    /// loop: through pointer cells, through a `[]*T` per link, and
+    /// through a `map[int]*T` per link. A wide array's drop leaves the
+    /// pending list no larger than it keeps.
+    #[test]
+    fn a_deep_chain_drops_without_recursing_per_link() {
+        const LINKS: usize = 200_000;
+        fn by_ptr(next: Value) -> Value {
+            Value::Ptr(Obj::new(None, Value::struct_of([Value::Int(1), next])))
+        }
+        fn by_slice(next: Value) -> Value {
+            Value::slice(SliceVal {
+                cells: Obj::new(None, Cells::Any(vec![by_ptr(next)])),
+                offset: 0,
+                len: 1,
+                elem_size: 8,
+            })
+        }
+        fn by_map(next: Value) -> Value {
+            let mut data = MapData::new(Value::Nil, 16, None);
+            data.push(Key::Int(0), by_ptr(next));
+            Value::Map(Obj::new(None, data))
+        }
+        let links: [fn(Value) -> Value; 3] = [by_ptr, by_slice, by_map];
+        for link in links {
+            let kept = std::thread::Builder::new()
+                .stack_size(256 << 10)
+                .spawn(move || {
+                    let mut head = Value::Nil;
+                    for _ in 0..LINKS {
+                        head = link(head);
+                    }
+                    drop(head);
+                    let wide = (0..LINKS).map(|_| by_ptr(Value::Nil)).collect();
+                    drop(Obj::new(None, Cells::Any(wide)));
+                    PENDING.with_borrow(Vec::capacity)
+                })
+                .expect("spawn")
+                .join()
+                .expect("the chain dropped");
+            assert!(kept <= PENDING_KEPT, "{kept}");
+        }
     }
 
     #[test]
@@ -898,8 +928,8 @@ mod tests {
         if let Value::Struct(fields) = &mut a {
             Rc::make_mut(fields)[0] = Value::Int(99);
         }
-        assert_eq!(a.display(&Store::default()), "{99 2}");
-        assert_eq!(b.display(&Store::default()), "{1 2}");
+        assert_eq!(a.display(), "{99 2}");
+        assert_eq!(b.display(), "{1 2}");
     }
 
     #[test]

@@ -5,44 +5,29 @@
 //! must agree — through every header, including aliases taken before an
 //! array generalised.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
-use minigo_vm::{Cells, ObjId, Payload, SliceVal, StackKey, Store, Value};
+use minigo_vm::{Cells, Obj, SliceVal, Value};
 
 /// One backing array, both ways, plus whether only ints have ever been
 /// stored in it — what decides the representation, so what the marker is
 /// allowed to skip.
 struct Array {
-    cells: ObjId,
-    model: Vec<Value>,
+    cells: minigo_vm::Array,
+    model: Rc<RefCell<Vec<Value>>>,
     ints_only: bool,
 }
 
 impl Array {
-    /// The `n`th array, stored in `store`.
-    fn new(store: &mut Store, n: usize, cells: Cells, model: Vec<Value>, ints_only: bool) -> Array {
-        let key = StackKey::Var(n as u32);
+    fn new(cells: Cells, model: Vec<Value>, ints_only: bool) -> Array {
         Array {
-            cells: store.frame_slot(0, key, Payload::Array(cells)),
-            model,
+            cells: Obj::new(None, cells),
+            model: Rc::new(RefCell::new(model)),
             ints_only,
         }
-    }
-}
-
-/// The array `id` names.
-fn cells(store: &Store, id: ObjId) -> &Cells {
-    match store.get(id) {
-        Some(Payload::Array(cells)) => cells,
-        other => panic!("not an array: {other:?}"),
-    }
-}
-
-/// [`cells`], mutably.
-fn cells_mut(store: &mut Store, id: ObjId) -> &mut Cells {
-    match store.get_mut(id) {
-        Some(Payload::Array(cells)) => cells,
-        other => panic!("not an array: {other:?}"),
     }
 }
 
@@ -85,9 +70,9 @@ fn same(a: &Value, b: &Value) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
-fn check(store: &Store, arrays: &[Array], headers: &[Header]) {
+fn check(arrays: &[Array], headers: &[Header]) {
     for a in arrays {
-        let (cells, model) = (cells(store, a.cells), &a.model);
+        let (cells, model) = (a.cells.borrow(), a.model.borrow());
         assert_eq!(cells.len(), model.len());
         assert_eq!(cells.is_empty(), model.is_empty());
         for (i, want) in model.iter().enumerate() {
@@ -105,19 +90,18 @@ fn check(store: &Store, arrays: &[Array], headers: &[Header]) {
         }
     }
     for h in headers {
-        let model = &arrays[h.array].model;
         let slice = Value::slice(SliceVal {
-            cells: arrays[h.array].cells,
+            cells: arrays[h.array].cells.clone(),
             offset: h.offset,
             len: h.len,
-            cap: model.len() - h.offset,
             elem_size: 8,
         });
+        let model = arrays[h.array].model.borrow();
         let want: Vec<String> = model[h.offset..h.offset + h.len]
             .iter()
-            .map(|v| v.display(store))
+            .map(Value::display)
             .collect();
-        assert_eq!(slice.display(store), format!("[{}]", want.join(" ")));
+        assert_eq!(slice.display(), format!("[{}]", want.join(" ")));
     }
 }
 
@@ -129,37 +113,36 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, any::<usize>(), any::<usize>(), value_strategy()), 1..60),
         zeros in proptest::collection::vec((zero_strategy(), 0usize..12), 1..4),
     ) {
-        let mut store = Store::default();
         let mut arrays = Vec::new();
         let mut headers = Vec::new();
         // make([]T, n), from an int, nil, string or struct zero.
         for (zero, n) in zeros {
             let cells = Cells::filled(zero.clone(), n).expect("small");
             let ints_only = matches!(zero, Value::Int(_));
-            arrays.push(Array::new(&mut store, arrays.len(), cells, vec![zero; n], ints_only));
+            arrays.push(Array::new(cells, vec![zero; n], ints_only));
             headers.push(Header { array: arrays.len() - 1, offset: 0, len: n });
         }
-        check(&store, &arrays, &headers);
+        check(&arrays, &headers);
 
         for (kind, a, b, v) in ops {
             let h = headers[a % headers.len()];
-            let cap = arrays[h.array].model.len() - h.offset;
+            let cap = arrays[h.array].model.borrow().len() - h.offset;
             match kind {
                 // s[i] = v
                 0 | 1 if h.len > 0 => {
                     let i = h.offset + b % h.len;
                     let arr = &mut arrays[h.array];
                     arr.ints_only &= matches!(v, Value::Int(_));
-                    cells_mut(&mut store, arr.cells).set(i, v.clone());
-                    arr.model[i] = v;
+                    arr.cells.borrow_mut().set(i, v.clone());
+                    arr.model.borrow_mut()[i] = v;
                 }
                 // append(s, v), in capacity: the store lands in the shared
                 // array, where every header over it sees it.
                 2 | 3 if h.len < cap => {
                     let arr = &mut arrays[h.array];
                     arr.ints_only &= matches!(v, Value::Int(_));
-                    cells_mut(&mut store, arr.cells).set(h.offset + h.len, v.clone());
-                    arr.model[h.offset + h.len] = v;
+                    arr.cells.borrow_mut().set(h.offset + h.len, v.clone());
+                    arr.model.borrow_mut()[h.offset + h.len] = v;
                     headers.push(Header { len: h.len + 1, ..h });
                 }
                 // append(s, v), growing: a fresh array; the old one and
@@ -168,12 +151,12 @@ proptest! {
                     let new_cap = (cap * 2).max(8);
                     let (lo, hi) = (h.offset, h.offset + h.len);
                     let arr = &arrays[h.array];
-                    let cells = cells(&store, arr.cells).grown(lo, hi, v.clone(), new_cap).expect("small");
+                    let cells = arr.cells.borrow().grown(lo, hi, v.clone(), new_cap).expect("small");
                     let ints_only = arr.ints_only && matches!(v, Value::Int(_));
-                    let mut model = arr.model[lo..hi].to_vec();
+                    let mut model = arr.model.borrow()[lo..hi].to_vec();
                     model.push(v);
                     model.resize(new_cap, Value::Int(0));
-                    arrays.push(Array::new(&mut store, arrays.len(), cells, model, ints_only));
+                    arrays.push(Array::new(cells, model, ints_only));
                     headers.push(Header { array: arrays.len() - 1, offset: 0, len: h.len + 1 });
                 }
                 // s[lo:hi], up to cap(s): an alias of the same array.
@@ -188,45 +171,40 @@ proptest! {
                     let v = if kind == 5 { Value::Poison } else { v };
                     let arr = &mut arrays[h.array];
                     arr.ints_only &= matches!(v, Value::Int(_));
-                    cells_mut(&mut store, arr.cells).fill(v.clone());
-                    arr.model.fill(v);
+                    arr.cells.borrow_mut().fill(v.clone());
+                    arr.model.borrow_mut().fill(v);
                 }
                 // append(nil, v)
                 7 => {
                     let cells = Cells::default().grown(0, 0, v.clone(), 8).expect("small");
                     let mut model = vec![v.clone()];
                     model.resize(8, Value::Int(0));
-                    let ints_only = matches!(v, Value::Int(_));
-                    arrays.push(Array::new(&mut store, arrays.len(), cells, model, ints_only));
+                    arrays.push(Array::new(cells, model, matches!(v, Value::Int(_))));
                     headers.push(Header { array: arrays.len() - 1, offset: 0, len: 1 });
                 }
                 _ => continue,
             }
-            check(&store, &arrays, &headers);
+            check(&arrays, &headers);
         }
     }
 }
 
 #[test]
 fn an_alias_taken_before_a_generalisation_reads_the_generalised_contents() {
-    let mut store = Store::default();
-    let four = Cells::filled(Value::Int(7), 4).expect("four ints");
-    let id = store.frame_slot(0, StackKey::Var(0), Payload::Array(four));
-    let alias = id;
-    assert!(cells(&store, alias).traced().is_empty());
-    cells_mut(&mut store, id).set(2, Value::Str("x".into()));
-    let seen: Vec<String> = (0..4)
-        .map(|i| cells(&store, alias).get(i).display(&store))
-        .collect();
+    let cells = Obj::new(None, Cells::filled(Value::Int(7), 4).expect("four ints"));
+    let alias = cells.clone();
+    assert!(alias.borrow().traced().is_empty());
+    cells.borrow_mut().set(2, Value::Str("x".into()));
+    let seen: Vec<String> = (0..4).map(|i| alias.borrow().get(i).display()).collect();
     assert_eq!(seen, ["7", "7", "x", "7"]);
     assert_eq!(
-        cells(&store, alias).traced().len(),
+        alias.borrow().traced().len(),
         4,
         "the marker sees the string"
     );
     // And back to an int in the same place: the array stays general.
-    cells_mut(&mut store, alias).set(2, Value::Int(1));
-    assert_eq!(cells(&store, id).traced().len(), 4);
+    alias.borrow_mut().set(2, Value::Int(1));
+    assert_eq!(cells.borrow().traced().len(), 4);
 }
 
 #[test]

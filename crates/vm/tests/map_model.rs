@@ -7,37 +7,7 @@
 
 use proptest::prelude::*;
 
-use minigo_vm::{Key, MapData, ObjId, Payload, StackKey, Store, Value};
-
-/// A map in a store of its own, named by its handle as the machine
-/// names one.
-struct Map {
-    store: Store,
-    id: ObjId,
-}
-
-impl Map {
-    fn new() -> Map {
-        let mut store = Store::default();
-        let data = Box::new(MapData::new(Value::Int(0), 16, None));
-        let id = store.frame_slot(0, StackKey::Var(0), Payload::Map(data));
-        Map { store, id }
-    }
-
-    fn data(&self) -> &MapData {
-        match self.store.get(self.id) {
-            Some(Payload::Map(data)) => data,
-            other => panic!("not a map: {other:?}"),
-        }
-    }
-
-    fn data_mut(&mut self) -> &mut MapData {
-        match self.store.get_mut(self.id) {
-            Some(Payload::Map(data)) => data,
-            other => panic!("not a map: {other:?}"),
-        }
-    }
-}
+use minigo_vm::{Key, MapData, MapVal, Obj, Value};
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     let other = prop_oneof![
@@ -84,8 +54,8 @@ fn key_for(kind: u8, a: usize, model: &[(Key, Value)]) -> Key {
     }
 }
 
-fn check(map: &Map, model: &[(Key, Value)], ints_only: bool) {
-    let data = map.data();
+fn check(map: &MapVal, model: &[(Key, Value)], ints_only: bool) {
+    let data = map.borrow();
     assert_eq!(data.len(), model.len());
     assert_eq!(data.is_empty(), model.is_empty());
     let entries: Vec<(Key, Value)> = data.entries().collect();
@@ -122,15 +92,13 @@ fn check(map: &Map, model: &[(Key, Value)], ints_only: bool) {
         assert_eq!(traced.len(), model.len());
         assert!(traced.iter().zip(model).all(|(t, (_, m))| same(t, m)));
     }
+    drop(data);
     let shown: Vec<String> = model
         .iter()
-        .map(|(k, v)| format!("{k}:{}", v.display(&map.store)))
+        .map(|(k, v)| format!("{k}:{}", v.display()))
         .collect();
-    let value = Value::Map(map.id);
-    assert_eq!(
-        value.display(&map.store),
-        format!("map[{}]", shown.join(" "))
-    );
+    let value = Value::Map(map.clone());
+    assert_eq!(value.display(), format!("map[{}]", shown.join(" ")));
 }
 
 proptest! {
@@ -140,7 +108,7 @@ proptest! {
     fn map_data_matches_the_entry_list_it_stands_for(
         ops in proptest::collection::vec((0u8..16, any::<usize>(), value_strategy()), 1..80),
     ) {
-        let mut map = Map::new();
+        let map = Obj::new(None, MapData::new(Value::Int(0), 16, None));
         let mut model: Vec<(Key, Value)> = Vec::new();
         let mut ints_only = true;
         check(&map, &model, ints_only);
@@ -150,7 +118,7 @@ proptest! {
                 0..=8 => {
                     let key = key_for(kind, a, &model);
                     ints_only &= matches!(v, Value::Int(_));
-                    let data = map.data_mut();
+                    let mut data = map.borrow_mut();
                     match data.find(&key) {
                         Some(i) => data.set_at(i, v.clone()),
                         None => data.push(key.clone(), v.clone()),
@@ -174,14 +142,14 @@ proptest! {
                         None => key_for((a % 9) as u8, a / 9, &model),
                     };
                     let present = model.iter().position(|(k, _)| *k == key);
-                    assert_eq!(map.data_mut().remove(&key), present.is_some());
+                    assert_eq!(map.borrow_mut().remove(&key), present.is_some());
                     if let Some(i) = present {
                         model.remove(i);
                     }
                 }
                 // The mock tcfree's poison fill.
                 13 if a % 4 == 0 => {
-                    map.data_mut().fill(Value::Poison);
+                    map.borrow_mut().fill(Value::Poison);
                     model.iter_mut().for_each(|(_, v)| *v = Value::Poison);
                     ints_only = false;
                 }

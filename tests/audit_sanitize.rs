@@ -19,8 +19,8 @@
 //!   engines.
 
 use gofree::{
-    compile, execute, run_distribution, run_session, AuditMode, CollectorKind, CompileOptions,
-    Compiled, ExecError, FreePlacement, RunConfig, Setting, ViolationKind, VmEngine,
+    compile, execute, run_distribution, AuditMode, CollectorKind, CompileOptions, Compiled,
+    FreePlacement, RunConfig, Setting, ViolationKind, VmEngine,
 };
 use gofree_workloads::{corpus, fuzzgen, Scale};
 
@@ -241,7 +241,6 @@ fn planted_bug_is_caught_by_both_oracles_on_both_engines() {
 /// sweep recycles the freed nursery slot into new objects — and the
 /// stale pointer is finally read. `churn`'s buffer has a non-constant
 /// size, so every iteration heap-allocates and the nursery fills fast.
-/// The slot now holds another object, so the stale read sees poison.
 const NURSERY_REUSE_BUG: &str = "func churn(n int) int { b := make([]int, n)\n b[0] = 1\n \
      return b[0] }\nfunc main() { n := 64\n s := make([]int, n)\n s[0] = 7\n tcfree(s)\n \
      total := 0\n for i := 0; i < 2000; i += 1 { total += churn(64) }\n \
@@ -272,14 +271,7 @@ fn nursery_reuse_plant_is_caught_by_the_shadow_heap() {
             nursery_size: 16 * 1024,
             ..RunConfig::deterministic(0)
         };
-        let vm_cfg = cfg.vm_config(&audited, Setting::GoFree);
-        let (ran, run) = run_session(&audited, vm_cfg, engine, cfg.opt, |s| Ok(s.call_main()))
-            .expect("valid configuration");
-        assert_eq!(
-            ran,
-            Err(ExecError::PoisonedRead),
-            "{engine}: the stale read"
-        );
+        let run = execute(&audited, Setting::GoFree, &cfg).expect("runs to completion");
         assert!(
             run.metrics.gcs_minor >= 1,
             "{engine}: the churn loop must drive at least one minor cycle \

@@ -11,7 +11,7 @@ use gofree::{
 };
 use gofree_workloads::{corpus, fuzzgen, micro, Scale};
 use minigo_runtime::{CollectorKind, PoisonMode, RuntimeConfig};
-use minigo_vm::{Dispatch, RunOutcome, Session, Store, Value, VmConfig};
+use minigo_vm::{Dispatch, RunOutcome, Session, Value, VmConfig};
 
 /// Runs one compiled program on the tree-walk and on the bytecode
 /// engine at both opt levels, asserting every observable field of the
@@ -1260,7 +1260,7 @@ fn a_failed_call_leaves_any_session_usable() {
                     let mut args = state.clone();
                     args.extend([Value::Int(req), Value::Int(mode)]);
                     let end = match s.call("handle", args) {
-                        Ok(v) => format!("Ok {}", v[0].display(&Store::default())),
+                        Ok(v) => format!("Ok {}", v[0].display()),
                         Err(e) => e.to_string(),
                     };
                     log.push((end, s.now()));
