@@ -366,8 +366,7 @@ impl Heap {
     /// Objects carrying a remembered bit: the old objects the write
     /// barrier recorded since the last cycle (a minor mark's extra roots).
     pub fn remembered(&self) -> u64 {
-        let words = self.spans.iter().flat_map(|s| &s.words);
-        words.map(|w| w.remembered.count_ones() as u64).sum()
+        self.remembered_objects().count() as u64
     }
 
     /// Takes `n` swept or freed objects of `slot_size` bytes, `young` of
@@ -596,18 +595,14 @@ impl Heap {
     }
 
     /// The write barrier: remembers the old allocation `tag` at `addr`
-    /// in one span lookup, as [`Heap::mark`] marks. `None` when the
-    /// handle is stale or the object young (the nursery is traced at
-    /// every cycle, so a store into it needs no record); else whether
-    /// this call set the bit.
-    pub fn remember(&mut self, addr: ObjAddr, tag: OwnerTag) -> Option<bool> {
-        let (w, bit) = self.held_word(addr, tag)?;
-        if w.young & bit != 0 {
-            return None;
-        }
-        let newly = !w.remembered & bit;
-        w.remembered |= newly;
-        Some(newly != 0)
+    /// in one span lookup, as [`Heap::mark`] marks, and answers whether
+    /// it fired: not for a stale handle or a young object (the nursery
+    /// is traced at every cycle, so a store into it needs no record).
+    pub fn remember(&mut self, addr: ObjAddr, tag: OwnerTag) -> bool {
+        self.held_word(addr, tag).is_some_and(|(w, bit)| {
+            w.remembered |= bit & !w.young;
+            w.young & bit == 0
+        })
     }
 
     /// Whether the object carries this cycle's mark.
@@ -773,16 +768,26 @@ impl Heap {
     /// size, in ascending (span, slot) order (the end-of-run accounting
     /// and tests).
     pub fn live_objects(&self) -> impl Iterator<Item = (ObjAddr, Category, u64)> + '_ {
-        self.spans.iter().enumerate().flat_map(|(i, span)| {
+        self.objects_with(|w| w.alloc).map(|a| {
+            let span = self.span(a.span);
+            (a, span.cat(a.slot), span.slot_size)
+        })
+    }
+
+    /// The objects carrying a remembered bit, in ascending (span, slot)
+    /// order: the old objects a minor mark traces from.
+    pub fn remembered_objects(&self) -> impl Iterator<Item = ObjAddr> + '_ {
+        self.objects_with(|w| w.remembered)
+    }
+
+    /// The slots whose bit `bits` picks out of their span word, in
+    /// ascending (span, slot) order.
+    fn objects_with(&self, bits: fn(&SlotWord) -> u64) -> impl Iterator<Item = ObjAddr> + '_ {
+        self.spans.iter().enumerate().flat_map(move |(i, span)| {
             let words = span.words.iter().enumerate();
             words.flat_map(move |(w, word)| {
-                slots_of(w, word.alloc).map(move |slot| {
-                    let addr = ObjAddr {
-                        span: SpanId(i as u32),
-                        slot,
-                    };
-                    (addr, span.cat(slot), span.slot_size)
-                })
+                let span = SpanId(i as u32);
+                slots_of(w, bits(word)).map(move |slot| ObjAddr { span, slot })
             })
         })
     }
@@ -1122,11 +1127,7 @@ mod tests {
         assert!(!h.is_allocated(last));
         assert!(!mark(&mut h, last));
         let tag = h.owner(big).expect("allocated");
-        assert_eq!(
-            h.remember(last, tag),
-            None,
-            "past the reused struct's slots"
-        );
+        assert!(!h.remember(last, tag), "past the reused struct's slots");
     }
 
     #[test]
@@ -1166,7 +1167,7 @@ mod tests {
         // A remembered bit on a young slot (the barrier skips young
         // objects; only a bit set before the young one can end up here).
         let tag = h.owner(a).expect("allocated");
-        assert_eq!(h.remember(a, tag), Some(true));
+        assert!(h.remember(a, tag));
         assert_eq!(h.check_invariants(), Ok(()));
         h.set_young(a);
         assert_eq!(
@@ -1236,12 +1237,12 @@ mod tests {
             old.1,
         );
         for (a, tag) in [young, freed, below, stale] {
-            assert_eq!(h.remember(a, tag), None, "{a:?}");
+            assert!(!h.remember(a, tag), "{a:?}");
         }
         assert_eq!(h.remembered(), 0);
         for (a, tag) in [old, reused] {
-            assert_eq!(h.remember(a, tag), Some(true), "{a:?}");
-            assert_eq!(h.remember(a, tag), Some(false), "{a:?}");
+            assert!(h.remember(a, tag), "{a:?}");
+            assert!(h.remember(a, tag), "{a:?}: a barrier, no news");
         }
         assert_eq!(h.remembered(), 2);
         // A free ends the bit.
@@ -1255,10 +1256,11 @@ mod tests {
         assert_eq!(h.remembered(), 0, "a swept object is not");
         // And promotion ends every bit.
         let kept = handle(&mut h);
-        assert_eq!(h.remember(kept.0, kept.1), Some(true));
+        assert!(h.remember(kept.0, kept.1));
         h.promote_all();
         assert_eq!(h.remembered(), 0);
-        assert_eq!(h.remember(kept.0, kept.1), Some(true), "old again");
+        assert!(h.remember(kept.0, kept.1), "old again");
+        assert_eq!(h.remembered(), 1);
         assert_eq!(h.check_invariants(), Ok(()));
     }
 

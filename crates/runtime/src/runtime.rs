@@ -444,19 +444,13 @@ impl Runtime {
     /// value that can hold a heap reference into the allocation `tag` at
     /// `addr` (at the heap store sites the shadow sanitizer hooks). The
     /// barrier fires on a live old object ([`Heap::remember`]), charging
-    /// [`cost::WRITE_BARRIER`]; the answer is whether the object is newly
-    /// remembered. Without a nursery (or with GC off) it is a total
-    /// no-op — zero ticks, no state — so `go` runs stay bit-identical to
-    /// the pre-barrier runtime.
-    pub fn record_store(&mut self, addr: ObjAddr, tag: OwnerTag) -> bool {
-        if !self.collector.nursery() {
-            return false;
-        }
-        let fired = self.heap.remember(addr, tag);
-        if fired.is_some() {
+    /// [`cost::WRITE_BARRIER`]. Without a nursery (or with GC off) it is
+    /// a total no-op — zero ticks, no state — so `go` runs stay
+    /// bit-identical to the pre-barrier runtime.
+    pub fn record_store(&mut self, addr: ObjAddr, tag: OwnerTag) {
+        if self.collector.nursery() && self.heap.remember(addr, tag) {
             self.clock.charge(cost::WRITE_BARRIER);
         }
-        fired == Some(true)
     }
 
     /// Records a stack allocation made by the VM: counted in the metrics
@@ -1001,8 +995,9 @@ mod tests {
         let mut rt = Runtime::new(quiet_cfg());
         let a = rt.alloc(64, Category::Other);
         let before = rt.now();
-        assert!(!rt.record_store(a, rt.owner(a).unwrap()));
+        rt.record_store(a, rt.owner(a).unwrap());
         assert_eq!(rt.now(), before, "mark-sweep barrier must be free");
+        assert_eq!(rt.heap().remembered(), 0);
     }
 
     #[test]
@@ -1016,8 +1011,9 @@ mod tests {
         let a = rt.alloc(512, Category::Other);
         let tag = rt.owner(a).unwrap();
         let before = rt.now();
-        assert!(!rt.record_store(a, tag));
+        rt.record_store(a, tag);
         assert_eq!(rt.now(), before, "young store: no barrier cost");
+        assert_eq!(rt.heap().remembered(), 0);
         // Promote, then store into the now-old object.
         while !rt.gc_pending() {
             rt.alloc(512, Category::Other);
@@ -1025,7 +1021,8 @@ mod tests {
         keep(&mut rt, a);
         rt.collect();
         let before = rt.now();
-        assert!(rt.record_store(a, tag), "old store is newly remembered");
+        rt.record_store(a, tag);
+        assert_eq!(rt.heap().remembered(), 1, "old store is remembered");
         assert_eq!(
             rt.now() - before,
             cost::WRITE_BARRIER,

@@ -246,18 +246,25 @@ mod model {
             self.remembered.len() as u64
         }
 
+        /// The remembered objects in ascending (span, slot) order.
+        pub fn remembered_objects(&self) -> Vec<ObjAddr> {
+            let mut out: Vec<_> = self.remembered.iter().copied().collect();
+            out.sort();
+            out
+        }
+
         pub fn set_young(&mut self, addr: ObjAddr) {
             self.young.insert(addr);
         }
 
         /// The write barrier on a handle the caller knows to be live or
-        /// stale: `None` for a stale or young one, else whether the set
-        /// grew.
-        pub fn remember(&mut self, addr: ObjAddr, live: bool) -> Option<bool> {
-            if !live || self.young.contains(&addr) {
-                return None;
+        /// stale: whether it fired (not for a stale or young one).
+        pub fn remember(&mut self, addr: ObjAddr, live: bool) -> bool {
+            let fired = live && !self.young.contains(&addr);
+            if fired {
+                self.remembered.insert(addr);
             }
-            Some(self.remembered.insert(addr))
+            fired
         }
 
         pub fn promote_all(&mut self) {
@@ -680,6 +687,8 @@ proptest! {
             prop_assert_eq!(heap.young_objects(), model.young_objects());
             prop_assert_eq!(heap.young_bytes(), model.young_bytes());
             prop_assert_eq!(heap.remembered(), model.remembered());
+            let remembered: Vec<_> = heap.remembered_objects().collect();
+            prop_assert_eq!(remembered, model.remembered_objects());
             prop_assert_eq!(heap.pages_in_use(), model.pages_in_use);
             prop_assert_eq!(heap.span_count(), model.spans.len());
             for (class, list) in model.partial.iter().enumerate() {

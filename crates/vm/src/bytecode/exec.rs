@@ -51,6 +51,8 @@ enum BSlot {
 
 // A boxed slot is one pointer: the cell carries its own heap handle.
 const _: () = assert!(std::mem::size_of::<BSlot>() == 24);
+// A `Call` keeps its pending list in `BFunc::pending`, by index.
+const _: () = assert!(std::mem::size_of::<Instr>() == 40);
 
 enum BDeferKind {
     Func(usize),
@@ -498,7 +500,7 @@ impl<'m> Bytecode<'m> {
                     }
                     m.tick(if *want == 1 { 3 } else { 2 });
                     let into = (*want != u32::MAX).then_some((*dst, *want));
-                    self.top.pending = pending;
+                    self.top.pending = &f.pending[*pending as usize];
                     let done = self.invoke(m, *fid as usize, slots, into);
                     self.top.pending = &[];
                     done?;
@@ -863,6 +865,7 @@ mod tests {
             results: vec![(0, false, Some(0))],
             slot_names: (0..vars).map(|i| format!("v{i}")).collect(),
             code,
+            pending: Vec::new().into(),
         }
     }
 

@@ -132,6 +132,7 @@ fn lower_func(
         next_temp: nvars,
         nslots: nvars,
         held: Vec::new(),
+        pending: Vec::new(),
     };
     lo.lower_block(&func.body);
     lo.code.push(Instr::Ret);
@@ -158,6 +159,7 @@ fn lower_func(
         results,
         slot_names,
         code,
+        pending: std::mem::take(&mut lo.pending).into(),
     }
 }
 
@@ -209,6 +211,8 @@ struct FnLowerer<'a> {
     /// lowered, for the instruction that consumes them: what a `Call`
     /// lowered now leaves pending across the callee.
     held: Vec<u32>,
+    /// Each `Call`'s copy of `held`, in emission order.
+    pending: Vec<Box<[u32]>>,
 }
 
 impl<'a> FnLowerer<'a> {
@@ -710,7 +714,8 @@ impl<'a> FnLowerer<'a> {
             return;
         };
         let args = self.operands(args);
-        let pending = self.held.as_slice().into();
+        let pending = self.pending.len() as u32;
+        self.pending.push(self.held.as_slice().into());
         self.emit(Instr::Call {
             fid: fid.index() as u32,
             args,

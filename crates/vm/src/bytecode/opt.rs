@@ -68,6 +68,7 @@ pub fn optimize(m: &Module) -> (Module, OptStats) {
                 results: f.results.clone(),
                 slot_names: Arc::clone(&f.slot_names),
                 code: merge_ticks(&f.code),
+                pending: Arc::clone(&f.pending),
             })
             .collect(),
         consts: m.consts.clone(),
@@ -169,6 +170,7 @@ mod tests {
                 results: Vec::new(),
                 slot_names: ["a", "b", "c", "d"].map(String::from).into(),
                 code,
+                pending: Vec::new().into(),
             }],
             consts: Vec::new(),
         }

@@ -14,8 +14,8 @@ use std::rc::Rc;
 use minigo_escape::{AllocPlace, Analysis};
 use minigo_syntax::visit::{self, Walk};
 use minigo_syntax::{
-    BinOp, Block, Builtin, Expr, ExprKind, FuncId, IdMap, Program, Resolution, Stmt, StmtKind,
-    Type, TypeInfo, UnOp, VarId,
+    BinOp, Block, Builtin, Expr, ExprId, ExprKind, FuncId, IdMap, Program, Resolution, Stmt,
+    StmtKind, Type, TypeInfo, UnOp, VarId,
 };
 
 use crate::bytecode::lower::{boxed_on_heap, field_target, var_size, zero_value};
@@ -82,6 +82,9 @@ pub struct TreeWalk<'p> {
     analysis: &'p Analysis,
     /// Address-taken variables per function (these get boxed slots).
     addr_taken: IdMap<FuncId, FxHashSet<VarId>>,
+    /// The expressions that contain a call: only a call reaches a
+    /// safepoint, so only these can collect while an operand waits.
+    calls: IdMap<ExprId, ()>,
     frames: Vec<Frame>,
     /// Operands evaluated and not yet consumed, innermost last: GC roots
     /// while a call made in between runs (the bytecode's pending
@@ -103,12 +106,23 @@ impl<'p> TreeWalk<'p> {
             .iter()
             .map(|func| (func.id, addr_taken_vars(&func.body, res)))
             .collect();
+        let mut calls = IdMap::default();
+        for func in &program.funcs {
+            visit::exprs(&func.body, |e| {
+                if !visit::any_expr(e, |e| matches!(e.kind, ExprKind::Call { .. })) {
+                    return Walk::Skip;
+                }
+                calls.insert(e.id, ());
+                Walk::Descend
+            });
+        }
         TreeWalk {
             program,
             res,
             types,
             analysis,
             addr_taken,
+            calls,
             frames: Vec::new(),
             pending: Vec::new(),
         }
@@ -260,32 +274,38 @@ impl Vm<'_, '_> {
 
     // ---- pending operands ----
 
-    /// Runs `eval` with `v` pending: a root until `eval` is done.
+    /// Whether evaluating `e` can make a call, and so collect.
+    fn can_call(&self, e: &Expr) -> bool {
+        self.tw.calls.get(e.id).is_some()
+    }
+
+    /// Runs `eval`, with `v` pending (a root) while it runs if it `calls`.
     fn holding<R>(
         &mut self,
         v: Value,
+        calls: bool,
         eval: impl FnOnce(&mut Self) -> Result<R>,
     ) -> Result<(Value, R)> {
+        if !calls {
+            return eval(self).map(|out| (v, out));
+        }
         self.tw.pending.push(v);
         let out = eval(self);
         let v = self.tw.pending.pop().expect("pushed above");
         Ok((v, out?))
     }
 
-    /// Evaluates `e` with `v` pending ([`Vm::holding`]); a leaf makes
-    /// no call, so nothing can collect while it is read.
+    /// Evaluates `e` with `v` pending ([`Vm::holding`]).
     fn eval_holding(&mut self, v: Value, e: &Expr) -> Result<(Value, Value)> {
-        use ExprKind::{BoolLit, Ident, IntLit, Nil, StrLit};
-        if matches!(e.kind, IntLit(_) | BoolLit(_) | StrLit(_) | Nil | Ident(_)) {
-            return Ok((v, self.eval(e)?));
-        }
-        self.holding(v, |vm| vm.eval(e))
+        self.holding(v, self.can_call(e), |vm| vm.eval(e))
     }
 
-    /// Evaluates `es` in order, each value pending until the last is
-    /// done, and leaves the values on the pending stack from the
-    /// returned base up.
-    fn eval_onto(&mut self, es: &[Expr]) -> Result<usize> {
+    /// Evaluates `es` in order, each value pending while a later one
+    /// can call.
+    fn eval_all(&mut self, es: &[Expr]) -> Result<Vec<Value>> {
+        if !es.iter().skip(1).any(|e| self.can_call(e)) {
+            return es.iter().map(|e| self.eval(e)).collect();
+        }
         let base = self.tw.pending.len();
         for e in es {
             match self.eval(e) {
@@ -296,12 +316,6 @@ impl Vm<'_, '_> {
                 }
             }
         }
-        Ok(base)
-    }
-
-    /// [`Vm::eval_onto`], the values taken off the pending stack.
-    fn eval_all(&mut self, es: &[Expr]) -> Result<Vec<Value>> {
-        let base = self.eval_onto(es)?;
         Ok(self.tw.pending.drain(base..).collect())
     }
 
@@ -373,6 +387,12 @@ impl Vm<'_, '_> {
                 } else {
                     self.eval_all(rhs)?
                 };
+                if !lhs.iter().any(|l| self.can_call(l)) {
+                    for (l, v) in lhs.iter().zip(values) {
+                        self.store(l, v)?;
+                    }
+                    return Ok(Flow::Normal);
+                }
                 // Each value stays pending until its own store.
                 let base = self.tw.pending.len();
                 self.tw.pending.extend(values.into_iter().rev());
@@ -469,7 +489,9 @@ impl Vm<'_, '_> {
                 default,
             } => {
                 let sv = self.eval(subject)?;
-                let (_, matched) = self.holding(sv.clone(), |vm| {
+                let mut values = cases.iter().flat_map(|c| &c.values);
+                let calls = values.any(|v| self.can_call(v));
+                let (_, matched) = self.holding(sv.clone(), calls, |vm| {
                     for case in cases {
                         for v in &case.values {
                             if value_eq(&sv, &vm.eval(v)?)? {
@@ -629,7 +651,8 @@ impl Vm<'_, '_> {
             }
             ExprKind::SliceExpr { base, lo, hi } => {
                 let bv = self.eval(base)?;
-                let (bv, (lo, hi)) = self.holding(bv, |vm| {
+                let calls = lo.iter().chain(hi).any(|e| self.can_call(e));
+                let (bv, (lo, hi)) = self.holding(bv, calls, |vm| {
                     let lo = match lo {
                         Some(e) => vm.eval_int(e)?,
                         None => 0,
@@ -653,8 +676,7 @@ impl Vm<'_, '_> {
                 args,
             } => self.builtin(e, *kind, ty_args, args),
             ExprKind::StructLit { fields, .. } => {
-                let base = self.eval_onto(fields)?;
-                let v = Value::struct_of(self.tw.pending.drain(base..));
+                let v = Value::struct_of(self.eval_all(fields)?);
                 self.m.tick(1);
                 Ok(v)
             }
@@ -826,10 +848,11 @@ impl Vm<'_, '_> {
                 }
             }
             ExprKind::Index { base, index } => {
-                let (value, (bv, iv)) = self.holding(value, |vm| {
+                let calls = self.can_call(base) || self.can_call(index);
+                let (value, (bv, iv)) = self.holding(value, calls, |vm| {
                     let bv = vm.eval(base)?;
                     check_index_base(&bv)?;
-                    vm.holding(bv, |vm| vm.eval(index))
+                    vm.eval_holding(bv, index)
                 })?;
                 self.m.index_set(&bv, &iv, value)
             }

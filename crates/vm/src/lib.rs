@@ -46,4 +46,4 @@ pub use error::ExecError;
 pub use interp::{run, TreeWalk};
 pub use machine::{Dispatch, Machine, RunOutcome, Session, SiteProfile, VmConfig};
 pub use mark::RootSink;
-pub use value::{Array, Cell, Cells, Key, MapData, MapVal, Obj, ObjId, SliceVal, Teardown, Value};
+pub use value::{Array, Cell, Cells, Key, MapData, MapVal, Obj, ObjId, SliceVal, Value};

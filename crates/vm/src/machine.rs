@@ -24,7 +24,6 @@
 
 use std::rc::Rc;
 
-use minigo_escape::Mode;
 use minigo_runtime::{
     BailReason, Category, FreeOutcome, FreeSource, Runtime, RuntimeConfig, ShadowHeap,
     ShadowViolation, StackId,
@@ -33,8 +32,9 @@ use minigo_syntax::{BinOp, ExprId};
 
 use crate::error::ExecError;
 use crate::fxhash::FxHashMap;
-use crate::mark::{collect_garbage, Remembered, RootSink};
+use crate::mark::{collect_garbage, RootSink};
 use crate::value::{Cell, Cells, Key, MapData, MapVal, Obj, ObjId, SliceVal, Value};
+use crate::value::{Payload, Slots};
 
 /// Result alias for execution.
 pub type Result<T> = std::result::Result<T, ExecError>;
@@ -74,17 +74,6 @@ impl Default for VmConfig {
             grow_map_free_old: true,
             batch_frees: false,
             sanitize: false,
-        }
-    }
-}
-
-impl VmConfig {
-    /// Configuration matching an analysis mode: plain-Go programs do not
-    /// get the map-growth runtime optimization.
-    pub fn for_mode(mode: Mode) -> Self {
-        VmConfig {
-            grow_map_free_old: mode == Mode::GoFree,
-            ..VmConfig::default()
         }
     }
 }
@@ -290,10 +279,11 @@ pub struct Machine {
     /// calls (service state returned by `setup` and passed back into
     /// every `handle`). Always empty in one-shot runs.
     held: Vec<Value>,
-    /// The payloads a minor mark traces although their objects are old:
-    /// those the write barrier newly remembered since the last cycle,
-    /// and the frame cells that cycle scanned. Empty without a nursery.
-    remembered: Vec<Remembered>,
+    /// The payload of every heap object, by address.
+    slots: Slots,
+    /// The heap-backed frame cells the last cycle scanned, forced at the
+    /// next minor mark. Empty without a nursery.
+    frame_cells: Vec<ObjId>,
     output: String,
 }
 
@@ -307,7 +297,8 @@ impl Machine {
             steps: 0,
             call_start: 0,
             held: Vec::new(),
-            remembered: Vec::new(),
+            slots: Slots::default(),
+            frame_cells: Vec::new(),
             output: String::new(),
         }
     }
@@ -383,7 +374,8 @@ impl Machine {
                 sink.value(v);
             }
         };
-        collect_garbage(&mut self.rt, &mut self.shadow, &mut self.remembered, roots);
+        let (rt, shadow) = (&mut self.rt, &mut self.shadow);
+        collect_garbage(rt, shadow, &mut self.slots, &mut self.frame_cells, roots);
     }
 
     /// Function entry: see [`Runtime::enter_stack`].
@@ -421,22 +413,26 @@ impl Machine {
         id
     }
 
-    /// Storage for a fresh allocation: a heap object where the escape
-    /// analysis placed it on the heap, a counted stack allocation (no
-    /// object) otherwise.
-    fn backing(
+    /// A fresh object holding `payload`: a heap object where the escape
+    /// analysis placed it on the heap, its payload then owned by the slot
+    /// table (`entry`); a counted stack allocation otherwise.
+    fn new_obj<T>(
         &mut self,
         heap: bool,
         size: u64,
         cat: Category,
-        site: Option<ExprId>,
-    ) -> Option<ObjId> {
-        if heap {
-            Some(self.new_obj_at(size, cat, site))
-        } else {
+        site: impl Into<Option<ExprId>>,
+        payload: T,
+        entry: fn(Rc<Obj<T>>) -> Payload,
+    ) -> Rc<Obj<T>> {
+        if !heap {
             self.rt.stack_alloc(cat);
-            None
+            return Obj::new(None, payload);
         }
+        let id = self.new_obj_at(size, cat, site.into());
+        let obj = Obj::new(Some(id), payload);
+        self.slots.put(id.addr, entry(obj.clone()));
+        obj
     }
 
     /// Attempts a `tcfree` on an accounted object; `batched` when the
@@ -499,18 +495,17 @@ impl Machine {
     /// `None`) need none. Unlike the shadow hooks this always fires —
     /// barriers are part of the simulation, not an observer.
     #[inline]
-    fn barrier_store(&mut self, obj: Option<ObjId>, v: &Value, entry: impl FnOnce() -> Remembered) {
+    fn barrier_store(&mut self, obj: Option<ObjId>, v: &Value) {
         if self.rt.has_barrier() && v.can_reference() {
-            self.remember(obj, entry);
+            self.remember(obj);
         }
     }
 
-    /// Fires the barrier on `obj` (if it is live and old), keeping
-    /// `entry` (the payload to trace from) for the next minor mark when
-    /// the object is newly remembered.
-    fn remember(&mut self, obj: Option<ObjId>, entry: impl FnOnce() -> Remembered) {
-        if obj.is_some_and(|o| self.rt.record_store(o.addr, o.tag)) {
-            self.remembered.push(entry());
+    /// Fires the barrier on `obj` (if it is live and old): the heap keeps
+    /// its remembered bit for the next minor mark.
+    fn remember(&mut self, obj: Option<ObjId>) {
+        if let Some(o) = obj {
+            self.rt.record_store(o.addr, o.tag);
         }
     }
 
@@ -519,8 +514,8 @@ impl Machine {
     fn barrier_store_map(&mut self, m: &MapVal, v: &Value) {
         if self.rt.has_barrier() && v.can_reference() {
             let buckets = m.borrow().buckets_obj;
-            self.remember(m.obj, || Remembered::Map(m.clone(), None));
-            self.remember(buckets, || Remembered::Map(m.clone(), buckets));
+            self.remember(m.obj);
+            self.remember(buckets);
         }
     }
 
@@ -535,7 +530,7 @@ impl Machine {
         size: u64,
         site: Option<ExprId>,
     ) -> Cell {
-        Obj::new(self.backing(heap, size, Category::Other, site), v)
+        self.new_obj(heap, size, Category::Other, site, v, Payload::Cell)
     }
 
     /// `make([]T, len[, cap])`, every element `zero`. Negative sizes
@@ -567,11 +562,9 @@ impl Machine {
         };
         let size = (cap as u64).checked_mul(elem_size).ok_or_else(too_large)?;
         let cells = Cells::filled(zero, cap).map_err(|_| too_large())?;
+        let size = size.max(8);
         Ok(Value::slice(SliceVal {
-            cells: Obj::new(
-                self.backing(heap, size.max(8), Category::Slice, Some(site)),
-                cells,
-            ),
+            cells: self.new_obj(heap, size, Category::Slice, site, cells, Payload::Array),
             offset: 0,
             len,
             elem_size,
@@ -588,10 +581,7 @@ impl Machine {
     ) -> Value {
         let size = minigo_escape::MAP_BASE_BYTES;
         let data = MapData::new(default, entry_size, Some(site));
-        Value::Map(Obj::new(
-            self.backing(heap, size, Category::Map, Some(site)),
-            data,
-        ))
+        Value::Map(self.new_obj(heap, size, Category::Map, site, data, Payload::Map))
     }
 
     /// `append(sv, item)`.
@@ -617,8 +607,7 @@ impl Machine {
                 self.shadow_access(s.cells.obj, "append");
                 if s.len < s.cap() {
                     let at = s.offset + s.len;
-                    let cells = &s.cells;
-                    self.barrier_store(cells.obj, &item, || Remembered::Array(cells.clone()));
+                    self.barrier_store(s.cells.obj, &item);
                     s.cells.borrow_mut().set(at, item);
                     Rc::make_mut(&mut s).len += 1;
                     return Ok(Value::Slice(s));
@@ -641,10 +630,7 @@ impl Machine {
         };
         let cells = cells.map_err(|_| too_large())?;
         Ok(Value::slice(SliceVal {
-            cells: Obj::new(
-                Some(self.new_obj_at(size, Category::Slice, Some(site))),
-                cells,
-            ),
+            cells: self.new_obj(true, size, Category::Slice, site, cells, Payload::Array),
             offset: 0,
             len: hi - lo + 1,
             elem_size,
@@ -719,9 +705,8 @@ impl Machine {
     #[inline(always)]
     pub(crate) fn slice_set(&mut self, s: &SliceVal, i: i64, v: Value) -> Result<()> {
         let at = cell_at(s, i)?;
-        let cells = &s.cells;
-        self.shadow_access(cells.obj, "slice index write");
-        self.barrier_store(cells.obj, &v, || Remembered::Array(cells.clone()));
+        self.shadow_access(s.cells.obj, "slice index write");
+        self.barrier_store(s.cells.obj, &v);
         s.cells.borrow_mut().set(at, v);
         Ok(())
     }
@@ -801,11 +786,13 @@ impl Machine {
             )
         };
         let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
+        self.slots
+            .put(new_obj.addr, Payload::Buckets(Rc::downgrade(m)));
         m.borrow_mut().buckets_obj = Some(new_obj);
         if self.rt.has_barrier() {
             // The header now points at a young bucket array: a pointer
             // store, whatever value the insert stores.
-            self.remember(m.obj, || Remembered::Map(m.clone(), None));
+            self.remember(m.obj);
         }
         if let Some(old) = old.filter(|_| self.cfg.grow_map_free_old) {
             // Poisoning old buckets would corrupt nothing the map still
@@ -847,8 +834,13 @@ impl Machine {
         match p {
             Value::Ptr(p) => {
                 self.shadow_access(p.obj, "pointer deref write");
-                self.barrier_store(p.obj, &v, || Remembered::Cell(p.clone()));
-                *p.borrow_mut() = v;
+                self.barrier_store(p.obj, &v);
+                let mut cell = p.borrow_mut();
+                // An emptied cell (a stale handle's, see `Slots`) drops
+                // the store; the §6.8 mock's poison leaves the handle live.
+                if !matches!(*cell, Value::Poison) || p.obj.is_none_or(|o| o.is_live(&self.rt)) {
+                    *cell = v;
+                }
                 Ok(())
             }
             Value::Nil => Err(ExecError::NilDeref),
@@ -885,7 +877,7 @@ impl Machine {
         match p {
             Value::Ptr(p) => {
                 self.shadow_access(p.obj, "field write");
-                self.barrier_store(p.obj, &v, || Remembered::Cell(p.clone()));
+                self.barrier_store(p.obj, &v);
                 match &mut *p.borrow_mut() {
                     Value::Struct(fields) => {
                         Rc::make_mut(fields)[idx] = v;
@@ -1304,17 +1296,20 @@ mod tests {
             before,
             "a non-pointer store is not a barrier event"
         );
-        assert!(m.remembered.is_empty());
+        assert_eq!(m.rt.heap().remembered(), 0);
         m.index_set(&f.slice, &Value::Int(1), f.ptr.clone())
             .expect("store");
         let barrier = minigo_runtime::cost::WRITE_BARRIER;
         assert_eq!(m.rt.now() - before, barrier);
-        let remembered: Vec<_> = m.remembered.iter().map(Remembered::obj).collect();
-        assert_eq!(remembered, [s.cells.obj], "the array, with its payload");
+        let array = s.cells.obj.expect("a heap array").addr;
+        let remembered: Vec<_> = m.rt.heap().remembered_objects().collect();
+        assert_eq!(remembered, [array], "the array");
+        let payload = m.slots.get(array);
+        assert!(matches!(payload, Some(Payload::Array(a)) if Rc::ptr_eq(a, &s.cells)));
         m.index_set(&f.slice, &Value::Int(0), f.ptr.clone())
             .expect("store");
         assert_eq!(m.rt.now() - before, 2 * barrier, "charged per store");
-        assert_eq!(m.remembered.len(), 1, "remembered once");
+        assert_eq!(m.rt.heap().remembered(), 1, "remembered once");
     }
 
     #[test]

@@ -20,19 +20,20 @@
 //! ones: an old object that is not *forced* is neither marked nor
 //! dereferenced. Forced are the objects a young one can hang off without
 //! the marker passing through the nursery: every live object the write
-//! barrier remembered since the last cycle (the machine keeps their
-//! payloads, [`Remembered`]), and every heap-backed cell of a frame
-//! slot, since a store through a slot carries no barrier. A frame cell
-//! stays forced for one more cycle after the marker last saw it as a
-//! root, because its frame may return, leaving the cell reachable only
-//! through old objects, before the next cycle scans it.
+//! barrier remembered since the last cycle (the heap keeps their
+//! remembered bits; the slot table has their payloads), and every
+//! heap-backed cell of a frame slot, since a store through a slot
+//! carries no barrier. A frame cell stays forced for one more cycle after
+//! the marker last saw it as a root, because its frame may return,
+//! leaving the cell reachable only through old objects, before the next
+//! cycle scans it; the machine keeps those cells by handle.
 
 use std::rc::Rc;
 
 use minigo_runtime::{CycleKind, Runtime, ShadowHeap};
 
 use crate::fxhash::FxHashSet;
-use crate::value::{Array, Cell, MapVal, Obj, ObjId, Teardown, Value};
+use crate::value::{Array, Cell, MapVal, Obj, ObjId, Payload, Slots, Value};
 
 /// How many objects deep the marker recurses before it spills.
 const SPILL_DEPTH: u32 = 256;
@@ -45,37 +46,6 @@ pub trait RootSink {
     fn boxed(&mut self, cell: &Cell);
 }
 
-/// An old object a minor mark must trace although it is old, by the
-/// payload to trace from: one the write barrier remembered, or a frame
-/// cell the last cycle scanned. The machine keeps these from the barrier
-/// (or the cycle) that found them to the end of the next cycle.
-pub(crate) enum Remembered {
-    /// A pointer target or a boxed variable.
-    Cell(Cell),
-    /// A slice's backing array.
-    Array(Array),
-    /// A map: its header, or with `Some` the bucket array remembered
-    /// (the header's handle is the payload's identity either way, as
-    /// when a [`Value::Map`] is traced).
-    Map(MapVal, Option<ObjId>),
-}
-
-impl Remembered {
-    /// The remembered object; once it is no longer live (an explicit
-    /// free), the entry is skipped.
-    pub fn obj(&self) -> Option<ObjId> {
-        match self {
-            Remembered::Cell(c) => c.obj,
-            Remembered::Array(a) => a.obj,
-            Remembered::Map(m, buckets) => buckets.or(m.obj),
-        }
-    }
-
-    fn is_live(&self, rt: &Runtime) -> bool {
-        self.obj().is_some_and(|o| o.is_live(rt))
-    }
-}
-
 /// Marks everything reachable from the roots it is fed.
 pub(crate) struct Marker<'a> {
     rt: &'a mut Runtime,
@@ -85,7 +55,7 @@ pub(crate) struct Marker<'a> {
     seen: FxHashSet<usize>,
     /// The heap-backed frame cells reported as roots, forced again at
     /// the next cycle (only with a write barrier, i.e. a nursery).
-    frame_cells: Vec<Remembered>,
+    frame_cells: Vec<ObjId>,
     /// How many objects deep the current trace is.
     depth: u32,
     /// References found [`SPILL_DEPTH`] deep, still to trace.
@@ -119,7 +89,7 @@ impl<'a> Marker<'a> {
 
     /// Whether `payload` is reached for the first time this cycle (and
     /// so must be traced).
-    fn first_visit<T: Teardown>(&mut self, payload: &Rc<Obj<T>>, forced: bool) -> bool {
+    fn first_visit<T>(&mut self, payload: &Rc<Obj<T>>, forced: bool) -> bool {
         let (obj, ptr) = (payload.obj, Rc::as_ptr(payload) as usize);
         let marked = self.mark(obj, forced);
         let first = marked.unwrap_or_else(|| self.seen.insert(ptr));
@@ -189,15 +159,17 @@ impl<'a> Marker<'a> {
         }
     }
 
-    /// A remembered object: traced whatever its age while it lives.
-    fn remembered(&mut self, r: &Remembered) {
-        if !r.is_live(self.rt) {
-            return;
-        }
-        match r {
-            Remembered::Cell(c) => self.cell(c, true),
-            Remembered::Array(a) => self.array(a, true),
-            Remembered::Map(m, _) => self.map(m, true),
+    /// A forced object's payload: traced whatever the object's age.
+    fn forced(&mut self, p: &Payload) {
+        match p {
+            Payload::Cell(c) => self.cell(c, true),
+            Payload::Array(a) => self.array(a, true),
+            Payload::Map(m) => self.map(m, true),
+            Payload::Buckets(m) => {
+                if let Some(m) = m.upgrade() {
+                    self.map(&m, true);
+                }
+            }
         }
         self.drain();
     }
@@ -210,50 +182,53 @@ impl RootSink for Marker<'_> {
     }
 
     fn boxed(&mut self, cell: &Cell) {
-        if cell.obj.is_some() && self.rt.has_barrier() {
-            self.frame_cells.push(Remembered::Cell(cell.clone()));
+        if let Some(obj) = cell.obj.filter(|_| self.rt.has_barrier()) {
+            self.frame_cells.push(obj);
         }
         self.cell(cell, true);
         self.drain();
     }
 }
 
-/// One GC cycle: mark from `roots` (and, in a minor, from `remembered`),
-/// collect, and tell the shadow heap which allocations the sweep ended.
-/// `roots` reports every root to the sink it is given (it may be asked
-/// more than once). On return `remembered` holds the frame cells this
-/// cycle scanned, for the next one. Called by `Machine::collect_garbage`
-/// only.
+/// One GC cycle: mark from `roots` (and, in a minor, from the forced
+/// objects), collect, release the payloads the sweep freed, and tell the
+/// shadow heap which allocations it ended. `roots` reports every root to
+/// the sink it is given (it may be asked more than once). On return
+/// `frame_cells` holds the frame cells this cycle scanned, for the next
+/// one. Called by `Machine::collect_garbage` only.
 pub(crate) fn collect_garbage(
     rt: &mut Runtime,
     shadow: &mut Option<ShadowHeap>,
-    remembered: &mut Vec<Remembered>,
+    slots: &mut Slots,
+    frame_cells: &mut Vec<ObjId>,
     roots: impl Fn(&mut dyn RootSink),
 ) {
+    let forced: Vec<&Payload> = if rt.pending_cycle() == CycleKind::Minor {
+        let cells = frame_cells.iter().filter(|o| o.is_live(rt)).map(|o| o.addr);
+        let addrs = rt.heap().remembered_objects().chain(cells);
+        addrs.filter_map(|addr| slots.get(addr)).collect()
+    } else {
+        Vec::new()
+    };
     let mut marker = Marker::new(rt);
-    if marker.minor {
-        for r in remembered.iter() {
-            marker.remembered(r);
-        }
-    }
+    forced.iter().for_each(|p| marker.forced(p));
     roots(&mut marker);
-    let frame_cells = marker.frame_cells;
+    *frame_cells = marker.frame_cells;
     #[cfg(test)]
-    let reachable = tests::check_marks(rt, remembered, &roots);
-    *remembered = frame_cells;
+    let reachable = tests::check_marks(rt, &forced, &roots);
     let swept = rt.collect();
     #[cfg(test)]
     tests::check_survivors(rt, &reachable, &swept);
-    if let Some(sh) = shadow {
-        for f in &swept.freed {
+    for f in &swept.freed {
+        if let Some(sh) = shadow {
             sh.on_sweep(f.owner.serial());
         }
+        slots.release(f.addr);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell as Counter;
     use std::collections::HashSet;
 
     use minigo_escape::{analyze, AnalyzeOptions, Mode};
@@ -264,13 +239,6 @@ mod tests {
 
     use super::*;
     use crate::machine::{Dispatch, Session, VmConfig};
-
-    thread_local! {
-        /// Cycles cross-checked on this thread.
-        static CYCLES_CHECKED: Counter<u64> = const { Counter::new(0) };
-        /// Minor cycles among them.
-        static MINORS_CHECKED: Counter<u64> = const { Counter::new(0) };
-    }
 
     /// The pre-bitmap marker, kept as the model: a plain recursive walk
     /// into a `HashSet` of addresses with a pointer `seen` set on every
@@ -368,7 +336,7 @@ mod tests {
     /// the roots (safety).
     pub(super) fn check_marks(
         rt: &Runtime,
-        remembered: &[Remembered],
+        forced: &[&Payload],
         roots: &impl Fn(&mut dyn RootSink),
     ) -> HashSet<ObjAddr> {
         let heap = rt.heap();
@@ -384,11 +352,12 @@ mod tests {
             return full.marked;
         }
         let mut pruned = RefMarker::new(rt, true);
-        for r in remembered.iter().filter(|r| r.is_live(rt)) {
-            match r {
-                Remembered::Cell(c) => pruned.cell(c, true),
-                Remembered::Array(a) => pruned.array(a, true),
-                Remembered::Map(m, _) => pruned.map(m, true),
+        for p in forced {
+            match p {
+                Payload::Cell(c) => pruned.cell(c, true),
+                Payload::Array(a) => pruned.array(a, true),
+                Payload::Map(m) => pruned.map(m, true),
+                Payload::Buckets(m) => m.upgrade().iter().for_each(|m| pruned.map(m, true)),
             }
         }
         roots(&mut pruned);
@@ -405,7 +374,6 @@ mod tests {
             missed.is_empty(),
             "a minor left young objects reachable from the roots unmarked: {missed:?}"
         );
-        MINORS_CHECKED.with(|c| c.set(c.get() + 1));
         full.marked
     }
 
@@ -430,7 +398,6 @@ mod tests {
                 "a major cycle keeps only the reachable"
             );
         }
-        CYCLES_CHECKED.with(|c| c.set(c.get() + 1));
     }
 
     /// A heap so tight that a cycle runs every few allocations. Under
@@ -451,7 +418,8 @@ mod tests {
                 collector,
                 ..RuntimeConfig::default()
             },
-            ..VmConfig::for_mode(Mode::Go)
+            grow_map_free_old: false,
+            ..VmConfig::default()
         }
     }
 
@@ -465,6 +433,11 @@ mod tests {
     /// by [`collect_garbage`]. Returns the common output and how many
     /// boxes (pointer targets, `Category::Other`) went to the heap.
     fn run_everywhere(src: &str) -> (String, u64) {
+        run_counting_minors(src).0
+    }
+
+    /// [`run_everywhere`], counting the minor cycles over all four runs.
+    fn run_counting_minors(src: &str) -> ((String, u64), u64) {
         let src = format!("{CHURN}{src}");
         let (program, res, types) = frontend(&src).expect("frontend");
         let opts = AnalyzeOptions {
@@ -472,24 +445,23 @@ mod tests {
             ..AnalyzeOptions::default()
         };
         let analysis = analyze(&program, &res, &types, &opts);
-        let mut outputs = Vec::new();
+        let (mut outputs, mut minors) = (Vec::new(), 0);
         for collector in [CollectorKind::Go, CollectorKind::Generational] {
             for bytecode in [false, true] {
-                let before = CYCLES_CHECKED.with(Counter::get);
                 let run = if bytecode {
                     crate::bytecode::run
                 } else {
                     crate::interp::run
                 };
                 let out = run(&program, &res, &types, &analysis, tight(collector)).expect("run");
-                let checked = CYCLES_CHECKED.with(Counter::get) - before;
-                assert!(checked >= 5, "only {checked} cycles ran");
-                assert_eq!(checked, out.metrics.gcs, "every cycle was cross-checked");
+                let cycles = out.metrics.gcs;
+                assert!(cycles >= 5, "only {cycles} cycles ran");
+                minors += out.metrics.gcs_minor;
                 outputs.push((out.output, out.metrics.heap_allocs[Category::Other.index()]));
             }
         }
         assert!(outputs.iter().all(|o| *o == outputs[0]), "{outputs:?}");
-        outputs.swap_remove(0)
+        (outputs.swap_remove(0), minors)
     }
 
     const NODE: &str = "type N struct { next *N\n v int }\n";
@@ -630,19 +602,20 @@ mod tests {
         let analysis = analyze(&program, &res, &types, &opts);
         let module = crate::bytecode::lower(&program, &res, &types, &analysis);
         for collector in [CollectorKind::Go, CollectorKind::Generational] {
-            let before = CYCLES_CHECKED.with(Counter::get);
-            fn drive(engine: impl Dispatch, cfg: VmConfig) {
+            /// The cycles the session ran.
+            fn drive(engine: impl Dispatch, cfg: VmConfig) -> u64 {
                 let mut s = Session::new(engine, cfg).expect("session");
                 let held = s.call("setup", Vec::new()).expect("setup");
                 s.hold(held.clone());
                 s.call("churn", vec![Value::Int(400)]).expect("churn");
                 let got = s.call("get", held).expect("get");
                 assert!(matches!(got[..], [Value::Int(64)]), "{got:?}");
+                s.finish().metrics.gcs
             }
             let tree = crate::interp::TreeWalk::new(&program, &res, &types, &analysis);
-            drive(tree, tight(collector));
-            drive(crate::bytecode::Bytecode::new(&module), tight(collector));
-            assert!(CYCLES_CHECKED.with(Counter::get) - before >= 10);
+            let cycles = drive(tree, tight(collector))
+                + drive(crate::bytecode::Bytecode::new(&module), tight(collector));
+            assert!(cycles >= 10, "{cycles}");
         }
     }
 
@@ -654,9 +627,7 @@ mod tests {
     /// [`run_everywhere`], asserting at least five minor cycles per `gen`
     /// run.
     fn run_through_minors(src: &str) -> (String, u64) {
-        let before = MINORS_CHECKED.with(Counter::get);
-        let out = run_everywhere(src);
-        let minors = MINORS_CHECKED.with(Counter::get) - before;
+        let (out, minors) = run_counting_minors(src);
         assert!(minors >= 10, "only {minors} minors over both engines");
         out
     }

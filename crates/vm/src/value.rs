@@ -41,11 +41,13 @@
 //! Reslicing copies the header (offset, length, element size) and shares
 //! the `Obj`, so a [`SliceVal`] is 32 bytes.
 //!
-//! A guest structure can be arbitrarily deep (a 100k-node list), and the
-//! host must not recurse once per link over it. The marker spills past a
-//! fixed depth to a stack of its own; dropping an [`Obj`] moves the
-//! references its payload holds onto a per-thread pending list that the
-//! outermost drop drains in a loop ([`Teardown`]).
+//! The machine's slot table ([`Slots`]) owns each heap object's payload
+//! and releases it where the simulated heap gives the storage back: at
+//! the sweep, at the reuse of a `tcfree`d slot, at the session's end. A
+//! payload something else still holds (cyclic garbage, a stale handle)
+//! is emptied then, so a stale read sees poison and a drop never runs
+//! more than one link deep (a 100k-node list included): every object a
+//! payload references is still in the table or already emptied.
 //!
 //! # Backing arrays: ints stored as ints
 //!
@@ -74,11 +76,12 @@
 //! non-int key moves the map to `Key`s with a `Key` index. Each step is
 //! taken in place, once, and never undone; a lookup never takes one.
 
-use std::cell::{Cell as Flag, Ref, RefCell, RefMut};
+use std::cell::RefCell;
 use std::collections::TryReserveError;
 use std::fmt;
 use std::hash::Hash;
-use std::rc::Rc;
+use std::ops::Deref;
+use std::rc::{Rc, Weak};
 
 use minigo_runtime::{ObjAddr, OwnerTag, Runtime};
 
@@ -115,13 +118,13 @@ impl ObjId {
 /// or it is a frame's box) and its payload, in one `Rc` allocation (see
 /// the module docs).
 #[derive(Debug)]
-pub struct Obj<T: Teardown> {
+pub struct Obj<T> {
     /// Heap object backing the payload, if heap-allocated.
     pub obj: Option<ObjId>,
     payload: RefCell<T>,
 }
 
-impl<T: Teardown> Obj<T> {
+impl<T> Obj<T> {
     /// A fresh object holding `payload`.
     #[inline]
     pub fn new(obj: Option<ObjId>, payload: T) -> Rc<Self> {
@@ -130,25 +133,15 @@ impl<T: Teardown> Obj<T> {
             payload: RefCell::new(payload),
         })
     }
+}
 
-    /// Borrows the payload.
-    ///
-    /// # Panics
-    ///
-    /// While it is mutably borrowed, like [`RefCell::borrow`].
-    #[inline]
-    pub fn borrow(&self) -> Ref<'_, T> {
-        self.payload.borrow()
-    }
+/// An object borrows as its payload's `RefCell`.
+impl<T> Deref for Obj<T> {
+    type Target = RefCell<T>;
 
-    /// Borrows the payload mutably.
-    ///
-    /// # Panics
-    ///
-    /// While it is borrowed, like [`RefCell::borrow_mut`].
     #[inline]
-    pub fn borrow_mut(&self) -> RefMut<'_, T> {
-        self.payload.borrow_mut()
+    fn deref(&self) -> &RefCell<T> {
+        &self.payload
     }
 }
 
@@ -161,77 +154,86 @@ pub type Array = Rc<Obj<Cells>>;
 /// A map: the hmap header's handle beside the map's storage.
 pub type MapVal = Rc<Obj<MapData>>;
 
-/// A payload that can hand over the references it holds, so that
-/// dropping a long chain of uniquely owned objects runs in a loop rather
-/// than one host stack frame per link.
-pub trait Teardown {
-    /// The values that may hold a reference (empty when none can).
-    fn held(&mut self) -> &mut [Value];
+/// What the slot table holds for one heap address.
+pub(crate) enum Payload {
+    Cell(Cell),
+    Array(Array),
+    /// A map's hmap header, which owns the map's storage.
+    Map(MapVal),
+    /// A map's bucket array: its entries live in the header's payload.
+    Buckets(Weak<Obj<MapData>>),
 }
 
-impl Teardown for Value {
-    #[inline]
-    fn held(&mut self) -> &mut [Value] {
-        if self.can_reference() {
-            std::slice::from_mut(self)
-        } else {
-            &mut []
+impl Payload {
+    /// Gives up the table's reference, emptying a payload something else
+    /// still holds (cyclic garbage, a stale guest handle) first.
+    fn release(self) {
+        fn empty<T>(obj: Rc<Obj<T>>, detached: T) {
+            if Rc::strong_count(&obj) > 1 {
+                if let Ok(mut p) = obj.try_borrow_mut() {
+                    *p = detached;
+                }
+            }
         }
-    }
-}
-
-impl Teardown for Cells {
-    #[inline]
-    fn held(&mut self) -> &mut [Value] {
         match self {
-            Cells::Ints(_) => &mut [],
-            Cells::Any(c) => c,
+            Payload::Cell(c) => empty(c, Value::Poison),
+            Payload::Array(a) => empty(a, Cells::default()),
+            Payload::Map(m) => {
+                let mut detached = MapData::new(Value::Nil, 0, None);
+                detached.poisoned = true;
+                empty(m, detached);
+            }
+            Payload::Buckets(_) => {}
         }
     }
 }
 
-impl Teardown for MapData {
-    #[inline]
-    fn held(&mut self) -> &mut [Value] {
-        self.vals.held()
+/// The payload of every heap object by address, `[span][slot]`: one
+/// strong reference per live object, and per `tcfree`d one until its
+/// slot is reused.
+#[derive(Default)]
+pub(crate) struct Slots(Vec<Vec<Option<Payload>>>);
+
+impl Slots {
+    /// The entry for `addr`, the table grown to hold it.
+    fn at(&mut self, addr: ObjAddr) -> &mut Option<Payload> {
+        let (span, slot) = (addr.span.0 as usize, addr.slot as usize);
+        self.0.resize_with(self.0.len().max(span + 1), Vec::new);
+        let slots = &mut self.0[span];
+        slots.resize_with(slots.len().max(slot + 1), || None);
+        &mut slots[slot]
+    }
+
+    /// Owns `payload` for the object just allocated at `addr`, releasing
+    /// the payload a `tcfree`d object left there.
+    pub fn put(&mut self, addr: ObjAddr, payload: Payload) {
+        if let Some(old) = self.at(addr).replace(payload) {
+            old.release();
+        }
+    }
+
+    /// Releases the payload at `addr`: the sweep freed its object.
+    pub fn release(&mut self, addr: ObjAddr) {
+        if let Some(p) = self.at(addr).take() {
+            p.release();
+        }
+    }
+
+    /// The payload at `addr`, if the table holds one.
+    pub fn get(&self, addr: ObjAddr) -> Option<&Payload> {
+        let span = self.0.get(addr.span.0 as usize)?;
+        span.get(addr.slot as usize)?.as_ref()
     }
 }
 
-thread_local! {
-    /// References detached from dropped objects, not yet dropped.
-    static PENDING: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
-    /// Whether a drop further up this thread's stack is draining `PENDING`.
-    static DRAINING: Flag<bool> = const { Flag::new(false) };
-}
-
-/// The pending list keeps at most this much capacity between teardowns.
-const PENDING_KEPT: usize = 1 << 12;
-
-/// An object's drop moves its payload's references onto the thread's
-/// pending list; the outermost drop then drops them one at a time, each
-/// of those drops moving its own in turn. The host stack stays as deep
-/// as one struct's nesting, however long the chain.
-impl<T: Teardown> Drop for Obj<T> {
+/// The session's end releases every payload.
+impl Drop for Slots {
     fn drop(&mut self) {
-        let held = self.payload.get_mut().held();
-        if held.is_empty() {
-            return;
-        }
-        let detach = |p: &RefCell<Vec<Value>>| {
-            let refs = held.iter_mut().filter(|v| v.can_reference());
-            p.borrow_mut()
-                .extend(refs.map(|v| std::mem::replace(v, Value::Nil)));
-        };
-        // During thread exit the list may be gone: drop by recursion.
-        if PENDING.try_with(detach).is_err() || DRAINING.get() {
-            return;
-        }
-        DRAINING.set(true);
-        while let Some(v) = PENDING.with_borrow_mut(Vec::pop) {
-            drop(v);
-        }
-        PENDING.with_borrow_mut(|p| p.shrink_to(PENDING_KEPT));
-        DRAINING.set(false);
+        self.0
+            .drain(..)
+            .flatten()
+            .flatten()
+            .for_each(Payload::release);
     }
 }
 
@@ -358,27 +360,23 @@ impl Cells {
         self.len() == 0
     }
 
-    /// Element `i`.
-    ///
-    /// # Panics
-    ///
-    /// When `i` is out of range, like indexing a `Vec`.
+    /// Element `i`; poison past the end, which only a stale handle to
+    /// an emptied array reaches (a slice header bounds every other read).
     #[inline]
     pub fn get(&self, i: usize) -> Value {
         match self {
-            Cells::Ints(c) => Value::Int(c[i]),
-            Cells::Any(c) => c[i].clone(),
+            Cells::Ints(c) => c.get(i).map_or(Value::Poison, |&v| Value::Int(v)),
+            Cells::Any(c) => c.get(i).cloned().unwrap_or(Value::Poison),
         }
     }
 
     /// Stores `v` at `i`, generalising an `Ints` array when `v` is not
-    /// an int.
-    ///
-    /// # Panics
-    ///
-    /// When `i` is out of range, like indexing a `Vec`.
+    /// an int; a store past the end (see [`Cells::get`]) is dropped.
     #[inline]
     pub fn set(&mut self, i: usize, v: Value) {
+        if i >= self.len() {
+            return;
+        }
         match (&mut *self, v) {
             (Cells::Ints(c), Value::Int(v)) => c[i] = v,
             (Cells::Any(c), v) => c[i] = v,
@@ -434,7 +432,7 @@ impl Cells {
     ///
     /// # Panics
     ///
-    /// When `lo..hi` is out of range or `cap` cannot hold it and `item`.
+    /// When `cap` cannot hold `lo..hi` and `item`.
     pub fn grown(
         &self,
         lo: usize,
@@ -444,7 +442,7 @@ impl Cells {
     ) -> Result<Cells, TryReserveError> {
         assert!(hi - lo < cap, "grown: no room for the item");
         Ok(match (self, item) {
-            (Cells::Ints(c), Value::Int(item)) => {
+            (Cells::Ints(c), Value::Int(item)) if hi <= c.len() => {
                 Cells::Ints(try_grown(c[lo..hi].iter().copied(), item, 0, cap)?)
             }
             (kept, item) => {
@@ -875,48 +873,98 @@ mod tests {
         assert_eq!(std::mem::size_of::<SliceVal>(), 32);
     }
 
-    /// A list far longer than the host stack has frames for drops in a
-    /// loop: through pointer cells, through a `[]*T` per link, and
-    /// through a `map[int]*T` per link. A wide array's drop leaves the
-    /// pending list no larger than it keeps.
+    /// The slot table frees what it releases: a list far longer than the
+    /// host stack has frames for — through pointer cells, through a
+    /// `[]*T` per link, through a `map[int]*T` per link — drops one link
+    /// at a time whether the table releases it at the session's end or
+    /// link by link from the head, and a released cycle is freed.
     #[test]
-    fn a_deep_chain_drops_without_recursing_per_link() {
-        const LINKS: usize = 200_000;
-        fn by_ptr(next: Value) -> Value {
-            Value::Ptr(Obj::new(None, Value::struct_of([Value::Int(1), next])))
+    fn released_payloads_drop_one_link_at_a_time() {
+        const LINKS: u32 = 200_000;
+        fn at(i: u32) -> ObjAddr {
+            let span = minigo_runtime::SpanId(i / 512);
+            ObjAddr {
+                span,
+                slot: i % 512,
+            }
         }
-        fn by_slice(next: Value) -> Value {
+        fn by_ptr(next: Value, t: &mut Slots, i: u32) -> Value {
+            let cell = Obj::new(None, Value::struct_of([Value::Int(1), next]));
+            t.put(at(2 * i), Payload::Cell(cell.clone()));
+            Value::Ptr(cell)
+        }
+        fn by_slice(next: Value, t: &mut Slots, i: u32) -> Value {
+            let cells = Obj::new(None, Cells::Any(vec![by_ptr(next, t, i)]));
+            t.put(at(2 * i + 1), Payload::Array(cells.clone()));
             Value::slice(SliceVal {
-                cells: Obj::new(None, Cells::Any(vec![by_ptr(next)])),
+                cells,
                 offset: 0,
                 len: 1,
                 elem_size: 8,
             })
         }
-        fn by_map(next: Value) -> Value {
+        fn by_map(next: Value, t: &mut Slots, i: u32) -> Value {
             let mut data = MapData::new(Value::Nil, 16, None);
-            data.push(Key::Int(0), by_ptr(next));
-            Value::Map(Obj::new(None, data))
+            data.push(Key::Int(0), by_ptr(next, t, i));
+            let map = Obj::new(None, data);
+            t.put(at(2 * i + 1), Payload::Map(map.clone()));
+            Value::Map(map)
         }
-        let links: [fn(Value) -> Value; 3] = [by_ptr, by_slice, by_map];
+        let links: [fn(Value, &mut Slots, u32) -> Value; 3] = [by_ptr, by_slice, by_map];
         for link in links {
-            let kept = std::thread::Builder::new()
-                .stack_size(256 << 10)
-                .spawn(move || {
-                    let mut head = Value::Nil;
-                    for _ in 0..LINKS {
-                        head = link(head);
-                    }
-                    drop(head);
-                    let wide = (0..LINKS).map(|_| by_ptr(Value::Nil)).collect();
-                    drop(Obj::new(None, Cells::Any(wide)));
-                    PENDING.with_borrow(Vec::capacity)
-                })
-                .expect("spawn")
-                .join()
-                .expect("the chain dropped");
-            assert!(kept <= PENDING_KEPT, "{kept}");
+            for from_the_head in [false, true] {
+                std::thread::Builder::new()
+                    .stack_size(256 << 10)
+                    .spawn(move || {
+                        let (mut table, mut head) = (Slots::default(), Value::Nil);
+                        for i in 0..LINKS {
+                            head = link(head, &mut table, i);
+                        }
+                        drop(head);
+                        for i in (0..2 * LINKS).rev().filter(|_| from_the_head) {
+                            table.release(at(i));
+                        }
+                    })
+                    .expect("spawn")
+                    .join()
+                    .expect("the chain dropped");
+            }
         }
+        let mut table = Slots::default();
+        let a = Obj::new(None, Value::Nil);
+        let b = Obj::new(None, Value::Ptr(a.clone()));
+        *a.borrow_mut() = Value::Ptr(b.clone());
+        let freed = [Rc::downgrade(&a), Rc::downgrade(&b)];
+        table.put(at(0), Payload::Cell(a));
+        table.put(at(1), Payload::Cell(b));
+        table.release(at(1));
+        table.release(at(0));
+        assert!(
+            freed.iter().all(|w| w.upgrade().is_none()),
+            "the cycle is freed"
+        );
+    }
+
+    /// A payload a stale handle still holds is emptied as it is
+    /// released: reads see poison, stores are dropped.
+    #[test]
+    fn a_stale_handle_reads_poison_and_its_stores_are_dropped() {
+        let addr = ObjAddr {
+            span: minigo_runtime::SpanId(0),
+            slot: 3,
+        };
+        let mut table = Slots::default();
+        let stale = Obj::new(None, Cells::Ints(vec![7, 8]));
+        table.put(addr, Payload::Array(stale.clone()));
+        let map = Obj::new(None, MapData::new(Value::Int(0), 16, None));
+        // Reusing the slot releases what the freed object left there.
+        table.put(addr, Payload::Map(map.clone()));
+        assert!(matches!(stale.borrow().get(0), Value::Poison));
+        stale.borrow_mut().set(1, Value::Int(9));
+        assert!(matches!(stale.borrow().get(1), Value::Poison));
+        assert_eq!(stale.borrow().len(), 0);
+        table.release(addr);
+        assert!(map.borrow().poisoned, "a released map reads as poisoned");
     }
 
     #[test]

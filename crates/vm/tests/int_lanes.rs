@@ -209,6 +209,7 @@ fn program(x: i64, y: i64, boxed: bool, body: Vec<Instr>, result: Option<u32>) -
             results: Vec::new(),
             slot_names: ["x", "y", "d", "s"].map(String::from).into(),
             code,
+            pending: Vec::new().into(),
         }],
         consts: vec![
             K::Int(0),

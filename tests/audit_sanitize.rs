@@ -16,11 +16,12 @@
 //!   `--collector gen` (minor cycles sweep and recycle nursery slots the
 //!   Go backend would leave alone), and a directed nursery-reuse
 //!   use-after-free plant must be caught by the shadow heap on both
-//!   engines.
+//!   engines, which end it alike: the stale store is dropped and the
+//!   stale read fails as a read of poison.
 
 use gofree::{
-    compile, execute, run_distribution, AuditMode, CollectorKind, CompileOptions, Compiled,
-    FreePlacement, RunConfig, Setting, ViolationKind, VmEngine,
+    compile, execute, run_distribution, run_session, AuditMode, CollectorKind, CompileOptions,
+    Compiled, ExecError, FreePlacement, RunConfig, Setting, ViolationKind, VmEngine,
 };
 use gofree_workloads::{corpus, fuzzgen, Scale};
 
@@ -239,12 +240,15 @@ fn planted_bug_is_caught_by_both_oracles_on_both_engines() {
 /// The nursery-reuse plant: a slice is freed by hand, allocation churn
 /// then drives the generational backend through minor cycles — whose
 /// sweep recycles the freed nursery slot into new objects — and the
-/// stale pointer is finally read. `churn`'s buffer has a non-constant
-/// size, so every iteration heap-allocates and the nursery fills fast.
+/// stale pointer is finally written and read. `churn`'s buffer has a
+/// non-constant size, so every iteration heap-allocates and the nursery
+/// fills fast. The slot now holds another object, so the stale handle's
+/// payload was emptied when the slot was reused: the store is dropped
+/// and the read sees poison.
 const NURSERY_REUSE_BUG: &str = "func churn(n int) int { b := make([]int, n)\n b[0] = 1\n \
      return b[0] }\nfunc main() { n := 64\n s := make([]int, n)\n s[0] = 7\n tcfree(s)\n \
      total := 0\n for i := 0; i < 2000; i += 1 { total += churn(64) }\n \
-     print(s[0] + total) }\n";
+     s[1] = 9\n print(total)\n print(s[1] + total) }\n";
 
 #[test]
 fn nursery_reuse_plant_is_caught_by_the_shadow_heap() {
@@ -271,7 +275,15 @@ fn nursery_reuse_plant_is_caught_by_the_shadow_heap() {
             nursery_size: 16 * 1024,
             ..RunConfig::deterministic(0)
         };
-        let run = execute(&audited, Setting::GoFree, &cfg).expect("runs to completion");
+        let vm_cfg = cfg.vm_config(&audited, Setting::GoFree);
+        let (ran, run) = run_session(&audited, vm_cfg, engine, cfg.opt, |s| Ok(s.call_main()))
+            .expect("valid configuration");
+        assert_eq!(
+            ran,
+            Err(ExecError::PoisonedRead),
+            "{engine}: the stale read"
+        );
+        assert_eq!(run.output, "2000\n", "{engine}: the run up to it");
         assert!(
             run.metrics.gcs_minor >= 1,
             "{engine}: the churn loop must drive at least one minor cycle \
@@ -283,9 +295,15 @@ fn nursery_reuse_plant_is_caught_by_the_shadow_heap() {
             "{engine}: shadow heap missed the nursery-reuse use-after-free"
         );
         // The free went down the small-object allocation-index revert
-        // path, so the stale read is classified as use-after-revert —
-        // the revert flavour of use-after-free.
-        assert_eq!(run.violations[0].kind, ViolationKind::UseAfterRevert);
+        // path, so the stale store and read are classified as
+        // use-after-revert — the revert flavour of use-after-free.
+        let found: Vec<_> = run.violations.iter().map(|v| (v.op, v.kind)).collect();
+        let revert = ViolationKind::UseAfterRevert;
+        assert_eq!(
+            found,
+            [("slice index write", revert), ("slice index read", revert)],
+            "{engine}"
+        );
         flagged.push(run.violations);
     }
     assert_eq!(flagged[0], flagged[1], "engines agree on the violations");

@@ -1249,7 +1249,8 @@ fn a_failed_call_leaves_any_session_usable() {
                 // a failure left behind overflows the very next request.
                 max_frames: 5,
                 step_limit: if mode == 3 { 3_000 } else { 500_000 },
-                ..VmConfig::for_mode(gofree::Mode::GoFree)
+                grow_map_free_old: true,
+                ..VmConfig::default()
             };
             // The calls made and, per call, how it ended and when.
             let drive = |s: &mut Session<dyn Dispatch + '_>| -> Vec<(String, u64)> {
