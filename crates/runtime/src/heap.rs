@@ -366,7 +366,8 @@ impl Heap {
     /// Objects carrying a remembered bit: the old objects the write
     /// barrier recorded since the last cycle (a minor mark's extra roots).
     pub fn remembered(&self) -> u64 {
-        self.remembered_objects().count() as u64
+        let words = self.spans.iter().flat_map(|s| &s.words);
+        words.map(|w| w.remembered.count_ones() as u64).sum()
     }
 
     /// Takes `n` swept or freed objects of `slot_size` bytes, `young` of

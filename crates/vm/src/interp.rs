@@ -106,23 +106,13 @@ impl<'p> TreeWalk<'p> {
             .iter()
             .map(|func| (func.id, addr_taken_vars(&func.body, res)))
             .collect();
-        let mut calls = IdMap::default();
-        for func in &program.funcs {
-            visit::exprs(&func.body, |e| {
-                if !visit::any_expr(e, |e| matches!(e.kind, ExprKind::Call { .. })) {
-                    return Walk::Skip;
-                }
-                calls.insert(e.id, ());
-                Walk::Descend
-            });
-        }
         TreeWalk {
             program,
             res,
             types,
             analysis,
             addr_taken,
-            calls,
+            calls: call_exprs(program),
             frames: Vec::new(),
             pending: Vec::new(),
         }
@@ -274,38 +264,23 @@ impl Vm<'_, '_> {
 
     // ---- pending operands ----
 
-    /// Whether evaluating `e` can make a call, and so collect.
-    fn can_call(&self, e: &Expr) -> bool {
-        self.tw.calls.get(e.id).is_some()
-    }
-
-    /// Runs `eval`, with `v` pending (a root) while it runs if it `calls`.
-    fn holding<R>(
-        &mut self,
-        v: Value,
-        calls: bool,
-        eval: impl FnOnce(&mut Self) -> Result<R>,
-    ) -> Result<(Value, R)> {
-        if !calls {
-            return eval(self).map(|out| (v, out));
+    /// Evaluates `e`, with copies of `held` pending (roots) while it runs
+    /// if it can make a call, and so collect.
+    fn eval_holding(&mut self, held: &[&Value], e: &Expr) -> Result<Value> {
+        if self.tw.calls.get(e.id).is_none() {
+            return self.eval(e);
         }
-        self.tw.pending.push(v);
-        let out = eval(self);
-        let v = self.tw.pending.pop().expect("pushed above");
-        Ok((v, out?))
+        let base = self.tw.pending.len();
+        self.tw.pending.extend(held.iter().map(|&v| v.clone()));
+        let out = self.eval(e);
+        self.tw.pending.truncate(base);
+        out
     }
 
-    /// Evaluates `e` with `v` pending ([`Vm::holding`]).
-    fn eval_holding(&mut self, v: Value, e: &Expr) -> Result<(Value, Value)> {
-        self.holding(v, self.can_call(e), |vm| vm.eval(e))
-    }
-
-    /// Evaluates `es` in order, each value pending while a later one
-    /// can call.
-    fn eval_all(&mut self, es: &[Expr]) -> Result<Vec<Value>> {
-        if !es.iter().skip(1).any(|e| self.can_call(e)) {
-            return es.iter().map(|e| self.eval(e)).collect();
-        }
+    /// Evaluates `es` in order, each value pending until the last is
+    /// done, and leaves the values on the pending stack from the
+    /// returned base up.
+    fn eval_onto(&mut self, es: &[Expr]) -> Result<usize> {
         let base = self.tw.pending.len();
         for e in es {
             match self.eval(e) {
@@ -316,6 +291,12 @@ impl Vm<'_, '_> {
                 }
             }
         }
+        Ok(base)
+    }
+
+    /// [`Vm::eval_onto`], the values taken off the pending stack.
+    fn eval_all(&mut self, es: &[Expr]) -> Result<Vec<Value>> {
+        let base = self.eval_onto(es)?;
         Ok(self.tw.pending.drain(base..).collect())
     }
 
@@ -377,7 +358,7 @@ impl Vm<'_, '_> {
             StmtKind::Assign { lhs, op, rhs } => {
                 if let Some(op) = op {
                     let old = self.eval(&lhs[0])?;
-                    let (old, rv) = self.eval_holding(old, &rhs[0])?;
+                    let rv = self.eval_holding(&[&old], &rhs[0])?;
                     let new = self.m.binop(*op, &old, &rv)?;
                     self.store(&lhs[0], new)?;
                     return Ok(Flow::Normal);
@@ -387,12 +368,6 @@ impl Vm<'_, '_> {
                 } else {
                     self.eval_all(rhs)?
                 };
-                if !lhs.iter().any(|l| self.can_call(l)) {
-                    for (l, v) in lhs.iter().zip(values) {
-                        self.store(l, v)?;
-                    }
-                    return Ok(Flow::Normal);
-                }
                 // Each value stays pending until its own store.
                 let base = self.tw.pending.len();
                 self.tw.pending.extend(values.into_iter().rev());
@@ -489,18 +464,15 @@ impl Vm<'_, '_> {
                 default,
             } => {
                 let sv = self.eval(subject)?;
-                let mut values = cases.iter().flat_map(|c| &c.values);
-                let calls = values.any(|v| self.can_call(v));
-                let (_, matched) = self.holding(sv.clone(), calls, |vm| {
-                    for case in cases {
-                        for v in &case.values {
-                            if value_eq(&sv, &vm.eval(v)?)? {
-                                return Ok(Some(&case.body));
-                            }
+                let mut matched = default.as_ref();
+                'cases: for case in cases {
+                    for v in &case.values {
+                        if value_eq(&sv, &self.eval_holding(&[&sv], v)?)? {
+                            matched = Some(&case.body);
+                            break 'cases;
                         }
                     }
-                    Ok(default.as_ref())
-                })?;
+                }
                 // Go semantics: `break` inside a switch exits the switch,
                 // not an enclosing loop.
                 Ok(match matched {
@@ -630,7 +602,7 @@ impl Vm<'_, '_> {
                 }
                 _ => {
                     let l = self.eval(lhs)?;
-                    let (l, r) = self.eval_holding(l, rhs)?;
+                    let r = self.eval_holding(&[&l], rhs)?;
                     self.m.tick(1);
                     self.m.binop(*op, &l, &r)
                 }
@@ -645,24 +617,15 @@ impl Vm<'_, '_> {
             ExprKind::Index { base, index } => {
                 let bv = self.eval(base)?;
                 check_index_base(&bv)?;
-                let (bv, iv) = self.eval_holding(bv, index)?;
+                let iv = self.eval_holding(&[&bv], index)?;
                 self.m.tick(1);
                 self.m.index_get(&bv, &iv)
             }
             ExprKind::SliceExpr { base, lo, hi } => {
                 let bv = self.eval(base)?;
-                let calls = lo.iter().chain(hi).any(|e| self.can_call(e));
-                let (bv, (lo, hi)) = self.holding(bv, calls, |vm| {
-                    let lo = match lo {
-                        Some(e) => vm.eval_int(e)?,
-                        None => 0,
-                    };
-                    let hi = match hi {
-                        Some(e) => Some(vm.eval_int(e)?),
-                        None => None,
-                    };
-                    Ok((lo, hi))
-                })?;
+                let mut bound = |e: &Expr| int_of(&self.eval_holding(&[&bv], e)?);
+                let lo = lo.as_deref().map_or(Ok(0), &mut bound)?;
+                let hi = hi.as_deref().map(bound).transpose()?;
                 self.m.tick(1);
                 reslice(&bv, lo, hi)
             }
@@ -676,7 +639,8 @@ impl Vm<'_, '_> {
                 args,
             } => self.builtin(e, *kind, ty_args, args),
             ExprKind::StructLit { fields, .. } => {
-                let v = Value::struct_of(self.eval_all(fields)?);
+                let base = self.eval_onto(fields)?;
+                let v = Value::struct_of(self.tw.pending.drain(base..));
                 self.m.tick(1);
                 Ok(v)
             }
@@ -772,7 +736,7 @@ impl Vm<'_, '_> {
             }
             Builtin::Append => {
                 let sv = self.eval(&args[0])?;
-                let (sv, item) = self.eval_holding(sv, &args[1])?;
+                let item = self.eval_holding(&[&sv], &args[1])?;
                 self.m.tick(1);
                 let elem_size = match types.expr(args[0].id) {
                     Some(Type::Slice(elem)) => types.inline_size(elem),
@@ -792,7 +756,7 @@ impl Vm<'_, '_> {
             }
             Builtin::Delete => {
                 let mv = self.eval(&args[0])?;
-                let (mv, kv) = self.eval_holding(mv, &args[1])?;
+                let kv = self.eval_holding(&[&mv], &args[1])?;
                 self.m.tick(1);
                 self.m.map_delete(&mv, &kv)?;
                 Ok(Value::Int(0))
@@ -832,11 +796,11 @@ impl Vm<'_, '_> {
                 op: UnOp::Deref,
                 operand,
             } => {
-                let (value, p) = self.eval_holding(value, operand)?;
+                let p = self.eval_holding(&[&value], operand)?;
                 self.m.deref_set(&p, value)
             }
             ExprKind::Field { base, name } => {
-                let (value, bv) = self.eval_holding(value, base)?;
+                let bv = self.eval_holding(&[&value], base)?;
                 let (idx, through_ptr) =
                     field_target(self.tw.types, base, name).map_err(ExecError::Internal)?;
                 if through_ptr {
@@ -848,12 +812,9 @@ impl Vm<'_, '_> {
                 }
             }
             ExprKind::Index { base, index } => {
-                let calls = self.can_call(base) || self.can_call(index);
-                let (value, (bv, iv)) = self.holding(value, calls, |vm| {
-                    let bv = vm.eval(base)?;
-                    check_index_base(&bv)?;
-                    vm.eval_holding(bv, index)
-                })?;
+                let bv = self.eval_holding(&[&value], base)?;
+                check_index_base(&bv)?;
+                let iv = self.eval_holding(&[&value, &bv], index)?;
                 self.m.index_set(&bv, &iv, value)
             }
             _ => Err(ExecError::Internal("bad lvalue".into())),
@@ -885,6 +846,33 @@ pub(crate) fn addr_taken_vars(body: &Block, res: &Resolution) -> FxHashSet<VarId
         Walk::Descend
     });
     out
+}
+
+/// The expressions of `program` that contain a call, themselves included.
+fn call_exprs(program: &Program) -> IdMap<ExprId, ()> {
+    let mut order = Vec::new();
+    for func in &program.funcs {
+        visit::exprs(&func.body, |e| {
+            order.push(e);
+            Walk::Descend
+        });
+    }
+    // Backwards through pre-order, an expression comes after all below it.
+    let mut calls = IdMap::default();
+    for e in order.into_iter().rev() {
+        let mut call = matches!(e.kind, ExprKind::Call { .. });
+        visit::exprs(e, |below| {
+            if below.id == e.id {
+                return Walk::Descend;
+            }
+            call |= calls.get(below.id).is_some();
+            Walk::Skip
+        });
+        if call {
+            calls.insert(e.id, ());
+        }
+    }
+    calls
 }
 
 #[cfg(test)]

@@ -590,7 +590,8 @@ impl Machine {
     ///
     /// [`ExecError::SliceRange`] when the grown array's accounted size
     /// overflows or the host refuses the storage (see
-    /// [`Machine::make_slice`]).
+    /// [`Machine::make_slice`]); [`ExecError::PoisonedRead`] when a
+    /// stale handle's emptied array has to be copied.
     pub(crate) fn append(
         &mut self,
         sv: Value,
@@ -616,6 +617,9 @@ impl Machine {
                 // (other slices may still reference it).
                 let new_cap = (s.cap() * 2).max(8);
                 let (lo, hi) = (s.offset, s.offset + s.len);
+                if hi > s.cells.borrow().len() {
+                    return Err(ExecError::PoisonedRead);
+                }
                 (Some(s), lo, hi, new_cap)
             }
             _ => return Err(ExecError::Internal("append to non-slice".into())),
@@ -697,7 +701,12 @@ impl Machine {
     pub(crate) fn slice_get(&mut self, s: &SliceVal, i: i64) -> Result<Value> {
         let at = cell_at(s, i)?;
         self.shadow_access(s.cells.obj, "slice index read");
-        check_poison(s.cells.borrow().get(at))
+        let cells = s.cells.borrow();
+        if at >= cells.len() {
+            // A stale handle's emptied array (see `Slots`).
+            return Err(ExecError::PoisonedRead);
+        }
+        check_poison(cells.get(at))
     }
 
     /// `s[i] = v`: the one place a slice element is written (bounds,
@@ -707,7 +716,11 @@ impl Machine {
         let at = cell_at(s, i)?;
         self.shadow_access(s.cells.obj, "slice index write");
         self.barrier_store(s.cells.obj, &v);
-        s.cells.borrow_mut().set(at, v);
+        let mut cells = s.cells.borrow_mut();
+        // A stale handle's emptied array (see `Slots`) drops the store.
+        if at < cells.len() {
+            cells.set(at, v);
+        }
         Ok(())
     }
 
@@ -1310,6 +1323,34 @@ mod tests {
             .expect("store");
         assert_eq!(m.rt.now() - before, 2 * barrier, "charged per store");
         assert_eq!(m.rt.heap().remembered(), 1, "remembered once");
+    }
+
+    /// A slice whose array the slot table released while the slice
+    /// still held it: reads fail as poison, stores are dropped, an
+    /// append that has to copy fails as a read, and nothing panics.
+    #[test]
+    fn a_stale_slice_reads_poison_drops_its_stores_and_cannot_append() {
+        let mut m = machine();
+        let stale = m
+            .make_slice(64, None, 8, Value::Int(0), true, ExprId(7))
+            .expect("64 ints");
+        let Value::Slice(s) = &stale else {
+            unreachable!()
+        };
+        m.slots.release(s.cells.obj.expect("a heap array").addr);
+        assert_eq!(s.cells.borrow().len(), 0, "emptied");
+        let one = Value::Int(1);
+        assert_eq!(m.index_set(&stale, &one, one.clone()), Ok(()));
+        let read = m.index_get(&stale, &one);
+        assert!(matches!(read, Err(ExecError::PoisonedRead)));
+        let grown = m.append(stale.clone(), one.clone(), 8, ExprId(7));
+        assert!(matches!(grown, Err(ExecError::PoisonedRead)));
+        assert_eq!(stale.display(), format!("[{}]", ["<poison>"; 64].join(" ")));
+        let empty = reslice(&stale, 0, Some(0)).expect("an empty reslice");
+        assert!(
+            m.append(empty, one, 8, ExprId(7)).is_ok(),
+            "nothing to copy"
+        );
     }
 
     #[test]

@@ -240,73 +240,79 @@ fn planted_bug_is_caught_by_both_oracles_on_both_engines() {
 /// The nursery-reuse plant: a slice is freed by hand, allocation churn
 /// then drives the generational backend through minor cycles — whose
 /// sweep recycles the freed nursery slot into new objects — and the
-/// stale pointer is finally written and read. `churn`'s buffer has a
-/// non-constant size, so every iteration heap-allocates and the nursery
-/// fills fast. The slot now holds another object, so the stale handle's
-/// payload was emptied when the slot was reused: the store is dropped
-/// and the read sees poison.
-const NURSERY_REUSE_BUG: &str = "func churn(n int) int { b := make([]int, n)\n b[0] = 1\n \
-     return b[0] }\nfunc main() { n := 64\n s := make([]int, n)\n s[0] = 7\n tcfree(s)\n \
-     total := 0\n for i := 0; i < 2000; i += 1 { total += churn(64) }\n \
-     s[1] = 9\n print(total)\n print(s[1] + total) }\n";
+/// stale pointer is finally written and then read (or appended to, which
+/// reads what it copies). `churn`'s buffer has a non-constant size, so
+/// every iteration heap-allocates and the nursery fills fast. The slot
+/// now holds another object, so the stale handle's payload was emptied
+/// when the slot was reused: the store is dropped and the read fails as
+/// a read of poison.
+fn nursery_reuse_bug(stale_read: &str) -> String {
+    format!(
+        "func churn(n int) int {{ b := make([]int, n)\n b[0] = 1\n return b[0] }}\n\
+         func main() {{ n := 64\n s := make([]int, n)\n s[0] = 7\n tcfree(s)\n \
+         total := 0\n for i := 0; i < 2000; i += 1 {{ total += churn(64) }}\n \
+         s[1] = 9\n print(total)\n {stale_read} }}\n"
+    )
+}
 
 #[test]
 fn nursery_reuse_plant_is_caught_by_the_shadow_heap() {
-    let audited = compile(
-        NURSERY_REUSE_BUG,
-        &CompileOptions {
-            audit: AuditMode::Warn,
-            ..CompileOptions::default()
-        },
-    )
-    .expect("compiles");
-    // The auditor already rejects the premature hand-written free.
-    let report = audited.audit.as_ref().expect("audit ran");
-    assert!(
-        report.unproven().count() >= 1,
-        "auditor must reject the premature free"
-    );
-    let mut flagged = Vec::new();
-    for engine in [VmEngine::TreeWalk, VmEngine::Bytecode] {
-        let cfg = RunConfig {
-            engine,
-            sanitize: true,
-            collector: CollectorKind::Generational,
-            nursery_size: 16 * 1024,
-            ..RunConfig::deterministic(0)
-        };
-        let vm_cfg = cfg.vm_config(&audited, Setting::GoFree);
-        let (ran, run) = run_session(&audited, vm_cfg, engine, cfg.opt, |s| Ok(s.call_main()))
-            .expect("valid configuration");
-        assert_eq!(
-            ran,
-            Err(ExecError::PoisonedRead),
-            "{engine}: the stale read"
-        );
-        assert_eq!(run.output, "2000\n", "{engine}: the run up to it");
+    for (stale_read, op) in [
+        ("print(s[1] + total)", "slice index read"),
+        ("s = append(s, 1)\n print(len(s))", "append"),
+    ] {
+        let audited = compile(
+            &nursery_reuse_bug(stale_read),
+            &CompileOptions {
+                audit: AuditMode::Warn,
+                ..CompileOptions::default()
+            },
+        )
+        .expect("compiles");
+        // The auditor already rejects the premature hand-written free.
+        let report = audited.audit.as_ref().expect("audit ran");
         assert!(
-            run.metrics.gcs_minor >= 1,
-            "{engine}: the churn loop must drive at least one minor cycle \
-             (got {:?} cycles) or the plant is not exercising the nursery",
-            run.metrics.gcs
+            report.unproven().count() >= 1,
+            "auditor must reject the premature free"
         );
-        assert!(
-            !run.violations.is_empty(),
-            "{engine}: shadow heap missed the nursery-reuse use-after-free"
-        );
-        // The free went down the small-object allocation-index revert
-        // path, so the stale store and read are classified as
-        // use-after-revert — the revert flavour of use-after-free.
-        let found: Vec<_> = run.violations.iter().map(|v| (v.op, v.kind)).collect();
-        let revert = ViolationKind::UseAfterRevert;
-        assert_eq!(
-            found,
-            [("slice index write", revert), ("slice index read", revert)],
-            "{engine}"
-        );
-        flagged.push(run.violations);
+        let mut flagged = Vec::new();
+        for engine in [VmEngine::TreeWalk, VmEngine::Bytecode] {
+            let cfg = RunConfig {
+                engine,
+                sanitize: true,
+                collector: CollectorKind::Generational,
+                nursery_size: 16 * 1024,
+                ..RunConfig::deterministic(0)
+            };
+            let vm_cfg = cfg.vm_config(&audited, Setting::GoFree);
+            let (ran, run) = run_session(&audited, vm_cfg, engine, cfg.opt, |s| Ok(s.call_main()))
+                .expect("valid configuration");
+            assert_eq!(
+                ran,
+                Err(ExecError::PoisonedRead),
+                "{engine} {op}: the stale read"
+            );
+            assert_eq!(run.output, "2000\n", "{engine} {op}: the run up to it");
+            assert!(
+                run.metrics.gcs_minor >= 1,
+                "{engine}: the churn loop must drive at least one minor cycle \
+                 (got {:?} cycles) or the plant is not exercising the nursery",
+                run.metrics.gcs
+            );
+            // The free went down the small-object allocation-index revert
+            // path, so the stale store and read are classified as
+            // use-after-revert — the revert flavour of use-after-free.
+            let found: Vec<_> = run.violations.iter().map(|v| (v.op, v.kind)).collect();
+            let revert = ViolationKind::UseAfterRevert;
+            assert_eq!(
+                found,
+                [("slice index write", revert), (op, revert)],
+                "{engine}: the shadow heap classifies both stale accesses"
+            );
+            flagged.push(run.violations);
+        }
+        assert_eq!(flagged[0], flagged[1], "engines agree on the violations");
     }
-    assert_eq!(flagged[0], flagged[1], "engines agree on the violations");
 }
 
 #[test]
