@@ -7,25 +7,23 @@
 //! cycles, and the clock at each of them, are the tree-walk's by
 //! construction (and checked by the differential tests).
 //!
-//! A frame is a dense `Vec` of slots: the function's variables, then the
-//! temporaries lowering numbered above them. The roots of a frame are
-//! its variable slots, its deferred-call arguments and, while it waits
-//! on a call, the temporaries that call's instruction lists as pending
-//! (operands evaluated before the call and consumed after it): the
-//! tree-walk's pending-operand stack, slot for slot.
+//! A frame is the machine's [`Frame`]: the function's variables, then
+//! the temporaries lowering numbered above them. While it waits on a
+//! call, its roots include the temporaries that call's instruction lists
+//! as pending (operands evaluated before the call and consumed after
+//! it): the tree-walk's pending-operand stack, slot for slot.
 
-use std::cell::Ref;
-
-use minigo_syntax::{BinOp, Builtin};
+use minigo_syntax::{BinOp, Builtin, FuncId};
 
 use super::ir::{BFunc, Const, Instr, Module, Src, SrcKind};
 use crate::error::ExecError;
 use crate::machine::{
     cap_of, check_index_base, expected_bool, int_of, itoa, len_of, reslice, value_eq, with_field,
-    Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
+    DeferKind, Deferred, Dispatch, Frame, Machine, Operand, Result, RunOutcome, Session, Slot,
+    VmConfig,
 };
 use crate::mark::RootSink;
-use crate::value::{Cell, Obj, SliceVal, Value};
+use crate::value::{SliceVal, Value};
 
 /// Runs a lowered module's `main`.
 ///
@@ -40,40 +38,8 @@ pub fn run_module(module: &Module, cfg: VmConfig) -> Result<RunOutcome> {
     Ok(session.finish())
 }
 
-/// A frame slot. `Empty` marks a not-yet-declared local; reading one is
-/// the engine's analogue of the tree-walk's "variable not found".
-#[derive(Clone)]
-enum BSlot {
-    Empty,
-    Plain(Value),
-    Boxed(Cell),
-}
-
-// A boxed slot is one pointer: the cell carries its own heap handle.
-const _: () = assert!(std::mem::size_of::<BSlot>() == 24);
 // A `Call` keeps its pending list in `BFunc::pending`, by index.
 const _: () = assert!(std::mem::size_of::<Instr>() == 40);
-
-enum BDeferKind {
-    Func(usize),
-    Builtin(Builtin),
-}
-
-struct BDeferred {
-    kind: BDeferKind,
-    args: Vec<Value>,
-}
-
-#[derive(Default)]
-struct BFrame<'m> {
-    slots: Vec<BSlot>,
-    /// How many of `slots` are variables (the rest are temporaries).
-    vars: usize,
-    defers: Vec<BDeferred>,
-    /// While the frame waits on a call: the temporaries the call left
-    /// pending (empty otherwise).
-    pending: &'m [u32],
-}
 
 /// The bytecode engine: a lowered (optionally optimized) module and its
 /// frame stack.
@@ -84,21 +50,12 @@ pub struct Bytecode<'m> {
     consts: Vec<Value>,
     /// The running function's frame (an empty one between calls), kept
     /// apart so a slot access is one index.
-    top: BFrame<'m>,
+    top: Frame<'m>,
     /// The suspended callers' frames, innermost last.
-    frames: Vec<BFrame<'m>>,
+    frames: Vec<Frame<'m>>,
     /// Retired frame-slot vectors, reused across calls so a call does
     /// not malloc (values were dropped when the owning frame popped).
-    slot_pool: Vec<Vec<BSlot>>,
-}
-
-#[inline]
-fn bslot(value: Value, boxed: bool) -> BSlot {
-    if boxed {
-        BSlot::Boxed(Obj::new(None, value))
-    } else {
-        BSlot::Plain(value)
-    }
+    slot_pool: Vec<Vec<Slot>>,
 }
 
 /// The `JumpIf` test: jump to `t` when `v` is `when`.
@@ -115,32 +72,12 @@ fn jump_if(v: &Value, when: bool, pc: &mut usize, t: usize) -> Result<()> {
     }
 }
 
-/// A frame slot's value lent in place: a plain slot's `&Value`, or the
-/// open `Ref` of a boxed one (which must drop before a store to the same
-/// slot re-borrows the cell mutably).
-enum Operand<'a> {
-    Plain(&'a Value),
-    Boxed(Ref<'a, Value>),
-}
-
-impl std::ops::Deref for Operand<'_> {
-    type Target = Value;
-
-    #[inline(always)]
-    fn deref(&self) -> &Value {
-        match self {
-            Operand::Plain(v) => v,
-            Operand::Boxed(r) => r,
-        }
-    }
-}
-
 /// Lends slot `s` of `frame`. A free function so the loan leaves the
 /// rest of the engine free to be mutated (the [`Machine`] is a separate
 /// struct for the same reason). The error construction is kept out of
 /// line so the hot path inlines.
 #[inline(always)]
-fn lend<'a>(frame: &'a BFrame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
+fn lend<'a>(frame: &'a Frame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
     #[cold]
     fn undeclared(f: &BFunc, s: u32) -> ExecError {
         ExecError::Internal(format!(
@@ -148,33 +85,12 @@ fn lend<'a>(frame: &'a BFrame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
             f.slot_names[s as usize]
         ))
     }
-    match &frame.slots[s as usize] {
-        BSlot::Plain(v) => Ok(Operand::Plain(v)),
-        BSlot::Boxed(cell) => Ok(Operand::Boxed(cell.borrow())),
-        BSlot::Empty => Err(undeclared(f, s)),
-    }
-}
-
-/// Stores `v` to slot `s` of `frame` (through its cell when boxed).
-#[inline(always)]
-fn store_in(frame: &mut BFrame, s: u32, v: Value) -> Result<()> {
-    let slot = &mut frame.slots[s as usize];
-    // An int over an int, the hot case, in place: no drop to run.
-    if let (BSlot::Plain(Value::Int(d)), Value::Int(n)) = (&mut *slot, &v) {
-        *d = *n;
-        return Ok(());
-    }
-    match slot {
-        BSlot::Plain(p) => *p = v,
-        BSlot::Boxed(cell) => *cell.borrow_mut() = v,
-        BSlot::Empty => Err(ExecError::Internal("write to undeclared variable".into()))?,
-    }
-    Ok(())
+    frame.lend(s).ok_or_else(|| undeclared(f, s))
 }
 
 /// [`lend`], poison-checked: the tree-walk's variable read.
 #[inline(always)]
-fn checked<'a>(frame: &'a BFrame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
+fn checked<'a>(frame: &'a Frame, f: &BFunc, s: u32) -> Result<Operand<'a>> {
     let v = lend(frame, f, s)?;
     if matches!(*v, Value::Poison) {
         return Err(ExecError::PoisonedRead);
@@ -242,7 +158,7 @@ impl<'m> Bytecode<'m> {
         Bytecode {
             module,
             consts: module.consts.iter().map(Const::to_value).collect(),
-            top: BFrame::default(),
+            top: Frame::new(FuncId(0), Vec::new(), 0),
             frames: Vec::new(),
             slot_pool: Vec::new(),
         }
@@ -253,31 +169,32 @@ impl<'m> Bytecode<'m> {
     /// A fresh frame for `f`: every variable undeclared, every
     /// temporary nil. Slot vectors are recycled through a pool, so a
     /// call steady-state allocates nothing.
-    fn fresh_slots(&mut self, f: &BFunc) -> Vec<BSlot> {
+    fn fresh_slots(&mut self, f: &BFunc) -> Vec<Slot> {
         let mut slots = self.slot_pool.pop().unwrap_or_default();
-        slots.resize(f.slot_names.len(), BSlot::Empty);
-        slots.resize(f.nslots as usize, BSlot::Plain(Value::Nil));
+        slots.resize(f.slot_names.len(), Slot::Empty);
+        slots.resize(f.nslots as usize, Slot::Plain(Value::Nil));
         slots
     }
 
     /// Returns a slot vector to the pool (its values drop here).
-    fn recycle(&mut self, mut slots: Vec<BSlot>) {
+    fn recycle(&mut self, mut slots: Vec<Slot>) {
         slots.clear();
         self.slot_pool.push(slots);
     }
 
     /// A frame for `fid` with `args` in its parameter slots.
-    fn frame_of(&mut self, fid: usize, args: Vec<Value>) -> Vec<BSlot> {
+    fn frame_of(&mut self, fid: usize, args: Vec<Value>) -> Vec<Slot> {
         let f = &self.module.funcs[fid];
         let mut slots = self.fresh_slots(f);
-        for (&(slot, boxed), arg) in f.params.iter().zip(args) {
-            slots[slot as usize] = bslot(arg, boxed);
+        for (&(slot, _), arg) in f.params.iter().zip(args) {
+            slots[slot as usize] = Slot::Plain(arg);
         }
         slots
     }
 
-    /// The call protocol, once the callee's parameters are in `slots`:
-    /// runs body + defers and reads the results, poison-checked. With
+    /// The call protocol, once the callee's arguments are in its
+    /// parameter slots: enters the callee, makes its boxes, runs body +
+    /// defers and reads the results, poison-checked. With
     /// `into = Some((dst, want))` they are stored to the caller's slots
     /// from `dst` up, and there must be `want` of them; otherwise they
     /// are returned.
@@ -285,31 +202,31 @@ impl<'m> Bytecode<'m> {
         &mut self,
         m: &mut Machine,
         fid: usize,
-        mut slots: Vec<BSlot>,
+        slots: Vec<Slot>,
         into: Option<(u32, u32)>,
     ) -> Result<Vec<Value>> {
         let module = self.module;
         let f = &module.funcs[fid];
-        if let Err(e) = m.check_depth(self.frames.len()) {
+        let entry = match m.check_depth(self.frames.len()) {
+            Ok(()) if f.results.iter().any(|r| r.2.is_none()) => {
+                Err(ExecError::Internal("untyped result".into()))
+            }
+            depth => depth,
+        };
+        if let Err(e) = entry {
             self.recycle(slots);
             return Err(e);
         }
-        for &(slot, boxed, zero) in &f.results {
-            let Some(zero) = zero else {
-                self.recycle(slots);
-                return Err(ExecError::Internal("untyped result".into()));
-            };
-            slots[slot as usize] = bslot(self.consts[zero as usize].clone(), boxed);
-        }
-        let callee = BFrame {
-            slots,
-            vars: f.slot_names.len(),
-            defers: Vec::new(),
-            pending: &[],
-        };
+        let callee = Frame::new(FuncId(fid as u32), slots, f.slot_names.len());
         let caller = std::mem::replace(&mut self.top, callee);
         self.frames.push(caller);
         let parent_stack = m.enter_stack(&f.name);
+        let consts = &self.consts;
+        let results = f.results.iter().map(|&(slot, storage, zero)| {
+            let zero = zero.expect("checked above");
+            (slot, storage, consts[zero as usize].clone())
+        });
+        m.enter_frame(&mut self.top.slots, f.params.iter().copied(), results);
 
         let body = self.exec(m, f);
         let defer_result = self.run_defers(m);
@@ -324,7 +241,7 @@ impl<'m> Bytecode<'m> {
                 match (into, arity) {
                     (Some((dst, _)), true) => {
                         let caller = self.frames.last_mut().expect("pushed above");
-                        store_in(caller, dst + k, v)?;
+                        caller.store(dst + k, v)?;
                     }
                     (None, _) => out.push(v),
                     _ => {}
@@ -348,15 +265,15 @@ impl<'m> Bytecode<'m> {
                 return Ok(());
             };
             match d.kind {
-                BDeferKind::Func(fid) => {
+                DeferKind::Func(fid) => {
                     // The arguments become the callee's parameters; its
                     // results are read and poison-checked like any
                     // call's, then discarded.
-                    let slots = self.frame_of(fid, d.args);
-                    self.invoke(m, fid, slots, None)?;
+                    let slots = self.frame_of(fid.index(), d.args);
+                    self.invoke(m, fid.index(), slots, None)?;
                 }
-                BDeferKind::Builtin(Builtin::Print) => m.print(&d.args),
-                BDeferKind::Builtin(_) => {}
+                DeferKind::Builtin(Builtin::Print) => m.print(&d.args),
+                DeferKind::Builtin(_) => {}
             }
         }
     }
@@ -397,7 +314,7 @@ impl<'m> Bytecode<'m> {
         match s.kind {
             SrcKind::K => as_int(&self.consts[s.at as usize]),
             SrcKind::Var | SrcKind::Tmp => match self.top.slots[s.at as usize] {
-                BSlot::Plain(Value::Int(n)) => Some(n),
+                Slot::Plain(Value::Int(n)) => Some(n),
                 _ => None,
             },
         }
@@ -416,7 +333,7 @@ impl<'m> Bytecode<'m> {
             return None;
         }
         match &self.top.slots[s.at as usize] {
-            BSlot::Plain(Value::Slice(sv)) => Some(sv),
+            Slot::Plain(Value::Slice(sv)) => Some(sv),
             _ => None,
         }
     }
@@ -424,11 +341,11 @@ impl<'m> Bytecode<'m> {
     /// Stores `v` to slot `s` of the running frame.
     #[inline(always)]
     fn store(&mut self, s: u32, v: Value) -> Result<()> {
-        store_in(&mut self.top, s, v)
+        self.top.store(s, v)
     }
 
-    fn defer(&mut self, kind: BDeferKind, args: Vec<Value>) {
-        self.top.defers.push(BDeferred { kind, args });
+    fn defer(&mut self, kind: DeferKind, args: Vec<Value>) {
+        self.top.defers.push(Deferred { kind, args });
     }
 
     // ---- the dispatch loop ----
@@ -494,8 +411,8 @@ impl<'m> Bytecode<'m> {
                                 return Err(e);
                             }
                         };
-                        if let Some(&(slot, boxed)) = callee.params.get(i) {
-                            slots[slot as usize] = bslot(v, boxed);
+                        if let Some(&(slot, _)) = callee.params.get(i) {
+                            slots[slot as usize] = Slot::Plain(v);
                         }
                     }
                     m.tick(if *want == 1 { 3 } else { 2 });
@@ -514,20 +431,9 @@ impl<'m> Bytecode<'m> {
                     let v = self.value(m, f, *src)?;
                     self.store(*dst, v)?;
                 }
-                Instr::Declare {
-                    slot,
-                    src,
-                    boxed,
-                    heap,
-                    size,
-                } => {
+                Instr::Declare { slot, src, storage } => {
                     let v = self.value(m, f, *src)?;
-                    let new_slot = if *boxed {
-                        BSlot::Boxed(m.alloc_box(v, *heap, *size, None))
-                    } else {
-                        BSlot::Plain(v)
-                    };
-                    self.top.slots[*slot as usize] = new_slot;
+                    self.top.slots[*slot as usize] = m.new_slot(v, *storage);
                 }
                 Instr::Bin {
                     op,
@@ -621,11 +527,11 @@ impl<'m> Bytecode<'m> {
         match instr {
             Instr::DeferFunc { fid, args } => {
                 let args = self.values(m, f, args)?;
-                self.defer(BDeferKind::Func(*fid as usize), args);
+                self.defer(DeferKind::Func(FuncId(*fid)), args);
             }
             Instr::DeferBuiltin { builtin, args } => {
                 let args = self.values(m, f, args)?;
-                self.defer(BDeferKind::Builtin(*builtin), args);
+                self.defer(DeferKind::Builtin(*builtin), args);
             }
             Instr::Neg { dst, src } => {
                 let v = int_of(&*self.src(m, f, *src)?)?;
@@ -642,16 +548,7 @@ impl<'m> Bytecode<'m> {
             }
             Instr::AddrOfSlot { dst, slot } => {
                 m.tick(1);
-                let p = match &self.top.slots[*slot as usize] {
-                    BSlot::Boxed(cell) => Value::Ptr(cell.clone()),
-                    BSlot::Plain(_) => {
-                        return Err(ExecError::Internal(format!(
-                            "address taken of unboxed variable {}",
-                            f.slot_names[*slot as usize]
-                        )))
-                    }
-                    BSlot::Empty => return Err(ExecError::Internal("variable not found".into())),
-                };
+                let p = self.top.addr_of(*slot, &f.slot_names[*slot as usize])?;
                 self.store(*dst, p)?;
             }
             Instr::AllocBox {
@@ -830,21 +727,7 @@ impl Dispatch for Bytecode<'_> {
 
     fn roots(&self, sink: &mut dyn RootSink) {
         for frame in self.frames.iter().chain([&self.top]) {
-            for slot in &frame.slots[..frame.vars] {
-                match slot {
-                    BSlot::Empty => {}
-                    BSlot::Plain(v) => sink.value(v),
-                    BSlot::Boxed(cell) => sink.boxed(cell),
-                }
-            }
-            for v in frame.defers.iter().flat_map(|d| &d.args) {
-                sink.value(v);
-            }
-            for &t in frame.pending {
-                if let BSlot::Plain(v) = &frame.slots[t as usize] {
-                    sink.value(v);
-                }
-            }
+            frame.roots(sink);
         }
     }
 }
@@ -854,6 +737,7 @@ mod tests {
     use minigo_runtime::{PoisonMode, RuntimeConfig};
 
     use super::*;
+    use crate::machine::Storage;
 
     /// A function with `vars` variables (the first its result) and one
     /// temporary, slot `vars`.
@@ -862,7 +746,7 @@ mod tests {
             name: name.into(),
             nslots: vars + 1,
             params: Vec::new(),
-            results: vec![(0, false, Some(0))],
+            results: vec![(0, Storage::Plain, Some(0))],
             slot_names: (0..vars).map(|i| format!("v{i}")).collect(),
             code,
             pending: Vec::new().into(),
@@ -885,9 +769,10 @@ mod tests {
                 Instr::Declare {
                     slot: 0,
                     src: Src::k(0, 1),
-                    boxed: true,
-                    heap: true,
-                    size: 8,
+                    storage: Storage::Boxed {
+                        heap: true,
+                        size: 8,
+                    },
                 },
                 Instr::MakeSlice {
                     dst: 2,
@@ -901,9 +786,7 @@ mod tests {
                 Instr::Declare {
                     slot: 1,
                     src: Src::tmp(2),
-                    boxed: false,
-                    heap: false,
-                    size: 0,
+                    storage: Storage::Plain,
                 },
                 Instr::AddrOfSlot { dst: 2, slot: 0 },
                 Instr::Tcfree {
@@ -978,17 +861,23 @@ mod tests {
             b: Src::k(1, 1),
             ticks: 0,
         };
-        let declare = |boxed| Instr::Declare {
+        let declare = |storage| Instr::Declare {
             slot: 1,
             src: Src::k(2, 1),
-            boxed,
-            heap: false,
-            size: 8,
+            storage,
         };
         let result = |src| Instr::Move { dst: 0, src };
-        let over_str = vec![declare(false), add_into(1), result(Src::var(1)), Instr::Ret];
+        let over_str = vec![
+            declare(Storage::Plain),
+            add_into(1),
+            result(Src::var(1)),
+            Instr::Ret,
+        ];
         let into_box = vec![
-            declare(true),
+            declare(Storage::Boxed {
+                heap: false,
+                size: 8,
+            }),
             add_into(1),
             Instr::AddrOfSlot { dst: 2, slot: 1 },
             Instr::Deref {

@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use minigo_syntax::{BinOp, Builtin, ExprId};
 
+use crate::machine::Storage;
 use crate::value::Value;
 
 /// A lowered program: all functions plus the shared constant pool.
@@ -99,14 +100,14 @@ pub struct BFunc {
     /// Number of frame slots: the variables (parameters + results +
     /// locals), then the temporaries lowering numbered above them.
     pub nslots: u32,
-    /// Parameter slots in declaration order, with their boxed-ness
-    /// (address-taken variables live in shared cells).
-    pub params: Vec<(u32, bool)>,
-    /// Result slots in declaration order: slot, boxed-ness, and the
+    /// Parameter slots in declaration order, with their storage (an
+    /// address-taken parameter is boxed once the callee is entered).
+    pub params: Vec<(u32, Storage)>,
+    /// Result slots in declaration order: slot, storage, and the
     /// constant-pool index of the zero value they start as. `None` when
     /// the front end left the result untyped (calling such a function is
     /// a runtime error, exactly as in the tree-walk).
-    pub results: Vec<(u32, bool, Option<u32>)>,
+    pub results: Vec<(u32, Storage, Option<u32>)>,
     /// Variable names, for error messages. There is one per variable
     /// slot; every slot from `slot_names.len()` up is a temporary. The
     /// optimized module shares the lowered one's names.
@@ -283,12 +284,8 @@ pub enum Instr {
         slot: u32,
         /// The initial value.
         src: Src,
-        /// Whether the variable is address-taken (boxed).
-        boxed: bool,
-        /// Whether the box is heap-accounted.
-        heap: bool,
-        /// Heap object size when `heap`.
-        size: u64,
+        /// Where the variable lives.
+        storage: Storage,
     },
 
     // ---- operators ----

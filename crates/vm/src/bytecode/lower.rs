@@ -6,12 +6,12 @@
 //! runtime-error behaviour exactly.
 //!
 //! Every static decision the tree-walking interpreter makes per
-//! execution — hash-map variable lookup, address-taken queries, escape
-//! analysis placement, struct field resolution, zero-value
-//! construction — is resolved here once: variables become dense frame
-//! slots, allocation sites carry their heap/stack decision and sizes,
-//! field accesses carry their index, and zero values live in the
-//! constant pool.
+//! execution — escape analysis placement, struct field resolution,
+//! zero-value construction — is resolved here once: allocation sites
+//! carry their heap/stack decision and sizes, field accesses carry their
+//! index, and zero values live in the constant pool. Both engines share
+//! the frame layout ([`frame_layout`]): a variable's dense slot and its
+//! storage.
 //!
 //! Expressions lower to three-address form. A leaf (a variable or a
 //! literal) becomes a [`Src`] its consumer reads; any other expression
@@ -29,6 +29,7 @@
 use std::sync::Arc;
 
 use minigo_escape::{AllocPlace, Analysis};
+use minigo_syntax::visit::{self, Walk};
 use minigo_syntax::{
     BinOp, Block, Builtin, Expr, ExprKind, Func, FuncId, Program, Resolution, Stmt, StmtKind, Type,
     TypeInfo, UnOp, VarId,
@@ -36,7 +37,7 @@ use minigo_syntax::{
 
 use super::ir::{BFunc, Const, Instr, Module, Src, SrcKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::interp::addr_taken_vars;
+use crate::machine::Storage;
 
 /// Lowers a checked (and, in GoFree mode, instrumented) program to
 /// bytecode. Never fails: see the module docs.
@@ -98,32 +99,18 @@ fn lower_func(
     analysis: &Analysis,
     consts: &mut ConstPool,
 ) -> BFunc {
-    let addr_taken = addr_taken_vars(&func.body, res);
-
-    // Dense slot assignment: every variable the resolver attributed to
-    // this function, in VarId order (parameters and results first, since
-    // the resolver numbers them at function entry). The resolver numbers
-    // one function's variables consecutively, so a variable's slot is its
-    // offset from the first.
+    let layout = frame_layout(func, res, types, analysis);
     let vars = res.vars_of(func.id);
-    let first_var = vars.first().map_or(0, |v| v.0);
-    assert!(
-        vars.iter().zip(first_var..).all(|(v, id)| v.0 == id),
-        "the variables of `{}` are not numbered consecutively",
-        func.name
-    );
     let slot_names: Arc<[String]> = vars.iter().map(|&v| res.var(v).name.clone()).collect();
     let nvars = slot_names.len() as u32;
-    let boxed = vars.iter().map(|v| addr_taken.contains(v)).collect();
 
     let mut lo = FnLowerer {
         fid: func.id,
         res,
         types,
         analysis,
-        addr_taken,
-        first_var,
-        boxed,
+        first_var: layout.first,
+        storage: layout.storage,
         consts,
         code: Vec::new(),
         patches: Vec::new(),
@@ -138,29 +125,94 @@ fn lower_func(
     lo.code.push(Instr::Ret);
     lo.apply_patches();
 
-    let params = res
-        .params_of(func.id)
-        .iter()
-        .map(|&v| (lo.slot(v), lo.addr_taken.contains(&v)))
-        .collect();
-    let results = res
-        .results_of(func.id)
-        .iter()
-        .map(|&v| {
-            let zero = types.var(v).map(|t| lo.consts.add(zero_value(t, types)));
-            (lo.slot(v), lo.addr_taken.contains(&v), zero)
-        })
-        .collect();
+    let results = layout.results.into_iter();
+    let results =
+        results.map(|(slot, storage, zero)| (slot, storage, zero.map(|z| lo.consts.add(z))));
     let code = std::mem::take(&mut lo.code);
     BFunc {
         name: func.name.clone(),
         nslots: lo.nslots,
-        params,
-        results,
+        params: layout.params,
+        results: results.collect(),
         slot_names,
         code,
         pending: std::mem::take(&mut lo.pending).into(),
     }
+}
+
+/// A function's frame as both engines lay it out: every variable the
+/// resolver attributed to the function, in `VarId` order (parameters and
+/// results first, since the resolver numbers them at function entry).
+/// The resolver numbers one function's variables consecutively, so a
+/// variable's slot is its offset from the `first`.
+pub(crate) struct FrameLayout {
+    pub first: u32,
+    /// Per variable slot, where the variable lives: an address-taken
+    /// variable is boxed where the escape analysis put it.
+    pub storage: Vec<Storage>,
+    /// The parameters' slots and storage, in declaration order.
+    pub params: Vec<(u32, Storage)>,
+    /// The results' slots, storage and zero values, in declaration
+    /// order; `None` when the front end left a result untyped (calling
+    /// the function is then a runtime error).
+    pub results: Vec<(u32, Storage, Option<Const>)>,
+}
+
+/// `func`'s [`FrameLayout`].
+pub(crate) fn frame_layout(
+    func: &Func,
+    res: &Resolution,
+    types: &TypeInfo,
+    analysis: &Analysis,
+) -> FrameLayout {
+    let vars = res.vars_of(func.id);
+    let first = vars.first().map_or(0, |v| v.0);
+    assert!(
+        vars.iter().zip(first..).all(|(v, id)| v.0 == id),
+        "the variables of `{}` are not numbered consecutively",
+        func.name
+    );
+    let taken = addr_taken_vars(&func.body, res);
+    let storage: Vec<Storage> = vars
+        .iter()
+        .map(|var| match taken.contains(var) {
+            false => Storage::Plain,
+            true => Storage::Boxed {
+                heap: boxed_on_heap(analysis, func.id, *var),
+                size: types.var(*var).map_or(8, |t| types.inline_size(t)),
+            },
+        })
+        .collect();
+    let slot = |v: VarId| (v.0 - first, storage[(v.0 - first) as usize]);
+    let params = res.params_of(func.id).iter().map(|&v| slot(v)).collect();
+    let results = res.results_of(func.id).iter().map(|&v| {
+        let (s, st) = slot(v);
+        (s, st, types.var(v).map(|t| zero_value(t, types)))
+    });
+    FrameLayout {
+        first,
+        params,
+        results: results.collect(),
+        storage,
+    }
+}
+
+/// The variables whose address (`&x`) the function body takes.
+fn addr_taken_vars(body: &Block, res: &Resolution) -> FxHashSet<VarId> {
+    let mut out = FxHashSet::default();
+    visit::exprs(body, |e| {
+        if let ExprKind::Unary {
+            op: UnOp::Addr,
+            operand,
+        } = &e.kind
+        {
+            if let ExprKind::Ident(_) = &operand.kind {
+                out.extend(res.def_of(operand.id));
+            }
+        }
+        Walk::Descend
+    });
+    out
 }
 
 /// Computes a type's zero value.
@@ -182,12 +234,11 @@ struct FnLowerer<'a> {
     res: &'a Resolution,
     types: &'a TypeInfo,
     analysis: &'a Analysis,
-    addr_taken: FxHashSet<VarId>,
     /// The function's first variable: variable `v` lives in slot
     /// `v - first_var`.
     first_var: u32,
-    /// Per variable slot, whether the variable is address-taken.
-    boxed: Vec<bool>,
+    /// Per variable slot, where the variable lives.
+    storage: Vec<Storage>,
     consts: &'a mut ConstPool,
     code: Vec<Instr>,
     /// The back-patch table: every forward jump is emitted with a
@@ -246,7 +297,7 @@ impl<'a> FnLowerer<'a> {
     fn slot(&self, var: VarId) -> u32 {
         var.0
             .checked_sub(self.first_var)
-            .filter(|&slot| (slot as usize) < self.boxed.len())
+            .filter(|&slot| (slot as usize) < self.storage.len())
             .unwrap_or_else(|| panic!("{var:?} is not a variable of this function"))
     }
 
@@ -332,7 +383,7 @@ impl<'a> FnLowerer<'a> {
     /// leaves the read to its consumer (see the module docs); an
     /// address-taken variable is pinned.
     fn settle(&mut self, s: Src) -> Src {
-        if s.kind == SrcKind::Var && self.boxed[s.at as usize] {
+        if s.kind == SrcKind::Var && self.storage[s.at as usize] != Storage::Plain {
             return self.pin(s);
         }
         if s.ticks > 0 {
@@ -693,14 +744,9 @@ impl<'a> FnLowerer<'a> {
             self.emit(Instr::TrapInternal("unresolved decl".into()));
             return;
         };
-        let boxed = self.addr_taken.contains(&var);
-        self.emit(Instr::Declare {
-            slot: self.slot(var),
-            src,
-            boxed,
-            heap: boxed && boxed_on_heap(self.analysis, self.fid, var),
-            size: var_size(self.types, var),
-        });
+        let slot = self.slot(var);
+        let storage = self.storage[slot as usize];
+        self.emit(Instr::Declare { slot, src, storage });
     }
 
     /// Lowers a call expression. `want` is the expected result arity
@@ -773,7 +819,7 @@ impl<'a> FnLowerer<'a> {
                 BinOp::And | BinOp::Or => {
                     // The result is written twice, so never straight
                     // into a variable the right operand may read.
-                    let var = (dst as usize) < self.boxed.len();
+                    let var = (dst as usize) < self.storage.len();
                     let d = if var { self.temp() } else { dst };
                     self.emit(Instr::Tick(1));
                     self.lower_into(lhs, d);
@@ -1078,15 +1124,10 @@ pub(crate) fn field_target(
 
 /// Whether the escape analysis put the box of address-taken variable
 /// `var` (declared in function `fid`) on the heap.
-pub(crate) fn boxed_on_heap(analysis: &Analysis, fid: FuncId, var: VarId) -> bool {
+fn boxed_on_heap(analysis: &Analysis, fid: FuncId, var: VarId) -> bool {
     let Some(fg) = analysis.funcs.get(fid) else {
         return false;
     };
     let loc = fg.var_locs.get(&var);
     loc.is_some_and(|&loc| fg.graph.loc(loc).heap_alloc)
-}
-
-/// The bytes a variable's box is accounted at.
-pub(crate) fn var_size(types: &TypeInfo, var: VarId) -> u64 {
-    types.var(var).map(|t| types.inline_size(t)).unwrap_or(8)
 }

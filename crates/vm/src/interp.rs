@@ -18,15 +18,15 @@ use minigo_syntax::{
     StmtKind, Type, TypeInfo, UnOp, VarId,
 };
 
-use crate::bytecode::lower::{boxed_on_heap, field_target, var_size, zero_value};
+use crate::bytecode::lower::{field_target, frame_layout, zero_value, FrameLayout};
 use crate::error::ExecError;
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::machine::{
     cap_of, check_index_base, check_poison, expected_bool, int_of, itoa, len_of, reslice, value_eq,
-    with_field, Dispatch, Machine, Result, RunOutcome, Session, VmConfig,
+    with_field, DeferKind, Deferred, Dispatch, Frame, Machine, Result, RunOutcome, Session, Slot,
+    VmConfig,
 };
 use crate::mark::RootSink;
-use crate::value::{Cell, Obj, Value};
+use crate::value::Value;
 
 /// Runs `program`'s `main` function on the tree-walk.
 ///
@@ -53,39 +53,18 @@ enum Flow {
     Return,
 }
 
-enum Slot {
-    Plain(Value),
-    Boxed(Cell),
-}
-
-enum DeferKind {
-    Func(FuncId),
-    Builtin(Builtin),
-}
-
-struct Deferred {
-    kind: DeferKind,
-    args: Vec<Value>,
-}
-
-struct Frame {
-    func: FuncId,
-    slots: FxHashMap<VarId, Slot>,
-    defers: Vec<Deferred>,
-}
-
 /// The tree-walk engine: a checked program and its frame stack.
 pub struct TreeWalk<'p> {
     program: &'p Program,
     res: &'p Resolution,
     types: &'p TypeInfo,
     analysis: &'p Analysis,
-    /// Address-taken variables per function (these get boxed slots).
-    addr_taken: IdMap<FuncId, FxHashSet<VarId>>,
+    /// Per function, by `FuncId` index, its frame layout.
+    layouts: Vec<FrameLayout>,
     /// The expressions that contain a call: only a call reaches a
     /// safepoint, so only these can collect while an operand waits.
     calls: IdMap<ExprId, ()>,
-    frames: Vec<Frame>,
+    frames: Vec<Frame<'static>>,
     /// Operands evaluated and not yet consumed, innermost last: GC roots
     /// while a call made in between runs (the bytecode's pending
     /// temporaries).
@@ -101,17 +80,16 @@ impl<'p> TreeWalk<'p> {
         types: &'p TypeInfo,
         analysis: &'p Analysis,
     ) -> Self {
-        let addr_taken: IdMap<FuncId, _> = program
+        let layouts = program
             .funcs
             .iter()
-            .map(|func| (func.id, addr_taken_vars(&func.body, res)))
-            .collect();
+            .map(|func| frame_layout(func, res, types, analysis));
         TreeWalk {
             program,
             res,
             types,
             analysis,
-            addr_taken,
+            layouts: layouts.collect(),
             calls: call_exprs(program),
             frames: Vec::new(),
             pending: Vec::new(),
@@ -130,15 +108,7 @@ impl Dispatch for TreeWalk<'_> {
 
     fn roots(&self, sink: &mut dyn RootSink) {
         for frame in &self.frames {
-            for slot in frame.slots.values() {
-                match slot {
-                    Slot::Plain(v) => sink.value(v),
-                    Slot::Boxed(cell) => sink.boxed(cell),
-                }
-            }
-            for v in frame.defers.iter().flat_map(|d| &d.args) {
-                sink.value(v);
-            }
+            frame.roots(sink);
         }
         for v in &self.pending {
             sink.value(v);
@@ -157,26 +127,25 @@ impl Vm<'_, '_> {
 
     fn call_function(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Vec<Value>> {
         self.m.check_depth(self.tw.frames.len())?;
-        let func = &self.tw.program.funcs[fid.index()];
-        let (res, types) = (self.tw.res, self.tw.types);
-        let mut slots = FxHashMap::default();
-        let taken = &self.tw.addr_taken[fid];
-        for (&pvar, arg) in res.params_of(fid).iter().zip(args) {
-            slots.insert(pvar, make_slot(arg, taken.contains(&pvar)));
+        let (func, res) = (&self.tw.program.funcs[fid.index()], self.tw.res);
+        let layout = &self.tw.layouts[fid.index()];
+        if layout.results.iter().any(|r| r.2.is_none()) {
+            return Err(ExecError::Internal("untyped result".into()));
         }
-        for &rvar in res.results_of(fid) {
-            let ty = types
-                .var(rvar)
-                .ok_or_else(|| ExecError::Internal("untyped result".into()))?;
-            let zero = zero_value(ty, types).to_value();
-            slots.insert(rvar, make_slot(zero, taken.contains(&rvar)));
+        let vars = layout.storage.len();
+        let mut slots = vec![Slot::Empty; vars];
+        for (&(s, _), arg) in layout.params.iter().zip(args) {
+            slots[s as usize] = Slot::Plain(arg);
         }
-        self.tw.frames.push(Frame {
-            func: fid,
-            slots,
-            defers: Vec::new(),
-        });
+        self.tw.frames.push(Frame::new(fid, slots, vars));
         let parent_stack = self.m.enter_stack(&func.name);
+        let params = layout.params.iter().copied();
+        let results = layout.results.iter().map(|(s, storage, zero)| {
+            let zero = zero.as_ref().expect("checked above").to_value();
+            (*s, *storage, zero)
+        });
+        let frame = self.tw.frames.last_mut().expect("pushed above");
+        self.m.enter_frame(&mut frame.slots, params, results);
 
         let flow = self.exec_block(&func.body);
         // Run defers LIFO regardless of how the body exited; on panic the
@@ -209,53 +178,53 @@ impl Vm<'_, '_> {
         }
     }
 
-    /// Declares a variable, boxing it when its address is taken and
-    /// charging heap accounting when the analysis decided its storage
+    /// The running frame, and the slot of `var`, one of its variables.
+    fn top(&self, var: VarId) -> (&Frame<'static>, u32) {
+        let frame = self.tw.frames.last().expect("in a frame");
+        (frame, var.0 - self.tw.layouts[frame.func.index()].first)
+    }
+
+    /// The variable identifier `e` names.
+    fn ident(&self, e: &Expr) -> Result<VarId> {
+        let var = self.tw.res.def_of(e.id);
+        var.ok_or_else(|| ExecError::Internal("unresolved ident".into()))
+    }
+
+    fn callee(&self, name: &str) -> Result<FuncId> {
+        let fid = self.tw.res.func_by_name(name);
+        fid.ok_or_else(|| ExecError::Internal("unknown callee".into()))
+    }
+
+    /// Declares `stmt`'s variables with `values`: the machine boxes an
+    /// address-taken one, heap-accounted when the analysis decided it
     /// escapes.
-    fn declare_var(&mut self, var: VarId, value: Value) {
-        let fid = self.tw.frames.last().expect("in a frame").func;
-        let slot = if self.tw.addr_taken[fid].contains(&var) {
-            let heap = boxed_on_heap(self.tw.analysis, fid, var);
-            let size = var_size(self.tw.types, var);
-            Slot::Boxed(self.m.alloc_box(value, heap, size, None))
-        } else {
-            Slot::Plain(value)
-        };
-        self.tw
-            .frames
-            .last_mut()
-            .expect("in a frame")
-            .slots
-            .insert(var, slot);
+    fn declare(&mut self, stmt: &Stmt, values: Vec<Value>) -> Result<Flow> {
+        for (i, v) in values.into_iter().enumerate() {
+            let var = self.tw.res.decl_of(stmt.id, i);
+            let var = var.ok_or_else(|| ExecError::Internal("unresolved decl".into()))?;
+            let (frame, s) = self.top(var);
+            let storage = self.tw.layouts[frame.func.index()].storage[s as usize];
+            let slot = self.m.new_slot(v, storage);
+            self.tw.frames.last_mut().expect("in a frame").slots[s as usize] = slot;
+        }
+        Ok(Flow::Normal)
     }
 
     fn read_var(&self, var: VarId) -> Result<Value> {
-        for frame in self.tw.frames.iter().rev() {
-            if let Some(slot) = frame.slots.get(&var) {
-                let v = match slot {
-                    Slot::Plain(v) => v.clone(),
-                    Slot::Boxed(cell) => cell.borrow().clone(),
-                };
-                return check_poison(v);
-            }
+        let (frame, s) = self.top(var);
+        match frame.lend(s) {
+            Some(v) => check_poison(v.clone()),
+            None => Err(ExecError::Internal(format!(
+                "variable {} not found in any frame",
+                self.tw.res.var(var).name
+            ))),
         }
-        Err(ExecError::Internal(format!(
-            "variable {} not found in any frame",
-            self.tw.res.var(var).name
-        )))
     }
 
     fn write_var(&mut self, var: VarId, value: Value) -> Result<()> {
-        for frame in self.tw.frames.iter_mut().rev() {
-            if let Some(slot) = frame.slots.get_mut(&var) {
-                match slot {
-                    Slot::Plain(v) => *v = value,
-                    Slot::Boxed(cell) => *cell.borrow_mut() = value,
-                }
-                return Ok(());
-            }
-        }
-        Err(ExecError::Internal("write to undeclared variable".into()))
+        let s = self.top(var).1;
+        let frame = self.tw.frames.last_mut().expect("in a frame");
+        frame.store(s, value)
     }
 
     fn on_heap(&self, e: &Expr) -> bool {
@@ -329,15 +298,7 @@ impl Vm<'_, '_> {
                 } else {
                     self.eval_all(init)?
                 };
-                for (i, v) in values.into_iter().enumerate() {
-                    let var = self
-                        .tw
-                        .res
-                        .decl_of(stmt.id, i)
-                        .ok_or_else(|| ExecError::Internal("unresolved decl".into()))?;
-                    self.declare_var(var, v);
-                }
-                Ok(Flow::Normal)
+                self.declare(stmt, values)
             }
             StmtKind::ShortDecl { names, init } => {
                 let values = if init.len() == 1 && names.len() > 1 {
@@ -345,15 +306,7 @@ impl Vm<'_, '_> {
                 } else {
                     self.eval_all(init)?
                 };
-                for (i, v) in values.into_iter().enumerate() {
-                    let var = self
-                        .tw
-                        .res
-                        .decl_of(stmt.id, i)
-                        .ok_or_else(|| ExecError::Internal("unresolved decl".into()))?;
-                    self.declare_var(var, v);
-                }
-                Ok(Flow::Normal)
+                self.declare(stmt, values)
             }
             StmtKind::Assign { lhs, op, rhs } => {
                 if let Some(op) = op {
@@ -439,12 +392,7 @@ impl Vm<'_, '_> {
             StmtKind::Defer { call } => {
                 let (kind, args) = match &call.kind {
                     ExprKind::Call { callee, args } => {
-                        let fid = self
-                            .tw
-                            .res
-                            .func_by_name(callee)
-                            .ok_or_else(|| ExecError::Internal("unknown callee".into()))?;
-                        (DeferKind::Func(fid), args)
+                        (DeferKind::Func(self.callee(callee)?), args)
                     }
                     ExprKind::Builtin { kind, args, .. } => (DeferKind::Builtin(*kind), args),
                     _ => return Err(ExecError::Internal("defer of non-call".into())),
@@ -511,11 +459,7 @@ impl Vm<'_, '_> {
     /// (expression statements).
     fn eval_multi(&mut self, e: &Expr, want: usize) -> Result<Vec<Value>> {
         if let ExprKind::Call { callee, args } = &e.kind {
-            let fid = self
-                .tw
-                .res
-                .func_by_name(callee)
-                .ok_or_else(|| ExecError::Internal("unknown callee".into()))?;
+            let fid = self.callee(callee)?;
             let argv = self.eval_all(args)?;
             // A call in value position charges its expression-node tick
             // here, after the arguments (the bytecode `Call` instruction's
@@ -558,12 +502,7 @@ impl Vm<'_, '_> {
             }
             ExprKind::Ident(_) => {
                 self.m.tick(1);
-                let var = self
-                    .tw
-                    .res
-                    .def_of(e.id)
-                    .ok_or_else(|| ExecError::Internal("unresolved ident".into()))?;
-                self.read_var(var)
+                self.read_var(self.ident(e)?)
             }
             ExprKind::Unary { op, operand } => match op {
                 UnOp::Neg => {
@@ -651,23 +590,9 @@ impl Vm<'_, '_> {
         match &operand.kind {
             ExprKind::Ident(_) => {
                 self.m.tick(1);
-                let var = self
-                    .tw
-                    .res
-                    .def_of(operand.id)
-                    .ok_or_else(|| ExecError::Internal("unresolved ident".into()))?;
-                for frame in self.tw.frames.iter().rev() {
-                    if let Some(slot) = frame.slots.get(&var) {
-                        return match slot {
-                            Slot::Boxed(cell) => Ok(Value::Ptr(cell.clone())),
-                            Slot::Plain(_) => Err(ExecError::Internal(format!(
-                                "address taken of unboxed variable {}",
-                                self.tw.res.var(var).name
-                            ))),
-                        };
-                    }
-                }
-                Err(ExecError::Internal("variable not found".into()))
+                let var = self.ident(operand)?;
+                let (frame, s) = self.top(var);
+                frame.addr_of(s, &self.tw.res.var(var).name)
             }
             ExprKind::StructLit { .. } => {
                 let v = self.eval(operand)?;
@@ -784,14 +709,7 @@ impl Vm<'_, '_> {
 
     fn store(&mut self, lv: &Expr, value: Value) -> Result<()> {
         match &lv.kind {
-            ExprKind::Ident(_) => {
-                let var = self
-                    .tw
-                    .res
-                    .def_of(lv.id)
-                    .ok_or_else(|| ExecError::Internal("unresolved ident".into()))?;
-                self.write_var(var, value)
-            }
+            ExprKind::Ident(_) => self.write_var(self.ident(lv)?, value),
             ExprKind::Unary {
                 op: UnOp::Deref,
                 operand,
@@ -820,32 +738,6 @@ impl Vm<'_, '_> {
             _ => Err(ExecError::Internal("bad lvalue".into())),
         }
     }
-}
-
-fn make_slot(value: Value, boxed: bool) -> Slot {
-    if boxed {
-        Slot::Boxed(Obj::new(None, value))
-    } else {
-        Slot::Plain(value)
-    }
-}
-
-/// The variables whose address (`&x`) the function body takes.
-pub(crate) fn addr_taken_vars(body: &Block, res: &Resolution) -> FxHashSet<VarId> {
-    let mut out = FxHashSet::default();
-    visit::exprs(body, |e| {
-        if let ExprKind::Unary {
-            op: UnOp::Addr,
-            operand,
-        } = &e.kind
-        {
-            if let ExprKind::Ident(_) = &operand.kind {
-                out.extend(res.def_of(operand.id));
-            }
-        }
-        Walk::Descend
-    });
-    out
 }
 
 /// The expressions of `program` that contain a call, themselves included.

@@ -22,13 +22,14 @@
 //! the data: 2 for a map lookup or delete, 3 for a map insert, 2 for an
 //! append, a string concatenation's length-proportional cost.
 
+use std::cell::Ref;
 use std::rc::Rc;
 
 use minigo_runtime::{
     BailReason, Category, FreeOutcome, FreeSource, Runtime, RuntimeConfig, ShadowHeap,
     ShadowViolation, StackId,
 };
-use minigo_syntax::{BinOp, ExprId};
+use minigo_syntax::{BinOp, Builtin, ExprId, FuncId};
 
 use crate::error::ExecError;
 use crate::fxhash::FxHashMap;
@@ -160,6 +161,155 @@ pub trait Dispatch {
     /// operand (one evaluated before a call in flight and consumed after
     /// it) to `sink`.
     fn roots(&self, sink: &mut dyn RootSink);
+}
+
+// ---- frames ----
+
+/// Where a frame variable lives: in its slot, or, address-taken, in a
+/// box the machine makes as the escape analysis decided (`HeapAlloc`,
+/// §4.1): heap-accounted at `size` bytes when `heap`, a counted stack
+/// allocation otherwise. Parameters and named results are no exception.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Storage {
+    /// In the slot itself.
+    Plain,
+    /// In a box.
+    Boxed {
+        /// Whether the box is heap-accounted.
+        heap: bool,
+        /// The bytes a heap box is accounted at.
+        size: u64,
+    },
+}
+
+/// A frame slot. `Empty` marks a variable not yet declared: reading one
+/// is an internal error.
+#[derive(Clone)]
+pub(crate) enum Slot {
+    Empty,
+    Plain(Value),
+    Boxed(Cell),
+}
+
+// A boxed slot is one pointer: the cell carries its own heap handle.
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
+
+/// What a deferred call runs.
+pub(crate) enum DeferKind {
+    Func(FuncId),
+    Builtin(Builtin),
+}
+
+/// A deferred call, its arguments evaluated at the `defer`.
+pub(crate) struct Deferred {
+    pub kind: DeferKind,
+    pub args: Vec<Value>,
+}
+
+/// One function activation, laid out the same on both engines: the
+/// function's variables as dense slots (the resolver numbers them
+/// consecutively from the function's first), then any temporaries the
+/// engine keeps there.
+pub(crate) struct Frame<'a> {
+    pub func: FuncId,
+    pub slots: Vec<Slot>,
+    /// How many of `slots` are variables.
+    pub vars: usize,
+    pub defers: Vec<Deferred>,
+    /// While the frame waits on a call: the temporaries that call left
+    /// pending (empty otherwise).
+    pub pending: &'a [u32],
+}
+
+/// A frame slot's value lent in place: a plain slot's `&Value`, or the
+/// open `Ref` of a boxed one (which must drop before a store to the same
+/// slot re-borrows the cell mutably).
+pub(crate) enum Operand<'a> {
+    Plain(&'a Value),
+    Boxed(Ref<'a, Value>),
+}
+
+impl std::ops::Deref for Operand<'_> {
+    type Target = Value;
+
+    #[inline(always)]
+    fn deref(&self) -> &Value {
+        match self {
+            Operand::Plain(v) => v,
+            Operand::Boxed(r) => r,
+        }
+    }
+}
+
+impl Frame<'_> {
+    /// A frame for `func` over `slots`, `vars` of them variables.
+    pub fn new(func: FuncId, slots: Vec<Slot>, vars: usize) -> Self {
+        Frame {
+            func,
+            slots,
+            vars,
+            defers: Vec::new(),
+            pending: &[],
+        }
+    }
+
+    /// Lends slot `s`; `None` when its variable is not yet declared.
+    #[inline(always)]
+    pub fn lend(&self, s: u32) -> Option<Operand<'_>> {
+        match &self.slots[s as usize] {
+            Slot::Plain(v) => Some(Operand::Plain(v)),
+            Slot::Boxed(cell) => Some(Operand::Boxed(cell.borrow())),
+            Slot::Empty => None,
+        }
+    }
+
+    /// Stores `v` to slot `s` (through its cell when boxed).
+    #[inline(always)]
+    pub fn store(&mut self, s: u32, v: Value) -> Result<()> {
+        let slot = &mut self.slots[s as usize];
+        // An int over an int, the hot case, in place: no drop to run.
+        if let (Slot::Plain(Value::Int(d)), Value::Int(n)) = (&mut *slot, &v) {
+            *d = *n;
+            return Ok(());
+        }
+        match slot {
+            Slot::Plain(p) => *p = v,
+            Slot::Boxed(cell) => *cell.borrow_mut() = v,
+            Slot::Empty => Err(ExecError::Internal("write to undeclared variable".into()))?,
+        }
+        Ok(())
+    }
+
+    /// `&x` of the variable `name` in slot `s`: its box.
+    pub fn addr_of(&self, s: u32, name: &str) -> Result<Value> {
+        match &self.slots[s as usize] {
+            Slot::Boxed(cell) => Ok(Value::Ptr(cell.clone())),
+            Slot::Plain(_) => Err(ExecError::Internal(format!(
+                "address taken of unboxed variable {name}"
+            ))),
+            Slot::Empty => Err(ExecError::Internal("variable not found".into())),
+        }
+    }
+
+    /// Reports the frame's roots: its variables, its deferred calls'
+    /// arguments and its pending temporaries.
+    pub fn roots(&self, sink: &mut dyn RootSink) {
+        for slot in &self.slots[..self.vars] {
+            match slot {
+                Slot::Empty => {}
+                Slot::Plain(v) => sink.value(v),
+                Slot::Boxed(cell) => sink.boxed(cell),
+            }
+        }
+        for v in self.defers.iter().flat_map(|d| &d.args) {
+            sink.value(v);
+        }
+        for &t in self.pending {
+            if let Slot::Plain(v) = &self.slots[t as usize] {
+                sink.value(v);
+            }
+        }
+    }
 }
 
 /// A persistent execution session: one engine, one [`Machine`] — one
@@ -521,8 +671,8 @@ impl Machine {
 
     // ---- allocation ----
 
-    /// A fresh cell holding `v` — a declared address-taken variable
-    /// (`site` = `None`), `&T{..}`, or `new(T)`.
+    /// A fresh cell holding `v` — a frame's box (`site` = `None`, see
+    /// [`Machine::new_slot`]), `&T{..}`, or `new(T)`.
     pub(crate) fn alloc_box(
         &mut self,
         v: Value,
@@ -531,6 +681,38 @@ impl Machine {
         site: Option<ExprId>,
     ) -> Cell {
         self.new_obj(heap, size, Category::Other, site, v, Payload::Cell)
+    }
+
+    /// A frame slot holding `v` where `storage` puts it: every box a
+    /// frame holds is made here.
+    pub(crate) fn new_slot(&mut self, v: Value, storage: Storage) -> Slot {
+        match storage {
+            Storage::Plain => Slot::Plain(v),
+            Storage::Boxed { heap, size } => Slot::Boxed(self.alloc_box(v, heap, size, None)),
+        }
+    }
+
+    /// Makes the boxes of a function just entered, once the depth check
+    /// passed and its stack is entered, so a profile charges them to the
+    /// callee as Go's prologue allocation is: each boxed parameter, its
+    /// argument already in its slot, in declaration order, then each
+    /// result from its zero.
+    pub(crate) fn enter_frame(
+        &mut self,
+        slots: &mut [Slot],
+        params: impl IntoIterator<Item = (u32, Storage)>,
+        results: impl IntoIterator<Item = (u32, Storage, Value)>,
+    ) {
+        for (s, storage) in params {
+            let slot = &mut slots[s as usize];
+            if let (Storage::Boxed { .. }, Slot::Plain(v)) = (storage, &mut *slot) {
+                let v = std::mem::replace(v, Value::Nil);
+                *slot = self.new_slot(v, storage);
+            }
+        }
+        for (s, storage, zero) in results {
+            slots[s as usize] = self.new_slot(zero, storage);
+        }
     }
 
     /// `make([]T, len[, cap])`, every element `zero`. Negative sizes

@@ -114,9 +114,9 @@ impl ObjId {
 }
 
 /// A guest object as the host holds it: the handle of the heap object
-/// backing it (`None` when the escape analysis placed it on the stack,
-/// or it is a frame's box) and its payload, in one `Rc` allocation (see
-/// the module docs).
+/// backing it (`None` when the escape analysis placed it on the stack)
+/// and its payload, in one `Rc` allocation (see the module docs).
+/// Outside tests, only the [`Machine`](crate::Machine) makes one.
 #[derive(Debug)]
 pub struct Obj<T> {
     /// Heap object backing the payload, if heap-allocated.
@@ -195,26 +195,25 @@ impl Payload {
 pub(crate) struct Slots(Vec<Vec<Option<Payload>>>);
 
 impl Slots {
-    /// The entry for `addr`, the table grown to hold it.
-    fn at(&mut self, addr: ObjAddr) -> &mut Option<Payload> {
+    /// Owns `payload` for the object just allocated at `addr`, releasing
+    /// the payload a `tcfree`d object left there. The only call that
+    /// grows the table.
+    pub fn put(&mut self, addr: ObjAddr, payload: Payload) {
         let (span, slot) = (addr.span.0 as usize, addr.slot as usize);
         self.0.resize_with(self.0.len().max(span + 1), Vec::new);
         let slots = &mut self.0[span];
         slots.resize_with(slots.len().max(slot + 1), || None);
-        &mut slots[slot]
-    }
-
-    /// Owns `payload` for the object just allocated at `addr`, releasing
-    /// the payload a `tcfree`d object left there.
-    pub fn put(&mut self, addr: ObjAddr, payload: Payload) {
-        if let Some(old) = self.at(addr).replace(payload) {
+        if let Some(old) = slots[slot].replace(payload) {
             old.release();
         }
     }
 
-    /// Releases the payload at `addr`: the sweep freed its object.
+    /// Releases the payload at `addr`: the sweep freed its object, whose
+    /// payload `put` filed.
     pub fn release(&mut self, addr: ObjAddr) {
-        if let Some(p) = self.at(addr).take() {
+        let span = self.0.get_mut(addr.span.0 as usize);
+        let entry = span.and_then(|s| s.get_mut(addr.slot as usize));
+        if let Some(p) = entry.and_then(Option::take) {
             p.release();
         }
     }

@@ -16,6 +16,7 @@ use proptest::prelude::*;
 
 use minigo_syntax::{BinOp, ExprId};
 use minigo_vm::bytecode::{BFunc, Instr, Src};
+use minigo_vm::machine::Storage;
 use minigo_vm::{run_module, Const as K, Module, VmConfig};
 
 const OPS: [BinOp; 13] = [
@@ -146,12 +147,17 @@ fn forms(op: BinOp) -> Vec<(&'static str, Vec<Instr>, Option<u32>)> {
 /// which way it went.
 fn program(x: i64, y: i64, boxed: bool, body: Vec<Instr>, result: Option<u32>) -> Module {
     use Instr::*;
+    let storage = |boxed| match boxed {
+        true => Storage::Boxed {
+            heap: false,
+            size: 8,
+        },
+        false => Storage::Plain,
+    };
     let declare = |slot, c, boxed| Declare {
         slot,
         src: Src::k(c, 1),
-        boxed,
-        heap: false,
-        size: 8,
+        storage: storage(boxed),
     };
     let mut code = vec![
         declare(X, CX, boxed),
@@ -169,9 +175,7 @@ fn program(x: i64, y: i64, boxed: bool, body: Vec<Instr>, result: Option<u32>) -
         Declare {
             slot: S,
             src: Src::tmp(T),
-            boxed,
-            heap: false,
-            size: 8,
+            storage: storage(boxed),
         },
     ];
     let branch = result.is_none();

@@ -5,7 +5,8 @@
 //! the test fails.
 
 use gofree::{
-    compile, execute, CompileOptions, OptLevel, PoisonMode, RunConfig, Setting, VmEngine,
+    compile, execute, Category, CollectorKind, CompileOptions, OptLevel, PoisonMode, RunConfig,
+    Setting, VmEngine,
 };
 use gofree_workloads::{fuzzgen, regressions};
 
@@ -112,6 +113,77 @@ fn corpus_replays_clean() {
             .unwrap_or_else(|e| panic!("{name}: no longer compiles: {}", e.render(src)));
         if let Some(what) = divergence(src) {
             panic!("{name}: regressed: {what}\n--- program ---\n{src}");
+        }
+    }
+}
+
+/// `escaping_param_and_result.mgo`'s declarations with each escaping
+/// parameter, and the named result, copied into a local first: the
+/// boxes a declared variable always got.
+const LOCAL_COPIES: &str = "type N struct {
+    v    int
+    next *N
+}
+
+func f(x0 N) *N {
+    x := x0
+    return &x
+}
+
+func g(i0 int) *int {
+    i := i0
+    return &i
+}
+
+func h(k int) (int, *int) {
+    r := k * 2
+    p := &r
+    return r, p
+}
+
+";
+
+#[test]
+fn escaping_params_and_results_are_boxed_like_locals() {
+    let (_, src) = regressions::load()
+        .into_iter()
+        .find(|(name, _)| name == "escaping_param_and_result")
+        .expect("the corpus holds escaping_param_and_result.mgo");
+    let main = src.find("func main()").expect("a main");
+    let twin = format!("{LOCAL_COPIES}{}", &src[main..]);
+    let other = Category::Other.index();
+    for (setting, opts) in [
+        (Setting::Go, CompileOptions::go()),
+        (Setting::GoFree, CompileOptions::default()),
+    ] {
+        let params = compile(&src, &opts).expect("compiles");
+        let locals = compile(&twin, &opts).expect("compiles");
+        for collector in CollectorKind::all() {
+            for engine in [VmEngine::Bytecode, VmEngine::TreeWalk] {
+                let cfg = RunConfig {
+                    collector,
+                    engine,
+                    sanitize: true,
+                    // Small enough that cycles run while the boxes live.
+                    min_heap: 8 * 1024,
+                    nursery_size: 4 * 1024,
+                    ..RunConfig::default()
+                };
+                let run = |c| execute(c, setting, &cfg).expect("runs");
+                let (p, l) = (run(&params), run(&locals));
+                let at = format!("{setting} {collector:?} {engine:?}");
+                assert_eq!(p.output, l.output, "{at}");
+                assert!(p.violations.is_empty(), "{at}: {:?}", p.violations);
+                assert!(l.violations.is_empty(), "{at}: {:?}", l.violations);
+                assert_eq!(
+                    p.metrics.heap_allocs[other], l.metrics.heap_allocs[other],
+                    "{at}"
+                );
+                assert_eq!(p.metrics.alloced_bytes, l.metrics.alloced_bytes, "{at}");
+                // One box per call of `f`, `g` and `h`.
+                assert_eq!(p.metrics.heap_allocs[other], 3000, "{at}");
+                assert!(p.metrics.gcs > 0, "{at}: no cycle ran");
+            }
         }
     }
 }
